@@ -5,7 +5,7 @@
 //! edges. Integer types round-trip losslessly for the magnitudes simulations
 //! actually emit (|v| < 2^53).
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::error::{DataError, DataResult};
 
@@ -292,20 +292,26 @@ impl Buffer {
         }
     }
 
-    /// Serializes the payload as little-endian bytes (container format).
+    /// Appends the payload to `out` as little-endian bytes (the container
+    /// and wire format) — the one LE emitter every encoder shares.
     ///
-    /// One pre-sized allocation per call; each variant converts in bulk via
-    /// fixed-width array stores (`as_chunks_mut`), which the compiler lowers
-    /// to straight block copies on little-endian targets — not one
-    /// `extend_from_slice` per element.
-    pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.byte_len()];
+    /// The destination is reserved once and never zero-filled. Elements are
+    /// converted a block at a time through a small stack buffer (fixed-width
+    /// array stores, which the compiler lowers to block copies on
+    /// little-endian targets); the block stays in L1, so each payload byte
+    /// crosses memory once on its way into `out`.
+    pub fn append_le_bytes(&self, out: &mut Vec<u8>) {
+        const BLOCK: usize = 4096;
+        out.reserve(self.byte_len());
         macro_rules! emit {
             ($v:expr, $w:expr) => {{
-                let (dst, rest) = out.as_chunks_mut::<$w>();
-                debug_assert!(rest.is_empty());
-                for (d, x) in dst.iter_mut().zip($v) {
-                    *d = x.to_le_bytes();
+                let mut block = [0u8; BLOCK];
+                for run in $v.chunks(BLOCK / $w) {
+                    let (dst, _) = block.as_chunks_mut::<$w>();
+                    for (d, x) in dst.iter_mut().zip(run) {
+                        *d = x.to_le_bytes();
+                    }
+                    out.extend_from_slice(&block[..run.len() * $w]);
                 }
             }};
         }
@@ -317,6 +323,12 @@ impl Buffer {
             Buffer::U32(v) => emit!(v, 4),
             Buffer::U64(v) => emit!(v, 8),
         }
+    }
+
+    /// The payload as a fresh little-endian byte vector.
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.append_le_bytes(&mut out);
         out
     }
 
@@ -451,6 +463,25 @@ impl SharedBuffer {
     /// tests assert instead of comparing contents.
     pub fn shares_allocation(a: &SharedBuffer, b: &SharedBuffer) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// A token naming this allocation without keeping its payload alive.
+    pub fn allocation_id(&self) -> AllocationId {
+        AllocationId(Arc::downgrade(&self.0))
+    }
+}
+
+/// The identity of one [`SharedBuffer`] allocation. Holding it does not pin
+/// the payload, yet it can never name a later allocation by accident: the
+/// weak count keeps the address reserved after the payload is freed.
+#[derive(Debug, Clone)]
+pub struct AllocationId(Weak<Buffer>);
+
+impl AllocationId {
+    /// True when `buffer` is a handle to the allocation this id was taken
+    /// from.
+    pub fn names(&self, buffer: &SharedBuffer) -> bool {
+        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&buffer.0))
     }
 }
 
@@ -606,6 +637,24 @@ mod tests {
             let bytes = b.to_le_bytes();
             let back = Buffer::from_le_bytes(b.dtype(), b.len(), &bytes).unwrap();
             assert_eq!(back, b);
+        }
+    }
+
+    #[test]
+    fn append_le_bytes_appends_across_block_boundaries() {
+        // Lengths straddling the 4096-byte staging block (512 f64 / 1024
+        // u32 per block), appended after bytes already in the destination.
+        for n in [0usize, 1, 511, 512, 513, 1024, 1025, 3000] {
+            let wide = Buffer::F64((0..n).map(|i| i as f64 * 0.5 - 7.0).collect());
+            let narrow = Buffer::U32((0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect());
+            for b in [wide, narrow] {
+                let mut out = vec![0xaa, 0xbb];
+                b.append_le_bytes(&mut out);
+                assert_eq!(&out[..2], &[0xaa, 0xbb]);
+                assert_eq!(out.len(), 2 + b.byte_len());
+                let back = Buffer::from_le_bytes(b.dtype(), b.len(), &out[2..]).unwrap();
+                assert_eq!(back, b, "n = {n}");
+            }
         }
     }
 

@@ -34,6 +34,10 @@ const MIN_MATCH: usize = 4;
 const MAX_OFFSET: usize = u16::MAX as usize;
 /// Log2 of the compressor's hash-table size.
 const HASH_BITS: u32 = 14;
+/// Log2 of the consecutive misses that buy one more byte of stride (the
+/// LZ4 skip trigger): positions are probed one by one for the first 64
+/// misses, every second one for the next 64, and so on.
+const SKIP_TRIGGER: u32 = 6;
 
 /// Multiplicative hash of a 4-byte prefix into the match table.
 #[inline]
@@ -98,17 +102,31 @@ fn put_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
 /// token per 15-byte literal run). Callers that care — the wire layer does —
 /// compare lengths and keep the raw bytes instead.
 pub fn lz_compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 4 + 16);
+    lz_compress_into(input, &mut out);
+    out
+}
+
+/// Compresses `input`, appending the block to `out` — the wire layer
+/// compresses straight into the frame it is building.
+///
+/// The matcher gives up gracefully on incompressible input: the probe
+/// stride grows with the run of consecutive misses (`1 + (misses >> 6)`, the
+/// LZ4 rule) and resets on every match, so noise costs a fraction of a
+/// probe per byte while structured payloads, whose matches keep the stride
+/// at one, compress exactly as before. The block format is untouched.
+pub fn lz_compress_into(input: &[u8], out: &mut Vec<u8>) {
     let n = input.len();
-    let mut out = Vec::with_capacity(n / 4 + 16);
     if n < MIN_MATCH + 1 {
-        put_sequence(&mut out, input, None);
-        return out;
+        put_sequence(out, input, None);
+        return;
     }
     // Position+1 of the latest occurrence of each hashed 4-byte prefix;
     // 0 means empty, so the table needs no initialization sentinel logic.
     let mut table = vec![0u32; 1 << HASH_BITS];
     let mut i = 0;
     let mut lit_start = 0;
+    let mut misses = 0usize;
     // Leave the last few bytes for the final literal run so match
     // extension never needs a bounds branch per byte.
     while i + MIN_MATCH <= n {
@@ -121,16 +139,17 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
             let c = cand - 1;
             if i - c <= MAX_OFFSET && load4(input, c) == load4(input, i) {
                 let mlen = MIN_MATCH + common_prefix(input, c + MIN_MATCH, i + MIN_MATCH);
-                put_sequence(&mut out, &input[lit_start..i], Some((mlen, i - c)));
+                put_sequence(out, &input[lit_start..i], Some((mlen, i - c)));
                 i += mlen;
                 lit_start = i;
+                misses = 0;
                 continue;
             }
         }
-        i += 1;
+        i += 1 + (misses >> SKIP_TRIGGER);
+        misses += 1;
     }
-    put_sequence(&mut out, &input[lit_start..], None);
-    out
+    put_sequence(out, &input[lit_start..], None);
 }
 
 /// The hash-table slot encoding for a match candidate at byte position `i`,

@@ -85,7 +85,7 @@ impl<W: Write> ContainerWriter<W> {
                 put_str(&mut payload, &text)?;
             }
             payload.put_u64_le(v.data.len() as u64);
-            payload.extend_from_slice(&v.data.to_le_bytes());
+            v.data.append_le_bytes(&mut payload);
         }
         self.sink.write_all(STEP_MARKER)?;
         self.sink.write_all(&(payload.len() as u64).to_le_bytes())?;

@@ -42,7 +42,7 @@ pub mod signal;
 pub mod variable;
 pub mod wire;
 
-pub use buffer::{Buffer, DType, SharedBuffer};
+pub use buffer::{AllocationId, Buffer, DType, SharedBuffer};
 pub use chunk::{Chunk, VariableMeta};
 pub use config::{GroupConfig, VarConfig};
 pub use dims::{Dim, Shape};

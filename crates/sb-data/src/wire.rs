@@ -5,7 +5,7 @@
 //! the global variable, the bounding box one rank contributes, and the raw
 //! payload covering that box. This module encodes exactly that triple with
 //! the same primitives (length-prefixed strings, little-endian integers,
-//! [`Buffer::to_le_bytes`] payloads) so a step travels byte-identically
+//! [`Buffer::append_le_bytes`] payloads) so a step travels byte-identically
 //! whether it crosses a thread boundary or a socket.
 //!
 //! ```text
@@ -47,7 +47,7 @@ use bytes::{Buf, BufMut};
 
 use crate::buffer::{Buffer, DType};
 use crate::chunk::{Chunk, VariableMeta};
-use crate::compress::{lz_compress, lz_decompress};
+use crate::compress::{lz_compress_into, lz_decompress};
 use crate::dims::{Dim, Shape};
 use crate::error::{DataError, DataResult};
 use crate::region::Region;
@@ -261,7 +261,7 @@ pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &Chunk) -> DataResult<()> {
     encode_meta(buf, &chunk.meta)?;
     encode_region(buf, &chunk.region)?;
     buf.put_u64_le(chunk.data.len() as u64);
-    buf.extend_from_slice(&chunk.data.to_le_bytes());
+    chunk.data.append_le_bytes(buf);
     Ok(())
 }
 
@@ -501,39 +501,40 @@ pub fn encode_chunk_interned(
     meta_id: u32,
     compression: Compression,
 ) -> DataResult<InternedEncode> {
+    let raw_payload = chunk.byte_len();
+    buf.reserve(raw_payload + 64);
     buf.put_u32_le(meta_id);
     encode_region(buf, &chunk.region)?;
     buf.put_u64_le(chunk.data.len() as u64);
-    let raw = chunk.data.to_le_bytes();
-    match compression {
-        Compression::None => {
-            buf.put_u8(Compression::None.tag());
-            buf.extend_from_slice(&raw);
-            Ok(InternedEncode {
-                raw_payload: raw.len(),
-                wire_payload: raw.len(),
-            })
+    let codec_at = buf.len();
+    if compression == Compression::Lz {
+        // The compressor needs the payload as bytes, so this path stages it
+        // once; the block itself is written straight into the frame behind
+        // a length placeholder, and rolled back if it did not shrink.
+        let raw = chunk.data.to_le_bytes();
+        buf.put_u8(Compression::Lz.tag());
+        buf.put_u64_le(0);
+        let block_at = buf.len();
+        lz_compress_into(&raw, buf);
+        let packed = buf.len() - block_at;
+        if packed + 8 < raw_payload {
+            buf[block_at - 8..block_at].copy_from_slice(&(packed as u64).to_le_bytes());
+            return Ok(InternedEncode {
+                raw_payload,
+                wire_payload: packed + 8,
+            });
         }
-        Compression::Lz => {
-            let packed = lz_compress(&raw);
-            if packed.len() + 8 < raw.len() {
-                buf.put_u8(Compression::Lz.tag());
-                buf.put_u64_le(packed.len() as u64);
-                buf.extend_from_slice(&packed);
-                Ok(InternedEncode {
-                    raw_payload: raw.len(),
-                    wire_payload: packed.len() + 8,
-                })
-            } else {
-                buf.put_u8(Compression::None.tag());
-                buf.extend_from_slice(&raw);
-                Ok(InternedEncode {
-                    raw_payload: raw.len(),
-                    wire_payload: raw.len(),
-                })
-            }
-        }
+        buf.truncate(codec_at);
+        buf.put_u8(Compression::None.tag());
+        buf.extend_from_slice(&raw);
+    } else {
+        buf.put_u8(Compression::None.tag());
+        chunk.data.append_le_bytes(buf);
     }
+    Ok(InternedEncode {
+        raw_payload,
+        wire_payload: raw_payload,
+    })
 }
 
 /// Decodes one interned chunk against the definitions applied so far,

@@ -95,9 +95,11 @@ impl Counters {
     }
 
     /// Records one payload passing through the codec: its size before
-    /// compression and the bytes that actually went on the wire. Charged at
-    /// the encode site only, so client and broker contributions are
-    /// disjoint events and merge cleanly.
+    /// compression and the bytes that actually went on the wire. Charged
+    /// only where a codec actually ran — the writer client for its own
+    /// encode, the broker only for chunks it could not relay as received —
+    /// so client and broker contributions are disjoint events and merge
+    /// cleanly, and a pass-through stream counts each payload byte once.
     pub(crate) fn add_compression(&self, raw: usize, wire: usize) {
         self.wire_uncompressed_bytes
             .fetch_add(raw as u64, Ordering::Relaxed);
@@ -136,9 +138,9 @@ impl Counters {
     /// every frame this client sent or received, so adding the client's
     /// local mirror would double-count each byte (the pre-v2 bug that
     /// reported 1×1 pipelines at "4×"). Compression counters *are* merged —
-    /// they are charged only where a payload is encoded (client for the
-    /// writer hop, broker for the reader hop), so the contributions are
-    /// disjoint.
+    /// they are charged only where a payload is encoded (the client for
+    /// its writes, the broker for what its relay had to encode itself), so
+    /// the contributions are disjoint.
     pub(crate) fn merge_into(&self, m: &mut StreamMetrics) {
         m.bytes_written += self.bytes_written.load(Ordering::Relaxed);
         m.bytes_read += self.bytes_read.load(Ordering::Relaxed);
@@ -191,8 +193,11 @@ pub struct StreamMetrics {
     /// here is also in `wire_writer_bytes` or `wire_reader_bytes`. Zero on
     /// the tcp and in-proc backends.
     pub wire_shm_bytes: u64,
-    /// Payload bytes entering the wire codec before compression. Equal to
-    /// `wire_compressed_bytes` when compression is off or never won.
+    /// Payload bytes entering the wire codec before compression, counted
+    /// at each encode: once per stream when the broker relays the writers'
+    /// frames as received, once more per codec it has to encode for
+    /// itself. Equal to `wire_compressed_bytes` when compression is off or
+    /// never won.
     pub wire_uncompressed_bytes: u64,
     /// Payload bytes leaving the wire codec — after compression where it
     /// was applied and kept.

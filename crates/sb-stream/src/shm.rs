@@ -54,7 +54,9 @@ use std::time::{Duration, Instant};
 
 use crate::error::StreamError;
 use crate::hub::StreamHub;
-use crate::tcp::{serve_session, Dialer, FrameIo, RelayTable, TcpOptions, TcpTransport, MAX_FRAME};
+use crate::tcp::{
+    frame_header, read_frame, serve_session, Dialer, FrameIo, RelayTable, TcpOptions, TcpTransport,
+};
 use crate::trace::Tracer;
 
 const MAGIC: &[u8; 8] = b"SBSHMRG1";
@@ -308,8 +310,11 @@ struct ShmChannel {
     tx: Ring,
     /// Ring this side consumes from.
     rx: Ring,
-    /// Our producer cursor (authoritative local copy of `tx.tail`).
+    /// Our producer cursor: bytes written into the ring so far.
     tx_tail: u64,
+    /// The value of `tx_tail` last stored in the ring header, i.e. what the
+    /// consumer can see.
+    tx_published: u64,
     /// Our consumer cursor (authoritative local copy of `rx.head`).
     rx_head: u64,
     /// Last `tx.head` observed; refreshed only when space runs out.
@@ -331,6 +336,7 @@ impl ShmChannel {
             tx,
             rx,
             tx_tail,
+            tx_published: tx_tail,
             rx_head,
             tx_head_cache,
             rx_tail_cache,
@@ -369,13 +375,17 @@ impl ShmChannel {
         Ok(())
     }
 
-    /// Blocking bounded-buffer write of the whole of `buf`, in chunks as
-    /// space frees (ring backpressure).
+    /// Blocking bounded-buffer write of the whole of `buf` into the ring, in
+    /// chunks as space frees (ring backpressure). The bytes become visible
+    /// to the consumer at the next [`publish`](Self::publish) — which this
+    /// does itself only when the ring is full and the consumer must drain
+    /// before the rest fits.
     fn send_bytes(&mut self, mut buf: &[u8]) -> io::Result<()> {
         let mut iters = 0u32;
         while !buf.is_empty() {
             let mut free = self.tx.capacity - (self.tx_tail - self.tx_head_cache);
             if free == 0 {
+                self.publish()?;
                 self.tx_head_cache = self.tx.head()?;
                 free = self.tx.capacity - (self.tx_tail - self.tx_head_cache);
             }
@@ -386,90 +396,93 @@ impl ShmChannel {
             let n = free.min(buf.len() as u64) as usize;
             self.tx.write_data(self.tx_tail, &buf[..n])?;
             self.tx_tail += n as u64;
-            self.tx.set_tail(self.tx_tail)?;
             buf = &buf[n..];
         }
         Ok(())
     }
 
-    /// Blocking read of exactly `buf.len()` bytes, honoring the receive
-    /// deadline (expiry surfaces as `WouldBlock`, like a socket timeout)
-    /// and the producer's close flag.
-    fn recv_bytes(&mut self, buf: &mut [u8]) -> io::Result<()> {
+    /// Publishes the producer cursor if bytes were written since the last
+    /// publish.
+    fn publish(&mut self) -> io::Result<()> {
+        if self.tx_published != self.tx_tail {
+            self.tx.set_tail(self.tx_tail)?;
+            self.tx_published = self.tx_tail;
+        }
+        Ok(())
+    }
+}
+
+/// The consuming side as a byte stream, so frames are read by the same
+/// bounded [`read_frame`] as on a socket.
+impl io::Read for ShmChannel {
+    /// Blocks until at least one byte is available and reads what is,
+    /// honoring the receive deadline (expiry surfaces as `WouldBlock`, like
+    /// a socket timeout). `Ok(0)` is end-of-connection: the producer set
+    /// its close flag and everything it published has been drained.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if buf.is_empty() {
+            return Ok(0);
+        }
         let limit = self.recv_deadline.map(|d| Instant::now() + d);
         let mut iters = 0u32;
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            let mut avail = self.rx_tail_cache - self.rx_head;
-            if avail == 0 {
+        loop {
+            if self.rx_tail_cache == self.rx_head {
                 self.rx_tail_cache = self.rx.tail()?;
-                avail = self.rx_tail_cache - self.rx_head;
             }
+            // A producer cursor behind ours is a corrupt (or hostile) ring.
+            let avail = self
+                .rx_tail_cache
+                .checked_sub(self.rx_head)
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "ring producer cursor moved backwards",
+                    )
+                })?;
             if avail == 0 {
                 if self.rx.closed()? {
                     // Drain check once more: close happens after the final
                     // bytes are published.
                     self.rx_tail_cache = self.rx.tail()?;
                     if self.rx_tail_cache == self.rx_head {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed by peer",
-                        ));
+                        return Ok(0);
                     }
                     continue;
                 }
-                if let Some(limit) = limit {
-                    if Instant::now() >= limit {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            "ring read deadline expired",
-                        ));
-                    }
+                if limit.is_some_and(|limit| Instant::now() >= limit) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "ring read deadline expired",
+                    ));
                 }
                 self.pause(&mut iters)?;
                 continue;
             }
-            let n = avail.min((buf.len() - filled) as u64) as usize;
-            self.rx
-                .read_data(self.rx_head, &mut buf[filled..filled + n])?;
+            let n = avail.min(buf.len() as u64) as usize;
+            self.rx.read_data(self.rx_head, &mut buf[..n])?;
             self.rx_head += n as u64;
             self.rx.set_head(self.rx_head)?;
-            filled += n;
+            return Ok(n);
         }
-        Ok(())
     }
 }
 
 impl FrameIo for ShmChannel {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize> {
-        let header = (payload.len() as u32).to_le_bytes();
-        if payload.len() <= 4096 {
-            // Small frames go out in one publish: one cursor update instead
-            // of two (control verbs and acks dominate frame *count*).
-            let mut frame = Vec::with_capacity(4 + payload.len());
-            frame.extend_from_slice(&header);
-            frame.extend_from_slice(payload);
-            self.send_bytes(&frame)?;
-        } else {
-            self.send_bytes(&header)?;
-            self.send_bytes(payload)?;
+    /// Header and parts go into the ring back to back and become visible
+    /// with one cursor publish per frame (more only when the frame outgrows
+    /// the ring's free space and has to stream through).
+    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
+        let header = frame_header(parts)?;
+        self.send_bytes(&header)?;
+        for part in parts {
+            self.send_bytes(part)?;
         }
-        Ok(4 + payload.len())
+        self.publish()?;
+        Ok(header.len() + u32::from_le_bytes(header) as usize)
     }
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-        let mut len = [0u8; 4];
-        self.recv_bytes(&mut len)?;
-        let len = u32::from_le_bytes(len);
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.recv_bytes(&mut payload)?;
-        Ok(payload)
+        read_frame(self)
     }
 
     fn set_recv_deadline(&mut self, deadline: Option<Duration>) {
@@ -950,6 +963,46 @@ mod tests {
         drop(broker);
     }
 
+    /// Two channel ends over a fresh pair of ring files of `capacity` bytes.
+    fn channel_pair(tag: &str, capacity: u64) -> (ShmChannel, ShmChannel, PathBuf) {
+        let dir = scratch_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let a2b = Ring::create(&dir.join("a2b.ring"), capacity).unwrap();
+        let b2a = Ring::create(&dir.join("b2a.ring"), capacity).unwrap();
+        let a2b2 = Ring::open(&dir.join("a2b.ring")).unwrap();
+        let b2a2 = Ring::open(&dir.join("b2a.ring")).unwrap();
+        let me = std::process::id();
+        let side_a = ShmChannel::assemble(a2b, b2a, me).unwrap();
+        let side_b = ShmChannel::assemble(b2a2, a2b2, me).unwrap();
+        (side_a, side_b, dir)
+    }
+
+    #[test]
+    fn multi_part_frames_larger_than_the_ring_stream_through() {
+        let (mut side_a, mut side_b, dir) = channel_pair("parts", 4096);
+        let big: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
+        let whole: Vec<u8> = [b"head".as_slice(), &big, b"tail"].concat();
+        let rx = std::thread::spawn(move || {
+            let first = side_b.recv_frame().unwrap();
+            let second = side_b.recv_frame().unwrap();
+            (first, second)
+        });
+        let sent = side_a
+            .send_frame_parts(&[b"head", &[], &big, b"tail"])
+            .unwrap();
+        assert_eq!(sent, 4 + whole.len());
+        // A frame that fits the free space is one publish: nothing of it is
+        // visible to the peer until it is complete.
+        side_a.send_bytes(&3u32.to_le_bytes()).unwrap();
+        side_a.send_bytes(b"ack").unwrap();
+        assert_ne!(side_a.tx_published, side_a.tx_tail);
+        side_a.publish().unwrap();
+        let (first, second) = rx.join().unwrap();
+        assert_eq!(first, whole);
+        assert_eq!(second, b"ack");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// Throughput probe (`--ignored`; prints, asserts only delivery): raw
     /// ring frame pump between two threads, no wire protocol, no hub.
     /// Useful for separating ring-fabric cost from codec cost when bench
@@ -958,15 +1011,7 @@ mod tests {
     #[test]
     #[ignore]
     fn ring_throughput_probe() {
-        let dir = scratch_dir("tp");
-        fs::create_dir_all(&dir).unwrap();
-        let a2b = Ring::create(&dir.join("a2b.ring"), 32 << 20).unwrap();
-        let b2a = Ring::create(&dir.join("b2a.ring"), 32 << 20).unwrap();
-        let a2b2 = Ring::open(&dir.join("a2b.ring")).unwrap();
-        let b2a2 = Ring::open(&dir.join("b2a.ring")).unwrap();
-        let me = std::process::id();
-        let mut side_a = ShmChannel::assemble(a2b, b2a, me).unwrap();
-        let mut side_b = ShmChannel::assemble(b2a2, a2b2, me).unwrap();
+        let (mut side_a, mut side_b, dir) = channel_pair("tp", 32 << 20);
 
         const STEPS: usize = 12;
         const LEN: usize = 6 << 20;

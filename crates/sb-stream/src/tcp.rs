@@ -27,8 +27,13 @@
 //! REPLY_STEP := 0x82 | u64 step | u32 ndefs | def* | u32 nchunks | ichunk*
 //! ```
 //!
-//! The broker encodes each committed step **once** per codec and shares the
-//! cached body across every v2 reader fetching that step; per-connection
+//! The writer's encoded bytes are the stream's bytes: a broker writer
+//! session keeps each received `W_STEP` frame and seeds the per-stream relay
+//! cache with its chunks (meta ids rewritten in place to stream-global
+//! ones), and reader sessions answer fetches with slices of those frames —
+//! no re-encode, no second compression. A chunk nothing seeded (in-proc or
+//! v1 writer, another codec, no v2 reader attached yet) is encoded **once**
+//! per codec into the same cache and shared the same way; per-connection
 //! definition high-water marks prepend exactly the definitions a given
 //! reader still lacks. Each frame byte is charged once, to the hop it
 //! crossed (writer→broker or broker→reader), by the broker sessions — see
@@ -54,8 +59,9 @@
 //! `PeerGone` instead of waiting out the hub timeout.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -67,7 +73,7 @@ use sb_data::wire::{
     decode_chunk, decode_chunk_interned, encode_chunk, encode_chunk_interned, get_str, Compression,
     MetaDefs, MetaInternTable,
 };
-use sb_data::Chunk;
+use sb_data::{AllocationId, Chunk, Region};
 
 use crate::error::{StreamError, StreamResult};
 use crate::hub::StreamHub;
@@ -109,11 +115,12 @@ const REPLY_METRICS: u8 = 0x86;
 /// instead of attempting a giant allocation.
 pub(crate) const MAX_FRAME: u32 = 1 << 30;
 
-/// Cached encoded steps the broker keeps per stream before dropping the
-/// oldest. Eviction normally happens when every attached v2 reader has
-/// released the step; the cap only bounds stragglers (a premature eviction
-/// costs a re-encode, never correctness).
-const RELAY_CACHE_CAP: usize = 64;
+/// Most steps the broker's relay cache spans per stream while no remote
+/// writer has declared a queue capacity to derive a tighter bound from.
+/// Steps normally leave the cache when every attached v2 reader has released
+/// them; the span only bounds what was never fetched (a premature eviction
+/// costs an encode, never correctness).
+const RELAY_CACHE_CAP: u64 = 64;
 
 /// Frame-protocol revisions the hello negotiates.
 ///
@@ -273,9 +280,18 @@ fn check_wire_str_len(len: usize) -> Result<(), String> {
 /// socket and the shared-memory ring both implement it, so every client
 /// and broker-session codepath above this line is fabric-agnostic.
 pub(crate) trait FrameIo: Send {
-    /// Sends one `u32`-length-prefixed frame, returning the bytes that
-    /// crossed the fabric (header plus payload).
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize>;
+    /// Sends one `u32`-length-prefixed frame whose payload is the
+    /// concatenation of `parts`, returning the bytes that crossed the
+    /// fabric (header plus payload). Taking the payload as slices is what
+    /// lets a sender frame bytes it does not own contiguously — a step
+    /// batch behind its header, relayed chunk bodies behind a prelude —
+    /// without first copying them into one buffer.
+    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize>;
+
+    /// Sends one frame from a contiguous payload.
+    fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize> {
+        self.send_frame_parts(&[payload])
+    }
 
     /// Receives one frame payload.
     fn recv_frame(&mut self) -> io::Result<Vec<u8>>;
@@ -285,15 +301,34 @@ pub(crate) trait FrameIo: Send {
     fn set_recv_deadline(&mut self, deadline: Option<Duration>);
 }
 
-fn send_frame(sock: &mut TcpStream, payload: &[u8]) -> io::Result<usize> {
-    sock.write_all(&(payload.len() as u32).to_le_bytes())?;
-    sock.write_all(payload)?;
-    Ok(4 + payload.len())
+/// The length prefix for a frame made of `parts`, refusing one the peer's
+/// [`read_frame`] would reject (and one a `u32` could not even describe).
+pub(crate) fn frame_header(parts: &[&[u8]]) -> io::Result<[u8; 4]> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    match u32::try_from(len) {
+        Ok(len) if len <= MAX_FRAME => Ok(len.to_le_bytes()),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+        )),
+    }
 }
 
-fn recv_frame(sock: &mut TcpStream) -> io::Result<Vec<u8>> {
+/// Most bytes [`read_frame`] reserves ahead of the bytes that have actually
+/// arrived.
+pub(crate) const FRAME_STRIDE: usize = 4 << 20;
+
+/// Reads one length-prefixed frame from either fabric's byte stream.
+///
+/// The prefix is hostile until the body has arrived: it is capped at
+/// [`MAX_FRAME`], and the body buffer is reserved at most one
+/// [`FRAME_STRIDE`] ahead of what has been received, so a forged 1 GiB
+/// prefix followed by a hang-up costs one stride, not a gigabyte. A frame
+/// that fits one stride — every step the workflows here move — is received
+/// into a single exact reservation.
+pub(crate) fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
-    sock.read_exact(&mut len)?;
+    src.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -301,26 +336,55 @@ fn recv_frame(sock: &mut TcpStream) -> io::Result<Vec<u8>> {
             format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    // Grow as bytes arrive rather than trusting the header with one
-    // allocation (same discipline as the container reader).
-    let mut payload = Vec::new();
-    sock.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        ));
+    let len = len as usize;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let stride = (len - body.len()).min(FRAME_STRIDE);
+        body.reserve(stride);
+        let got = src.by_ref().take(stride as u64).read_to_end(&mut body)?;
+        if got < stride {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            ));
+        }
     }
-    Ok(payload)
+    Ok(body)
 }
 
 impl FrameIo for TcpStream {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize> {
-        send_frame(self, payload)
+    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
+        let header = frame_header(parts)?;
+        let mut slices = Vec::with_capacity(1 + parts.len());
+        slices.push(IoSlice::new(&header));
+        slices.extend(
+            parts
+                .iter()
+                .filter(|p| !p.is_empty())
+                .map(|p| IoSlice::new(p)),
+        );
+        let sent = header.len() + u32::from_le_bytes(header) as usize;
+        // One gathered write per frame in the common case; the loop covers
+        // short writes and lists longer than the kernel's iovec limit.
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match self.write_vectored(rest) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "socket accepted no bytes mid-frame",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(sent)
     }
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-        recv_frame(self)
+        read_frame(self)
     }
 
     fn set_recv_deadline(&mut self, deadline: Option<Duration>) {
@@ -500,8 +564,12 @@ struct ClientConn {
 
 impl ClientConn {
     fn send(&mut self, payload: &[u8]) -> StreamResult<()> {
+        self.send_parts(&[payload])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> StreamResult<()> {
         self.io
-            .send_frame(payload)
+            .send_frame_parts(parts)
             .map(|_| ())
             .map_err(|e| StreamError::PeerGone {
                 stream: self.stream_name.clone(),
@@ -834,23 +902,24 @@ impl WriterEndpoint for TcpWriter {
                 reason: format!("unencodable chunk: {detail}"),
             });
         }
-        let batch = std::mem::take(&mut self.batch);
+        // The frame goes out as slices of the buffers it was built in; the
+        // batch is cleared afterwards, not taken, so the next step encodes
+        // into capacity this one already paid for.
         let nchunks = std::mem::take(&mut self.nchunks);
-        let defs = std::mem::take(&mut self.defs);
         let ndefs = std::mem::take(&mut self.ndefs);
         let (step_raw, step_wire) = (self.step_raw, self.step_wire);
         self.step_raw = 0;
         self.step_wire = 0;
-        let counters = Arc::clone(&self.counters);
-        let mut req = Vec::with_capacity(17 + defs.len() + batch.len());
-        req.put_u8(W_STEP);
-        req.put_u64_le(step);
+        let mut head = Vec::with_capacity(13);
+        head.put_u8(W_STEP);
+        head.put_u64_le(step);
         if self.proto == WireProtocol::V2 {
-            req.put_u32_le(ndefs);
-            req.extend_from_slice(&defs);
+            head.put_u32_le(ndefs);
             // The writer-hop payload is encoded here, so this side charges
-            // the compression ledger (the broker charges the reader hop).
-            counters.add_compression(step_raw as usize, step_wire as usize);
+            // the compression ledger (the broker charges only what it has
+            // to encode itself).
+            self.counters
+                .add_compression(step_raw as usize, step_wire as usize);
             if step_wire < step_raw {
                 self.tracer.instant(
                     EventKind::Compressed,
@@ -859,12 +928,18 @@ impl WriterEndpoint for TcpWriter {
                 );
             }
         }
-        req.put_u32_le(nchunks);
-        req.extend_from_slice(&batch);
-        counters.add_wire_writer(4 + req.len());
-        let conn = self.conn()?;
-        conn.send(&req)?;
-        conn.expect_ok("step commit")
+        let count = nchunks.to_le_bytes();
+        let parts: [&[u8]; 4] = [&head, &self.defs, &count, &self.batch];
+        self.counters
+            .add_wire_writer(4 + parts.iter().map(|p| p.len()).sum::<usize>());
+        let sent = match &mut self.io {
+            Ok(conn) => conn.send_parts(&parts),
+            Err(e) => Err(e.clone()),
+        };
+        self.defs.clear();
+        self.batch.clear();
+        sent?;
+        self.conn()?.expect_ok("step commit")
     }
 
     fn close(&mut self) {
@@ -1242,6 +1317,7 @@ pub struct TcpBroker {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     seen: Arc<AtomicUsize>,
+    relays: Arc<RelayTable>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -1272,6 +1348,7 @@ impl TcpBroker {
             let shutdown = Arc::clone(&shutdown);
             let active = Arc::clone(&active);
             let seen = Arc::clone(&seen);
+            let relays = Arc::clone(&relays);
             std::thread::Builder::new()
                 .name("sb-tcp-broker".to_string())
                 .spawn(move || {
@@ -1302,8 +1379,18 @@ impl TcpBroker {
             shutdown,
             active,
             seen,
+            relays,
             accept: Some(accept),
         })
+    }
+
+    /// Steps of `stream` the relay cache currently holds encoded bytes for
+    /// (diagnostics: it must fall back to 0 once the stream's v2 readers
+    /// have released or left).
+    #[doc(hidden)]
+    pub fn relay_cached_steps(&self, stream: &str) -> usize {
+        let relay = self.relays.streams.lock().get(stream).cloned();
+        relay.map_or(0, |relay| relay.inner.lock().cache.steps.len())
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -1403,10 +1490,10 @@ impl HopLedger {
     }
 }
 
-// ---- broker encode-once relay (protocol v2) ------------------------------
+// ---- broker relay cache (protocol v2) -------------------------------------
 
 /// Broker-side per-stream relay state: the shared interning table plus the
-/// encode-once step cache. One per broker, keyed by stream name.
+/// cache of encoded chunks. One per broker, keyed by stream name.
 #[derive(Default)]
 pub(crate) struct RelayTable {
     streams: Mutex<HashMap<String, Arc<StreamRelay>>>,
@@ -1418,13 +1505,10 @@ impl RelayTable {
     }
 }
 
-/// One stream's encode-once state, shared by every v2 reader session.
+/// One stream's relay state, shared by its writer and v2 reader sessions.
 #[derive(Default)]
 struct StreamRelay {
     inner: Mutex<RelayInner>,
-    /// v2 reader sessions currently attached; once each has released a
-    /// cached step, the encoding is dropped.
-    readers: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -1433,112 +1517,268 @@ struct RelayInner {
     /// the broker side, and each session tracks its own high-water mark of
     /// ids already sent.
     table: MetaInternTable,
-    /// Encoded step bodies, keyed by `(step, codec tag)` so v2 readers
-    /// negotiating different codecs never share bytes they cannot decode.
-    cache: BTreeMap<(u64, u8), CachedStep>,
+    cache: StepCache,
+    /// v2 reader sessions currently attached; once each has released a
+    /// cached step, the step is dropped.
+    readers: usize,
 }
 
+/// Encoded chunks by step.
+struct StepCache {
+    steps: BTreeMap<u64, CachedStep>,
+    /// Most steps the cache may span: the writer group's queue capacity
+    /// plus one once a remote writer declared it (no step older than that
+    /// can still be unconsumed), [`RELAY_CACHE_CAP`] until then.
+    window: u64,
+}
+
+impl Default for StepCache {
+    fn default() -> StepCache {
+        StepCache {
+            steps: BTreeMap::new(),
+            window: RELAY_CACHE_CAP,
+        }
+    }
+}
+
+impl StepCache {
+    /// The entry for `step`, dropping every step that fell out of the
+    /// window ending at it.
+    fn entry(&mut self, step: u64) -> &mut CachedStep {
+        let oldest = (step + 1).saturating_sub(self.window);
+        if self
+            .steps
+            .first_key_value()
+            .is_some_and(|(&s, _)| s < oldest)
+        {
+            self.steps = self.steps.split_off(&oldest);
+        }
+        self.steps.entry(step).or_default()
+    }
+}
+
+/// A run of bytes inside a shared buffer: a writer's received `W_STEP`
+/// frame, or the output of one broker-side encode.
+#[derive(Clone)]
+struct Segment {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl Segment {
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+/// One chunk's `ichunk` bytes, already carrying its relay-global meta id.
+struct CachedChunk {
+    /// The relay-global meta id and the region written into `bytes`: one
+    /// payload may sit under several variables or regions of a step
+    /// (zero-copy forwarding), and each of those is a different chunk.
+    id: u32,
+    region: Region,
+    /// The decoded payload these bytes encode. A committed chunk being a
+    /// handle to that very allocation is what proves the bytes are its —
+    /// no bookkeeping of ranks, restarts or discarded steps can go stale,
+    /// because a stale entry simply never matches. An id, not a handle: the
+    /// cache pins the encoded bytes only.
+    data: AllocationId,
+    /// The codec negotiated by the connection the bytes were encoded for
+    /// (not the per-chunk codec byte, which says whether LZ won): v2
+    /// readers negotiating different codecs never share bytes they did not
+    /// ask for.
+    codec: Compression,
+    bytes: Segment,
+}
+
+#[derive(Default)]
 struct CachedStep {
-    nchunks: u32,
-    body: Vec<u8>,
+    chunks: Vec<CachedChunk>,
     releases: usize,
 }
 
+/// What [`StreamRelay::reply_step`] hands a reader session to send.
+struct StepReply {
+    /// `REPLY_STEP | step | ndefs | def* | nchunks`.
+    prelude: Vec<u8>,
+    /// The chunk bodies, in the step's canonical order.
+    chunks: Vec<Segment>,
+    /// Payload bytes before/after the codec of the chunks this reply had
+    /// to encode itself; `(0, 0)` when every chunk was already cached.
+    encoded: (u64, u64),
+}
+
 impl StreamRelay {
-    /// Builds the `REPLY_STEP` frame for `step`, encoding chunk bodies at
-    /// most once per `(step, codec)` across all attached readers — only the
-    /// per-session definition catch-up prelude differs. The lock is held
-    /// across the encode, which is what makes "at most once" exact.
+    /// Declares the writer group's queue capacity, which bounds how many
+    /// steps can be unconsumed at once and therefore worth caching.
+    fn set_queue_capacity(&self, queue: usize) {
+        self.inner.lock().cache.window = (queue as u64 + 1).min(RELAY_CACHE_CAP);
+    }
+
+    /// Seeds the cache with the chunks of one received `W_STEP` frame, so
+    /// readers of `step` are sent the writer's own bytes instead of a
+    /// re-encode. `chunks` pairs each decoded chunk with the range of its
+    /// `ichunk` bytes inside `frame`; the leading meta id of each — numbered
+    /// by the writer's connection — is overwritten in place with the
+    /// stream-global id, after which the frame is shared, never copied.
     ///
-    /// Returns the frame plus the payload bytes before/after the codec for
-    /// a *fresh* encode, `(0, 0)` on a cache hit — so compression totals
-    /// count each encode event exactly once.
-    fn encode_step(
+    /// A no-op while no v2 reader is attached: nobody could use the bytes,
+    /// and a late reader is served by the encode path.
+    fn seed(
+        &self,
+        step: u64,
+        comp: Compression,
+        mut frame: Vec<u8>,
+        chunks: &[(Chunk, Range<usize>)],
+    ) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if inner.readers == 0 {
+            return;
+        }
+        let mut ids = Vec::with_capacity(chunks.len());
+        for (chunk, range) in chunks {
+            let Ok(id) = inner.table.intern(&chunk.meta) else {
+                return;
+            };
+            frame[range.start..range.start + 4].copy_from_slice(&id.to_le_bytes());
+            ids.push(id);
+        }
+        let buf = Arc::new(frame);
+        let entry = inner.cache.entry(step);
+        entry.chunks.extend(
+            chunks
+                .iter()
+                .zip(ids)
+                .map(|((chunk, range), id)| CachedChunk {
+                    id,
+                    region: chunk.region.clone(),
+                    data: chunk.data.allocation_id(),
+                    codec: comp,
+                    bytes: Segment {
+                        buf: Arc::clone(&buf),
+                        range: range.clone(),
+                    },
+                }),
+        );
+    }
+
+    /// Builds the `REPLY_STEP` for `step` out of cached chunk bytes: the
+    /// writer's own where [`seed`](Self::seed) supplied them, otherwise an
+    /// encode that joins the same cache — so across all attached readers
+    /// each chunk is encoded at most once per codec, and not at all on the
+    /// pass-through path. Only the per-session definition catch-up prelude
+    /// differs between readers. The lock is held across the encode, which
+    /// is what makes "at most once" exact.
+    ///
+    /// A chunk misses when nothing seeded it: its writer is in-proc on the
+    /// broker hub or speaks v1, it negotiated a different codec than this
+    /// reader, or no v2 reader was attached when its frame arrived. Finding
+    /// a chunk is a scan of the step's cached chunks — one per writer rank
+    /// and variable, so a handful.
+    fn reply_step(
         &self,
         step: u64,
         comp: Compression,
         contents: &StepContents,
         defs_seen: &mut u32,
-    ) -> sb_data::DataResult<(Vec<u8>, u64, u64)> {
+    ) -> sb_data::DataResult<StepReply> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let key = (step, comp.tag());
-        let mut fresh = (0u64, 0u64);
-        if !inner.cache.contains_key(&key) {
-            let mut body = Vec::with_capacity(256);
-            let mut nchunks = 0u32;
-            // BTreeMap order makes the encode deterministic, so every
-            // reader of a step sees byte-identical chunk bodies.
-            for slot in contents.values() {
-                for chunk in &slot.chunks {
-                    let id = inner.table.intern(&chunk.meta)?;
-                    let enc = encode_chunk_interned(&mut body, chunk, id, comp)?;
-                    fresh.0 += enc.raw_payload as u64;
-                    fresh.1 += enc.wire_payload as u64;
-                    nchunks += 1;
+        let entry = inner.cache.entry(step);
+        // BTreeMap order makes the chunk order canonical, so every reader
+        // of a step sees byte-identical chunk bodies.
+        let mut chunks = Vec::new();
+        let mut encoded = (0u64, 0u64);
+        for chunk in contents.values().flat_map(|slot| &slot.chunks) {
+            let id = inner.table.intern(&chunk.meta)?;
+            let hit = entry.chunks.iter().find(|c| {
+                c.id == id
+                    && c.codec == comp
+                    && c.region == chunk.region
+                    && c.data.names(&chunk.data)
+            });
+            let bytes = match hit {
+                Some(cached) => cached.bytes.clone(),
+                None => {
+                    let mut buf = Vec::new();
+                    let enc = encode_chunk_interned(&mut buf, chunk, id, comp)?;
+                    encoded.0 += enc.raw_payload as u64;
+                    encoded.1 += enc.wire_payload as u64;
+                    let bytes = Segment {
+                        range: 0..buf.len(),
+                        buf: Arc::new(buf),
+                    };
+                    entry.chunks.push(CachedChunk {
+                        id,
+                        region: chunk.region.clone(),
+                        data: chunk.data.allocation_id(),
+                        codec: comp,
+                        bytes: bytes.clone(),
+                    });
+                    bytes
                 }
-            }
-            inner.cache.insert(
-                key,
-                CachedStep {
-                    nchunks,
-                    body,
-                    releases: 0,
-                },
-            );
-            while inner.cache.len() > RELAY_CACHE_CAP {
-                inner.cache.pop_first();
-            }
+            };
+            chunks.push(bytes);
         }
-        let cached = inner.cache.get(&key).expect("step cached above");
-        let mut defs = Vec::new();
-        let ndefs = inner.table.append_defs_since(*defs_seen, &mut defs);
+
+        let mut prelude = Vec::with_capacity(32);
+        prelude.put_u8(REPLY_STEP);
+        prelude.put_u64_le(step);
+        let ndefs_at = prelude.len();
+        prelude.put_u32_le(0);
+        let ndefs = inner.table.append_defs_since(*defs_seen, &mut prelude);
+        prelude[ndefs_at..ndefs_at + 4].copy_from_slice(&ndefs.to_le_bytes());
         *defs_seen = inner.table.len();
-        let mut frame = Vec::with_capacity(17 + defs.len() + cached.body.len());
-        frame.put_u8(REPLY_STEP);
-        frame.put_u64_le(step);
-        frame.put_u32_le(ndefs);
-        frame.extend_from_slice(&defs);
-        frame.put_u32_le(cached.nchunks);
-        frame.extend_from_slice(&cached.body);
-        Ok((frame, fresh.0, fresh.1))
+        prelude.put_u32_le(chunks.len() as u32);
+        Ok(StepReply {
+            prelude,
+            chunks,
+            encoded,
+        })
     }
 
-    /// Records one reader's release of `step`, dropping cached encodings
-    /// once every attached v2 reader has released them. A reader that hangs
-    /// up without releasing leaves the entry to the cache cap — a re-encode
-    /// at worst, never a correctness problem.
+    /// Records one reader's release of `step`, dropping its cached chunks
+    /// once every attached v2 reader has released them.
     fn note_release(&self, step: u64) {
-        let readers = self.readers.load(Ordering::SeqCst);
-        let mut inner = self.inner.lock();
-        let keys: Vec<(u64, u8)> = inner
-            .cache
-            .range((step, 0)..=(step, u8::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            let cached = inner.cache.get_mut(&key).expect("key listed above");
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(cached) = inner.cache.steps.get_mut(&step) {
             cached.releases += 1;
-            if cached.releases >= readers {
-                inner.cache.remove(&key);
+            if cached.releases >= inner.readers {
+                inner.cache.steps.remove(&step);
             }
         }
     }
 }
 
-/// Keeps the v2-reader gauge of a [`StreamRelay`] honest across panics.
+/// Counts one attached v2 reader session of a [`StreamRelay`], panics
+/// included.
 struct ReaderCountGuard(Arc<StreamRelay>);
 
 impl ReaderCountGuard {
     fn new(relay: Arc<StreamRelay>) -> ReaderCountGuard {
-        relay.readers.fetch_add(1, Ordering::SeqCst);
+        relay.inner.lock().readers += 1;
         ReaderCountGuard(relay)
     }
 }
 
 impl Drop for ReaderCountGuard {
+    /// A departing reader will never send the releases the cache is waiting
+    /// for, so every step is re-judged against the readers that remain (all
+    /// of them go when none does). Its own earlier releases stay counted,
+    /// which can drop a step a slower reader has yet to fetch — that costs
+    /// the slower reader an encode, never correctness.
     fn drop(&mut self) {
-        self.0.readers.fetch_sub(1, Ordering::SeqCst);
+        let mut guard = self.0.inner.lock();
+        let inner = &mut *guard;
+        inner.readers -= 1;
+        let readers = inner.readers;
+        inner
+            .cache
+            .steps
+            .retain(|_, cached| cached.releases < readers);
     }
 }
 
@@ -1558,15 +1798,44 @@ pub(crate) fn serve_session(
     let hello_len = 4 + hello.len();
     let mut cur = Cur(&hello);
     match cur.u8("hello opcode").map_err(session_err)? {
-        HELLO_WRITER => writer_session(hub, io, &mut cur, hello_len, shm),
+        HELLO_WRITER => writer_session(hub, relays, io, &mut cur, hello_len, shm),
         HELLO_READER => reader_session(hub, relays, io, &mut cur, hello_len, shm),
         HELLO_CONTROL => control_session(hub, io),
         op => Err(session_err(format!("unknown hello opcode {op:#04x}"))),
     }
 }
 
+/// Decodes the body of one `W_STEP` frame (everything after the step id):
+/// the definitions this connection still owed, then the chunks, each paired
+/// with the range of its bytes inside `frame`.
+fn decode_step_body(
+    frame: &[u8],
+    body: &mut Cur<'_>,
+    proto: WireProtocol,
+    defs: &mut MetaDefs,
+) -> Result<Vec<(Chunk, Range<usize>)>, String> {
+    if proto == WireProtocol::V2 {
+        for _ in 0..body.u32("def count")? {
+            defs.decode_def(&mut body.0)
+                .map_err(|e| format!("bad meta def: {e}"))?;
+        }
+    }
+    let mut chunks = Vec::new();
+    for _ in 0..body.u32("chunk count")? {
+        let at = frame.len() - body.0.len();
+        let chunk = match proto {
+            WireProtocol::V1 => body.chunk()?,
+            WireProtocol::V2 => decode_chunk_interned(&mut body.0, defs)
+                .map_err(|e| format!("bad chunk frame: {e}"))?,
+        };
+        chunks.push((chunk, at..frame.len() - body.0.len()));
+    }
+    Ok(chunks)
+}
+
 fn writer_session(
     hub: &Arc<StreamHub>,
+    relays: &Arc<RelayTable>,
     io: &mut dyn FrameIo,
     hello: &mut Cur<'_>,
     hello_len: usize,
@@ -1598,6 +1867,8 @@ fn writer_session(
     ledger.charge(hello_len);
     // Interned definitions this connection has applied (v2).
     let mut defs = MetaDefs::default();
+    let relay = relays.stream(&name);
+    relay.set_queue_capacity(queue);
 
     let mut started = Vec::with_capacity(11);
     started.put_u8(REPLY_STARTED);
@@ -1628,44 +1899,19 @@ fn writer_session(
             }
             W_STEP => {
                 let step = cur.u64("step").map_err(session_err)?;
-                let mut failed = None;
-                if proto == WireProtocol::V2 {
-                    let ndefs = cur.u32("def count").map_err(session_err)?;
-                    for _ in 0..ndefs {
-                        if let Err(e) = defs.decode_def(&mut cur.0) {
-                            failed = Some(proto_gone(&name, format!("bad meta def: {e}")));
-                            break;
+                let result = match decode_step_body(&payload, &mut cur, proto, &mut defs) {
+                    Err(detail) => Err(proto_gone(&name, detail)),
+                    Ok(chunks) => {
+                        // Seed before the commit below makes the step
+                        // fetchable, or a fast reader would miss and encode.
+                        if proto == WireProtocol::V2 {
+                            relay.seed(step, comp, payload, &chunks);
                         }
-                    }
-                }
-                if failed.is_none() {
-                    match cur.u32("chunk count") {
-                        Err(d) => failed = Some(proto_gone(&name, d)),
-                        Ok(nchunks) => {
-                            for _ in 0..nchunks {
-                                let chunk = match proto {
-                                    WireProtocol::V1 => {
-                                        cur.chunk().map_err(|d| proto_gone(&name, d))
-                                    }
-                                    WireProtocol::V2 => decode_chunk_interned(&mut cur.0, &defs)
-                                        .map_err(|e| {
-                                            proto_gone(&name, format!("bad chunk frame: {e}"))
-                                        }),
-                                };
-                                match chunk {
-                                    Ok(chunk) => endpoint.put(step, chunk),
-                                    Err(e) => {
-                                        failed = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
+                        for (chunk, _) in chunks {
+                            endpoint.put(step, chunk);
                         }
+                        endpoint.end_step(step)
                     }
-                }
-                let result = match failed {
-                    Some(e) => Err(e),
-                    None => endpoint.end_step(step),
                 };
                 ledger.charge(reply_result(io, result)?);
             }
@@ -1686,6 +1932,26 @@ fn writer_session(
             op => return Err(session_err(format!("unknown writer opcode {op:#04x}"))),
         }
     }
+}
+
+/// The whole v1 `REPLY_STEP` as one prelude: v1 has no interning to share
+/// across readers, so nothing of it is cached.
+fn encode_v1_step(step: u64, contents: &StepContents) -> sb_data::DataResult<StepReply> {
+    let mut prelude = Vec::with_capacity(64);
+    prelude.put_u8(REPLY_STEP);
+    prelude.put_u64_le(step);
+    let nchunks: usize = contents.values().map(|v| v.chunks.len()).sum();
+    prelude.put_u32_le(nchunks as u32);
+    let mut raw = 0;
+    for chunk in contents.values().flat_map(|slot| &slot.chunks) {
+        encode_chunk(&mut prelude, chunk)?;
+        raw += chunk.byte_len() as u64;
+    }
+    Ok(StepReply {
+        prelude,
+        chunks: Vec::new(),
+        encoded: (raw, raw),
+    })
 }
 
 fn reader_session(
@@ -1740,32 +2006,18 @@ fn reader_session(
                 let step = cur.u64("step").map_err(session_err)?;
                 match endpoint.fetch_step(step) {
                     Ok(Some(contents)) => {
-                        let encoded = match proto {
-                            WireProtocol::V1 => {
-                                // v1 re-sends every chunk self-described;
-                                // byte layout identical to the container.
-                                (|| {
-                                    let mut buf = Vec::with_capacity(64);
-                                    buf.put_u8(REPLY_STEP);
-                                    buf.put_u64_le(step);
-                                    let nchunks: usize =
-                                        contents.values().map(|v| v.chunks.len()).sum();
-                                    buf.put_u32_le(nchunks as u32);
-                                    for slot in contents.values() {
-                                        for chunk in &slot.chunks {
-                                            encode_chunk(&mut buf, chunk)?;
-                                        }
-                                    }
-                                    Ok((buf, 0, 0))
-                                })()
-                            }
+                        let built = match proto {
+                            // v1 re-sends every chunk self-described; byte
+                            // layout identical to the container.
+                            WireProtocol::V1 => encode_v1_step(step, &contents),
                             WireProtocol::V2 => {
-                                relay.encode_step(step, comp, &contents, &mut defs_seen)
+                                relay.reply_step(step, comp, &contents, &mut defs_seen)
                             }
                         };
-                        match encoded {
-                            Ok((frame, raw, wire)) => {
-                                if raw > 0 {
+                        match built {
+                            Ok(built) => {
+                                let (raw, wire) = built.encoded;
+                                if proto == WireProtocol::V2 && raw > 0 {
                                     counters.add_compression(raw as usize, wire as usize);
                                     if wire < raw {
                                         hub.tracer().instant(
@@ -1775,7 +2027,20 @@ fn reader_session(
                                         );
                                     }
                                 }
-                                ledger.charge(reply(io, &frame)?);
+                                let mut parts = vec![&built.prelude[..]];
+                                parts.extend(built.chunks.iter().map(Segment::bytes));
+                                let sent = io.send_frame_parts(&parts)?;
+                                ledger.charge(sent);
+                                let kind = if raw > 0 {
+                                    EventKind::RelayEncoded
+                                } else {
+                                    EventKind::RelayPassThrough
+                                };
+                                hub.tracer().instant(
+                                    kind,
+                                    TraceSite::stream(trace_id, rank, step),
+                                    sent as u64,
+                                );
                             }
                             Err(e) => {
                                 let mut buf = Vec::with_capacity(128);
@@ -1881,7 +2146,7 @@ fn control_session(hub: &Arc<StreamHub>, io: &mut dyn FrameIo) -> io::Result<()>
 mod tests {
     use super::*;
     use crate::reader::StepStatus;
-    use sb_data::{Buffer, Region, Shape, Variable};
+    use sb_data::{Buffer, DType, Shape, SharedBuffer, Variable};
 
     fn var(vals: Vec<f64>) -> Variable {
         Variable::new("x", Shape::linear("n", vals.len()), Buffer::F64(vals)).unwrap()
@@ -2171,5 +2436,287 @@ mod tests {
             "reader hop resends metadata: {} > {budget}",
             m.wire_reader_bytes
         );
+    }
+
+    /// Polls `cond` for up to ten seconds (broker sessions end on their own
+    /// threads, a moment after the client side hangs up).
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn pass_through_counts_each_payload_byte_once_and_says_so_in_the_trace() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        broker.hub().tracer().enable(&crate::TraceConfig::default());
+        let hub = StreamHub::connect_with(
+            &broker.url(),
+            TcpOptions::default().with_compression(Compression::Lz),
+        )
+        .unwrap();
+        // The reader attaches first, so every step the writer sends is
+        // seeded and no reply has to encode.
+        let mut r = hub.open_reader("once.fp", 0, 1);
+        let mut w = hub.open_writer("once.fp", 0, 1, WriterOptions::default());
+        let steps = 3u64;
+        let vals: Vec<f64> = (0..2048).map(|i| (i / 16) as f64).collect();
+        let payload = (vals.len() * 8) as u64;
+        for step in 0..steps {
+            w.begin_step().unwrap();
+            w.put_whole(var(vals.clone()));
+            w.end_step().unwrap();
+            assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
+            assert_eq!(r.get_whole("x").unwrap().data.to_f64_vec(), vals);
+            r.end_step();
+        }
+        w.close();
+        assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
+
+        // One codec pass per payload byte on the whole stream: the writer's.
+        let m = hub.metrics("once.fp").unwrap();
+        assert_eq!(m.wire_uncompressed_bytes, steps * payload);
+        assert!(m.wire_compressed_bytes < m.wire_uncompressed_bytes / 2);
+        // Both hops still carried the compressed frames.
+        assert!(m.wire_writer_bytes < steps * payload / 2);
+        assert!(m.wire_reader_bytes < steps * payload / 2);
+
+        let timeline = broker.hub().tracer().drain();
+        let passed: Vec<_> = timeline.of_kind(EventKind::RelayPassThrough).collect();
+        assert_eq!(passed.len() as u64, steps);
+        assert!(passed.iter().all(|e| e.stream == "once.fp" && e.arg > 0));
+        assert_eq!(timeline.of_kind(EventKind::RelayEncoded).count(), 0);
+        // The broker ran no codec, so it reports no compression either.
+        assert_eq!(timeline.of_kind(EventKind::Compressed).count(), 0);
+    }
+
+    #[test]
+    fn a_reader_with_another_codec_is_served_by_the_encode_path() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        broker.hub().tracer().enable(&crate::TraceConfig::default());
+        let lz = StreamHub::connect_with(
+            &broker.url(),
+            TcpOptions::default().with_compression(Compression::Lz),
+        )
+        .unwrap();
+        let plain = StreamHub::connect(&broker.url()).unwrap();
+        let mut r = plain.open_reader("mix.fp", 0, 1);
+        let mut w = lz.open_writer("mix.fp", 0, 1, WriterOptions::default());
+        let vals = vec![7.5; 4096];
+        w.begin_step().unwrap();
+        w.put_whole(var(vals.clone()));
+        w.end_step().unwrap();
+        w.close();
+        assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0));
+        assert_eq!(r.get_whole("x").unwrap().data.to_f64_vec(), vals);
+        r.end_step();
+        assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
+
+        // The reader asked for raw payloads: it must get them, not the
+        // writer's LZ blocks.
+        let m = plain.metrics("mix.fp").unwrap();
+        assert!(m.wire_reader_bytes >= 4096 * 8);
+        let timeline = broker.hub().tracer().drain();
+        assert_eq!(timeline.of_kind(EventKind::RelayEncoded).count(), 1);
+        assert_eq!(timeline.of_kind(EventKind::RelayPassThrough).count(), 0);
+        drop(r);
+        eventually("the relay cache to drain", || {
+            broker.relay_cached_steps("mix.fp") == 0
+        });
+    }
+
+    #[test]
+    fn one_payload_under_two_variables_and_two_regions_relays_as_four_chunks() {
+        // Regression: cached bytes were matched to a committed chunk by
+        // codec and payload allocation alone, so the second chunk sharing a
+        // `SharedBuffer` was answered with the first one's bytes.
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let remote = StreamHub::connect(&broker.url()).unwrap();
+        let mut r = remote.open_reader("alias.fp", 0, 1);
+        let mut w = broker
+            .hub()
+            .open_writer("alias.fp", 0, 1, WriterOptions::default());
+        let shape = Shape::of(&[("row", 4), ("col", 3)]);
+        let payload = SharedBuffer::new(Buffer::F64((0..6).map(f64::from).collect()));
+        w.begin_step().unwrap();
+        for name in ["a", "b"] {
+            let meta = sb_data::VariableMeta::new(name, shape.clone(), DType::F64);
+            for base in [0, 2] {
+                let region = Region::new(vec![base, 0], vec![2, 3]);
+                w.put(Chunk::new(meta.clone(), region, payload.clone()).unwrap());
+            }
+        }
+        w.end_step().unwrap();
+        w.close();
+        assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0));
+        let twice: Vec<f64> = (0..6).chain(0..6).map(f64::from).collect();
+        for name in ["a", "b"] {
+            assert_eq!(r.get_whole(name).unwrap().data.to_f64_vec(), twice);
+        }
+        r.end_step();
+    }
+
+    #[test]
+    fn a_reader_killed_mid_step_strands_no_cached_steps() {
+        // Regression: `note_release` only re-judged a step when a release
+        // for that step arrived, so the steps a dead reader never released
+        // sat in the cache until 64 newer ones pushed them out.
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let hub = StreamHub::connect(&broker.url()).unwrap();
+        let options = WriterOptions::default().with_reader_groups(2);
+        let mut doomed = hub.open_reader_grouped("dead.fp", "doomed", 0, 1);
+        let mut steady = hub.open_reader_grouped("dead.fp", "steady", 0, 1);
+        let mut w = hub.open_writer("dead.fp", 0, 1, options);
+        for step in 0..3 {
+            w.begin_step().unwrap();
+            w.put_whole(var(vec![step as f64; 512]));
+            w.end_step().unwrap();
+        }
+        w.close();
+        // The steady reader consumes and releases everything while the
+        // doomed one still holds step 0 open …
+        assert_eq!(doomed.begin_step().unwrap(), StepStatus::Ready(0));
+        for step in 0..3 {
+            assert_eq!(steady.begin_step().unwrap(), StepStatus::Ready(step));
+            steady.end_step();
+        }
+        assert_eq!(steady.begin_step().unwrap(), StepStatus::EndOfStream);
+        assert!(broker.relay_cached_steps("dead.fp") > 0);
+        // … and then dies without releasing anything: its connection drops,
+        // no release will ever arrive for the steps it pinned.
+        drop(doomed);
+        eventually("the dead reader's steps to leave the cache", || {
+            broker.relay_cached_steps("dead.fp") == 0
+        });
+    }
+
+    #[test]
+    fn streams_without_v2_readers_cache_nothing() {
+        // Only in-proc and v1 readers: nobody can use relayed bytes, so the
+        // writer session must not pin its frames for them.
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let v2 = StreamHub::connect(&broker.url()).unwrap();
+        let v1 = StreamHub::connect_with(
+            &broker.url(),
+            TcpOptions::default().with_protocol(WireProtocol::V1),
+        )
+        .unwrap();
+        let options = WriterOptions::default().with_reader_groups(2);
+        let mut local = broker.hub().open_reader_grouped("quiet.fp", "local", 0, 1);
+        let mut old = v1.open_reader_grouped("quiet.fp", "old", 0, 1);
+        let mut w = v2.open_writer("quiet.fp", 0, 1, options);
+        for step in 0..3u64 {
+            w.begin_step().unwrap();
+            w.put_whole(var(vec![step as f64; 256]));
+            w.end_step().unwrap();
+            assert_eq!(broker.relay_cached_steps("quiet.fp"), 0);
+            for r in [&mut local, &mut old] {
+                assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
+                assert_eq!(
+                    r.get_whole("x").unwrap().data.to_f64_vec(),
+                    [step as f64; 256]
+                );
+                r.end_step();
+            }
+        }
+        w.close();
+        assert_eq!(broker.relay_cached_steps("quiet.fp"), 0);
+    }
+
+    #[test]
+    fn relay_cache_never_spans_more_than_the_queue_plus_one() {
+        let relay = Arc::new(StreamRelay::default());
+        relay.set_queue_capacity(2);
+        let cached = || relay.inner.lock().cache.steps.len();
+        let v = var(vec![1.0; 8]);
+        let chunk = Chunk::new(
+            sb_data::VariableMeta::describing(&v),
+            Region::whole(&v.shape),
+            v.data,
+        )
+        .unwrap();
+        let mut frame = Vec::new();
+        encode_chunk_interned(&mut frame, &chunk, 7, Compression::None).unwrap();
+        let seed = |step| {
+            let whole = 0..frame.len();
+            relay.seed(
+                step,
+                Compression::None,
+                frame.clone(),
+                &[(chunk.clone(), whole)],
+            );
+        };
+        // Nobody to relay to: nothing is kept.
+        seed(0);
+        assert_eq!(cached(), 0);
+        // A v2 reader that attaches and never fetches: steps are seeded for
+        // it but no release ever comes, so only the window bounds them.
+        let idle = ReaderCountGuard::new(Arc::clone(&relay));
+        for step in 0..8 {
+            seed(step);
+            assert!(cached() <= 3, "step {step}: {} steps cached", cached());
+        }
+        assert_eq!(cached(), 3);
+        drop(idle);
+        assert_eq!(cached(), 0);
+    }
+
+    #[test]
+    fn read_frame_reserves_one_stride_ahead_of_arrived_bytes() {
+        /// Serves a fixed prefix of a stream, recording the largest buffer
+        /// it was ever asked to fill: `read_frame` only ever offers spare
+        /// capacity it has reserved.
+        struct Scripted {
+            data: io::Cursor<Vec<u8>>,
+            largest_ask: usize,
+        }
+        impl Read for Scripted {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_ask = self.largest_ask.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xab; 1000]);
+        let mut src = Scripted {
+            data: io::Cursor::new(bytes),
+            largest_ask: 0,
+        };
+        let err = read_frame(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(
+            src.largest_ask <= FRAME_STRIDE,
+            "asked to fill {} bytes at once",
+            src.largest_ask
+        );
+
+        // Over the cap: rejected before any body byte is awaited.
+        let over = (MAX_FRAME + 1).to_le_bytes();
+        let err = read_frame(&mut io::Cursor::new(over)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        // A frame spanning several strides still arrives whole.
+        let body: Vec<u8> = (0..2 * FRAME_STRIDE + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&body);
+        assert_eq!(read_frame(&mut io::Cursor::new(bytes)).unwrap(), body);
+    }
+
+    #[test]
+    fn vectored_frames_equal_contiguous_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let big: Vec<u8> = (0..300_000).map(|i| (i % 253) as u8).collect();
+        let parts: [&[u8]; 5] = [b"head", &[], &big, b"", b"tail"];
+        let reader = std::thread::spawn(move || server.recv_frame().unwrap());
+        let sent = client.send_frame_parts(&parts).unwrap();
+        let whole: Vec<u8> = parts.concat();
+        assert_eq!(sent, 4 + whole.len());
+        assert_eq!(reader.join().unwrap(), whole);
     }
 }

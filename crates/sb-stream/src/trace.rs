@@ -119,6 +119,15 @@ pub enum EventKind {
     /// A wire codec compressed one step's payload before framing it
     /// (`arg` holds the bytes saved: uncompressed minus wire size).
     Compressed,
+    /// A broker reader session answered a step fetch with bytes it already
+    /// held — the writer's own frame bytes, or another reader's encode —
+    /// without running the wire codec (`arg` holds the reply's frame bytes).
+    RelayPassThrough,
+    /// A broker reader session had to encode (and, if negotiated, compress)
+    /// at least one chunk to answer a step fetch: the writer was in-proc or
+    /// v1, used another codec, or wrote before any v2 reader attached
+    /// (`arg` holds the reply's frame bytes).
+    RelayEncoded,
     /// A fired trigger action was skipped because the backend cannot
     /// perform it (e.g. `snapshot_stream` on a transport that does not
     /// expose buffered steps); the fired record carries the same outcome.
@@ -156,6 +165,8 @@ impl EventKind {
             EventKind::RestartAttempt => "restart_attempt",
             EventKind::Degraded => "degraded",
             EventKind::Compressed => "compressed",
+            EventKind::RelayPassThrough => "relay_pass_through",
+            EventKind::RelayEncoded => "relay_encoded",
             EventKind::TriggerSkipped => "trigger_skipped",
         }
     }
@@ -790,7 +801,9 @@ fn category(kind: EventKind) -> &'static str {
         | EventKind::StepCommitted
         | EventKind::EndOfStream
         | EventKind::Poisoned
-        | EventKind::Compressed => "stream",
+        | EventKind::Compressed
+        | EventKind::RelayPassThrough
+        | EventKind::RelayEncoded => "stream",
         EventKind::FaultInjected
         | EventKind::RestartAttempt
         | EventKind::Degraded

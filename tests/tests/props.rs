@@ -588,6 +588,234 @@ fn interned_wire_codec_rejects_every_truncation() {
     }
 }
 
+/// The broker's pass-through relay is invisible: a reader served the
+/// writers' own frame bytes, a reader served by the broker's fallback encode
+/// and a reader attached to the broker hub in process all see identical
+/// steps. Swept over every dtype, both codecs, 1–4 writer ranks that put
+/// their variables in different orders (so each connection numbers its
+/// metadata differently and the relay has to renumber), writer groups mixing
+/// remote v2, remote v1 and in-proc ranks, one payload buffer put under two
+/// variables, and a reader whose codec differs from the writers'.
+#[test]
+fn relay_pass_through_and_fallback_encode_deliver_identical_steps() {
+    use sb_data::decompose::slab_partition;
+    use sb_data::{AttrValue, Chunk, SharedBuffer, VariableMeta};
+    use sb_stream::{
+        Compression, EventKind, StepStatus, StreamHub, TcpBroker, TcpOptions, TraceConfig,
+        WireProtocol, WriterOptions,
+    };
+
+    const DTYPES: [DType; 6] = [
+        DType::F32,
+        DType::F64,
+        DType::I32,
+        DType::I64,
+        DType::U32,
+        DType::U64,
+    ];
+    const STEPS: u64 = 2;
+
+    for case in 0..16u64 {
+        let mut rng = Lcg(0xBA55 ^ case << 9);
+        let nranks = rng.below(4) + 1;
+        let (codec, other_codec) = if case % 2 == 0 {
+            (Compression::Lz, Compression::None)
+        } else {
+            (Compression::None, Compression::Lz)
+        };
+        // Where each writer rank lives: 0 = in-proc on the broker hub, 1 = a
+        // remote v1 client, otherwise a remote v2 client with `codec` — the
+        // only kind whose frames the relay can pass through. Every fourth
+        // case is all of that kind, the rest draw per rank.
+        let homes: Vec<usize> = (0..nranks)
+            .map(|_| if case % 4 == 0 { 2 } else { rng.below(5) })
+            .collect();
+        let metas: Vec<VariableMeta> = (0..rng.below(3) + 1)
+            .map(|v| {
+                let rows = nranks * (rng.below(4) + 1);
+                let cols = rng.below(57) + 8;
+                let shape = Shape::of(&[("rows", rows), ("cols", cols)]);
+                let dtype = DTYPES[(case as usize + v) % DTYPES.len()];
+                let mut meta = VariableMeta::new(format!("var{v}"), shape, dtype);
+                meta.labels
+                    .insert(1, (0..cols).map(|c| format!("q{c}")).collect());
+                meta.attrs
+                    .insert("case".into(), AttrValue::Int(case as i64));
+                meta
+            })
+            .collect();
+        // One more variable that every rank puts with the very `SharedBuffer`
+        // it put for `var0` (zero-copy forwarding): on an in-proc rank the
+        // two committed chunks then share an allocation, and the relay must
+        // still tell them apart.
+        let alias = metas.len();
+        let mut metas = metas;
+        metas.push(VariableMeta {
+            name: "alias".into(),
+            ..metas[0].clone()
+        });
+        // Runs, ramps and noise, with the float bit patterns `==` hides.
+        let payload = |rng: &mut Lcg, meta: &VariableMeta, region: &Region, step: u64| {
+            let mode = rng.below(3);
+            let values: Vec<f64> = (0..region.len())
+                .map(|i| match (mode, i % 7) {
+                    (_, 0) if matches!(meta.dtype, DType::F32 | DType::F64) => f64::NAN,
+                    (_, 1) if matches!(meta.dtype, DType::F32 | DType::F64) => -0.0,
+                    (0, _) => (step + 1) as f64,
+                    (1, _) => i as f64 * 0.5 + step as f64,
+                    _ => rng.float(0.0, 1e6),
+                })
+                .collect();
+            Buffer::from_f64_vec(meta.dtype, values)
+        };
+
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        broker.hub().tracer().enable(&TraceConfig::default());
+        let connect = |c| {
+            StreamHub::connect_with(&broker.url(), TcpOptions::default().with_compression(c))
+                .unwrap()
+        };
+        let (same, other) = (connect(codec), connect(other_codec));
+        let v1 = StreamHub::connect_with(
+            &broker.url(),
+            TcpOptions::default().with_protocol(WireProtocol::V1),
+        )
+        .unwrap();
+        let name = "relay.fp";
+        let options = WriterOptions::default().with_reader_groups(3);
+        // Readers first: frames are only kept for readers that can use them.
+        let mut readers = [
+            same.open_reader_grouped(name, "same-codec", 0, 1),
+            other.open_reader_grouped(name, "other-codec", 0, 1),
+            broker.hub().open_reader_grouped(name, "in-proc", 0, 1),
+        ];
+        let mut writers: Vec<_> = (0..nranks)
+            .map(|rank| {
+                let hub = match homes[rank] {
+                    0 => broker.hub(),
+                    1 => &v1,
+                    _ => &same,
+                };
+                hub.open_writer(name, rank, nranks, options)
+            })
+            .collect();
+
+        let mut step_bytes = 0u64;
+        for step in 0..STEPS {
+            for (rank, w) in writers.iter_mut().enumerate() {
+                w.begin_step().unwrap();
+                let mut order: Vec<usize> = (0..metas.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.below(i + 1));
+                }
+                let slab0 = slab_partition(&metas[0].shape, 0, nranks, rank);
+                let shared = SharedBuffer::new(payload(&mut rng, &metas[0], &slab0, step));
+                for v in order {
+                    let meta = &metas[v];
+                    let region = slab_partition(&meta.shape, 0, nranks, rank);
+                    let data = if v == 0 || v == alias {
+                        shared.clone()
+                    } else {
+                        payload(&mut rng, meta, &region, step).into()
+                    };
+                    step_bytes += data.byte_len() as u64;
+                    w.put(Chunk::new(meta.clone(), region, data).unwrap());
+                }
+                w.end_step().unwrap();
+            }
+            let seen: Vec<Vec<Variable>> = readers
+                .iter_mut()
+                .map(|r| {
+                    assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
+                    assert_eq!(r.variables().len(), metas.len(), "case {case}");
+                    let vars = metas
+                        .iter()
+                        .map(|m| r.get_whole(&m.name).unwrap())
+                        .collect();
+                    r.end_step();
+                    vars
+                })
+                .collect();
+            for (got, group) in seen[..2].iter().zip(["same-codec", "other-codec"]) {
+                for (var, truth) in got.iter().zip(&seen[2]) {
+                    let at = format!("case {case} step {step} {group} {}", truth.name);
+                    assert_eq!(var.shape, truth.shape, "{at}");
+                    assert_eq!(var.labels, truth.labels, "{at}");
+                    assert_eq!(var.attrs, truth.attrs, "{at}");
+                    assert_eq!(var.data.dtype(), truth.data.dtype(), "{at}");
+                    // NaN payloads make PartialEq useless; compare bytes.
+                    assert_eq!(var.data.to_le_bytes(), truth.data.to_le_bytes(), "{at}");
+                }
+            }
+        }
+        for w in &mut writers {
+            w.close();
+        }
+        for r in &mut readers {
+            assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
+        }
+
+        // Which path served whom. A reply is pass-through only when no
+        // chunk of it had to be encoded, so the same-codec reader gets one
+        // per step exactly when every writer rank was remote.
+        let timeline = broker.hub().tracer().drain();
+        let all_relayable = homes.iter().all(|&home| home >= 2);
+        let passed = timeline.of_kind(EventKind::RelayPassThrough).count() as u64;
+        let encoded = timeline.of_kind(EventKind::RelayEncoded).count() as u64;
+        assert_eq!(passed, if all_relayable { STEPS } else { 0 }, "case {case}");
+        assert_eq!(passed + encoded, 2 * STEPS, "case {case}");
+        // Each payload byte meets a v2 codec twice, whatever the mix: at
+        // its v2 writer or (in-proc and v1 ranks) in the same-codec
+        // reader's fallback, and once more for the other-codec reader.
+        let m = same.metrics(name).unwrap();
+        assert_eq!(m.wire_uncompressed_bytes, 2 * step_bytes, "case {case}");
+        assert_eq!(broker.relay_cached_steps(name), 0, "case {case}");
+    }
+}
+
+/// `lz_decompress ∘ lz_compress` is the identity over random interleavings
+/// of runs, ramps and noise — including noise prefixes long enough that
+/// the matcher's skip stride is dozens of bytes when a compressible region
+/// begins, which it must still find its way back into.
+#[test]
+fn lz_round_trips_interleaved_runs_ramps_and_noise() {
+    use sb_data::compress::{lz_compress, lz_decompress};
+    for case in 0..48u64 {
+        let mut rng = Lcg(0x1277 ^ case << 7);
+        let mut data: Vec<u8> = Vec::new();
+        if case % 3 == 0 {
+            // 64 KiB of noise puts the stride near 46 (n misses cover about
+            // n²/128 bytes).
+            data.extend((0..64 << 10).map(|_| rng.next() as u8));
+        }
+        let compressible_from = data.len();
+        for _ in 0..rng.below(12) + 1 {
+            let len = rng.below(5000) + 1;
+            match rng.below(3) {
+                0 => data.extend(std::iter::repeat_n(rng.next() as u8, len)),
+                1 => data.extend((0..len).flat_map(|i| (i as f64 * 0.001).to_le_bytes())),
+                _ => data.extend((0..len).map(|_| rng.next() as u8)),
+            }
+        }
+        let tail = vec![0x5a; 8192];
+        data.extend_from_slice(&tail);
+        let packed = lz_compress(&data);
+        assert_eq!(
+            lz_decompress(&packed, data.len()).unwrap(),
+            data,
+            "case {case}"
+        );
+        // The constant tail still collapses after whatever preceded it.
+        let worst = compressible_from + (data.len() - compressible_from - tail.len()) * 9 / 8;
+        assert!(
+            packed.len() < worst + tail.len() / 8 + 512,
+            "case {case}: {} bytes packed to {}",
+            data.len(),
+            packed.len()
+        );
+    }
+}
+
 /// A meta frame carrying the same label dimension twice is rejected as a
 /// typed container error: silently keeping either entry would let two
 /// writers disagree about a dimension's quantity labels without anyone
