@@ -13,18 +13,14 @@
 //! Run with: `cargo run --release -p sb-bench --bin bench_transport`
 //! Options: `--smoke` (tiny sizes, for CI schema validation),
 //! `--tcp` (measure the framed TCP backend against in-proc instead,
-//! emitting `BENCH_tcp.json`), `--shm` (measure the shared-memory ring
-//! backend — broker in a genuinely separate OS process — against both
-//! in-proc and the TCP baselines, emitting `BENCH_shm.json`), `--out
-//! PATH` (default
-//! `BENCH_transport.json`, `BENCH_tcp.json` under `--tcp`, or
-//! `BENCH_shm.json` under `--shm`).
+//! emitting `BENCH_tcp.json`), `--out PATH` (default
+//! `BENCH_transport.json`, or `BENCH_tcp.json` under `--tcp`).
 
 use std::time::Duration;
 
 use sb_bench::{run_fanout, run_wire_on, FanoutConfig, FanoutResult, FanoutShape, WireConfig};
 use sb_stream::tcp::TcpBroker;
-use sb_stream::{ShmBroker, StreamHub};
+use sb_stream::StreamHub;
 use smartblock::metrics::format_table;
 
 /// Scale of one emitter invocation.
@@ -574,437 +570,18 @@ fn run_tcp_mode(scale: &TcpScale, out_path: &str) {
     );
 }
 
-/// The `--shm` comparison's variants: the same wire grammars as `--tcp`
-/// behind the shared-memory ring fabric, bracketed by the in-proc floor
-/// and the two TCP baselines the wire gap is measured against.
-const SHM_VARIANTS: &[TcpVariant] = &[
-    TcpVariant {
-        label: "inproc",
-        backend: "inproc",
-        protocol: "-",
-        compression: "-",
-    },
-    TcpVariant {
-        label: "tcp-v1",
-        backend: "tcp",
-        protocol: "v1",
-        compression: "none",
-    },
-    TcpVariant {
-        label: "tcp-v2lz",
-        backend: "tcp",
-        protocol: "v2",
-        compression: "lz",
-    },
-    TcpVariant {
-        label: "shm-v1",
-        backend: "shm",
-        protocol: "v1",
-        compression: "none",
-    },
-    TcpVariant {
-        label: "shm-v2",
-        backend: "shm",
-        protocol: "v2",
-        compression: "none",
-    },
-    TcpVariant {
-        label: "shm-v2lz",
-        backend: "shm",
-        protocol: "v2",
-        compression: "lz",
-    },
-];
-
-/// Ring capacity for the bench clients: big enough that a whole step of
-/// the largest case sits in the ring (so backpressure measures the
-/// protocol, not an artificially small pipe), and no bigger — ring pages
-/// fault in on first touch, so oversizing pays a cold-page tax every
-/// connection without moving a byte more per step.
-const BENCH_RING_CAPACITY: usize = 8 << 20;
-
-/// Where the rendezvous directory lives: a shared-memory tmpfs when the
-/// host has one, the regular temp dir otherwise.
-fn shm_bench_dir() -> std::path::PathBuf {
-    let base = std::path::Path::new("/dev/shm");
-    let base = if base.is_dir() {
-        base.to_path_buf()
-    } else {
-        std::env::temp_dir()
-    };
-    base.join(format!("sb-bench-shm-{}", std::process::id()))
-}
-
-fn json_shm_run(r: &TcpRun) -> String {
-    // The `--tcp` run shape plus the shared-memory fabric attribution.
-    let tcp_body = json_tcp_run(r);
-    tcp_body.replace(
-        "      \"bytes_on_wire\":",
-        &format!(
-            "      \"wire_shm_bytes\": {},\n      \"bytes_on_wire\":",
-            r.result.metrics.wire_shm_bytes
-        ),
-    )
-}
-
-fn render_shm_json(scale: &TcpScale, runs: &[TcpRun]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let headline = match shm_headline_numbers(scale, runs) {
-        Ok((inproc, best_tcp, best_shm, rows)) => format!(
-            "{{\n    \"case\": \"1x1 rows={rows}\",\n    \"inproc_ns_per_step\": {inproc:.0},\n    \
-             \"best_tcp_ns_per_step\": {best_tcp:.0},\n    \"best_shm_ns_per_step\": {best_shm:.0},\n    \
-             \"shm_vs_inproc\": {:.3},\n    \"shm_vs_tcp\": {:.3}\n  }}",
-            best_shm / inproc.max(f64::MIN_POSITIVE),
-            best_shm / best_tcp.max(f64::MIN_POSITIVE),
-        ),
-        Err(_) => "null".to_string(),
-    };
-    let body: Vec<String> = runs.iter().map(json_shm_run).collect();
-    format!(
-        "{{\n  \"schema\": \"smartblock.bench_shm.v1\",\n  \"smoke\": {},\n  \"cores\": {cores},\n  \
-         \"cols\": {},\n  \"steps\": {},\n  \"headline\": {headline},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        scale.smoke,
-        scale.cols,
-        scale.steps,
-        body.join(",\n")
-    )
-}
-
-/// Minimal schema check mirroring [`validate_tcp`], for the `--shm`
-/// emission.
-fn validate_shm(text: &str, expected_runs: usize) -> Result<(), String> {
-    for key in [
-        "\"schema\"",
-        "\"cores\"",
-        "\"steps\"",
-        "\"headline\"",
-        "\"runs\"",
-    ] {
-        if text.matches(key).count() != 1 {
-            return Err(format!("header key {key} missing or repeated"));
-        }
-    }
-    if !text.contains("\"smartblock.bench_shm.v1\"") {
-        return Err("schema identifier missing".into());
-    }
-    for key in [
-        "\"backend\"",
-        "\"protocol\"",
-        "\"compression\"",
-        "\"writers\"",
-        "\"readers\"",
-        "\"rows\"",
-        "\"payload_bytes_per_step\"",
-        "\"ns_per_step\"",
-        "\"payload_mb_per_s\"",
-        "\"wire_writer_bytes\"",
-        "\"wire_reader_bytes\"",
-        "\"writer_hop_amplification\"",
-        "\"reader_hop_amplification\"",
-        "\"wire_shm_bytes\"",
-        "\"bytes_on_wire\"",
-    ] {
-        let n = text.matches(key).count();
-        if n != expected_runs {
-            return Err(format!("key {key} appears {n} times, want {expected_runs}"));
-        }
-    }
-    Ok(())
-}
-
-/// The claims `BENCH_shm.json` exists to document. The per-hop accounting
-/// contract carries over from `--tcp` unchanged; the new claims:
-///
-/// * `wire_shm_bytes` equals `bytes_on_wire` on the shm fabric (every
-///   frame byte is attributed to shared memory) and is zero on tcp and
-///   in-proc;
-/// * the headline — on the largest 1x1 constant-payload pump, the best
-///   shm variant beats the best TCP variant (the same-host wire gap
-///   closes), with the ring broker in a genuinely separate OS process;
-/// * on hosts with >= 3 cores — where writer, broker, and reader actually
-///   run concurrently and the per-step hops pipeline — the best shm
-///   variant additionally lands within 2x of the in-proc data plane. On
-///   fewer cores every hop serializes onto one core, the pump's wall time
-///   is the *sum* of the stage costs rather than their max, and the
-///   in-proc ratio is recorded in the JSON but not enforced.
-fn check_shm_headline(scale: &TcpScale, runs: &[TcpRun]) -> Result<(), String> {
-    for r in runs {
-        let c = &r.result.config;
-        let m = &r.result.metrics;
-        let at = format!(
-            "{} {}x{} rows={}",
-            r.variant.label, c.writers, c.readers, c.rows
-        );
-        if m.steps_committed != c.steps {
-            return Err(format!(
-                "{at}: committed {} steps, want {}",
-                m.steps_committed, c.steps
-            ));
-        }
-        if r.variant.backend == "inproc" {
-            if m.bytes_on_wire != 0 || m.wire_shm_bytes != 0 {
-                return Err(format!("{at}: in-proc framed {} bytes", m.bytes_on_wire));
-            }
-            continue;
-        }
-        if m.bytes_on_wire != m.wire_writer_bytes + m.wire_reader_bytes {
-            return Err(format!(
-                "{at}: hop counters do not sum: {} + {} != {}",
-                m.wire_writer_bytes, m.wire_reader_bytes, m.bytes_on_wire
-            ));
-        }
-        let want_shm = if r.variant.backend == "shm" {
-            m.bytes_on_wire
-        } else {
-            0
-        };
-        if m.wire_shm_bytes != want_shm {
-            return Err(format!(
-                "{at}: shm attribution {} != {want_shm} (bytes_on_wire {})",
-                m.wire_shm_bytes, m.bytes_on_wire
-            ));
-        }
-        let moved = c.payload_bytes() * c.steps;
-        let reader_moved = moved * c.readers as u64;
-        if r.variant.compression == "none"
-            && (m.wire_writer_bytes < moved || m.wire_reader_bytes < reader_moved)
-        {
-            return Err(format!(
-                "{at}: hops lost bytes: writer {} vs {moved}, reader {} vs {reader_moved}",
-                m.wire_writer_bytes, m.wire_reader_bytes
-            ));
-        }
-        if r.variant.compression == "lz" && m.wire_compressed_bytes > m.wire_uncompressed_bytes {
-            return Err(format!(
-                "{at}: codec grew the payload: {} > {}",
-                m.wire_compressed_bytes, m.wire_uncompressed_bytes
-            ));
-        }
-    }
-    // The headline case: the largest 1x1 pump (full mode only; smoke
-    // sizes are noise-dominated).
-    if !scale.smoke {
-        let (inproc, best_tcp, best_shm, rows) = shm_headline_numbers(scale, runs)?;
-        if best_shm >= best_tcp {
-            return Err(format!(
-                "1x1 rows={rows}: best shm variant {best_shm:.0} ns/step does not beat \
-                 the best tcp variant ({best_tcp:.0} ns/step) — the wire gap did not close"
-            ));
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 3 && best_shm > inproc * 2.0 {
-            return Err(format!(
-                "1x1 rows={rows}: best shm variant {:.0} ns/step is {:.2}x in-proc \
-                 ({:.0} ns/step) on a {cores}-core host — above the 2x target",
-                best_shm,
-                best_shm / inproc.max(f64::MIN_POSITIVE),
-                inproc
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Best ns/step per backend on the largest 1x1 case, plus its row count:
-/// `(inproc, best_tcp, best_shm, rows)`.
-fn shm_headline_numbers(
-    scale: &TcpScale,
-    runs: &[TcpRun],
-) -> Result<(f64, f64, f64, usize), String> {
-    let (w, r_, rows) = *scale
-        .cases
-        .iter()
-        .filter(|(w, r, _)| *w == 1 && *r == 1)
-        .max_by_key(|(_, _, rows)| *rows)
-        .ok_or("no 1x1 case for the headline")?;
-    let ns = |backend: &str| -> Result<f64, String> {
-        runs.iter()
-            .filter(|x| {
-                let c = &x.result.config;
-                c.writers == w && c.readers == r_ && c.rows == rows && x.variant.backend == backend
-            })
-            .map(|x| x.result.ns_per_step())
-            .min_by(f64::total_cmp)
-            .ok_or_else(|| format!("missing {backend} runs for the 1x1 headline"))
-    };
-    Ok((ns("inproc")?, ns("tcp")?, ns("shm")?, rows))
-}
-
-/// The `--serve-shm DIR` child mode: bind a ring broker on `DIR` and park
-/// until the parent kills the process. Runs in its own OS process so the
-/// `--shm` comparison crosses a real process boundary.
-fn serve_shm_forever(dir: &str) -> ! {
-    let _broker = ShmBroker::bind(dir).expect("bind shm broker");
-    loop {
-        std::thread::sleep(Duration::from_millis(200));
-    }
-}
-
-/// The `--shm` mode: spawn the broker in a child process, pump every case
-/// through the rings and in-proc, emit `BENCH_shm.json`, and print the
-/// slowdown table.
-fn run_shm_mode(scale: &TcpScale, out_path: &str) {
-    use sb_stream::{Compression, ShmOptions, TcpOptions, WireProtocol};
-
-    let dir = shm_bench_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let url = format!("shm://{}", dir.display());
-    let exe = std::env::current_exe().expect("own executable path");
-    let mut child = std::process::Command::new(exe)
-        .arg("--serve-shm")
-        .arg(dir.to_str().expect("utf-8 bench dir"))
-        .spawn()
-        .expect("spawn shm broker process");
-
-    // The TCP baselines share an in-process loopback broker — the same
-    // methodology as `--tcp`, and the conservative side of the comparison
-    // (the ring broker pays a real process boundary; the socket one does
-    // not even pay that).
-    let mut tcp_broker = TcpBroker::bind("127.0.0.1:0").expect("bind loopback broker");
-    let wire_for = |variant: &TcpVariant| match (variant.protocol, variant.compression) {
-        ("v1", _) => TcpOptions::default().with_protocol(WireProtocol::V1),
-        (_, "lz") => TcpOptions::default().with_compression(Compression::Lz),
-        _ => TcpOptions::default(),
-    };
-    let hub_for = |variant: &TcpVariant| match variant.backend {
-        "tcp" => StreamHub::connect_with(&tcp_broker.url(), wire_for(variant))
-            .expect("connect to tcp broker"),
-        _ => {
-            let options = ShmOptions::default()
-                .with_ring_capacity(BENCH_RING_CAPACITY)
-                .with_wire(wire_for(variant));
-            StreamHub::connect_shm(&url, options).expect("connect to shm broker")
-        }
-    };
-    let wire_hubs: Vec<_> = SHM_VARIANTS
-        .iter()
-        .filter(|v| v.backend != "inproc")
-        .map(|v| (v.label, hub_for(v)))
-        .collect();
-
-    let mut runs = Vec::new();
-    for &(writers, readers, rows) in scale.cases {
-        let config = WireConfig {
-            writers,
-            readers,
-            rows,
-            cols: scale.cols,
-            steps: scale.steps,
-        };
-        for variant in SHM_VARIANTS {
-            let tag = format!("{}-w{writers}r{readers}n{rows}", variant.label);
-            let result = if variant.backend == "inproc" {
-                measure_wire(&StreamHub::new(), &tag, &config, scale.reps)
-            } else {
-                let hub = &wire_hubs
-                    .iter()
-                    .find(|(label, _)| *label == variant.label)
-                    .expect("hub per wire variant")
-                    .1;
-                measure_wire(hub, &tag, &config, scale.reps)
-            };
-            eprintln!(
-                "{:>9} {}x{} rows={:>7}: {:>9.2} us/step, wire w->b {} / b->r {}",
-                variant.label,
-                writers,
-                readers,
-                rows,
-                result.ns_per_step() / 1e3,
-                result.metrics.wire_writer_bytes,
-                result.metrics.wire_reader_bytes,
-            );
-            runs.push(TcpRun {
-                variant: *variant,
-                result,
-            });
-        }
-    }
-    // The ring broker lives in the child; killing it is the teardown.
-    drop(wire_hubs);
-    tcp_broker.shutdown();
-    child.kill().expect("kill shm broker process");
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    if let Err(e) = check_shm_headline(scale, &runs) {
-        eprintln!("headline claim does not hold: {e}");
-        std::process::exit(1);
-    }
-
-    let text = render_shm_json(scale, &runs);
-    std::fs::write(out_path, &text).expect("write BENCH_shm.json");
-    let reread = std::fs::read_to_string(out_path).expect("re-read emitted JSON");
-    if let Err(e) = validate_shm(&reread, runs.len()) {
-        eprintln!("emitted JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path} ({} runs)", runs.len());
-
-    let mut rows_out = Vec::new();
-    for case in runs.chunks(SHM_VARIANTS.len()) {
-        let inproc = &case[0];
-        for run in &case[1..] {
-            let c = &run.result.config;
-            let m = &run.result.metrics;
-            let moved = c.payload_bytes() * c.steps;
-            rows_out.push(vec![
-                format!("{}x{}", c.writers, c.readers),
-                c.rows.to_string(),
-                run.variant.label.to_string(),
-                format!("{:.2}", run.result.ns_per_step() / 1e3),
-                format!(
-                    "{:.1}x",
-                    run.result.ns_per_step() / inproc.result.ns_per_step().max(f64::MIN_POSITIVE)
-                ),
-                format!("{:.3}", m.wire_writer_bytes as f64 / moved as f64),
-                format!(
-                    "{:.3}",
-                    m.wire_reader_bytes as f64 / (moved * c.readers as u64) as f64
-                ),
-            ]);
-        }
-    }
-    println!(
-        "\n== MxN pump: in-proc vs shared-memory rings across processes, per wire protocol ==\n"
-    );
-    println!(
-        "{}",
-        format_table(
-            &[
-                "WxR",
-                "Rows",
-                "Variant",
-                "us/step",
-                "vs inproc",
-                "Writer-hop amp",
-                "Reader-hop amp",
-            ],
-            &rows_out
-        )
-    );
-}
-
 fn main() {
     let mut out_path: Option<String> = None;
     let mut smoke = false;
     let mut tcp = false;
-    let mut shm = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--tcp" => tcp = true,
-            "--shm" => shm = true,
-            "--serve-shm" => {
-                // Internal: the `--shm` mode's broker child process.
-                let dir = args.next().expect("--serve-shm needs a directory");
-                serve_shm_forever(&dir);
-            }
             "--out" => out_path = Some(args.next().expect("--out needs a path")),
             other => {
-                eprintln!(
-                    "unknown argument {other:?} (options: --smoke, --tcp, --shm, --out PATH)"
-                );
+                eprintln!("unknown argument {other:?} (options: --smoke, --tcp, --out PATH)");
                 std::process::exit(2);
             }
         }
@@ -1018,17 +595,6 @@ fn main() {
         };
         let out_path = out_path.unwrap_or_else(|| "BENCH_tcp.json".into());
         run_tcp_mode(&scale, &out_path);
-        return;
-    }
-
-    if shm {
-        let scale = if smoke {
-            TcpScale::smoke()
-        } else {
-            TcpScale::full()
-        };
-        let out_path = out_path.unwrap_or_else(|| "BENCH_shm.json".into());
-        run_shm_mode(&scale, &out_path);
         return;
     }
 

@@ -85,7 +85,7 @@ impl StreamHub {
     }
 
     /// Creates a hub over a remote broker at `url` — `tcp://host:port` for
-    /// the socket backend, `shm://DIR` for the same-host shared-memory
+    /// the socket backend, `shm://DIR` for the same-host Unix-socket
     /// backend — with default [`TcpOptions`] and the default deadlock
     /// timeout.
     ///
@@ -96,33 +96,17 @@ impl StreamHub {
         Self::connect_with(url, TcpOptions::default())
     }
 
-    /// [`StreamHub::connect`] with explicit connect/read timeout options.
-    /// `shm://` URLs take the default ring capacity; use
-    /// [`StreamHub::connect_shm`] to tune it.
+    /// [`StreamHub::connect`] with explicit connect/read timeout options;
+    /// the URL scheme picks the socket (`tcp://` or same-host `shm://`).
     pub fn connect_with(url: &str, options: TcpOptions) -> std::io::Result<Arc<StreamHub>> {
-        if url.starts_with("shm://") {
-            return Self::connect_shm(url, crate::shm::ShmOptions::default().with_wire(options));
-        }
         let wait = Arc::new(AtomicU64::new(DEFAULT_WAIT_TIMEOUT.as_micros() as u64));
         let tracer = Arc::new(Tracer::new());
-        let transport = Arc::new(TcpTransport::connect(
-            url,
-            options,
-            Arc::clone(&wait),
-            Arc::clone(&tracer),
-        )?);
-        Ok(Self::assemble(transport, wait, tracer))
-    }
-
-    /// Creates a hub over the shared-memory backend at `url` (`shm://DIR`)
-    /// with explicit [`crate::shm::ShmOptions`].
-    pub fn connect_shm(
-        url: &str,
-        options: crate::shm::ShmOptions,
-    ) -> std::io::Result<Arc<StreamHub>> {
-        let wait = Arc::new(AtomicU64::new(DEFAULT_WAIT_TIMEOUT.as_micros() as u64));
-        let tracer = Arc::new(Tracer::new());
-        let transport = Arc::new(crate::shm::connect(
+        let connect = if url.starts_with("shm://") {
+            crate::shm::connect
+        } else {
+            TcpTransport::connect
+        };
+        let transport = Arc::new(connect(
             url,
             options,
             Arc::clone(&wait),

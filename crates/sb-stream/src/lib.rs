@@ -22,6 +22,16 @@
 //! ([`sb_data::region::copy_region`]) out of the committed step slots — the
 //! queueing, blocking and backpressure semantics are preserved exactly.
 //!
+//! ## Backends
+//!
+//! The same endpoints run over three backends behind the [`Transport`]
+//! trait, picked by how the hub is made: [`StreamHub::new`] keeps streams in
+//! process; [`StreamHub::connect`] reaches a broker process fronting such a
+//! hub, over TCP (`tcp://host:port`, [`TcpBroker`]) or over a Unix-domain
+//! socket in a rendezvous directory on the same host (`shm://DIR`,
+//! [`ShmBroker`]). Both remote fabrics carry one frame protocol ([`tcp`]),
+//! so what arrives never depends on how it travelled.
+//!
 //! ## Step lifecycle
 //!
 //! Writers (every rank of the writer group, in lockstep):
@@ -59,7 +69,7 @@ pub use metrics::StreamMetrics;
 pub use reader::{StepStatus, StreamReader};
 pub use sb_data::signal::{SignalBoard, SignalHook};
 pub use sb_data::wire::Compression;
-pub use shm::{ShmBroker, ShmOptions};
+pub use shm::ShmBroker;
 pub use stream::WriterOptions;
 pub use tcp::{TcpBroker, TcpOptions, WireProtocol};
 pub use trace::{EventKind, PhaseHistogram, Timeline, TraceConfig, TraceEvent, TraceSite, Tracer};

@@ -84,7 +84,7 @@ impl Counters {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Attributes frame bytes to the shared-memory fabric. Charged by shm
+    /// Attributes frame bytes to the same-host `shm://` fabric. Charged by shm
     /// broker sessions *in addition to* the per-hop counters above (same
     /// single-authority rule: the broker session is the only side that
     /// charges), so `wire_shm_bytes ≤ bytes_on_wire` and the hop totals stay
@@ -188,7 +188,7 @@ pub struct StreamMetrics {
     /// Frame bytes that crossed the broker → reader socket hop, each
     /// counted once. Zero on the in-proc backend.
     pub wire_reader_bytes: u64,
-    /// Frame bytes that moved over the shared-memory ring fabric. A
+    /// Frame bytes that moved over the same-host `shm://` fabric. A
     /// fabric *attribution* of the hop totals, not a third hop: every byte
     /// here is also in `wire_writer_bytes` or `wire_reader_bytes`. Zero on
     /// the tcp and in-proc backends.

@@ -276,9 +276,10 @@ fn check_wire_str_len(len: usize) -> Result<(), String> {
 // ---- framing -------------------------------------------------------------
 
 /// One framed, bidirectional byte channel: the seam between the protocol
-/// (hellos, steps, control verbs) and the fabric carrying it. The TCP
-/// socket and the shared-memory ring both implement it, so every client
-/// and broker-session codepath above this line is fabric-agnostic.
+/// (hellos, steps, control verbs) and the fabric carrying it. Every kernel
+/// stream [`Socket`] implements it — the TCP socket here, the Unix-domain
+/// socket of [`crate::shm`] — so every client and broker-session codepath
+/// above this line is fabric-agnostic.
 pub(crate) trait FrameIo: Send {
     /// Sends one `u32`-length-prefixed frame whose payload is the
     /// concatenation of `parts`, returning the bytes that crossed the
@@ -352,7 +353,21 @@ pub(crate) fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(body)
 }
 
-impl FrameIo for TcpStream {
+/// A kernel stream socket: blocking reads and writes, backpressure from the
+/// socket buffer, EOF when the peer closes or dies. [`TcpStream`] and the
+/// `UnixStream` of [`crate::shm`] share the one [`FrameIo`] below.
+pub(crate) trait Socket: Read + Write + Send {
+    /// The socket's receive-timeout setter (`SO_RCVTIMEO`).
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+impl Socket for TcpStream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, timeout)
+    }
+}
+
+impl<S: Socket> FrameIo for S {
     fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
         let header = frame_header(parts)?;
         let mut slices = Vec::with_capacity(1 + parts.len());
@@ -388,6 +403,10 @@ impl FrameIo for TcpStream {
     }
 
     fn set_recv_deadline(&mut self, deadline: Option<Duration>) {
+        // A zero timeout is `InvalidInput` to the socket and would leave the
+        // previous (possibly infinite) deadline armed; the shortest real one
+        // keeps "no time left" a timeout instead of a hang.
+        let deadline = deadline.map(|d| d.max(Duration::from_millis(1)));
         let _ = self.set_read_timeout(deadline);
     }
 }
@@ -560,6 +579,8 @@ struct ClientConn {
     peer: String,
     wait_timeout_micros: Arc<AtomicU64>,
     read_grace: Duration,
+    /// Raised when this connection breaks; see [`TcpTransport::client_conn`].
+    broker_lost: Arc<AtomicBool>,
 }
 
 impl ClientConn {
@@ -571,10 +592,20 @@ impl ClientConn {
         self.io
             .send_frame_parts(parts)
             .map(|_| ())
-            .map_err(|e| StreamError::PeerGone {
-                stream: self.stream_name.clone(),
-                reason: format!("broker connection lost ({e})"),
-            })
+            .map_err(|e| self.lost(e))
+    }
+
+    /// The typed error for a connection that broke (EOF, reset, a frame cut
+    /// short): the broker closed it or died. A frame refused at send for its
+    /// size (`InvalidInput`) never touched the connection.
+    fn lost(&self, e: io::Error) -> StreamError {
+        if e.kind() != io::ErrorKind::InvalidInput {
+            self.broker_lost.store(true, Ordering::Relaxed);
+        }
+        StreamError::PeerGone {
+            stream: self.stream_name.clone(),
+            reason: format!("broker connection lost ({e})"),
+        }
     }
 
     /// Receives one reply frame. The broker enforces the hub timeout where
@@ -591,10 +622,7 @@ impl ClientConn {
                 timeout: deadline,
                 detail: format!("no reply from broker at {}", self.peer),
             },
-            _ => StreamError::PeerGone {
-                stream: self.stream_name.clone(),
-                reason: format!("broker connection lost ({e})"),
-            },
+            _ => self.lost(e),
         })
     }
 
@@ -612,11 +640,15 @@ impl ClientConn {
     }
 }
 
-fn dial(
-    addr: SocketAddr,
+/// Connects to the broker at `peer`, retrying while it comes up
+/// (launch-order independence) until the connect budget runs out. `connect`
+/// makes one attempt within the time it is given.
+pub(crate) fn dial_retry<S>(
+    peer: &str,
     options: &TcpOptions,
     stream_name: &str,
-) -> Result<TcpStream, StreamError> {
+    connect: impl Fn(Duration) -> io::Result<S>,
+) -> Result<S, StreamError> {
     let deadline = Instant::now() + options.connect_timeout;
     let mut last_err: Option<io::Error> = None;
     loop {
@@ -627,22 +659,19 @@ fn dial(
                 waiting_for: "broker connection".to_string(),
                 timeout: options.connect_timeout,
                 detail: format!(
-                    "{addr}: {}",
+                    "{peer}: {}",
                     last_err
                         .map(|e| e.to_string())
                         .unwrap_or_else(|| "connect budget exhausted".to_string())
                 ),
             });
         }
-        match TcpStream::connect_timeout(&addr, remaining.min(Duration::from_secs(2))) {
-            Ok(sock) => {
-                let _ = sock.set_nodelay(options.nodelay);
-                return Ok(sock);
-            }
+        match connect(remaining.min(Duration::from_secs(2))) {
+            Ok(sock) => return Ok(sock),
             Err(e) => {
                 last_err = Some(e);
-                // The broker may still be coming up (launch-order
-                // independence); retry until the budget runs out.
+                // The broker may still be coming up; retry until the
+                // budget runs out.
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
@@ -650,7 +679,7 @@ fn dial(
 }
 
 /// Dials one fabric connection per endpoint — the client-side seam that
-/// lets [`TcpTransport`] drive any [`FrameIo`] fabric. The shared-memory
+/// lets [`TcpTransport`] drive any [`FrameIo`] fabric. The same-host
 /// backend reuses the whole client protocol by substituting its dialer.
 pub(crate) trait Dialer: Send + Sync {
     /// Backend name reported by [`Transport::backend`].
@@ -674,7 +703,12 @@ impl Dialer for TcpDialer {
     }
 
     fn dial(&self, stream_name: &str) -> Result<Box<dyn FrameIo>, StreamError> {
-        dial(self.addr, &self.options, stream_name).map(|sock| Box::new(sock) as Box<dyn FrameIo>)
+        let sock = dial_retry(&self.peer(), &self.options, stream_name, |budget| {
+            let sock = TcpStream::connect_timeout(&self.addr, budget)?;
+            let _ = sock.set_nodelay(self.options.nodelay);
+            Ok(sock)
+        })?;
+        Ok(Box::new(sock))
     }
 
     fn peer(&self) -> String {
@@ -684,7 +718,7 @@ impl Dialer for TcpDialer {
 
 /// The client-side [`Transport`]: every endpoint is one framed connection
 /// to the broker, dialed through a fabric-specific [`Dialer`] (a TCP
-/// socket, or the shared-memory ring of [`crate::shm`]).
+/// socket, or the same-host Unix-domain socket of [`crate::shm`]).
 pub struct TcpTransport {
     dialer: Box<dyn Dialer>,
     url: String,
@@ -696,6 +730,8 @@ pub struct TcpTransport {
     counters: Mutex<HashMap<String, Arc<Counters>>>,
     /// Lazily dialed control connection for the supervision verbs.
     control: Mutex<Option<ClientConn>>,
+    /// Whether a connection to the broker has broken.
+    broker_lost: Arc<AtomicBool>,
 }
 
 impl TcpTransport {
@@ -733,6 +769,7 @@ impl TcpTransport {
             tracer,
             counters: Mutex::new(HashMap::new()),
             control: Mutex::new(None),
+            broker_lost: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -751,6 +788,15 @@ impl TcpTransport {
     }
 
     fn client_conn(&self, stream_name: &str) -> Result<ClientConn, StreamError> {
+        // The connect budget is for a broker still coming up. One that broke
+        // a connection held every stream's state and took it along; the
+        // teardown verbs that follow must not each wait the budget out.
+        if self.broker_lost.load(Ordering::Relaxed) {
+            return Err(StreamError::PeerGone {
+                stream: stream_name.to_string(),
+                reason: format!("the broker at {} is gone", self.dialer.peer()),
+            });
+        }
         let io = self.dialer.dial(stream_name)?;
         Ok(ClientConn {
             io,
@@ -758,6 +804,7 @@ impl TcpTransport {
             peer: self.dialer.peer(),
             wait_timeout_micros: Arc::clone(&self.wait_timeout_micros),
             read_grace: self.options.read_grace,
+            broker_lost: Arc::clone(&self.broker_lost),
         })
     }
 
@@ -1304,6 +1351,119 @@ impl Drop for ConnGuard {
     }
 }
 
+/// How long the accept loop rests after a failed `accept`. A persistent
+/// failure (out of file descriptors) would otherwise spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// What [`TcpBroker`] and [`crate::shm::ShmBroker`] share: the fronted hub,
+/// a blocking accept loop, one session thread per connection, and the
+/// connection gauges. The brokers differ only in the listener they bind.
+pub(crate) struct BrokerCore {
+    hub: Arc<StreamHub>,
+    shutdown: Arc<AtomicBool>,
+    active: Arc<AtomicUsize>,
+    seen: Arc<AtomicUsize>,
+    relays: Arc<RelayTable>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl BrokerCore {
+    /// Refuses a hub that is itself a remote client (`who` names the broker
+    /// type in the error).
+    pub(crate) fn require_inproc(hub: &StreamHub, who: &str) -> io::Result<()> {
+        if hub.backend() == "inproc" {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{who} must front an in-proc hub, not another remote transport"),
+        ))
+    }
+
+    /// Starts the accept thread (`sb-<fabric>-broker`): every connection
+    /// `accept` yields is served on a thread of its own
+    /// (`sb-<fabric>-session`) until its client hangs up. `shm` is
+    /// [`serve_session`]'s fabric flag.
+    pub(crate) fn start<S: FrameIo + 'static>(
+        hub: Arc<StreamHub>,
+        shm: bool,
+        mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+    ) -> io::Result<BrokerCore> {
+        let fabric = if shm { "shm" } else { "tcp" };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let active = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::new(AtomicUsize::new(0));
+        let relays = Arc::new(RelayTable::default());
+        let thread = {
+            let hub = Arc::clone(&hub);
+            let shutdown = Arc::clone(&shutdown);
+            let active = Arc::clone(&active);
+            let seen = Arc::clone(&seen);
+            let relays = Arc::clone(&relays);
+            std::thread::Builder::new()
+                .name(format!("sb-{fabric}-broker"))
+                .spawn(move || loop {
+                    let sock = accept();
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(mut sock) = sock else {
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
+                    active.fetch_add(1, Ordering::SeqCst);
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    let guard = ConnGuard(Arc::clone(&active));
+                    let hub = Arc::clone(&hub);
+                    let relays = Arc::clone(&relays);
+                    let _ = std::thread::Builder::new()
+                        .name(format!("sb-{fabric}-session"))
+                        .spawn(move || {
+                            let _guard = guard;
+                            let _ = serve_session(&hub, &relays, &mut sock, shm);
+                        });
+                })?
+        };
+        Ok(BrokerCore {
+            hub,
+            shutdown,
+            active,
+            seen,
+            relays,
+            accept: Some(thread),
+        })
+    }
+
+    pub(crate) fn hub(&self) -> &Arc<StreamHub> {
+        &self.hub
+    }
+
+    pub(crate) fn active_connections(&self) -> usize {
+        self.active.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn connections_seen(&self) -> usize {
+        self.seen.load(Ordering::SeqCst)
+    }
+
+    /// Stops accepting: raises the flag and has `wake` unblock the pending
+    /// `accept` with one last connection. Returns whether this call did the
+    /// stopping (`false` on a repeat). If the wake-up cannot reach the
+    /// listener, the accept thread is left parked rather than joined forever.
+    pub(crate) fn stop(&mut self, wake: impl FnOnce() -> io::Result<()>) -> bool {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        let woken = wake().is_ok();
+        if let Some(accept) = self.accept.take() {
+            if woken {
+                let _ = accept.join();
+            }
+        }
+        true
+    }
+}
+
 /// The broker: an accept loop serving a local in-proc [`StreamHub`] to
 /// remote processes over framed TCP.
 ///
@@ -1312,13 +1472,8 @@ impl Drop for ConnGuard {
 /// queueing, backpressure, rendezvous, and supervision state lives in the
 /// fronted hub — remote endpoints observe exactly the in-proc semantics.
 pub struct TcpBroker {
-    hub: Arc<StreamHub>,
+    core: BrokerCore,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    seen: Arc<AtomicUsize>,
-    relays: Arc<RelayTable>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl TcpBroker {
@@ -1331,57 +1486,15 @@ impl TcpBroker {
     /// Binds `addr` in front of an existing in-proc hub — the broker
     /// process can then also run components of its own on `hub` directly.
     pub fn serve(hub: Arc<StreamHub>, addr: &str) -> io::Result<TcpBroker> {
-        if hub.backend() != "inproc" {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a TcpBroker must front an in-proc hub, not another remote transport",
-            ));
-        }
+        BrokerCore::require_inproc(&hub, "a TcpBroker")?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::new(AtomicUsize::new(0));
-        let relays = Arc::new(RelayTable::default());
-        let accept = {
-            let hub = Arc::clone(&hub);
-            let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active);
-            let seen = Arc::clone(&seen);
-            let relays = Arc::clone(&relays);
-            std::thread::Builder::new()
-                .name("sb-tcp-broker".to_string())
-                .spawn(move || {
-                    for sock in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(sock) = sock else { continue };
-                        let _ = sock.set_nodelay(true);
-                        active.fetch_add(1, Ordering::SeqCst);
-                        seen.fetch_add(1, Ordering::SeqCst);
-                        let guard = ConnGuard(Arc::clone(&active));
-                        let hub = Arc::clone(&hub);
-                        let relays = Arc::clone(&relays);
-                        let _ = std::thread::Builder::new()
-                            .name("sb-tcp-session".to_string())
-                            .spawn(move || {
-                                let _guard = guard;
-                                let mut sock = sock;
-                                let _ = serve_session(&hub, &relays, &mut sock, false);
-                            });
-                    }
-                })?
-        };
-        Ok(TcpBroker {
-            hub,
-            addr,
-            shutdown,
-            active,
-            seen,
-            relays,
-            accept: Some(accept),
-        })
+        let core = BrokerCore::start(hub, false, move || {
+            let (sock, _) = listener.accept()?;
+            let _ = sock.set_nodelay(true);
+            Ok(sock)
+        })?;
+        Ok(TcpBroker { core, addr })
     }
 
     /// Steps of `stream` the relay cache currently holds encoded bytes for
@@ -1389,7 +1502,7 @@ impl TcpBroker {
     /// have released or left).
     #[doc(hidden)]
     pub fn relay_cached_steps(&self, stream: &str) -> usize {
-        let relay = self.relays.streams.lock().get(stream).cloned();
+        let relay = self.core.relays.streams.lock().get(stream).cloned();
         relay.map_or(0, |relay| relay.inner.lock().cache.steps.len())
     }
 
@@ -1405,32 +1518,27 @@ impl TcpBroker {
 
     /// The fronted in-proc hub.
     pub fn hub(&self) -> &Arc<StreamHub> {
-        &self.hub
+        self.core.hub()
     }
 
     /// Currently open client connections (endpoints plus control channels).
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        self.core.active_connections()
     }
 
     /// Total connections ever accepted. Monotonic, so unlike
     /// [`active_connections`](Self::active_connections) a poll loop cannot
     /// miss a client that connected and left between two samples.
     pub fn connections_seen(&self) -> usize {
-        self.seen.load(Ordering::SeqCst)
+        self.core.connections_seen()
     }
 
     /// Stops accepting connections; existing sessions run until their
     /// clients hang up.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the accept loop with one last connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        let addr = self.addr;
+        self.core
+            .stop(|| TcpStream::connect_timeout(&addr, Duration::from_secs(1)).map(drop));
     }
 }
 
@@ -1464,8 +1572,8 @@ fn reply_result(io: &mut dyn FrameIo, result: StreamResult<()>) -> io::Result<us
 }
 
 /// Charges one session's frame bytes to its hop counter, attributing them
-/// to the shared-memory fabric ledger too when the session runs over the
-/// ring transport (see [`Counters::add_wire_shm`]).
+/// to the shm fabric ledger too when the session runs over the same-host
+/// fabric (see [`Counters::add_wire_shm`]).
 #[derive(Clone, Copy)]
 enum Hop {
     Writer,
@@ -1783,7 +1891,7 @@ impl Drop for ReaderCountGuard {
 }
 
 /// Serves one accepted connection over any [`FrameIo`] fabric. `shm` marks
-/// sessions running over the shared-memory ring so their frame bytes are
+/// sessions accepted on an `shm://` rendezvous so their frame bytes are
 /// also attributed to the shm fabric ledger.
 pub(crate) fn serve_session(
     hub: &Arc<StreamHub>,
@@ -2706,17 +2814,66 @@ mod tests {
         assert_eq!(read_frame(&mut io::Cursor::new(bytes)).unwrap(), body);
     }
 
-    #[test]
-    fn vectored_frames_equal_contiguous_frames() {
+    fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        let big: Vec<u8> = (0..300_000).map(|i| (i % 253) as u8).collect();
-        let parts: [&[u8]; 5] = [b"head", &[], &big, b"", b"tail"];
-        let reader = std::thread::spawn(move || server.recv_frame().unwrap());
-        let sent = client.send_frame_parts(&parts).unwrap();
-        let whole: Vec<u8> = parts.concat();
-        assert_eq!(sent, 4 + whole.len());
-        assert_eq!(reader.join().unwrap(), whole);
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn vectored_frames_equal_contiguous_frames_on_both_sockets() {
+        fn check(mut client: impl FrameIo, mut server: impl FrameIo + 'static) {
+            let big: Vec<u8> = (0..300_000).map(|i| (i % 253) as u8).collect();
+            let parts: [&[u8]; 5] = [b"head", &[], &big, b"", b"tail"];
+            let reader = std::thread::spawn(move || server.recv_frame().unwrap());
+            let sent = client.send_frame_parts(&parts).unwrap();
+            let whole: Vec<u8> = parts.concat();
+            assert_eq!(sent, 4 + whole.len());
+            assert_eq!(reader.join().unwrap(), whole);
+        }
+        let (client, server) = tcp_pair();
+        check(client, server);
+        let (client, server) = std::os::unix::net::UnixStream::pair().unwrap();
+        check(client, server);
+    }
+
+    #[test]
+    fn zero_timeout_and_zero_grace_is_a_timeout_not_a_hang() {
+        // Regression: a zero socket timeout is `InvalidInput`, which the
+        // deadline setter swallowed — leaving the previous deadline (here:
+        // none at all) armed on a broker that never answers.
+        let (mut client, _mute_server) = tcp_pair();
+        client.set_recv_deadline(None);
+        let mut conn = ClientConn {
+            io: Box::new(client),
+            stream_name: "z.fp".to_string(),
+            peer: "mute".to_string(),
+            wait_timeout_micros: Arc::new(AtomicU64::new(0)),
+            read_grace: Duration::ZERO,
+            broker_lost: Arc::default(),
+        };
+        let err = conn.recv("a reply that never comes").unwrap_err();
+        assert!(matches!(err, StreamError::Timeout { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn a_failing_accept_backs_off_instead_of_spinning() {
+        // A listener out of file descriptors fails every `accept` at once;
+        // the loop must rest between attempts and still notice shutdown.
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&attempts);
+        let mut core = BrokerCore::start(StreamHub::new(), false, move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Err::<TcpStream, _>(io::Error::other("too many open files"))
+        })
+        .unwrap();
+        let started = Instant::now();
+        std::thread::sleep(ACCEPT_BACKOFF * 10);
+        assert!(core.stop(|| Ok(())));
+        let attempts = attempts.load(Ordering::SeqCst) as u128;
+        let most = started.elapsed().as_millis() / ACCEPT_BACKOFF.as_millis() + 2;
+        assert!((1..=most).contains(&attempts), "{attempts} accepts");
+        assert_eq!(core.connections_seen(), 0);
     }
 }

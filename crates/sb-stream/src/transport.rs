@@ -14,8 +14,10 @@
 //!   supervision verbs (poison, forced EOS, detach, restart preparation).
 //!
 //! Two backends exist: [`InProcTransport`] (streams in shared memory, steps
-//! moved by `Arc` — the original hub) and [`crate::tcp`] (length-prefixed
-//! frames over `std::net::TcpStream` to a broker process).
+//! moved by `Arc` — the original hub) and the broker client of
+//! [`crate::tcp`] (length-prefixed frames to a broker process), which runs
+//! over a TCP socket for `tcp://` URLs and over the same-host Unix-domain
+//! socket of [`crate::shm`] for `shm://` ones.
 //!
 //! ## Contract
 //!

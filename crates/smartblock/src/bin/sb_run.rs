@@ -8,7 +8,7 @@
 //!   — run the whole workflow in process (the classic single-process mode).
 //! * `sb-run --script wf.sbw --serve ADDR [--components a,b]`
 //!   — serve a broker on `ADDR` (`HOST:PORT` binds TCP, `shm://DIR` opens a
-//!   same-host shared-memory rendezvous), run the named components (default:
+//!   same-host Unix-socket rendezvous), run the named components (default:
 //!   none, broker only) on the broker's own hub, then keep serving until
 //!   every remote connection has drained.
 //! * `sb-run --script wf.sbw --connect tcp://HOST:PORT --components a,b`
@@ -64,7 +64,7 @@ fn usage() {
          deployment (every process gets the same file); sources with\n\
          error-level lint diagnostics are refused before any component\n\
          starts unless --force is given. --serve takes a TCP bind address\n\
-         (HOST:PORT, optionally tcp://) or a same-host shared-memory\n\
+         (HOST:PORT, optionally tcp://) or a same-host Unix-socket\n\
          rendezvous (shm://DIR); --connect takes tcp://HOST:PORT or\n\
          shm://DIR. --protocol and --compress shape the wire frames of\n\
          this process's --connect sessions (v2 interns metadata; lz\n\

@@ -368,9 +368,9 @@ impl WorkflowSpec {
                             "v1" => protocol = Some(WireProtocol::V1),
                             "v2" => protocol = Some(WireProtocol::V2),
                             // "shm" names the fabric, not a frame format: it
-                            // pins the declared endpoint to the shared-memory
-                            // scheme and leaves the wire protocol (v1/v2 over
-                            // the ring) at its default.
+                            // pins the declared endpoint to the same-host
+                            // `shm://` scheme and leaves the wire protocol
+                            // (v1/v2 over its socket) at its default.
                             "shm" => match url.as_deref() {
                                 Some(u) if u.starts_with("shm://") => {}
                                 Some(u) => {

@@ -1,25 +1,51 @@
-//! Helper process for the real-process chaos tests: runs the source side
-//! of the chaos pipeline against a broker in another process — TCP or
-//! shared-memory, by URL scheme — optionally dying mid-run with no cleanup
-//! at all. That is the moral equivalent of a SIGKILL as seen by the
-//! broker: a socket EOF with no close/abandon terminator over TCP, a dead
-//! pid behind a quiet ring over shm.
+//! Helper process for the real-process chaos tests, in one of two roles.
+//!
+//! *Component*: runs the source side of the chaos pipeline against a broker
+//! in another process — TCP or same-host, by URL scheme — optionally dying
+//! mid-run with no cleanup at all. That is what a SIGKILL looks like to the
+//! broker on either fabric: a socket EOF with no close/abandon terminator.
+//!
+//! *Broker*: serves an empty hub and parks, so a test can kill the broker
+//! itself under its clients. The URL to connect to is the one line it
+//! prints.
 //!
 //! Usage: `component_host (tcp://HOST:PORT | shm://DIR) STEPS [abort-at=N]`
+//!        `component_host serve (HOST:PORT | shm://DIR)`
 
 use sb_integration_tests::chaos_coords;
+use sb_stream::{ShmBroker, TcpBroker};
 use smartblock::prelude::*;
+
+const USAGE: &str =
+    "usage: component_host (tcp://HOST:PORT | shm://DIR) STEPS [abort-at=N]\n       \
+                     component_host serve (HOST:PORT | shm://DIR)";
+
+/// Announces `url` and keeps `_broker` serving until the process is killed.
+fn serve_forever<B>(url: String, _broker: B) -> ! {
+    println!("{url}");
+    loop {
+        std::thread::park();
+    }
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let usage = "usage: component_host (tcp://HOST:PORT | shm://DIR) STEPS [abort-at=N]";
-    let url = args.next().expect(usage);
-    let steps: u64 = args.next().expect(usage).parse().expect(usage);
+    let url = args.next().expect(USAGE);
+    if url == "serve" {
+        let addr = args.next().expect(USAGE);
+        if addr.starts_with("shm://") {
+            let broker = ShmBroker::bind(&addr).expect("bind shm broker");
+            serve_forever(broker.url(), broker);
+        }
+        let broker = TcpBroker::bind(&addr).expect("bind tcp broker");
+        serve_forever(broker.url(), broker);
+    }
+    let steps: u64 = args.next().expect(USAGE).parse().expect(USAGE);
     let abort_at: Option<u64> = args.next().map(|a| {
         a.strip_prefix("abort-at=")
-            .expect(usage)
+            .expect(USAGE)
             .parse()
-            .expect(usage)
+            .expect(USAGE)
     });
 
     let hub = StreamHub::connect(&url).expect("connect to broker");

@@ -21,6 +21,19 @@ pub fn chaos_coords(step: u64, rows: usize) -> Variable {
     .unwrap()
 }
 
+/// Polls `cond` every few milliseconds and panics, naming `what`, if it is
+/// still false after 20 s.
+pub fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !cond() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
 /// Reference histogram of a value set: global min/max then equal-width
 /// bins, exactly the Histogram component's contract.
 pub fn reference_histogram(step: u64, values: &[f64], bins: usize) -> HistogramResult {

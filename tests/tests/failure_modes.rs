@@ -519,8 +519,8 @@ fn seeded_chaos_runs_are_reproducible() {
 
 // ---------------------------------------------------------------------------
 // Chaos across the remote backends: the same seeded plans behind a loopback
-// TCP broker and a shared-memory ring broker, and component processes that
-// really die.
+// TCP broker and a same-host `shm://` broker, and component and broker
+// processes that really die.
 // ---------------------------------------------------------------------------
 
 use sb_stream::tcp::TcpBroker;
@@ -593,7 +593,7 @@ fn tcp_backend_reproduces_inproc_chaos_outcomes() {
     assert_backend_reproduces_chaos(StreamHub::connect(&broker.url()).unwrap(), "tcp");
 }
 
-/// The same seeded plan behind a shared-memory ring broker reproduces the
+/// The same seeded plan behind a same-host `shm://` broker reproduces the
 /// in-proc outcome exactly.
 #[test]
 fn shm_backend_reproduces_inproc_chaos_outcomes() {
@@ -676,8 +676,8 @@ fn tcp_backend_reproduces_inproc_stall_degradation() {
     assert!(inproc_degraded && tcp_degraded);
 }
 
-/// The stall plan over the shared-memory fabric degrades the same way:
-/// the noisy disconnect crosses the ring as a poison verb and PeerGone
+/// The stall plan over the same-host fabric degrades the same way: the
+/// noisy disconnect crosses the socket as a poison verb and PeerGone
 /// surfaces promptly.
 #[test]
 fn shm_backend_reproduces_inproc_stall_degradation() {
@@ -743,9 +743,8 @@ fn spawn_host(url: &str, steps: u64, abort_at: Option<u64>) -> std::process::Chi
 
 /// A component *process* dying mid-step degrades its downstream exactly
 /// like an in-proc stall: the broker turns the peer's death into a noisy
-/// disconnect (socket EOF over TCP, dead-pid detection behind the ring
-/// over shm), PeerGone surfaces promptly, and the Degrade policy keeps the
-/// step committed before the death.
+/// disconnect (a socket EOF on either fabric), PeerGone surfaces promptly,
+/// and the Degrade policy keeps the step committed before the death.
 fn assert_killed_process_degrades(broker_hub: Arc<StreamHub>, url: &str) {
     let start = std::time::Instant::now();
     let mut child = spawn_host(url, 4, Some(1));
@@ -841,4 +840,153 @@ fn killed_component_process_restarts_and_replays_the_step() {
 fn killed_component_process_restarts_and_replays_the_step_over_shm() {
     let broker = shm_broker("replay");
     assert_killed_process_restarts_to_golden(Arc::clone(broker.hub()), broker.url());
+}
+
+/// What the kernel now guarantees on `shm://` (ROADMAP 4c): a component
+/// process SIGKILLed mid-run hands every broker resource back — its
+/// sessions end, the rendezvous directory holds the listening socket and
+/// nothing else — and shutdown removes the directory itself.
+#[test]
+fn sigkilled_component_process_leaves_nothing_behind_over_shm() {
+    use sb_integration_tests::wait_until;
+    let mut broker = shm_broker("sigkill");
+    let dir = broker.dir().to_path_buf();
+    // An endless source: it is still streaming whenever the kill lands.
+    let mut child = spawn_host(&broker.url(), u64::MAX, None);
+
+    let mut wf = Workflow::with_hub(Arc::clone(broker.hub()));
+    let out = analysis_side(&mut wf);
+    wf.set_fault_policy("magnitude", FaultPolicy::degrade());
+    wf.set_fault_policy("collect", FaultPolicy::degrade());
+    let killer = {
+        let out = Arc::clone(&out);
+        std::thread::spawn(move || {
+            wait_until("two steps to arrive", || out.lock().len() >= 2);
+            child.kill().expect("SIGKILL the host process");
+            child.wait().unwrap()
+        })
+    };
+    let report = wf
+        .run_with(RunOptions::new().with_validation(Validation::Skip))
+        .unwrap();
+    assert!(!killer.join().unwrap().success());
+    assert!(
+        report.degraded().contains(&"magnitude"),
+        "degraded: {:?}",
+        report.degraded()
+    );
+
+    wait_until("the dead client's sessions to end", || {
+        broker.active_connections() == 0
+    });
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["broker.sock"], "rendezvous directory contents");
+    broker.shutdown();
+    assert!(!dir.exists(), "{} survived shutdown", dir.display());
+}
+
+/// Spawns `component_host serve ADDR` and returns the broker process with
+/// the URL it announced.
+fn spawn_broker(addr: &str) -> (std::process::Child, String) {
+    use std::io::BufRead;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_component_host"))
+        .args(["serve", addr])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn component_host broker");
+    let mut url = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut url)
+        .unwrap();
+    (child, url.trim().to_string())
+}
+
+/// Kill the **broker**, not a component (ROADMAP 4d): a reader blocked in
+/// `begin_step`, a writer blocked in `begin_step` on a full queue and a
+/// rendezvous writer blocked in `end_step` all see the broker's death as
+/// `PeerGone` — at once, from the socket EOF, so well within the read grace
+/// and nowhere near the 120 s hub timeout.
+fn assert_killed_broker_fails_every_blocked_client(addr: &str) {
+    use sb_integration_tests::wait_until;
+    use std::time::Instant;
+    /// Runs `f` — a call that blocks at the broker — on a thread of its own
+    /// and returns the error it ended with, and when.
+    fn blocked(
+        hub: &Arc<StreamHub>,
+        f: impl FnOnce(&StreamHub) -> StreamError + Send + 'static,
+    ) -> std::thread::JoinHandle<(StreamError, Instant)> {
+        let hub = Arc::clone(hub);
+        std::thread::spawn(move || (f(&hub), Instant::now()))
+    }
+    let (mut broker, url) = spawn_broker(addr);
+    let grace = Duration::from_secs(5);
+    let options = sb_stream::TcpOptions::default().with_read_grace(grace);
+    let hub = StreamHub::connect_with(&url, options).unwrap();
+    hub.set_wait_timeout(Duration::from_secs(120));
+
+    let clients = [
+        blocked(&hub, |hub| {
+            let mut r = hub.open_reader("quiet.fp", 0, 1);
+            r.begin_step().unwrap_err()
+        }),
+        blocked(&hub, |hub| {
+            let mut w = hub.open_writer("full.fp", 0, 1, WriterOptions::buffered(1));
+            w.begin_step().unwrap();
+            w.put_whole(tiny_source(0));
+            w.end_step().unwrap();
+            let err = w.begin_step().unwrap_err();
+            w.abandon();
+            err
+        }),
+        blocked(&hub, |hub| {
+            let mut w = hub.open_writer("rv.fp", 0, 1, WriterOptions::rendezvous());
+            w.begin_step().unwrap();
+            w.put_whole(tiny_source(0));
+            let err = w.end_step().unwrap_err();
+            w.abandon();
+            err
+        }),
+    ];
+    // All three are parked at the broker once it knows the quiet stream and
+    // both writers' steps (the broker is alive, so these are its answers).
+    wait_until("every client to block at the broker", || {
+        let committed = |name| hub.metrics(name).map_or(0, |m| m.steps_committed);
+        hub.stream_names().iter().any(|n| n == "quiet.fp")
+            && committed("full.fp") == 1
+            && committed("rv.fp") == 1
+    });
+    std::thread::sleep(Duration::from_millis(100));
+
+    broker.kill().expect("SIGKILL the broker");
+    broker.wait().unwrap();
+    let killed = Instant::now();
+    for client in clients {
+        let (err, failed) = client.join().unwrap();
+        assert!(matches!(&err, StreamError::PeerGone { .. }), "{err:?}");
+        assert!(
+            failed.duration_since(killed) < grace,
+            "PeerGone took {:?} after the broker died",
+            failed.duration_since(killed)
+        );
+    }
+}
+
+#[test]
+fn killed_broker_process_fails_blocked_clients_with_peer_gone() {
+    assert_killed_broker_fails_every_blocked_client("127.0.0.1:0");
+}
+
+#[test]
+fn killed_broker_process_fails_blocked_clients_with_peer_gone_over_shm() {
+    let dir = shm_scratch("bkill");
+    let url = format!("shm://{}", dir.display());
+    assert_killed_broker_fails_every_blocked_client(&url);
+    // The killed broker left its socket file behind; the next one reclaims
+    // it rather than being locked out of the directory.
+    drop(ShmBroker::bind(&url).expect("reclaim the dead broker's socket"));
+    assert!(!dir.exists());
 }

@@ -1,9 +1,9 @@
 //! A forged frame length must cost a broker one receive stride, not the
 //! allocation it names.
 //!
-//! Both fabrics read frames through one bounded reader that reserves at
+//! Both brokers read frames through one bounded reader that reserves at
 //! most 4 MiB ahead of the bytes that have actually arrived. This test
-//! sends each broker a 1 GiB length prefix followed by a hang-up and
+//! sends each of them a 1 GiB length prefix followed by a hang-up and
 //! watches the process's live heap through a counting allocator — the only
 //! vantage point from which "did not allocate a gigabyte" is observable. It
 //! is the only test in this binary so that nothing else moves the counters.
@@ -13,10 +13,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::Path;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
+use sb_integration_tests::wait_until;
 use sb_stream::{ShmBroker, TcpBroker};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -89,66 +89,38 @@ fn heap_rise_during(attack: impl FnOnce()) -> usize {
     PEAK.load(Ordering::SeqCst).saturating_sub(before)
 }
 
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// The bytes of a ring file (see `sb_stream::shm`): 64-byte header — magic,
-/// capacity, mirrored head and tail cursors, close flag — then the data
-/// region, here holding `data` already published by a producer that hung up.
-fn closed_ring(capacity: u64, data: &[u8]) -> Vec<u8> {
-    let mut file = vec![0u8; 64 + capacity as usize];
-    file[..8].copy_from_slice(b"SBSHMRG1");
-    file[8..16].copy_from_slice(&capacity.to_le_bytes());
-    let tail = (data.len() as u64).to_le_bytes();
-    file[32..40].copy_from_slice(&tail);
-    file[40..48].copy_from_slice(&tail);
-    file[48] = 1;
-    file[64..64 + data.len()].copy_from_slice(data);
-    file
-}
-
-fn publish_connection(dir: &Path, c2s: &[u8], s2c: &[u8]) {
-    let name = format!("conn-{}-0", std::process::id());
-    let staged = dir.join(format!(".{name}"));
-    std::fs::create_dir_all(&staged).unwrap();
-    std::fs::write(staged.join("c2s.ring"), c2s).unwrap();
-    std::fs::write(staged.join("s2c.ring"), s2c).unwrap();
-    std::fs::rename(&staged, dir.join(name)).unwrap();
+/// Sends the forged prefix plus a hang-up down `sock` and returns how far
+/// the heap rose until the broker session serving it gave up.
+fn forged_prefix_cost(mut sock: impl Write, session_over: impl Fn() -> bool) -> usize {
+    let mut forged = FORGED_LEN.to_le_bytes().to_vec();
+    forged.extend_from_slice(b"and then nothing");
+    heap_rise_during(|| {
+        sock.write_all(&forged).unwrap();
+        drop(sock);
+        wait_until("the session to give up", session_over);
+    })
 }
 
 #[test]
 fn a_forged_gigabyte_prefix_costs_one_stride_on_both_fabrics() {
-    let mut forged = FORGED_LEN.to_le_bytes().to_vec();
-    forged.extend_from_slice(b"and then nothing");
-
     let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
-    let rise = heap_rise_during(|| {
-        let mut sock = TcpStream::connect(broker.local_addr()).unwrap();
-        sock.write_all(&forged).unwrap();
-        drop(sock);
-        wait_until("the tcp session to give up", || {
-            broker.connections_seen() == 1 && broker.active_connections() == 0
-        });
+    let sock = TcpStream::connect(broker.local_addr()).unwrap();
+    let rise = forged_prefix_cost(sock, || {
+        broker.connections_seen() == 1 && broker.active_connections() == 0
     });
     assert!(rise <= BUDGET, "tcp session allocated {rise} bytes");
 
     let dir = std::env::temp_dir().join(format!("sb-hostile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let broker = ShmBroker::bind(&dir.to_string_lossy()).unwrap();
-    let c2s = closed_ring(4096, &forged);
-    let s2c = closed_ring(4096, &[]);
-    let rise = heap_rise_during(|| {
-        publish_connection(&dir, &c2s, &s2c);
-        wait_until("the shm session to give up", || {
-            broker.connections_seen() == 1 && broker.active_connections() == 0
-        });
+    let sock = UnixStream::connect(dir.join("broker.sock")).unwrap();
+    let rise = forged_prefix_cost(sock, || {
+        broker.connections_seen() == 1 && broker.active_connections() == 0
     });
     assert!(rise <= BUDGET, "shm session allocated {rise} bytes");
     drop(broker);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        !dir.exists(),
+        "shutdown must remove the rendezvous directory"
+    );
 }

@@ -1,7 +1,7 @@
 //! Cross-backend transport conformance: each of the three paper workflows
 //! (LAMMPS, GTCP, GROMACS) must behave identically whether its streams run
 //! through the in-proc hub, through a loopback TCP broker, or through a
-//! shared-memory ring broker — byte-identical histogram trajectories
+//! same-host `shm://` broker — byte-identical histogram trajectories
 //! (checked against the recorded goldens in `tests/golden/`) and equal
 //! per-component step counts.
 //!
@@ -90,7 +90,7 @@ fn run_on(hub: Arc<StreamHub>, preset: Preset) -> (String, BTreeMap<String, u64>
 }
 
 /// The conformance check: the workflow on the in-proc backend, on a
-/// loopback TCP broker, and on a shared-memory ring broker must all
+/// loopback TCP broker, and on a same-host `shm://` broker must all
 /// reproduce the golden byte-for-byte, with identical per-component step
 /// counts.
 fn assert_backends_conform(name: &str, preset: Preset) {
@@ -306,7 +306,7 @@ fn wire_pump(
 /// * `bytes_on_wire` is exactly the sum of the two hops — the seed
 ///   counted both ends of both hops, reporting ~4x at 1x1;
 /// * `wire_shm_bytes` is a fabric *attribution*, not a third hop: on a
-///   shared-memory broker every frame byte is also in a hop counter, so
+///   `shm://` broker every frame byte is also in a hop counter, so
 ///   it equals `bytes_on_wire` there and is zero on TCP.
 fn assert_accounting_matrix(url: &str, fabric: &str) {
     let steps = 4u64;
@@ -392,9 +392,9 @@ fn concurrent_workflows_share_a_broker_without_crosstalk() {
     assert_eq!(gtcp, golden("gtcp"));
 }
 
-/// Same crosstalk guarantee over the shared-memory fabric: two workflows'
-/// ring connections through one rendezvous directory stay scoped by
-/// stream name.
+/// Same crosstalk guarantee over the same-host fabric: two workflows'
+/// connections through one rendezvous directory stay scoped by stream
+/// name.
 #[test]
 fn concurrent_workflows_share_an_shm_broker_without_crosstalk() {
     let dir = shm_scratch("xtalk");
