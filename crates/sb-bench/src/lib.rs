@@ -287,7 +287,7 @@ pub enum FanoutShape {
 }
 
 impl FanoutShape {
-    /// Stable identifier used in benchmark names and `BENCH_transport.json`.
+    /// Stable identifier used in benchmark names.
     pub fn label(&self) -> &'static str {
         match self {
             FanoutShape::WholeRead => "whole_read",
@@ -321,7 +321,7 @@ impl FanoutConfig {
     }
 }
 
-/// Wall time and stream counters from one [`run_fanout`] call.
+/// Wall time and stream counters from one [`run_fanout_on`] call.
 #[derive(Debug, Clone)]
 pub struct FanoutResult {
     /// The configuration measured.
@@ -341,15 +341,10 @@ impl FanoutResult {
 }
 
 /// Pumps `steps` steps of a `rows x cols` f64 variable from one writer
-/// through the configured reader fan-out and returns wall time plus the
-/// stream's copy counters.
-pub fn run_fanout(config: &FanoutConfig) -> FanoutResult {
-    run_fanout_on(&sb_stream::StreamHub::new(), config)
-}
-
-/// [`run_fanout`] on a caller-provided hub — the tracing-overhead bench
-/// arms the hub's tracer to price the instrumented hot path against the
-/// default disabled one on identical traffic.
+/// through the configured reader fan-out on `hub` and returns wall time
+/// plus the stream's copy counters. The tracing-overhead bench arms the
+/// hub's tracer to price the instrumented hot path against the default
+/// disabled one on identical traffic.
 pub fn run_fanout_on(
     hub: &std::sync::Arc<sb_stream::StreamHub>,
     config: &FanoutConfig,
@@ -451,117 +446,6 @@ pub fn run_fanout_on(
     }
 }
 
-/// One MxN pump at a fixed volume — the unit the TCP-vs-in-proc comparison
-/// measures on both transport backends.
-#[derive(Debug, Clone)]
-pub struct WireConfig {
-    /// Writer ranks (one group).
-    pub writers: usize,
-    /// Reader ranks (one group, slab reads).
-    pub readers: usize,
-    /// Rows of the `rows x cols` f64 payload.
-    pub rows: usize,
-    /// Columns of the payload.
-    pub cols: usize,
-    /// Steps pumped through the stream.
-    pub steps: u64,
-}
-
-impl WireConfig {
-    /// Bytes the writer group commits per step.
-    pub fn payload_bytes(&self) -> u64 {
-        (self.rows * self.cols * 8) as u64
-    }
-}
-
-/// Wall time and stream counters from one [`run_wire_on`] call.
-#[derive(Debug, Clone)]
-pub struct WireResult {
-    /// The configuration measured.
-    pub config: WireConfig,
-    /// Start-to-drain wall time.
-    pub elapsed: Duration,
-    /// The stream's counters after the run; `bytes_on_wire` is zero on the
-    /// in-proc backend and counts framed socket traffic on TCP.
-    pub metrics: sb_stream::StreamMetrics,
-}
-
-impl WireResult {
-    /// Mean wall time per step, in nanoseconds.
-    pub fn ns_per_step(&self) -> f64 {
-        self.elapsed.as_nanos() as f64 / self.config.steps.max(1) as f64
-    }
-}
-
-/// Pumps `steps` steps of a `rows x cols` f64 variable from an M-rank
-/// writer group to an N-rank slab-reading group over `stream` on the given
-/// hub. The hub decides the backend: pass `StreamHub::new()` for in-proc or
-/// `StreamHub::connect("tcp://...")` for the framed TCP transport — the
-/// pump itself is backend-blind, which is exactly the property the
-/// `tcp_vs_inproc` comparison relies on.
-pub fn run_wire_on(
-    hub: &std::sync::Arc<sb_stream::StreamHub>,
-    stream: &str,
-    config: &WireConfig,
-) -> WireResult {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    use sb_comm::LaunchHandle;
-    use sb_data::decompose::default_partition;
-    use sb_data::{Buffer, Chunk, DType, Shape, VariableMeta};
-    use sb_stream::{StepStatus, WriterOptions};
-
-    let shape = Shape::of(&[("rows", config.rows), ("cols", config.cols)]);
-    let steps = config.steps;
-    let start = Instant::now();
-
-    let hub_w = Arc::clone(hub);
-    let shape_w = shape.clone();
-    let stream_w = stream.to_string();
-    let writer = LaunchHandle::spawn("wire-writer", config.writers, move |comm| {
-        let mut w = hub_w.open_writer(
-            &stream_w,
-            comm.rank(),
-            comm.size(),
-            WriterOptions::buffered(2),
-        );
-        let region = default_partition(&shape_w, comm.size(), comm.rank());
-        let meta = VariableMeta::new("x", shape_w.clone(), DType::F64);
-        let data = Buffer::F64(vec![1.0; region.len()]);
-        for _ in 0..steps {
-            w.begin_step().unwrap();
-            w.put(Chunk::new(meta.clone(), region.clone(), data.clone()).unwrap());
-            w.end_step().unwrap();
-        }
-        w.close();
-    })
-    .expect("spawn wire writer");
-
-    let hub_r = Arc::clone(hub);
-    let stream_r = stream.to_string();
-    let reader = LaunchHandle::spawn("wire-reader", config.readers, move |comm| {
-        let mut r = hub_r.open_reader(&stream_r, comm.rank(), comm.size());
-        let region = default_partition(&shape, comm.size(), comm.rank());
-        while let StepStatus::Ready(_) = r.begin_step().unwrap() {
-            let v = r.get("x", &region).unwrap();
-            std::hint::black_box(v.data.len());
-            r.end_step();
-        }
-    })
-    .expect("spawn wire readers");
-
-    writer.join().expect("wire writer");
-    reader.join().expect("wire reader");
-    let elapsed = start.elapsed();
-    let metrics = hub.metrics(stream).expect("wire stream metrics");
-    WireResult {
-        config: config.clone(),
-        elapsed,
-        metrics,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,35 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_pump_is_backend_blind() {
-        let config = WireConfig {
-            writers: 2,
-            readers: 2,
-            rows: 16,
-            cols: 4,
-            steps: 3,
-        };
-        let inproc = run_wire_on(&sb_stream::StreamHub::new(), "w.fp", &config);
-        assert_eq!(inproc.metrics.steps_committed, 3);
-        assert_eq!(
-            inproc.metrics.bytes_on_wire, 0,
-            "in-proc moves steps by Arc, nothing is framed"
-        );
-
-        let mut broker = sb_stream::tcp::TcpBroker::bind("127.0.0.1:0").unwrap();
-        let hub = sb_stream::StreamHub::connect(&broker.url()).unwrap();
-        let tcp = run_wire_on(&hub, "w.fp", &config);
-        broker.shutdown();
-        assert_eq!(tcp.metrics.steps_committed, 3);
-        // Every committed payload byte crossed a socket at least once.
-        assert!(
-            tcp.metrics.bytes_on_wire >= config.steps * config.payload_bytes(),
-            "{:?}",
-            tcp.metrics
-        );
-    }
-
-    #[test]
     fn fanout_whole_read_elides_every_copy() {
         let config = FanoutConfig {
             shape: FanoutShape::WholeRead,
@@ -659,7 +514,7 @@ mod tests {
             steps: 3,
             force_copy: false,
         };
-        let r = run_fanout(&config);
+        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
         // 2 groups x 3 steps, every read served by the exact-cover path.
         assert_eq!(r.metrics.copies_elided, 6, "{:?}", r.metrics);
         assert_eq!(r.metrics.bytes_copied, 0);
@@ -677,7 +532,7 @@ mod tests {
             steps: 3,
             force_copy: true,
         };
-        let r = run_fanout(&config);
+        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
         assert_eq!(r.metrics.copies_elided, 0);
         // The "before" plane copies the payload once per group per step.
         assert_eq!(r.metrics.bytes_copied, 2 * 3 * config.payload_bytes());
@@ -693,7 +548,7 @@ mod tests {
             steps: 3,
             force_copy: false,
         };
-        let r = run_fanout(&config);
+        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
         // Each rank's row slab is assembled without a zeroing pass; the
         // payload still moves once per step in aggregate.
         assert_eq!(r.metrics.zero_fills_elided, 6, "{:?}", r.metrics);

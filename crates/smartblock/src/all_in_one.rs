@@ -40,20 +40,36 @@ pub struct AllInOne {
 
 impl AllInOne {
     /// Builds the fused pipeline over the named columns.
+    ///
+    /// # Panics
+    /// When [`AllInOne::try_new`] refuses the arguments.
     pub fn new<I, K>(input: I, keep: K, num_bins: usize) -> AllInOne
     where
         I: Into<StreamArray>,
         K: IntoIterator,
         K::Item: Into<String>,
     {
-        assert!(num_bins > 0, "histogram needs at least one bin");
-        AllInOne {
+        AllInOne::try_new(input, keep, num_bins).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`AllInOne::new`] for arguments that arrive as data (a launch
+    /// description): `Err` is the reason they are refused.
+    pub fn try_new<I, K>(input: I, keep: K, num_bins: usize) -> Result<AllInOne, String>
+    where
+        I: Into<StreamArray>,
+        K: IntoIterator,
+        K::Item: Into<String>,
+    {
+        if num_bins == 0 {
+            return Err("histogram needs at least one bin".to_string());
+        }
+        Ok(AllInOne {
             input: input.into(),
             keep: keep.into_iter().map(Into::into).collect(),
             num_bins,
             reader_group: "default".into(),
             results: Arc::new(Mutex::new(Vec::new())),
-        }
+        })
     }
 
     /// A handle to rank 0's accumulated histograms.

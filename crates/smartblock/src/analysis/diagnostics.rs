@@ -3,7 +3,7 @@
 //!
 //! Every finding is an [`AnalysisIssue`] (the *what*, with typed fields)
 //! wrapped in a [`Diagnostic`] (the *how to report it*: the effective
-//! [`Level`] under the run's [`LintConfig`](super::LintConfig) and the
+//! [`Level`] under the run's [`LintConfig`] and the
 //! launch-script line it points at). A diagnostic renders two ways:
 //!
 //! * text — `script.sb:12: error[SB004]: components ...` — for humans;
@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use super::lints::{lint_by_id, Level, Lint};
+use super::lints::{lint_by_id, Level, Lint, LintConfig};
 use super::spec::SpecError;
 use crate::runtime::WiringIssue;
 
@@ -43,7 +43,7 @@ impl fmt::Display for Severity {
 }
 
 /// A problem found by static analysis ([`crate::Workflow::validate`],
-/// [`crate::Workflow::lint`], or [`super::lint_script`]).
+/// [`crate::Workflow::lint`], or [`super::lint_plan`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalysisIssue {
     /// The script does not parse, or a component constructor rejected its
@@ -216,13 +216,6 @@ pub enum AnalysisIssue {
         /// Human-readable description of the contradiction.
         detail: String,
     },
-    /// An inline `#@ policy` or `#@ process` directive in a launch script;
-    /// still supported, but a `.sbw` spec expresses the same thing in one
-    /// lintable artifact.
-    PreferSpec {
-        /// The directive kind (`"policy"` or `"process"`).
-        directive: String,
-    },
     /// The estimated wire cost of a cross-process stream exceeds the
     /// threshold: fan-out and per-chunk metadata amplify every payload
     /// byte into several bytes on the wire.
@@ -273,7 +266,6 @@ impl AnalysisIssue {
             AnalysisIssue::SpecUnknownKey { .. } => "SB018",
             AnalysisIssue::SpecUndeclaredRef { .. } => "SB019",
             AnalysisIssue::SpecConflict { .. } => "SB020",
-            AnalysisIssue::PreferSpec { .. } => "SB021",
         };
         lint_by_id(id).expect("every issue maps to a registered lint")
     }
@@ -391,9 +383,6 @@ impl AnalysisIssue {
             }
             AnalysisIssue::SpecUndeclaredRef { reference } => {
                 fields.push(("reference", reference.clone()));
-            }
-            AnalysisIssue::PreferSpec { directive } => {
-                fields.push(("directive", directive.clone()));
             }
             _ => {}
         }
@@ -538,11 +527,6 @@ impl fmt::Display for AnalysisIssue {
                  component; the clause could never fire or act"
             ),
             AnalysisIssue::SpecConflict { detail } => f.write_str(detail),
-            AnalysisIssue::PreferSpec { directive } => write!(
-                f,
-                "inline `#@ {directive}` directive; a declarative `.sbw` spec expresses the \
-                 same thing in one lintable artifact"
-            ),
             AnalysisIssue::WireAmplification {
                 stream,
                 amplification_tenths,
@@ -670,6 +654,22 @@ pub struct ScriptLint {
 }
 
 impl ScriptLint {
+    /// An empty report for the source displayed as `name`.
+    pub(crate) fn new(name: &str) -> ScriptLint {
+        ScriptLint {
+            name: name.to_string(),
+            diagnostics: Vec::new(),
+        }
+    }
+
+    /// Records `issue` at its level under `config`, unless allowed.
+    pub(crate) fn push(&mut self, config: &LintConfig, issue: AnalysisIssue, line: Option<usize>) {
+        let level = config.level_for(issue.lint());
+        if level != Level::Allow {
+            self.diagnostics.push(Diagnostic { issue, level, line });
+        }
+    }
+
     /// Diagnostics at [`Level::Deny`].
     pub fn errors(&self) -> usize {
         self.diagnostics

@@ -182,13 +182,6 @@ pub const LINTS: &[Lint] = &[
         summary: "two `.sbw` constructs contradict each other: duplicate tables, a component \
                   in two process groups, or policy knobs the declared action ignores",
     },
-    Lint {
-        id: "SB021",
-        name: "prefer-spec",
-        default_level: Level::Warn,
-        summary: "inline `#@ policy`/`#@ process` directives still work but a declarative \
-                  `.sbw` spec expresses the same thing in one lintable artifact",
-    },
 ];
 
 /// Looks up a lint by its `SBxxx` ID.

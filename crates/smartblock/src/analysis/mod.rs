@@ -13,13 +13,13 @@
 //! - [`model`] — the shared graph/spec/step model built once per lint;
 //! - [`passes`] — the model-level passes (wiring, cycle, contract,
 //!   cadence, fault-policy soundness);
-//! - [`script`] — script-level linting ([`lint_script`]) plus the passes
-//!   that need launch-script directives: starvation, partition plan,
-//!   transport, and wire cost.
+//! - [`script`] — plan-level linting ([`lint_plan`], [`lint_source`]) plus
+//!   the passes that need a plan's directives: starvation, partition
+//!   plan, transport, and wire cost.
 //!
 //! [`Workflow::validate`](crate::Workflow::validate) returns the raw
 //! [`AnalysisIssue`]s (the pre-existing API);
-//! [`Workflow::lint`](crate::Workflow::lint) and [`lint_script`] return
+//! [`Workflow::lint`](crate::Workflow::lint) and [`lint_plan`] return
 //! leveled [`Diagnostic`]s for `sb-lint` and `sb-run`'s pre-launch gate.
 
 pub mod diagnostics;
@@ -33,7 +33,7 @@ pub use diagnostics::{
     check_report, render_report_json, AnalysisIssue, Diagnostic, ScriptLint, Severity,
 };
 pub use lints::{lint_by_id, lint_by_name, Level, Lint, LintConfig, LINTS};
-pub use script::{lint_script, lint_spec, WIRE_AMPLIFICATION_THRESHOLD_TENTHS};
+pub use script::{lint_plan, lint_source, WIRE_AMPLIFICATION_THRESHOLD_TENTHS};
 pub use spec::{
     unary_transfer, ArraySpec, DimSpec, Extent, PartitionRule, ReadSpec, Signature, SpecError,
     StepContract, StreamSpec, TransferFn,
@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 
 use crate::supervisor::FaultPolicy;
 
-/// `#@ policy` label → directive line, for attributing SB014 (whose
+/// Policy label → directive line, for attributing SB014 (whose
 /// target label matches no entry) to the directive that named it.
 pub(crate) type PolicyLines = BTreeMap<String, usize>;
 
@@ -67,7 +67,7 @@ pub(crate) fn analyze(
 }
 
 /// [`analyze`] plus leveling and source-line attribution: the shared body
-/// of [`Workflow::lint`](crate::Workflow::lint) and [`lint_script`].
+/// of [`Workflow::lint`](crate::Workflow::lint) and [`lint_plan`].
 /// Issues whose lint the config allows are dropped.
 pub(crate) fn lint_entries(
     entries: &[EntryView<'_>],

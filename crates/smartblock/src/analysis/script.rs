@@ -1,38 +1,47 @@
-//! Script-level linting: [`lint_script`] runs the full pipeline over a
-//! launch script, producing [`Diagnostic`]s with source lines.
+//! Plan-level linting: [`lint_plan`] runs the full pipeline over a
+//! [`WorkflowPlan`], producing [`Diagnostic`](super::Diagnostic)s with
+//! source lines; [`lint_source`] lowers source text first and reports what
+//! stops the lowering as SB000.
 //!
 //! On top of the model-level passes shared with
 //! [`Workflow::lint`](crate::Workflow::lint), four passes exist only
-//! here because they read launch-script artifacts a programmatic
-//! workflow does not carry:
+//! here because they read plan artifacts a programmatic workflow does not
+//! carry:
 //!
 //! - **starvation** (SB010): a `groups=N` writer declaration against the
-//!   reader groups the script actually subscribes;
-//! - **partition plan** (SB015): `#@ process` assignments must cover every
+//!   reader groups the plan actually subscribes;
+//! - **partition plan** (SB015): process assignments must cover every
 //!   component exactly once;
 //! - **transport** (SB016): cross-process streams need a usable `tcp://` or `shm://`
-//!   endpoint, and several `#@ transport` lines must agree;
+//!   endpoint, and several transport declarations must agree;
 //! - **wire cost** (SB017): estimated bytes-on-the-wire per payload byte
 //!   of each cross-process stream, from the propagated specs.
+//!
+//! A `.sbw` spec's own issues (SB018–SB020) ride on the plan and are
+//! reported first.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::component::Component;
-use crate::launch::{parse_script_with_directives, Program, ScriptDirectives};
+use crate::launch::{Program, ScriptDirectives};
+use crate::plan::{PlannedComponent, WorkflowPlan};
+use crate::spec::SpecIssue;
 use crate::supervisor::FaultPolicy;
-use crate::workflows::instantiate_entry;
 
-use super::diagnostics::{AnalysisIssue, Diagnostic, ScriptLint};
-use super::lints::{Level, LintConfig};
+use super::diagnostics::{AnalysisIssue, ScriptLint};
+use super::lints::LintConfig;
 use super::model::{EntryView, Model};
 use super::spec::StreamSpec;
 use super::{lint_entries, PolicyLines};
 
 /// Wire amplification (in tenths) above which SB017 fires: 6.0× the
-/// payload. The TCP benchmark (`BENCH_tcp.json`) measures a flat ~4×
-/// for well-shaped streams, so 6× of headroom separates protocol
-/// overhead from a wiring problem (tiny payloads fanned out widely).
+/// payload. The benchmark (`benchmark/`, `BENCHMARK.json`) meters each hop
+/// of a well-shaped stream at its payload: `writer_hop_amplification` and
+/// `reader_hop_amplification` are 1.000 on the 1×1 `lammps.replay.tcp`,
+/// and the reader hop is 2.5 on `gromacs.mxn.tcp-lz`, where three reader
+/// ranks each receive the step. One group therefore costs ~2× by this
+/// pass's model; 6× separates the fan-out a workflow plausibly wants from
+/// a wiring problem (tiny payloads fanned out widely, where per-rank
+/// metadata dominates).
 pub const WIRE_AMPLIFICATION_THRESHOLD_TENTHS: u64 = 60;
 
 /// Fixed per-step envelope bytes the wire estimate charges each rank for
@@ -40,175 +49,59 @@ pub const WIRE_AMPLIFICATION_THRESHOLD_TENTHS: u64 = 60;
 /// metadata derived from the spec.
 const STEP_ENVELOPE_BYTES: u64 = 64;
 
-/// One successfully instantiated script entry plus its lint-relevant
-/// script artifacts.
-struct BuiltEntry {
-    label: String,
-    nranks: usize,
-    component: Box<dyn Component>,
-    line: usize,
-    /// `groups=N` declared on the writer line, when parseable.
-    declared_groups: Option<usize>,
-}
-
-/// Lints one launch script end to end. `name` is only used for rendering
-/// (the `script.sh:12:` prefix); `config` filters and re-levels lints.
-pub fn lint_script(name: &str, text: &str, config: &LintConfig) -> ScriptLint {
-    lint_script_impl(name, text, config, true)
-}
-
-/// Lints one `.sbw` workflow spec end to end: spec-level issues
-/// (SB018–SB020) plus every script-level pass over the spec's compiled
-/// form. Both layers report `.sbw` line numbers — the compiled script
-/// preserves them by construction.
-pub fn lint_spec(name: &str, text: &str, config: &LintConfig) -> ScriptLint {
-    let mut lint = ScriptLint {
-        name: name.to_string(),
-        diagnostics: Vec::new(),
-    };
-    let spec = match crate::spec::WorkflowSpec::parse(text) {
-        Ok(spec) => spec,
-        Err(e) => {
-            let issue = AnalysisIssue::ScriptError { detail: e.detail };
-            let level = config.level_for(issue.lint());
-            if level != Level::Allow {
-                lint.diagnostics.push(Diagnostic {
-                    issue,
-                    level,
-                    line: Some(e.line),
-                });
-            }
-            return lint;
-        }
-    };
-    for issue in &spec.issues {
-        let line = Some(issue.line());
-        let issue = match issue.clone() {
-            crate::spec::SpecIssue::UnknownKey { key, table, .. } => {
-                AnalysisIssue::SpecUnknownKey { key, table }
-            }
-            crate::spec::SpecIssue::UndeclaredTriggerRef { reference, .. } => {
-                AnalysisIssue::SpecUndeclaredRef { reference }
-            }
-            crate::spec::SpecIssue::Conflict { detail, .. } => {
-                AnalysisIssue::SpecConflict { detail }
-            }
-        };
-        let level = config.level_for(issue.lint());
-        if level != Level::Allow {
-            lint.diagnostics.push(Diagnostic { issue, level, line });
-        }
+/// `groups=N` declared on a writer's launch line, when parseable.
+fn declared_groups(c: &PlannedComponent) -> Option<usize> {
+    match &c.entry.program {
+        Program::Simulation { params, .. } => params.get("groups"),
+        _ => c.entry.options.get("groups"),
     }
-    // The directives in the compiled script are the spec's own, so the
-    // prefer-spec nudge (SB021) stays off on this path.
-    lint.diagnostics
-        .extend(lint_script_impl(name, &spec.script, config, false).diagnostics);
-    lint
+    .and_then(|g| g.parse().ok())
 }
 
-/// The shared body of [`lint_script`] and [`lint_spec`];
-/// `flag_inline_directives` gates SB021 (only launch scripts written by
-/// hand should be nudged toward `.sbw`).
-fn lint_script_impl(
-    name: &str,
-    text: &str,
-    config: &LintConfig,
-    flag_inline_directives: bool,
-) -> ScriptLint {
-    let mut lint = ScriptLint {
-        name: name.to_string(),
-        diagnostics: Vec::new(),
-    };
-    let push = |lint: &mut ScriptLint, issue: AnalysisIssue, line: Option<usize>| {
-        let level = config.level_for(issue.lint());
-        if level != Level::Allow {
-            lint.diagnostics.push(Diagnostic { issue, level, line });
-        }
-    };
-
-    let (entries, directives) = match parse_script_with_directives(text) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            push(
-                &mut lint,
-                AnalysisIssue::ScriptError { detail: e.detail },
-                Some(e.line),
-            );
-            return lint;
-        }
-    };
-
-    if flag_inline_directives {
-        for p in &directives.policies {
-            push(
-                &mut lint,
-                AnalysisIssue::PreferSpec {
-                    directive: "policy".to_string(),
-                },
-                Some(p.line),
-            );
-        }
-        for p in &directives.processes {
-            push(
-                &mut lint,
-                AnalysisIssue::PreferSpec {
-                    directive: "process".to_string(),
-                },
-                Some(p.line),
-            );
-        }
-    }
-
-    // Instantiate every entry, trapping constructor panics (a histogram
-    // with zero bins, a non-integer option) as SB000 on the entry's line.
-    // Labels are derived exactly as `Workflow::add` derives them so plan
-    // members and policy targets match the runtime's names.
-    let mut built: Vec<BuiltEntry> = Vec::new();
-    let mut constructor_failed = false;
-    for entry in &entries {
-        match catch_unwind(AssertUnwindSafe(|| instantiate_entry(entry))) {
-            Ok(component) => {
-                let base = component.label();
-                let mut label = base.clone();
-                let mut n = 2;
-                while built.iter().any(|b| b.label == label) {
-                    label = format!("{base}-{n}");
-                    n += 1;
-                }
-                let declared_groups = match &entry.program {
-                    Program::Simulation { params, .. } => params.get("groups"),
-                    _ => entry.options.get("groups"),
-                }
-                .and_then(|g| g.parse::<usize>().ok());
-                built.push(BuiltEntry {
-                    label,
-                    nranks: entry.nranks,
-                    component,
-                    line: entry.line,
-                    declared_groups,
-                });
-            }
-            Err(payload) => {
-                constructor_failed = true;
-                push(
-                    &mut lint,
-                    AnalysisIssue::ScriptError {
-                        detail: format!(
-                            "component rejected its arguments: {}",
-                            panic_message(&payload)
-                        ),
-                    },
-                    Some(entry.line),
+/// Lowers one workflow source (`*.sbw` as a spec, anything else as a
+/// launch script) and lints the plan. Whatever stops the lowering — a
+/// syntax error, a component that rejects its arguments — is reported as
+/// SB000 on its own line, and nothing else is: a half-built workflow would
+/// cascade into spurious wiring issues. `name` also prefixes the rendering
+/// (`script.sh:12:`); `config` filters and re-levels lints.
+pub fn lint_source(name: &str, text: &str, config: &LintConfig) -> ScriptLint {
+    match WorkflowPlan::lower(name, text) {
+        Ok(plan) => lint_plan(name, &plan, config),
+        Err(errors) => {
+            let mut lint = ScriptLint::new(name);
+            for e in errors {
+                lint.push(
+                    config,
+                    AnalysisIssue::ScriptError { detail: e.detail },
+                    Some(e.line),
                 );
             }
+            lint
         }
     }
-    // A half-built workflow would cascade into spurious wiring issues
-    // (the failed component's streams look unwired); stop at SB000.
-    if constructor_failed {
-        return lint;
+}
+
+/// Lints one plan end to end: its spec-level issues (SB018–SB020), the
+/// model-level passes, and the plan-level passes, all attributed to the
+/// plan's source lines.
+pub fn lint_plan(name: &str, plan: &WorkflowPlan, config: &LintConfig) -> ScriptLint {
+    let mut lint = ScriptLint::new(name);
+    for issue in &plan.issues {
+        let line = Some(issue.line());
+        let issue = match issue.clone() {
+            SpecIssue::UnknownKey { key, table, .. } => {
+                AnalysisIssue::SpecUnknownKey { key, table }
+            }
+            SpecIssue::UndeclaredTriggerRef { reference, .. } => {
+                AnalysisIssue::SpecUndeclaredRef { reference }
+            }
+            SpecIssue::Conflict { detail, .. } => AnalysisIssue::SpecConflict { detail },
+        };
+        lint.push(config, issue, line);
     }
 
+    let built = &plan.components;
+    let directives = &plan.directives;
     let policies: BTreeMap<String, FaultPolicy> = directives
         .policies
         .iter()
@@ -222,49 +115,38 @@ fn lint_script_impl(
 
     let views: Vec<EntryView<'_>> = built
         .iter()
-        .map(|b| EntryView {
-            label: &b.label,
-            nranks: b.nranks,
-            component: b.component.as_ref(),
-            line: Some(b.line),
+        .map(|c| EntryView {
+            label: &c.label,
+            nranks: c.entry.nranks,
+            component: c.component.as_ref(),
+            line: Some(c.entry.line),
         })
         .collect();
     lint.diagnostics
         .extend(lint_entries(&views, &policies, &policy_lines, config));
 
     let model = Model::build(&views);
-    starvation_pass(&model, &built, |issue, line| push(&mut lint, issue, line));
-    let assignment = plan_pass(&model, &built, &directives, |issue, line| {
-        push(&mut lint, issue, line)
+    starvation_pass(&model, built, |issue, line| lint.push(config, issue, line));
+    let assignment = plan_pass(built, directives, |issue, line| {
+        lint.push(config, issue, line)
     });
-    transport_pass(&model, &built, &directives, &assignment, |issue, line| {
-        push(&mut lint, issue, line)
+    transport_pass(&model, built, directives, &assignment, |issue, line| {
+        lint.push(config, issue, line)
     });
-    wire_cost_pass(&model, &built, &assignment, |issue, line| {
-        push(&mut lint, issue, line)
+    wire_cost_pass(&model, built, &assignment, |issue, line| {
+        lint.push(config, issue, line)
     });
     lint
 }
 
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "constructor panicked".to_string()
-    }
-}
-
-/// SB010: writer declares more reader groups than the script subscribes.
+/// SB010: writer declares more reader groups than the plan subscribes.
 fn starvation_pass(
     model: &Model<'_>,
-    built: &[BuiltEntry],
+    built: &[PlannedComponent],
     mut push: impl FnMut(AnalysisIssue, Option<usize>),
 ) {
     for b in built {
-        let Some(declared) = b.declared_groups else {
+        let Some(declared) = declared_groups(b) else {
             continue;
         };
         for stream in b.component.output_streams() {
@@ -283,7 +165,7 @@ fn starvation_pass(
                         actual: groups.len(),
                         groups,
                     },
-                    Some(b.line),
+                    Some(b.entry.line),
                 );
             }
         }
@@ -292,10 +174,9 @@ fn starvation_pass(
 
 /// SB015: every component in exactly one process. Returns the label →
 /// process assignment for uniquely assigned components (empty when the
-/// script declares no processes).
+/// plan declares no processes).
 fn plan_pass(
-    _model: &Model<'_>,
-    built: &[BuiltEntry],
+    built: &[PlannedComponent],
     directives: &ScriptDirectives,
     mut push: impl FnMut(AnalysisIssue, Option<usize>),
 ) -> BTreeMap<String, String> {
@@ -346,7 +227,7 @@ fn plan_pass(
                     component: b.label.clone(),
                     processes: process_names.clone(),
                 },
-                Some(b.line),
+                Some(b.entry.line),
             ),
             1 => {
                 assignment.insert(b.label.clone(), assigned.into_iter().next().unwrap());
@@ -356,7 +237,7 @@ fn plan_pass(
                     component: b.label.clone(),
                     processes: assigned,
                 },
-                Some(b.line),
+                Some(b.entry.line),
             ),
         }
     }
@@ -367,7 +248,7 @@ fn plan_pass(
 /// streams with no transport at all.
 fn transport_pass(
     model: &Model<'_>,
-    built: &[BuiltEntry],
+    built: &[PlannedComponent],
     directives: &ScriptDirectives,
     assignment: &BTreeMap<String, String>,
     mut push: impl FnMut(AnalysisIssue, Option<usize>),
@@ -411,7 +292,7 @@ fn transport_pass(
             let writer_line = built
                 .iter()
                 .find(|b| Some(&b.label) == writer_of(model, built, &stream))
-                .map(|b| b.line);
+                .map(|b| b.entry.line);
             push(
                 AnalysisIssue::MissingTransport {
                     stream,
@@ -425,7 +306,11 @@ fn transport_pass(
 }
 
 /// The label of `stream`'s single writer, when it has exactly one.
-fn writer_of<'b>(model: &Model<'_>, built: &'b [BuiltEntry], stream: &str) -> Option<&'b String> {
+fn writer_of<'b>(
+    model: &Model<'_>,
+    built: &'b [PlannedComponent],
+    stream: &str,
+) -> Option<&'b String> {
     match model.writers.get(stream).map(Vec::as_slice) {
         Some([w]) => Some(&built[*w].label),
         _ => None,
@@ -437,7 +322,7 @@ fn writer_of<'b>(model: &Model<'_>, built: &'b [BuiltEntry], stream: &str) -> Op
 /// one tuple per stream (the first cross-process reader found).
 fn cross_process_streams(
     model: &Model<'_>,
-    built: &[BuiltEntry],
+    built: &[PlannedComponent],
     assignment: &BTreeMap<String, String>,
 ) -> Vec<(String, String, String, String)> {
     let mut out = Vec::new();
@@ -475,10 +360,10 @@ fn cross_process_streams(
 /// `(1 + groups) × P`. On top of that every participating rank exchanges
 /// the self-describing metadata and step envelope. The amplification is
 /// wire bytes per payload byte; tiny payloads under wide fan-out are
-/// exactly the shapes the TCP benchmark shows drowning in overhead.
+/// exactly the shapes that drown in per-rank overhead.
 fn wire_cost_pass(
     model: &Model<'_>,
-    built: &[BuiltEntry],
+    built: &[PlannedComponent],
     assignment: &BTreeMap<String, String>,
     mut push: impl FnMut(AnalysisIssue, Option<usize>),
 ) {
@@ -520,15 +405,15 @@ fn wire_cost_pass(
             .count()
             .max(1) as u64;
         let writer_idx = model.writers[&stream][0];
-        let writer_ranks = built[writer_idx].nranks as u64;
+        let writer_ranks = built[writer_idx].entry.nranks as u64;
         let reader_ranks: u64 = model.readers[&stream]
             .iter()
-            .map(|&r| built[r].nranks as u64)
+            .map(|&r| built[r].entry.nranks as u64)
             .sum();
         let wire = (1 + groups) * payload + (writer_ranks + reader_ranks) * meta;
         let amplification_tenths = wire * 10 / payload;
         if amplification_tenths > WIRE_AMPLIFICATION_THRESHOLD_TENTHS {
-            let line = built.get(writer_idx).map(|b| b.line);
+            let line = built.get(writer_idx).map(|b| b.entry.line);
             push(
                 AnalysisIssue::WireAmplification {
                     stream,

@@ -7,7 +7,8 @@
 //! over-decomposition, cadence mismatches, unsound fault policies, invalid
 //! partition plans, transport problems, wire-amplification estimates, and
 //! (for specs) spec-level issues — each under a stable `SBxxx` lint ID.
-//! Inputs named `*.sbw` lint as specs; everything else as launch scripts.
+//! Inputs named `*.sbw` lower as specs, everything else as launch scripts;
+//! either way the lints run over the one `WorkflowPlan` they lower to.
 //!
 //! ```text
 //! wf.sb:4: error[SB001] no-writer: stream "m.fp" has no writer; ...
@@ -21,7 +22,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use smartblock::analysis::{
-    check_report, lint_script, lint_spec, render_report_json, Level, LintConfig, ScriptLint, LINTS,
+    check_report, lint_source, render_report_json, Level, LintConfig, ScriptLint, LINTS,
 };
 
 const EX_USAGE: u8 = 64;
@@ -147,30 +148,18 @@ fn main() -> ExitCode {
         };
     }
 
-    // Component constructors assert on nonsensical arguments (zero bins,
-    // empty fork); `lint_script` traps those panics as SB000 diagnostics,
-    // and the silenced hook keeps the diagnostic as the only output.
-    std::panic::set_hook(Box::new(|_| {}));
     let mut reports: Vec<ScriptLint> = Vec::new();
     let mut unreadable = false;
     for script in &args.scripts {
         let name = if script == "-" { "<stdin>" } else { script };
-        // `.sbw` inputs lint as declarative specs (with the spec-level
-        // SB018–SB020 passes); everything else as launch scripts.
-        let lint = if name.ends_with(".sbw") {
-            lint_spec
-        } else {
-            lint_script
-        };
         match read_input(script) {
-            Ok(text) => reports.push(lint(name, &text, &args.config)),
+            Ok(text) => reports.push(lint_source(name, &text, &args.config)),
             Err(e) => {
                 eprintln!("sb-lint: {name}: {e}");
                 unreadable = true;
             }
         }
     }
-    let _ = std::panic::take_hook();
 
     if args.format_json {
         print!("{}", render_report_json(&reports));

@@ -23,13 +23,17 @@
 //! also default the wire protocol, compression, hub timeout, and trace
 //! config; explicit flags win over spec defaults.
 //!
-//! Before binding a broker or spawning any component, the source is run
-//! through the full lint engine (`sb-lint`); any error-level `SBxxx`
+//! The source is lowered once to a `WorkflowPlan`; that plan is what
+//! `--list` prints, what the lint gate checks, and what the workflow is
+//! built from. Before binding a broker or spawning any component, the plan
+//! is run through the full lint engine (`sb-lint`); any error-level `SBxxx`
 //! diagnostic — an invalid partition plan, a subscription cycle, a contract
 //! violation — refuses the launch with exit `1`. `--force` downgrades the
 //! refusal to a stderr report and launches anyway. Exit status: `0` on
 //! success, `1` on a lint refusal or workflow failure, `2` on usage or I/O
-//! errors.
+//! errors, or a source that does not load as a runnable plan — it does not
+//! lower, or a spec carries deny-level issues (SB019/SB020); each offending
+//! line is reported, and `--force` does not apply.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -37,9 +41,9 @@ use std::time::Duration;
 
 use sb_stream::tcp::TcpBroker;
 use sb_stream::{ShmBroker, StreamHub};
-use smartblock::analysis::{lint_script, lint_spec, LintConfig, ScriptLint};
-use smartblock::distributed::{load_workflow_source, LoadedScript};
+use smartblock::analysis::{lint_plan, LintConfig};
 use smartblock::launch::validate_transport_url;
+use smartblock::plan::WorkflowPlan;
 use smartblock::supervisor::{RunOptions, Validation};
 
 struct Args {
@@ -193,7 +197,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run(
     hub: Arc<StreamHub>,
-    loaded: &LoadedScript,
+    plan: &WorkflowPlan,
     select: &[String],
     hub_timeout: Option<Duration>,
 ) -> Result<(), ExitCode> {
@@ -201,9 +205,9 @@ fn run(
     if let Some(timeout) = hub_timeout {
         options = options.with_hub_timeout(timeout);
     }
-    // The loaded source carries policies, triggers, and (for specs) trace
-    // and timeout defaults; `workflow` applies them all.
-    let wf = match loaded.workflow(hub, select) {
+    // The plan carries policies, triggers, and (for specs) trace and
+    // timeout defaults; `workflow` applies them all.
+    let wf = match plan.workflow(hub, select) {
         Ok(wf) => wf,
         Err(detail) => {
             eprintln!("sb-run: {detail}");
@@ -225,22 +229,11 @@ fn run(
     }
 }
 
-/// The pre-launch gate: lint the whole source (as a spec for `.sbw`) and
-/// refuse to launch on any error-level diagnostic. Runs before a broker is
-/// bound or a component is spawned, so a malformed plan never starts half
-/// a deployment.
-fn lint_gate(script_path: &str, text: &str, force: bool) -> Result<(), ExitCode> {
-    // Constructor panics become SB000 diagnostics; silence the hook so the
-    // diagnostic is the only output.
-    let saved_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let lint = if script_path.ends_with(".sbw") {
-        lint_spec
-    } else {
-        lint_script
-    };
-    let report: ScriptLint = lint(script_path, text, &LintConfig::new());
-    std::panic::set_hook(saved_hook);
+/// The pre-launch gate: lint the whole plan and refuse to launch on any
+/// error-level diagnostic. Runs before a broker is bound or a component is
+/// spawned, so a malformed plan never starts half a deployment.
+fn lint_gate(script_path: &str, plan: &WorkflowPlan, force: bool) -> Result<(), ExitCode> {
+    let report = lint_plan(script_path, plan, &LintConfig::new());
     if report.errors() > 0 {
         eprint!("{}", report.render_text());
         if force {
@@ -277,33 +270,35 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let loaded = match load_workflow_source(&script_path, &text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("sb-run: {script_path}: {e}");
+    let plan = match WorkflowPlan::load(&script_path, &text) {
+        Ok(p) => p,
+        Err(errors) => {
+            for e in errors {
+                eprintln!("sb-run: {script_path}: {e}");
+            }
             return ExitCode::from(2);
         }
     };
     if args.list {
-        for p in &loaded.plan {
-            println!("{}\t-n {}", p.label, p.nranks);
+        for c in &plan.components {
+            println!("{}\t-n {}", c.label, c.entry.nranks);
         }
         return ExitCode::SUCCESS;
     }
-    if let Err(code) = lint_gate(&script_path, &text, args.force) {
+    if let Err(code) = lint_gate(&script_path, &plan, args.force) {
         return code;
     }
     // A spec's [transport] table defaults the hub timeout and wire shape;
     // explicit flags win.
-    let hub_timeout = args.hub_timeout.or(loaded.hub_timeout);
-    let protocol = args.protocol.or(loaded.protocol).unwrap_or_default();
-    let compression = args.compression.or(loaded.compression).unwrap_or_default();
+    let hub_timeout = args.hub_timeout.or(plan.hub_timeout);
+    let protocol = args.protocol.or(plan.protocol).unwrap_or_default();
+    let compression = args.compression.or(plan.compression).unwrap_or_default();
 
     // The source's transport endpoint is the fallback; explicit flags win.
     // `--serve` wants a bare bind address, so strip the scheme.
     let connect = args
         .connect
-        .or_else(|| loaded.directives.transport.clone())
+        .or_else(|| plan.directives.transport.clone())
         .filter(|_| args.serve.is_none());
     if let Some(url) = &connect {
         if let Err(e) = validate_transport_url(url) {
@@ -323,15 +318,15 @@ fn main() -> ExitCode {
         eprintln!("sb-run: serving {}", broker.url());
         // Are parts of the script expected to arrive from other processes?
         let remotes_expected = args.components.is_empty()
-            || loaded
-                .plan
+            || plan
+                .components
                 .iter()
-                .any(|p| !args.components.contains(&p.label));
+                .any(|c| !args.components.contains(&c.label));
         let result = if args.components.is_empty() {
             Ok(())
         } else {
             let hub = Arc::clone(broker.hub());
-            run(hub, &loaded, &args.components, hub_timeout)
+            run(hub, &plan, &args.components, hub_timeout)
         };
         if remotes_expected {
             // Local components may finish before remotes even dial in (a
@@ -375,13 +370,13 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match run(hub, &loaded, &args.components, hub_timeout) {
+        match run(hub, &plan, &args.components, hub_timeout) {
             Ok(()) => ExitCode::SUCCESS,
             Err(code) => code,
         }
     } else {
         // Single-process: the whole workflow on an in-proc hub.
-        match run(StreamHub::new(), &loaded, &args.components, hub_timeout) {
+        match run(StreamHub::new(), &plan, &args.components, hub_timeout) {
             Ok(()) => ExitCode::SUCCESS,
             Err(code) => code,
         }

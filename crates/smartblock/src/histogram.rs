@@ -116,9 +116,20 @@ pub struct Histogram {
 
 impl Histogram {
     /// Builds a Histogram over `num_bins` bins.
+    ///
+    /// # Panics
+    /// When [`Histogram::try_new`] refuses the arguments.
     pub fn new<I: Into<StreamArray>>(input: I, num_bins: usize) -> Histogram {
-        assert!(num_bins > 0, "histogram needs at least one bin");
-        Histogram {
+        Histogram::try_new(input, num_bins).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`Histogram::new`] for arguments that arrive as data (a launch
+    /// description): `Err` is the reason they are refused.
+    pub fn try_new<I: Into<StreamArray>>(input: I, num_bins: usize) -> Result<Histogram, String> {
+        if num_bins == 0 {
+            return Err("histogram needs at least one bin".to_string());
+        }
+        Ok(Histogram {
             input: input.into(),
             num_bins,
             output_file: None,
@@ -126,7 +137,7 @@ impl Histogram {
             reader_group: "default".into(),
             writer_options: WriterOptions::default(),
             results: Arc::new(Mutex::new(Vec::new())),
-        }
+        })
     }
 
     /// Overrides the buffering policy of the optional output stream (e.g.

@@ -1,8 +1,9 @@
-//! The launch-script grammar (paper Figs. 1–3 and 8).
+//! The launch description (paper Figs. 1–3 and 8): its typed vocabulary,
+//! the per-entry grammar, and the `.sb` importer.
 //!
 //! The paper assembles workflows as job scripts: every line launches one
 //! component with a process count and run-time arguments, all backgrounded
-//! and `wait`ed together. This module parses that grammar:
+//! and `wait`ed together:
 //!
 //! ```text
 //! aprun -n 64  histogram velos.fp velocities 16 &
@@ -12,9 +13,12 @@
 //! wait
 //! ```
 //!
-//! `parse_script` turns such text into [`LaunchEntry`] values;
-//! [`crate::workflows::script_to_workflow`] turns those into a runnable
-//! [`crate::Workflow`].
+//! `launch` is the grammar of one such invocation — program name,
+//! process count, argument tokens — and yields a typed [`LaunchEntry`].
+//! [`WorkflowPlan::from_script`] imports a whole script (the aprun lines
+//! plus `#@` directive comments) by tokenising each line into `launch`;
+//! the `.sbw` compiler in [`crate::spec`] feeds the same function from its
+//! `[[component]]` tables. Both lower to one [`WorkflowPlan`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,14 +26,17 @@ use std::time::Duration;
 
 use crate::combine::BinaryOp;
 use crate::component::StreamArray;
+use crate::plan::{plan_components, WorkflowPlan};
 use crate::reduce::ReduceOp;
 use crate::supervisor::FaultPolicy;
 use crate::threshold::Predicate;
 
-/// A launch-script parse error.
+/// Why one line of a launch description — a `.sb` script line or a `.sbw`
+/// table — does not lower to a [`WorkflowPlan`]: a syntax error, a bad
+/// argument, or a component that rejects its arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchError {
-    /// 1-based script line.
+    /// 1-based source line.
     pub line: usize,
     /// What went wrong.
     pub detail: String,
@@ -37,7 +44,7 @@ pub struct LaunchError {
 
 impl fmt::Display for LaunchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "launch script line {}: {}", self.line, self.detail)
+        write!(f, "line {}: {}", self.line, self.detail)
     }
 }
 
@@ -210,7 +217,7 @@ pub enum Program {
     },
 }
 
-/// One line of a parsed launch script.
+/// One program invocation of a launch description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchEntry {
     /// Process count from `-n`.
@@ -223,56 +230,86 @@ pub struct LaunchEntry {
     /// hand-off). Simulation lines keep their `key=value` tokens as
     /// program parameters instead.
     pub options: BTreeMap<String, String>,
-    /// 1-based script line this entry was parsed from (0 for entries built
-    /// programmatically), threaded into lint diagnostics.
+    /// 1-based source line of the invocation (the aprun line of a `.sb`
+    /// script, the `[[component]]` header of a `.sbw` spec), threaded into
+    /// lint diagnostics.
     pub line: usize,
 }
 
-/// A `#@ policy LABEL abort|degrade|restart:N[:BACKOFF_MS]` directive: the
-/// fault policy the workflow applies to one component.
+impl LaunchEntry {
+    /// Sets one `key=value` launch option where the grammar would have put
+    /// it: among a simulation's parameters, or among a component's
+    /// trailing options.
+    pub(crate) fn set_option(&mut self, key: &str, value: String) {
+        let map = match &mut self.program {
+            Program::Simulation { params, .. } => params,
+            _ => &mut self.options,
+        };
+        map.insert(key.to_string(), value);
+    }
+}
+
+/// The fault policy the workflow applies to one component: a
+/// `#@ policy LABEL abort|degrade|restart:N[:BACKOFF_MS]` directive or a
+/// `[policy.LABEL]` table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyDirective {
     /// The component label the policy targets.
     pub label: String,
     /// The parsed policy.
     pub policy: FaultPolicy,
-    /// 1-based script line of the directive.
+    /// 1-based source line of the directive.
     pub line: usize,
 }
 
-/// A `#@ process NAME member[,member...]` directive: one process of a
-/// distributed deployment and the component labels assigned to it.
+/// One process of a distributed deployment and the component labels
+/// assigned to it: a `#@ process NAME member[,member...]` directive or a
+/// `[process.NAME]` table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessDirective {
     /// Process name (the `--only` selection key).
     pub name: String,
     /// Component labels assigned to this process.
     pub members: Vec<String>,
-    /// 1-based script line of the directive.
+    /// 1-based source line of the directive.
     pub line: usize,
 }
 
-/// Script-level directives: `#@ key value` comment lines, invisible to the
-/// per-line grammar (old parsers skip them as comments).
+/// Workflow-level directives: `#@ key value` comment lines of a `.sb`
+/// script (invisible to the per-line grammar; old parsers skip them as
+/// comments) or the `[transport]`/`[policy.*]`/`[process.*]` tables of a
+/// `.sbw` spec.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScriptDirectives {
     /// `#@ transport tcp://host:port` — the broker endpoint a multi-process
-    /// deployment of this script rendezvouses on. `sb-run` uses it as the
+    /// deployment of this workflow rendezvouses on. `sb-run` uses it as the
     /// default for `--serve`/`--connect`; `sb-lint` validates it. When a
     /// script declares several transports, this keeps the first.
     pub transport: Option<String>,
-    /// Every `#@ transport` declaration with its script line, in order
-    /// (the transport pass flags colliding endpoints).
+    /// Every transport declaration with its source line, in order (the
+    /// transport pass flags colliding endpoints).
     pub transports: Vec<(String, usize)>,
-    /// `#@ policy` directives, in script order.
+    /// Policy directives, in source order.
     pub policies: Vec<PolicyDirective>,
-    /// `#@ process` directives, in script order.
+    /// Process directives, in source order.
     pub processes: Vec<ProcessDirective>,
 }
 
-/// Parses the policy spec of a `#@ policy` directive (also used by `.sbw`
-/// policy tables and trigger clauses):
-/// `abort`, `degrade`, or `restart:N[:BACKOFF_MS]`.
+impl ScriptDirectives {
+    /// Records a transport endpoint declared at `line`, rejecting a
+    /// malformed URL.
+    pub(crate) fn declare_transport(&mut self, url: &str, line: usize) -> Result<(), LaunchError> {
+        validate_transport_url(url).map_err(|detail| err(line, detail))?;
+        if self.transport.is_none() {
+            self.transport = Some(url.to_string());
+        }
+        self.transports.push((url.to_string(), line));
+        Ok(())
+    }
+}
+
+/// Parses the policy spec of a `#@ policy` directive (also used by
+/// trigger clauses): `abort`, `degrade`, or `restart:N[:BACKOFF_MS]`.
 pub(crate) fn parse_policy_spec(spec: &str) -> Result<FaultPolicy, String> {
     match spec {
         "abort" => return Ok(FaultPolicy::abort()),
@@ -329,7 +366,7 @@ pub fn validate_transport_url(url: &str) -> Result<(), String> {
     }
 }
 
-fn err(line: usize, detail: impl Into<String>) -> LaunchError {
+pub(crate) fn err(line: usize, detail: impl Into<String>) -> LaunchError {
     LaunchError {
         line,
         detail: detail.into(),
@@ -341,19 +378,24 @@ fn parse_usize(tok: &str, what: &str, line: usize) -> Result<usize, LaunchError>
         .map_err(|_| err(line, format!("{what} must be an integer, got {tok:?}")))
 }
 
-/// Parses a launch script into entries; `wait`, comments and blank lines
-/// are skipped (including `#@` directive lines — use
-/// [`parse_script_with_directives`] to read those too).
-pub fn parse_script(text: &str) -> Result<Vec<LaunchEntry>, LaunchError> {
-    parse_script_with_directives(text).map(|(entries, _)| entries)
+impl WorkflowPlan {
+    /// Imports an aprun-style `.sb` launch script — the paper's Fig. 8
+    /// grammar plus `#@` directive comments — as a plan. A malformed line
+    /// or directive (unknown key, missing value, bad transport URL) stops
+    /// the import at that line, so linted scripts are deployable as
+    /// written; `wait`, comments and blank lines are skipped.
+    pub fn from_script(text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
+        let (entries, directives) = import_script(text).map_err(|e| vec![e])?;
+        Ok(WorkflowPlan {
+            components: plan_components(entries)?,
+            directives,
+            ..WorkflowPlan::default()
+        })
+    }
 }
 
-/// [`parse_script`] plus the script-level `#@` directives. A malformed
-/// directive (unknown key, missing value, bad transport URL) is a parse
-/// error, so linted scripts are deployable as written.
-pub fn parse_script_with_directives(
-    text: &str,
-) -> Result<(Vec<LaunchEntry>, ScriptDirectives), LaunchError> {
+/// Tokenises script lines into [`launch`] calls and `#@` directives.
+fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), LaunchError> {
     let mut entries = Vec::new();
     let mut directives = ScriptDirectives::default();
     for (lineno, raw) in text.lines().enumerate() {
@@ -366,11 +408,7 @@ pub fn parse_script_with_directives(
                     let (Some(url), None) = (toks.next(), toks.next()) else {
                         return Err(err(line, "usage: #@ transport tcp://host:port | shm://DIR"));
                     };
-                    validate_transport_url(url).map_err(|detail| err(line, detail))?;
-                    if directives.transport.is_none() {
-                        directives.transport = Some(url.to_string());
-                    }
-                    directives.transports.push((url.to_string(), line));
+                    directives.declare_transport(url, line)?;
                 }
                 Some("policy") => {
                     let (Some(label), Some(spec), None) = (toks.next(), toks.next(), toks.next())
@@ -440,237 +478,260 @@ pub fn parse_script_with_directives(
         if tokens.is_empty() {
             return Err(err(line, "missing program name"));
         }
-        let prog = tokens.remove(0);
-        let is_sim = matches!(prog, "lammps" | "gtcp" | "gromacs");
-
-        // Component lines may carry trailing key=value options; simulation
-        // lines keep key=value tokens as their parameters.
-        let mut options = BTreeMap::new();
-        if !is_sim {
-            tokens.retain(|t| {
-                if let Some((k, v)) = t.split_once('=') {
-                    options.insert(k.to_string(), v.to_string());
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        // Extract a `< file` redirect anywhere in the remaining tokens.
-        let mut stdin = None;
-        if let Some(pos) = tokens.iter().position(|t| *t == "<") {
-            if pos + 1 >= tokens.len() {
-                return Err(err(line, "'<' needs a file operand"));
-            }
-            stdin = Some(tokens[pos + 1].to_string());
-            tokens.drain(pos..pos + 2);
-        }
-
-        let need = |n: usize, usage: &str| -> Result<(), LaunchError> {
-            if tokens.len() < n {
-                Err(err(line, format!("usage: {usage}")))
-            } else {
-                Ok(())
-            }
-        };
-
-        let program = match prog {
-            "select" => {
-                need(
-                    5,
-                    "select in-stream in-array dim-index out-stream out-array names...",
-                )?;
-                Program::Select {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    dim_index: parse_usize(tokens[2], "dimension index", line)?,
-                    output: StreamArray::new(tokens[3], tokens[4]),
-                    keep: tokens[5..].iter().map(|t| t.to_string()).collect(),
-                }
-            }
-            "magnitude" => {
-                need(4, "magnitude in-stream in-array out-stream out-array")?;
-                Program::Magnitude {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    output: StreamArray::new(tokens[2], tokens[3]),
-                }
-            }
-            "dim-reduce" => {
-                need(
-                    6,
-                    "dim-reduce in-stream in-array remove grow out-stream out-array",
-                )?;
-                Program::DimReduce {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    remove: parse_usize(tokens[2], "dim-to-remove", line)?,
-                    grow: parse_usize(tokens[3], "dim-to-grow", line)?,
-                    output: StreamArray::new(tokens[4], tokens[5]),
-                }
-            }
-            "histogram" => {
-                need(3, "histogram in-stream in-array num-bins [output-file]")?;
-                Program::Histogram {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    num_bins: parse_usize(tokens[2], "num-bins", line)?,
-                    output_file: tokens.get(3).map(|t| t.to_string()),
-                }
-            }
-            "reduce" => {
-                need(6, "reduce in-stream in-array dim op out-stream out-array")?;
-                let op = ReduceOp::parse(tokens[3]).ok_or_else(|| {
-                    err(
-                        line,
-                        format!("unknown reduce op {:?} (sum|mean|min|max)", tokens[3]),
-                    )
-                })?;
-                Program::Reduce {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    dim: parse_usize(tokens[2], "dimension", line)?,
-                    op,
-                    output: StreamArray::new(tokens[4], tokens[5]),
-                }
-            }
-            "threshold" => {
-                need(
-                    6,
-                    "threshold in-stream in-array mode value out-stream out-array",
-                )?;
-                let value: f64 = tokens[3].parse().map_err(|_| {
-                    err(
-                        line,
-                        format!("threshold value must be a number, got {:?}", tokens[3]),
-                    )
-                })?;
-                let predicate = Predicate::parse(tokens[2], value).ok_or_else(|| {
-                    err(
-                        line,
-                        format!("unknown threshold mode {:?} (gt|lt|abs-gt)", tokens[2]),
-                    )
-                })?;
-                Program::Threshold {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    predicate,
-                    output: StreamArray::new(tokens[4], tokens[5]),
-                }
-            }
-            "transpose" => {
-                need(5, "transpose in-stream in-array perm out-stream out-array")?;
-                let perm: Vec<usize> = tokens[2]
-                    .split(',')
-                    .map(|t| parse_usize(t.trim(), "permutation index", line))
-                    .collect::<Result<_, _>>()?;
-                Program::Transpose {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    perm,
-                    output: StreamArray::new(tokens[3], tokens[4]),
-                }
-            }
-            "combine" => {
-                need(7, "combine left-stream left-array op right-stream right-array out-stream out-array")?;
-                let op = BinaryOp::parse(tokens[2]).ok_or_else(|| {
-                    err(
-                        line,
-                        format!("unknown combine op {:?} (add|sub|mul|div)", tokens[2]),
-                    )
-                })?;
-                Program::Combine {
-                    left: StreamArray::new(tokens[0], tokens[1]),
-                    op,
-                    right: StreamArray::new(tokens[3], tokens[4]),
-                    output: StreamArray::new(tokens[5], tokens[6]),
-                }
-            }
-            "temporal-mean" => {
-                need(
-                    5,
-                    "temporal-mean in-stream in-array window out-stream out-array",
-                )?;
-                Program::TemporalMean {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    window: parse_usize(tokens[2], "window", line)?,
-                    output: StreamArray::new(tokens[3], tokens[4]),
-                }
-            }
-            "stats" => {
-                need(4, "stats in-stream in-array out-stream out-array")?;
-                Program::Stats {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    output: StreamArray::new(tokens[2], tokens[3]),
-                }
-            }
-            "all-pairs" => {
-                need(4, "all-pairs in-stream in-array out-stream out-array")?;
-                Program::AllPairs {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    output: StreamArray::new(tokens[2], tokens[3]),
-                }
-            }
-            "fork" => {
-                need(2, "fork in-stream out-stream...")?;
-                Program::Fork {
-                    input: tokens[0].to_string(),
-                    outputs: tokens[1..].iter().map(|t| t.to_string()).collect(),
-                }
-            }
-            "aio" => {
-                need(4, "aio in-stream in-array num-bins names...")?;
-                Program::AllInOne {
-                    input: StreamArray::new(tokens[0], tokens[1]),
-                    num_bins: parse_usize(tokens[2], "num-bins", line)?,
-                    keep: tokens[3..].iter().map(|t| t.to_string()).collect(),
-                }
-            }
-            "file-write" => {
-                need(2, "file-write in-stream path")?;
-                Program::FileWrite {
-                    input: tokens[0].to_string(),
-                    path: tokens[1].to_string(),
-                }
-            }
-            "file-read" => {
-                need(2, "file-read path out-stream")?;
-                Program::FileRead {
-                    path: tokens[0].to_string(),
-                    output: tokens[1].to_string(),
-                }
-            }
-            "lammps" | "gtcp" | "gromacs" => {
-                let code = match prog {
-                    "lammps" => SimCode::Lammps,
-                    "gtcp" => SimCode::Gtcp,
-                    _ => SimCode::Gromacs,
-                };
-                let mut params = BTreeMap::new();
-                for t in &tokens {
-                    let (k, v) = t.split_once('=').ok_or_else(|| {
-                        err(
-                            line,
-                            format!("simulation arguments must be key=value, got {t:?}"),
-                        )
-                    })?;
-                    params.insert(k.to_string(), v.to_string());
-                }
-                Program::Simulation {
-                    code,
-                    params,
-                    stdin,
-                }
-            }
-            other => return Err(err(line, format!("unknown program {other:?}"))),
-        };
-        entries.push(LaunchEntry {
-            nranks,
-            program,
-            options,
-            line,
-        });
+        let program = tokens.remove(0);
+        entries.push(launch(nranks, program, &tokens, line)?);
     }
     Ok((entries, directives))
+}
+
+/// The grammar of one program invocation, shared by both front-ends:
+/// `program` launched on `nranks` processes with `args`, each one token —
+/// positionals, trailing `key=value` options, an optional `< file`
+/// redirect. `line` is the invocation's source line.
+pub(crate) fn launch(
+    nranks: usize,
+    program: &str,
+    args: &[&str],
+    line: usize,
+) -> Result<LaunchEntry, LaunchError> {
+    let mut tokens = args.to_vec();
+    let is_sim = matches!(program, "lammps" | "gtcp" | "gromacs");
+
+    // Component lines may carry trailing key=value options; simulation
+    // lines keep key=value tokens as their parameters.
+    let mut options = BTreeMap::new();
+    if !is_sim {
+        tokens.retain(|t| {
+            if let Some((k, v)) = t.split_once('=') {
+                options.insert(k.to_string(), v.to_string());
+                false
+            } else {
+                true
+            }
+        });
+    }
+
+    // Extract a `< file` redirect anywhere in the remaining tokens.
+    let mut stdin = None;
+    if let Some(pos) = tokens.iter().position(|t| *t == "<") {
+        if pos + 1 >= tokens.len() {
+            return Err(err(line, "'<' needs a file operand"));
+        }
+        stdin = Some(tokens[pos + 1].to_string());
+        tokens.drain(pos..pos + 2);
+    }
+
+    let need = |n: usize, usage: &str| -> Result<(), LaunchError> {
+        if tokens.len() < n {
+            Err(err(line, format!("usage: {usage}")))
+        } else {
+            Ok(())
+        }
+    };
+
+    let parsed = match program {
+        "select" => {
+            need(
+                5,
+                "select in-stream in-array dim-index out-stream out-array names...",
+            )?;
+            Program::Select {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                dim_index: parse_usize(tokens[2], "dimension index", line)?,
+                output: StreamArray::new(tokens[3], tokens[4]),
+                keep: tokens[5..].iter().map(|t| t.to_string()).collect(),
+            }
+        }
+        "magnitude" => {
+            need(4, "magnitude in-stream in-array out-stream out-array")?;
+            Program::Magnitude {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                output: StreamArray::new(tokens[2], tokens[3]),
+            }
+        }
+        "dim-reduce" => {
+            need(
+                6,
+                "dim-reduce in-stream in-array remove grow out-stream out-array",
+            )?;
+            Program::DimReduce {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                remove: parse_usize(tokens[2], "dim-to-remove", line)?,
+                grow: parse_usize(tokens[3], "dim-to-grow", line)?,
+                output: StreamArray::new(tokens[4], tokens[5]),
+            }
+        }
+        "histogram" => {
+            need(3, "histogram in-stream in-array num-bins [output-file]")?;
+            Program::Histogram {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                num_bins: parse_usize(tokens[2], "num-bins", line)?,
+                output_file: tokens.get(3).map(|t| t.to_string()),
+            }
+        }
+        "reduce" => {
+            need(6, "reduce in-stream in-array dim op out-stream out-array")?;
+            let op = ReduceOp::parse(tokens[3]).ok_or_else(|| {
+                err(
+                    line,
+                    format!("unknown reduce op {:?} (sum|mean|min|max)", tokens[3]),
+                )
+            })?;
+            Program::Reduce {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                dim: parse_usize(tokens[2], "dimension", line)?,
+                op,
+                output: StreamArray::new(tokens[4], tokens[5]),
+            }
+        }
+        "threshold" => {
+            need(
+                6,
+                "threshold in-stream in-array mode value out-stream out-array",
+            )?;
+            let value: f64 = tokens[3].parse().map_err(|_| {
+                err(
+                    line,
+                    format!("threshold value must be a number, got {:?}", tokens[3]),
+                )
+            })?;
+            let predicate = Predicate::parse(tokens[2], value).ok_or_else(|| {
+                err(
+                    line,
+                    format!("unknown threshold mode {:?} (gt|lt|abs-gt)", tokens[2]),
+                )
+            })?;
+            Program::Threshold {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                predicate,
+                output: StreamArray::new(tokens[4], tokens[5]),
+            }
+        }
+        "transpose" => {
+            need(5, "transpose in-stream in-array perm out-stream out-array")?;
+            let perm: Vec<usize> = tokens[2]
+                .split(',')
+                .map(|t| parse_usize(t.trim(), "permutation index", line))
+                .collect::<Result<_, _>>()?;
+            Program::Transpose {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                perm,
+                output: StreamArray::new(tokens[3], tokens[4]),
+            }
+        }
+        "combine" => {
+            need(
+                7,
+                "combine left-stream left-array op right-stream right-array out-stream out-array",
+            )?;
+            let op = BinaryOp::parse(tokens[2]).ok_or_else(|| {
+                err(
+                    line,
+                    format!("unknown combine op {:?} (add|sub|mul|div)", tokens[2]),
+                )
+            })?;
+            Program::Combine {
+                left: StreamArray::new(tokens[0], tokens[1]),
+                op,
+                right: StreamArray::new(tokens[3], tokens[4]),
+                output: StreamArray::new(tokens[5], tokens[6]),
+            }
+        }
+        "temporal-mean" => {
+            need(
+                5,
+                "temporal-mean in-stream in-array window out-stream out-array",
+            )?;
+            Program::TemporalMean {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                window: parse_usize(tokens[2], "window", line)?,
+                output: StreamArray::new(tokens[3], tokens[4]),
+            }
+        }
+        "stats" => {
+            need(4, "stats in-stream in-array out-stream out-array")?;
+            Program::Stats {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                output: StreamArray::new(tokens[2], tokens[3]),
+            }
+        }
+        "all-pairs" => {
+            need(4, "all-pairs in-stream in-array out-stream out-array")?;
+            Program::AllPairs {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                output: StreamArray::new(tokens[2], tokens[3]),
+            }
+        }
+        "fork" => {
+            need(2, "fork in-stream out-stream...")?;
+            Program::Fork {
+                input: tokens[0].to_string(),
+                outputs: tokens[1..].iter().map(|t| t.to_string()).collect(),
+            }
+        }
+        "aio" => {
+            need(4, "aio in-stream in-array num-bins names...")?;
+            Program::AllInOne {
+                input: StreamArray::new(tokens[0], tokens[1]),
+                num_bins: parse_usize(tokens[2], "num-bins", line)?,
+                keep: tokens[3..].iter().map(|t| t.to_string()).collect(),
+            }
+        }
+        "file-write" => {
+            need(2, "file-write in-stream path")?;
+            Program::FileWrite {
+                input: tokens[0].to_string(),
+                path: tokens[1].to_string(),
+            }
+        }
+        "file-read" => {
+            need(2, "file-read path out-stream")?;
+            Program::FileRead {
+                path: tokens[0].to_string(),
+                output: tokens[1].to_string(),
+            }
+        }
+        "lammps" | "gtcp" | "gromacs" => {
+            let code = match program {
+                "lammps" => SimCode::Lammps,
+                "gtcp" => SimCode::Gtcp,
+                _ => SimCode::Gromacs,
+            };
+            let mut params = BTreeMap::new();
+            for t in &tokens {
+                let (k, v) = t.split_once('=').ok_or_else(|| {
+                    err(
+                        line,
+                        format!("simulation arguments must be key=value, got {t:?}"),
+                    )
+                })?;
+                params.insert(k.to_string(), v.to_string());
+            }
+            Program::Simulation {
+                code,
+                params,
+                stdin,
+            }
+        }
+        other => return Err(err(line, format!("unknown program {other:?}"))),
+    };
+    Ok(LaunchEntry {
+        nranks,
+        program: parsed,
+        options,
+        line,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The launch entries `script` imports to, through the one entry point.
+    fn entries(script: &str) -> Vec<LaunchEntry> {
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        plan.components.into_iter().map(|c| c.entry).collect()
+    }
 
     /// The paper's Fig. 8 script, verbatim in structure.
     const FIG8: &str = r#"
@@ -683,7 +744,7 @@ mod tests {
 
     #[test]
     fn parses_the_papers_fig8_script() {
-        let entries = parse_script(FIG8).unwrap();
+        let entries = entries(FIG8);
         assert_eq!(entries.len(), 4);
         assert_eq!(entries[0].nranks, 64);
         assert_eq!(
@@ -733,7 +794,7 @@ mod tests {
             aprun -n 1 histogram dr2.fp flat1 20 /tmp/h.txt &
             wait
         "#;
-        let entries = parse_script(script).unwrap();
+        let entries = entries(script);
         assert_eq!(entries.len(), 5);
         match &entries[0].program {
             Program::Simulation {
@@ -766,7 +827,7 @@ mod tests {
             file-read /tmp/out.sbc replay.fp
             aio dump.fp atoms 16 vx vy vz
         "#;
-        let entries = parse_script(script).unwrap();
+        let entries = entries(script);
         assert_eq!(entries.len(), 6);
         // Bare lines default to one rank.
         assert!(entries.iter().all(|e| e.nranks == 1));
@@ -787,7 +848,10 @@ mod tests {
             ("lammps <", "dangling redirect"),
             ("aprun -n 2", "missing program"),
         ] {
-            assert!(parse_script(script).is_err(), "should reject: {what}");
+            assert!(
+                WorkflowPlan::from_script(script).is_err(),
+                "should reject: {what}"
+            );
         }
     }
 
@@ -799,17 +863,16 @@ mod tests {
             aprun -n 1 histogram a.fp x 4 &
             wait
         "#;
-        let (entries, directives) = parse_script_with_directives(script).unwrap();
-        assert_eq!(entries.len(), 1);
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        // Directive lines are not launch entries.
+        assert_eq!(plan.components.len(), 1);
         assert_eq!(
-            directives.transport.as_deref(),
+            plan.directives.transport.as_deref(),
             Some("tcp://127.0.0.1:7654")
         );
-        // Directive lines stay invisible to the plain parser.
-        assert_eq!(parse_script(script).unwrap().len(), 1);
-        // Scripts without directives parse to the default.
-        let (_, none) = parse_script_with_directives("histogram a.fp x 4").unwrap();
-        assert_eq!(none, ScriptDirectives::default());
+        // Scripts without directives import to the default.
+        let none = WorkflowPlan::from_script("histogram a.fp x 4").unwrap();
+        assert_eq!(none.directives, ScriptDirectives::default());
     }
 
     #[test]
@@ -824,7 +887,9 @@ mod tests {
             aprun -n 1 histogram m.fp r 4 &
             wait
         "#;
-        let (entries, directives) = parse_script_with_directives(script).unwrap();
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        let directives = &plan.directives;
+        let entries: Vec<&LaunchEntry> = plan.components.iter().map(|c| &c.entry).collect();
         assert_eq!(entries.len(), 3);
         // Entries record their 1-based script line.
         assert_eq!(entries[0].line, 6);
@@ -846,7 +911,7 @@ mod tests {
     #[test]
     fn repeated_transports_keep_the_first_and_record_all() {
         let script = "#@ transport tcp://a:1\n#@ transport tcp://b:2\nhistogram a.fp x 4";
-        let (_, directives) = parse_script_with_directives(script).unwrap();
+        let directives = WorkflowPlan::from_script(script).unwrap().directives;
         assert_eq!(directives.transport.as_deref(), Some("tcp://a:1"));
         assert_eq!(
             directives.transports,
@@ -875,7 +940,7 @@ mod tests {
             ("#@ process", "process without name"),
         ] {
             assert!(
-                parse_script_with_directives(script).is_err(),
+                WorkflowPlan::from_script(script).is_err(),
                 "should reject: {what}"
             );
         }

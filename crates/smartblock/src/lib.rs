@@ -15,9 +15,11 @@
 //!
 //! Workflows are assembled exactly as in the paper: a launch script names
 //! each component, its process count, and its input/output stream and array
-//! names ([`launch`] parses the `aprun`-style grammar of Figs. 1–3 and 8);
-//! the [`runtime`] launches every component of the workflow simultaneously
-//! and FlexPath-style blocking connects them in any order.
+//! names ([`launch`] imports the `aprun`-style grammar of Figs. 1–3 and 8;
+//! [`spec`] compiles the declarative `.sbw` form; both lower to one typed
+//! [`WorkflowPlan`]); the [`runtime`] launches every component of the
+//! workflow simultaneously and FlexPath-style blocking connects them in
+//! any order.
 //!
 //! Beyond the paper's four components, the crate includes the §V-C
 //! all-in-one baseline ([`AllInOne`]) used to measure the cost of
@@ -70,7 +72,6 @@ pub mod analysis;
 pub mod combine;
 pub mod component;
 pub mod dim_reduce;
-pub mod distributed;
 pub mod error;
 pub mod file_io;
 pub mod fork;
@@ -78,6 +79,7 @@ pub mod histogram;
 pub mod launch;
 pub mod magnitude;
 pub mod metrics;
+pub mod plan;
 pub mod reduce;
 pub mod runtime;
 pub mod select;
@@ -93,30 +95,25 @@ pub mod workflows;
 pub use all_in_one::AllInOne;
 pub use all_pairs::AllPairs;
 pub use analysis::{
-    lint_script, lint_spec, AnalysisIssue, ArraySpec, Diagnostic, DimSpec, Extent, Level, Lint,
+    lint_plan, lint_source, AnalysisIssue, ArraySpec, Diagnostic, DimSpec, Extent, Level, Lint,
     LintConfig, PartitionRule, ReadSpec, ScriptLint, Severity, Signature, SpecError, StepContract,
     StreamSpec, LINTS,
 };
 pub use combine::{BinaryOp, Combine};
 pub use component::{Component, StepFault, StreamArray};
 pub use dim_reduce::DimReduce;
-pub use distributed::{
-    apply_policy_directives, load_workflow_source, partial_workflow, plan_script, run_components,
-    LoadedScript, PlannedComponent, SourceKind,
-};
 pub use error::{ComponentError, ComponentResult, StepError, StepResult, WorkflowError};
 pub use file_io::{FileRead, FileWrite};
 pub use fork::Fork;
 pub use histogram::{Histogram, HistogramResult};
-pub use launch::{
-    parse_script, parse_script_with_directives, LaunchEntry, Program, ScriptDirectives,
-};
+pub use launch::{LaunchEntry, LaunchError, Program, ScriptDirectives};
 pub use magnitude::Magnitude;
 pub use metrics::{ComponentOutcome, ComponentReport, ComponentStats, WorkflowReport};
+pub use plan::{PlannedComponent, WorkflowPlan};
 pub use reduce::{Reduce, ReduceOp};
 pub use runtime::{WiringIssue, Workflow};
 pub use select::Select;
-pub use spec::{ParsedSpec, SpecIssue, SpecLoadError, SpecOptions, SpecParseError, WorkflowSpec};
+pub use spec::{SpecIssue, SpecLoadError};
 pub use stats::Stats;
 pub use supervisor::{FailureAction, FaultPolicy, RunOptions, Validation};
 pub use temporal::TemporalMean;
@@ -147,8 +144,8 @@ pub mod prelude {
         WorkflowError, WorkflowReport,
     };
     pub use crate::{
-        ParsedSpec, SpecIssue, SpecLoadError, SpecOptions, SpecParseError, Trigger, TriggerAction,
-        TriggerFire, TriggerOp, WorkflowSpec,
+        LaunchError, SpecIssue, SpecLoadError, Trigger, TriggerAction, TriggerFire, TriggerOp,
+        WorkflowPlan,
     };
     pub use sb_stream::{
         EventKind, FaultKind, FaultPlan, StepStatus, StreamError, StreamHub, Timeline, TraceConfig,

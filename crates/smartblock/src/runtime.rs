@@ -190,12 +190,29 @@ impl std::fmt::Display for WiringIssue {
     }
 }
 
+/// `base`, or the first of `base-2`, `base-3`, … that is not `taken`: the
+/// one label-dedup rule, shared by [`Workflow::add`] and the plan builder so
+/// every process derives the same labels from the same source.
+pub(crate) fn unique_label(base: String, taken: impl Fn(&str) -> bool) -> String {
+    if !taken(&base) {
+        return base;
+    }
+    let mut n = 2;
+    loop {
+        let candidate = format!("{base}-{n}");
+        if !taken(&candidate) {
+            return candidate;
+        }
+        n += 1;
+    }
+}
+
 struct Entry {
     label: String,
     nranks: usize,
     component: Arc<dyn Component>,
-    /// 1-based launch-script line this entry came from, when the workflow
-    /// was assembled from a script; threaded into lint diagnostics.
+    /// 1-based source line this entry came from, when the workflow was
+    /// built from a plan; threaded into lint diagnostics.
     line: Option<usize>,
 }
 
@@ -250,17 +267,10 @@ impl Workflow {
     /// labels get `-2`, `-3`, … suffixes, mirroring the paper's
     /// "Dim-Reduce 1"/"Dim-Reduce 2").
     pub fn add<C: Component>(&mut self, nranks: usize, component: C) -> &mut Self {
-        let base = component.label();
-        let label = self.unique_label(base);
+        let label = unique_label(component.label(), |l| {
+            self.entries.iter().any(|e| e.label == l)
+        });
         self.add_labeled(label, nranks, component)
-    }
-
-    /// [`Workflow::add`], also recording the 1-based launch-script line
-    /// the component came from (threaded into lint diagnostics).
-    pub fn add_at<C: Component>(&mut self, nranks: usize, component: C, line: usize) -> &mut Self {
-        let base = component.label();
-        let label = self.unique_label(base);
-        self.push_entry(label, nranks, Arc::new(component), Some(line))
     }
 
     /// Adds a component under an explicit label.
@@ -273,7 +283,9 @@ impl Workflow {
         self.push_entry(label.into(), nranks, Arc::new(component), None)
     }
 
-    fn push_entry(
+    /// Adds an already-labelled component, recording the 1-based source
+    /// line it was planned from (threaded into lint diagnostics).
+    pub(crate) fn push_entry(
         &mut self,
         label: String,
         nranks: usize,
@@ -341,20 +353,6 @@ impl Workflow {
                 consume,
             },
         )
-    }
-
-    fn unique_label(&self, base: String) -> String {
-        if self.entries.iter().all(|e| e.label != base) {
-            return base;
-        }
-        let mut n = 2;
-        loop {
-            let candidate = format!("{base}-{n}");
-            if self.entries.iter().all(|e| e.label != candidate) {
-                return candidate;
-            }
-            n += 1;
-        }
     }
 
     /// Labels in launch order.

@@ -46,17 +46,25 @@
 //!
 //! ## Compilation
 //!
-//! A spec compiles into the existing launch model by *synthesis*: every
-//! construct is rendered as the equivalent launch-script line (`aprun …` or
-//! `#@ …` directive), placed at the **same 1-based line number** the
-//! construct occupies in the `.sbw` file, and the result goes through
-//! [`crate::launch::parse_script_with_directives`]. Grammar-level errors
-//! and every existing lint therefore report line-accurate positions in the
-//! spec, with no second validation path to keep in sync.
+//! [`WorkflowPlan::from_spec`] lowers the tables straight to the typed
+//! [`WorkflowPlan`] the `.sb` importer also produces; no launch-script text
+//! is synthesized on the way. Each `[[component]]` table hands its
+//! `program`, `ranks` and `args` to the per-entry grammar
+//! ([`crate::launch`]'s `launch`) — one non-empty `args` element is one
+//! token, whatever characters it holds — and its typed option keys are set on the
+//! resulting [`LaunchEntry`]; `[transport]`, `[policy.*]` and
+//! `[process.*]` tables become the same directive values a script's `#@`
+//! lines do.
+//!
+//! Every value carries the 1-based `.sbw` line it was read from: an entry
+//! its `[[component]]` header, a policy or process its table header, the
+//! transport its `url` key, a trigger its `[[trigger]]` header. Errors and
+//! lint diagnostics therefore point into the spec file itself.
 //!
 //! Spec-*level* issues (unknown keys, trigger references to undeclared
-//! components, policy conflicts) are collected as [`SpecIssue`]s and
-//! surface through the lint engine as SB018–SB020.
+//! components, policy conflicts) are collected as [`SpecIssue`]s on
+//! [`WorkflowPlan::issues`] and surface through the lint engine as
+//! SB018–SB020.
 //!
 //! ## Subset
 //!
@@ -72,27 +80,11 @@ use std::time::Duration;
 
 use sb_stream::{Compression, StreamHub, TraceConfig, WireProtocol};
 
-use crate::distributed::{apply_policy_directives, partial_workflow, plan_script};
-use crate::launch::{parse_script_with_directives, LaunchEntry, ScriptDirectives};
+use crate::launch::{err, launch, LaunchEntry, LaunchError, PolicyDirective, ProcessDirective};
+use crate::plan::{plan_components, WorkflowPlan};
 use crate::runtime::Workflow;
+use crate::supervisor::FaultPolicy;
 use crate::triggers::{Trigger, TriggerAction};
-
-/// A syntax or structural error in a `.sbw` spec: the spec cannot compile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// 1-based spec line.
-    pub line: usize,
-    /// What went wrong.
-    pub detail: String,
-}
-
-impl fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "spec line {}: {}", self.line, self.detail)
-    }
-}
-
-impl std::error::Error for SpecParseError {}
 
 /// A spec-level issue found while compiling a parseable `.sbw` file.
 /// Surfaced through the lint engine as SB018–SB020; deny-level kinds also
@@ -172,11 +164,10 @@ pub enum SpecLoadError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// The spec does not parse or compile.
-    Parse(SpecParseError),
+    /// The spec does not parse or compile: one error per offending line.
+    Parse(Vec<LaunchError>),
     /// The spec compiled but carries deny-level issues (undeclared trigger
-    /// references, conflicting constructs) — or warn-level issues under
-    /// [`SpecOptions::strict`].
+    /// references, conflicting constructs).
     Invalid {
         /// Rendered issues, in spec order.
         issues: Vec<String>,
@@ -187,7 +178,10 @@ impl fmt::Display for SpecLoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecLoadError::Io { path, source } => write!(f, "reading spec {path:?}: {source}"),
-            SpecLoadError::Parse(e) => e.fmt(f),
+            SpecLoadError::Parse(errors) => {
+                let lines: Vec<String> = errors.iter().map(|e| format!("spec {e}")).collect();
+                f.write_str(&lines.join("; "))
+            }
             SpecLoadError::Invalid { issues } => {
                 write!(f, "invalid spec: {}", issues.join("; "))
             }
@@ -196,39 +190,6 @@ impl fmt::Display for SpecLoadError {
 }
 
 impl std::error::Error for SpecLoadError {}
-
-impl From<SpecParseError> for SpecLoadError {
-    fn from(e: SpecParseError) -> SpecLoadError {
-        SpecLoadError::Parse(e)
-    }
-}
-
-/// Options for loading a spec via
-/// [`Workflow::from_spec_with`](crate::Workflow::from_spec_with).
-///
-/// Marked `#[non_exhaustive]`; construct via [`SpecOptions::default`] (or
-/// [`SpecOptions::new`]) and refine with the `with_*` setters.
-#[non_exhaustive]
-#[derive(Debug, Clone, Default)]
-pub struct SpecOptions {
-    /// Treat warn-level spec issues (unknown keys) as load errors too.
-    pub strict: bool,
-}
-
-impl SpecOptions {
-    /// The default options: warn-level issues are ignored at load time
-    /// (run `sb-lint` to see them).
-    pub fn new() -> SpecOptions {
-        SpecOptions::default()
-    }
-
-    /// Refuses to load a spec with *any* issue, warn-level included
-    /// (builder style).
-    pub fn with_strict(mut self, strict: bool) -> SpecOptions {
-        self.strict = strict;
-        self
-    }
-}
 
 /// One parsed scalar (or list) value of a spec key.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,292 +234,308 @@ impl RawTable {
     }
 }
 
-/// The compiled form of a `.sbw` spec: everything `sb-lint`, `sb-run`, and
-/// [`Workflow::from_spec`] need, in one value.
-#[derive(Debug, Clone)]
-pub struct ParsedSpec {
-    /// The `[workflow] name`, when declared.
-    pub name: Option<String>,
-    /// The launch entries the spec compiled to, with `.sbw` line numbers.
-    pub entries: Vec<LaunchEntry>,
-    /// The script-level directives (transport, policies, processes) the
-    /// spec compiled to, with `.sbw` line numbers.
-    pub directives: ScriptDirectives,
-    /// Parsed reactive trigger clauses, in declaration order.
-    pub triggers: Vec<Trigger>,
-    /// The `[trace]` table, when enabled.
-    pub trace: Option<TraceConfig>,
-    /// The `[transport] timeout_secs`, when declared.
-    pub hub_timeout: Option<Duration>,
-    /// The `[transport] protocol`, when declared.
-    pub protocol: Option<WireProtocol>,
-    /// The `[transport] compression`, when declared.
-    pub compression: Option<Compression>,
-    /// Spec-level issues (SB018–SB020), in spec order.
-    pub issues: Vec<SpecIssue>,
-    /// The line-preserving launch script the spec compiled through: line
-    /// `n` of this text corresponds to line `n` of the `.sbw` file.
-    pub script: String,
-}
-
-impl ParsedSpec {
-    /// The deny-level issues, rendered with their lines.
-    pub fn deny_issues(&self) -> Vec<String> {
-        self.issues
-            .iter()
-            .filter(|i| i.is_deny())
-            .map(|i| format!("line {}: {i}", i.line()))
-            .collect()
-    }
-}
-
-/// The `.sbw` spec language: [`WorkflowSpec::parse`] compiles spec text
-/// into a [`ParsedSpec`].
-pub struct WorkflowSpec;
-
-/// The option keys a `[[component]]` table may carry, mirrored onto the
-/// synthesized launch line as `key=value` tokens.
+/// The option keys a `[[component]]` table may carry, set on the lowered
+/// entry as launch options.
 const COMPONENT_OPTION_KEYS: &[&str] = &["group", "queue", "rendezvous", "groups", "stride"];
 
-impl WorkflowSpec {
-    /// Parses and compiles `.sbw` text. `Err` means the spec cannot
-    /// compile at all; an `Ok` value may still carry [`SpecIssue`]s.
-    pub fn parse(text: &str) -> Result<ParsedSpec, SpecParseError> {
-        let tables = parse_tables(text)?;
-        let mut issues: Vec<SpecIssue> = Vec::new();
-        let mut name = None;
-        let mut trace: Option<TraceConfig> = None;
-        let mut hub_timeout = None;
-        let mut protocol = None;
-        let mut compression = None;
-        // Rendered launch-script lines by 1-based spec line.
-        let mut rendered: BTreeMap<usize, String> = BTreeMap::new();
-        let mut seen_single: BTreeMap<String, usize> = BTreeMap::new();
-        let mut process_members: Vec<(String, String, usize)> = Vec::new();
-        let mut trigger_tables: Vec<&RawTable> = Vec::new();
+impl WorkflowPlan {
+    /// Compiles `.sbw` text into a plan. `Err` means the spec cannot
+    /// compile at all (a syntax error stops at its line; components that
+    /// reject their arguments are all reported); an `Ok` plan may still
+    /// carry [`SpecIssue`]s.
+    pub fn from_spec(text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
+        let (entries, mut plan) = lower(text).map_err(|e| vec![e])?;
+        plan.components = plan_components(entries)?;
 
-        for table in &tables {
-            let header = table.path.join(".");
-            // Duplicate non-array tables contradict each other.
-            let is_array = matches!(table.path[0].as_str(), "component" | "trigger");
-            if !is_array {
-                if let Some(first) = seen_single.insert(header.clone(), table.line) {
-                    issues.push(SpecIssue::Conflict {
-                        detail: format!("duplicate [{header}] table (first at line {first})"),
-                        line: table.line,
-                    });
-                    continue;
-                }
-            }
-            match (table.path[0].as_str(), table.path.len()) {
-                ("workflow", 1) => {
-                    name = opt_str(table, "name", &mut issues)?;
-                    warn_unknown(table, &["name"], &mut issues);
-                }
-                ("transport", 1) => {
-                    let url = if let Some((url, line)) = table.get("url") {
-                        let url = expect_str(url, "url", line)?;
-                        rendered.insert(line, format!("#@ transport {url}"));
-                        Some(url)
-                    } else {
-                        None
-                    };
-                    if let Some((v, line)) = table.get("protocol") {
-                        match expect_str(v, "protocol", line)?.as_str() {
-                            "v1" => protocol = Some(WireProtocol::V1),
-                            "v2" => protocol = Some(WireProtocol::V2),
-                            // "shm" names the fabric, not a frame format: it
-                            // pins the declared endpoint to the same-host
-                            // `shm://` scheme and leaves the wire protocol
-                            // (v1/v2 over its socket) at its default.
-                            "shm" => match url.as_deref() {
-                                Some(u) if u.starts_with("shm://") => {}
-                                Some(u) => {
-                                    return Err(err(
-                                        line,
-                                        format!("protocol \"shm\" needs an shm:// url, got {u:?}"),
-                                    ))
-                                }
-                                None => {
-                                    return Err(err(
-                                        line,
-                                        "protocol \"shm\" needs a [transport] url declaring an \
-                                         shm:// endpoint"
-                                            .to_string(),
-                                    ))
-                                }
-                            },
-                            other => {
-                                return Err(err(
-                                    line,
-                                    format!("bad protocol {other:?} (v1 | v2 | shm)"),
-                                ))
-                            }
-                        }
-                    }
-                    if let Some((v, line)) = table.get("compression") {
-                        compression = Some(match expect_str(v, "compression", line)?.as_str() {
-                            "none" => Compression::None,
-                            "lz" => Compression::Lz,
-                            other => {
-                                return Err(err(
-                                    line,
-                                    format!("bad compression {other:?} (none | lz)"),
-                                ))
-                            }
-                        });
-                    }
-                    if let Some((v, line)) = table.get("timeout_secs") {
-                        let secs = expect_pos_int(v, "timeout_secs", line)?;
-                        hub_timeout = Some(Duration::from_secs(secs as u64));
-                    }
-                    warn_unknown(
-                        table,
-                        &["url", "protocol", "compression", "timeout_secs"],
-                        &mut issues,
-                    );
-                }
-                ("trace", 1) => {
-                    let enabled = match table.get("enabled") {
-                        Some((v, line)) => expect_bool(v, "enabled", line)?,
-                        None => true,
-                    };
-                    if enabled {
-                        let mut config = TraceConfig::new();
-                        if let Some((v, line)) = table.get("ring_capacity") {
-                            config = config.with_ring_capacity(expect_pos_int(
-                                v,
-                                "ring_capacity",
-                                line,
-                            )?);
-                        }
-                        trace = Some(config);
-                    }
-                    warn_unknown(table, &["enabled", "ring_capacity"], &mut issues);
-                }
-                ("component", 1) => {
-                    let rendered_line = render_component(table, &mut issues)?;
-                    rendered.insert(table.line, rendered_line);
-                }
-                ("policy", 2) => {
-                    let label = &table.path[1];
-                    let spec = render_policy(table, &mut issues)?;
-                    rendered.insert(table.line, format!("#@ policy {label} {spec}"));
-                }
-                ("process", 2) => {
-                    let pname = &table.path[1];
-                    let Some((members, mline)) = table.get("members") else {
-                        return Err(err(table.line, "[process.*] needs members = [\"…\"]"));
-                    };
-                    let members = expect_list(members, "members", mline)?;
-                    if members.is_empty() {
-                        return Err(err(mline, "members must not be empty"));
-                    }
-                    for m in &members {
-                        no_whitespace(m, "member", mline)?;
-                        process_members.push((m.clone(), pname.clone(), table.line));
-                    }
-                    warn_unknown(table, &["members"], &mut issues);
-                    rendered.insert(
-                        table.line,
-                        format!("#@ process {pname} {}", members.join(",")),
-                    );
-                }
-                ("trigger", 1) => trigger_tables.push(table),
-                _ => issues.push(SpecIssue::UnknownKey {
-                    key: format!("[{header}]"),
-                    table: "(top level)".into(),
-                    line: table.line,
-                }),
-            }
-        }
-
-        // A component in two process groups would be launched twice.
-        for (i, (member, pname, line)) in process_members.iter().enumerate() {
-            if let Some((_, other, _)) = process_members[..i].iter().find(|(m, _, _)| m == member) {
-                issues.push(SpecIssue::Conflict {
-                    detail: format!(
-                        "component {member:?} is assigned to both process {other:?} and \
-                         process {pname:?}"
-                    ),
-                    line: *line,
-                });
-            }
-        }
-
-        // Synthesize the line-preserving script and reuse the launch
-        // grammar wholesale: its errors carry `.sbw`-accurate lines.
-        let last = rendered.keys().max().copied().unwrap_or(0);
-        let mut script = String::new();
-        for lineno in 1..=last {
-            if let Some(line) = rendered.get(&lineno) {
-                script.push_str(line);
-            }
-            script.push('\n');
-        }
-        let (entries, directives) =
-            parse_script_with_directives(&script).map_err(|e| err(e.line, e.detail))?;
-
-        // Labels every process agrees on, for trigger-reference checks.
-        let labels: Vec<String> = plan_script(&script)
-            .map_err(|e| err(e.line, e.detail))?
-            .0
-            .into_iter()
-            .map(|p| p.label)
-            .collect();
-
-        let mut triggers = Vec::new();
-        for table in trigger_tables {
-            let Some((when, wline)) = table.get("when") else {
-                return Err(err(table.line, "[[trigger]] needs a when clause"));
-            };
-            let when = expect_str(when, "when", wline)?;
-            let Some((then, tline)) = table.get("then") else {
-                return Err(err(table.line, "[[trigger]] needs a then clause"));
-            };
-            let then = expect_str(then, "then", tline)?;
-            warn_unknown(table, &["when", "then"], &mut issues);
-            let (component, signal, op, value) =
-                Trigger::parse_when(&when).map_err(|detail| err(wline, detail))?;
-            let action = Trigger::parse_then(&then).map_err(|detail| err(tline, detail))?;
-            if !labels.iter().any(|l| l == &component) {
-                issues.push(SpecIssue::UndeclaredTriggerRef {
-                    reference: component.clone(),
-                    line: table.line,
-                });
-            }
-            let target = match &action {
+        // Trigger references resolve against the labels every process
+        // agrees on, which exist only now.
+        for trigger in &plan.triggers {
+            let target = match &trigger.action {
                 TriggerAction::SetOutputStride { target, .. }
-                | TriggerAction::RaiseFaultPolicy { target, .. } => Some(target.clone()),
+                | TriggerAction::RaiseFaultPolicy { target, .. } => Some(target),
                 TriggerAction::SnapshotStream { .. } => None,
             };
-            if let Some(target) = target {
-                if !labels.iter().any(|l| l == &target) {
-                    issues.push(SpecIssue::UndeclaredTriggerRef {
-                        reference: target,
-                        line: table.line,
+            for reference in std::iter::once(&trigger.component).chain(target) {
+                if !plan.declares(reference) {
+                    plan.issues.push(SpecIssue::UndeclaredTriggerRef {
+                        reference: reference.clone(),
+                        line: trigger.line,
                     });
                 }
             }
-            let mut trigger = Trigger::new(component, signal, op, value, action);
-            trigger.line = table.line;
-            triggers.push(trigger);
         }
-
-        issues.sort_by_key(|i| i.line());
-        Ok(ParsedSpec {
-            name,
-            entries,
-            directives,
-            triggers,
-            trace,
-            hub_timeout,
-            protocol,
-            compression,
-            issues,
-            script,
-        })
+        plan.issues.sort_by_key(|i| i.line());
+        Ok(plan)
     }
+}
+
+/// Lowers the spec's tables to launch entries plus everything else the
+/// plan carries (its `components` are planned by the caller).
+fn lower(text: &str) -> Result<(Vec<LaunchEntry>, WorkflowPlan), LaunchError> {
+    let tables = parse_tables(text)?;
+    let mut plan = WorkflowPlan::default();
+    let mut entries = Vec::new();
+    let mut seen_single: BTreeMap<String, usize> = BTreeMap::new();
+
+    for table in &tables {
+        let header = table.path.join(".");
+        // Duplicate non-array tables contradict each other.
+        let is_array = matches!(table.path[0].as_str(), "component" | "trigger");
+        if !is_array {
+            if let Some(first) = seen_single.insert(header.clone(), table.line) {
+                plan.issues.push(SpecIssue::Conflict {
+                    detail: format!("duplicate [{header}] table (first at line {first})"),
+                    line: table.line,
+                });
+                continue;
+            }
+        }
+        match (table.path[0].as_str(), table.path.len()) {
+            ("workflow", 1) => {
+                if let Some((v, line)) = table.get("name") {
+                    plan.name = Some(expect_str(v, "name", line)?);
+                }
+                warn_unknown(table, &["name"], &mut plan.issues);
+            }
+            ("transport", 1) => lower_transport(table, &mut plan)?,
+            ("trace", 1) => {
+                let enabled = match table.get("enabled") {
+                    Some((v, line)) => expect_bool(v, "enabled", line)?,
+                    None => true,
+                };
+                if enabled {
+                    let mut config = TraceConfig::new();
+                    if let Some((v, line)) = table.get("ring_capacity") {
+                        config =
+                            config.with_ring_capacity(expect_pos_int(v, "ring_capacity", line)?);
+                    }
+                    plan.trace = Some(config);
+                }
+                warn_unknown(table, &["enabled", "ring_capacity"], &mut plan.issues);
+            }
+            ("component", 1) => entries.push(lower_component(table, &mut plan.issues)?),
+            ("policy", 2) => {
+                let policy = lower_policy(table, &mut plan.issues)?;
+                plan.directives.policies.push(PolicyDirective {
+                    label: table.path[1].clone(),
+                    policy,
+                    line: table.line,
+                });
+            }
+            ("process", 2) => {
+                let Some((members, mline)) = table.get("members") else {
+                    return Err(err(table.line, "[process.*] needs members = [\"…\"]"));
+                };
+                let members = expect_list(members, "members", mline)?;
+                if members.is_empty() {
+                    return Err(err(mline, "members must not be empty"));
+                }
+                for member in &members {
+                    non_empty(member, "member", mline)?;
+                }
+                warn_unknown(table, &["members"], &mut plan.issues);
+                plan.directives.processes.push(ProcessDirective {
+                    name: table.path[1].clone(),
+                    members,
+                    line: table.line,
+                });
+            }
+            ("trigger", 1) => plan.triggers.push(lower_trigger(table, &mut plan.issues)?),
+            _ => plan.issues.push(SpecIssue::UnknownKey {
+                key: format!("[{header}]"),
+                table: "(top level)".into(),
+                line: table.line,
+            }),
+        }
+    }
+
+    // A component in two process groups would be launched twice.
+    let members: Vec<(&String, &ProcessDirective)> = plan
+        .directives
+        .processes
+        .iter()
+        .flat_map(|p| p.members.iter().map(move |m| (m, p)))
+        .collect();
+    for (i, (member, process)) in members.iter().enumerate() {
+        if let Some((_, other)) = members[..i].iter().find(|(m, _)| m == member) {
+            plan.issues.push(SpecIssue::Conflict {
+                detail: format!(
+                    "component {member:?} is assigned to both process {:?} and process {:?}",
+                    other.name, process.name
+                ),
+                line: process.line,
+            });
+        }
+    }
+    Ok((entries, plan))
+}
+
+/// Lowers the `[transport]` table: the endpoint directive plus the wire
+/// and timeout defaults.
+fn lower_transport(table: &RawTable, plan: &mut WorkflowPlan) -> Result<(), LaunchError> {
+    let url = match table.get("url") {
+        Some((url, line)) => {
+            let url = expect_str(url, "url", line)?;
+            plan.directives.declare_transport(&url, line)?;
+            Some(url)
+        }
+        None => None,
+    };
+    if let Some((v, line)) = table.get("protocol") {
+        match expect_str(v, "protocol", line)?.as_str() {
+            "v1" => plan.protocol = Some(WireProtocol::V1),
+            "v2" => plan.protocol = Some(WireProtocol::V2),
+            // "shm" names the fabric, not a frame format: it pins the
+            // declared endpoint to the same-host `shm://` scheme and leaves
+            // the wire protocol (v1/v2 over its socket) at its default.
+            "shm" => match url.as_deref() {
+                Some(u) if u.starts_with("shm://") => {}
+                Some(u) => {
+                    return Err(err(
+                        line,
+                        format!("protocol \"shm\" needs an shm:// url, got {u:?}"),
+                    ))
+                }
+                None => {
+                    return Err(err(
+                        line,
+                        "protocol \"shm\" needs a [transport] url declaring an shm:// endpoint",
+                    ))
+                }
+            },
+            other => return Err(err(line, format!("bad protocol {other:?} (v1 | v2 | shm)"))),
+        }
+    }
+    if let Some((v, line)) = table.get("compression") {
+        plan.compression = Some(match expect_str(v, "compression", line)?.as_str() {
+            "none" => Compression::None,
+            "lz" => Compression::Lz,
+            other => return Err(err(line, format!("bad compression {other:?} (none | lz)"))),
+        });
+    }
+    if let Some((v, line)) = table.get("timeout_secs") {
+        let secs = expect_pos_int(v, "timeout_secs", line)?;
+        plan.hub_timeout = Some(Duration::from_secs(secs as u64));
+    }
+    warn_unknown(
+        table,
+        &["url", "protocol", "compression", "timeout_secs"],
+        &mut plan.issues,
+    );
+    Ok(())
+}
+
+/// Lowers one `[[component]]` table to its launch entry. Each `args`
+/// element is one token of the launch grammar, passed through as written
+/// (an empty one is refused).
+fn lower_component(
+    table: &RawTable,
+    issues: &mut Vec<SpecIssue>,
+) -> Result<LaunchEntry, LaunchError> {
+    let Some((program, pline)) = table.get("program") else {
+        return Err(err(table.line, "[[component]] needs a program"));
+    };
+    let program = expect_str(program, "program", pline)?;
+    non_empty(&program, "program", pline)?;
+    let ranks = match table.get("ranks") {
+        Some((v, line)) => expect_pos_int(v, "ranks", line)?,
+        None => 1,
+    };
+    let args = match table.get("args") {
+        Some((args, aline)) => {
+            let args = expect_list(args, "args", aline)?;
+            for arg in &args {
+                non_empty(arg, "argument", aline)?;
+            }
+            args
+        }
+        None => Vec::new(),
+    };
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let mut entry = launch(ranks, &program, &args, table.line)?;
+    for key in COMPONENT_OPTION_KEYS {
+        let Some((v, vline)) = table.get(key) else {
+            continue;
+        };
+        let value = match (v, *key) {
+            (SpecValue::Bool(b), "rendezvous") => usize::from(*b).to_string(),
+            (SpecValue::Str(s), "group") => {
+                non_empty(s, "group", vline)?;
+                s.clone()
+            }
+            (_, "group") => return Err(err(vline, "group must be a string")),
+            (_, "rendezvous") => return Err(err(vline, "rendezvous must be a boolean")),
+            (v, key) => expect_pos_int(v, key, vline)?.to_string(),
+        };
+        entry.set_option(key, value);
+    }
+    let mut known: Vec<&str> = vec!["program", "ranks", "args"];
+    known.extend_from_slice(COMPONENT_OPTION_KEYS);
+    warn_unknown(table, &known, issues);
+    Ok(entry)
+}
+
+/// Lowers one `[policy.LABEL]` table to its fault policy.
+fn lower_policy(table: &RawTable, issues: &mut Vec<SpecIssue>) -> Result<FaultPolicy, LaunchError> {
+    let Some((action, aline)) = table.get("action") else {
+        return Err(err(table.line, "[policy.*] needs an action"));
+    };
+    let action = expect_str(action, "action", aline)?;
+    warn_unknown(table, &["action", "max_restarts", "backoff_ms"], issues);
+    match action.as_str() {
+        "abort" | "degrade" => {
+            for key in ["max_restarts", "backoff_ms"] {
+                if let Some((_, kline)) = table.get(key) {
+                    issues.push(SpecIssue::Conflict {
+                        detail: format!("{key} is meaningless with action = {action:?}"),
+                        line: kline,
+                    });
+                }
+            }
+            Ok(if action == "abort" {
+                FaultPolicy::abort()
+            } else {
+                FaultPolicy::degrade()
+            })
+        }
+        "restart" => {
+            let Some((n, nline)) = table.get("max_restarts") else {
+                return Err(err(aline, "action = \"restart\" needs max_restarts"));
+            };
+            let n = u32::try_from(expect_pos_int(n, "max_restarts", nline)?)
+                .map_err(|_| err(nline, "max_restarts is too large"))?;
+            let mut policy = FaultPolicy::restart(n);
+            if let Some((ms, mline)) = table.get("backoff_ms") {
+                let ms = expect_pos_int(ms, "backoff_ms", mline)?;
+                policy = policy.with_backoff(Duration::from_millis(ms as u64));
+            }
+            Ok(policy)
+        }
+        other => Err(err(
+            aline,
+            format!("bad action {other:?} (abort, degrade, or restart)"),
+        )),
+    }
+}
+
+/// Lowers one `[[trigger]]` table to its clause (references are checked
+/// once the components are planned).
+fn lower_trigger(table: &RawTable, issues: &mut Vec<SpecIssue>) -> Result<Trigger, LaunchError> {
+    let Some((when, wline)) = table.get("when") else {
+        return Err(err(table.line, "[[trigger]] needs a when clause"));
+    };
+    let when = expect_str(when, "when", wline)?;
+    let Some((then, tline)) = table.get("then") else {
+        return Err(err(table.line, "[[trigger]] needs a then clause"));
+    };
+    let then = expect_str(then, "then", tline)?;
+    warn_unknown(table, &["when", "then"], issues);
+    let (component, signal, op, value) =
+        Trigger::parse_when(&when).map_err(|detail| err(wline, detail))?;
+    let action = Trigger::parse_then(&then).map_err(|detail| err(tline, detail))?;
+    let mut trigger = Trigger::new(component, signal, op, value, action);
+    trigger.line = table.line;
+    Ok(trigger)
 }
 
 impl Workflow {
@@ -576,69 +553,42 @@ impl Workflow {
     /// the whole workflow in memory; `sb-run` uses the URL for
     /// multi-process deployments.
     pub fn from_spec(path: impl AsRef<std::path::Path>) -> Result<Workflow, SpecLoadError> {
-        Workflow::from_spec_with(path, SpecOptions::default())
-    }
-
-    /// [`Workflow::from_spec`] with explicit [`SpecOptions`].
-    pub fn from_spec_with(
-        path: impl AsRef<std::path::Path>,
-        options: SpecOptions,
-    ) -> Result<Workflow, SpecLoadError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|source| SpecLoadError::Io {
             path: path.display().to_string(),
             source,
         })?;
-        Workflow::from_spec_text_with(&text, options)
+        Workflow::from_spec_text(&text)
     }
 
-    /// [`Workflow::from_spec`] over in-memory spec text.
+    /// [`Workflow::from_spec`] over in-memory spec text. Deny-level spec
+    /// issues refuse the load; warn-level ones (unknown keys) do not — run
+    /// `sb-lint`, or read [`WorkflowPlan::issues`], to see them.
     pub fn from_spec_text(text: &str) -> Result<Workflow, SpecLoadError> {
-        Workflow::from_spec_text_with(text, SpecOptions::default())
-    }
-
-    /// [`Workflow::from_spec_text`] with explicit [`SpecOptions`].
-    pub fn from_spec_text_with(
-        text: &str,
-        options: SpecOptions,
-    ) -> Result<Workflow, SpecLoadError> {
-        let spec = WorkflowSpec::parse(text)?;
-        let issues: Vec<String> = if options.strict {
-            spec.issues
-                .iter()
-                .map(|i| format!("line {}: {i}", i.line()))
-                .collect()
-        } else {
-            spec.deny_issues()
-        };
-        if !issues.is_empty() {
-            return Err(SpecLoadError::Invalid { issues });
-        }
-        let (plan, directives) =
-            plan_script(&spec.script).map_err(|e| SpecLoadError::Parse(err(e.line, e.detail)))?;
-        let mut wf = partial_workflow(StreamHub::new(), &plan, &[]).map_err(|detail| {
-            SpecLoadError::Invalid {
+        let plan = WorkflowPlan::from_spec(text)
+            .map_err(SpecLoadError::Parse)?
+            .runnable()
+            .map_err(|denied| SpecLoadError::Invalid {
+                issues: denied.iter().map(LaunchError::to_string).collect(),
+            })?;
+        plan.workflow(StreamHub::new(), &[])
+            .map_err(|detail| SpecLoadError::Invalid {
                 issues: vec![detail],
-            }
-        })?;
-        apply_policy_directives(&mut wf, &directives);
-        for trigger in spec.triggers {
-            wf.add_trigger(trigger);
-        }
-        wf.default_trace = spec.trace;
-        wf.default_hub_timeout = spec.hub_timeout;
-        Ok(wf)
+            })
     }
 }
 
-fn err(line: usize, detail: impl Into<String>) -> SpecParseError {
-    SpecParseError {
-        line,
-        detail: detail.into(),
+/// One element of `args`/`members` (or a `program`/`group`) is one token
+/// of the launch grammar, spaces and all — but never an empty one, which
+/// would name a stream, array, or component `""`.
+fn non_empty(tok: &str, what: &str, line: usize) -> Result<(), LaunchError> {
+    if tok.is_empty() {
+        return Err(err(line, format!("{what} must not be empty")));
     }
+    Ok(())
 }
 
-fn expect_str(v: &SpecValue, key: &str, line: usize) -> Result<String, SpecParseError> {
+fn expect_str(v: &SpecValue, key: &str, line: usize) -> Result<String, LaunchError> {
     match v {
         SpecValue::Str(s) => Ok(s.clone()),
         other => Err(err(
@@ -648,7 +598,7 @@ fn expect_str(v: &SpecValue, key: &str, line: usize) -> Result<String, SpecParse
     }
 }
 
-fn expect_bool(v: &SpecValue, key: &str, line: usize) -> Result<bool, SpecParseError> {
+fn expect_bool(v: &SpecValue, key: &str, line: usize) -> Result<bool, LaunchError> {
     match v {
         SpecValue::Bool(b) => Ok(*b),
         other => Err(err(
@@ -658,7 +608,7 @@ fn expect_bool(v: &SpecValue, key: &str, line: usize) -> Result<bool, SpecParseE
     }
 }
 
-fn expect_pos_int(v: &SpecValue, key: &str, line: usize) -> Result<usize, SpecParseError> {
+fn expect_pos_int(v: &SpecValue, key: &str, line: usize) -> Result<usize, LaunchError> {
     match v {
         SpecValue::Int(n) if *n > 0 => Ok(*n as usize),
         SpecValue::Int(n) => Err(err(line, format!("{key} must be positive, got {n}"))),
@@ -669,36 +619,13 @@ fn expect_pos_int(v: &SpecValue, key: &str, line: usize) -> Result<usize, SpecPa
     }
 }
 
-fn expect_list(v: &SpecValue, key: &str, line: usize) -> Result<Vec<String>, SpecParseError> {
+fn expect_list(v: &SpecValue, key: &str, line: usize) -> Result<Vec<String>, LaunchError> {
     match v {
         SpecValue::List(items) => Ok(items.clone()),
         other => Err(err(
             line,
             format!("{key} must be a list, got {}", other.type_name()),
         )),
-    }
-}
-
-/// Synthesized tokens go through a whitespace-splitting grammar, so no
-/// token may contain whitespace.
-fn no_whitespace(tok: &str, what: &str, line: usize) -> Result<(), SpecParseError> {
-    if tok.chars().any(char::is_whitespace) || tok.is_empty() {
-        return Err(err(
-            line,
-            format!("{what} {tok:?} must be one non-empty whitespace-free token"),
-        ));
-    }
-    Ok(())
-}
-
-fn opt_str(
-    table: &RawTable,
-    key: &str,
-    _issues: &mut [SpecIssue],
-) -> Result<Option<String>, SpecParseError> {
-    match table.get(key) {
-        Some((v, line)) => Ok(Some(expect_str(v, key, line)?)),
-        None => Ok(None),
     }
 }
 
@@ -716,93 +643,8 @@ fn warn_unknown(table: &RawTable, known: &[&str], issues: &mut Vec<SpecIssue>) {
     }
 }
 
-/// Renders one `[[component]]` table as its launch-script line.
-fn render_component(
-    table: &RawTable,
-    issues: &mut Vec<SpecIssue>,
-) -> Result<String, SpecParseError> {
-    let Some((program, pline)) = table.get("program") else {
-        return Err(err(table.line, "[[component]] needs a program"));
-    };
-    let program = expect_str(program, "program", pline)?;
-    no_whitespace(&program, "program", pline)?;
-    let ranks = match table.get("ranks") {
-        Some((v, line)) => expect_pos_int(v, "ranks", line)?,
-        None => 1,
-    };
-    let mut line = format!("aprun -n {ranks} {program}");
-    if let Some((args, aline)) = table.get("args") {
-        for arg in expect_list(args, "args", aline)? {
-            no_whitespace(&arg, "argument", aline)?;
-            line.push(' ');
-            line.push_str(&arg);
-        }
-    }
-    for key in COMPONENT_OPTION_KEYS {
-        let Some((v, vline)) = table.get(key) else {
-            continue;
-        };
-        let value = match (v, *key) {
-            (SpecValue::Bool(b), "rendezvous") => usize::from(*b).to_string(),
-            (SpecValue::Str(s), "group") => {
-                no_whitespace(s, "group", vline)?;
-                s.clone()
-            }
-            (_, "group") => return Err(err(vline, "group must be a string")),
-            (_, "rendezvous") => return Err(err(vline, "rendezvous must be a boolean")),
-            (v, key) => expect_pos_int(v, key, vline)?.to_string(),
-        };
-        line.push_str(&format!(" {key}={value}"));
-    }
-    let mut known: Vec<&str> = vec!["program", "ranks", "args"];
-    known.extend_from_slice(COMPONENT_OPTION_KEYS);
-    warn_unknown(table, &known, issues);
-    line.push_str(" &");
-    Ok(line)
-}
-
-/// Renders one `[policy.LABEL]` table as its directive spec token
-/// (`abort`, `degrade`, `restart:N[:MS]`).
-fn render_policy(table: &RawTable, issues: &mut Vec<SpecIssue>) -> Result<String, SpecParseError> {
-    let Some((action, aline)) = table.get("action") else {
-        return Err(err(table.line, "[policy.*] needs an action"));
-    };
-    let action = expect_str(action, "action", aline)?;
-    warn_unknown(table, &["action", "max_restarts", "backoff_ms"], issues);
-    match action.as_str() {
-        "abort" | "degrade" => {
-            for key in ["max_restarts", "backoff_ms"] {
-                if let Some((_, kline)) = table.get(key) {
-                    issues.push(SpecIssue::Conflict {
-                        detail: format!("{key} is meaningless with action = {action:?}"),
-                        line: kline,
-                    });
-                }
-            }
-            Ok(action)
-        }
-        "restart" => {
-            let Some((n, nline)) = table.get("max_restarts") else {
-                return Err(err(aline, "action = \"restart\" needs max_restarts"));
-            };
-            let n = expect_pos_int(n, "max_restarts", nline)?;
-            match table.get("backoff_ms") {
-                Some((ms, mline)) => {
-                    let ms = expect_pos_int(ms, "backoff_ms", mline)?;
-                    Ok(format!("restart:{n}:{ms}"))
-                }
-                None => Ok(format!("restart:{n}")),
-            }
-        }
-        other => Err(err(
-            aline,
-            format!("bad action {other:?} (abort, degrade, or restart)"),
-        )),
-    }
-}
-
 /// Parses the TOML subset into raw tables with per-key line numbers.
-fn parse_tables(text: &str) -> Result<Vec<RawTable>, SpecParseError> {
+fn parse_tables(text: &str) -> Result<Vec<RawTable>, LaunchError> {
     let mut tables: Vec<RawTable> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -870,7 +712,7 @@ fn strip_comment(raw: &str) -> &str {
     raw
 }
 
-fn parse_path(header: &str, line: usize) -> Result<Vec<String>, SpecParseError> {
+fn parse_path(header: &str, line: usize) -> Result<Vec<String>, LaunchError> {
     let path: Vec<String> = header
         .trim()
         .split('.')
@@ -885,7 +727,7 @@ fn parse_path(header: &str, line: usize) -> Result<Vec<String>, SpecParseError> 
     Ok(path)
 }
 
-fn parse_value(tok: &str, line: usize) -> Result<SpecValue, SpecParseError> {
+fn parse_value(tok: &str, line: usize) -> Result<SpecValue, LaunchError> {
     if tok.is_empty() {
         return Err(err(line, "missing value"));
     }
@@ -948,7 +790,7 @@ fn split_list(body: &str) -> Vec<String> {
     items
 }
 
-fn parse_scalar(tok: &str, line: usize) -> Result<SpecValue, SpecParseError> {
+fn parse_scalar(tok: &str, line: usize) -> Result<SpecValue, LaunchError> {
     if let Some(rest) = tok.strip_prefix('"') {
         let Some(body) = rest.strip_suffix('"') else {
             return Err(err(line, format!("unterminated string {tok:?}")));
@@ -997,6 +839,7 @@ fn parse_scalar(tok: &str, line: usize) -> Result<SpecValue, SpecParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::StreamArray;
     use crate::launch::Program;
     use crate::supervisor::{FailureAction, FaultPolicy};
     use crate::triggers::TriggerOp;
@@ -1049,27 +892,33 @@ then = "snapshot_stream m.fp /tmp/spec_snap.txt"
 
     #[test]
     fn full_spec_compiles_with_sbw_line_numbers() {
-        let spec = WorkflowSpec::parse(SPEC).unwrap();
+        let spec = WorkflowPlan::from_spec(SPEC).unwrap();
         assert_eq!(spec.name.as_deref(), Some("demo"));
         assert!(spec.issues.is_empty(), "{:?}", spec.issues);
-        assert_eq!(spec.entries.len(), 3);
+        assert_eq!(spec.components.len(), 3);
         // Entries carry the line of their [[component]] header.
-        assert_eq!(spec.entries[0].line, 16);
-        assert_eq!(spec.entries[0].nranks, 2);
+        let gromacs = &spec.components[0].entry;
+        assert_eq!(gromacs.line, 16);
+        assert_eq!(gromacs.nranks, 2);
+        assert!(matches!(gromacs.program, Program::Simulation { .. }));
         assert!(matches!(
-            spec.entries[0].program,
-            Program::Simulation { .. }
-        ));
-        assert!(matches!(
-            spec.entries[2].program,
+            spec.components[2].entry.program,
             Program::Histogram { num_bins: 8, .. }
         ));
         assert_eq!(
             spec.directives.transport.as_deref(),
             Some("tcp://127.0.0.1:7654")
         );
+        // The transport carries the line of its url key, policies and
+        // processes the line of their table header.
+        assert_eq!(
+            spec.directives.transports,
+            [("tcp://127.0.0.1:7654".to_string(), 7)]
+        );
         assert_eq!(spec.directives.policies.len(), 1);
         assert_eq!(spec.directives.policies[0].label, "gromacs");
+        assert_eq!(spec.directives.policies[0].line, 31);
+        assert_eq!(spec.directives.processes[0].line, 36);
         assert_eq!(
             spec.directives.policies[0].policy,
             FaultPolicy::restart(2).with_backoff(Duration::from_millis(50))
@@ -1086,18 +935,12 @@ then = "snapshot_stream m.fp /tmp/spec_snap.txt"
         assert_eq!(spec.triggers.len(), 1);
         assert_eq!(spec.triggers[0].component, "histogram");
         assert_eq!(spec.triggers[0].op, TriggerOp::Gt);
-        // The synthesized script preserves spec line numbers.
-        let lines: Vec<&str> = spec.script.lines().collect();
-        assert_eq!(
-            lines[15],
-            "aprun -n 2 gromacs chains=4 len=4 steps=3 interval=2 &"
-        );
-        assert_eq!(lines[6], "#@ transport tcp://127.0.0.1:7654");
+        assert_eq!(spec.triggers[0].line, 42);
     }
 
     #[test]
-    fn component_options_round_trip_through_the_launch_grammar() {
-        let spec = WorkflowSpec::parse(
+    fn component_options_become_launch_options() {
+        let spec = WorkflowPlan::from_spec(
             r#"
 [[component]]
 program = "temporal-mean"
@@ -1110,18 +953,52 @@ stride = 3
 "#,
         )
         .unwrap();
-        let e = &spec.entries[0];
+        let e = &spec.components[0].entry;
         assert_eq!(e.nranks, 1, "ranks defaults to 1");
         assert_eq!(e.options["group"], "smooth");
         assert_eq!(e.options["queue"], "4");
         assert_eq!(e.options["rendezvous"], "1");
         assert_eq!(e.options["groups"], "2");
         assert_eq!(e.options["stride"], "3");
+
+        // On a simulation the same keys are program parameters, exactly
+        // where the launch grammar puts a simulation line's key=value.
+        let spec =
+            WorkflowPlan::from_spec("[[component]]\nprogram = \"gromacs\"\nqueue = 4\n").unwrap();
+        let e = &spec.components[0].entry;
+        assert!(e.options.is_empty(), "{e:?}");
+        assert!(
+            matches!(&e.program, Program::Simulation { params, .. } if params["queue"] == "4"),
+            "{e:?}"
+        );
+    }
+
+    /// One `args` element is one token, whatever it holds: nothing
+    /// re-tokenises it, so whitespace neither splits an argument nor needs
+    /// rejecting.
+    #[test]
+    fn args_elements_are_single_tokens() {
+        let spec = WorkflowPlan::from_spec(
+            "[[component]]\nprogram = \"histogram\"\nargs = [\"my stream.fp\", \"x y\", \"4\", \"/tmp/out dir/h.txt\"]\n",
+        )
+        .unwrap();
+        assert_eq!(
+            spec.components[0].entry.program,
+            Program::Histogram {
+                input: StreamArray::new("my stream.fp", "x y"),
+                num_bins: 4,
+                output_file: Some("/tmp/out dir/h.txt".into()),
+            }
+        );
+        // A program name is a token too: one with a space names no program.
+        let e = WorkflowPlan::from_spec("[[component]]\nprogram = \"histo gram\"\n").unwrap_err();
+        assert_eq!(e[0].line, 1);
+        assert!(e[0].detail.contains("unknown program"), "{e:?}");
     }
 
     #[test]
     fn unknown_keys_warn_but_compile() {
-        let spec = WorkflowSpec::parse(
+        let spec = WorkflowPlan::from_spec(
             "[workflow]\nname = \"x\"\ncolor = \"red\"\n\n[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"4\"]\nfrobnicate = 9\n",
         )
         .unwrap();
@@ -1131,12 +1008,12 @@ stride = 3
             SpecIssue::UnknownKey { key, line: 3, .. } if key == "color"
         ));
         assert!(!spec.issues[0].is_deny());
-        assert_eq!(spec.entries.len(), 1);
+        assert_eq!(spec.components.len(), 1);
     }
 
     #[test]
     fn unknown_table_warns() {
-        let spec = WorkflowSpec::parse("[teleport]\nurl = \"tcp://h:1\"\n").unwrap();
+        let spec = WorkflowPlan::from_spec("[teleport]\nurl = \"tcp://h:1\"\n").unwrap();
         assert!(matches!(
             &spec.issues[0],
             SpecIssue::UnknownKey { key, .. } if key == "[teleport]"
@@ -1145,7 +1022,7 @@ stride = 3
 
     #[test]
     fn undeclared_trigger_refs_are_deny() {
-        let spec = WorkflowSpec::parse(
+        let spec = WorkflowPlan::from_spec(
             "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"4\"]\n\n[[trigger]]\nwhen = \"ghost.max > 1\"\nthen = \"set_output_stride phantom 2\"\n",
         )
         .unwrap();
@@ -1168,7 +1045,7 @@ stride = 3
     #[test]
     fn conflicts_are_deny() {
         // Duplicate table.
-        let spec = WorkflowSpec::parse(
+        let spec = WorkflowPlan::from_spec(
             "[transport]\nurl = \"tcp://h:1\"\n\n[transport]\nurl = \"tcp://h:2\"\n",
         )
         .unwrap();
@@ -1177,7 +1054,7 @@ stride = 3
             SpecIssue::Conflict { line: 4, .. }
         ));
         // Component in two process groups.
-        let spec = WorkflowSpec::parse(
+        let spec = WorkflowPlan::from_spec(
             "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"4\"]\n\n[process.a]\nmembers = [\"histogram\"]\n\n[process.b]\nmembers = [\"histogram\"]\n",
         )
         .unwrap();
@@ -1189,8 +1066,8 @@ stride = 3
             spec.issues
         );
         // Policy knobs the action ignores.
-        let spec =
-            WorkflowSpec::parse("[policy.h]\naction = \"degrade\"\nmax_restarts = 3\n").unwrap();
+        let spec = WorkflowPlan::from_spec("[policy.h]\naction = \"degrade\"\nmax_restarts = 3\n")
+            .unwrap();
         assert!(matches!(
             &spec.issues[0],
             SpecIssue::Conflict { line: 3, .. }
@@ -1201,12 +1078,12 @@ stride = 3
     fn grammar_errors_carry_spec_lines() {
         // Bad positional args surface through the launch grammar at the
         // [[component]] header's line.
-        let e = WorkflowSpec::parse(
+        let e = WorkflowPlan::from_spec(
             "\n\n[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"lots\"]\n",
         )
         .unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.detail.contains("num-bins"), "{e}");
+        assert_eq!(e[0].line, 3);
+        assert!(e[0].detail.contains("num-bins"), "{e:?}");
         // Spec-syntax errors carry their own line.
         for (text, line) in [
             ("[[component]\nprogram = \"x\"", 1),
@@ -1218,22 +1095,35 @@ stride = 3
             ("[policy.h]\naction = \"retry\"", 2),
             ("[policy.h]\naction = \"restart\"", 2),
             ("[process.p]\nmembers = []", 2),
+            // A token may hold spaces, never nothing.
+            ("[process.p]\nmembers = [\"a\", \"\"]", 2),
+            ("[[component]]\nprogram = \"\"", 2),
+            (
+                "[[component]]\nprogram = \"histogram\"\nargs = [\"\", \"\", \"4\"]",
+                3,
+            ),
+            (
+                "[[component]]\nprogram = \"magnitude\"\nargs = [\"a\", \"x\", \"b\", \"y\"]\ngroup = \"\"",
+                4,
+            ),
             ("[[trigger]]\nwhen = \"a.b > 1\"", 1),
             ("[transport]\nprotocol = \"v3\"", 2),
             // protocol = "shm" pins the declared url to the shm:// scheme.
             ("[transport]\nurl = \"tcp://h:1\"\nprotocol = \"shm\"", 3),
             ("[transport]\nprotocol = \"shm\"", 2),
         ] {
-            let e = WorkflowSpec::parse(text).unwrap_err();
-            assert_eq!(e.line, line, "{text:?} -> {e}");
+            let e = WorkflowPlan::from_spec(text).unwrap_err();
+            assert_eq!(e.len(), 1, "{text:?} -> {e:?}");
+            assert_eq!(e[0].line, line, "{text:?} -> {e:?}");
         }
     }
 
     #[test]
     fn transport_protocol_shm_accepts_shm_url() {
-        let spec =
-            WorkflowSpec::parse("[transport]\nurl = \"shm:///tmp/sb-rings\"\nprotocol = \"shm\"\n")
-                .unwrap();
+        let spec = WorkflowPlan::from_spec(
+            "[transport]\nurl = \"shm:///tmp/sb-rings\"\nprotocol = \"shm\"\n",
+        )
+        .unwrap();
         assert_eq!(
             spec.directives.transport.as_deref(),
             Some("shm:///tmp/sb-rings")
@@ -1244,9 +1134,10 @@ stride = 3
 
     #[test]
     fn comments_and_strings_interact_correctly() {
-        let spec =
-            WorkflowSpec::parse("[workflow] # trailing comment\nname = \"has # hash\" # another\n")
-                .unwrap();
+        let spec = WorkflowPlan::from_spec(
+            "[workflow] # trailing comment\nname = \"has # hash\" # another\n",
+        )
+        .unwrap();
         assert_eq!(spec.name.as_deref(), Some("has # hash"));
     }
 
@@ -1280,23 +1171,21 @@ action = "degrade"
     }
 
     #[test]
-    fn strict_options_reject_warn_level_issues() {
+    fn warn_level_issues_load_but_stay_on_the_plan() {
         let text = "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"4\"]\nfrobnicate = 1\n";
         assert!(Workflow::from_spec_text(text).is_ok());
-        let e = match Workflow::from_spec_text_with(text, SpecOptions::new().with_strict(true)) {
-            Err(e) => e,
-            Ok(_) => panic!("strict load should reject warn-level issues"),
-        };
-        assert!(e.to_string().contains("frobnicate"), "{e}");
+        let plan = WorkflowPlan::load("warn.sbw", text).unwrap();
+        assert_eq!(plan.issues.len(), 1);
+        assert!(plan.issues[0].to_string().contains("frobnicate"));
     }
 
     #[test]
     fn policy_action_conflict_checks() {
         let spec =
-            WorkflowSpec::parse("[policy.h]\naction = \"abort\"\nbackoff_ms = 10\n").unwrap();
+            WorkflowPlan::from_spec("[policy.h]\naction = \"abort\"\nbackoff_ms = 10\n").unwrap();
         assert!(matches!(&spec.issues[0], SpecIssue::Conflict { .. }));
         assert_eq!(
-            WorkflowSpec::parse("[policy.h]\naction = \"restart\"\nmax_restarts = 1\n")
+            WorkflowPlan::from_spec("[policy.h]\naction = \"restart\"\nmax_restarts = 1\n")
                 .unwrap()
                 .directives
                 .policies[0]

@@ -106,20 +106,35 @@ pub struct TemporalMean {
 
 impl TemporalMean {
     /// Builds a TemporalMean over `window` steps.
+    ///
+    /// # Panics
+    /// When [`TemporalMean::try_new`] refuses the arguments.
     pub fn new<I: Into<StreamArray>, O: Into<StreamArray>>(
         input: I,
         window: usize,
         output: O,
     ) -> TemporalMean {
-        assert!(window >= 1, "window must be at least 1");
-        TemporalMean {
+        TemporalMean::try_new(input, window, output).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`TemporalMean::new`] for arguments that arrive as data (a launch
+    /// description): `Err` is the reason they are refused.
+    pub fn try_new<I: Into<StreamArray>, O: Into<StreamArray>>(
+        input: I,
+        window: usize,
+        output: O,
+    ) -> Result<TemporalMean, String> {
+        if window == 0 {
+            return Err("window must be at least 1".to_string());
+        }
+        Ok(TemporalMean {
             input: input.into(),
             window,
             output: output.into(),
             writer_options: WriterOptions::default(),
             reader_group: "default".into(),
             stride: Arc::new(AtomicUsize::new(1)),
-        }
+        })
     }
 
     /// Subscribes under a named reader group (multi-subscriber streams).
@@ -129,10 +144,21 @@ impl TemporalMean {
     }
 
     /// Publishes one output step per `stride` input steps (builder style).
+    ///
+    /// # Panics
+    /// When [`TemporalMean::try_with_stride`] refuses the stride.
     pub fn with_stride(self, stride: usize) -> TemporalMean {
-        assert!(stride >= 1, "stride must be at least 1");
+        self.try_with_stride(stride)
+            .unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`TemporalMean::with_stride`] for a stride that arrives as data.
+    pub fn try_with_stride(self, stride: usize) -> Result<TemporalMean, String> {
+        if stride == 0 {
+            return Err("stride must be at least 1".to_string());
+        }
         self.stride.store(stride, Ordering::Relaxed);
-        self
+        Ok(self)
     }
 
     /// The current output decimation stride.

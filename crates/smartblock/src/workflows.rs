@@ -1,5 +1,5 @@
 //! The paper's three workflow presets, the simulation component wrapper,
-//! and script-to-workflow instantiation.
+//! and launch-entry instantiation.
 //!
 //! Figures 5–7 of the paper define the pipelines:
 //!
@@ -23,45 +23,13 @@ use sb_stream::{StreamHub, WriterOptions};
 use crate::component::{stream_err, Component};
 use crate::error::ComponentResult;
 use crate::histogram::HistogramResult;
-use crate::launch::{parse_script_with_directives, LaunchEntry, LaunchError, Program, SimCode};
+use crate::launch::{LaunchEntry, Program, SimCode};
 use crate::metrics::ComponentStats;
 use crate::runtime::Workflow;
 use crate::{
     AllInOne, AllPairs, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
     Reduce, Select, Stats, TemporalMean, Threshold, Transpose,
 };
-
-/// Boxed components are themselves components, so parsed scripts can feed
-/// [`Workflow::add`] through dynamic dispatch.
-impl Component for Box<dyn Component> {
-    fn label(&self) -> String {
-        (**self).label()
-    }
-
-    fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        (**self).run(comm, hub)
-    }
-
-    fn input_streams(&self) -> Vec<String> {
-        (**self).input_streams()
-    }
-
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        (**self).input_subscriptions()
-    }
-
-    fn output_streams(&self) -> Vec<String> {
-        (**self).output_streams()
-    }
-
-    fn signature(&self) -> crate::analysis::Signature {
-        (**self).signature()
-    }
-
-    fn apply_control(&self, action: &crate::triggers::ControlAction) -> bool {
-        (**self).apply_control(action)
-    }
-}
 
 /// A simulation driver as a workflow component: the "driving scientific
 /// code" slot of every paper workflow.
@@ -106,23 +74,53 @@ impl Simulation {
         self
     }
 
+    /// Checks every numeric parameter the simulation will read: `Err` is
+    /// the first one that does not parse. A launch description's params
+    /// arrive as data, so the plan builder asks here before the workflow
+    /// ever reads one; keys no code reads pass through.
+    pub fn check_params(&self) -> Result<(), String> {
+        for (key, value) in &self.params {
+            if INT_PARAMS.contains(&key.as_str()) {
+                parse_param::<usize>(key, value, "an integer")?;
+            } else if FLOAT_PARAMS.contains(&key.as_str()) {
+                parse_param::<f64>(key, value, "a number")?;
+            }
+        }
+        Ok(())
+    }
+
     fn get(&self, key: &str, default: usize) -> usize {
+        debug_assert!(INT_PARAMS.contains(&key), "{key} missing from INT_PARAMS");
         match self.params.get(key) {
             None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("simulation parameter {key}={v:?} is not an integer")),
+            Some(v) => parse_param(key, v, "an integer").unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
     fn get_f64(&self, key: &str, default: f64) -> f64 {
+        debug_assert!(
+            FLOAT_PARAMS.contains(&key),
+            "{key} missing from FLOAT_PARAMS"
+        );
         match self.params.get(key) {
             None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("simulation parameter {key}={v:?} is not a number")),
+            Some(v) => parse_param(key, v, "a number").unwrap_or_else(|e| panic!("{e}")),
         }
     }
+}
+
+/// The parameters [`Simulation`] reads as integers, and as floats.
+/// `get`/`get_f64` assert their key is listed, so
+/// [`Simulation::check_params`] covers every read.
+const INT_PARAMS: &[&str] = &[
+    "steps", "interval", "seed", "nx", "ny", "slices", "points", "chains", "len",
+];
+const FLOAT_PARAMS: &[&str] = &["thermostat", "zonal", "angle"];
+
+fn parse_param<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("simulation parameter {key}={value:?} is not {what}"))
 }
 
 impl Component for Simulation {
@@ -250,34 +248,50 @@ impl Component for Simulation {
     }
 }
 
+/// Parses the integer launch option `key`, when present.
+fn option_usize(options: &BTreeMap<String, String>, key: &str) -> Result<Option<usize>, String> {
+    options
+        .get(key)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{key}={v:?} is not an integer"))
+        })
+        .transpose()
+}
+
 /// Parses `options` into writer settings (`queue=`, `rendezvous=`,
 /// `groups=`), starting from the default policy.
-fn writer_options_from(options: &BTreeMap<String, String>) -> WriterOptions {
+fn writer_options_from(options: &BTreeMap<String, String>) -> Result<WriterOptions, String> {
     let mut w = WriterOptions::default();
-    if let Some(q) = options.get("queue") {
-        w.queue_capacity = q
-            .parse()
-            .unwrap_or_else(|_| panic!("queue={q:?} is not an integer"));
-        assert!(w.queue_capacity >= 1, "queue depth must be at least 1");
+    if let Some(q) = option_usize(options, "queue")? {
+        if q == 0 {
+            return Err("queue depth must be at least 1".to_string());
+        }
+        w.queue_capacity = q;
     }
     if let Some(r) = options.get("rendezvous") {
         w.rendezvous = r == "1" || r == "true";
     }
-    if let Some(g) = options.get("groups") {
-        w.expected_reader_groups = g
-            .parse()
-            .unwrap_or_else(|_| panic!("groups={g:?} is not an integer"));
-        assert!(w.expected_reader_groups >= 1, "groups must be at least 1");
+    if let Some(g) = option_usize(options, "groups")? {
+        if g == 0 {
+            return Err("groups must be at least 1".to_string());
+        }
+        w.expected_reader_groups = g;
     }
-    w
+    Ok(w)
 }
 
-/// Instantiates one parsed launch entry as a boxed component, applying its
-/// trailing options.
-pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
+/// Instantiates one launch entry as a boxed component, applying its
+/// trailing options. `Err` carries the reason the component rejects its
+/// arguments (zero bins, a non-integer option, a non-numeric simulation
+/// parameter). Each rule lives with the component that owns it — a
+/// constructor that can refuse has a `try_` form, called here; the
+/// panicking form is that same check unwrapped — so a launch description
+/// gets the programmatic API's wording without reaching its panic.
+pub(crate) fn instantiate_entry(entry: &LaunchEntry) -> Result<Box<dyn Component>, String> {
     let opts = &entry.options;
     let group = opts.get("group").cloned();
-    let wopts = writer_options_from(opts);
+    let wopts = writer_options_from(opts)?;
     macro_rules! finish {
         ($c:expr) => {{
             let mut c = $c;
@@ -288,7 +302,7 @@ pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
             Box::new(c)
         }};
     }
-    match entry.program.clone() {
+    Ok(match entry.program.clone() {
         Program::Select {
             input,
             dim_index,
@@ -327,12 +341,9 @@ pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
             window,
             output,
         } => {
-            let mut t = TemporalMean::new(input, window, output);
-            if let Some(s) = opts.get("stride") {
-                let stride = s
-                    .parse()
-                    .unwrap_or_else(|_| panic!("stride={s:?} is not an integer"));
-                t = t.with_stride(stride);
+            let mut t = TemporalMean::try_new(input, window, output)?;
+            if let Some(stride) = option_usize(opts, "stride")? {
+                t = t.try_with_stride(stride)?;
             }
             finish!(t)
         }
@@ -341,7 +352,7 @@ pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
             num_bins,
             output_file,
         } => {
-            let mut h = Histogram::new(input, num_bins);
+            let mut h = Histogram::try_new(input, num_bins)?;
             if let Some(path) = output_file {
                 h = h.with_output_file(path);
             }
@@ -374,7 +385,7 @@ pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
             num_bins,
             keep,
         } => {
-            let mut a = AllInOne::new(input, keep, num_bins);
+            let mut a = AllInOne::try_new(input, keep, num_bins)?;
             if let Some(g) = group {
                 a.reader_group = g;
             }
@@ -396,36 +407,12 @@ pub fn instantiate_entry(entry: &LaunchEntry) -> Box<dyn Component> {
                 sim.stream = stream.clone();
             }
             // Writer-policy params ride along with the physics params.
-            sim.writer_options = writer_options_from(&params);
+            sim.writer_options = writer_options_from(&params)?;
             sim.params = params;
+            sim.check_params()?;
             Box::new(sim)
         }
-    }
-}
-
-/// Instantiates a bare program with default options.
-pub fn instantiate(program: Program) -> Box<dyn Component> {
-    instantiate_entry(&LaunchEntry {
-        nranks: 1,
-        program,
-        options: BTreeMap::new(),
-        line: 0,
     })
-}
-
-/// Parses a launch script and assembles the runnable workflow, applying
-/// `#@ policy` directives as per-component fault policies.
-pub fn script_to_workflow(text: &str) -> Result<Workflow, LaunchError> {
-    let (entries, directives) = parse_script_with_directives(text)?;
-    let mut wf = Workflow::new();
-    for entry in entries {
-        let component = instantiate_entry(&entry);
-        wf.add_at(entry.nranks, component, entry.line);
-    }
-    for p in &directives.policies {
-        wf.set_fault_policy(p.label.clone(), p.policy.clone());
-    }
-    Ok(wf)
 }
 
 /// Process counts and problem size of one preset workflow run.
@@ -659,7 +646,8 @@ mod tests {
             .on_stream("custom.fp");
         assert_eq!(sim.stream, "custom.fp");
         assert_eq!(sim.get("slices", 1), 8);
-        assert_eq!(sim.get("missing", 3), 3);
+        assert_eq!(sim.get("points", 3), 3);
+        assert!(sim.check_params().is_ok());
         assert_eq!(sim.label(), "gtcp");
     }
 
@@ -667,6 +655,10 @@ mod tests {
     #[should_panic(expected = "not an integer")]
     fn bad_simulation_param_panics() {
         let sim = Simulation::new(SimCode::Lammps).param("nx", "forty");
+        assert_eq!(
+            sim.check_params().unwrap_err(),
+            "simulation parameter nx=\"forty\" is not an integer"
+        );
         let _ = sim.get("nx", 40);
     }
 
@@ -691,17 +683,5 @@ mod tests {
         assert_eq!(wf.labels(), vec!["gromacs", "magnitude", "histogram"]);
         let (wf, _) = lammps_aio_workflow(&PresetScale::default());
         assert_eq!(wf.labels(), vec!["lammps", "all-in-one"]);
-    }
-
-    #[test]
-    fn script_round_trip_builds_components() {
-        let script = r#"
-            aprun -n 2 gromacs chains=4 len=4 steps=2 &
-            aprun -n 2 magnitude gromacs.fp coords m.fp r &
-            aprun -n 1 histogram m.fp r 4 &
-            wait
-        "#;
-        let wf = script_to_workflow(script).unwrap();
-        assert_eq!(wf.labels(), vec!["gromacs", "magnitude", "histogram"]);
     }
 }

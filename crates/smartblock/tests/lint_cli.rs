@@ -125,6 +125,80 @@ fn sb_run_refuses_a_malformed_plan_before_launch() {
     assert!(out.stdout.is_empty(), "a component ran: {out:?}");
 }
 
+/// A component that rejects its arguments (a non-numeric simulation
+/// parameter, a non-integer `queue=`, zero bins) is a typed,
+/// line-attributed error in both languages — from `sb-lint` an SB000 on
+/// the component's own line, from `sb-run` a refusal before anything
+/// starts — and never a panic (exit 101).
+#[test]
+fn rejected_arguments_are_line_attributed_errors_never_panics() {
+    for (file, param_line, queue_line, bins_line) in [
+        ("SB000-ctor-pos.sb", 2, 3, 4),
+        ("SB000-ctor-pos.sbw", 3, 8, 13),
+    ] {
+        let path = fixture(file);
+        let out = sb_lint(&[&path]);
+        assert_eq!(code(&out), 1, "{file}: {out:?}");
+        assert!(out.stderr.is_empty(), "{file}: {out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.contains(&format!(
+                "{file}:{param_line}: error[SB000]: component rejected its arguments: \
+                 simulation parameter chains=\"abc\" is not an integer"
+            )),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("{file}:{queue_line}: error[SB000]")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!(
+                "{file}:{bins_line}: error[SB000]: component rejected its arguments: \
+                 histogram needs at least one bin"
+            )),
+            "{text}"
+        );
+
+        let out = sb_run(&["--script", &path, "--serve", "127.0.0.1:0"]);
+        assert!(matches!(code(&out), 1 | 2), "{file}: {out:?}");
+        let stderr = String::from_utf8(out.stderr.clone()).unwrap();
+        assert!(
+            stderr.contains(&format!(
+                "line {bins_line}: component rejected its arguments"
+            )),
+            "{stderr}"
+        );
+        assert!(stderr.contains("at least one bin"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("serving"), "broker was bound: {stderr}");
+        assert!(out.stdout.is_empty(), "a component ran: {out:?}");
+    }
+}
+
+/// A spec's deny-level issues (SB019/SB020) stop the loader every `sb-run`
+/// mode goes through — `--list` and `--force` included — with exit 2 and
+/// the issue's own line, exactly like a source that does not lower.
+#[test]
+fn sb_run_refuses_deny_level_spec_issues_in_the_loader() {
+    for (file, needle) in [
+        (
+            "SB019-pos.sbw",
+            "line 16: trigger references undeclared component \"ghost\"",
+        ),
+        ("SB020-pos.sbw", "line 18: "),
+    ] {
+        let path = fixture(file);
+        for mode in ["--list", "--force"] {
+            let out = sb_run(&["--script", &path, mode]);
+            assert_eq!(code(&out), 2, "{file} {mode}: {out:?}");
+            assert!(out.stdout.is_empty(), "{file} {mode}: {out:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(stderr.contains(needle), "{file} {mode}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn sb_run_executes_a_clean_script() {
     let out = sb_run(&["--script", &fixture("SB000-neg.sb")]);

@@ -4,62 +4,58 @@
 //! clean-bill-of-health checks for the paper workflows and the checked-in
 //! example scripts.
 
-use smartblock::analysis::{
-    lint_script, lint_spec, render_report_json, Level, LintConfig, ScriptLint, LINTS,
-};
-use smartblock::workflows::{
-    gromacs_workflow, gtcp_workflow, lammps_workflow, script_to_workflow, PresetScale,
-};
+use sb_stream::StreamHub;
+use smartblock::analysis::{lint_source, render_report_json, Level, LintConfig, ScriptLint, LINTS};
+use smartblock::plan::WorkflowPlan;
+use smartblock::workflows::{gromacs_workflow, gtcp_workflow, lammps_workflow, PresetScale};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/lint/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Lints the fixture `<stem>.sb` (launch script) or `<stem>.sbw` (workflow
-/// spec), whichever is checked in — spec-level lints (SB018–SB020) can
-/// only fire from a spec.
-fn lint_fixture(stem: &str) -> ScriptLint {
+/// Lints the fixture `<stem>.sb` (launch script) and/or `<stem>.sbw`
+/// (workflow spec), whichever are checked in — spec-level lints
+/// (SB018–SB020) can only fire from a spec; a stem with both is a pair of
+/// twins.
+fn lint_fixture(stem: &str) -> Vec<ScriptLint> {
     let dir = format!("{}/tests/fixtures/lint", env!("CARGO_MANIFEST_DIR"));
-    let sb = format!("{stem}.sb");
-    if std::path::Path::new(&format!("{dir}/{sb}")).exists() {
-        lint_script(&sb, &fixture(&sb), &LintConfig::new())
-    } else {
-        let sbw = format!("{stem}.sbw");
-        lint_spec(&sbw, &fixture(&sbw), &LintConfig::new())
-    }
+    let reports: Vec<ScriptLint> = ["sb", "sbw"]
+        .iter()
+        .map(|ext| format!("{stem}.{ext}"))
+        .filter(|file| std::path::Path::new(&format!("{dir}/{file}")).exists())
+        .map(|file| lint_source(&file, &fixture(&file), &LintConfig::new()))
+        .collect();
+    assert!(!reports.is_empty(), "no fixture {stem}.sb or {stem}.sbw");
+    reports
 }
 
-fn ids_fired(stem: &str) -> Vec<&'static str> {
-    lint_fixture(stem)
-        .diagnostics
-        .iter()
-        .map(|d| d.id())
-        .collect()
-}
+/// Positive fixtures beyond the one `<ID>-pos` per lint: `(lint, stem)`.
+const EXTRA_POSITIVES: [(&str, &str); 1] = [("SB000", "SB000-ctor-pos")];
 
 /// Every lint has a positive fixture that fires it and a negative fixture
 /// that stays silent on it — the registry's behavioral contract.
 #[test]
 fn every_lint_has_a_firing_and_a_silent_fixture() {
-    // Component constructors may panic inside lint_script's catch_unwind.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let mut failures = Vec::new();
-    for lint in LINTS {
-        let pos = ids_fired(&format!("{}-pos", lint.id));
-        if !pos.contains(&lint.id) {
-            failures.push(format!(
-                "{}-pos did not fire {} (got {pos:?})",
-                lint.id, lint.id
-            ));
-        }
-        let neg = ids_fired(&format!("{}-neg", lint.id));
-        if neg.contains(&lint.id) {
-            failures.push(format!("{}-neg fired {} (got {neg:?})", lint.id, lint.id));
+    let positives = LINTS
+        .iter()
+        .map(|lint| (lint.id, format!("{}-pos", lint.id)))
+        .chain(EXTRA_POSITIVES.map(|(id, stem)| (id, stem.to_string())));
+    for (id, stem) in positives {
+        for report in lint_fixture(&stem) {
+            if !report.diagnostics.iter().any(|d| d.id() == id) {
+                failures.push(format!("{} did not fire {id}", report.name));
+            }
         }
     }
-    std::panic::set_hook(hook);
+    for lint in LINTS {
+        for report in lint_fixture(&format!("{}-neg", lint.id)) {
+            if report.diagnostics.iter().any(|d| d.id() == lint.id) {
+                failures.push(format!("{} fired {}", report.name, lint.id));
+            }
+        }
+    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
@@ -69,7 +65,7 @@ fn every_lint_has_a_firing_and_a_silent_fixture() {
 fn fixture_diagnostics_carry_lines_and_default_levels() {
     for lint in LINTS {
         let stem = format!("{}-pos", lint.id);
-        let report = lint_fixture(&stem);
+        let report = &lint_fixture(&stem)[0];
         let d = report
             .diagnostics
             .iter()
@@ -89,7 +85,7 @@ const GOLDEN: &str = "aprun -n 1 magnitude a.fp v b.fp w &\nwait\n";
 /// The rustc-style text rendering, byte for byte.
 #[test]
 fn golden_text_rendering() {
-    let report = lint_script("golden.sb", GOLDEN, &LintConfig::new());
+    let report = lint_source("golden.sb", GOLDEN, &LintConfig::new());
     assert_eq!(
         report.render_text(),
         "golden.sb:1: error[SB001]: stream \"a.fp\" is read by [\"magnitude\"] but written by nothing\n\
@@ -100,7 +96,7 @@ fn golden_text_rendering() {
 /// The smartblock.lint.v1 JSON rendering, byte for byte.
 #[test]
 fn golden_json_rendering() {
-    let report = lint_script("golden.sb", GOLDEN, &LintConfig::new());
+    let report = lint_source("golden.sb", GOLDEN, &LintConfig::new());
     assert_eq!(
         render_report_json(&[report]),
         "{\"schema\":\"smartblock.lint.v1\",\"scripts\":[{\"script\":\"golden.sb\",\"diagnostics\":[\
@@ -119,13 +115,13 @@ fn golden_json_rendering() {
 fn config_overrides_filter_and_promote() {
     let mut config = LintConfig::new();
     config.set("SB002", Level::Allow).unwrap();
-    let report = lint_script("golden.sb", GOLDEN, &config);
+    let report = lint_source("golden.sb", GOLDEN, &config);
     assert_eq!(report.warnings(), 0, "allowed lint must be filtered out");
     assert_eq!(report.errors(), 1);
 
     let mut config = LintConfig::new();
     config.set("no-reader", Level::Deny).unwrap();
-    let report = lint_script("golden.sb", GOLDEN, &config);
+    let report = lint_source("golden.sb", GOLDEN, &config);
     assert_eq!(report.errors(), 2, "denied warning must count as an error");
 }
 
@@ -143,15 +139,12 @@ fn paper_workflows_lint_clean() {
     }
 }
 
-/// Every checked-in example launch script parses, converts to a workflow,
-/// and lints clean — warnings included (CI runs them under
-/// `--deny-warnings --allow prefer-spec`; the legacy scripts keep their
-/// inline directives on purpose, as the directive-compatibility fixtures).
+/// Every checked-in example launch script lowers to a plan, assembles
+/// into a workflow, and lints clean — warnings included, nothing allowed
+/// (CI runs them under `--deny-warnings`).
 #[test]
 fn example_scripts_lint_clean() {
     let dir = format!("{}/../../examples/scripts", env!("CARGO_MANIFEST_DIR"));
-    let mut config = LintConfig::new();
-    config.set("prefer-spec", Level::Allow).unwrap();
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
         let path = entry.unwrap().path();
@@ -160,11 +153,14 @@ fn example_scripts_lint_clean() {
         }
         seen += 1;
         let text = std::fs::read_to_string(&path).unwrap();
-        let report = lint_script(&path.display().to_string(), &text, &config);
+        let report = lint_source(&path.display().to_string(), &text, &LintConfig::new());
         assert!(report.diagnostics.is_empty(), "{}", report.render_text());
         // Single-process scripts must also assemble (the multi-process one
         // does too: process directives do not affect assembly).
-        script_to_workflow(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        WorkflowPlan::from_script(&text)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()))
+            .workflow(StreamHub::new(), &[])
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
     assert!(
         seen >= 4,

@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release -p sb-examples --bin launch_script`
 
 use smartblock::prelude::*;
-use smartblock::workflows::script_to_workflow;
 
 const SCRIPT: &str = r#"
 # GTCP pressure-histogram workflow (paper Figs. 4 and 6), assembled purely
@@ -25,7 +24,10 @@ wait
 
 fn main() {
     println!("launch script:\n{SCRIPT}");
-    let workflow = script_to_workflow(SCRIPT).expect("script parses");
+    let plan = WorkflowPlan::from_script(SCRIPT).expect("script lowers to a plan");
+    let workflow = plan
+        .workflow(StreamHub::new(), &[])
+        .expect("every component selected");
     println!("parsed components: {:?}", workflow.labels());
 
     let report = workflow

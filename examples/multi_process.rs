@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use sb_examples::render_histogram;
 use sb_stream::tcp::TcpBroker;
-use smartblock::distributed::{plan_script, run_components};
 use smartblock::prelude::*;
 
 const SCRIPT: &str = r#"
@@ -40,7 +39,7 @@ fn main() {
         return;
     }
 
-    let (plan, _) = plan_script(SCRIPT).expect("script parses");
+    let plan = WorkflowPlan::from_script(SCRIPT).expect("script lowers to a plan");
     let mut broker = TcpBroker::bind("127.0.0.1:0").expect("bind broker");
     println!("parent: serving {}", broker.url());
 
@@ -51,8 +50,13 @@ fn main() {
         .expect("spawn analysis process");
 
     // The simulation side, on the broker's own in-proc hub.
+    // This process sees only its slice of the wiring, so static validation
+    // is skipped (lint the full script with sb-lint instead).
     let hub = Arc::clone(broker.hub());
-    let report = run_components(hub, &plan, &["gromacs".to_string()], RunOptions::new())
+    let report = plan
+        .workflow(hub, &["gromacs".to_string()])
+        .expect("gromacs is planned")
+        .run_with(RunOptions::new().with_validation(Validation::Skip))
         .expect("simulation side");
     println!(
         "parent: gromacs produced {} steps",
@@ -76,27 +80,18 @@ fn analysis_process() {
         .position(|a| a == "--url")
         .and_then(|i| args.get(i + 1))
         .expect("--url tcp://host:port");
-    let (plan, _) = plan_script(SCRIPT).expect("script parses");
+    let plan = WorkflowPlan::from_script(SCRIPT).expect("script lowers to a plan");
     let hub = StreamHub::connect(url).expect("connect to broker");
     println!("child:  connected to {url} (backend {})", hub.backend());
 
-    let select = ["magnitude".to_string(), "histogram".to_string()];
-    let mut hist = Some(Histogram::new(("gmag.fp", "radii"), 12));
-    let results = hist.as_ref().expect("just built").results_handle();
-    // Build the slice by hand so we can hold the histogram handle; sb-run
-    // does the same thing generically via `partial_workflow`.
-    let mut wf = Workflow::with_hub(hub);
-    for p in plan.iter().filter(|p| select.contains(&p.label)) {
-        if p.label == "histogram" {
-            wf.add_labeled("histogram", p.nranks, hist.take().expect("added once"));
-        } else {
-            wf.add_labeled(
-                p.label.clone(),
-                p.nranks,
-                smartblock::workflows::instantiate_entry(&p.entry),
-            );
-        }
-    }
+    // The plan supplies magnitude; the histogram is added by hand so we can
+    // hold its results handle (sb-run selects both by label).
+    let mut wf = plan
+        .workflow(hub, &["magnitude".to_string()])
+        .expect("magnitude is planned");
+    let hist = Histogram::new(("gmag.fp", "radii"), 12);
+    let results = hist.results_handle();
+    wf.add(1, hist);
     wf.run_with(RunOptions::new().with_validation(Validation::Skip))
         .expect("analysis side");
 

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use sb_data::{Buffer, Shape, Variable};
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
-use smartblock::workflows::{script_to_workflow, Simulation};
+use smartblock::workflows::Simulation;
 
 /// A deterministic 2-d test source: `n × props` with labelled columns.
 fn labelled_source(step: u64, n: usize) -> Variable {
@@ -246,7 +246,10 @@ fn fig8_style_script_runs_end_to_end() {
         aprun -n 2 lammps nx=12 ny=12 steps=2 interval=4 &
         wait
     "#;
-    let wf = script_to_workflow(script).unwrap();
+    let wf = WorkflowPlan::from_script(script)
+        .unwrap()
+        .workflow(StreamHub::new(), &[])
+        .unwrap();
     let report = wf.run_with(RunOptions::default()).unwrap();
     assert_eq!(report.components.len(), 4);
     for c in &report.components {

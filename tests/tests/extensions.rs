@@ -229,7 +229,10 @@ fn extension_components_work_from_launch_scripts() {
         aprun -n 1 threshold rm.fp means gt 0.9 th.fp hot &
         wait
     "#;
-    let wf = smartblock::workflows::script_to_workflow(script).unwrap();
+    let wf = WorkflowPlan::from_script(script)
+        .unwrap()
+        .workflow(StreamHub::new(), &[])
+        .unwrap();
     assert_eq!(
         wf.labels(),
         vec!["gtcp", "transpose", "reduce", "threshold"]

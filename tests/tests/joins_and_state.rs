@@ -214,7 +214,10 @@ fn joins_work_from_launch_scripts() {
         aprun -n 1 stats dev.fp deviation st.fp summary &
         wait
     "#;
-    let wf = smartblock::workflows::script_to_workflow(script).unwrap();
+    let wf = WorkflowPlan::from_script(script)
+        .unwrap()
+        .workflow(StreamHub::new(), &[])
+        .unwrap();
     assert_eq!(
         wf.labels(),
         vec!["gromacs", "magnitude", "temporal-mean", "combine", "stats"]
@@ -267,23 +270,12 @@ fn script_options_assemble_and_run_a_dag() {
         aprun -n 1 stats dev.fp deviation st.fp summary &
         wait
     "#;
-    let entries = smartblock::parse_script(script).unwrap();
-    assert_eq!(
-        entries[1].options.get("groups").map(String::as_str),
-        Some("2")
-    );
-    assert_eq!(
-        entries[3].options.get("group").map(String::as_str),
-        Some("dev")
-    );
+    let plan = WorkflowPlan::from_script(script).unwrap();
+    let option = |i: usize, key: &str| plan.components[i].entry.options.get(key).cloned();
+    assert_eq!(option(1, "groups").as_deref(), Some("2"));
+    assert_eq!(option(3, "group").as_deref(), Some("dev"));
 
-    let mut wf = Workflow::new();
-    for entry in &entries {
-        wf.add(
-            entry.nranks,
-            smartblock::workflows::instantiate_entry(entry),
-        );
-    }
+    let mut wf = plan.workflow(StreamHub::new(), &[]).unwrap();
     let summaries = collect(&mut wf, "st.fp", "summary");
     // Combine's left subscription rides its own group now.
     let issues = wf.validate();

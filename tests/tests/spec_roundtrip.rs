@@ -1,8 +1,8 @@
 //! Round-trip guarantees of the declarative `.sbw` spec language: every
-//! checked-in example launch script has a spec twin that plans
-//! identically, lints clean, and — run through the very same loader
-//! `sb-run` uses — produces byte-identical histogram files on both the
-//! in-proc and TCP backends. Plus the reactive-trigger regression: a
+//! checked-in example launch script has a spec twin that lowers to an
+//! equal plan, lints clean, and — run from the very same plan `sb-run`
+//! uses — produces byte-identical histogram files on both the in-proc and
+//! TCP backends. Plus the reactive-trigger regression: a
 //! seeded histogram spike provably flips a TemporalMean's output stride
 //! mid-run.
 
@@ -11,10 +11,9 @@ use std::path::Path;
 use sb_data::{Buffer, Shape, Variable};
 use sb_stream::tcp::TcpBroker;
 use sb_stream::StreamHub;
-use smartblock::analysis::{lint_spec, LintConfig};
-use smartblock::distributed::{load_workflow_source, LoadedScript, SourceKind};
+use smartblock::analysis::{lint_plan, LintConfig};
 use smartblock::prelude::*;
-use smartblock::ScriptDirectives;
+use smartblock::{LaunchEntry, ScriptDirectives};
 
 /// Every checked-in example script, by stem: `examples/scripts/<stem>.sb`
 /// twins with `examples/specs/<stem>.sbw`.
@@ -34,9 +33,9 @@ fn read_example(rel: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-fn load_example(rel: &str) -> LoadedScript {
+fn load_example(rel: &str) -> WorkflowPlan {
     let text = read_example(rel);
-    load_workflow_source(rel, &text).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    WorkflowPlan::load(rel, &text).unwrap_or_else(|e| panic!("{rel}: {e:?}"))
 }
 
 /// Directive equality modulo source lines (a spec table and a `#@` line
@@ -55,23 +54,24 @@ fn processes(d: &ScriptDirectives) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// Every `.sb` script and its `.sbw` twin resolve — through the one
-/// loader `sb-lint`, `sb-run`, and the library share — to the same plan:
-/// same labels, ranks, programs, per-component options, transport,
-/// policies, and process partition.
+/// Every `.sb` script and its `.sbw` twin lower — each through its own
+/// front-end — to equal plans: same labels, ranks, programs,
+/// per-component options, transport, policies, and process partition,
+/// differing only in source lines.
 #[test]
 fn spec_twins_plan_identically_to_their_scripts() {
     for stem in PAIRS {
         let script = load_example(&format!("scripts/{stem}.sb"));
         let spec = load_example(&format!("specs/{stem}.sbw"));
-        assert!(matches!(script.kind, SourceKind::LaunchScript), "{stem}");
-        assert!(matches!(spec.kind, SourceKind::Spec), "{stem}");
-        assert_eq!(script.plan.len(), spec.plan.len(), "{stem}");
-        for (a, b) in script.plan.iter().zip(&spec.plan) {
+        assert_eq!(script.components.len(), spec.components.len(), "{stem}");
+        for (a, b) in script.components.iter().zip(&spec.components) {
             assert_eq!(a.label, b.label, "{stem}");
-            assert_eq!(a.nranks, b.nranks, "{stem}: {}", a.label);
-            assert_eq!(a.entry.program, b.entry.program, "{stem}: {}", a.label);
-            assert_eq!(a.entry.options, b.entry.options, "{stem}: {}", a.label);
+            // Ranks, program, and options: the whole entry but its line.
+            let b_entry = LaunchEntry {
+                line: a.entry.line,
+                ..b.entry.clone()
+            };
+            assert_eq!(a.entry, b_entry, "{stem}: {}", a.label);
         }
         assert_eq!(
             script.directives.transport, spec.directives.transport,
@@ -97,7 +97,7 @@ fn spec_twins_plan_identically_to_their_scripts() {
 fn spec_twins_lint_clean_under_deny_warnings() {
     for stem in PAIRS {
         let rel = format!("specs/{stem}.sbw");
-        let report = lint_spec(&rel, &read_example(&rel), &LintConfig::new());
+        let report = lint_plan(&rel, &load_example(&rel), &LintConfig::new());
         assert!(
             report.diagnostics.is_empty(),
             "{rel}:\n{}",
@@ -106,8 +106,8 @@ fn spec_twins_lint_clean_under_deny_warnings() {
     }
 }
 
-fn run_whole(loaded: &LoadedScript) -> WorkflowReport {
-    let wf = loaded
+fn run_whole(plan: &WorkflowPlan) -> WorkflowReport {
+    let wf = plan
         .workflow(StreamHub::new(), &[])
         .unwrap_or_else(|e| panic!("{e}"));
     wf.run_with(RunOptions::new()).unwrap()
@@ -170,8 +170,8 @@ fn spec_split_across_tcp_matches_the_in_proc_script_run() {
         read_example("scripts/gromacs_spread.sb").replace("/tmp/gromacs_spread_hist.txt", REF);
     let spec_text =
         read_example("specs/gromacs_spread.sbw").replace("/tmp/gromacs_spread_hist.txt", TCP);
-    let script = load_workflow_source("gromacs_spread.sb", &script_text).unwrap();
-    let spec = load_workflow_source("gromacs_spread.sbw", &spec_text).unwrap();
+    let script = WorkflowPlan::load("gromacs_spread.sb", &script_text).unwrap();
+    let spec = WorkflowPlan::load("gromacs_spread.sbw", &spec_text).unwrap();
 
     run_whole(&script);
     let reference = std::fs::read(REF).unwrap();

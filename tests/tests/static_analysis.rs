@@ -7,12 +7,11 @@ use std::time::Duration;
 use sb_stream::StreamHub;
 use smartblock::launch::SimCode;
 use smartblock::workflows::{
-    gromacs_workflow, gtcp_workflow, lammps_aio_workflow, lammps_workflow, script_to_workflow,
-    PresetScale, Simulation,
+    gromacs_workflow, gtcp_workflow, lammps_aio_workflow, lammps_workflow, PresetScale, Simulation,
 };
 use smartblock::{
     AnalysisIssue, BinaryOp, Combine, DimReduce, Histogram, Magnitude, RunOptions, Select,
-    Severity, Transpose, Validation, WiringIssue, Workflow,
+    Severity, Transpose, Validation, WiringIssue, Workflow, WorkflowPlan,
 };
 
 fn errors(wf: &Workflow) -> Vec<AnalysisIssue> {
@@ -54,7 +53,10 @@ fn fig8_style_script_validates_clean() {
         aprun -n 1 histogram dr2.fp flat1 16 &
         wait
     "#;
-    let wf = script_to_workflow(script).unwrap();
+    let wf = WorkflowPlan::from_script(script)
+        .unwrap()
+        .workflow(StreamHub::new(), &[])
+        .unwrap();
     let issues = wf.validate();
     assert!(issues.is_empty(), "{issues:?}");
 }
@@ -185,7 +187,10 @@ fn degenerate_bins_is_a_warning() {
         aprun -n 1 histogram m.fp r 4096 &
         wait
     "#;
-    let wf = script_to_workflow(script).unwrap();
+    let wf = WorkflowPlan::from_script(script)
+        .unwrap()
+        .workflow(StreamHub::new(), &[])
+        .unwrap();
     let issues = wf.validate();
     assert_eq!(issues.len(), 1, "{issues:?}");
     assert_eq!(issues[0].severity(), Severity::Warning);

@@ -243,9 +243,7 @@ fn compressed_shm_clients_preserve_golden_outputs() {
 
 /// Pumps `steps` steps of a `rows`-element f64 variable from a
 /// `writers`-rank group to a `readers`-rank slab-reading group over one TCP
-/// stream and returns the stream's counters (the local analogue of
-/// sb-bench's `run_wire_on`, kept here so the conformance suite needs no
-/// bench dependency).
+/// stream and returns the stream's counters.
 fn wire_pump(
     hub: &Arc<StreamHub>,
     stream: &str,
@@ -362,6 +360,9 @@ fn assert_accounting_matrix(url: &str, fabric: &str) {
 fn wire_accounting_matrix_is_single_counted() {
     let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
     assert_accounting_matrix(&broker.url(), "tcp");
+    // The in-proc hub hands steps over by `Arc`: nothing is ever framed.
+    let m = wire_pump(&StreamHub::new(), "acct-inproc.fp", 2, 2, 4096, 4);
+    assert_eq!((m.steps_committed, m.bytes_on_wire), (4, 0));
 }
 
 #[test]
