@@ -26,7 +26,6 @@ fn bench_fanout_overhead(c: &mut Criterion) {
         rows,
         cols,
         steps: STEPS,
-        force_copy: false,
     };
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);

@@ -309,9 +309,6 @@ pub struct FanoutConfig {
     pub cols: usize,
     /// Steps pumped through the stream.
     pub steps: u64,
-    /// `true` pins readers to the pre-zero-copy data plane
-    /// (`StreamReader::set_force_copy`) — the "before" ablation arm.
-    pub force_copy: bool,
 }
 
 impl FanoutConfig {
@@ -393,14 +390,12 @@ pub fn run_fanout_on(
         FanoutShape::WholeRead => {
             for g in 0..config.readers {
                 let hub_r = Arc::clone(&hub);
-                let force = config.force_copy;
                 let group = format!("g{g}");
                 handles.push(
                     LaunchHandle::spawn(&format!("fan-reader-{g}"), 1, move |comm| {
                         let _ring = hub_r.tracer().install_thread_ring();
                         let mut r =
                             hub_r.open_reader_grouped("fan.fp", &group, comm.rank(), comm.size());
-                        r.set_force_copy(force);
                         while let StepStatus::Ready(_) = r.begin_step().unwrap() {
                             let v = r.get_whole("x").unwrap();
                             std::hint::black_box(v.data.len());
@@ -413,13 +408,11 @@ pub fn run_fanout_on(
         }
         FanoutShape::SlabRead => {
             let hub_r = Arc::clone(&hub);
-            let force = config.force_copy;
             let shape_r = shape.clone();
             handles.push(
                 LaunchHandle::spawn("fan-readers", config.readers, move |comm| {
                     let _ring = hub_r.tracer().install_thread_ring();
                     let mut r = hub_r.open_reader("fan.fp", comm.rank(), comm.size());
-                    r.set_force_copy(force);
                     let region =
                         sb_data::decompose::default_partition(&shape_r, comm.size(), comm.rank());
                     while let StepStatus::Ready(_) = r.begin_step().unwrap() {
@@ -512,7 +505,6 @@ mod tests {
             rows: 16,
             cols: 4,
             steps: 3,
-            force_copy: false,
         };
         let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
         // 2 groups x 3 steps, every read served by the exact-cover path.
@@ -523,22 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_force_copy_restores_the_scaling_cost() {
-        let config = FanoutConfig {
-            shape: FanoutShape::WholeRead,
-            readers: 2,
-            rows: 16,
-            cols: 4,
-            steps: 3,
-            force_copy: true,
-        };
-        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
-        assert_eq!(r.metrics.copies_elided, 0);
-        // The "before" plane copies the payload once per group per step.
-        assert_eq!(r.metrics.bytes_copied, 2 * 3 * config.payload_bytes());
-    }
-
-    #[test]
     fn fanout_slab_read_skips_the_zero_fill() {
         let config = FanoutConfig {
             shape: FanoutShape::SlabRead,
@@ -546,7 +522,6 @@ mod tests {
             rows: 16,
             cols: 4,
             steps: 3,
-            force_copy: false,
         };
         let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
         // Each rank's row slab is assembled without a zeroing pass; the

@@ -8,7 +8,11 @@
 //!
 //! A step over the TCP backend crosses two socket *hops*: writer → broker
 //! (`W_STEP` and its replies) and broker → reader (`REPLY_STEP` and the
-//! fetch/release verbs around it). Each frame byte is charged exactly once,
+//! fetch/release verbs around it). The reader hop carries, per rank, the
+//! chunks and row slabs the rank's last boxes touch — about one payload per
+//! reader *group* however many ranks it has — plus a whole step for each
+//! connection's first request and for each wrong guess (see
+//! [`crate::tcp`]). Each frame byte is charged exactly once,
 //! to the hop it crossed, by whichever side plays *broker* for that hop —
 //! the broker sessions see every frame of every client on both hops, so
 //! they are the single metering authority. Client endpoints keep their own
@@ -186,7 +190,8 @@ pub struct StreamMetrics {
     /// once. Zero on the in-proc backend.
     pub wire_writer_bytes: u64,
     /// Frame bytes that crossed the broker → reader socket hop, each
-    /// counted once. Zero on the in-proc backend.
+    /// counted once: the parts of each step its reader ranks' boxes touch,
+    /// not the step per rank. Zero on the in-proc backend.
     pub wire_reader_bytes: u64,
     /// Frame bytes that moved over the same-host `shm://` fabric. A
     /// fabric *attribution* of the hop totals, not a third hop: every byte

@@ -1,5 +1,6 @@
 //! The per-rank reader handle: step discovery and bounding-box gets.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use sb_data::{Buffer, DataError, DataResult, Region, SharedBuffer, Variable, Var
 use crate::error::StreamResult;
 use crate::metrics::Counters;
 use crate::trace::{EventKind, TraceSite, Tracer};
-use crate::transport::{ReaderConnection, ReaderEndpoint, StepContents};
+use crate::transport::{ReaderConnection, ReaderEndpoint, StepContents, MAX_STEP_BOXES};
 
 /// What [`StreamReader::begin_step`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,9 @@ pub enum StepStatus {
 /// by `Arc`, the TCP backend decodes the step from prefetched frames. The
 /// copy-discipline fast paths below therefore apply to both.
 pub struct StreamReader {
-    endpoint: Box<dyn ReaderEndpoint>,
+    /// In a cell only so that `get`, which borrows the handle shared, can
+    /// re-fetch the open step (see [`BoxLearning`]).
+    endpoint: RefCell<Box<dyn ReaderEndpoint>>,
     counters: Arc<Counters>,
     tracer: Arc<Tracer>,
     trace_id: u32,
@@ -41,7 +44,22 @@ pub struct StreamReader {
     nranks: usize,
     next_step: u64,
     current: Option<StepContents>,
-    force_copy: bool,
+    /// `Some` on backends that move bytes to fetch a step.
+    learning: Option<BoxLearning>,
+}
+
+/// What a reader on a remote backend remembers so that the next step's
+/// request can carry its boxes, and what it needs when the guess was wrong.
+#[derive(Default)]
+struct BoxLearning {
+    /// The `(variable, region)` pairs `get` served during the open step.
+    served: RefCell<Vec<(String, Region)>>,
+    /// Whether the open step was requested with boxes, so chunks may be
+    /// missing from it.
+    filtered: bool,
+    /// The open step fetched again, whole, after a `get` asked a filtered
+    /// step for a box it does not cover.
+    whole: OnceCell<StepContents>,
 }
 
 impl StreamReader {
@@ -52,7 +70,7 @@ impl StreamReader {
         nranks: usize,
     ) -> StreamReader {
         StreamReader {
-            endpoint: conn.endpoint,
+            endpoint: RefCell::new(conn.endpoint),
             counters: conn.counters,
             tracer: conn.tracer,
             trace_id: conn.trace_id,
@@ -61,17 +79,8 @@ impl StreamReader {
             nranks,
             next_step: conn.first_step,
             current: None,
-            force_copy: false,
+            learning: conn.learns_boxes.then(BoxLearning::default),
         }
-    }
-
-    /// Disables the zero-copy fast paths, forcing every `get` through the
-    /// zero-fill + `copy_region` assembly.
-    ///
-    /// An ablation knob for benchmarks: the same binary measures the data
-    /// plane with and without copy elision. Workflows never set this.
-    pub fn set_force_copy(&mut self, force: bool) {
-        self.force_copy = force;
     }
 
     /// The reader group this handle belongs to.
@@ -107,7 +116,7 @@ impl StreamReader {
         } else {
             0
         };
-        match self.endpoint.fetch_step(self.next_step)? {
+        match self.endpoint.get_mut().fetch_step(self.next_step)? {
             Some(contents) => {
                 self.tracer.span(
                     EventKind::ReaderBlocked,
@@ -150,13 +159,54 @@ impl StreamReader {
     ///    both the request and its chunk: slabs are appended in order into
     ///    a pre-sized buffer, skipping the zero-fill.
     /// 3. *General* — zero-fill then strided `copy_region` per chunk.
+    ///
+    /// On a remote backend the step may have been fetched with the boxes
+    /// this rank read in the previous step, and so lack chunks outside them.
+    /// A box such a step does not cover is not an error yet: the step is
+    /// fetched again, whole, and the read repeated on that.
     pub fn get(&self, name: &str, region: &Region) -> DataResult<Variable> {
-        let slot = self
-            .contents()
-            .get(name)
-            .ok_or_else(|| DataError::Container {
-                detail: format!("no variable {name:?} in step"),
-            })?;
+        let Some(learning) = &self.learning else {
+            return self.assemble(self.contents(), name, region);
+        };
+        let mut read = self.assemble(
+            learning.whole.get().unwrap_or_else(|| self.contents()),
+            name,
+            region,
+        );
+        if matches!(read, Err(DataError::RegionOutOfBounds { .. }))
+            && learning.filtered
+            && learning.whole.get().is_none()
+        {
+            let whole = self
+                .endpoint
+                .borrow_mut()
+                .fetch_step(self.next_step)
+                .map_err(|e| DataError::Container {
+                    detail: format!("fetching the whole step for {name:?} {region}: {e}"),
+                })?
+                .ok_or_else(|| DataError::Container {
+                    detail: format!("step {} ended while it was open", self.next_step),
+                })?;
+            read = self.assemble(learning.whole.get_or_init(|| whole), name, region);
+        }
+        let var = read?;
+        let mut served = learning.served.borrow_mut();
+        if served.len() <= MAX_STEP_BOXES && !served.iter().any(|(n, r)| n == name && r == region) {
+            served.push((name.to_string(), region.clone()));
+        }
+        Ok(var)
+    }
+
+    /// [`get`](Self::get) over one delivery of the open step.
+    fn assemble(
+        &self,
+        contents: &StepContents,
+        name: &str,
+        region: &Region,
+    ) -> DataResult<Variable> {
+        let slot = contents.get(name).ok_or_else(|| DataError::Container {
+            detail: format!("no variable {name:?} in step"),
+        })?;
         let meta = &slot.meta;
         region.validate(&meta.shape)?;
 
@@ -206,41 +256,39 @@ impl StreamReader {
 
         let counters = &self.counters;
         let byte_len = region.len() * meta.dtype.elem_bytes();
-        let data: SharedBuffer =
-            if !self.force_copy && hits.len() == 1 && slot.chunks[hits[0].0].region == *region {
-                // Exact cover: serve the chunk's own allocation.
-                counters.add_copy_elided();
-                slot.chunks[hits[0].0].data.clone()
-            } else if !self.force_copy
-                && region.ndims() >= 1
-                && !hits.is_empty()
-                && hits.iter().all(|(i, o)| {
-                    o.is_row_slab_of(region) && o.is_row_slab_of(&slot.chunks[*i].region)
-                })
-            {
-                // Disjoint row slabs summing to the box tile it in order along
-                // the outermost dimension: append them, no zero-fill first.
-                let mut ordered: Vec<&(usize, Region)> = hits.iter().collect();
-                ordered.sort_by_key(|(_, o)| o.offset()[0]);
-                let mut out = Buffer::with_capacity(meta.dtype, region.len());
-                for (i, o) in ordered {
-                    let chunk = &slot.chunks[*i];
-                    let inner: usize = chunk.region.count()[1..].iter().product();
-                    let src_off = (o.offset()[0] - chunk.region.offset()[0]) * inner;
-                    out.append_from(&chunk.data, src_off, o.len())?;
-                }
-                counters.add_zero_fill_elided();
-                counters.add_copied(byte_len);
-                out.into()
-            } else {
-                let mut out = Buffer::zeros(meta.dtype, region.len());
-                for (i, overlap) in &hits {
-                    let chunk = &slot.chunks[*i];
-                    copy_region(&chunk.data, &chunk.region, &mut out, region, overlap)?;
-                }
-                counters.add_copied(byte_len);
-                out.into()
-            };
+        let data: SharedBuffer = if hits.len() == 1 && slot.chunks[hits[0].0].region == *region {
+            // Exact cover: serve the chunk's own allocation.
+            counters.add_copy_elided();
+            slot.chunks[hits[0].0].data.clone()
+        } else if region.ndims() >= 1
+            && !hits.is_empty()
+            && hits
+                .iter()
+                .all(|(i, o)| o.is_row_slab_of(region) && o.is_row_slab_of(&slot.chunks[*i].region))
+        {
+            // Disjoint row slabs summing to the box tile it in order along
+            // the outermost dimension: append them, no zero-fill first.
+            let mut ordered: Vec<&(usize, Region)> = hits.iter().collect();
+            ordered.sort_by_key(|(_, o)| o.offset()[0]);
+            let mut out = Buffer::with_capacity(meta.dtype, region.len());
+            for (i, o) in ordered {
+                let chunk = &slot.chunks[*i];
+                let inner: usize = chunk.region.count()[1..].iter().product();
+                let src_off = (o.offset()[0] - chunk.region.offset()[0]) * inner;
+                out.append_from(&chunk.data, src_off, o.len())?;
+            }
+            counters.add_zero_fill_elided();
+            counters.add_copied(byte_len);
+            out.into()
+        } else {
+            let mut out = Buffer::zeros(meta.dtype, region.len());
+            for (i, overlap) in &hits {
+                let chunk = &slot.chunks[*i];
+                copy_region(&chunk.data, &chunk.region, &mut out, region, overlap)?;
+            }
+            counters.add_copied(byte_len);
+            out.into()
+        };
         counters.add_read(byte_len);
 
         let shape = region.local_shape(&meta.shape);
@@ -265,7 +313,7 @@ impl StreamReader {
     /// Steps the writer group has committed so far (diagnostics; the
     /// backpressure tests read this to observe writer progress).
     pub fn stream_committed(&self) -> u64 {
-        self.endpoint.committed_steps()
+        self.endpoint.borrow().committed_steps()
     }
 
     /// Releases the open step; once every reader rank has done so, the
@@ -273,7 +321,20 @@ impl StreamReader {
     pub fn end_step(&mut self) {
         assert!(self.current.is_some(), "end_step without begin_step");
         self.current = None;
-        self.endpoint.release_step(self.next_step);
+        let endpoint = self.endpoint.get_mut();
+        match &mut self.learning {
+            None => endpoint.release_step(self.next_step, &[]),
+            Some(learning) => {
+                learning.whole.take();
+                let served = learning.served.get_mut();
+                if served.len() > MAX_STEP_BOXES {
+                    served.clear();
+                }
+                learning.filtered = !served.is_empty();
+                endpoint.release_step(self.next_step, served);
+                served.clear();
+            }
+        }
         self.next_step += 1;
     }
 }

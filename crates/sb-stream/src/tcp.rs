@@ -24,7 +24,9 @@
 //!
 //! ```text
 //! W_STEP     := 0x11 | u64 step | u32 ndefs | def* | u32 nchunks | ichunk*
+//! R_BEGIN    := 0x20 | u64 step [ | u16 nboxes | (str var | region)* ]
 //! REPLY_STEP := 0x82 | u64 step | u32 ndefs | def* | u32 nchunks | ichunk*
+//! ichunk     := u32 id | region | u64 nelems | u8 codec | payload
 //! ```
 //!
 //! The writer's encoded bytes are the stream's bytes: a broker writer
@@ -39,13 +41,35 @@
 //! crossed (writer→broker or broker→reader), by the broker sessions — see
 //! the honest-accounting notes in [`crate::metrics`].
 //!
+//! ## Each reader rank is sent its box, not the step
+//!
+//! FlexPath's MxN contract is that a reader pulls only the writer chunks
+//! its bounding box meets. An `R_BEGIN` therefore may end in a box trailer:
+//! the `(variable, region)` pairs the rank read in the step before, which
+//! is what it will read in this one unless the component changes its mind.
+//! Of a variable the trailer names, the reply leaves out every chunk no box
+//! meets, and a chunk a box meets in a proper *row slab* travels as that
+//! slab: a fresh 15 + 16·rank byte `ichunk` header (`id | sub-region |
+//! nelems | codec = none`) in front of the run of the cached frame the slab
+//! occupies — shared, not copied, and decoded by the reader like any other
+//! chunk. Everything else travels as cached: variables the trailer does not
+//! name, a variable with a box that fails [`Region::validate`] against the
+//! step's shape, a chunk met in anything but a row slab or by several
+//! boxes, an LZ-coded payload (a block has no addressable rows). A reply
+//! never lacks a variable. No trailer — a connection's first request, a v1
+//! or older v2 client, more than [`MAX_STEP_BOXES`] boxes — means the whole
+//! step, and a broker that predates the trailer ignores it and replies
+//! whole, so every pairing of old and new peers still works.
+//!
 //! ## Latency discipline
 //!
 //! *Writer-side batching*: `put` only appends to a local buffer; the whole
 //! step goes out as one `W_STEP` frame at `end_step`, so an N-variable step
 //! costs one round trip, not N. *Reader-side prefetch*: releasing step `s`
-//! immediately pipelines the request for `s + 1`, so the broker can encode
-//! and send the next step while the component is still computing.
+//! immediately pipelines the request for `s + 1` — `R_RELEASE s` and
+//! `R_BEGIN s + 1` with the boxes of step `s` leave as one gathered write —
+//! so the broker can cut and send the next step while the component is
+//! still computing.
 //!
 //! ## Failure semantics
 //!
@@ -57,6 +81,17 @@
 //! SIGKILLed component) is treated as a *noisy* disconnect: readers blocked
 //! on steps that writer group can no longer commit fail promptly with
 //! `PeerGone` instead of waiting out the hub timeout.
+//!
+//! A box is a guess. When a `get` asks a step that was fetched with boxes
+//! for a region its chunks do not cover, the reader handle asks for the
+//! open step again without a trailer (fetching is idempotent until the
+//! release), reads from the whole step, and only then may report
+//! `RegionOutOfBounds` — never a silent zero-fill. The second fetch shows in
+//! `wire_reader_bytes` and as a second `relay_*` trace instant for the step.
+//!
+//! A reader session releases only the step it last served and has not yet
+//! released; any other `R_RELEASE` is a protocol violation that costs the
+//! connection, not a step its sibling ranks have yet to read.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, IoSlice, Read, Write};
@@ -70,8 +105,8 @@ use std::time::{Duration, Instant};
 use bytes::BufMut;
 use parking_lot::Mutex;
 use sb_data::wire::{
-    decode_chunk, decode_chunk_interned, encode_chunk, encode_chunk_interned, get_str, Compression,
-    MetaDefs, MetaInternTable,
+    decode_chunk, decode_chunk_interned, decode_region, encode_chunk, encode_chunk_interned,
+    encode_region, get_str, Compression, MetaDefs, MetaInternTable,
 };
 use sb_data::{AllocationId, Chunk, Region};
 
@@ -82,7 +117,7 @@ use crate::stream::WriterOptions;
 use crate::trace::{EventKind, TraceSite, Tracer};
 use crate::transport::{
     ReaderConnection, ReaderEndpoint, StepContents, Transport, VarSlot, WriterConnection,
-    WriterEndpoint,
+    WriterEndpoint, MAX_STEP_BOXES,
 };
 
 // Client → broker.
@@ -281,13 +316,20 @@ fn check_wire_str_len(len: usize) -> Result<(), String> {
 /// socket of [`crate::shm`] — so every client and broker-session codepath
 /// above this line is fabric-agnostic.
 pub(crate) trait FrameIo: Send {
-    /// Sends one `u32`-length-prefixed frame whose payload is the
-    /// concatenation of `parts`, returning the bytes that crossed the
-    /// fabric (header plus payload). Taking the payload as slices is what
-    /// lets a sender frame bytes it does not own contiguously — a step
-    /// batch behind its header, relayed chunk bodies behind a prelude —
-    /// without first copying them into one buffer.
-    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize>;
+    /// Sends `frames` back to back as one gathered write, each a
+    /// `u32`-length-prefixed frame whose payload is the concatenation of its
+    /// parts, returning the bytes that crossed the fabric (headers plus
+    /// payloads). Taking a payload as slices is what lets a sender frame
+    /// bytes it does not own contiguously — a step batch behind its header,
+    /// relayed chunk bodies behind a prelude — without first copying them
+    /// into one buffer; taking several frames is what lets a reader's
+    /// release and its next request leave in one syscall.
+    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize>;
+
+    /// Sends one frame whose payload is the concatenation of `parts`.
+    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
+        self.send_frames(&[parts])
+    }
 
     /// Sends one frame from a contiguous payload.
     fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize> {
@@ -368,18 +410,24 @@ impl Socket for TcpStream {
 }
 
 impl<S: Socket> FrameIo for S {
-    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
-        let header = frame_header(parts)?;
-        let mut slices = Vec::with_capacity(1 + parts.len());
-        slices.push(IoSlice::new(&header));
-        slices.extend(
-            parts
-                .iter()
-                .filter(|p| !p.is_empty())
-                .map(|p| IoSlice::new(p)),
-        );
-        let sent = header.len() + u32::from_le_bytes(header) as usize;
-        // One gathered write per frame in the common case; the loop covers
+    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+        let headers = frames
+            .iter()
+            .map(|parts| frame_header(parts))
+            .collect::<io::Result<Vec<[u8; 4]>>>()?;
+        let mut slices = Vec::with_capacity(frames.iter().map(|parts| 1 + parts.len()).sum());
+        let mut sent = 0;
+        for (header, parts) in headers.iter().zip(frames) {
+            slices.push(IoSlice::new(header));
+            slices.extend(
+                parts
+                    .iter()
+                    .filter(|p| !p.is_empty())
+                    .map(|p| IoSlice::new(p)),
+            );
+            sent += header.len() + u32::from_le_bytes(*header) as usize;
+        }
+        // One gathered write per call in the common case; the loop covers
         // short writes and lists longer than the kernel's iovec limit.
         let mut rest = &mut slices[..];
         while !rest.is_empty() {
@@ -427,6 +475,15 @@ impl<'a> Cur<'a> {
         Ok(b)
     }
 
+    fn u16(&mut self, what: &str) -> Result<u16, String> {
+        if self.0.len() < 2 {
+            return Err(format!("truncated {what}"));
+        }
+        let (head, rest) = self.0.split_at(2);
+        self.0 = rest;
+        Ok(u16::from_le_bytes(head.try_into().unwrap()))
+    }
+
     fn u32(&mut self, what: &str) -> Result<u32, String> {
         if self.0.len() < 4 {
             return Err(format!("truncated {what}"));
@@ -468,6 +525,39 @@ fn negotiated(cur: &mut Cur<'_>) -> Result<(WireProtocol, Compression), String> 
         return Ok((proto, Compression::None));
     }
     Ok((proto, comp))
+}
+
+/// Appends the box trailer of an `R_BEGIN`: `u16 nboxes | (str var | region)*`.
+fn encode_boxes(buf: &mut Vec<u8>, boxes: &[(String, Region)]) -> Result<(), String> {
+    let n = u16::try_from(boxes.len()).map_err(|_| format!("{} boxes", boxes.len()))?;
+    buf.put_u16_le(n);
+    for (var, region) in boxes {
+        put_wire_str(buf, var)?;
+        encode_region(buf, region).map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
+/// Parses what follows the step id of an `R_BEGIN`. Nothing there, or more
+/// boxes than [`MAX_STEP_BOXES`], asks for the whole step (and the excess is
+/// not even parsed). The regions are as hostile as the rest of the frame:
+/// nothing may do arithmetic on one before it passed
+/// [`Region::validate`] against the shape it is to cut.
+fn decode_boxes(cur: &mut Cur<'_>) -> Result<Vec<(String, Region)>, String> {
+    if cur.0.is_empty() {
+        return Ok(Vec::new());
+    }
+    let n = cur.u16("box count")? as usize;
+    if n > MAX_STEP_BOXES {
+        return Ok(Vec::new());
+    }
+    let mut boxes = Vec::with_capacity(n);
+    for _ in 0..n {
+        let var = cur.string("box variable")?;
+        let region = decode_region(&mut cur.0).map_err(|e| format!("bad box region: {e}"))?;
+        boxes.push((var, region));
+    }
+    Ok(boxes)
 }
 
 fn proto_gone(stream: &str, detail: impl std::fmt::Display) -> StreamError {
@@ -589,8 +679,12 @@ impl ClientConn {
     }
 
     fn send_parts(&mut self, parts: &[&[u8]]) -> StreamResult<()> {
+        self.send_frames(&[parts])
+    }
+
+    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> StreamResult<()> {
         self.io
-            .send_frame_parts(parts)
+            .send_frames(frames)
             .map(|_| ())
             .map_err(|e| self.lost(e))
     }
@@ -1041,6 +1135,8 @@ impl ReaderEndpoint for TcpReader {
             Err(e) => return Err(e.clone()),
         };
         if self.pending != Some(step) {
+            // Not prefetched: the connection's first step, or the open step
+            // asked for again. No boxes, so the reply is the whole step.
             let mut req = Vec::with_capacity(9);
             req.put_u8(R_BEGIN);
             req.put_u64_le(step);
@@ -1097,24 +1193,29 @@ impl ReaderEndpoint for TcpReader {
         }
     }
 
-    fn release_step(&mut self, step: u64) {
+    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]) {
         if self.eos {
             return;
         }
-        let counters = Arc::clone(&self.counters);
         if let Ok(conn) = &mut self.io {
-            let mut req = Vec::with_capacity(9);
-            req.put_u8(R_RELEASE);
-            req.put_u64_le(step);
-            counters.add_wire_reader(4 + req.len());
-            let _ = conn.send(&req);
-            // Prefetch: pipeline the request for the next step so the
-            // broker can push it while this rank computes.
-            let mut next = Vec::with_capacity(9);
+            let mut release = Vec::with_capacity(9);
+            release.put_u8(R_RELEASE);
+            release.put_u64_le(step);
+            // Prefetch: pipeline the request for the next step, in the same
+            // write, so the broker can push it while this rank computes. It
+            // names the boxes this step read; v1 replies are never cut.
+            let mut next = Vec::with_capacity(64);
             next.put_u8(R_BEGIN);
             next.put_u64_le(step + 1);
-            counters.add_wire_reader(4 + next.len());
-            if conn.send(&next).is_ok() {
+            if self.proto == WireProtocol::V2 && !boxes.is_empty() {
+                let bare = next.len();
+                if encode_boxes(&mut next, boxes).is_err() {
+                    next.truncate(bare);
+                }
+            }
+            self.counters
+                .add_wire_reader(8 + release.len() + next.len());
+            if conn.send_frames(&[&[&release], &[&next]]).is_ok() {
                 self.pending = Some(step + 1);
             }
         }
@@ -1235,6 +1336,7 @@ impl Transport for TcpTransport {
             }
             Err(e) => (Err(e), 0, WireProtocol::V1, None),
         };
+        let learns_boxes = io.is_ok() && proto == WireProtocol::V2;
         let mut rc = ReaderConnection::new(
             Box::new(TcpReader {
                 io,
@@ -1250,6 +1352,7 @@ impl Transport for TcpTransport {
             trace_id,
         );
         rc.counters = counters;
+        rc.learns_boxes = learns_boxes;
         rc
     }
 
@@ -1677,6 +1780,43 @@ impl Segment {
     fn bytes(&self) -> &[u8] {
         &self.buf[self.range.clone()]
     }
+
+    fn owning(buf: Vec<u8>) -> Segment {
+        Segment {
+            range: 0..buf.len(),
+            buf: Arc::new(buf),
+        }
+    }
+}
+
+/// Cuts the row slab `part` out of a cached `ichunk` that carries `whole`
+/// raw: a fresh header (`id | part | nelems | codec None`) and the run of
+/// the cached payload `part` occupies, shared, not copied. `None` when the
+/// payload is LZ-coded, which has no addressable rows.
+fn slab_of(cached: &CachedChunk, elem_bytes: usize, part: &Region) -> Option<[Segment; 2]> {
+    let whole = &cached.region;
+    // id | u16 rank | (offset, count)* | nelems | codec
+    let payload_at = 4 + 2 + 16 * whole.ndims() + 8 + 1;
+    let bytes = cached.bytes.bytes();
+    let raw = whole.len() * elem_bytes;
+    if bytes.len() != payload_at + raw || bytes[payload_at - 1] != Compression::None.tag() {
+        return None;
+    }
+    let row = raw.checked_div(*whole.count().first()?)?;
+    let start =
+        cached.bytes.range.start + payload_at + (part.offset()[0] - whole.offset()[0]) * row;
+    let mut header = Vec::with_capacity(payload_at);
+    header.put_u32_le(cached.id);
+    encode_region(&mut header, part).ok()?;
+    header.put_u64_le(part.len() as u64);
+    header.put_u8(Compression::None.tag());
+    Some([
+        Segment::owning(header),
+        Segment {
+            buf: Arc::clone(&cached.bytes.buf),
+            range: start..start + part.count()[0] * row,
+        },
+    ])
 }
 
 /// One chunk's `ichunk` bytes, already carrying its relay-global meta id.
@@ -1710,8 +1850,9 @@ struct CachedStep {
 struct StepReply {
     /// `REPLY_STEP | step | ndefs | def* | nchunks`.
     prelude: Vec<u8>,
-    /// The chunk bodies, in the step's canonical order.
-    chunks: Vec<Segment>,
+    /// The chunk bodies, in the step's canonical order: one segment per
+    /// chunk sent as cached, a header and a payload run per slab.
+    parts: Vec<Segment>,
     /// Payload bytes before/after the codec of the chunks this reply had
     /// to encode itself; `(0, 0)` when every chunk was already cached.
     encoded: (u64, u64),
@@ -1777,19 +1918,28 @@ impl StreamRelay {
     /// encode that joins the same cache — so across all attached readers
     /// each chunk is encoded at most once per codec, and not at all on the
     /// pass-through path. Only the per-session definition catch-up prelude
-    /// differs between readers. The lock is held across the encode, which
-    /// is what makes "at most once" exact.
+    /// and the cut below differ between readers. The lock is held across the
+    /// encode, which is what makes "at most once" exact.
     ///
     /// A chunk misses when nothing seeded it: its writer is in-proc on the
     /// broker hub or speaks v1, it negotiated a different codec than this
     /// reader, or no v2 reader was attached when its frame arrived. Finding
     /// a chunk is a scan of the step's cached chunks — one per writer rank
     /// and variable, so a handful.
+    ///
+    /// `boxes` are the regions the requesting rank expects to read. Of a
+    /// variable they name, a chunk that meets none of them is left out, and
+    /// one they meet in a proper row slab travels as that slab of the cached
+    /// bytes ([`slab_of`]). Everything else travels whole: variables no box
+    /// names, variables with a box that does not fit the step's shape, a
+    /// variable no chunk of which meets a box (so no reply ever lacks a
+    /// variable), chunks met in anything but a row slab, LZ-coded payloads.
     fn reply_step(
         &self,
         step: u64,
         comp: Compression,
         contents: &StepContents,
+        boxes: &[(String, Region)],
         defs_seen: &mut u32,
     ) -> sb_data::DataResult<StepReply> {
         let mut guard = self.inner.lock();
@@ -1797,38 +1947,71 @@ impl StreamRelay {
         let entry = inner.cache.entry(step);
         // BTreeMap order makes the chunk order canonical, so every reader
         // of a step sees byte-identical chunk bodies.
-        let mut chunks = Vec::new();
+        let mut parts = Vec::new();
+        let mut nchunks = 0u32;
         let mut encoded = (0u64, 0u64);
-        for chunk in contents.values().flat_map(|slot| &slot.chunks) {
-            let id = inner.table.intern(&chunk.meta)?;
-            let hit = entry.chunks.iter().find(|c| {
-                c.id == id
-                    && c.codec == comp
-                    && c.region == chunk.region
-                    && c.data.names(&chunk.data)
-            });
-            let bytes = match hit {
-                Some(cached) => cached.bytes.clone(),
-                None => {
-                    let mut buf = Vec::new();
-                    let enc = encode_chunk_interned(&mut buf, chunk, id, comp)?;
-                    encoded.0 += enc.raw_payload as u64;
-                    encoded.1 += enc.wire_payload as u64;
-                    let bytes = Segment {
-                        range: 0..buf.len(),
-                        buf: Arc::new(buf),
-                    };
-                    entry.chunks.push(CachedChunk {
-                        id,
-                        region: chunk.region.clone(),
-                        data: chunk.data.allocation_id(),
-                        codec: comp,
-                        bytes: bytes.clone(),
-                    });
-                    bytes
+        for (name, slot) in contents.iter() {
+            let mut wanted: Vec<&Region> = boxes
+                .iter()
+                .filter(|(var, _)| var == name)
+                .map(|(_, region)| region)
+                .collect();
+            if wanted.iter().any(|b| b.validate(&slot.meta.shape).is_err()) {
+                wanted.clear();
+            }
+            // The part of each chunk the boxes meet; all of it if several do.
+            let mut cuts: Vec<Option<Region>> = slot
+                .chunks
+                .iter()
+                .map(|chunk| {
+                    let mut met = wanted.iter().filter_map(|b| chunk.region.intersect(b));
+                    let first = met.next()?;
+                    Some(if met.next().is_none() {
+                        first
+                    } else {
+                        chunk.region.clone()
+                    })
+                })
+                .collect();
+            if cuts.iter().all(Option::is_none) {
+                cuts = slot.chunks.iter().map(|c| Some(c.region.clone())).collect();
+            }
+            for (chunk, cut) in slot.chunks.iter().zip(cuts) {
+                let Some(cut) = cut else { continue };
+                let id = inner.table.intern(&chunk.meta)?;
+                let hit = entry.chunks.iter().position(|c| {
+                    c.id == id
+                        && c.codec == comp
+                        && c.region == chunk.region
+                        && c.data.names(&chunk.data)
+                });
+                let at = match hit {
+                    Some(at) => at,
+                    None => {
+                        let mut buf = Vec::new();
+                        let enc = encode_chunk_interned(&mut buf, chunk, id, comp)?;
+                        encoded.0 += enc.raw_payload as u64;
+                        encoded.1 += enc.wire_payload as u64;
+                        entry.chunks.push(CachedChunk {
+                            id,
+                            region: chunk.region.clone(),
+                            data: chunk.data.allocation_id(),
+                            codec: comp,
+                            bytes: Segment::owning(buf),
+                        });
+                        entry.chunks.len() - 1
+                    }
+                };
+                let cached = &entry.chunks[at];
+                let slab = (cut != chunk.region && cut.is_row_slab_of(&chunk.region))
+                    .then(|| slab_of(cached, chunk.meta.dtype.elem_bytes(), &cut))
+                    .flatten();
+                match slab {
+                    Some(slab) => parts.extend(slab),
+                    None => parts.push(cached.bytes.clone()),
                 }
-            };
-            chunks.push(bytes);
+                nchunks += 1;
+            }
         }
 
         let mut prelude = Vec::with_capacity(32);
@@ -1839,10 +2022,10 @@ impl StreamRelay {
         let ndefs = inner.table.append_defs_since(*defs_seen, &mut prelude);
         prelude[ndefs_at..ndefs_at + 4].copy_from_slice(&ndefs.to_le_bytes());
         *defs_seen = inner.table.len();
-        prelude.put_u32_le(chunks.len() as u32);
+        prelude.put_u32_le(nchunks);
         Ok(StepReply {
             prelude,
-            chunks,
+            parts,
             encoded,
         })
     }
@@ -2057,7 +2240,7 @@ fn encode_v1_step(step: u64, contents: &StepContents) -> sb_data::DataResult<Ste
     }
     Ok(StepReply {
         prelude,
-        chunks: Vec::new(),
+        parts: Vec::new(),
         encoded: (raw, raw),
     })
 }
@@ -2093,6 +2276,9 @@ fn reader_session(
     let _gauge = (proto == WireProtocol::V2).then(|| ReaderCountGuard::new(Arc::clone(&relay)));
     // Definition ids already sent to this session (v2 catch-up mark).
     let mut defs_seen = 0u32;
+    // The step this session last served and has not released yet: the only
+    // one it may release. The hub trusts its callers with step numbers.
+    let mut held: Option<u64> = None;
     let trace_id = hub.tracer().intern(&name);
 
     let mut started = Vec::with_capacity(11);
@@ -2112,14 +2298,16 @@ fn reader_session(
         match cur.u8("reader opcode").map_err(session_err)? {
             R_BEGIN => {
                 let step = cur.u64("step").map_err(session_err)?;
+                let boxes = decode_boxes(&mut cur).map_err(session_err)?;
                 match endpoint.fetch_step(step) {
                     Ok(Some(contents)) => {
+                        held = Some(step);
                         let built = match proto {
                             // v1 re-sends every chunk self-described; byte
                             // layout identical to the container.
                             WireProtocol::V1 => encode_v1_step(step, &contents),
                             WireProtocol::V2 => {
-                                relay.reply_step(step, comp, &contents, &mut defs_seen)
+                                relay.reply_step(step, comp, &contents, &boxes, &mut defs_seen)
                             }
                         };
                         match built {
@@ -2136,7 +2324,7 @@ fn reader_session(
                                     }
                                 }
                                 let mut parts = vec![&built.prelude[..]];
-                                parts.extend(built.chunks.iter().map(Segment::bytes));
+                                parts.extend(built.parts.iter().map(Segment::bytes));
                                 let sent = io.send_frame_parts(&parts)?;
                                 ledger.charge(sent);
                                 let kind = if raw > 0 {
@@ -2170,7 +2358,13 @@ fn reader_session(
             }
             R_RELEASE => {
                 let step = cur.u64("step").map_err(session_err)?;
-                endpoint.release_step(step);
+                if held.take() != Some(step) {
+                    return Err(session_err(format!(
+                        "reader {rank} of {group:?} released step {step} of {name:?}, \
+                         which this connection does not hold"
+                    )));
+                }
+                endpoint.release_step(step, &[]);
                 if proto == WireProtocol::V2 {
                     relay.note_release(step);
                 }
@@ -2577,7 +2771,10 @@ mod tests {
             w.put_whole(var(vals.clone()));
             w.end_step().unwrap();
             assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
-            assert_eq!(r.get_whole("x").unwrap().data.to_f64_vec(), vals);
+            // From the second step on the request names this box; an LZ
+            // block has no rows to cut, so the chunk still travels as sent.
+            let half = r.get("x", &Region::new(vec![0], vec![1024])).unwrap();
+            assert_eq!(half.data.to_f64_vec(), vals[..1024]);
             r.end_step();
         }
         w.close();
@@ -2598,6 +2795,49 @@ mod tests {
         assert_eq!(timeline.of_kind(EventKind::RelayEncoded).count(), 0);
         // The broker ran no codec, so it reports no compression either.
         assert_eq!(timeline.of_kind(EventKind::Compressed).count(), 0);
+    }
+
+    #[test]
+    fn a_box_read_moves_the_box_and_runs_no_codec() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        broker.hub().tracer().enable(&crate::TraceConfig::default());
+        let hub = StreamHub::connect(&broker.url()).unwrap();
+        let mut r = hub.open_reader("box.fp", 0, 1);
+        let mut w = hub.open_writer("box.fp", 0, 1, WriterOptions::default());
+        let steps = 5u64;
+        let vals: Vec<f64> = (0..4096).map(f64::from).collect();
+        let payload = (vals.len() * 8) as u64;
+        let quarter = Region::new(vec![1024], vec![1024]);
+        for step in 0..steps {
+            w.begin_step().unwrap();
+            w.put_whole(var(vals.clone()));
+            w.end_step().unwrap();
+            assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
+            let got = r.get("x", &quarter).unwrap();
+            assert_eq!(got.data.to_f64_vec(), vals[1024..2048]);
+            r.end_step();
+        }
+        w.close();
+        assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
+
+        // The first step was asked for before any box was known and came
+        // whole; every later one is the quarter, handed over as it arrived.
+        let m = hub.metrics("box.fp").unwrap();
+        let moved = payload + (steps - 1) * payload / 4;
+        assert!(m.wire_reader_bytes >= moved);
+        assert!(
+            m.wire_reader_bytes < moved + 1024,
+            "{}",
+            m.wire_reader_bytes
+        );
+        assert_eq!(m.copies_elided, steps - 1);
+        assert_eq!(m.bytes_copied, payload / 4);
+        let timeline = broker.hub().tracer().drain();
+        assert_eq!(
+            timeline.of_kind(EventKind::RelayPassThrough).count() as u64,
+            steps
+        );
+        assert_eq!(timeline.of_kind(EventKind::RelayEncoded).count(), 0);
     }
 
     #[test]
@@ -2769,6 +3009,106 @@ mod tests {
         assert_eq!(cached(), 3);
         drop(idle);
         assert_eq!(cached(), 0);
+    }
+
+    #[test]
+    fn a_row_slab_box_is_answered_with_a_slice_of_the_writers_frame() {
+        let relay = Arc::new(StreamRelay::default());
+        let _reader = ReaderCountGuard::new(Arc::clone(&relay));
+        let shape = Shape::of(&[("row", 8), ("col", 3)]);
+        let meta = sb_data::VariableMeta::new("grid", shape, DType::F64);
+        // Two writer ranks, four rows each, in one received frame.
+        let chunks: Vec<Chunk> = [0usize, 4]
+            .iter()
+            .map(|&base| {
+                let data = (0..12).map(|i| (base * 3 + i) as f64).collect();
+                let region = Region::new(vec![base, 0], vec![4, 3]);
+                Chunk::new(meta.clone(), region, Buffer::F64(data)).unwrap()
+            })
+            .collect();
+        let mut frame = vec![0xEE; 13];
+        let seeded: Vec<(Chunk, Range<usize>)> = chunks
+            .iter()
+            .map(|chunk| {
+                let at = frame.len();
+                encode_chunk_interned(&mut frame, chunk, 9, Compression::None).unwrap();
+                (chunk.clone(), at..frame.len())
+            })
+            .collect();
+        relay.seed(0, Compression::None, frame, &seeded);
+        let frame = Arc::clone(&relay.inner.lock().cache.steps[&0].chunks[0].bytes.buf);
+        let slot = VarSlot {
+            meta,
+            chunks: chunks.clone(),
+        };
+        let contents: StepContents = Arc::new(BTreeMap::from([("grid".to_string(), slot)]));
+
+        // What a client makes of a reply, with the decoder it always had.
+        let answer = |boxes: &[(&str, Region)]| {
+            let boxes: Vec<(String, Region)> = boxes
+                .iter()
+                .map(|(var, region)| (var.to_string(), region.clone()))
+                .collect();
+            let reply = relay
+                .reply_step(0, Compression::None, &contents, &boxes, &mut 0)
+                .unwrap();
+            assert_eq!(reply.encoded, (0, 0), "a cut must not run a codec");
+            let mut bytes = reply.prelude.clone();
+            for part in &reply.parts {
+                bytes.extend_from_slice(part.bytes());
+            }
+            let mut cur = Cur(&bytes[9..]);
+            let mut defs = MetaDefs::default();
+            for _ in 0..cur.u32("def count").unwrap() {
+                defs.decode_def(&mut cur.0).unwrap();
+            }
+            let got: Vec<Chunk> = (0..cur.u32("chunk count").unwrap())
+                .map(|_| decode_chunk_interned(&mut cur.0, &defs).unwrap())
+                .collect();
+            assert!(cur.0.is_empty());
+            (reply, got)
+        };
+        let shared = |part: &Segment| Arc::ptr_eq(&part.buf, &frame);
+
+        // Rows 2..6 straddle both chunks: two slabs, each a fresh header in
+        // front of a run of the writer's own frame.
+        let (reply, got) = answer(&[("grid", Region::new(vec![2, 0], vec![4, 3]))]);
+        assert_eq!(reply.parts.len(), 4);
+        assert!(!shared(&reply.parts[0]) && shared(&reply.parts[1]));
+        assert!(!shared(&reply.parts[2]) && shared(&reply.parts[3]));
+        assert_eq!(got[0].region, Region::new(vec![2, 0], vec![2, 3]));
+        assert_eq!(got[1].region, Region::new(vec![4, 0], vec![2, 3]));
+        let rows: Vec<f64> = got.iter().flat_map(|c| c.data.to_f64_vec()).collect();
+        assert_eq!(rows, (6..18).map(f64::from).collect::<Vec<_>>());
+
+        // A box equal to one chunk: that chunk as cached, the other not at all.
+        let (reply, got) = answer(&[("grid", chunks[1].region.clone())]);
+        assert_eq!(reply.parts.len(), 1);
+        assert!(shared(&reply.parts[0]));
+        assert_eq!(got[0].region, chunks[1].region);
+        assert_eq!(got[0].data.to_f64_vec(), chunks[1].data.to_f64_vec());
+
+        // A column is no row slab, two boxes on one chunk have no single
+        // slab, and a box that cannot lie in this shape cuts nothing: the
+        // chunks they meet travel as cached.
+        let column = Region::new(vec![0, 1], vec![8, 1]);
+        let top = Region::new(vec![0, 0], vec![1, 3]);
+        let next = Region::new(vec![2, 0], vec![1, 3]);
+        let outside = Region::new(vec![0, 0], vec![9, 3]);
+        let flat = Region::new(vec![0], vec![8]);
+        for (boxes, sent) in [
+            (vec![("grid", column)], 2),
+            (vec![("grid", top.clone()), ("grid", next)], 1),
+            (vec![("grid", top.clone()), ("grid", outside)], 2),
+            (vec![("grid", flat)], 2),
+            (vec![("other", top)], 2),
+            (vec![], 2),
+        ] {
+            let (reply, got) = answer(&boxes);
+            assert_eq!(reply.parts.len(), sent, "{boxes:?}");
+            assert!(reply.parts.iter().all(shared), "{boxes:?}");
+            assert_eq!(got.len(), sent);
+        }
     }
 
     #[test]

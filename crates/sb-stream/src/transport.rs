@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use sb_data::Chunk;
+use sb_data::{Chunk, Region};
 
 use crate::error::StreamResult;
 use crate::metrics::{Counters, StreamMetrics};
@@ -72,15 +72,27 @@ pub trait WriterEndpoint: Send {
     fn disconnect(&mut self);
 }
 
+/// Most `(variable, region)` pairs a reader hands its endpoint per release,
+/// and most a broker accepts per step request. A rank reads a handful of
+/// boxes per step; one that reads more than this is served whole steps.
+pub const MAX_STEP_BOXES: usize = 64;
+
 /// One reader rank's connection to a stream: produces committed steps.
 pub trait ReaderEndpoint: Send {
     /// Blocks until `step` is committed (`Some`) or the stream ended
-    /// cleanly (`None`).
+    /// cleanly (`None`). A backend that was told the rank's boxes (see
+    /// [`release_step`](Self::release_step)) may leave out chunks those boxes
+    /// do not touch, but never a variable; fetching the step that is already
+    /// open again must return it whole.
     fn fetch_step(&mut self, step: u64) -> StreamResult<Option<StepContents>>;
 
     /// Releases `step`; once every rank of the group has, the writer-side
-    /// buffer slot is freed.
-    fn release_step(&mut self, step: u64);
+    /// buffer slot is freed. `boxes` are the `(variable, region)` pairs this
+    /// rank read during `step` — its best guess at what it will read next,
+    /// so a remote backend can ask for only those bytes of `step + 1`. Empty
+    /// for backends that hand steps over by reference, and when the rank
+    /// read more than [`MAX_STEP_BOXES`].
+    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]);
 
     /// Steps the writer group has committed so far (diagnostics).
     fn committed_steps(&self) -> u64;
@@ -126,6 +138,10 @@ pub struct ReaderConnection {
     pub(crate) tracer: Arc<Tracer>,
     pub(crate) trace_id: u32,
     pub(crate) counters: Arc<Counters>,
+    /// Whether the reader handle should remember the boxes each step's
+    /// `get`s served and pass them to [`ReaderEndpoint::release_step`]: set
+    /// by backends whose `fetch_step` moves bytes and can move fewer.
+    pub(crate) learns_boxes: bool,
 }
 
 impl ReaderConnection {
@@ -143,6 +159,7 @@ impl ReaderConnection {
             tracer,
             trace_id,
             counters: Arc::new(Counters::default()),
+            learns_boxes: false,
         }
     }
 }
@@ -279,7 +296,7 @@ impl ReaderEndpoint for InProcReader {
         self.stream.reader_begin_step(step)
     }
 
-    fn release_step(&mut self, step: u64) {
+    fn release_step(&mut self, step: u64, _boxes: &[(String, Region)]) {
         self.stream.reader_end_step(&self.group, step, self.nranks);
     }
 
@@ -324,6 +341,7 @@ impl Transport for InProcTransport {
             tracer: Arc::clone(&stream.tracer),
             trace_id: stream.trace_id,
             counters: Arc::clone(&stream.counters),
+            learns_boxes: false,
             endpoint: Box::new(InProcReader {
                 stream,
                 group: group.to_string(),

@@ -520,30 +520,6 @@ fn tiling_slab_reads_skip_the_zero_fill() {
 }
 
 #[test]
-fn force_copy_restores_the_copying_data_plane() {
-    // The bench ablation knob: with force_copy the same read goes through
-    // zero-fill + copy_region, and the counters say so.
-    let hub = StreamHub::new();
-    let mut w = hub.open_writer("fc.fp", 0, 1, WriterOptions::default());
-    w.begin_step().unwrap();
-    w.put_whole(tagged_variable("x", 6, 3));
-    w.end_step().unwrap();
-    w.close();
-
-    let mut r = hub.open_reader("fc.fp", 0, 1);
-    r.set_force_copy(true);
-    assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0));
-    let v = r.get_whole("x").unwrap();
-    assert_eq!(v.get(&[5, 2]), 5002.0);
-    r.end_step();
-
-    let m = hub.metrics("fc.fp").unwrap();
-    assert_eq!(m.copies_elided, 0);
-    assert_eq!(m.zero_fills_elided, 0);
-    assert_eq!(m.bytes_copied, 6 * 3 * 8);
-}
-
-#[test]
 fn strided_column_read_still_assembles_correctly() {
     // A column band is NOT a row slab (strided in memory): it must fall
     // back to the general path and still produce exact data.

@@ -37,9 +37,10 @@ use super::{lint_entries, PolicyLines};
 /// payload. The benchmark (`benchmark/`, `BENCHMARK.json`) meters each hop
 /// of a well-shaped stream at its payload: `writer_hop_amplification` and
 /// `reader_hop_amplification` are 1.000 on the 1×1 `lammps.replay.tcp`,
-/// and the reader hop is 2.5 on `gromacs.mxn.tcp-lz`, where three reader
-/// ranks each receive the step. One group therefore costs ~2× by this
-/// pass's model; 6× separates the fan-out a workflow plausibly wants from
+/// and the reader hop is 1.01 on `gromacs.mxn.tcp-lz`, whose three reader
+/// ranks are each sent their box (2.5 while each was sent the step). One
+/// group therefore costs ~2× by this pass's model, whatever its rank
+/// count; 6× separates the fan-out a workflow plausibly wants from
 /// a wiring problem (tiny payloads fanned out widely, where per-rank
 /// metadata dominates).
 pub const WIRE_AMPLIFICATION_THRESHOLD_TENTHS: u64 = 60;
@@ -355,9 +356,9 @@ fn cross_process_streams(
 /// SB017: static wire-cost estimate for each cross-process stream.
 ///
 /// One step of a stream with payload `P` bytes crosses the broker once up
-/// (writer → broker) and once per subscribed reader group down (the
-/// broker fans out whole steps per group), so the payload alone costs
-/// `(1 + groups) × P`. On top of that every participating rank exchanges
+/// (writer → broker) and once per subscribed reader group down (each
+/// rank of a group is sent the box it reads, and the boxes of a group tile
+/// the step), so the payload alone costs `(1 + groups) × P`. On top of that every participating rank exchanges
 /// the self-describing metadata and step envelope. The amplification is
 /// wire bytes per payload byte; tiny payloads under wide fan-out are
 /// exactly the shapes that drown in per-rank overhead.

@@ -1,23 +1,33 @@
-//! A forged frame length must cost a broker one receive stride, not the
-//! allocation it names.
+//! Frames a well-behaved client never sends, written to a broker from a raw
+//! socket: the outcome is a typed hang-up or an honest reply, never a panic,
+//! a freed step, or an allocation the frame merely names.
 //!
 //! Both brokers read frames through one bounded reader that reserves at
-//! most 4 MiB ahead of the bytes that have actually arrived. This test
+//! most 4 MiB ahead of the bytes that have actually arrived. The first test
 //! sends each of them a 1 GiB length prefix followed by a hang-up and
 //! watches the process's live heap through a counting allocator — the only
-//! vantage point from which "did not allocate a gigabyte" is observable. It
-//! is the only test in this binary so that nothing else moves the counters.
+//! vantage point from which "did not allocate a gigabyte" is observable.
+//! The tests of this binary take turns ([`SERIAL`]) so that nothing else
+//! moves the counters meanwhile.
 
 #![allow(unsafe_code)] // the `GlobalAlloc` forwarding impl below, nothing else
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use sb_data::wire::{decode_chunk_interned, encode_region, put_str, MetaDefs};
+use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
 use sb_integration_tests::wait_until;
-use sb_stream::{ShmBroker, TcpBroker};
+use sb_stream::{ShmBroker, StepStatus, StreamHub, TcpBroker, WriterOptions};
+
+/// One test at a time: the heap counters are process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -103,6 +113,7 @@ fn forged_prefix_cost(mut sock: impl Write, session_over: impl Fn() -> bool) -> 
 
 #[test]
 fn a_forged_gigabyte_prefix_costs_one_stride_on_both_fabrics() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
     let sock = TcpStream::connect(broker.local_addr()).unwrap();
     let rise = forged_prefix_cost(sock, || {
@@ -110,8 +121,7 @@ fn a_forged_gigabyte_prefix_costs_one_stride_on_both_fabrics() {
     });
     assert!(rise <= BUDGET, "tcp session allocated {rise} bytes");
 
-    let dir = std::env::temp_dir().join(format!("sb-hostile-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = shm_dir("prefix");
     let broker = ShmBroker::bind(&dir.to_string_lossy()).unwrap();
     let sock = UnixStream::connect(dir.join("broker.sock")).unwrap();
     let rise = forged_prefix_cost(sock, || {
@@ -123,4 +133,319 @@ fn a_forged_gigabyte_prefix_costs_one_stride_on_both_fabrics() {
         !dir.exists(),
         "shutdown must remove the rendezvous directory"
     );
+}
+
+// ---- reader sessions driven from a raw socket ------------------------------
+
+const HELLO_READER: u8 = 0x02;
+const R_BEGIN: u8 = 0x20;
+const R_RELEASE: u8 = 0x21;
+const REPLY_STEP: u8 = 0x82;
+
+/// How long a raw socket waits for the broker to answer or hang up.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A broker of either fabric, its in-proc hub, and a way to dial it raw.
+struct Target {
+    hub: Arc<StreamHub>,
+    url: String,
+    dial: Box<dyn Fn() -> Box<dyn RawSocket>>,
+    _broker: Box<dyn std::any::Any>,
+}
+
+trait RawSocket: Read + Write {}
+impl<S: Read + Write> RawSocket for S {}
+
+fn shm_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sb-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn targets(tag: &str) -> Vec<Target> {
+    let tcp = TcpBroker::bind("127.0.0.1:0").unwrap();
+    let addr = tcp.local_addr();
+    let dir = shm_dir(tag);
+    let shm = ShmBroker::bind(&dir.to_string_lossy()).unwrap();
+    vec![
+        Target {
+            hub: Arc::clone(tcp.hub()),
+            url: tcp.url(),
+            dial: Box::new(move || {
+                let sock = TcpStream::connect(addr).unwrap();
+                sock.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+                Box::new(sock)
+            }),
+            _broker: Box::new(tcp),
+        },
+        Target {
+            hub: Arc::clone(shm.hub()),
+            url: shm.url(),
+            dial: Box::new(move || {
+                let sock = UnixStream::connect(dir.join("broker.sock")).unwrap();
+                sock.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+                Box::new(sock)
+            }),
+            _broker: Box::new(shm),
+        },
+    ]
+}
+
+fn send_frame(sock: &mut dyn RawSocket, payload: &[u8]) {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    sock.write_all(&frame).unwrap();
+}
+
+/// The next frame, or `None` once the broker has hung up. A broker that
+/// neither answers nor hangs up fails the test at the read timeout.
+fn recv_frame(sock: &mut dyn RawSocket) -> Option<Vec<u8>> {
+    let mut len = [0u8; 4];
+    match sock.read_exact(&mut len) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => panic!("the broker went silent"),
+        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => panic!("the broker went silent"),
+        Err(_) => return None,
+    }
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    sock.read_exact(&mut body).unwrap();
+    Some(body)
+}
+
+/// Opens a v2, uncompressed reader session by hand and returns the socket
+/// past its `REPLY_STARTED`.
+fn raw_reader(
+    target: &Target,
+    stream: &str,
+    group: &str,
+    rank: u32,
+    nranks: u32,
+) -> Box<dyn RawSocket> {
+    let mut sock = (target.dial)();
+    let mut hello = vec![HELLO_READER];
+    put_str(&mut hello, stream).unwrap();
+    put_str(&mut hello, group).unwrap();
+    hello.extend_from_slice(&rank.to_le_bytes());
+    hello.extend_from_slice(&nranks.to_le_bytes());
+    hello.extend_from_slice(&[2, 0]);
+    send_frame(&mut *sock, &hello);
+    recv_frame(&mut *sock).expect("a REPLY_STARTED");
+    sock
+}
+
+fn step_verb(op: u8, step: u64, trailer: &[u8]) -> Vec<u8> {
+    let mut frame = vec![op];
+    frame.extend_from_slice(&step.to_le_bytes());
+    frame.extend_from_slice(trailer);
+    frame
+}
+
+/// Commits `steps` steps of an `8 x 3` grid, written by two in-proc ranks of
+/// four rows each, to `stream` on the broker's hub; from `shrink_at` on the
+/// grid has only four rows (two per rank).
+fn write_grid(hub: &Arc<StreamHub>, stream: &str, steps: u64, shrink_at: u64) {
+    let options = WriterOptions::buffered(steps as usize);
+    let mut writers: Vec<_> = (0..2)
+        .map(|rank| hub.open_writer(stream, rank, 2, options))
+        .collect();
+    for step in 0..steps {
+        let per_rank = if step < shrink_at { 4 } else { 2 };
+        let meta = VariableMeta::new(
+            "grid",
+            Shape::of(&[("row", 2 * per_rank), ("col", 3)]),
+            DType::F64,
+        );
+        for (rank, w) in writers.iter_mut().enumerate() {
+            let region = Region::new(vec![rank * per_rank, 0], vec![per_rank, 3]);
+            let data = (0..region.len()).map(|i| (step * 100) as f64 + (rank * 12 + i) as f64);
+            w.begin_step().unwrap();
+            w.put(Chunk::new(meta.clone(), region, Buffer::F64(data.collect())).unwrap());
+            w.end_step().unwrap();
+        }
+    }
+    for w in &mut writers {
+        w.close();
+    }
+}
+
+#[test]
+fn a_release_is_honoured_only_for_the_step_the_connection_holds() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for target in targets("release") {
+        let steps = 3u64;
+        write_grid(&target.hub, "pair.fp", steps, steps);
+        let consumed = || target.hub.metrics("pair.fp").unwrap().steps_consumed;
+
+        // Rank 1 of a two-rank group forges releases: of a step far past
+        // the queue, then of a committed step it never fetched. Each costs
+        // it the connection and nothing else.
+        for forged in [999, 0] {
+            let mut sock = raw_reader(&target, "pair.fp", "g", 1, 2);
+            send_frame(&mut *sock, &step_verb(R_RELEASE, forged, &[]));
+            assert!(
+                recv_frame(&mut *sock).is_none(),
+                "release of {forged} tolerated"
+            );
+        }
+
+        // The honest rank 0 reads everything; step 0 stays held for rank 1.
+        let remote = StreamHub::connect(&target.url).unwrap();
+        let read_all = |rank: usize| {
+            let mut r = remote.open_reader_grouped("pair.fp", "g", rank, 2);
+            for step in 0..steps {
+                assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step));
+                let grid = r.get_whole("grid").unwrap().data.to_f64_vec();
+                assert_eq!(grid[23], (step * 100 + 23) as f64);
+                r.end_step();
+            }
+            assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
+        };
+        read_all(0);
+        assert_eq!(consumed(), 0, "a forged release freed a step");
+        // Whoever takes rank 1's place finds every step still there.
+        read_all(1);
+        wait_until("the group's releases to land", || consumed() == steps);
+
+        // A second release of a step that was fetched and released once.
+        write_grid(&target.hub, "solo.fp", steps, steps);
+        let mut sock = raw_reader(&target, "solo.fp", "g", 0, 1);
+        send_frame(&mut *sock, &step_verb(R_BEGIN, 0, &[]));
+        assert_eq!(recv_frame(&mut *sock).unwrap()[0], REPLY_STEP);
+        send_frame(&mut *sock, &step_verb(R_RELEASE, 0, &[]));
+        send_frame(&mut *sock, &step_verb(R_RELEASE, 0, &[]));
+        assert!(recv_frame(&mut *sock).is_none(), "double release tolerated");
+        assert_eq!(target.hub.metrics("solo.fp").unwrap().steps_consumed, 1);
+    }
+}
+
+/// The chunks of one `REPLY_STEP`, decoded with the definitions this
+/// connection has been sent so far.
+fn decode_reply(reply: &[u8], defs: &mut MetaDefs) -> Vec<Chunk> {
+    assert_eq!(
+        reply[0],
+        REPLY_STEP,
+        "not a step: {:?}",
+        String::from_utf8_lossy(reply)
+    );
+    let mut body = &reply[9..];
+    let count = |body: &mut &[u8]| {
+        let (head, rest) = body.split_at(4);
+        *body = rest;
+        u32::from_le_bytes(head.try_into().unwrap())
+    };
+    for _ in 0..count(&mut body) {
+        defs.decode_def(&mut body).unwrap();
+    }
+    let chunks = (0..count(&mut body))
+        .map(|_| decode_chunk_interned(&mut body, defs).unwrap())
+        .collect();
+    assert!(body.is_empty());
+    chunks
+}
+
+fn box_trailer(boxes: &[(&str, Region)]) -> Vec<u8> {
+    let mut trailer = (boxes.len() as u16).to_le_bytes().to_vec();
+    for (var, region) in boxes {
+        put_str(&mut trailer, var).unwrap();
+        encode_region(&mut trailer, region).unwrap();
+    }
+    trailer
+}
+
+#[test]
+fn hostile_boxes_get_the_whole_variable_or_a_hang_up() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for target in targets("boxes") {
+        write_grid(&target.hub, "grid.fp", 2, 1);
+        let mut sock = raw_reader(&target, "grid.fp", "g", 0, 1);
+        let mut defs = MetaDefs::default();
+        let mut ask = |sock: &mut dyn RawSocket, step: u64, trailer: &[u8]| {
+            send_frame(sock, &step_verb(R_BEGIN, step, trailer));
+            decode_reply(&recv_frame(sock).expect("a reply"), &mut defs)
+        };
+        let rows = |chunks: &[Chunk]| -> Vec<(usize, usize)> {
+            chunks
+                .iter()
+                .map(|c| (c.region.offset()[0], c.region.count()[0]))
+                .collect()
+        };
+
+        // An honest box first: rows 2..6 come as the two slabs they span.
+        let honest = box_trailer(&[("grid", Region::new(vec![2, 0], vec![4, 3]))]);
+        let got = ask(&mut *sock, 0, &honest);
+        assert_eq!(rows(&got), [(2, 2), (4, 2)]);
+        assert_eq!(
+            got[0].data.to_f64_vec(),
+            (6..12).map(f64::from).collect::<Vec<_>>()
+        );
+
+        // Boxes that parse but cannot cut this variable: all of it.
+        let whole = [(0, 4), (4, 4)];
+        for (what, boxes) in [
+            (
+                "rank mismatch",
+                vec![("grid", Region::new(vec![2], vec![4]))],
+            ),
+            (
+                "end overflows",
+                vec![("grid", Region::new(vec![usize::MAX, 0], vec![2, 3]))],
+            ),
+            (
+                "past the shape",
+                vec![("grid", Region::new(vec![6, 0], vec![4, 3]))],
+            ),
+            (
+                "zero extent",
+                vec![("grid", Region::new(vec![2, 0], vec![0, 3]))],
+            ),
+            (
+                "unknown variable",
+                vec![("girder", Region::new(vec![2, 0], vec![1, 3]))],
+            ),
+            (
+                "one bad box among good",
+                vec![
+                    ("grid", Region::new(vec![2, 0], vec![1, 3])),
+                    ("grid", Region::new(vec![0, 0], vec![1, 4])),
+                ],
+            ),
+        ] {
+            assert_eq!(
+                rows(&ask(&mut *sock, 0, &box_trailer(&boxes))),
+                whole,
+                "{what}"
+            );
+        }
+        // A count past the cap is not parsed at all — here there is nothing
+        // behind it to parse.
+        assert_eq!(rows(&ask(&mut *sock, 0, &65u16.to_le_bytes())), whole);
+        assert_eq!(rows(&ask(&mut *sock, 0, &u16::MAX.to_le_bytes())), whole);
+
+        // A box that fitted step 0 does not fit the smaller step 1.
+        send_frame(&mut *sock, &step_verb(R_RELEASE, 0, &[]));
+        let got = ask(
+            &mut *sock,
+            1,
+            &box_trailer(&[("grid", Region::new(vec![4, 0], vec![4, 3]))]),
+        );
+        assert_eq!(rows(&got), [(0, 2), (2, 2)]);
+
+        // Trailers that do not parse cost the connection, and no more heap
+        // than the frame that carried them: a region claiming 65535
+        // dimensions with no body, and a count with no boxes behind it.
+        let mut forged_rank = 1u16.to_le_bytes().to_vec();
+        put_str(&mut forged_rank, "grid").unwrap();
+        forged_rank.extend_from_slice(&u16::MAX.to_le_bytes());
+        for trailer in [forged_rank, 64u16.to_le_bytes().to_vec()] {
+            let mut sock = raw_reader(&target, "grid.fp", "late", 0, 1);
+            let rise = heap_rise_during(|| {
+                send_frame(&mut *sock, &step_verb(R_BEGIN, 1, &trailer));
+                assert!(
+                    recv_frame(&mut *sock).is_none(),
+                    "a torn trailer was answered"
+                );
+            });
+            assert!(rise <= 1 << 20, "a torn trailer cost {rise} bytes");
+        }
+    }
 }

@@ -773,6 +773,190 @@ fn relay_pass_through_and_fallback_encode_deliver_identical_steps() {
     }
 }
 
+/// A remote reader's step request names the boxes it read last step and the
+/// broker answers with the bytes they touch; whatever that leaves out, every
+/// `get` must return what the same `get` returns on an in-proc hub. Swept
+/// over writer and reader counts, box kinds (a row slab, which the relay
+/// cuts; a column band and an interior box, which it cannot), payloads (raw;
+/// LZ that wins, so there are no rows to cut; LZ that gives up and stores
+/// raw) and both fabrics, with a writer rank on the broker's own hub in some
+/// cases (nothing seeded: encode, then cut). Every rank changes its box at
+/// step 2 — the one step whose request guessed wrong, and so the only one
+/// that may be fetched twice — and reads a second variable on odd steps
+/// only, which no request ever names in time.
+#[test]
+fn box_requests_deliver_what_an_in_proc_read_delivers() {
+    use sb_data::decompose::slab_partition;
+    use sb_data::{Chunk, VariableMeta};
+    use sb_stream::{
+        Compression, EventKind, ShmBroker, StepStatus, StreamHub, TcpBroker, TcpOptions,
+        TraceConfig, WriterOptions,
+    };
+
+    const STEPS: u64 = 4;
+    const COLS: usize = 6;
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Payload {
+        Raw,
+        LzWins,
+        LzGivesUp,
+    }
+
+    let shm_dir = std::env::temp_dir().join(format!("sb-props-boxes-{}", std::process::id()));
+    for (case, shm) in [false, true].into_iter().enumerate() {
+        for (nwriters, nreaders) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|m| [1usize, 2, 3, 5].map(|n| (m, n)))
+        {
+            for payload in [Payload::Raw, Payload::LzWins, Payload::LzGivesUp] {
+                let at = format!("shm={shm} {nwriters}x{nreaders} {payload:?}");
+                let mut rng = Lcg(0xB0C5 ^ (case * 64 + nwriters * 8 + nreaders) as u64);
+                let _ = std::fs::remove_dir_all(&shm_dir);
+                let (url, broker_hub, _broker): (_, _, Box<dyn std::any::Any>) = if shm {
+                    let b = ShmBroker::bind(&shm_dir.to_string_lossy()).unwrap();
+                    (b.url(), std::sync::Arc::clone(b.hub()), Box::new(b))
+                } else {
+                    let b = TcpBroker::bind("127.0.0.1:0").unwrap();
+                    (b.url(), std::sync::Arc::clone(b.hub()), Box::new(b))
+                };
+                broker_hub.tracer().enable(&TraceConfig::default());
+                let codec = match payload {
+                    Payload::Raw => Compression::None,
+                    _ => Compression::Lz,
+                };
+                let options = TcpOptions::default().with_compression(codec);
+                let remote = StreamHub::connect_with(&url, options).unwrap();
+                let truth = StreamHub::new();
+
+                let rows = nwriters * 5 + 3;
+                let shape = Shape::of(&[("rows", rows), ("cols", COLS)]);
+                let mut a = VariableMeta::new("a", shape.clone(), DType::F64);
+                a.labels
+                    .insert(1, (0..COLS).map(|c| format!("q{c}")).collect());
+                let b = VariableMeta::new("b", shape.clone(), DType::I32);
+
+                // Readers attach first so that remote writers' frames are kept.
+                let name = "boxes.fp";
+                let mut readers: Vec<_> = (0..nreaders)
+                    .map(|rank| {
+                        (
+                            remote.open_reader(name, rank, nreaders),
+                            truth.open_reader(name, rank, nreaders),
+                        )
+                    })
+                    .collect();
+                let mixed = nwriters >= 2 && nreaders % 2 == 1;
+                let mut writers: Vec<_> = (0..nwriters)
+                    .map(|rank| {
+                        let hub = if mixed && rank == 0 {
+                            &broker_hub
+                        } else {
+                            &remote
+                        };
+                        (
+                            hub.open_writer(name, rank, nwriters, WriterOptions::default()),
+                            truth.open_writer(name, rank, nwriters, WriterOptions::default()),
+                        )
+                    })
+                    .collect();
+
+                // The box of `a` a rank reads: one through step 1, another after.
+                let box_of = |rank: usize, step: u64| {
+                    let late = step >= 2;
+                    match rank % 3 {
+                        0 => {
+                            let of = if late { (rank + 1) % nreaders } else { rank };
+                            slab_partition(&shape, 0, nreaders, of)
+                        }
+                        1 if late => Region::new(vec![0, 3], vec![rows, 3]),
+                        1 => Region::new(vec![0, 1], vec![rows, 2]),
+                        _ if late => Region::new(vec![0, 0], vec![2, 2]),
+                        _ => Region::new(vec![1, 2], vec![rows - 3, 3]),
+                    }
+                };
+
+                for step in 0..STEPS {
+                    for (rank, (w, t)) in writers.iter_mut().enumerate() {
+                        w.begin_step().unwrap();
+                        t.begin_step().unwrap();
+                        for meta in [&a, &b] {
+                            let region = slab_partition(&shape, 0, nwriters, rank);
+                            let values: Vec<f64> = (0..region.len())
+                                .map(|i| match payload {
+                                    Payload::LzWins => (step + 1) as f64,
+                                    _ if i % 11 == 0 => f64::NAN,
+                                    // A product fills the whole mantissa.
+                                    _ => rng.float(-1e6, 1e6) * rng.float(0.5, 1.5),
+                                })
+                                .collect();
+                            let data: sb_data::SharedBuffer =
+                                Buffer::from_f64_vec(meta.dtype, values).into();
+                            let chunk = Chunk::new(meta.clone(), region, data).unwrap();
+                            w.put(chunk.clone());
+                            t.put(chunk);
+                        }
+                        w.end_step().unwrap();
+                        t.end_step().unwrap();
+                    }
+                    for (rank, (r, t)) in readers.iter_mut().enumerate() {
+                        assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(step), "{at}");
+                        assert_eq!(t.begin_step().unwrap(), StepStatus::Ready(step));
+                        assert_eq!(r.variables(), t.variables(), "{at}");
+                        let mut reads = vec![("a", box_of(rank, step))];
+                        if step % 2 == 1 {
+                            reads.push(("b", slab_partition(&shape, 0, nreaders, rank)));
+                        }
+                        for (var, region) in reads {
+                            let at = format!("{at} step {step} rank {rank} {var} {region}");
+                            let got = r.get(var, &region).unwrap();
+                            let want = t.get(var, &region).unwrap();
+                            assert_eq!(got.shape, want.shape, "{at}");
+                            assert_eq!(got.labels, want.labels, "{at}");
+                            assert_eq!(got.data.dtype(), want.data.dtype(), "{at}");
+                            assert_eq!(got.data.to_le_bytes(), want.data.to_le_bytes(), "{at}");
+                        }
+                        r.end_step();
+                        t.end_step();
+                    }
+                }
+                for (w, t) in &mut writers {
+                    w.close();
+                    t.close();
+                }
+                for (r, _) in &mut readers {
+                    assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream, "{at}");
+                }
+
+                // How often each step went to each rank.
+                let timeline = broker_hub.tracer().drain();
+                for rank in 0..nreaders {
+                    for step in 0..STEPS {
+                        let replies = timeline
+                            .of_kind(EventKind::RelayPassThrough)
+                            .chain(timeline.of_kind(EventKind::RelayEncoded))
+                            .filter(|e| e.rank as usize == rank && e.step == step)
+                            .count();
+                        let at = format!("{at} rank {rank} step {step}: {replies} replies");
+                        let moved = box_of(rank, step) != box_of(rank, step - step.min(1));
+                        // A rank that moved to rows its old box shares with no
+                        // chunk was sent none of them, unless LZ blocks made
+                        // the relay send whole chunks.
+                        let cut_off = moved && rank % 3 == 0 && payload != Payload::LzWins;
+                        if cut_off {
+                            assert_eq!(replies, 2, "{at}");
+                        } else if moved {
+                            assert!((1..=2).contains(&replies), "{at}");
+                        } else {
+                            assert_eq!(replies, 1, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&shm_dir);
+}
+
 /// `lz_decompress ∘ lz_compress` is the identity over random interleavings
 /// of runs, ramps and noise — including noise prefixes long enough that
 /// the matcher's skip stride is dozens of bytes when a compressible region
