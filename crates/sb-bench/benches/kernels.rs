@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sb_data::{Buffer, Shape, Variable};
 use smartblock::all_pairs::pairwise_distances;
 use smartblock::dim_reduce::dim_reduce;
-use smartblock::histogram::bin_counts;
+use smartblock::histogram::{bin_counts, finite_min_max};
 use smartblock::magnitude::vector_magnitudes;
 use smartblock::reduce::{reduce_axis, ReduceOp};
 use smartblock::select::select_rows;
@@ -23,8 +23,45 @@ fn particles_variable(n: usize, props: usize) -> Variable {
     .unwrap()
 }
 
+/// The benchmark's LAMMPS frame: 65 536 particles x {ID, Type, vx, vy, vz}.
+const FRAME_ROWS: usize = 65_536;
+/// Distinct inputs a frame-sized bench cycles through, so that no call
+/// finds its input in cache (8 x 2.6 MB against a few MB of L2/L3 share).
+const FRAMES: usize = 8;
+
+/// Samples for a frame-sized bench: the stand-in criterion does not warm
+/// up, so ten samples would mostly time the allocator's first touches.
+const FRAME_SAMPLES: usize = 400;
+
+/// Calls `kernel` on `inputs` in rotation.
+fn bench_cycled<I, O>(b: &mut criterion::Bencher<'_>, inputs: &[I], kernel: impl Fn(&I) -> O) {
+    let mut next = 0;
+    b.iter(|| {
+        let out = kernel(black_box(&inputs[next % inputs.len()]));
+        next += 1;
+        out
+    });
+}
+
+fn frames(props: usize) -> Vec<Variable> {
+    (0..FRAMES)
+        .map(|_| particles_variable(FRAME_ROWS, props))
+        .collect()
+}
+
 fn bench_select(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_rows");
+    group.sample_size(FRAME_SAMPLES);
+    group.throughput(Throughput::Bytes((FRAME_ROWS * 3 * 8) as u64));
+    let inputs = frames(5);
+    for (name, keep) in [
+        ("frame_run_of_3", [2, 3, 4]),
+        ("frame_3_singletons", [0, 2, 4]),
+    ] {
+        group.bench_function(name, |b| {
+            bench_cycled(b, &inputs, |v| select_rows(v, 1, &keep).unwrap())
+        });
+    }
     for &n in &[1_000usize, 10_000, 100_000] {
         let v = particles_variable(n, 5);
         group.throughput(Throughput::Bytes((n * 3 * 8) as u64));
@@ -37,6 +74,12 @@ fn bench_select(c: &mut Criterion) {
 
 fn bench_magnitude(c: &mut Criterion) {
     let mut group = c.benchmark_group("vector_magnitudes");
+    group.sample_size(FRAME_SAMPLES);
+    group.throughput(Throughput::Bytes((FRAME_ROWS * 3 * 8) as u64));
+    let inputs = frames(3);
+    group.bench_function("frame", |b| {
+        bench_cycled(b, &inputs, |v| vector_magnitudes(v).unwrap())
+    });
     for &n in &[1_000usize, 10_000, 100_000] {
         let v = particles_variable(n, 3);
         group.throughput(Throughput::Bytes((n * 3 * 8) as u64));
@@ -93,6 +136,32 @@ fn bench_histogram(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &values, |b, v| {
             b.iter(|| bin_counts(black_box(v), -1.0, 1.0, 64));
+        });
+    }
+    group.finish();
+}
+
+/// What the Histogram component does to one rank's values each step:
+/// extremes, then counts.
+fn bench_histogram_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("histogram_step");
+    group.sample_size(FRAME_SAMPLES);
+    group.throughput(Throughput::Elements(FRAME_ROWS as u64));
+    let uniform: Vec<Vec<f64>> = frames(3)
+        .iter()
+        .map(|v| vector_magnitudes(v).unwrap())
+        .collect();
+    // Nearly every value in the lowest of the 32 bins.
+    let skewed: Vec<Vec<f64>> = uniform
+        .iter()
+        .map(|mags| mags.iter().map(|x| x.powi(16)).collect())
+        .collect();
+    for (name, inputs) in [("uniform", &uniform), ("skewed", &skewed)] {
+        group.bench_function(name, |b| {
+            bench_cycled(b, inputs, |mags| {
+                let (min, max) = finite_min_max(mags);
+                bin_counts(mags, min, max, 32)
+            })
         });
     }
     group.finish();
@@ -173,7 +242,8 @@ fn configured() -> Criterion {
 criterion_group! {
     name = kernels;
     config = configured();
-    targets = bench_select, bench_magnitude, bench_dim_reduce, bench_histogram, bench_all_pairs,
+    targets = bench_select, bench_magnitude, bench_dim_reduce, bench_histogram,
+        bench_histogram_step, bench_all_pairs,
         bench_reduce, bench_transpose, bench_threshold
 }
 criterion_main!(kernels);

@@ -22,9 +22,11 @@
 //! sequence carries literals only — the input simply ends after them.
 //!
 //! Decoding is total: corrupt input yields a [`DataError::Container`],
-//! never a panic, and the output allocation is bounded by the caller's
-//! `expected_len` (which the wire layer derives from the already-validated
-//! chunk header, not from the compressed bytes).
+//! never a panic, and the output allocation is bounded both by the caller's
+//! `expected_len` (which the wire layer derives from the chunk header) and
+//! by [`MAX_EXPANSION`] times the block's own length, so a forged header
+//! cannot make a short block reserve more than the bytes that arrived could
+//! decode to.
 
 use crate::error::{DataError, DataResult};
 
@@ -38,6 +40,11 @@ const HASH_BITS: u32 = 14;
 /// LZ4 skip trigger): positions are probed one by one for the first 64
 /// misses, every second one for the next 64, and so on.
 const SKIP_TRIGGER: u32 = 6;
+
+/// Most output bytes one block byte can stand for: a `0xff` match-length
+/// extension byte adds 255 (a token, the densest other byte, at most
+/// 15 literals it does not hold itself plus a 19-byte match).
+const MAX_EXPANSION: usize = 255;
 
 /// Multiplicative hash of a 4-byte prefix into the match table.
 #[inline]
@@ -189,8 +196,15 @@ fn corrupt(what: &str) -> DataError {
 ///
 /// `expected_len` is the exact decompressed size the caller already knows
 /// from validated framing; it bounds the output allocation, and any block
-/// that decodes to a different length is rejected.
+/// that decodes to a different length is rejected — before anything is
+/// allocated when the block is too short to possibly reach it.
 pub fn lz_decompress(input: &[u8], expected_len: usize) -> DataResult<Vec<u8>> {
+    // `expected_len` comes from a chunk header, which a peer can forge
+    // together with the block: a few bytes naming a terabyte must fail
+    // here, not in the allocator.
+    if expected_len / MAX_EXPANSION > input.len() {
+        return Err(corrupt("block too short for expected length"));
+    }
     let mut out: Vec<u8> = Vec::with_capacity(expected_len);
     let mut i = 0;
     loop {

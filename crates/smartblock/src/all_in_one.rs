@@ -21,7 +21,7 @@ use sb_stream::StreamHub;
 
 use crate::component::{run_sink, Component, StreamArray};
 use crate::error::ComponentResult;
-use crate::histogram::{bin_counts, HistogramResult};
+use crate::histogram::{bin_counts, finite_min_max, HistogramResult};
 use crate::magnitude::vector_magnitudes;
 use crate::select::select_rows;
 
@@ -176,12 +176,7 @@ impl Component for AllInOne {
                 let kernel_start = Instant::now();
                 let selected = select_rows(&var, 1, &indices)?;
                 let mags = vector_magnitudes(&selected)?;
-                let (lmin, lmax) = mags
-                    .iter()
-                    .filter(|v| v.is_finite())
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                        (a.min(v), b.max(v))
-                    });
+                let (lmin, lmax) = finite_min_max(&mags);
                 let min = comm.allreduce(lmin, f64::min);
                 let max = comm.allreduce(lmax, f64::max);
                 let (counts, nan) = bin_counts(&mags, min, max, self.num_bins);

@@ -60,6 +60,61 @@ impl HistogramResult {
     }
 }
 
+/// Independent accumulators per pass over the data: wide enough to fill the
+/// vector unit in [`finite_min_max`] and to keep consecutive increments of
+/// one hot bin off each other's store in [`bin_counts`].
+const LANES: usize = 4;
+
+/// The smallest and largest finite value of `values`; non-finite values are
+/// skipped, and `(+inf, -inf)` comes back when nothing finite is there (the
+/// identities of the `min` / `max` reductions that follow).
+///
+/// Equal, bit for bit, to the sequential fold
+/// `(a, b) -> (if v < a { v } else { a }, if v > b { v } else { b })` over
+/// the finite values. The one place order shows in that fold is a tie
+/// between `+0.0` and `-0.0`, which compare equal: the fold keeps whichever
+/// came first, so a zero extreme carries the sign of the **first zero in
+/// `values`** — pinned here because the lanes below visit elements in
+/// another order.
+pub fn finite_min_max(values: &[f64]) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let (blocks, tail) = values.as_chunks::<LANES>();
+    let mut last = [f64::NAN; LANES];
+    last[..tail.len()].copy_from_slice(tail);
+    // No branch depends on the data: a non-finite value turns into the
+    // identity of each reduction, and the compares lower to vector min/max.
+    for block in blocks.iter().chain([&last]) {
+        for j in 0..LANES {
+            let v = block[j];
+            let finite = v.abs() < f64::INFINITY;
+            let l = if finite { v } else { f64::INFINITY };
+            let h = if finite { v } else { f64::NEG_INFINITY };
+            lo[j] = if l < lo[j] { l } else { lo[j] };
+            hi[j] = if h > hi[j] { h } else { hi[j] };
+        }
+    }
+    let mut min = lo
+        .into_iter()
+        .fold(f64::INFINITY, |a, l| if l < a { l } else { a });
+    let mut max = hi
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |b, h| if h > b { h } else { b });
+    if min == 0.0 || max == 0.0 {
+        let first_zero = *values
+            .iter()
+            .find(|&&v| v == 0.0)
+            .expect("a zero extreme is an element");
+        if min == 0.0 {
+            min = first_zero;
+        }
+        if max == 0.0 {
+            max = first_zero;
+        }
+    }
+    (min, max)
+}
+
 /// Bins `values` into `nbins` equal-width bins over `[min, max]`,
 /// returning `(counts, nan_count)`.
 ///
@@ -68,31 +123,57 @@ impl HistogramResult {
 /// never binned — `(NaN - min) * scale` cast with `as usize` is 0, which
 /// used to silently inflate bin 0 — and are tallied separately instead.
 /// This is the pure local kernel of the Histogram component.
+///
+/// Element `i` counts into sub-histogram `i % LANES`, and the
+/// sub-histograms are summed at the end: with one counter array, a
+/// distribution that piles into a few bins makes every increment wait for
+/// the previous one's store to the same counter.
 pub fn bin_counts(values: &[f64], min: f64, max: f64, nbins: usize) -> (Vec<u64>, u64) {
     assert!(nbins > 0, "histogram needs at least one bin");
+    let width = max - min;
+    // A degenerate or unordered range (all values equal, or an empty /
+    // all-non-finite input whose reduced extremes are +inf/-inf) has
+    // `scale` 0: every finite value lands in bin 0.
+    let scale = if width > 0.0 {
+        nbins as f64 / width
+    } else {
+        0.0
+    };
+    let top = (nbins - 1) as f64;
+    // Slot `nbins` of each sub-histogram tallies the non-finite values, so
+    // the loop has no data-dependent branch.
+    let stride = nbins + 1;
+    let slot = |v: f64| {
+        // Clamped while still a float: NaN (0 * inf) and negatives go to
+        // bin 0 and anything past the last bin into it, as the saturating
+        // `as usize` and `.min(nbins - 1)` would, but the cast that is left
+        // has nothing to saturate.
+        let t = (v - min) * scale;
+        let t = if t > 0.0 { t } else { 0.0 };
+        let t = if t < top { t } else { top };
+        if v.abs() < f64::INFINITY {
+            t as i64 as usize
+        } else {
+            nbins
+        }
+    };
+    let mut lanes = vec![0u64; LANES * stride];
+    let (blocks, tail) = values.as_chunks::<LANES>();
+    for block in blocks {
+        for j in 0..LANES {
+            lanes[j * stride + slot(block[j])] += 1;
+        }
+    }
+    for &v in tail {
+        lanes[slot(v)] += 1;
+    }
     let mut counts = vec![0u64; nbins];
     let mut nan_count = 0u64;
-    let width = max - min;
-    if width.is_nan() || width <= 0.0 {
-        // Degenerate or unordered range (all values equal, or an empty /
-        // all-non-finite input whose reduced extremes are +inf/-inf).
-        for &v in values {
-            if v.is_finite() {
-                counts[0] += 1;
-            } else {
-                nan_count += 1;
-            }
+    for lane in lanes.chunks_exact(stride) {
+        for (count, part) in counts.iter_mut().zip(lane) {
+            *count += part;
         }
-        return (counts, nan_count);
-    }
-    let scale = nbins as f64 / width;
-    for &v in values {
-        if !v.is_finite() {
-            nan_count += 1;
-            continue;
-        }
-        let bin = (((v - min) * scale) as usize).min(nbins - 1);
-        counts[bin] += 1;
+        nan_count += lane[nbins];
     }
     (counts, nan_count)
 }
@@ -293,18 +374,15 @@ impl Component for Histogram {
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
-                let local = var.data.into_f64_vec();
+                // Borrowed: the step queue still holds the payload's `Arc`,
+                // so taking ownership would deep-copy it every step.
+                let local = var.data.to_f64_cow();
                 // Global extremes, then local binning, then a count reduction —
                 // the two communication rounds the paper describes. The
                 // extremes only describe the binnable population, so
                 // non-finite values are excluded here and tallied by
                 // `bin_counts` below.
-                let (lmin, lmax) = local
-                    .iter()
-                    .filter(|v| v.is_finite())
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                        (a.min(v), b.max(v))
-                    });
+                let (lmin, lmax) = finite_min_max(&local);
                 let min = comm.allreduce(lmin, f64::min);
                 let max = comm.allreduce(lmax, f64::max);
                 let (counts, nan) = bin_counts(&local, min, max, self.num_bins);

@@ -19,7 +19,9 @@ use crate::error::ComponentResult;
 
 /// Computes the Euclidean magnitude of each row vector of a 2-d array.
 ///
-/// This is the pure kernel of the Magnitude component.
+/// This is the pure kernel of the Magnitude component. Each row's squares
+/// are summed left to right, whatever the width; non-`f64` input is widened
+/// once up front.
 pub fn vector_magnitudes(var: &Variable) -> DataResult<Vec<f64>> {
     if var.shape.ndims() != 2 {
         return Err(DataError::RegionOutOfBounds {
@@ -29,29 +31,28 @@ pub fn vector_magnitudes(var: &Variable) -> DataResult<Vec<f64>> {
             ),
         });
     }
-    let n = var.shape.size(0);
-    let m = var.shape.size(1);
-    let mut out = Vec::with_capacity(n);
-    // Fast path: borrow f64 storage directly instead of widening per element.
-    if let Some(data) = var.data.as_f64_slice() {
-        for row in data.chunks_exact(m.max(1)) {
-            out.push(row.iter().map(|x| x * x).sum::<f64>().sqrt());
-        }
-        if m == 0 {
-            out.clear();
-            out.resize(n, 0.0);
-        }
-    } else {
-        for i in 0..n {
-            let mut acc = 0.0;
-            for j in 0..m {
-                let x = var.data.get_f64(i * m + j);
-                acc += x * x;
-            }
-            out.push(acc.sqrt());
-        }
-    }
-    Ok(out)
+    let data = var.data.to_f64_cow();
+    // Vectors are short (2 or 3 components in every paper workflow): at a
+    // width the compiler knows, a row is straight-line code and several
+    // rows share one square root.
+    Ok(match var.shape.size(1) {
+        0 => vec![0.0; var.shape.size(0)],
+        1 => fixed_width_magnitudes::<1>(&data),
+        2 => fixed_width_magnitudes::<2>(&data),
+        3 => fixed_width_magnitudes::<3>(&data),
+        4 => fixed_width_magnitudes::<4>(&data),
+        m => data.chunks_exact(m).map(magnitude).collect(),
+    })
+}
+
+fn fixed_width_magnitudes<const M: usize>(data: &[f64]) -> Vec<f64> {
+    let (rows, _) = data.as_chunks::<M>();
+    rows.iter().map(|row| magnitude(row)).collect()
+}
+
+#[inline(always)]
+fn magnitude(row: &[f64]) -> f64 {
+    row.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 /// The Magnitude workflow component.

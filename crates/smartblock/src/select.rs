@@ -13,6 +13,7 @@
 //!       output-stream-name output-array-name [arg1] [arg2] ...
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,19 +47,27 @@ pub fn select_rows(var: &Variable, dim: usize, indices: &[usize]) -> DataResult<
     let out_shape = var.shape.with_dim_size(dim, indices.len());
     let out = var.data.gather_dim(pre, d, post, indices);
     let mut result = Variable::new(var.name.clone(), out_shape, out)?;
-    for (&ldim, names) in &var.labels {
-        if ldim == dim {
-            result
-                .set_labels(ldim, indices.iter().map(|&i| names[i].clone()).collect())
-                .expect("selected labels match the resized dimension");
-        } else {
-            result
-                .set_labels(ldim, names.clone())
-                .expect("untouched labels keep their extent");
-        }
-    }
+    result.labels = selected_labels(&var.labels, dim, indices);
     result.attrs = var.attrs.clone();
     Ok(result)
+}
+
+/// `labels` with dimension `dim`'s header cut down to the rows `indices`
+/// (in that order) and every other header kept.
+fn selected_labels(
+    labels: &BTreeMap<usize, Vec<String>>,
+    dim: usize,
+    indices: &[usize],
+) -> BTreeMap<usize, Vec<String>> {
+    let select = |(&ldim, names): (&usize, &Vec<String>)| {
+        let kept = if ldim == dim {
+            indices.iter().map(|&i| names[i].clone()).collect()
+        } else {
+            names.clone()
+        };
+        (ldim, kept)
+    };
+    labels.iter().map(select).collect()
 }
 
 /// The Select workflow component.
@@ -76,6 +85,16 @@ pub struct Select {
     pub writer_options: WriterOptions,
     /// Reader-group name on the input stream (for multi-subscriber DAGs).
     pub reader_group: String,
+}
+
+/// Everything Select derives from its input's metadata alone. A stream's
+/// metadata rarely changes between steps, so the run loop keeps one of
+/// these and rebuilds it only when `input` no longer matches.
+struct Resolved {
+    input: VariableMeta,
+    /// Row indices of the kept names, in the order asked for.
+    indices: Vec<usize>,
+    out_meta: VariableMeta,
 }
 
 impl Select {
@@ -107,6 +126,27 @@ impl Select {
     pub fn with_reader_group(mut self, group: impl Into<String>) -> Select {
         self.reader_group = group.into();
         self
+    }
+
+    /// Resolves the kept names against `meta`'s header and derives the
+    /// output stream's global metadata: the input's with the filtered
+    /// dimension shrunk to the kept rows and re-labelled.
+    fn resolve(&self, meta: &VariableMeta) -> DataResult<Resolved> {
+        meta.shape.check_dim(self.dim_index)?;
+        let indices: Vec<usize> = self
+            .keep
+            .iter()
+            .map(|n| meta.resolve_label(self.dim_index, n))
+            .collect::<DataResult<_>>()?;
+        let out_shape = meta.shape.with_dim_size(self.dim_index, indices.len());
+        let mut out_meta = VariableMeta::new(self.output.array.clone(), out_shape, meta.dtype);
+        out_meta.labels = selected_labels(&meta.labels, self.dim_index, &indices);
+        out_meta.attrs = meta.attrs.clone();
+        Ok(Resolved {
+            input: meta.clone(),
+            indices,
+            out_meta,
+        })
     }
 
     /// The dimension this rank partitions along: the first dimension that
@@ -171,6 +211,7 @@ impl Component for Select {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
+        let mut resolved: Option<Resolved> = None;
         run_transform(
             TransformSpec {
                 label: "select",
@@ -186,15 +227,13 @@ impl Component for Select {
                     .meta(&self.input.array)
                     .ok_or_else(|| DataError::Container {
                         detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
-                meta.shape.check_dim(self.dim_index)?;
-                // Resolve the kept names against the global header.
-                let indices: Vec<usize> = self
-                    .keep
-                    .iter()
-                    .map(|n| meta.resolve_label(self.dim_index, n))
-                    .collect::<DataResult<_>>()?;
+                    })?;
+                if resolved.as_ref().is_none_or(|r| r.input != *meta) {
+                    resolved = Some(self.resolve(meta)?);
+                }
+                let Resolved {
+                    indices, out_meta, ..
+                } = resolved.as_ref().expect("resolved just above");
 
                 // Partition along a non-filtered dimension so every rank
                 // sees the whole header dimension.
@@ -219,26 +258,9 @@ impl Component for Select {
                 let selected_data = if region.is_empty() && var.shape.size(self.dim_index) == 0 {
                     sb_data::SharedBuffer::from(Buffer::zeros(meta.dtype, 0))
                 } else {
-                    let mut selected = select_rows(&var, self.dim_index, &indices)?;
-                    selected.name = self.output.array.clone();
-                    selected.data
+                    select_rows(&var, self.dim_index, indices)?.data
                 };
                 let compute = kernel_start.elapsed();
-
-                // Global output metadata: input shape with the filtered
-                // dimension shrunk; labels re-derived from the global header.
-                let out_shape = meta.shape.with_dim_size(self.dim_index, indices.len());
-                let mut out_meta =
-                    VariableMeta::new(self.output.array.clone(), out_shape, meta.dtype);
-                for (&ldim, names) in &meta.labels {
-                    let new = if ldim == self.dim_index {
-                        indices.iter().map(|&i| names[i].clone()).collect()
-                    } else {
-                        names.clone()
-                    };
-                    out_meta.labels.insert(ldim, new);
-                }
-                out_meta.attrs = meta.attrs.clone();
 
                 let mut out_region_offset = region.offset().to_vec();
                 let mut out_region_count = region.count().to_vec();
@@ -249,7 +271,7 @@ impl Component for Select {
                     out_region_count = vec![0; out_region_count.len()];
                 }
                 let chunk = Chunk::new(
-                    out_meta,
+                    out_meta.clone(),
                     Region::new(out_region_offset, out_region_count),
                     selected_data,
                 )?;
@@ -347,6 +369,76 @@ mod tests {
         let out = select_rows(&v, 1, &[]).unwrap();
         assert_eq!(out.shape.sizes(), vec![4, 0]);
         assert!(out.data.is_empty());
+    }
+
+    #[test]
+    fn component_follows_a_header_that_changes_between_steps() {
+        use crate::component::{run_sink, run_source};
+        use std::time::Duration;
+
+        // Steps alternate between two column orders; the row indices cached
+        // for one must not be applied to the other.
+        let orders = [["ID", "vx", "vy"], ["vy", "ID", "vx"]];
+        let hub = StreamHub::new();
+        let source_hub = Arc::clone(&hub);
+        let source = sb_comm::LaunchHandle::spawn("src", 1, move |comm| {
+            run_source(
+                "src",
+                &comm,
+                &source_hub,
+                "in.fp",
+                WriterOptions::default(),
+                |_c, step| {
+                    Ok((step < 4).then(|| {
+                        let order = orders[step as usize % 2];
+                        // Column `name` of row `r` holds 10 r + the name's
+                        // position in the first order.
+                        let value = |r: usize, name: &str| {
+                            (10 * r + orders[0].iter().position(|n| *n == name).unwrap()) as f64
+                        };
+                        let data = (0..2)
+                            .flat_map(|r| order.iter().map(move |n| value(r, n)))
+                            .collect();
+                        let v = Variable::new(
+                            "atoms",
+                            Shape::of(&[("particles", 2), ("props", 3)]),
+                            Buffer::F64(data),
+                        )
+                        .unwrap()
+                        .with_labels(1, &order)
+                        .unwrap();
+                        Chunk::whole(v)
+                    }))
+                },
+            )
+        })
+        .unwrap();
+        let select_hub = Arc::clone(&hub);
+        let select = sb_comm::LaunchHandle::spawn("select", 1, move |comm| {
+            Select::new(("in.fp", "atoms"), 1, ["vx", "vy"], ("out.fp", "velos"))
+                .run(&comm, &select_hub)
+        })
+        .unwrap();
+        let sink_hub = Arc::clone(&hub);
+        let sink = sb_comm::LaunchHandle::spawn("sink", 1, move |comm| {
+            run_sink(
+                "sink",
+                &comm,
+                &sink_hub,
+                "out.fp",
+                "default",
+                |reader, _c, _step| {
+                    let v = reader.get_whole("velos")?;
+                    assert_eq!(v.header(1).unwrap(), &["vx".to_string(), "vy".into()]);
+                    assert_eq!(v.data.to_f64_vec(), vec![1.0, 2.0, 11.0, 12.0]);
+                    Ok((v.byte_len() as u64, Duration::ZERO))
+                },
+            )
+        })
+        .unwrap();
+        source.join().unwrap().remove(0).unwrap();
+        select.join().unwrap().remove(0).unwrap();
+        assert_eq!(sink.join().unwrap().remove(0).unwrap().steps, 4);
     }
 
     #[test]

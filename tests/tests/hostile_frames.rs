@@ -21,8 +21,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sb_data::wire::{decode_chunk_interned, encode_region, put_str, MetaDefs};
-use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sb_data::compress::lz_decompress;
+use sb_data::wire::{
+    decode_chunk_interned, encode_region, put_str, Compression, MetaDefs, MetaInternTable,
+};
+use sb_data::{Buffer, Chunk, DType, DataError, Region, Shape, VariableMeta};
 use sb_integration_tests::wait_until;
 use sb_stream::{ShmBroker, StepStatus, StreamHub, TcpBroker, WriterOptions};
 
@@ -448,4 +453,150 @@ fn hostile_boxes_get_the_whole_variable_or_a_hang_up() {
             assert!(rise <= 1 << 20, "a torn trailer cost {rise} bytes");
         }
     }
+}
+
+// ---- compressed blocks -----------------------------------------------------
+
+/// A value in `0..n`.
+fn below(rng: &mut StdRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+fn pick(rng: &mut StdRng, of: &[usize]) -> usize {
+    of[below(rng, of.len())]
+}
+
+/// Appends what is left of a length once its nibble holds `nibble_max`.
+fn put_len_ext(block: &mut Vec<u8>, len: usize, nibble_max: usize) {
+    if len >= nibble_max {
+        let mut rest = len - nibble_max;
+        while rest >= 255 {
+            block.push(0xff);
+            rest -= 255;
+        }
+        block.push(rest as u8);
+    }
+}
+
+/// One LZ block assembled sequence by sequence from the format's grammar,
+/// with lengths at the nibble and extension-byte edges and offsets that may
+/// be zero, one before the start of the output, or far outside the window.
+/// Returns the block, the length it claims to decode to, and whether every
+/// part of it is in fact well-formed.
+fn hostile_lz_block(rng: &mut StdRng) -> (Vec<u8>, usize, bool) {
+    // 15 fills a nibble; 15 + 255 and 19 + 255 need a `0xff` extension byte.
+    const LITERALS: [usize; 7] = [0, 1, 14, 15, 16, 270, 300];
+    const MATCHES: [usize; 7] = [4, 5, 18, 19, 20, 274, 600];
+    let mut block = Vec::new();
+    let mut produced = 0usize;
+    let mut valid = true;
+    for _ in 0..below(rng, 6) {
+        let lit = pick(rng, &LITERALS);
+        let mlen = pick(rng, &MATCHES);
+        let behind = produced + lit;
+        let offset = match below(rng, 8) {
+            0 => 0,
+            1 => behind + 1,
+            2 => u16::MAX as usize,
+            _ if behind > 0 => 1 + below(rng, behind.min(u16::MAX as usize)),
+            _ => 0,
+        };
+        valid &= (1..=behind).contains(&offset);
+        block.push(((lit.min(15) << 4) | (mlen - 4).min(15)) as u8);
+        put_len_ext(&mut block, lit, 15);
+        block.extend((0..lit).map(|_| rng.next_u64() as u8));
+        block.extend_from_slice(&(offset.min(u16::MAX as usize) as u16).to_le_bytes());
+        put_len_ext(&mut block, mlen - 4, 15);
+        produced += lit + mlen;
+    }
+    let lit = pick(rng, &LITERALS);
+    block.push((lit.min(15) << 4) as u8);
+    put_len_ext(&mut block, lit, 15);
+    block.extend((0..lit).map(|_| rng.next_u64() as u8));
+    produced += lit;
+
+    let expected_len = match below(rng, 4) {
+        // A literal or match run ends past the expected length...
+        0 if produced > 0 => below(rng, produced),
+        // ...or the block ends short of it.
+        1 => produced + 1 + below(rng, 64),
+        _ => produced,
+    };
+    valid &= expected_len == produced;
+    match below(rng, 8) {
+        0 => {
+            // A dangling extension chain.
+            block.push(0xf0);
+            block.extend(std::iter::repeat_n(0xff, 1 + below(rng, 4)));
+            valid = false;
+        }
+        1 => {
+            block.truncate(below(rng, block.len()));
+            valid = false;
+        }
+        _ => {}
+    }
+    (block, expected_len, valid)
+}
+
+/// `lz_decompress` on adversarial — not merely truncated — blocks: a typed
+/// error or a result of exactly the expected length, never a panic, and
+/// never more heap than the expected length (plus an error message).
+#[test]
+fn hostile_lz_blocks_fail_typed_within_their_expected_length() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x1277_ADE5);
+    let mut decoded = 0;
+    for case in 0..2000 {
+        let (block, expected_len, valid) = hostile_lz_block(&mut rng);
+        let mut outcome = None;
+        let rise = heap_rise_during(|| outcome = Some(lz_decompress(&block, expected_len)));
+        assert!(
+            rise <= expected_len + 256,
+            "case {case}: {rise} bytes allocated for an expected length of {expected_len}"
+        );
+        match outcome.expect("the attack ran") {
+            Ok(out) => {
+                assert_eq!(out.len(), expected_len, "case {case}");
+                decoded += 1;
+            }
+            Err(e) => {
+                assert!(!valid, "case {case}: a well-formed block failed: {e}");
+                assert!(matches!(e, DataError::Container { .. }), "case {case}: {e}");
+            }
+        }
+    }
+    assert!(
+        decoded > 100,
+        "only {decoded} blocks decoded: the sweep is all noise"
+    );
+}
+
+/// Regression: the expected length reaches `lz_decompress` from the chunk
+/// header, which the sender of the block also writes. A one-byte block
+/// under a header naming a terabyte used to reserve the terabyte (and abort
+/// in the allocator); it is now refused before anything is reserved.
+#[test]
+fn a_short_lz_block_under_a_terabyte_header_is_refused_unallocated() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ELEMS: usize = 1 << 37;
+    let meta = VariableMeta::new("x", Shape::linear("n", ELEMS), DType::F64);
+    let mut table = MetaInternTable::new();
+    let id = table.intern(&meta).unwrap();
+    let mut def_bytes = Vec::new();
+    table.append_defs_since(0, &mut def_bytes);
+    let mut defs = MetaDefs::new();
+    defs.decode_def(&mut &def_bytes[..]).unwrap();
+
+    let mut frame = id.to_le_bytes().to_vec();
+    encode_region(&mut frame, &Region::new(vec![0], vec![ELEMS])).unwrap();
+    frame.extend_from_slice(&(ELEMS as u64).to_le_bytes());
+    frame.push(Compression::Lz.tag());
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    frame.push(0x00); // one token: no literals, end of block
+
+    let mut outcome = None;
+    let rise = heap_rise_during(|| outcome = Some(decode_chunk_interned(&mut &frame[..], &defs)));
+    assert!(matches!(outcome, Some(Err(DataError::Container { .. }))));
+    assert!(rise <= 4096, "{rise} bytes allocated for a 1-byte block");
 }

@@ -8,12 +8,15 @@
 //! suite needs no property-testing dependency and every failure is
 //! reproducible from the case index alone.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sb_data::decompose::{decompose_along, decompose_grid, split_1d, split_1d_part};
 use sb_data::region::copy_region;
 use sb_data::{Buffer, DType, Region, Shape, Variable};
 use smartblock::all_pairs::{condensed_len, condensed_offset};
 use smartblock::dim_reduce::dim_reduce;
-use smartblock::histogram::bin_counts;
+use smartblock::histogram::{bin_counts, finite_min_max};
+use smartblock::magnitude::vector_magnitudes;
 use smartblock::reduce::{reduce_axis, ReduceOp};
 use smartblock::select::select_rows;
 use smartblock::stats::Moments;
@@ -198,6 +201,309 @@ fn select_matches_naive_gather() {
             let mut idx = out.shape.multi_index(lin);
             idx[dim] = indices[idx[dim]];
             assert_eq!(out.data.get_f64(lin), var.get(&idx), "case {case}");
+        }
+    }
+}
+
+/// A value in `0..n` (`n > 0`) from the `rand` shim's stream.
+fn below(rng: &mut StdRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// `len` distinct-ish elements of every dtype, as buffers.
+fn buffers_of_every_dtype(len: usize) -> Vec<Buffer> {
+    vec![
+        Buffer::F32((0..len).map(|i| i as f32 * 0.5 - 3.0).collect()),
+        Buffer::F64((0..len).map(|i| i as f64 * 0.25 - 7.0).collect()),
+        Buffer::I32((0..len).map(|i| i as i32 - 11).collect()),
+        Buffer::I64((0..len).map(|i| (i as i64 - 5) << 33).collect()),
+        Buffer::U32((0..len).map(|i| i as u32 * 3).collect()),
+        Buffer::U64((0..len).map(|i| (i as u64) << 40 | 1).collect()),
+    ]
+}
+
+/// The gather as it is defined: output element `[p][k][q]` is input element
+/// `[p][indices[k]][q]`, one element at a time.
+fn gather_per_element(
+    src: &Buffer,
+    pre: usize,
+    d: usize,
+    post: usize,
+    indices: &[usize],
+) -> Buffer {
+    let picks = (0..pre).flat_map(|p| {
+        indices
+            .iter()
+            .flat_map(move |&i| (0..post).map(move |q| (p * d + i) * post + q))
+    });
+    macro_rules! pick {
+        ($v:expr, $variant:ident) => {
+            Buffer::$variant(picks.map(|at| $v[at]).collect())
+        };
+    }
+    match src {
+        Buffer::F32(v) => pick!(v, F32),
+        Buffer::F64(v) => pick!(v, F64),
+        Buffer::I32(v) => pick!(v, I32),
+        Buffer::I64(v) => pick!(v, I64),
+        Buffer::U32(v) => pick!(v, U32),
+        Buffer::U64(v) => pick!(v, U64),
+    }
+}
+
+/// Index lists over `0..d` that exercise the run coalescing: none, all (one
+/// run that is the whole row), reversed (all singletons unless `d < 2`),
+/// duplicates, and seeded mixes of runs and singletons.
+fn index_lists(rng: &mut StdRng, d: usize) -> Vec<Vec<usize>> {
+    let mut lists = vec![Vec::new()];
+    if d == 0 {
+        return lists;
+    }
+    lists.push((0..d).collect());
+    lists.push((0..d).rev().collect());
+    lists.push(vec![d - 1, d - 1, 0, 0, d / 2, d / 2]);
+    for _ in 0..3 {
+        let mut list = Vec::new();
+        let mut at = below(rng, d);
+        for _ in 0..below(rng, 2 * d) + 1 {
+            list.push(at);
+            // Mostly step to the adjacent row (extending a run), sometimes
+            // jump (ending it).
+            at = if at + 1 < d && below(rng, 3) > 0 {
+                at + 1
+            } else {
+                below(rng, d)
+            };
+        }
+        lists.push(list);
+    }
+    lists
+}
+
+#[test]
+fn gather_dim_matches_a_per_element_gather() {
+    let mut rng = StdRng::seed_from_u64(0x6A7E);
+    let mut cases = 0;
+    for case in 0..96 {
+        let ndims = case % 4 + 1;
+        // Zero extents included: an empty dimension before, at, or after
+        // the gathered one.
+        let extents: Vec<usize> = (0..ndims)
+            .map(|_| [0, 1, 2, 3, 5][below(&mut rng, 5)])
+            .collect();
+        let len: usize = extents.iter().product();
+        for dim in 0..ndims {
+            let pre: usize = extents[..dim].iter().product();
+            let d = extents[dim];
+            let post: usize = extents[dim + 1..].iter().product();
+            for indices in index_lists(&mut rng, d) {
+                for src in buffers_of_every_dtype(len) {
+                    assert_eq!(
+                        src.gather_dim(pre, d, post, &indices),
+                        gather_per_element(&src, pre, d, post, &indices),
+                        "case {case}: {:?} of {extents:?} dim {dim} rows {indices:?}",
+                        src.dtype()
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases > 2000, "{cases} cases");
+}
+
+#[test]
+fn magnitudes_are_the_sequential_sum_of_squares_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x3A6);
+    for width in 0..=9usize {
+        for rows in [0usize, 1, 2, 7, 33] {
+            let values: Vec<f64> = (0..rows * width)
+                .map(|_| match below(&mut rng, 12) {
+                    0 => -0.0,
+                    1 => 1e-170, // its square underflows
+                    _ => rng.gen_range(-1e3..1e3),
+                })
+                .collect();
+            for dtype in [
+                DType::F32,
+                DType::F64,
+                DType::I32,
+                DType::I64,
+                DType::U32,
+                DType::U64,
+            ] {
+                let data = Buffer::from_f64_vec(dtype, values.clone());
+                let var = Variable::new(
+                    "v",
+                    Shape::of(&[("points", rows), ("components", width)]),
+                    data,
+                )
+                .unwrap();
+                let expected: Vec<f64> = (0..rows)
+                    .map(|r| {
+                        let mut acc = 0.0;
+                        for c in 0..width {
+                            let x = var.data.get_f64(r * width + c);
+                            acc += x * x;
+                        }
+                        acc.sqrt()
+                    })
+                    .collect();
+                let got = vector_magnitudes(&var).unwrap();
+                assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{dtype:?}, {rows} x {width}"
+                );
+            }
+        }
+    }
+}
+
+/// The fold `finite_min_max` documents: strict compares, so a tie (only
+/// `+0.0` against `-0.0` can tie without being the same bits) keeps the
+/// earlier element.
+fn sequential_finite_min_max(values: &[f64]) -> (f64, f64) {
+    values
+        .iter()
+        .filter(|v| v.is_finite())
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
+            (if v < a { v } else { a }, if v > b { v } else { b })
+        })
+}
+
+#[test]
+fn finite_min_max_is_the_sequential_fold_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xF01D);
+    let specials = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+    ];
+    let check = |values: &[f64]| {
+        let (min, max) = finite_min_max(values);
+        let (smin, smax) = sequential_finite_min_max(values);
+        assert_eq!(
+            (min.to_bits(), max.to_bits()),
+            (smin.to_bits(), smax.to_bits()),
+            "{values:?}: ({min:?}, {max:?}) vs ({smin:?}, {smax:?})"
+        );
+        // The benchmark's reference fold uses `f64::min`/`f64::max`, which
+        // leave the sign of a zero tie open; the values must still agree.
+        let finite = values.iter().filter(|v| v.is_finite());
+        let by_method = finite.fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
+            (a.min(v), b.max(v))
+        });
+        assert_eq!((min, max), by_method, "{values:?}");
+    };
+    check(&[]);
+    assert_eq!(
+        finite_min_max(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+        (f64::INFINITY, f64::NEG_INFINITY)
+    );
+    // The pinned tie rule: a zero extreme has the sign of the first zero.
+    assert_eq!(
+        finite_min_max(&[5.0, -0.0, 0.0, 7.0]).0.to_bits(),
+        (-0.0f64).to_bits()
+    );
+    assert_eq!(
+        finite_min_max(&[-5.0, 0.0, -0.0, -7.0, -0.0]).1.to_bits(),
+        0.0f64.to_bits()
+    );
+    // Lengths on both sides of every lane boundary, three value mixes.
+    let zeros_and_few = [0.0, -0.0, 1.5, -2.5];
+    for len in (0..=18).chain([63, 64, 65, 1000]) {
+        for mix in 0..3 {
+            for _ in 0..8 {
+                let values: Vec<f64> = (0..len)
+                    .map(|_| match mix {
+                        0 => rng.gen_range(-10.0..10.0),
+                        1 => zeros_and_few[below(&mut rng, zeros_and_few.len())],
+                        _ => specials[below(&mut rng, specials.len())],
+                    })
+                    .collect();
+                check(&values);
+                // All on one side of zero with the zeros' signs kept, so
+                // that zeros of both signs tie for the extreme.
+                let flip = |up: bool| -> Vec<f64> {
+                    let wrong_side = |v: f64| if up { v < 0.0 } else { v > 0.0 };
+                    let flipped = values.iter().map(|&v| if wrong_side(v) { -v } else { v });
+                    flipped.collect()
+                };
+                check(&flip(true));
+                check(&flip(false));
+            }
+        }
+    }
+}
+
+/// `bin_counts` with one counter array and a branch per value — the loop
+/// the sub-histograms replaced.
+fn bin_counts_one_counter(values: &[f64], min: f64, max: f64, nbins: usize) -> (Vec<u64>, u64) {
+    let mut counts = vec![0u64; nbins];
+    let mut nan_count = 0;
+    let width = max - min;
+    let scale = nbins as f64 / width;
+    for &v in values {
+        if !v.is_finite() {
+            nan_count += 1;
+        } else if width.is_nan() || width <= 0.0 {
+            counts[0] += 1;
+        } else {
+            counts[(((v - min) * scale) as usize).min(nbins - 1)] += 1;
+        }
+    }
+    (counts, nan_count)
+}
+
+#[test]
+fn bin_counts_match_a_one_counter_histogram() {
+    let mut rng = StdRng::seed_from_u64(0xB145);
+    for len in [0usize, 1, 3, 4, 5, 257, 4099] {
+        let uniform: Vec<f64> = (0..len).map(|_| rng.gen_range(-3.0..9.0)).collect();
+        // Nearly everything in the lowest bin, a few values far out, and
+        // the odd non-finite one.
+        let skewed: Vec<f64> = uniform
+            .iter()
+            .map(|v| match below(&mut rng, 50) {
+                0 => v * 1e6,
+                1 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][below(&mut rng, 3)],
+                _ => v * 1e-6,
+            })
+            .collect();
+        let all_equal = vec![2.5; len];
+        let all_nan = vec![f64::NAN; len];
+        for values in [&uniform, &skewed, &all_equal, &all_nan] {
+            let finite = values.iter().filter(|v| v.is_finite()).count() as u64;
+            let (min, max) = finite_min_max(values);
+            // The data's own range, then ranges it spills out of on either
+            // side (values below `min` go to bin 0, above `max` to the last).
+            for (lo, hi) in [
+                (min, max),
+                (0.0, 1.0),
+                (-1e-3, 1e-3),
+                (5.0, 5.0),
+                (2.0, -2.0),
+            ] {
+                for nbins in [1usize, 2, 32, 33, 1000] {
+                    let (counts, nan) = bin_counts(values, lo, hi, nbins);
+                    assert_eq!(
+                        (&counts, nan),
+                        (
+                            &bin_counts_one_counter(values, lo, hi, nbins).0,
+                            values.len() as u64 - finite
+                        ),
+                        "{} values over [{lo}, {hi}] in {nbins} bins",
+                        values.len()
+                    );
+                    assert_eq!(counts.iter().sum::<u64>(), finite);
+                }
+            }
         }
     }
 }
