@@ -19,7 +19,7 @@ use sb_data::decompose::split_1d_part;
 use sb_data::{DataError, DataResult, Region};
 use sb_stream::StreamHub;
 
-use crate::component::{run_sink, Component, StreamArray};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 use crate::histogram::{bin_counts, finite_min_max, HistogramResult};
 use crate::magnitude::vector_magnitudes;
@@ -138,18 +138,17 @@ impl Component for AllInOne {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_sink(
-            "all-in-one",
+        run_steps(
+            Ports {
+                label: "all-in-one",
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[],
+            },
             comm,
             hub,
-            &self.input.stream,
-            &self.reader_group,
-            |reader, comm, step| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?;
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 if meta.shape.ndims() != 2 {
                     return Err(DataError::RegionOutOfBounds {
                         detail: format!(
@@ -167,7 +166,7 @@ impl Component for AllInOne {
                 let n = meta.shape.size(0);
                 let m = meta.shape.size(1);
                 let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-                let var = reader.get(
+                let var = io.inputs[0].get(
                     &self.input.array,
                     &Region::new(vec![off, 0], vec![count, m]),
                 )?;
@@ -188,14 +187,14 @@ impl Component for AllInOne {
 
                 if let Some(counts) = total {
                     self.results.lock().push(HistogramResult {
-                        step,
+                        step: io.step,
                         min,
                         max,
                         counts,
                         nan_count: nan_total.unwrap_or(0),
                     });
                 }
-                Ok((bytes_in, compute))
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

@@ -20,7 +20,7 @@ use sb_data::decompose::split_1d_part;
 use sb_data::{Buffer, Chunk, DType, DataError, DataResult, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Offset of row `i`'s first pair in the condensed `i`-major distance
@@ -152,25 +152,19 @@ impl Component for AllPairs {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "all-pairs",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 // Every rank needs all points to compute its pair rows.
-                let var = reader.get(&self.input.array, &Region::whole(&meta.shape))?;
+                let var = io.inputs[0].get(&self.input.array, &Region::whole(&meta.shape))?;
                 let bytes_in = var.byte_len() as u64;
                 let n = meta.shape.size(0);
                 let (i0, rows) = split_1d_part(n, comm.size(), comm.rank());
@@ -190,11 +184,8 @@ impl Component for AllPairs {
                     Region::new(vec![off], vec![dists.len()]),
                     Buffer::F64(dists),
                 )?;
-                Ok(StepOutput {
-                    chunk: Some(chunk),
-                    bytes_in,
-                    compute,
-                })
+                io.put(0, chunk);
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

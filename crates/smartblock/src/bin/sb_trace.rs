@@ -15,7 +15,7 @@
 //! export instead of running a workflow).
 
 use smartblock::workflows::{gromacs_workflow, gtcp_workflow, lammps_workflow, PresetScale};
-use smartblock::{EventKind, RunOptions, TraceConfig, WorkflowReport};
+use smartblock::{RunOptions, TraceConfig};
 
 fn fail(msg: &str) -> ! {
     eprintln!("sb-trace: {msg}");
@@ -68,92 +68,6 @@ fn validate_export(text: &str) -> Result<(), String> {
         let n = text.matches(key).count();
         if n != want {
             return Err(format!("key {key} appears {n} times, want {want}"));
-        }
-    }
-    Ok(())
-}
-
-/// The acceptance check behind the export: every `(component, rank, step)`
-/// the report accounts for has exactly one `step` span, a nested `compute`
-/// span, and — uniformly across the component's ranks and steps — `wait`
-/// and/or `publish` spans matching its role (sources never wait on input,
-/// sinks never publish).
-fn validate_completeness(report: &WorkflowReport) -> Result<(), String> {
-    use std::collections::BTreeMap;
-    let tl = &report.timeline;
-    // A label may name several component instances (GTCP wires two
-    // Dim-Reduce stages), so expectations are counted per label: at
-    // `(label, rank, step)` there must be one step span per instance that
-    // has that rank and reached that step.
-    let mut by_label: BTreeMap<&str, Vec<&smartblock::ComponentReport>> = BTreeMap::new();
-    for comp in &report.components {
-        by_label.entry(comp.label.as_str()).or_default().push(comp);
-    }
-    for (label, comps) in by_label {
-        let max_ranks = comps.iter().map(|c| c.nranks).max().unwrap_or(0);
-        let max_steps = comps.iter().map(|c| c.stats.steps).max().unwrap_or(0);
-        let has_wait = tl
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::Wait && e.component == label);
-        let has_publish = tl
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::Publish && e.component == label);
-        for rank in 0..max_ranks as u32 {
-            for step in 0..max_steps {
-                let expected = comps
-                    .iter()
-                    .filter(|c| rank < c.nranks as u32 && step < c.stats.steps)
-                    .count();
-                let at = |kind: EventKind| {
-                    tl.events
-                        .iter()
-                        .filter(|e| {
-                            e.kind == kind
-                                && e.component == label
-                                && e.rank == rank
-                                && e.step == step
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let step_spans = at(EventKind::Step);
-                if step_spans.len() != expected {
-                    return Err(format!(
-                        "{label}/{rank} step {step}: {} step spans, want {expected}",
-                        step_spans.len()
-                    ));
-                }
-                let mut required = vec![EventKind::Compute];
-                if has_wait {
-                    required.push(EventKind::Wait);
-                }
-                if has_publish {
-                    required.push(EventKind::Publish);
-                }
-                for kind in required {
-                    let inner = at(kind);
-                    if expected > 0 && inner.is_empty() {
-                        return Err(format!(
-                            "{label}/{rank} step {step}: no {} span",
-                            kind.name()
-                        ));
-                    }
-                    // Every phase span must nest inside one of the step
-                    // spans at this site.
-                    for e in inner {
-                        let nested = step_spans
-                            .iter()
-                            .any(|s| e.start >= s.start && e.end() <= s.end());
-                        if !nested {
-                            return Err(format!(
-                                "{label}/{rank} step {step}: {} span not nested in a step span",
-                                kind.name()
-                            ));
-                        }
-                    }
-                }
-            }
         }
     }
     Ok(())
@@ -239,7 +153,7 @@ fn main() {
         println!("  {}", h.render());
     }
 
-    if let Err(e) = validate_completeness(&report) {
+    if let Err(e) = report.validate_completeness() {
         fail(&format!("timeline incomplete: {e}"));
     }
 

@@ -13,14 +13,11 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DType, VariableMeta};
-use sb_stream::{StepStatus, StreamHub, WriterOptions};
+use sb_data::{Buffer, Chunk, DType, DataError, VariableMeta};
+use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{
-    fault_gate, stash_partial_stats, stream_err, Component, StepFault, StreamArray,
-};
-use crate::error::{ComponentError, ComponentResult, StepResult};
-use crate::metrics::ComponentStats;
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::error::ComponentResult;
 
 /// The element-wise operation applied to the two inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,137 +204,50 @@ impl Component for Combine {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let (lgroup, rgroup) = self.reader_groups();
-        let mut left =
-            hub.open_reader_grouped(&self.left.stream, &lgroup, comm.rank(), comm.size());
-        let mut right =
-            hub.open_reader_grouped(&self.right.stream, &rgroup, comm.rank(), comm.size());
-        let mut writer = hub.open_writer(
-            &self.output.stream,
-            comm.rank(),
-            comm.size(),
-            self.writer_options,
-        );
-        let mut stats = ComponentStats::default();
-        let label = "combine";
-        let rank = comm.rank();
-        loop {
-            let step = left.current_step();
-            let gate = match fault_gate(hub, label, rank, step) {
-                Ok(StepFault::Stall) => {
-                    writer.abandon();
-                    return Ok(stats);
-                }
-                Ok(g) => g,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(e);
-                }
-            };
-            let step_start = Instant::now();
-            let l_status = match left.begin_step() {
-                Ok(s) => s,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            };
-            if l_status == StepStatus::EndOfStream {
-                // Drain the other side so its producers can finish. A drain
-                // error just stops the drain: our own inputs ended cleanly.
-                while let Ok(StepStatus::Ready(_)) = right.begin_step() {
-                    right.end_step();
-                }
-                break;
-            }
-            match right.begin_step() {
-                Ok(StepStatus::EndOfStream) => {
-                    left.end_step();
-                    while let Ok(StepStatus::Ready(_)) = left.begin_step() {
-                        left.end_step();
+        run_steps(
+            Ports {
+                label: "combine",
+                inputs: &[(&self.left.stream, &lgroup), (&self.right.stream, &rgroup)],
+                outputs: &[(&self.output.stream, self.writer_options)],
+            },
+            comm,
+            hub,
+            |io| {
+                let lmeta = io.meta(0, &self.left.array)?;
+                let rmeta = io.meta(1, &self.right.array)?;
+                if lmeta.shape.sizes() != rmeta.shape.sizes() {
+                    return Err(DataError::RegionOutOfBounds {
+                        detail: format!(
+                            "combine: input shapes disagree ({} vs {})",
+                            lmeta.shape, rmeta.shape
+                        ),
                     }
-                    break;
+                    .into());
                 }
-                Ok(StepStatus::Ready(_)) => {}
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            }
-            let wait = step_start.elapsed();
+                let region = default_partition(&lmeta.shape, io.comm.size(), io.comm.rank());
+                let lv = io.inputs[0].get(&self.left.array, &region)?;
+                let rv = io.inputs[1].get(&self.right.array, &region)?;
+                let bytes_in = (lv.byte_len() + rv.byte_len()) as u64;
 
-            let read = (|| -> StepResult<_> {
-                let lmeta = left
-                    .meta(&self.left.array)
-                    .ok_or_else(|| sb_data::DataError::Container {
-                        detail: format!("no array {:?} in stream", self.left.array),
-                    })?
-                    .clone();
-                let rmeta = right
-                    .meta(&self.right.array)
-                    .ok_or_else(|| sb_data::DataError::Container {
-                        detail: format!("no array {:?} in stream", self.right.array),
-                    })?
-                    .clone();
-                assert_eq!(
-                    lmeta.shape.sizes(),
-                    rmeta.shape.sizes(),
-                    "combine: input shapes disagree ({} vs {})",
-                    lmeta.shape,
-                    rmeta.shape
-                );
-                let region = default_partition(&lmeta.shape, comm.size(), comm.rank());
-                let lv = left.get(&self.left.array, &region)?;
-                let rv = right.get(&self.right.array, &region)?;
-                Ok((lmeta, region, lv, rv))
-            })();
-            let (lmeta, region, lv, rv) = match read {
-                Ok(v) => v,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(ComponentError::from_step(label, step, e));
-                }
-            };
-            left.end_step();
-            right.end_step();
-            let step_in = (lv.byte_len() + rv.byte_len()) as u64;
+                let kernel_start = Instant::now();
+                // Borrowed: the step queues still hold the payloads' `Arc`s,
+                // so taking ownership would deep-copy both every step.
+                let out: Vec<f64> = lv
+                    .data
+                    .to_f64_cow()
+                    .iter()
+                    .zip(rv.data.to_f64_cow().iter())
+                    .map(|(&x, &y)| self.op.apply(x, y))
+                    .collect();
+                let compute = kernel_start.elapsed();
 
-            let kernel_start = Instant::now();
-            let a = lv.data.into_f64_vec();
-            let b = rv.data.into_f64_vec();
-            let out: Vec<f64> = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| self.op.apply(x, y))
-                .collect();
-            let compute = kernel_start.elapsed();
-
-            let mut out_meta =
-                VariableMeta::new(self.output.array.clone(), lmeta.shape.clone(), DType::F64);
-            out_meta.labels = lmeta.labels.clone();
-            if let Err(e) = writer.begin_step() {
-                writer.abandon();
-                stash_partial_stats(stats);
-                return Err(stream_err(label, step, e));
-            }
-            if gate != StepFault::DropChunk {
-                let chunk = Chunk::new(out_meta, region, Buffer::F64(out))
-                    .expect("combine chunk is consistent");
-                stats.bytes_out += chunk.byte_len() as u64;
-                writer.put(chunk);
-            }
-            if let Err(e) = writer.end_step() {
-                writer.abandon();
-                stash_partial_stats(stats);
-                return Err(stream_err(label, step, e));
-            }
-            stats.record_step(step_start.elapsed(), wait, compute, step_in);
-        }
-        writer.close();
-        Ok(stats)
+                let mut out_meta =
+                    VariableMeta::new(self.output.array.clone(), lmeta.shape.clone(), DType::F64);
+                out_meta.labels = lmeta.labels.clone();
+                io.put(0, Chunk::new(out_meta, region, Buffer::F64(out))?);
+                Ok(StepEnd::Publish { bytes_in, compute })
+            },
+        )
     }
 }
 

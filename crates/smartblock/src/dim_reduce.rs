@@ -35,7 +35,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Computes the output shape of a dim-reduce: `remove` dropped, `grow`
@@ -284,23 +284,17 @@ impl Component for DimReduce {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "dim-reduce",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 let (global_out_shape, grow_out) =
                     reduced_shape(&meta.shape, self.remove, self.grow)?;
 
@@ -309,7 +303,7 @@ impl Component for DimReduce {
                 let g = meta.shape.size(self.grow);
                 let region = slab_partition(&meta.shape, self.remove, comm.size(), comm.rank());
                 let (off, count) = (region.offset()[self.remove], region.count()[self.remove]);
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
@@ -337,11 +331,8 @@ impl Component for DimReduce {
                 out_offset[grow_out] = off * g;
                 out_counts[grow_out] = count * g;
                 let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
-                Ok(StepOutput {
-                    chunk: Some(chunk),
-                    bytes_in,
-                    compute,
-                })
+                io.put(0, chunk);
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

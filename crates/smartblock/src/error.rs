@@ -19,9 +19,9 @@ use sb_stream::StreamError;
 /// What went wrong inside one step of a component run loop.
 ///
 /// The `From` impls let per-step closures use `?` on both data-model
-/// operations (`reader.get(..)?`) and stream operations
-/// (`writer.begin_step()?`); the run loop annotates the result with the
-/// component label and step id.
+/// operations (`reader.get(..)?`) and the stream errors the loop itself
+/// meets opening and committing steps; the run loop annotates the result
+/// with the component label and step id.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepError {
     /// A self-describing-data operation failed.

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::container::{ContainerReader, ContainerWriter};
@@ -17,9 +17,8 @@ use sb_data::decompose::default_partition;
 use sb_data::{Chunk, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{fault_gate, run_sink, stash_partial_stats, Component, StepFault};
+use crate::component::{run_steps, Component, Ports, StepEnd};
 use crate::error::{ComponentError, ComponentResult, StepResult};
-use crate::metrics::ComponentStats;
 
 /// Drains an input stream to a container file (an endpoint component).
 ///
@@ -70,25 +69,31 @@ impl Component for FileWrite {
         } else {
             None
         };
-        let stats = run_sink(
-            label,
+        let stats = run_steps(
+            Ports {
+                label,
+                inputs: &[(&self.input, "default")],
+                outputs: &[],
+            },
             comm,
             hub,
-            &self.input,
-            "default",
-            |reader, _comm, step| {
+            |io| {
                 let mut bytes_in = 0u64;
                 let start = Instant::now();
                 if let Some(w) = writer.as_mut() {
+                    let reader = &io.inputs[0];
                     let mut vars = Vec::new();
                     for name in reader.variables() {
                         let var = reader.get_whole(&name)?;
                         bytes_in += var.byte_len() as u64;
                         vars.push(var);
                     }
-                    w.write_step(step, &vars)?;
+                    w.write_step(io.step, &vars)?;
                 }
-                Ok((bytes_in, start.elapsed()))
+                Ok(StepEnd::Publish {
+                    bytes_in,
+                    compute: start.elapsed(),
+                })
             },
         )?;
         if let Some(w) = writer {
@@ -146,7 +151,6 @@ impl Component for FileRead {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let label = "file-read";
-        let rank = comm.rank();
         let open = (|| -> StepResult<_> {
             let file = std::fs::File::open(&self.path).map_err(|e| sb_data::DataError::Io {
                 detail: format!("cannot open {:?}: {e}", self.path),
@@ -157,65 +161,37 @@ impl Component for FileRead {
             Ok(c) => c,
             Err(e) => return Err(ComponentError::from_step(label, 0, e)),
         };
-        let mut writer =
-            hub.open_writer(&self.output, comm.rank(), comm.size(), self.writer_options);
-        let mut stats = ComponentStats::default();
-        loop {
-            let step = writer.current_step();
-            let gate = match fault_gate(hub, label, rank, step) {
-                Ok(StepFault::Stall) => {
-                    writer.abandon();
-                    return Ok(stats);
-                }
-                Ok(g) => g,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(e);
-                }
-            };
-            let start = Instant::now();
-            let next = match container.next_step() {
-                Ok(n) => n,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(ComponentError::from_step(label, step, e.into()));
-                }
-            };
-            let vars = match next {
-                Some((_, vars)) => vars,
-                None => break,
-            };
-            let io = (|| -> StepResult<()> {
-                writer.begin_step()?;
-                if gate != StepFault::DropChunk {
-                    for var in vars {
-                        // Rank-0 (scalar) variables cannot be partitioned;
-                        // only rank 0 replays them.
-                        if var.shape.ndims() == 0 && comm.rank() != 0 {
-                            continue;
-                        }
-                        let meta = VariableMeta::describing(&var);
-                        let region = default_partition(&var.shape, comm.size(), comm.rank());
-                        let local = var.extract(&region)?;
-                        let chunk = Chunk::new(meta, region, local.data)?;
-                        stats.bytes_out += chunk.byte_len() as u64;
-                        writer.put(chunk);
+        run_steps(
+            Ports {
+                label,
+                inputs: &[],
+                outputs: &[(&self.output, self.writer_options)],
+            },
+            comm,
+            hub,
+            |io| {
+                let start = Instant::now();
+                let Some((_, vars)) = container.next_step()? else {
+                    return Ok(StepEnd::Done);
+                };
+                let (size, rank) = (io.comm.size(), io.comm.rank());
+                for var in vars {
+                    // Rank-0 (scalar) variables cannot be partitioned;
+                    // only rank 0 replays them.
+                    if var.shape.ndims() == 0 && rank != 0 {
+                        continue;
                     }
+                    let meta = VariableMeta::describing(&var);
+                    let region = default_partition(&var.shape, size, rank);
+                    let local = var.extract(&region)?;
+                    io.put(0, Chunk::new(meta, region, local.data)?);
                 }
-                writer.end_step()?;
-                Ok(())
-            })();
-            if let Err(e) = io {
-                writer.abandon();
-                stash_partial_stats(stats);
-                return Err(ComponentError::from_step(label, step, e));
-            }
-            stats.record_step(start.elapsed(), Duration::ZERO, Duration::ZERO, 0);
-        }
-        writer.close();
-        Ok(stats)
+                Ok(StepEnd::Publish {
+                    bytes_in: 0,
+                    compute: start.elapsed(),
+                })
+            },
+        )
     }
 }
 

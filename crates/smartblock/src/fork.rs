@@ -8,16 +8,15 @@
 //! MxN re-partitioning freedom.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sb_comm::Communicator;
 use sb_data::decompose::default_partition;
 use sb_data::Chunk;
-use sb_stream::{StepStatus, StreamHub, WriterOptions};
+use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{fault_gate, stash_partial_stats, stream_err, Component, StepFault};
-use crate::error::{ComponentError, ComponentResult, StepResult};
-use crate::metrics::ComponentStats;
+use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::error::ComponentResult;
 
 /// The Fork workflow component.
 #[derive(Debug, Clone)]
@@ -83,107 +82,49 @@ impl Component for Fork {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let mut reader = hub.open_reader_grouped(&self.input, "fork", comm.rank(), comm.size());
-        let mut writers: Vec<_> = self
+        // Buffered options for fan-out: a rendezvous-mode Fork feeding a
+        // join is a cyclic wait even though every output is staged before
+        // any is committed.
+        let outputs: Vec<(&str, WriterOptions)> = self
             .outputs
             .iter()
-            .map(|name| hub.open_writer(name, comm.rank(), comm.size(), self.writer_options))
+            .map(|name| (name.as_str(), self.writer_options))
             .collect();
-        let mut stats = ComponentStats::default();
-        let label = "fork";
-        let rank = comm.rank();
-        loop {
-            let step = reader.current_step();
-            let gate = match fault_gate(hub, label, rank, step) {
-                Ok(StepFault::Stall) => {
-                    for w in &mut writers {
-                        w.abandon();
-                    }
-                    return Ok(stats);
-                }
-                Ok(g) => g,
-                Err(e) => {
-                    for w in &mut writers {
-                        w.abandon();
-                    }
-                    stash_partial_stats(stats);
-                    return Err(e);
-                }
-            };
-            let step_start = Instant::now();
-            match reader.begin_step() {
-                Ok(StepStatus::EndOfStream) => break,
-                Ok(StepStatus::Ready(_)) => {}
-                Err(e) => {
-                    for w in &mut writers {
-                        w.abandon();
-                    }
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            }
-            let wait = step_start.elapsed();
-            // Read this rank's partition of every variable once, then put
-            // it to every output. Per-step byte counts stay local to the
-            // closure and land in `stats` through `record_step` below.
-            let body = (|| -> StepResult<(u64, u64)> {
-                let mut step_in = 0u64;
-                let mut step_out = 0u64;
-                let mut chunks: Vec<Chunk> = Vec::new();
+        run_steps(
+            Ports {
+                label: "fork",
+                inputs: &[(&self.input, "fork")],
+                outputs: &outputs,
+            },
+            comm,
+            hub,
+            |io| {
+                // Read this rank's partition of every variable once, then
+                // stage it on every output.
+                let (size, rank) = (io.comm.size(), io.comm.rank());
+                let reader = &io.inputs[0];
+                let mut bytes_in = 0u64;
                 for name in reader.variables() {
-                    let meta = reader
-                        .meta(&name)
-                        .expect("listed variable has meta")
-                        .clone();
-                    let region = default_partition(&meta.shape, comm.size(), comm.rank());
+                    let meta = io.meta(0, &name)?.clone();
+                    let region = default_partition(&meta.shape, size, rank);
                     let var = reader.get(&name, &region)?;
-                    step_in += var.byte_len() as u64;
-                    chunks.push(Chunk::new(meta, region, var.data)?);
-                }
-                reader.end_step();
-                // Stage every output before committing any: a downstream join
-                // reading two branches then sees both sides of a step as soon
-                // as the last end_step lands, instead of depending on the
-                // branch order above. (A rendezvous-mode Fork feeding a join is
-                // still a cyclic wait — use buffered options for fan-out.)
-                for w in writers.iter_mut() {
-                    w.begin_step()?;
-                    if gate == StepFault::DropChunk {
+                    bytes_in += var.byte_len() as u64;
+                    // Rank-0 (scalar) variables cannot be partitioned; only
+                    // rank 0 contributes them.
+                    if region.ndims() == 0 && rank != 0 {
                         continue;
                     }
-                    for c in &chunks {
-                        // Rank-0 (scalar) variables cannot be partitioned; only
-                        // rank 0 contributes them.
-                        if c.region.ndims() == 0 && comm.rank() != 0 {
-                            continue;
-                        }
-                        step_out += c.byte_len() as u64;
-                        w.put(c.clone());
+                    let chunk = Chunk::new(meta, region, var.data)?;
+                    for output in 0..self.outputs.len() {
+                        io.put(output, chunk.clone());
                     }
                 }
-                for w in writers.iter_mut() {
-                    w.end_step()?;
-                }
-                Ok((step_in, step_out))
-            })();
-            match body {
-                Ok((step_in, step_out)) => {
-                    stats.bytes_out += step_out;
-                    stats.record_step(step_start.elapsed(), wait, Duration::ZERO, step_in);
-                }
-                Err(e) => {
-                    for w in &mut writers {
-                        w.abandon();
-                    }
-                    stash_partial_stats(stats);
-                    return Err(ComponentError::from_step(label, step, e));
-                }
-            }
-        }
-        for mut w in writers {
-            w.close();
-        }
-        Ok(stats)
+                Ok(StepEnd::Publish {
+                    bytes_in,
+                    compute: Duration::ZERO,
+                })
+            },
+        )
     }
 }
 

@@ -23,10 +23,10 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{AttrValue, Buffer, DataError, DataResult, Region, Shape, Variable};
+use sb_data::{AttrValue, Buffer, Chunk, DataError, DataResult, Region, Shape, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_sink, Component, StreamArray};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::{ComponentError, ComponentResult};
 
 /// One timestep's histogram.
@@ -321,10 +321,6 @@ impl Component for Histogram {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let mut writer = self
-            .output_stream
-            .as_ref()
-            .map(|s| hub.open_writer(s, comm.rank(), comm.size(), self.writer_options));
         // Truncate at run start, then append one block per step: a rerun
         // of the same workflow starts a fresh file instead of accumulating
         // histograms from previous runs.
@@ -332,9 +328,6 @@ impl Component for Histogram {
             (Some(path), 0) => match std::fs::File::create(path) {
                 Ok(f) => Some(f),
                 Err(e) => {
-                    if let Some(mut w) = writer {
-                        w.abandon();
-                    }
                     return Err(ComponentError::Data {
                         label: "histogram".into(),
                         step: 0,
@@ -346,19 +339,23 @@ impl Component for Histogram {
             },
             _ => None,
         };
+        let output: Vec<(&str, WriterOptions)> = self
+            .output_stream
+            .iter()
+            .map(|s| (s.as_str(), self.writer_options))
+            .collect();
 
-        let stats = run_sink(
-            "histogram",
+        run_steps(
+            Ports {
+                label: "histogram",
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &output,
+            },
             comm,
             hub,
-            &self.input.stream,
-            &self.reader_group,
-            |reader, comm, step| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?;
+            |io| {
+                let (comm, step) = (io.comm, io.step);
+                let meta = io.meta(0, &self.input.array)?;
                 if meta.shape.ndims() != 1 {
                     return Err(DataError::RegionOutOfBounds {
                         detail: format!(
@@ -370,7 +367,8 @@ impl Component for Histogram {
                 }
                 let n = meta.shape.size(0);
                 let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-                let var = reader.get(&self.input.array, &Region::new(vec![off], vec![count]))?;
+                let var =
+                    io.inputs[0].get(&self.input.array, &Region::new(vec![off], vec![count]))?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
@@ -392,8 +390,9 @@ impl Component for Histogram {
                 let nan_total = comm.reduce(0, nan, |a, b| a + b);
                 let compute = kernel_start.elapsed();
 
+                // Rank 0 only: record, write file, stage. The other ranks
+                // pace the output stream without contributing.
                 if let Some(counts) = total {
-                    // Rank 0 only: record, write file, publish.
                     let result = HistogramResult {
                         step,
                         min,
@@ -414,7 +413,7 @@ impl Component for Histogram {
                     if let Some(f) = file.as_mut() {
                         write_histogram(f, &result)?;
                     }
-                    if let Some(w) = writer.as_mut() {
+                    if self.output_stream.is_some() {
                         let nb = result.counts.len();
                         let counts_var = Variable::new(
                             "counts",
@@ -432,34 +431,14 @@ impl Component for Histogram {
                             Shape::linear("edges", nb + 1),
                             Buffer::F64(edges),
                         )?;
-                        w.begin_step()?;
-                        w.put_whole(counts_var);
-                        w.put_whole(edges_var);
-                        w.end_step()?;
+                        io.put(0, Chunk::whole(counts_var));
+                        io.put(0, Chunk::whole(edges_var));
                     }
                     self.results.lock().push(result);
-                } else if let Some(w) = writer.as_mut() {
-                    // Non-root ranks pace the output stream without contributing.
-                    w.begin_step()?;
-                    w.end_step()?;
                 }
-                Ok((bytes_in, compute))
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
-        );
-        match stats {
-            Ok(s) => {
-                if let Some(mut w) = writer {
-                    w.close();
-                }
-                Ok(s)
-            }
-            Err(e) => {
-                if let Some(mut w) = writer {
-                    w.abandon();
-                }
-                Err(e)
-            }
-        }
+        )
     }
 }
 

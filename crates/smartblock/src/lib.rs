@@ -100,7 +100,7 @@ pub use analysis::{
     StreamSpec, LINTS,
 };
 pub use combine::{BinaryOp, Combine};
-pub use component::{Component, StepFault, StreamArray};
+pub use component::{Component, StreamArray};
 pub use dim_reduce::DimReduce;
 pub use error::{ComponentError, ComponentResult, StepError, StepResult, WorkflowError};
 pub use file_io::{FileRead, FileWrite};

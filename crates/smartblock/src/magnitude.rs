@@ -14,7 +14,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DType, DataError, DataResult, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Computes the Euclidean magnitude of each row vector of a 2-d array.
@@ -139,23 +139,17 @@ impl Component for Magnitude {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "magnitude",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 if meta.shape.ndims() != 2 {
                     return Err(DataError::RegionOutOfBounds {
                         detail: format!(
@@ -169,7 +163,7 @@ impl Component for Magnitude {
                 let n = meta.shape.size(0);
                 let region = slab_partition(&meta.shape, 0, comm.size(), comm.rank());
                 let (off, count) = (region.offset()[0], region.count()[0]);
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
@@ -189,11 +183,8 @@ impl Component for Magnitude {
                     Region::new(vec![off], vec![count]),
                     Buffer::F64(mags),
                 )?;
-                Ok(StepOutput {
-                    chunk: Some(chunk),
-                    bytes_in,
-                    compute,
-                })
+                io.put(0, chunk);
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use sb_stream::{StreamMetrics, Timeline};
+use sb_stream::{EventKind, StreamMetrics, Timeline};
 
 use crate::error::ComponentError;
 
@@ -261,6 +261,94 @@ impl WorkflowReport {
             .bytes_written as f64;
         let denom = self.total_ranks() as f64 * self.elapsed.as_secs_f64();
         (denom > 0.0).then(|| bytes / 1024.0 / denom)
+    }
+
+    /// Checks that no component of a traced run is invisible on the
+    /// timeline: every `(component, rank, step)` the report accounts for has
+    /// exactly one `step` span, a nested `compute` span, and — uniformly
+    /// across the component's ranks and steps — `wait` and/or `publish`
+    /// spans matching its role (sources never wait on input, sinks never
+    /// publish; a decimating component's skipped publish is an empty span).
+    /// `Err` names the first site that falls short.
+    pub fn validate_completeness(&self) -> Result<(), String> {
+        use std::collections::BTreeMap;
+        let tl = &self.timeline;
+        // A label may name several component instances (GTCP wires two
+        // Dim-Reduce stages), so expectations are counted per label: at
+        // `(label, rank, step)` there must be one step span per instance that
+        // has that rank and reached that step.
+        let mut by_label: BTreeMap<&str, Vec<&ComponentReport>> = BTreeMap::new();
+        for comp in &self.components {
+            by_label.entry(comp.label.as_str()).or_default().push(comp);
+        }
+        for (label, comps) in by_label {
+            let max_ranks = comps.iter().map(|c| c.nranks).max().unwrap_or(0);
+            let max_steps = comps.iter().map(|c| c.stats.steps).max().unwrap_or(0);
+            let has_wait = tl
+                .events
+                .iter()
+                .any(|e| e.kind == EventKind::Wait && e.component == label);
+            let has_publish = tl
+                .events
+                .iter()
+                .any(|e| e.kind == EventKind::Publish && e.component == label);
+            for rank in 0..max_ranks as u32 {
+                for step in 0..max_steps {
+                    let expected = comps
+                        .iter()
+                        .filter(|c| rank < c.nranks as u32 && step < c.stats.steps)
+                        .count();
+                    let at = |kind: EventKind| {
+                        tl.events
+                            .iter()
+                            .filter(|e| {
+                                e.kind == kind
+                                    && e.component == label
+                                    && e.rank == rank
+                                    && e.step == step
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    let step_spans = at(EventKind::Step);
+                    if step_spans.len() != expected {
+                        return Err(format!(
+                            "{label}/{rank} step {step}: {} step spans, want {expected}",
+                            step_spans.len()
+                        ));
+                    }
+                    let mut required = vec![EventKind::Compute];
+                    if has_wait {
+                        required.push(EventKind::Wait);
+                    }
+                    if has_publish {
+                        required.push(EventKind::Publish);
+                    }
+                    for kind in required {
+                        let inner = at(kind);
+                        if expected > 0 && inner.is_empty() {
+                            return Err(format!(
+                                "{label}/{rank} step {step}: no {} span",
+                                kind.name()
+                            ));
+                        }
+                        // Every phase span must nest inside one of the step
+                        // spans at this site.
+                        for e in inner {
+                            let nested = step_spans
+                                .iter()
+                                .any(|s| e.start >= s.start && e.end() <= s.end());
+                            if !nested {
+                                return Err(format!(
+                                    "{label}/{rank} step {step}: {} span not nested in a step span",
+                                    kind.name()
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// A human-readable run summary: one table of components, one of

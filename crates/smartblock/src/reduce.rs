@@ -13,10 +13,10 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::decompose::{slab_partition, split_1d_part};
-use sb_data::{Buffer, Chunk, DType, DataError, DataResult, Region, Variable, VariableMeta};
+use sb_data::{Buffer, Chunk, DType, DataResult, Region, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// The aggregation applied along the reduced dimension.
@@ -217,23 +217,17 @@ impl Component for Reduce {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "reduce",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 meta.shape.check_dim(self.dim)?;
                 let out_shape_global = meta.shape.without_dim(self.dim);
 
@@ -259,11 +253,11 @@ impl Component for Reduce {
                         )
                     }
                 };
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
-                let chunk: Option<Chunk> = if pdim.is_some() {
+                if pdim.is_some() {
                     let mut local = reduce_axis(&var, self.dim, self.op)?;
                     local.name = self.output.array.clone();
                     let mut out_meta = VariableMeta::new(
@@ -279,11 +273,14 @@ impl Component for Reduce {
                         out_meta.labels.insert(nd, names.clone());
                     }
                     out_meta.attrs = meta.attrs.clone();
-                    Some(Chunk::new(out_meta, out_region, local.data)?)
+                    io.put(0, Chunk::new(out_meta, out_region, local.data)?);
                 } else {
                     // Scalar result: combine local partials across ranks.
-                    let values = var.data.into_f64_vec();
-                    let local = values
+                    // Borrowed: the step queue still holds the payload's
+                    // `Arc`, so taking ownership would deep-copy it.
+                    let local = var
+                        .data
+                        .to_f64_cow()
                         .iter()
                         .fold(self.op.identity(), |a, &b| self.op.combine(a, b));
                     let combined = comm.allreduce(local, |a, b| self.op.combine(a, b));
@@ -296,21 +293,13 @@ impl Component for Reduce {
                     );
                     // Only rank 0 contributes the scalar; the others pace
                     // the stream with no chunk.
-                    (comm.rank() == 0).then(|| {
-                        Chunk::new(
-                            out_meta,
-                            Region::new(vec![], vec![]),
-                            Buffer::F64(vec![value]),
-                        )
-                        .expect("scalar chunk is consistent")
-                    })
-                };
+                    if comm.rank() == 0 {
+                        let scalar = Region::new(vec![], vec![]);
+                        io.put(0, Chunk::new(out_meta, scalar, Buffer::F64(vec![value]))?);
+                    }
+                }
                 let compute = kernel_start.elapsed();
-                Ok(StepOutput {
-                    chunk,
-                    bytes_in,
-                    compute,
-                })
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

@@ -17,7 +17,7 @@ use sb_data::{Chunk, Variable, VariableMeta};
 use sb_stream::{StreamHub, TraceConfig, WriterOptions};
 
 use crate::analysis::{self, AnalysisIssue, EntryView, Severity};
-use crate::component::Component;
+use crate::component::{run_steps, Component, Ports, StepEnd};
 use crate::error::{ComponentResult, WorkflowError};
 use crate::metrics::{ComponentReport, WorkflowReport};
 use crate::supervisor::{supervise, FaultPolicy, RunOptions, Supervision, Validation};
@@ -45,26 +45,35 @@ where
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        crate::component::run_source(
-            &self.label,
+        run_steps(
+            Ports {
+                label: &self.label,
+                inputs: &[],
+                outputs: &[(&self.stream, WriterOptions::default())],
+            },
             comm,
             hub,
-            &self.stream,
-            WriterOptions::default(),
-            |comm, step| {
-                Ok((self.produce)(step).map(|var| {
-                    let meta = VariableMeta::describing(&var);
-                    // Scalars cannot be partitioned among several source
-                    // ranks (every rank would put the same one-element
-                    // region); require a single-rank source for them.
-                    assert!(
-                        var.shape.ndims() > 0 || comm.size() == 1,
-                        "a source producing a rank-0 (scalar) variable must run with 1 rank"
-                    );
-                    let region = default_partition(&var.shape, comm.size(), comm.rank());
-                    let local = var.extract(&region).expect("partition fits the variable");
-                    Chunk::new(meta, region, local.data).expect("partition chunk is consistent")
-                }))
+            |io| {
+                let produce_start = Instant::now();
+                let Some(var) = (self.produce)(io.step) else {
+                    return Ok(StepEnd::Done);
+                };
+                let comm = io.comm;
+                // Scalars cannot be partitioned among several source
+                // ranks (every rank would put the same one-element
+                // region); require a single-rank source for them.
+                assert!(
+                    var.shape.ndims() > 0 || comm.size() == 1,
+                    "a source producing a rank-0 (scalar) variable must run with 1 rank"
+                );
+                let meta = VariableMeta::describing(&var);
+                let region = default_partition(&var.shape, comm.size(), comm.rank());
+                let local = var.extract(&region)?;
+                io.put(0, Chunk::new(meta, region, local.data)?);
+                Ok(StepEnd::Publish {
+                    bytes_in: 0,
+                    compute: produce_start.elapsed(),
+                })
             },
         )
     }
@@ -95,24 +104,30 @@ where
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        crate::component::run_sink(
-            &self.label,
+        run_steps(
+            Ports {
+                label: &self.label,
+                inputs: &[(&self.stream, &self.label)],
+                outputs: &[],
+            },
             comm,
             hub,
-            &self.stream,
-            &self.label,
-            |reader, comm, step| {
+            |io| {
                 let mut bytes_in = 0u64;
-                if comm.rank() == 0 {
+                if io.comm.rank() == 0 {
+                    let reader = &io.inputs[0];
                     let mut vars = BTreeMap::new();
                     for name in reader.variables() {
                         let v = reader.get_whole(&name)?;
                         bytes_in += v.byte_len() as u64;
                         vars.insert(name, v);
                     }
-                    (self.consume)(step, &vars);
+                    (self.consume)(io.step, &vars);
                 }
-                Ok((bytes_in, Duration::ZERO))
+                Ok(StepEnd::Publish {
+                    bytes_in,
+                    compute: Duration::ZERO,
+                })
             },
         )
     }

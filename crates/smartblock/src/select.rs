@@ -22,7 +22,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Gathers the rows `indices` of dimension `dim` from `var`, in the order
@@ -212,22 +212,17 @@ impl Component for Select {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let mut resolved: Option<Resolved> = None;
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "select",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?;
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 if resolved.as_ref().is_none_or(|r| r.input != *meta) {
                     resolved = Some(self.resolve(meta)?);
                 }
@@ -248,7 +243,7 @@ impl Component for Select {
                         }
                     }
                 };
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
@@ -275,11 +270,8 @@ impl Component for Select {
                     Region::new(out_region_offset, out_region_count),
                     selected_data,
                 )?;
-                Ok(StepOutput {
-                    chunk: Some(chunk),
-                    bytes_in,
-                    compute,
-                })
+                io.put(0, chunk);
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }
@@ -373,7 +365,6 @@ mod tests {
 
     #[test]
     fn component_follows_a_header_that_changes_between_steps() {
-        use crate::component::{run_sink, run_source};
         use std::time::Duration;
 
         // Steps alternate between two column orders; the row indices cached
@@ -382,33 +373,40 @@ mod tests {
         let hub = StreamHub::new();
         let source_hub = Arc::clone(&hub);
         let source = sb_comm::LaunchHandle::spawn("src", 1, move |comm| {
-            run_source(
-                "src",
+            run_steps(
+                Ports {
+                    label: "src",
+                    inputs: &[],
+                    outputs: &[("in.fp", WriterOptions::default())],
+                },
                 &comm,
                 &source_hub,
-                "in.fp",
-                WriterOptions::default(),
-                |_c, step| {
-                    Ok((step < 4).then(|| {
-                        let order = orders[step as usize % 2];
-                        // Column `name` of row `r` holds 10 r + the name's
-                        // position in the first order.
-                        let value = |r: usize, name: &str| {
-                            (10 * r + orders[0].iter().position(|n| *n == name).unwrap()) as f64
-                        };
-                        let data = (0..2)
-                            .flat_map(|r| order.iter().map(move |n| value(r, n)))
-                            .collect();
-                        let v = Variable::new(
-                            "atoms",
-                            Shape::of(&[("particles", 2), ("props", 3)]),
-                            Buffer::F64(data),
-                        )
-                        .unwrap()
-                        .with_labels(1, &order)
-                        .unwrap();
-                        Chunk::whole(v)
-                    }))
+                |io| {
+                    if io.step >= 4 {
+                        return Ok(StepEnd::Done);
+                    }
+                    let order = orders[io.step as usize % 2];
+                    // Column `name` of row `r` holds 10 r + the name's
+                    // position in the first order.
+                    let value = |r: usize, name: &str| {
+                        (10 * r + orders[0].iter().position(|n| *n == name).unwrap()) as f64
+                    };
+                    let data = (0..2)
+                        .flat_map(|r| order.iter().map(move |n| value(r, n)))
+                        .collect();
+                    let v = Variable::new(
+                        "atoms",
+                        Shape::of(&[("particles", 2), ("props", 3)]),
+                        Buffer::F64(data),
+                    )
+                    .unwrap()
+                    .with_labels(1, &order)
+                    .unwrap();
+                    io.put(0, Chunk::whole(v));
+                    Ok(StepEnd::Publish {
+                        bytes_in: 0,
+                        compute: Duration::ZERO,
+                    })
                 },
             )
         })
@@ -421,17 +419,22 @@ mod tests {
         .unwrap();
         let sink_hub = Arc::clone(&hub);
         let sink = sb_comm::LaunchHandle::spawn("sink", 1, move |comm| {
-            run_sink(
-                "sink",
+            run_steps(
+                Ports {
+                    label: "sink",
+                    inputs: &[("out.fp", "default")],
+                    outputs: &[],
+                },
                 &comm,
                 &sink_hub,
-                "out.fp",
-                "default",
-                |reader, _c, _step| {
-                    let v = reader.get_whole("velos")?;
+                |io| {
+                    let v = io.inputs[0].get_whole("velos")?;
                     assert_eq!(v.header(1).unwrap(), &["vx".to_string(), "vy".into()]);
                     assert_eq!(v.data.to_f64_vec(), vec![1.0, 2.0, 11.0, 12.0]);
-                    Ok((v.byte_len() as u64, Duration::ZERO))
+                    Ok(StepEnd::Publish {
+                        bytes_in: v.byte_len() as u64,
+                        compute: Duration::ZERO,
+                    })
                 },
             )
         })

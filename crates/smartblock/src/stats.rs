@@ -12,10 +12,10 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DataError, Region, Shape, Variable, VariableMeta};
+use sb_data::{Buffer, Chunk, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Partial sums that combine associatively across ranks.
@@ -149,29 +149,25 @@ impl Component for Stats {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "stats",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 let region = default_partition(&meta.shape, comm.size(), comm.rank());
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
-                let local = Moments::of(&var.data.into_f64_vec());
+                // Borrowed: the step queue still holds the payload's `Arc`,
+                // so taking ownership would deep-copy it every step.
+                let local = Moments::of(&var.data.to_f64_cow());
                 let global = comm.allreduce(local, Moments::merge);
                 let compute = kernel_start.elapsed();
 
@@ -189,7 +185,7 @@ impl Component for Stats {
                 );
                 // Rank 0 publishes the whole result; other ranks just pace
                 // the writer group.
-                let chunk = (comm.rank() == 0).then(|| {
+                if comm.rank() == 0 {
                     let values = vec![
                         global.min,
                         global.max,
@@ -197,14 +193,10 @@ impl Component for Stats {
                         global.std(),
                         global.count as f64,
                     ];
-                    Chunk::new(out_meta, Region::new(vec![0], vec![5]), Buffer::F64(values))
-                        .expect("stats chunk is consistent")
-                });
-                Ok(StepOutput {
-                    chunk,
-                    bytes_in,
-                    compute,
-                })
+                    let region = Region::new(vec![0], vec![5]);
+                    io.put(0, Chunk::new(out_meta, region, Buffer::F64(values))?);
+                }
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

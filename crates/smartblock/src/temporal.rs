@@ -15,14 +15,11 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DType, VariableMeta};
-use sb_stream::{StepStatus, StreamHub, WriterOptions};
+use sb_data::{Buffer, Chunk, DType, DataError, DataResult, VariableMeta};
+use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{
-    fault_gate, stash_partial_stats, stream_err, Component, StepFault, StreamArray,
-};
-use crate::error::{ComponentError, ComponentResult, StepResult};
-use crate::metrics::ComponentStats;
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::error::ComponentResult;
 
 /// Per-rank moving-average state: ring of past partitions plus a running
 /// sum, so each step costs one add and one subtract per element.
@@ -45,17 +42,21 @@ impl MovingMean {
 
     /// Pushes one step's values and returns the current mean.
     ///
-    /// Panics if the input length changes between steps (the stream's
-    /// shape contract is per-variable constant).
-    pub fn push(&mut self, values: Vec<f64>) -> Vec<f64> {
+    /// The length comes from the stream, so a change between steps is an
+    /// error, not a panic; the window is left as it was.
+    pub fn push(&mut self, values: Vec<f64>) -> DataResult<Vec<f64>> {
         if self.sum.is_empty() {
             self.sum = vec![0.0; values.len()];
         }
-        assert_eq!(
-            self.sum.len(),
-            values.len(),
-            "temporal-mean: input length changed between steps"
-        );
+        if self.sum.len() != values.len() {
+            return Err(DataError::RegionOutOfBounds {
+                detail: format!(
+                    "temporal-mean: input length changed between steps ({} to {})",
+                    self.sum.len(),
+                    values.len()
+                ),
+            });
+        }
         if self.history.len() == self.window {
             let old = self.history.pop_front().expect("non-empty at capacity");
             for (s, o) in self.sum.iter_mut().zip(&old) {
@@ -67,7 +68,7 @@ impl MovingMean {
         }
         self.history.push_back(values);
         let n = self.history.len() as f64;
-        self.sum.iter().map(|&s| s / n).collect()
+        Ok(self.sum.iter().map(|&s| s / n).collect())
     }
 
     /// Steps currently held (≤ window).
@@ -219,104 +220,42 @@ impl Component for TemporalMean {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let mut reader = hub.open_reader_grouped(
-            &self.input.stream,
-            &self.reader_group,
-            comm.rank(),
-            comm.size(),
-        );
-        let mut writer = hub.open_writer(
-            &self.output.stream,
-            comm.rank(),
-            comm.size(),
-            self.writer_options,
-        );
-        let mut stats = ComponentStats::default();
         let mut state = MovingMean::new(self.window);
         let mut consumed: usize = 0;
-        let label = "temporal-mean";
-        let rank = comm.rank();
-        loop {
-            let step = reader.current_step();
-            let gate = match fault_gate(hub, label, rank, step) {
-                Ok(StepFault::Stall) => {
-                    writer.abandon();
-                    return Ok(stats);
-                }
-                Ok(g) => g,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(e);
-                }
-            };
-            let step_start = Instant::now();
-            match reader.begin_step() {
-                Ok(StepStatus::EndOfStream) => break,
-                Ok(StepStatus::Ready(_)) => {}
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            }
-            let wait = step_start.elapsed();
-            let read = (|| -> StepResult<_> {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| sb_data::DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
-                let region = default_partition(&meta.shape, comm.size(), comm.rank());
-                let var = reader.get(&self.input.array, &region)?;
-                Ok((meta, region, var))
-            })();
-            let (meta, region, var) = match read {
-                Ok(v) => v,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(ComponentError::from_step(label, step, e));
-                }
-            };
-            reader.end_step();
-            let step_in = var.byte_len() as u64;
+        run_steps(
+            Ports {
+                label: "temporal-mean",
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
+            },
+            comm,
+            hub,
+            |io| {
+                let meta = io.meta(0, &self.input.array)?;
+                let region = default_partition(&meta.shape, io.comm.size(), io.comm.rank());
+                let var = io.inputs[0].get(&self.input.array, &region)?;
+                let bytes_in = var.byte_len() as u64;
 
-            let kernel_start = Instant::now();
-            let mean = state.push(var.data.into_f64_vec());
-            let compute = kernel_start.elapsed();
-            consumed += 1;
+                let kernel_start = Instant::now();
+                // Owned: the window keeps this step's values.
+                let mean = state.push(var.data.into_f64_vec())?;
+                let compute = kernel_start.elapsed();
+                consumed += 1;
 
-            // Decimating publish: the mean updates every consumed step,
-            // but only every stride-th step is pushed downstream. The
-            // stride is re-read each step so a trigger can retarget it.
-            if consumed.is_multiple_of(self.stride().max(1)) {
+                // Decimating publish: the mean updates every consumed step,
+                // but only every stride-th step is pushed downstream. The
+                // stride is re-read each step so a trigger can retarget it.
+                if !consumed.is_multiple_of(self.stride().max(1)) {
+                    return Ok(StepEnd::Skip { bytes_in, compute });
+                }
                 let mut out_meta =
                     VariableMeta::new(self.output.array.clone(), meta.shape.clone(), DType::F64);
                 out_meta.labels = meta.labels.clone();
                 out_meta.attrs = meta.attrs.clone();
-                if let Err(e) = writer.begin_step() {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-                if gate != StepFault::DropChunk {
-                    let chunk = Chunk::new(out_meta, region, Buffer::F64(mean))
-                        .expect("temporal-mean chunk is consistent");
-                    stats.bytes_out += chunk.byte_len() as u64;
-                    writer.put(chunk);
-                }
-                if let Err(e) = writer.end_step() {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            }
-            stats.record_step(step_start.elapsed(), wait, compute, step_in);
-        }
-        writer.close();
-        Ok(stats)
+                io.put(0, Chunk::new(out_meta, region, Buffer::F64(mean))?);
+                Ok(StepEnd::Publish { bytes_in, compute })
+            },
+        )
     }
 }
 
@@ -328,36 +267,38 @@ mod tests {
     fn moving_mean_ramps_up_then_slides() {
         let mut m = MovingMean::new(3);
         assert!(m.is_empty());
-        assert_eq!(m.push(vec![3.0]), vec![3.0]);
-        assert_eq!(m.push(vec![6.0]), vec![4.5]);
-        assert_eq!(m.push(vec![9.0]), vec![6.0]);
+        assert_eq!(m.push(vec![3.0]).unwrap(), vec![3.0]);
+        assert_eq!(m.push(vec![6.0]).unwrap(), vec![4.5]);
+        assert_eq!(m.push(vec![9.0]).unwrap(), vec![6.0]);
         assert_eq!(m.len(), 3);
         // Window slides: (6 + 9 + 12) / 3.
-        assert_eq!(m.push(vec![12.0]), vec![9.0]);
+        assert_eq!(m.push(vec![12.0]).unwrap(), vec![9.0]);
         assert_eq!(m.len(), 3);
     }
 
     #[test]
     fn moving_mean_is_elementwise() {
         let mut m = MovingMean::new(2);
-        m.push(vec![1.0, 10.0]);
-        let out = m.push(vec![3.0, 30.0]);
+        m.push(vec![1.0, 10.0]).unwrap();
+        let out = m.push(vec![3.0, 30.0]).unwrap();
         assert_eq!(out, vec![2.0, 20.0]);
     }
 
     #[test]
     fn window_of_one_is_identity() {
         let mut m = MovingMean::new(1);
-        assert_eq!(m.push(vec![5.0, 7.0]), vec![5.0, 7.0]);
-        assert_eq!(m.push(vec![1.0, 2.0]), vec![1.0, 2.0]);
+        assert_eq!(m.push(vec![5.0, 7.0]).unwrap(), vec![5.0, 7.0]);
+        assert_eq!(m.push(vec![1.0, 2.0]).unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]
-    #[should_panic(expected = "length changed")]
-    fn length_change_is_rejected() {
+    fn length_change_is_a_data_error() {
         let mut m = MovingMean::new(2);
-        m.push(vec![1.0]);
-        m.push(vec![1.0, 2.0]);
+        m.push(vec![1.0]).unwrap();
+        let err = m.push(vec![1.0, 2.0]).unwrap_err();
+        assert!(err.to_string().contains("length changed"), "{err}");
+        // The window is as it was: the next well-formed step still averages.
+        assert_eq!(m.push(vec![3.0]).unwrap(), vec![2.0]);
     }
 
     #[test]

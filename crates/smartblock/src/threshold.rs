@@ -15,11 +15,8 @@ use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, Region, Shape, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{
-    fault_gate, stash_partial_stats, stream_err, Component, StepFault, StreamArray,
-};
-use crate::error::{ComponentError, ComponentResult, StepResult};
-use crate::metrics::ComponentStats;
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::error::ComponentResult;
 
 /// The comparison a value must satisfy to survive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,126 +153,68 @@ impl Component for Threshold {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        // Threshold emits two variables per step (values + indices), so it
-        // runs its own step loop instead of the single-chunk transform
-        // helper.
-        let mut reader = hub.open_reader_grouped(
-            &self.input.stream,
-            &self.reader_group,
-            comm.rank(),
-            comm.size(),
-        );
-        let mut writer = hub.open_writer(
-            &self.output.stream,
-            comm.rank(),
-            comm.size(),
-            self.writer_options,
-        );
-        let mut stats = ComponentStats::default();
-        let label = "threshold";
-        let rank = comm.rank();
-        loop {
-            let step = reader.current_step();
-            let gate = match fault_gate(hub, label, rank, step) {
-                Ok(StepFault::Stall) => {
-                    writer.abandon();
-                    return Ok(stats);
-                }
-                Ok(g) => g,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(e);
-                }
-            };
-            let step_start = Instant::now();
-            match reader.begin_step() {
-                Ok(sb_stream::StepStatus::EndOfStream) => break,
-                Ok(sb_stream::StepStatus::Ready(_)) => {}
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(stream_err(label, step, e));
-                }
-            }
-            let wait = step_start.elapsed();
-            let read = (|| -> StepResult<_> {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| sb_data::DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+        run_steps(
+            Ports {
+                label: "threshold",
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
+            },
+            comm,
+            hub,
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 let region = default_partition(&meta.shape, comm.size(), comm.rank());
-                let var = reader.get(&self.input.array, &region)?;
-                Ok((meta, region, var))
-            })();
-            let (meta, region, var) = match read {
-                Ok(v) => v,
-                Err(e) => {
-                    writer.abandon();
-                    stash_partial_stats(stats);
-                    return Err(ComponentError::from_step(label, step, e));
-                }
-            };
-            reader.end_step();
-            let step_in = var.byte_len() as u64;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
+                let bytes_in = var.byte_len() as u64;
 
-            let kernel_start = Instant::now();
-            // This rank's rows start at a known global linear offset
-            // because the default partition blocks the slowest dimension;
-            // assert that contract so a future partitioning change fails
-            // loudly instead of mis-indexing.
-            debug_assert!(
-                region.offset().iter().skip(1).all(|&o| o == 0),
-                "threshold: partition must be a leading-dimension slab"
-            );
-            let row_len: usize = meta.shape.sizes().iter().skip(1).product();
-            let base = (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
-            let (kept, indices) = threshold_filter(&var.data.into_f64_vec(), self.predicate, base);
+                let kernel_start = Instant::now();
+                // This rank's rows start at a known global linear offset
+                // because the default partition blocks the slowest dimension;
+                // assert that contract so a future partitioning change fails
+                // loudly instead of mis-indexing.
+                debug_assert!(
+                    region.offset().iter().skip(1).all(|&o| o == 0),
+                    "threshold: partition must be a leading-dimension slab"
+                );
+                let row_len: usize = meta.shape.sizes().iter().skip(1).product();
+                let base = (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
+                // Borrowed: the step queue still holds the payload's `Arc`,
+                // so taking ownership would deep-copy it every step.
+                let (kept, indices) =
+                    threshold_filter(&var.data.to_f64_cow(), self.predicate, base);
 
-            // Agree on global sizes: my offset = exscan of counts, total =
-            // allreduce. (The two communication rounds of a shape-dynamic
-            // component.)
-            let local_n = kept.len() as u64;
-            let my_off = comm.exscan(local_n, |a, b| a + b).unwrap_or(0);
-            let total = comm.allreduce(local_n, |a, b| a + b);
-            let compute = kernel_start.elapsed();
+                // Agree on global sizes: my offset = exscan of counts, total =
+                // allreduce. (The two communication rounds of a shape-dynamic
+                // component.)
+                let local_n = kept.len() as u64;
+                let my_off = comm.exscan(local_n, |a, b| a + b).unwrap_or(0);
+                let total = comm.allreduce(local_n, |a, b| a + b);
+                let compute = kernel_start.elapsed();
 
-            let values_meta = VariableMeta::new(
-                self.output.array.clone(),
-                Shape::linear("kept", total as usize),
-                sb_data::DType::F64,
-            );
-            let indices_meta = VariableMeta::new(
-                format!("{}_indices", self.output.array),
-                Shape::linear("kept", total as usize),
-                sb_data::DType::U64,
-            );
-            let out_region = Region::new(vec![my_off as usize], vec![local_n as usize]);
-            if let Err(e) = writer.begin_step() {
-                writer.abandon();
-                stash_partial_stats(stats);
-                return Err(stream_err(label, step, e));
-            }
-            if gate != StepFault::DropChunk {
-                let values_chunk = Chunk::new(values_meta, out_region.clone(), Buffer::F64(kept))
-                    .expect("threshold values chunk is consistent");
-                let indices_chunk = Chunk::new(indices_meta, out_region, Buffer::U64(indices))
-                    .expect("threshold indices chunk is consistent");
-                stats.bytes_out += (values_chunk.byte_len() + indices_chunk.byte_len()) as u64;
-                writer.put(values_chunk);
-                writer.put(indices_chunk);
-            }
-            if let Err(e) = writer.end_step() {
-                writer.abandon();
-                stash_partial_stats(stats);
-                return Err(stream_err(label, step, e));
-            }
-            stats.record_step(step_start.elapsed(), wait, compute, step_in);
-        }
-        writer.close();
-        Ok(stats)
+                // Two variables per step: the survivors and their positions.
+                let values_meta = VariableMeta::new(
+                    self.output.array.clone(),
+                    Shape::linear("kept", total as usize),
+                    sb_data::DType::F64,
+                );
+                let indices_meta = VariableMeta::new(
+                    format!("{}_indices", self.output.array),
+                    Shape::linear("kept", total as usize),
+                    sb_data::DType::U64,
+                );
+                let out_region = Region::new(vec![my_off as usize], vec![local_n as usize]);
+                io.put(
+                    0,
+                    Chunk::new(values_meta, out_region.clone(), Buffer::F64(kept))?,
+                );
+                io.put(
+                    0,
+                    Chunk::new(indices_meta, out_region, Buffer::U64(indices))?,
+                );
+                Ok(StepEnd::Publish { bytes_in, compute })
+            },
+        )
     }
 }
 

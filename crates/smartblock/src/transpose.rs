@@ -17,7 +17,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_transform, Component, StepOutput, StreamArray, TransformSpec};
+use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Validates that `perm` is a permutation of `0..ndims`.
@@ -219,38 +219,31 @@ impl Component for Transpose {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_transform(
-            TransformSpec {
+        run_steps(
+            Ports {
                 label: "transpose",
-                input_stream: &self.input.stream,
-                reader_group: &self.reader_group,
-                output_stream: &self.output.stream,
-                writer_options: self.writer_options,
+                inputs: &[(&self.input.stream, &self.reader_group)],
+                outputs: &[(&self.output.stream, self.writer_options)],
             },
             comm,
             hub,
-            |reader, comm| {
-                let meta = reader
-                    .meta(&self.input.array)
-                    .ok_or_else(|| DataError::Container {
-                        detail: format!("no array {:?} in stream", self.input.array),
-                    })?
-                    .clone();
+            |io| {
+                let comm = io.comm;
+                let meta = io.meta(0, &self.input.array)?;
                 check_permutation(&self.perm, meta.shape.ndims())?;
                 if meta.shape.ndims() == 0 {
                     // Rank-0 input: pass the scalar through on rank 0.
-                    let var = reader.get(&self.input.array, &Region::new(vec![], vec![]))?;
+                    let var = io.inputs[0].get(&self.input.array, &Region::new(vec![], vec![]))?;
                     let out_meta = VariableMeta::new(
                         self.output.array.clone(),
                         meta.shape.clone(),
                         meta.dtype,
                     );
-                    let chunk = (comm.rank() == 0).then(|| {
-                        Chunk::new(out_meta, Region::new(vec![], vec![]), var.data.clone())
-                            .expect("scalar chunk is consistent")
-                    });
-                    return Ok(StepOutput {
-                        chunk,
+                    if comm.rank() == 0 {
+                        let scalar = Region::new(vec![], vec![]);
+                        io.put(0, Chunk::new(out_meta, scalar, var.data.clone())?);
+                    }
+                    return Ok(StepEnd::Publish {
                         bytes_in: var.byte_len() as u64,
                         compute: std::time::Duration::ZERO,
                     });
@@ -261,7 +254,7 @@ impl Component for Transpose {
                 let pdim = self.perm[0];
                 let region = slab_partition(&meta.shape, pdim, comm.size(), comm.rank());
                 let (off, count) = (region.offset()[pdim], region.count()[pdim]);
-                let var = reader.get(&self.input.array, &region)?;
+                let var = io.inputs[0].get(&self.input.array, &region)?;
                 let bytes_in = var.byte_len() as u64;
 
                 let kernel_start = Instant::now();
@@ -289,11 +282,8 @@ impl Component for Transpose {
                 out_offset[0] = off;
                 out_counts[0] = count;
                 let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
-                Ok(StepOutput {
-                    chunk: Some(chunk),
-                    bytes_in,
-                    compute,
-                })
+                io.put(0, chunk);
+                Ok(StepEnd::Publish { bytes_in, compute })
             },
         )
     }

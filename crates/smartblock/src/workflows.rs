@@ -20,8 +20,8 @@ use sb_comm::Communicator;
 use sb_sims::{drive, GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{stream_err, Component};
-use crate::error::ComponentResult;
+use crate::component::Component;
+use crate::error::{ComponentError, ComponentResult};
 use crate::histogram::HistogramResult;
 use crate::launch::{LaunchEntry, Program, SimCode};
 use crate::metrics::ComponentStats;
@@ -234,7 +234,13 @@ impl Component for Simulation {
         let stats = match stats {
             Ok(s) => s,
             // `drive` has already abandoned the writer on this path.
-            Err(e) => return Err(stream_err(&self.label(), writer.current_step(), e)),
+            Err(source) => {
+                return Err(ComponentError::Stream {
+                    label: self.label(),
+                    step: writer.current_step(),
+                    source,
+                })
+            }
         };
         Ok(ComponentStats {
             steps: stats.io_steps,

@@ -259,10 +259,10 @@ fn compensating_overlap_and_hole_is_rejected() {
     w.close();
 }
 
-/// Combine rejects shape-mismatched inputs loudly: the rank's assertion
-/// panic is caught by the supervisor and surfaced as a typed error.
+/// Combine's input shapes come from the streams, so a disagreement is a
+/// typed data error through the supervisor, not a panic.
 #[test]
-fn combine_shape_mismatch_is_caught_as_panic() {
+fn combine_shape_mismatch_is_a_typed_data_error() {
     let hub = StreamHub::with_timeout(Duration::from_millis(500));
     let mut wf = Workflow::with_hub(hub);
     wf.add_source("gen-a", 1, "a.fp", |step| {
@@ -281,9 +281,34 @@ fn combine_shape_mismatch_is_caught_as_panic() {
         matches!(
             &err,
             WorkflowError::ComponentFailed {
+                error: ComponentError::Data { label, step: 0, .. },
+                ..
+            } if label == "combine"
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("shapes disagree"), "{err}");
+}
+
+/// A rank that does panic — here a user closure — is caught by the
+/// supervisor and surfaced as a typed error.
+#[test]
+fn panicking_closure_is_caught_as_panicked() {
+    let hub = StreamHub::with_timeout(Duration::from_millis(500));
+    let mut wf = Workflow::with_hub(hub);
+    wf.add_source("gen", 1, "v.fp", |step| {
+        (step < 1).then(|| tiny_source(step))
+    });
+    wf.add_sink("boom", 1, "v.fp", |_, _| panic!("sink closure gave up"));
+    let err = wf.run_with(RunOptions::default()).unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            WorkflowError::ComponentFailed {
+                label,
                 error: ComponentError::Panicked { .. },
                 ..
-            }
+            } if label == "boom"
         ),
         "{err:?}"
     );
@@ -688,6 +713,84 @@ fn shm_backend_reproduces_inproc_stall_degradation() {
     assert_eq!(inproc_out.len(), 1, "the step before the stall survives");
     assert_eq!(inproc_out, shm_out, "backends disagree on salvaged output");
     assert!(inproc_degraded && shm_degraded);
+}
+
+/// Runs `wf` — some component of which is about to stall — on a hub whose
+/// timeout is far beyond the assertion bound, so only a noisy disconnect
+/// can pass, and checks that every `starved` component (Degrade policy) was
+/// failed by `PeerGone`.
+fn assert_stall_starves_with_peer_gone(mut wf: Workflow, starved: &[&str]) {
+    for &label in starved {
+        wf.set_fault_policy(label, FaultPolicy::degrade());
+    }
+    let start = std::time::Instant::now();
+    let report = wf
+        .run_with(RunOptions::new().with_hub_timeout(Duration::from_secs(120)))
+        .unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "a noisy disconnect must surface promptly, not wait out the timeout"
+    );
+    for label in starved {
+        let outcome = &report.component(label).unwrap().outcome;
+        assert!(
+            matches!(
+                outcome,
+                ComponentOutcome::Degraded {
+                    error: ComponentError::Stream {
+                        source: StreamError::PeerGone { .. },
+                        ..
+                    }
+                }
+            ),
+            "{label}: {outcome:?}"
+        );
+    }
+}
+
+/// A stalled Fork disconnects every branch noisily: both readers fail with
+/// a prompt `PeerGone`, and the step committed before the stall reached
+/// both.
+#[test]
+fn stalled_fork_starves_both_branches_with_peer_gone() {
+    let mut wf = Workflow::new();
+    wf.add_source("gen", 1, "c.fp", |step| (step < 4).then(|| coords(step, 8)));
+    wf.add(1, Fork::new("c.fp", ["a.fp", "b.fp"]));
+    let seen: Arc<Mutex<Vec<(&str, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    for (label, stream) in [("left", "a.fp"), ("right", "b.fp")] {
+        let seen = Arc::clone(&seen);
+        wf.add_sink(label, 1, stream, move |step, _| {
+            seen.lock().push((label, step))
+        });
+    }
+    wf.hub()
+        .install_faults(FaultPlan::seeded(chaos_seed()).stall_at("fork", 1));
+    assert_stall_starves_with_peer_gone(wf, &["left", "right"]);
+    let mut seen = seen.lock().clone();
+    seen.sort();
+    assert_eq!(seen, [("left", 0), ("right", 0)]);
+}
+
+/// A stalled Combine disconnects its output noisily too.
+#[test]
+fn stalled_combine_starves_downstream_with_peer_gone() {
+    let mut wf = Workflow::new();
+    for (label, stream) in [("gen-a", "a.fp"), ("gen-b", "b.fp")] {
+        wf.add_source(label, 1, stream, |step| {
+            (step < 4).then(|| tiny_source(step))
+        });
+    }
+    wf.add(
+        1,
+        Combine::new(("a.fp", "x"), BinaryOp::Add, ("b.fp", "x"), ("c.fp", "y")),
+    );
+    let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    wf.add_sink("collect", 1, "c.fp", move |step, _| sink.lock().push(step));
+    wf.hub()
+        .install_faults(FaultPlan::seeded(chaos_seed()).stall_at("combine", 1));
+    assert_stall_starves_with_peer_gone(wf, &["collect"]);
+    assert_eq!(*seen.lock(), [0]);
 }
 
 /// Regression for the EOS race: a writer vanishing *between* `end_step`

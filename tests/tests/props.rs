@@ -608,7 +608,7 @@ fn moving_mean_equals_naive_window_average() {
         let window = rng.below(5) + 1;
         let mut m = MovingMean::new(window);
         for (i, &v) in steps.iter().enumerate() {
-            let got = m.push(vec![v]);
+            let got = m.push(vec![v]).unwrap();
             let lo = i.saturating_sub(window - 1);
             let expect: f64 = steps[lo..=i].iter().sum::<f64>() / (i - lo + 1) as f64;
             assert!((got[0] - expect).abs() < 1e-9, "case {case} step {i}");

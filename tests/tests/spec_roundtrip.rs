@@ -272,6 +272,49 @@ fn seeded_spike_trigger_flips_temporal_mean_stride_mid_run() {
     );
 }
 
+/// Every component publishes `<label>.wait_ratio` from the one step loop,
+/// so a DIVA-style clause on a component that used to run its own loop —
+/// which always linted clean — now fires, once.
+#[test]
+fn wait_ratio_trigger_fires_on_a_threshold_component() {
+    let report = Workflow::from_spec_text(
+        r#"
+[workflow]
+name = "wait-ratio-demo"
+
+[[component]]
+program = "gromacs"
+args = ["chains=4", "len=4", "steps=3", "interval=2"]
+
+[[component]]
+program = "magnitude"
+args = ["gromacs.fp", "coords", "gmag.fp", "radii"]
+
+[[component]]
+program = "threshold"
+args = ["gmag.fp", "radii", "gt", "0.0", "hot.fp", "hot"]
+
+[[component]]
+program = "histogram"
+args = ["hot.fp", "hot", "4"]
+
+[[trigger]]
+when = "threshold.wait_ratio >= 0"
+then = "raise_fault_policy threshold degrade"
+"#,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .run_with(RunOptions::new())
+    .unwrap();
+
+    assert_eq!(report.component("threshold").unwrap().stats.steps, 3);
+    assert_eq!(report.triggers.len(), 1, "{:?}", report.triggers);
+    let fire = &report.triggers[0];
+    assert_eq!(fire.step, 0);
+    assert!((0.0..=1.0).contains(&fire.value), "{fire:?}");
+    assert!(fire.applied, "{fire:?}");
+}
+
 /// The same flip, driven end-to-end from `.sbw` text: a `[[trigger]]`
 /// clause declared in a spec reaches the running workflow through
 /// `Workflow::from_spec_text`. The always-true threshold fires on the

@@ -125,6 +125,114 @@ fn lammps_timeline_nests_phase_spans_inside_each_step() {
     assert!(json.contains("\"schema\":\"smartblock.trace.v1\""));
 }
 
+/// No component is invisible. One traced DAG wires the five components
+/// that used to run their own step loops, plus a Histogram publishing on an
+/// output stream; each must carry the complete `step` ⊇ `wait` / `compute`
+/// / `publish` spans (through a stride-2 TemporalMean's skipped publishes
+/// too) and publish a `wait_ratio` signal.
+///
+/// ```text
+/// file-read -> fork -+-> threshold ------------------------------> hot
+///                    +-> combine(b + c) -> temporal-mean -> histogram -> bins
+/// ```
+#[test]
+fn formerly_hand_rolled_components_are_on_the_timeline() {
+    const STEPS: u64 = 6;
+    let path = std::env::temp_dir().join(format!("sb_trace_dag_{}.sbc", std::process::id()));
+    {
+        let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        let mut container = sb_data::container::ContainerWriter::new(file).unwrap();
+        for step in 0..STEPS {
+            let data: Vec<f64> = (0..16).map(|i| (i as f64 + step as f64) / 16.0).collect();
+            let vals = sb_data::Variable::new(
+                "vals",
+                sb_data::Shape::linear("cells", 16),
+                sb_data::Buffer::F64(data),
+            )
+            .unwrap();
+            container.write_step(step, &[vals]).unwrap();
+        }
+        use std::io::Write;
+        container.finish().unwrap().flush().unwrap();
+    }
+
+    let mut wf = Workflow::new();
+    wf.add(1, FileRead::new(&path, "replay.fp"));
+    wf.add(2, Fork::new("replay.fp", ["a.fp", "b.fp", "c.fp"]));
+    wf.add(
+        2,
+        Threshold::new(
+            ("a.fp", "vals"),
+            Predicate::GreaterThan(0.5),
+            ("hot.fp", "hot"),
+        ),
+    );
+    wf.add_sink("hot", 1, "hot.fp", |_, _| {});
+    wf.add(
+        2,
+        Combine::new(
+            ("b.fp", "vals"),
+            BinaryOp::Add,
+            ("c.fp", "vals"),
+            ("sum.fp", "sum"),
+        ),
+    );
+    wf.add(
+        1,
+        TemporalMean::new(("sum.fp", "sum"), 2, ("tm.fp", "smoothed")).with_stride(2),
+    );
+    wf.add(
+        1,
+        Histogram::new(("tm.fp", "smoothed"), 4).with_output_stream("bins.fp"),
+    );
+    wf.add_sink("bins", 1, "bins.fp", |_, _| {});
+    let formerly_hand_rolled = ["file-read", "fork", "threshold", "combine", "temporal-mean"];
+    for label in formerly_hand_rolled {
+        wf.add_trigger(Trigger::new(
+            label,
+            "wait_ratio",
+            TriggerOp::Ge,
+            0.0,
+            TriggerAction::RaiseFaultPolicy {
+                target: label.into(),
+                policy: FaultPolicy::abort(),
+            },
+        ));
+    }
+
+    let report = wf.run_with(traced(RunOptions::default())).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(report.timeline.dropped, 0);
+    for label in formerly_hand_rolled {
+        assert_eq!(
+            report.component(label).unwrap().stats.steps,
+            STEPS,
+            "{label}"
+        );
+    }
+    // Stride 2: the mean published every second step.
+    assert_eq!(
+        report.component("histogram").unwrap().stats.steps,
+        STEPS / 2
+    );
+    report
+        .validate_completeness()
+        .unwrap_or_else(|e| panic!("timeline incomplete: {e}"));
+
+    assert_eq!(report.triggers.len(), 5, "{:?}", report.triggers);
+    for label in formerly_hand_rolled {
+        let clause = format!("when {label}.wait_ratio");
+        assert!(
+            report
+                .triggers
+                .iter()
+                .any(|f| f.trigger.starts_with(&clause)),
+            "{label} published no wait_ratio: {:?}",
+            report.triggers
+        );
+    }
+}
+
 /// A seeded kill under a Restart policy stamps the timeline: the injected
 /// fault instant sits at the faulted step with the kill code, and the
 /// supervisor's restart attempt follows it.
