@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sb_data::{Buffer, Shape, Variable};
-use smartblock::all_pairs::pairwise_distances;
 use smartblock::dim_reduce::dim_reduce;
 use smartblock::histogram::{bin_counts, finite_min_max};
 use smartblock::magnitude::vector_magnitudes;
@@ -167,18 +166,6 @@ fn bench_histogram_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_all_pairs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pairwise_distances");
-    for &n in &[100usize, 400, 1_000] {
-        let v = particles_variable(n, 3);
-        group.throughput(Throughput::Elements((n * (n - 1) / 2) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &v, |b, v| {
-            b.iter(|| pairwise_distances(black_box(v), 0, v.shape.size(0)).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_reduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduce_axis");
     for &(t, g) in &[(64usize, 512usize), (256, 512)] {
@@ -243,7 +230,6 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_select, bench_magnitude, bench_dim_reduce, bench_histogram,
-        bench_histogram_step, bench_all_pairs,
-        bench_reduce, bench_transpose, bench_threshold
+        bench_histogram_step, bench_reduce, bench_transpose, bench_threshold
 }
 criterion_main!(kernels);

@@ -1,52 +1,18 @@
-//! Prices the tracing layer on a 1-writer x 4-group whole-read fan-out.
+//! Prices the tracing layer's per-event primitives in isolation:
 //!
-//! * `trace_overhead/fanout_disabled` — the default: tracer never armed.
-//!   A disabled tracer's entire cost is one relaxed atomic load per
-//!   instrumentation site (the end-to-end figure is the benchmark's
-//!   `trace_overhead_pct`, see `benchmark/README.md`).
-//! * `trace_overhead/fanout_traced` — the tracer armed and drained, the
-//!   cost a traced run knowingly accepts.
-//! * `trace_hot_path/*` — the per-event primitives in isolation: a span
-//!   call against a disabled tracer, and a ring push on an armed one.
+//! * `trace_hot_path/disabled_span` — the default: tracer never armed. A
+//!   disabled tracer's entire cost is one relaxed atomic load per
+//!   instrumentation site.
+//! * `trace_hot_path/armed_ring_span` — a ring push on an armed tracer.
+//!
+//! What tracing costs a whole traced run end to end is the benchmark's
+//! `trace_overhead_pct` (see `benchmark/README.md`).
 
 use std::hint::black_box;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sb_bench::{run_fanout_on, FanoutConfig, FanoutShape};
-use sb_stream::{EventKind, StreamHub, TraceConfig, TraceSite, Tracer};
-
-const STEPS: u64 = 8;
-
-fn bench_fanout_overhead(c: &mut Criterion) {
-    let (rows, cols) = (40_000usize, 4usize);
-    let config = FanoutConfig {
-        shape: FanoutShape::WholeRead,
-        readers: 4,
-        rows,
-        cols,
-        steps: STEPS,
-    };
-    let mut group = c.benchmark_group("trace_overhead");
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes(STEPS * (rows * cols * 8) as u64));
-    group.bench_function("fanout_disabled", |b| {
-        b.iter(|| {
-            let hub = StreamHub::new();
-            black_box(run_fanout_on(&hub, &config))
-        })
-    });
-    group.bench_function("fanout_traced", |b| {
-        b.iter(|| {
-            let hub = StreamHub::new();
-            hub.tracer().enable(&TraceConfig::new());
-            let r = run_fanout_on(&hub, &config);
-            black_box(hub.tracer().drain().len());
-            black_box(r)
-        })
-    });
-    group.finish();
-}
+use criterion::{criterion_group, criterion_main, Criterion};
+use sb_stream::{EventKind, TraceConfig, TraceSite, Tracer};
 
 fn bench_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_hot_path");
@@ -78,6 +44,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = trace_overhead;
     config = configured();
-    targets = bench_fanout_overhead, bench_hot_path
+    targets = bench_hot_path
 }
 criterion_main!(trace_overhead);

@@ -274,171 +274,6 @@ pub fn run_gromacs_strong(
     }
 }
 
-/// Reader-side shape of a 1-writer fan-out over one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FanoutShape {
-    /// `readers` reader groups of one rank each; every group whole-reads
-    /// the variable. The broadcast pattern: before the zero-copy plane,
-    /// copy cost scaled linearly with the group count.
-    WholeRead,
-    /// One reader group of `readers` ranks; each rank reads its contiguous
-    /// row slab. The MxN redistribution pattern at M = 1.
-    SlabRead,
-}
-
-impl FanoutShape {
-    /// Stable identifier used in benchmark names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FanoutShape::WholeRead => "whole_read",
-            FanoutShape::SlabRead => "slab_read",
-        }
-    }
-}
-
-/// One 1-writer x N-reader transport measurement.
-#[derive(Debug, Clone)]
-pub struct FanoutConfig {
-    /// How the readers carve up the stream.
-    pub shape: FanoutShape,
-    /// Reader count N (groups for `WholeRead`, ranks for `SlabRead`).
-    pub readers: usize,
-    /// Rows of the `rows x cols` f64 payload.
-    pub rows: usize,
-    /// Columns of the payload.
-    pub cols: usize,
-    /// Steps pumped through the stream.
-    pub steps: u64,
-}
-
-impl FanoutConfig {
-    /// Bytes the writer commits per step.
-    pub fn payload_bytes(&self) -> u64 {
-        (self.rows * self.cols * 8) as u64
-    }
-}
-
-/// Wall time and stream counters from one [`run_fanout_on`] call.
-#[derive(Debug, Clone)]
-pub struct FanoutResult {
-    /// The configuration measured.
-    pub config: FanoutConfig,
-    /// Start-to-drain wall time.
-    pub elapsed: Duration,
-    /// The stream's counters after the run (bytes_copied, copies_elided,
-    /// zero_fills_elided are the before/after story).
-    pub metrics: sb_stream::StreamMetrics,
-}
-
-impl FanoutResult {
-    /// Mean wall time per step, in nanoseconds.
-    pub fn ns_per_step(&self) -> f64 {
-        self.elapsed.as_nanos() as f64 / self.config.steps.max(1) as f64
-    }
-}
-
-/// Pumps `steps` steps of a `rows x cols` f64 variable from one writer
-/// through the configured reader fan-out on `hub` and returns wall time
-/// plus the stream's copy counters. The tracing-overhead bench arms the
-/// hub's tracer to price the instrumented hot path against the default
-/// disabled one on identical traffic.
-pub fn run_fanout_on(
-    hub: &std::sync::Arc<sb_stream::StreamHub>,
-    config: &FanoutConfig,
-) -> FanoutResult {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    use sb_comm::LaunchHandle;
-    use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
-    use sb_stream::{StepStatus, WriterOptions};
-
-    let groups = match config.shape {
-        FanoutShape::WholeRead => config.readers,
-        FanoutShape::SlabRead => 1,
-    };
-    let hub = Arc::clone(hub);
-    let shape = Shape::of(&[("rows", config.rows), ("cols", config.cols)]);
-    let steps = config.steps;
-    let start = Instant::now();
-
-    let hub_w = Arc::clone(&hub);
-    let shape_w = shape.clone();
-    let writer = LaunchHandle::spawn("fan-writer", 1, move |comm| {
-        let _ring = hub_w.tracer().install_thread_ring();
-        let mut w = hub_w.open_writer(
-            "fan.fp",
-            comm.rank(),
-            comm.size(),
-            WriterOptions::buffered(2).with_reader_groups(groups),
-        );
-        let meta = VariableMeta::new("x", shape_w.clone(), DType::F64);
-        let region = Region::whole(&shape_w);
-        // One shared payload: the writer itself never re-copies either.
-        let data = sb_data::SharedBuffer::from(Buffer::F64(vec![1.0; region.len()]));
-        for _ in 0..steps {
-            w.begin_step().unwrap();
-            w.put(Chunk::new(meta.clone(), region.clone(), data.clone()).unwrap());
-            w.end_step().unwrap();
-        }
-        w.close();
-    })
-    .expect("spawn fan-out writer");
-
-    let mut handles = Vec::new();
-    match config.shape {
-        FanoutShape::WholeRead => {
-            for g in 0..config.readers {
-                let hub_r = Arc::clone(&hub);
-                let group = format!("g{g}");
-                handles.push(
-                    LaunchHandle::spawn(&format!("fan-reader-{g}"), 1, move |comm| {
-                        let _ring = hub_r.tracer().install_thread_ring();
-                        let mut r =
-                            hub_r.open_reader_grouped("fan.fp", &group, comm.rank(), comm.size());
-                        while let StepStatus::Ready(_) = r.begin_step().unwrap() {
-                            let v = r.get_whole("x").unwrap();
-                            std::hint::black_box(v.data.len());
-                            r.end_step();
-                        }
-                    })
-                    .expect("spawn whole-read group"),
-                );
-            }
-        }
-        FanoutShape::SlabRead => {
-            let hub_r = Arc::clone(&hub);
-            let shape_r = shape.clone();
-            handles.push(
-                LaunchHandle::spawn("fan-readers", config.readers, move |comm| {
-                    let _ring = hub_r.tracer().install_thread_ring();
-                    let mut r = hub_r.open_reader("fan.fp", comm.rank(), comm.size());
-                    let region =
-                        sb_data::decompose::default_partition(&shape_r, comm.size(), comm.rank());
-                    while let StepStatus::Ready(_) = r.begin_step().unwrap() {
-                        let v = r.get("x", &region).unwrap();
-                        std::hint::black_box(v.data.len());
-                        r.end_step();
-                    }
-                })
-                .expect("spawn slab-read group"),
-            );
-        }
-    }
-
-    writer.join().expect("fan-out writer");
-    for h in handles {
-        h.join().expect("fan-out reader");
-    }
-    let elapsed = start.elapsed();
-    let metrics = hub.metrics("fan.fp").expect("fan.fp metrics");
-    FanoutResult {
-        config: config.clone(),
-        elapsed,
-        metrics,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,38 +330,5 @@ mod tests {
         let expect = p.atoms as f64 * 24.0 / 2.0 / 1e6;
         assert!((p.mb_per_proc - expect).abs() < 1e-9, "{p:?}");
         assert!(p.step_seconds > 0.0);
-    }
-
-    #[test]
-    fn fanout_whole_read_elides_every_copy() {
-        let config = FanoutConfig {
-            shape: FanoutShape::WholeRead,
-            readers: 2,
-            rows: 16,
-            cols: 4,
-            steps: 3,
-        };
-        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
-        // 2 groups x 3 steps, every read served by the exact-cover path.
-        assert_eq!(r.metrics.copies_elided, 6, "{:?}", r.metrics);
-        assert_eq!(r.metrics.bytes_copied, 0);
-        assert_eq!(r.metrics.bytes_read, 2 * 3 * config.payload_bytes());
-        assert!(r.elapsed > Duration::ZERO);
-    }
-
-    #[test]
-    fn fanout_slab_read_skips_the_zero_fill() {
-        let config = FanoutConfig {
-            shape: FanoutShape::SlabRead,
-            readers: 2,
-            rows: 16,
-            cols: 4,
-            steps: 3,
-        };
-        let r = run_fanout_on(&sb_stream::StreamHub::new(), &config);
-        // Each rank's row slab is assembled without a zeroing pass; the
-        // payload still moves once per step in aggregate.
-        assert_eq!(r.metrics.zero_fills_elided, 6, "{:?}", r.metrics);
-        assert_eq!(r.metrics.bytes_copied, 3 * config.payload_bytes());
     }
 }

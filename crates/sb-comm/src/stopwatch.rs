@@ -33,11 +33,6 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
-    /// Time since the stopwatch was started, in seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
     /// Time since the previous `lap()` (or start), and resets the lap mark.
     pub fn lap(&mut self) -> Duration {
         let now = Instant::now();

@@ -509,15 +509,6 @@ impl SharedBuffer {
         SharedBuffer(Arc::new(buffer))
     }
 
-    /// The owned buffer back out: free when this is the last reference,
-    /// otherwise one deep copy.
-    pub fn into_owned(self) -> Buffer {
-        match Arc::try_unwrap(self.0) {
-            Ok(b) => b,
-            Err(shared) => (*shared).clone(),
-        }
-    }
-
     /// Consumes the payload into `f64` values, moving (not copying) the
     /// storage when it is uniquely held and already `F64`.
     pub fn into_f64_vec(self) -> Vec<f64> {

@@ -19,17 +19,6 @@ pub enum AttrValue {
     Float(f64),
 }
 
-impl AttrValue {
-    /// The textual form, for display and containers.
-    pub fn to_text(&self) -> String {
-        match self {
-            AttrValue::Text(s) => s.clone(),
-            AttrValue::Int(i) => i.to_string(),
-            AttrValue::Float(x) => format!("{x}"),
-        }
-    }
-}
-
 /// A fully materialized, self-describing array.
 ///
 /// Carries everything a downstream SmartBlock component needs to operate

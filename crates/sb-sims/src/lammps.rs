@@ -59,19 +59,6 @@ impl Default for LammpsConfig {
     }
 }
 
-impl LammpsConfig {
-    /// A configuration sized to roughly `n` particles (before the notch is
-    /// cut), keeping the plate square.
-    pub fn with_particle_target(n: usize) -> LammpsConfig {
-        let side = (n as f64).sqrt().ceil().max(4.0) as usize;
-        LammpsConfig {
-            nx: side,
-            ny: side,
-            ..LammpsConfig::default()
-        }
-    }
-}
-
 /// Lattice spacing: slightly above the LJ potential minimum (2^(1/6)) so
 /// the plate starts under mild tension.
 const LATTICE_A: f64 = 1.15;

@@ -115,12 +115,6 @@ impl StreamHub {
         Ok(Self::assemble(transport, wait, tracer))
     }
 
-    /// Creates a hub over a custom [`Transport`] backend.
-    pub fn with_transport(transport: Arc<dyn Transport>) -> Arc<StreamHub> {
-        let wait = Arc::new(AtomicU64::new(DEFAULT_WAIT_TIMEOUT.as_micros() as u64));
-        Self::assemble(transport, wait, Arc::new(Tracer::new()))
-    }
-
     fn assemble(
         transport: Arc<dyn Transport>,
         wait_timeout_micros: Arc<AtomicU64>,
@@ -247,11 +241,6 @@ impl StreamHub {
     /// previously installed plan.
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.faults.lock() = Some(Arc::new(plan));
-    }
-
-    /// Removes the installed fault-injection plan.
-    pub fn clear_faults(&self) {
-        *self.faults.lock() = None;
     }
 
     /// The fault(s) to apply at `(component, rank, step)`; a no-op fault

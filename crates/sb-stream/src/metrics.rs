@@ -212,13 +212,3 @@ pub struct StreamMetrics {
     /// `Arc` and nothing is serialized.
     pub bytes_on_wire: u64,
 }
-
-impl StreamMetrics {
-    /// Writer-side throughput over `elapsed`, in KB/s (the paper's unit).
-    pub fn write_throughput_kbs(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.bytes_written as f64 / 1024.0 / elapsed.as_secs_f64()
-    }
-}

@@ -77,10 +77,15 @@
 //! surface as the existing [`StreamError::Timeout`] /
 //! [`StreamError::PeerGone`] taxonomy, so the workflow supervisor's
 //! Restart/Degrade policies work unchanged across the process boundary. A
-//! connection that drops without a clean `close`/`abandon` terminator (a
-//! SIGKILLed component) is treated as a *noisy* disconnect: readers blocked
-//! on steps that writer group can no longer commit fail promptly with
-//! `PeerGone` instead of waiting out the hub timeout.
+//! writer session that ends without a clean `close`/`abandon` terminator —
+//! the connection dropped (a SIGKILLed component), a reply could not be
+//! sent, a frame was malformed — is a *noisy* disconnect: a drop guard on
+//! the session's endpoint makes every such exit one, so readers blocked on
+//! steps that writer group can no longer commit fail promptly with
+//! `PeerGone` instead of waiting out the hub timeout. A reader session has
+//! no terminator to send: a reader process that dies holding a step leaves
+//! its writers blocked on buffer space until a supervisor detaches or
+//! restarts the group — or, if none does, until the hub timeout.
 //!
 //! A box is a guess. When a `get` asks a step that was fetched with boxes
 //! for a region its chunks do not cover, the reader handle asks for the
@@ -217,8 +222,6 @@ pub struct TcpOptions {
     /// the broker enforces the hub timeout where the blocking happens, so
     /// the client only needs the margin to cover the wire.
     pub read_grace: Duration,
-    /// Sets `TCP_NODELAY` on every connection (steps are latency-bound).
-    pub nodelay: bool,
     /// Frame-protocol revision offered in the hello. Defaults to
     /// [`WireProtocol::V2`]; the broker accepts either, so this is only a
     /// compatibility/ablation knob.
@@ -234,7 +237,6 @@ impl Default for TcpOptions {
         TcpOptions {
             connect_timeout: Duration::from_secs(15),
             read_grace: Duration::from_secs(15),
-            nodelay: true,
             protocol: WireProtocol::V2,
             compression: Compression::None,
         }
@@ -251,12 +253,6 @@ impl TcpOptions {
     /// Sets the read-deadline slack over the hub timeout (builder style).
     pub fn with_read_grace(mut self, grace: Duration) -> TcpOptions {
         self.read_grace = grace;
-        self
-    }
-
-    /// Enables or disables `TCP_NODELAY`.
-    pub fn with_nodelay(mut self, nodelay: bool) -> TcpOptions {
-        self.nodelay = nodelay;
         self
     }
 
@@ -799,7 +795,8 @@ impl Dialer for TcpDialer {
     fn dial(&self, stream_name: &str) -> Result<Box<dyn FrameIo>, StreamError> {
         let sock = dial_retry(&self.peer(), &self.options, stream_name, |budget| {
             let sock = TcpStream::connect_timeout(&self.addr, budget)?;
-            let _ = sock.set_nodelay(self.options.nodelay);
+            // Steps are latency-bound: never let Nagle hold a frame back.
+            let _ = sock.set_nodelay(true);
             Ok(sock)
         })?;
         Ok(Box::new(sock))
@@ -2124,6 +2121,32 @@ fn decode_step_body(
     Ok(chunks)
 }
 
+/// A writer session's endpoint, disconnected on drop unless `W_CLOSE` or
+/// `W_ABANDON` terminated it first. However else the session ends — the
+/// connection dropped, a reply could not be sent, a frame was malformed —
+/// nothing will commit the group's open steps again, so readers must see
+/// `PeerGone` now rather than the hub timeout later.
+struct DisconnectOnDrop {
+    endpoint: Box<dyn WriterEndpoint>,
+    defused: bool,
+}
+
+impl DisconnectOnDrop {
+    /// The endpoint, for the client's own terminator.
+    fn defuse(&mut self) -> &mut dyn WriterEndpoint {
+        self.defused = true;
+        &mut *self.endpoint
+    }
+}
+
+impl Drop for DisconnectOnDrop {
+    fn drop(&mut self) {
+        if !self.defused {
+            self.endpoint.disconnect();
+        }
+    }
+}
+
 fn writer_session(
     hub: &Arc<StreamHub>,
     relays: &Arc<RelayTable>,
@@ -2154,7 +2177,10 @@ fn writer_session(
         hop: Hop::Writer,
         shm,
     };
-    let mut endpoint = conn.endpoint;
+    let mut writer = DisconnectOnDrop {
+        endpoint: conn.endpoint,
+        defused: false,
+    };
     ledger.charge(hello_len);
     // Interned definitions this connection has applied (v2).
     let mut defs = MetaDefs::default();
@@ -2169,23 +2195,18 @@ fn writer_session(
     ledger.charge(reply(io, &started)?);
 
     loop {
-        let payload = match io.recv_frame() {
-            Ok(p) => p,
-            Err(_) => {
-                // The connection dropped without a terminator — the process
-                // is gone (killed, crashed before abandon). Noisy: readers
-                // must not wait out the timeout for steps that will never
-                // commit.
-                endpoint.disconnect();
-                return Ok(());
-            }
+        // A connection that drops without a terminator is a process gone
+        // (killed, crashed before abandon): not a session error, and the
+        // guard makes it noisy.
+        let Ok(payload) = io.recv_frame() else {
+            return Ok(());
         };
         ledger.charge(4 + payload.len());
         let mut cur = Cur(&payload);
         match cur.u8("writer opcode").map_err(session_err)? {
             W_BEGIN => {
                 let step = cur.u64("step").map_err(session_err)?;
-                let result = endpoint.begin_step(step);
+                let result = writer.endpoint.begin_step(step);
                 ledger.charge(reply_result(io, result)?);
             }
             W_STEP => {
@@ -2199,20 +2220,21 @@ fn writer_session(
                             relay.seed(step, comp, payload, &chunks);
                         }
                         for (chunk, _) in chunks {
-                            endpoint.put(step, chunk);
+                            writer.endpoint.put(step, chunk);
                         }
-                        endpoint.end_step(step)
+                        writer.endpoint.end_step(step)
                     }
                 };
                 ledger.charge(reply_result(io, result)?);
             }
             W_CLOSE => {
-                endpoint.close();
+                writer.defuse().close();
                 ledger.charge(reply(io, &[REPLY_OK])?);
                 return Ok(());
             }
             W_ABANDON => {
                 let noisy = cur.u8("abandon flag").map_err(session_err)? != 0;
+                let endpoint = writer.defuse();
                 if noisy {
                     endpoint.disconnect();
                 } else {
@@ -3152,6 +3174,71 @@ mod tests {
         let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&body);
         assert_eq!(read_frame(&mut io::Cursor::new(bytes)).unwrap(), body);
+    }
+
+    #[test]
+    fn a_writer_session_that_cannot_reply_disconnects() {
+        /// The broker's side of a client killed between request and reply:
+        /// it hands the session `frames`, accepts `sends` replies, then
+        /// fails every send after.
+        struct Scripted {
+            frames: std::collections::VecDeque<Vec<u8>>,
+            sends: usize,
+        }
+        impl FrameIo for Scripted {
+            fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+                if self.sends == 0 {
+                    return Err(io::ErrorKind::BrokenPipe.into());
+                }
+                self.sends -= 1;
+                Ok(frames.iter().flat_map(|f| f.iter()).map(|p| p.len()).sum())
+            }
+            fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+                self.frames
+                    .pop_front()
+                    .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+            }
+            fn set_recv_deadline(&mut self, _: Option<Duration>) {}
+        }
+
+        let hub = StreamHub::with_timeout(Duration::from_secs(30));
+        let mut reader = hub.open_reader("w.fp", 0, 1);
+        let mut hello = vec![HELLO_WRITER];
+        put_wire_str(&mut hello, "w.fp").unwrap();
+        for field in [0, 1, 4] {
+            hello.put_u32_le(field); // rank, nranks, queue capacity
+        }
+        hello.put_u8(0); // not rendezvous
+        hello.put_u32_le(1); // reader groups
+        hello.put_u8(WireProtocol::V2.tag());
+        hello.put_u8(Compression::None.tag());
+        let mut begin = vec![W_BEGIN];
+        begin.put_u64_le(0);
+        let chunk = Chunk::whole(var(vec![1.0, 2.0]));
+        let mut table = MetaInternTable::default();
+        let id = table.intern(&chunk.meta).unwrap();
+        let mut step = vec![W_STEP];
+        step.put_u64_le(0);
+        step.put_u32_le(1); // one definition
+        table.append_defs_since(0, &mut step);
+        step.put_u32_le(1); // one chunk
+        encode_chunk_interned(&mut step, &chunk, id, Compression::None).unwrap();
+        // REPLY_STARTED and W_BEGIN's OK go out; W_STEP's OK does not.
+        let mut io = Scripted {
+            frames: [hello, begin, step].into(),
+            sends: 2,
+        };
+        let relays = Arc::new(RelayTable::default());
+        let err = serve_session(&hub, &relays, &mut io, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
+
+        let started = Instant::now();
+        assert_eq!(reader.begin_step().unwrap(), StepStatus::Ready(0));
+        assert_eq!(reader.get_whole("x").unwrap().data.to_f64_vec(), [1.0, 2.0]);
+        reader.end_step();
+        let err = reader.begin_step().unwrap_err();
+        assert!(matches!(err, StreamError::PeerGone { .. }), "{err:?}");
+        assert!(started.elapsed() < Duration::from_secs(10));
     }
 
     fn tcp_pair() -> (TcpStream, TcpStream) {

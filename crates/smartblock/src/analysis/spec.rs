@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sb_data::{DType, Shape};
+use sb_data::DType;
 
 /// A statically known or data-dependent dimension length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,18 +94,6 @@ impl ArraySpec {
             dtype,
             labels: BTreeMap::new(),
         }
-    }
-
-    /// A fully fixed spec copied from a concrete shape.
-    pub fn from_shape(shape: &Shape, dtype: DType) -> ArraySpec {
-        ArraySpec::new(
-            shape
-                .dims()
-                .iter()
-                .map(|d| DimSpec::fixed(d.name.clone(), d.size))
-                .collect(),
-            dtype,
-        )
     }
 
     /// Attaches labels along `dim` (builder style).

@@ -169,13 +169,6 @@ pub enum Program {
         /// Output endpoint.
         output: StreamArray,
     },
-    /// `all-pairs in-stream in-array out-stream out-array`
-    AllPairs {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Output endpoint.
-        output: StreamArray,
-    },
     /// `fork in-stream out-stream...`
     Fork {
         /// Input stream.
@@ -655,13 +648,6 @@ pub(crate) fn launch(
                 output: StreamArray::new(tokens[2], tokens[3]),
             }
         }
-        "all-pairs" => {
-            need(4, "all-pairs in-stream in-array out-stream out-array")?;
-            Program::AllPairs {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                output: StreamArray::new(tokens[2], tokens[3]),
-            }
-        }
         "fork" => {
             need(2, "fork in-stream out-stream...")?;
             Program::Fork {
@@ -822,17 +808,53 @@ mod tests {
         let script = r#"
             fork in.fp a.fp b.fp
             stats a.fp x st.fp summary
-            all-pairs b.fp x ap.fp dists
-            file-write ap.fp /tmp/out.sbc
+            file-write b.fp /tmp/out.sbc
             file-read /tmp/out.sbc replay.fp
             aio dump.fp atoms 16 vx vy vz
         "#;
         let entries = entries(script);
-        assert_eq!(entries.len(), 6);
+        assert_eq!(entries.len(), 5);
         // Bare lines default to one rank.
         assert!(entries.iter().all(|e| e.nranks == 1));
         assert!(matches!(entries[0].program, Program::Fork { .. }));
-        assert!(matches!(entries[5].program, Program::AllInOne { .. }));
+        assert!(matches!(entries[4].program, Program::AllInOne { .. }));
+    }
+
+    #[test]
+    fn spec_schema_names_exactly_the_programs_launch_accepts() {
+        use std::collections::BTreeSet;
+        let schema = include_str!("../../../schemas/smartblock.spec.v1.json");
+        // The `program` property's description lists the names in
+        // parentheses: `a simulation (lammps, …) or a component (select, …)`.
+        let (_, program) = schema.split_once("\"program\": {").unwrap();
+        let (_, description) = program.split_once("\"description\": \"").unwrap();
+        let (description, _) = description.split_once('"').unwrap();
+        let schema: BTreeSet<&str> = description
+            .split('(')
+            .skip(1)
+            .flat_map(|group| group.split(')').next().unwrap().split(','))
+            .map(str::trim)
+            .collect();
+        // The names `launch` matches on, read off its arms...
+        let source = include_str!("launch.rs");
+        let start = source.find("let parsed = match program {").unwrap();
+        let end = source.find("other => return Err").unwrap();
+        let grammar: BTreeSet<&str> = source[start..end]
+            .lines()
+            .filter_map(|l| l.trim().strip_suffix("=> {"))
+            .flat_map(|arm| arm.split('|'))
+            .map(|name| name.trim().trim_matches('"'))
+            .collect();
+        // ...and `launch` itself, so a schema name no arm matches fails by
+        // name and a misread arm cannot pass.
+        for name in schema.union(&grammar) {
+            let accepted = match launch(1, name, &[], 1) {
+                Ok(_) => true,
+                Err(e) => !e.detail.starts_with("unknown program"),
+            };
+            assert!(accepted, "launch rejects {name:?}");
+        }
+        assert_eq!(schema, grammar);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! Beyond the paper's four components, the crate includes the §V-C
 //! all-in-one baseline ([`AllInOne`]) used to measure the cost of
 //! componentization, and the §VI future-work components: [`Fork`] (DAG
-//! fan-out), [`AllPairs`] (a data-*increasing* analytic), [`Stats`], and
-//! [`FileWrite`]/[`FileRead`] (storage-decoupled workflows).
+//! fan-out), [`Stats`], and [`FileWrite`]/[`FileRead`] (storage-decoupled
+//! workflows).
 //!
 //! ## Quick example
 //!
@@ -67,7 +67,6 @@
 //! seeded faults for chaos testing.
 
 pub mod all_in_one;
-pub mod all_pairs;
 pub mod analysis;
 pub mod combine;
 pub mod component;
@@ -93,7 +92,6 @@ pub mod triggers;
 pub mod workflows;
 
 pub use all_in_one::AllInOne;
-pub use all_pairs::AllPairs;
 pub use analysis::{
     lint_plan, lint_source, AnalysisIssue, ArraySpec, Diagnostic, DimSpec, Extent, Level, Lint,
     LintConfig, PartitionRule, ReadSpec, ScriptLint, Severity, Signature, SpecError, StepContract,
@@ -135,8 +133,8 @@ pub mod prelude {
     pub use crate::component::{Component, StreamArray};
     pub use crate::runtime::{WiringIssue, Workflow};
     pub use crate::{
-        AllInOne, AllPairs, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram,
-        Magnitude, Predicate, Reduce, ReduceOp, Select, Stats, TemporalMean, Threshold, Transpose,
+        AllInOne, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
+        Predicate, Reduce, ReduceOp, Select, Stats, TemporalMean, Threshold, Transpose,
     };
     pub use crate::{
         ComponentError, ComponentOutcome, ComponentReport, ComponentResult, ComponentStats,

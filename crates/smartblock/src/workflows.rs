@@ -27,8 +27,8 @@ use crate::launch::{LaunchEntry, Program, SimCode};
 use crate::metrics::ComponentStats;
 use crate::runtime::Workflow;
 use crate::{
-    AllInOne, AllPairs, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
-    Reduce, Select, Stats, TemporalMean, Threshold, Transpose,
+    AllInOne, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude, Reduce, Select,
+    Stats, TemporalMean, Threshold, Transpose,
 };
 
 /// A simulation driver as a workflow component: the "driving scientific
@@ -341,7 +341,6 @@ pub(crate) fn instantiate_entry(entry: &LaunchEntry) -> Result<Box<dyn Component
         } => {
             finish!(Transpose::new(input, perm, output))
         }
-        Program::AllPairs { input, output } => finish!(AllPairs::new(input, output)),
         Program::TemporalMean {
             input,
             window,
@@ -488,7 +487,7 @@ pub fn lammps_workflow(scale: &PresetScale) -> (Workflow, Arc<Mutex<Vec<Histogra
 }
 
 /// [`lammps_workflow`] on a caller-supplied hub — e.g. one from
-///// [`StreamHub::connect`], so the same preset runs over the TCP backend (the
+/// [`StreamHub::connect`], so the same preset runs over the TCP backend (the
 /// caller owns the hub's timeout).
 pub fn lammps_workflow_on(
     hub: Arc<StreamHub>,
@@ -519,15 +518,7 @@ pub fn lammps_workflow_on(
 
 /// §V-C: the same LAMMPS run analyzed by the fused all-in-one component.
 pub fn lammps_aio_workflow(scale: &PresetScale) -> (Workflow, Arc<Mutex<Vec<HistogramResult>>>) {
-    lammps_aio_workflow_on(StreamHub::with_timeout(scale.wait_timeout), scale)
-}
-
-/// [`lammps_aio_workflow`] on a caller-supplied hub.
-pub fn lammps_aio_workflow_on(
-    hub: Arc<StreamHub>,
-    scale: &PresetScale,
-) -> (Workflow, Arc<Mutex<Vec<HistogramResult>>>) {
-    let mut wf = Workflow::with_hub(hub);
+    let mut wf = Workflow::with_hub(StreamHub::with_timeout(scale.wait_timeout));
     wf.add(scale.sim_ranks, scale.simulation(SimCode::Lammps));
     let aio = AllInOne::new(("dump.custom.fp", "atoms"), ["vx", "vy", "vz"], scale.bins);
     let results = aio.results_handle();

@@ -1,6 +1,6 @@
 //! Composition behaviours: launch-order independence, DAG fan-out, file
-//! decoupling, data-increasing analytics, stats, histogram chaining, and
-//! script-driven assembly — everything the paper claims "out of the box".
+//! decoupling, stats, histogram chaining, and script-driven assembly —
+//! everything the paper claims "out of the box".
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -110,40 +110,6 @@ fn file_write_then_file_read_preserves_the_stream() {
         assert_eq!(var.shape.sizes(), expect.shape.sizes());
     }
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn all_pairs_grows_data_and_matches_serial() {
-    let points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]];
-    let make_var = move |_step: u64| {
-        let data: Vec<f64> = points.iter().flatten().copied().collect();
-        Variable::new(
-            "pts",
-            Shape::of(&[("points", 5), ("coords", 2)]),
-            Buffer::from(data),
-        )
-        .unwrap()
-    };
-    let expect = {
-        let var = make_var(0);
-        smartblock::all_pairs::pairwise_distances(&var, 0, 5).unwrap()
-    };
-
-    let collected: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink_data = Arc::clone(&collected);
-    let mut wf = Workflow::new();
-    wf.add_source("gen", 1, "pts.fp", move |step| {
-        (step < 1).then(|| make_var(step))
-    });
-    wf.add(3, AllPairs::new(("pts.fp", "pts"), ("dists.fp", "d")));
-    wf.add_sink("end", 1, "dists.fp", move |_s, vars| {
-        sink_data.lock().extend(vars["d"].data.to_f64_vec());
-    });
-    wf.run_with(RunOptions::default()).unwrap();
-
-    let got = collected.lock().clone();
-    assert_eq!(got.len(), 10, "5 points -> 10 pairs (> the 5x2 input)");
-    assert_eq!(got, expect);
 }
 
 #[test]

@@ -13,7 +13,6 @@ use rand::{Rng, SeedableRng};
 use sb_data::decompose::{decompose_along, decompose_grid, split_1d, split_1d_part};
 use sb_data::region::copy_region;
 use sb_data::{Buffer, DType, Region, Shape, Variable};
-use smartblock::all_pairs::{condensed_len, condensed_offset};
 use smartblock::dim_reduce::dim_reduce;
 use smartblock::histogram::{bin_counts, finite_min_max};
 use smartblock::magnitude::vector_magnitudes;
@@ -649,19 +648,6 @@ fn histogram_conserves_count_and_respects_edges() {
             }
             assert_eq!(counts, naive, "case {case}");
         }
-    }
-}
-
-#[test]
-fn condensed_indexing_is_consistent() {
-    for n in (1usize..200).step_by(7).chain([1, 2, 199]) {
-        assert_eq!(condensed_offset(n, 0), 0);
-        let mut acc = 0;
-        for i in 0..n {
-            assert_eq!(condensed_offset(n, i), acc, "n={n} i={i}");
-            acc += n - 1 - i;
-        }
-        assert_eq!(condensed_len(n), acc);
     }
 }
 
