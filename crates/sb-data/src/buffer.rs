@@ -6,6 +6,7 @@
 //! actually emit (|v| < 2^53).
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 use crate::error::{DataError, DataResult};
@@ -326,12 +327,21 @@ impl Buffer {
     /// little-endian targets); the block stays in L1, so each payload byte
     /// crosses memory once on its way into `out`.
     pub fn append_le_bytes(&self, out: &mut Vec<u8>) {
+        self.append_le_range(0..self.len(), out);
+    }
+
+    /// Appends elements `range` of the payload to `out` as little-endian
+    /// bytes — [`Buffer::append_le_bytes`] over a sub-range, for encoders
+    /// that look at part of a payload before committing to all of it.
+    ///
+    /// Panics if `range` is out of bounds, like slice indexing.
+    pub(crate) fn append_le_range(&self, range: Range<usize>, out: &mut Vec<u8>) {
         const BLOCK: usize = 4096;
-        out.reserve(self.byte_len());
+        out.reserve(range.len() * self.dtype().elem_bytes());
         macro_rules! emit {
             ($v:expr, $w:expr) => {{
                 let mut block = [0u8; BLOCK];
-                for run in $v.chunks(BLOCK / $w) {
+                for run in $v[range].chunks(BLOCK / $w) {
                     let (dst, _) = block.as_chunks_mut::<$w>();
                     for (d, x) in dst.iter_mut().zip(run) {
                         *d = x.to_le_bytes();
@@ -718,6 +728,21 @@ mod tests {
                 assert_eq!(out.len(), 2 + b.byte_len());
                 let back = Buffer::from_le_bytes(b.dtype(), b.len(), &out[2..]).unwrap();
                 assert_eq!(back, b, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_le_range_emits_that_slice_of_the_payload() {
+        let wide = Buffer::F64((0..1500).map(|i| i as f64 - 0.25).collect());
+        let narrow = Buffer::I32((0..1500).map(|i| i * -7).collect());
+        for b in [wide, narrow] {
+            let w = b.dtype().elem_bytes();
+            let all = b.to_le_bytes();
+            for range in [0..0, 0..1, 3..700, 511..1025, 1499..1500, 0..1500] {
+                let mut out = vec![0xcc];
+                b.append_le_range(range.clone(), &mut out);
+                assert_eq!(out[1..], all[range.start * w..range.end * w], "{range:?}");
             }
         }
     }

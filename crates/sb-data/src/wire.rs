@@ -399,6 +399,12 @@ impl MetaInternTable {
         Ok(id)
     }
 
+    /// The meta interned under `id`, if any — still valid after a later
+    /// [`intern`](MetaInternTable::intern) redefined its name.
+    pub fn meta(&self, id: u32) -> Option<&VariableMeta> {
+        self.entries.get(id as usize).map(|(meta, _)| meta)
+    }
+
     /// Number of definitions interned so far; ids run `0..len()`.
     pub fn len(&self) -> u32 {
         self.entries.len() as u32
@@ -488,13 +494,43 @@ impl InternedEncode {
     }
 }
 
+/// Payload bytes above which [`Compression::Lz`] decides from a sample.
+///
+/// Three element-aligned slices of `SAMPLE / 3` bytes — head, middle and
+/// tail — are staged and compressed together (the sample fits the
+/// compressor's 64 KiB window); a chunk whose sample does not shrink is
+/// stored raw without staging or compressing the rest. Chunks of at most
+/// `SAMPLE` bytes always try the whole payload.
+const SAMPLE: usize = 48 << 10;
+
+/// True when compressing `data` whole is worth trying: always for payloads
+/// of at most [`SAMPLE`] bytes, otherwise only when its head, middle and
+/// tail slices shrink under LZ.
+fn lz_worth_trying(data: &Buffer) -> bool {
+    let width = data.dtype().elem_bytes();
+    let n = data.len();
+    if n * width <= SAMPLE {
+        return true;
+    }
+    let slice = SAMPLE / 3 / width;
+    let mut sample = Vec::with_capacity(3 * slice * width);
+    for start in [0, (n - slice) / 2, n - slice] {
+        data.append_le_range(start..start + slice, &mut sample);
+    }
+    let mut packed = Vec::with_capacity(sample.len() + sample.len() / 8);
+    lz_compress_into(&sample, &mut packed);
+    packed.len() < sample.len()
+}
+
 /// Appends one interned chunk — meta id, region, payload — to `buf`.
 ///
 /// `meta_id` must come from [`MetaInternTable::intern`] on the same
 /// connection's table, and the matching definition must reach the receiver
 /// no later than this chunk. With [`Compression::Lz`] the payload is
 /// compressed per chunk and kept only if it actually shrank; incompressible
-/// chunks fall back to raw storage, tagged as such.
+/// chunks fall back to raw storage, tagged as such. Above [`SAMPLE`] bytes
+/// a sample decides first, and a chunk whose sample does not shrink is
+/// emitted exactly as [`Compression::None`] would emit it, in one pass.
 pub fn encode_chunk_interned(
     buf: &mut Vec<u8>,
     chunk: &Chunk,
@@ -507,7 +543,7 @@ pub fn encode_chunk_interned(
     encode_region(buf, &chunk.region)?;
     buf.put_u64_le(chunk.data.len() as u64);
     let codec_at = buf.len();
-    if compression == Compression::Lz {
+    if compression == Compression::Lz && lz_worth_trying(&chunk.data) {
         // The compressor needs the payload as bytes, so this path stages it
         // once; the block itself is written straight into the frame behind
         // a length placeholder, and rolled back if it did not shrink.
@@ -583,6 +619,7 @@ pub fn decode_chunk_interned(buf: &mut &[u8], defs: &MetaDefs) -> DataResult<Chu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::lz_compress;
 
     fn sample_chunk() -> Chunk {
         let mut meta = VariableMeta::new(
@@ -876,5 +913,101 @@ mod tests {
         let enc = encode_chunk_interned(&mut frame, &big, 0, Compression::Lz).unwrap();
         assert!(enc.compressed());
         assert!(enc.wire_payload < enc.raw_payload / 50);
+    }
+
+    /// A 1-D f64 chunk over `values`.
+    fn f64_chunk(values: Vec<f64>) -> Chunk {
+        let n = values.len();
+        let meta = VariableMeta::new("x", Shape::of(&[("x", n)]), DType::F64);
+        Chunk::new(meta, Region::new(vec![0], vec![n]), Buffer::F64(values)).unwrap()
+    }
+
+    /// `n` xorshift bit patterns: payload bytes no LZ can shrink.
+    fn noise(n: usize, mut x: u64) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f64::from_bits(x)
+            })
+            .collect()
+    }
+
+    fn encode(chunk: &Chunk, codec: Compression) -> (Vec<u8>, InternedEncode) {
+        let mut frame = Vec::new();
+        let enc = encode_chunk_interned(&mut frame, chunk, 0, codec).unwrap();
+        (frame, enc)
+    }
+
+    /// The frame the encoder produced before the sample decision existed:
+    /// the whole payload compressed, kept only if the block shrank.
+    fn whole_payload_frame(chunk: &Chunk) -> Vec<u8> {
+        let (raw_frame, _) = encode(chunk, Compression::None);
+        let raw = chunk.data.to_le_bytes();
+        let block = lz_compress(&raw);
+        if block.len() + 8 >= raw.len() {
+            return raw_frame;
+        }
+        let mut frame = raw_frame[..raw_frame.len() - raw.len() - 1].to_vec();
+        frame.push(Compression::Lz.tag());
+        frame.extend_from_slice(&(block.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&block);
+        frame
+    }
+
+    #[test]
+    fn incompressible_chunk_above_sample_is_framed_exactly_as_none() {
+        let chunk = f64_chunk(noise(4 * SAMPLE / 8 + 3, 0x9e37_79b9));
+        let (lz, enc) = encode(&chunk, Compression::Lz);
+        assert!(!enc.compressed());
+        assert_eq!(enc.wire_payload, chunk.byte_len());
+        assert_eq!(lz, encode(&chunk, Compression::None).0);
+    }
+
+    #[test]
+    fn compressible_chunk_above_sample_keeps_the_whole_payload_block() {
+        let chunk = f64_chunk((0..SAMPLE).map(|i| (i % 97) as f64).collect());
+        let (lz, enc) = encode(&chunk, Compression::Lz);
+        assert!(enc.compressed());
+        assert_eq!(lz, whole_payload_frame(&chunk));
+        let block = lz_compress(&chunk.data.to_le_bytes());
+        assert_eq!(&lz[lz.len() - block.len()..], &block[..]);
+        assert_eq!(enc.wire_payload, block.len() + 8);
+    }
+
+    #[test]
+    fn the_sample_spans_the_payload_not_just_its_head() {
+        // Noise everywhere the head slice looks; the compressible part sits
+        // only in the tail, or only in the middle.
+        let n = SAMPLE; // f64 elements: eight times SAMPLE bytes
+        let mut zero_tail = noise(n, 0x51);
+        zero_tail[n * 3 / 4..].fill(0.0);
+        let mut flat_middle = noise(n, 0x52);
+        flat_middle[n * 3 / 8..n * 5 / 8].fill(2.5);
+        for values in [zero_tail, flat_middle] {
+            let chunk = f64_chunk(values);
+            let (lz, enc) = encode(&chunk, Compression::Lz);
+            assert!(enc.compressed());
+            assert_eq!(lz, whole_payload_frame(&chunk));
+        }
+    }
+
+    #[test]
+    fn chunks_up_to_sample_try_the_whole_payload() {
+        // At and below SAMPLE bytes there is no sample: a payload that is
+        // noise but for a short constant run still gets the whole attempt,
+        // whatever it decides.
+        for n in [SAMPLE / 8, SAMPLE / 8 - 1, 1000, 1] {
+            let mut values = noise(n, n as u64 | 1);
+            let run = n / 4;
+            values[n - run..].fill(-1.0);
+            let chunk = f64_chunk(values);
+            assert_eq!(
+                encode(&chunk, Compression::Lz).0,
+                whole_payload_frame(&chunk),
+                "n = {n}"
+            );
+        }
     }
 }

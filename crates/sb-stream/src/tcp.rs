@@ -228,7 +228,10 @@ pub struct TcpOptions {
     pub protocol: WireProtocol,
     /// Per-chunk payload compression requested for v2 connections
     /// (ignored under v1, which has no codec field). Defaults to
-    /// [`Compression::None`].
+    /// [`Compression::None`]. Under [`Compression::Lz`] a chunk is stored
+    /// raw unless it shrinks, and a payload above 48 KiB is compressed
+    /// whole only if a head/middle/tail sample shrinks: LAMMPS frames
+    /// compress by 1.33, GROMACS coordinates (0.996) go raw.
     pub compression: Compression,
 }
 
@@ -1975,16 +1978,21 @@ impl StreamRelay {
             }
             for (chunk, cut) in slot.chunks.iter().zip(cuts) {
                 let Some(cut) = cut else { continue };
-                let id = inner.table.intern(&chunk.meta)?;
+                // A hit keeps the id it was cached under. Interning again
+                // would miss once a later step redefined the variable (the
+                // table maps a name to its newest meta) and re-send the
+                // definition with a re-encoded chunk.
+                let table = &inner.table;
                 let hit = entry.chunks.iter().position(|c| {
-                    c.id == id
-                        && c.codec == comp
+                    c.codec == comp
                         && c.region == chunk.region
                         && c.data.names(&chunk.data)
+                        && table.meta(c.id) == Some(&chunk.meta)
                 });
                 let at = match hit {
                     Some(at) => at,
                     None => {
+                        let id = inner.table.intern(&chunk.meta)?;
                         let mut buf = Vec::new();
                         let enc = encode_chunk_interned(&mut buf, chunk, id, comp)?;
                         encoded.0 += enc.raw_payload as u64;
@@ -3031,6 +3039,49 @@ mod tests {
         assert_eq!(cached(), 3);
         drop(idle);
         assert_eq!(cached(), 0);
+    }
+
+    #[test]
+    fn a_writer_one_step_ahead_does_not_turn_a_hit_into_a_re_encode() {
+        // A variable whose meta changes every step (the Histogram's
+        // counts), seeded for steps 0 and 1 before any reader asks for 0:
+        // step 0 is still the writer's bytes under the id it was seeded
+        // with, and no definition is interned or sent twice.
+        let relay = Arc::new(StreamRelay::default());
+        let _reader = ReaderCountGuard::new(Arc::clone(&relay));
+        let chunks: Vec<Chunk> = (0..2)
+            .map(|step| {
+                let v = var(vec![step as f64; 8])
+                    .with_attr("step", sb_data::AttrValue::Int(step as i64));
+                let meta = sb_data::VariableMeta::describing(&v);
+                Chunk::new(meta, Region::whole(&v.shape), v.data).unwrap()
+            })
+            .collect();
+        for (step, chunk) in chunks.iter().enumerate() {
+            let mut frame = Vec::new();
+            encode_chunk_interned(&mut frame, chunk, 0, Compression::None).unwrap();
+            let whole = 0..frame.len();
+            relay.seed(
+                step as u64,
+                Compression::None,
+                frame,
+                &[(chunk.clone(), whole)],
+            );
+        }
+        let slot = VarSlot {
+            meta: chunks[0].meta.clone(),
+            chunks: vec![chunks[0].clone()],
+        };
+        let contents: StepContents = Arc::new(BTreeMap::from([("x".to_string(), slot)]));
+        let mut defs_seen = 0;
+        let reply = relay
+            .reply_step(0, Compression::None, &contents, &[], &mut defs_seen)
+            .unwrap();
+        assert_eq!(reply.encoded, (0, 0), "the seeded bytes must be relayed");
+        assert_eq!(defs_seen, 2, "one definition per step, none re-interned");
+        let seeded = &relay.inner.lock().cache.steps[&0].chunks[0].bytes;
+        assert_eq!(reply.parts.len(), 1);
+        assert!(Arc::ptr_eq(&reply.parts[0].buf, &seeded.buf));
     }
 
     #[test]

@@ -1249,6 +1249,122 @@ fn box_requests_deliver_what_an_in_proc_read_delivers() {
     let _ = std::fs::remove_dir_all(&shm_dir);
 }
 
+/// Under `Compression::Lz` the interned codec round-trips random mixes of
+/// noise and runs exactly, never frames more payload bytes than the raw
+/// encoding, and a chunk it stores raw is byte-for-byte the
+/// `Compression::None` frame. Sizes span both sides of the encoder's 48 KiB
+/// sample threshold, and the runs land anywhere — head, middle or tail.
+#[test]
+fn lz_interned_codec_never_grows_a_payload() {
+    use sb_data::wire::{decode_chunk_interned, encode_chunk_interned, Compression, MetaDefs};
+    use sb_data::{Chunk, VariableMeta};
+    for case in 0..32u64 {
+        let mut rng = Lcg(0x5a3b ^ case << 9);
+        let n = rng.below(40_000) + 1;
+        // A quarter of the cases are pure noise; the rest get runs as one
+        // segment in four, two or three.
+        let run_share = case as usize % 4;
+        let mut bits: Vec<u64> = Vec::with_capacity(n);
+        while bits.len() < n {
+            let len = (rng.below(n / 3 + 1) + 1).min(n - bits.len());
+            if rng.below(4) >= run_share {
+                bits.extend((0..len).map(|_| rng.next() << 33 | rng.next()));
+            } else {
+                bits.extend(std::iter::repeat_n(rng.next(), len));
+            }
+        }
+        let data = if case % 2 == 0 {
+            Buffer::F64(bits.iter().map(|&b| f64::from_bits(b)).collect())
+        } else {
+            Buffer::U32(bits.iter().map(|&b| b as u32).collect())
+        };
+        let meta = VariableMeta::new("mix", Shape::of(&[("x", n)]), data.dtype());
+        let mut defs = MetaDefs::new();
+        let mut def = Vec::new();
+        let mut table = sb_data::wire::MetaInternTable::new();
+        let id = table.intern(&meta).unwrap();
+        table.append_defs_since(0, &mut def);
+        defs.decode_def(&mut &def[..]).unwrap();
+        let chunk = Chunk::new(meta, Region::new(vec![0], vec![n]), data).unwrap();
+
+        let mut lz = Vec::new();
+        let enc = encode_chunk_interned(&mut lz, &chunk, id, Compression::Lz).unwrap();
+        assert!(enc.wire_payload <= enc.raw_payload, "case {case}");
+        let mut slice: &[u8] = &lz;
+        let back = decode_chunk_interned(&mut slice, &defs).unwrap();
+        assert!(slice.is_empty(), "case {case}: trailing bytes");
+        assert_eq!(
+            back.data.to_le_bytes(),
+            chunk.data.to_le_bytes(),
+            "case {case}"
+        );
+        if !enc.compressed() {
+            let mut raw = Vec::new();
+            encode_chunk_interned(&mut raw, &chunk, id, Compression::None).unwrap();
+            assert_eq!(
+                lz, raw,
+                "case {case}: stored raw, but not as None frames it"
+            );
+        }
+    }
+}
+
+/// The simulators' own frames keep the codec decision they always had:
+/// a LAMMPS frame (integer ID and Type columns) compresses by about a
+/// third, and a GROMACS coordinate frame is stored raw, framed exactly as
+/// `Compression::None` frames it.
+#[test]
+fn sim_frames_keep_their_lz_decision() {
+    use sb_data::wire::{encode_chunk_interned, Compression};
+    use sb_sims::{GromacsConfig, GromacsSim, LammpsConfig, LammpsSim, SimRank};
+    let frames = sb_comm::launch_named("frames", 1, |comm| {
+        let lammps_cfg = LammpsConfig {
+            nx: 64,
+            ny: 64,
+            ..LammpsConfig::default()
+        };
+        let gromacs_cfg = GromacsConfig {
+            n_chains: 512,
+            ..GromacsConfig::default()
+        };
+        let mut sims: Vec<Box<dyn SimRank>> = vec![
+            Box::new(LammpsSim::new(lammps_cfg, 0, 1)),
+            Box::new(GromacsSim::new(gromacs_cfg, 0, 1)),
+        ];
+        sims.iter_mut()
+            .map(|sim| {
+                for _ in 0..4 {
+                    sim.substep(&comm);
+                }
+                sim.output_chunk()
+            })
+            .collect::<Vec<_>>()
+    })
+    .unwrap()
+    .remove(0);
+    let encode = |chunk, codec| {
+        let mut frame = Vec::new();
+        let enc = encode_chunk_interned(&mut frame, chunk, 0, codec).unwrap();
+        (frame, enc)
+    };
+
+    let (_, lammps) = encode(&frames[0], Compression::Lz);
+    let ratio = lammps.raw_payload as f64 / lammps.wire_payload as f64;
+    assert!(
+        lammps.raw_payload > 48 << 10,
+        "the frame is above the sample"
+    );
+    assert!((1.2..1.5).contains(&ratio), "LAMMPS lz ratio {ratio:.3}");
+
+    let (gromacs_lz, gromacs) = encode(&frames[1], Compression::Lz);
+    assert!(
+        gromacs.raw_payload > 48 << 10,
+        "the frame is above the sample"
+    );
+    assert!(!gromacs.compressed());
+    assert_eq!(gromacs_lz, encode(&frames[1], Compression::None).0);
+}
+
 /// `lz_decompress ∘ lz_compress` is the identity over random interleavings
 /// of runs, ramps and noise — including noise prefixes long enough that
 /// the matcher's skip stride is dozens of bytes when a compressible region
