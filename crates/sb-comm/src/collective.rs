@@ -6,9 +6,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::p2p::{Endpoint, Packet};
 
@@ -117,11 +115,18 @@ impl Communicator {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<Box<dyn Any + Send>>) -> R,
     {
-        let mut slot = self.shared.slot.lock();
+        // Poisoning is recovered, the policy of `sb_data::lock`: a rank's
+        // panic surfaces at its thread's join, not in its peers.
+        let cond = &self.shared.cond;
+        let slot = self
+            .shared
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         // Gate entry: the previous collective must be fully picked up.
-        while slot.phase != Phase::Deposit {
-            self.shared.cond.wait(&mut slot);
-        }
+        let mut slot = cond
+            .wait_while(slot, |s| s.phase != Phase::Deposit)
+            .unwrap_or_else(PoisonError::into_inner);
         debug_assert!(
             slot.inputs[self.rank].is_none(),
             "rank {} double-deposited in a collective",
@@ -138,12 +143,12 @@ impl Communicator {
             let result: Arc<R> = Arc::new(combine(inputs));
             slot.output = Some(result);
             slot.phase = Phase::Pickup;
-            self.shared.cond.notify_all();
+            cond.notify_all();
         } else {
             let my_epoch = slot.epoch;
-            while slot.phase != Phase::Pickup || slot.epoch != my_epoch {
-                self.shared.cond.wait(&mut slot);
-            }
+            slot = cond
+                .wait_while(slot, |s| s.phase != Phase::Pickup || s.epoch != my_epoch)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         let out = slot
             .output
@@ -157,7 +162,7 @@ impl Communicator {
             slot.picked = 0;
             slot.output = None;
             slot.epoch += 1;
-            self.shared.cond.notify_all();
+            cond.notify_all();
         }
         drop(slot);
         out.downcast::<R>()

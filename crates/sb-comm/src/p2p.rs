@@ -7,8 +7,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::collective::Stash;
 
@@ -33,7 +32,7 @@ impl Endpoint {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

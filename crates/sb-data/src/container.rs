@@ -9,30 +9,33 @@
 //! file  := magic "SBC1" | u32 version
 //!          { "STEP" | u64 payload_len | payload }*
 //! payload := u64 step_id | u32 nvars | var*
-//! var   := str name | u8 dtype | u16 ndims | { str dim_name | u64 size }*
-//!          | u32 nheaders | { u16 dim | u32 n | str* }*
-//!          | u32 nattrs | { str key | u8 kind | str value }*
-//!          | u64 nelems | raw little-endian payload
-//! str   := u32 byte_len | utf-8 bytes
+//! var   := meta | u64 nelems | raw little-endian payload
 //! ```
 //!
-//! All integers are little-endian. Each step is length-prefixed so a reader
-//! can skip or detect truncation cleanly.
+//! `meta` is the wire grammar of [`crate::wire`], encoded and decoded by the
+//! same [`encode_meta`]/[`decode_meta`], so a step has one description
+//! whether it goes to a file or a stream, and a file is parsed with the
+//! wire decoder's guarantees against hostile input. All integers are
+//! little-endian. Each step is length-prefixed so a reader can skip or
+//! detect truncation cleanly.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut};
-
-use crate::buffer::{Buffer, DType};
-use crate::dims::{Dim, Shape};
+use crate::buffer::Buffer;
+use crate::chunk::VariableMeta;
+use crate::cursor::{fits, get_u32, get_u64, put_u32, put_u64, take, truncated};
 use crate::error::{DataError, DataResult};
-use crate::variable::{AttrValue, Variable};
-use crate::wire::{get_str, put_str, truncated};
+use crate::region::Region;
+use crate::variable::Variable;
+use crate::wire::{bounded, decode_meta, encode_meta, validated_payload_bytes};
 
 const MAGIC: &[u8; 4] = b"SBC1";
 const STEP_MARKER: &[u8; 4] = b"STEP";
 const VERSION: u32 = 1;
+
+/// Smallest encoded variable: an empty name, the dtype, zero dimensions,
+/// zero headers, zero attributes and the element count.
+const MIN_VAR_BYTES: usize = 4 + 1 + 2 + 4 + 4 + 8;
 
 /// Streaming writer of steps to any `Write` sink.
 pub struct ContainerWriter<W: Write> {
@@ -55,36 +58,11 @@ impl<W: Write> ContainerWriter<W> {
     pub fn write_step(&mut self, step_id: u64, vars: &[Variable]) -> DataResult<()> {
         let mut payload =
             Vec::with_capacity(64 + vars.iter().map(|v| v.byte_len() + 128).sum::<usize>());
-        payload.put_u64_le(step_id);
-        payload.put_u32_le(vars.len() as u32);
+        put_u64(&mut payload, step_id);
+        put_u32(&mut payload, fits(vars.len(), "variable count")?);
         for v in vars {
-            put_str(&mut payload, &v.name)?;
-            payload.put_u8(v.dtype().tag());
-            payload.put_u16_le(v.shape.ndims() as u16);
-            for d in v.shape.dims() {
-                put_str(&mut payload, &d.name)?;
-                payload.put_u64_le(d.size as u64);
-            }
-            payload.put_u32_le(v.labels.len() as u32);
-            for (&dim, names) in &v.labels {
-                payload.put_u16_le(dim as u16);
-                payload.put_u32_le(names.len() as u32);
-                for n in names {
-                    put_str(&mut payload, n)?;
-                }
-            }
-            payload.put_u32_le(v.attrs.len() as u32);
-            for (k, a) in &v.attrs {
-                put_str(&mut payload, k)?;
-                let (kind, text) = match a {
-                    AttrValue::Text(s) => (0u8, s.clone()),
-                    AttrValue::Int(i) => (1u8, i.to_string()),
-                    AttrValue::Float(x) => (2u8, format!("{x:?}")),
-                };
-                payload.put_u8(kind);
-                put_str(&mut payload, &text)?;
-            }
-            payload.put_u64_le(v.data.len() as u64);
+            encode_meta(&mut payload, &VariableMeta::describing(v))?;
+            put_u64(&mut payload, v.data.len() as u64);
             v.data.append_le_bytes(&mut payload);
         }
         self.sink.write_all(STEP_MARKER)?;
@@ -158,94 +136,20 @@ impl<R: Read> ContainerReader<R> {
         }
         let mut buf: &[u8] = &payload;
 
-        if buf.remaining() < 12 {
-            return Err(truncated("step header"));
-        }
-        let step_id = buf.get_u64_le();
-        let nvars = buf.get_u32_le() as usize;
-        let mut vars = Vec::with_capacity(nvars);
+        let step_id = get_u64(&mut buf, "step id")?;
+        let nvars = get_u32(&mut buf, "variable count")? as usize;
+        let mut vars = Vec::with_capacity(bounded(nvars, buf.len(), MIN_VAR_BYTES));
         for _ in 0..nvars {
-            let name = get_str(&mut buf)?;
-            if buf.remaining() < 3 {
-                return Err(truncated("variable header"));
-            }
-            let dtype = DType::from_tag(buf.get_u8())?;
-            let ndims = buf.get_u16_le() as usize;
-            let mut dims = Vec::with_capacity(ndims);
-            for _ in 0..ndims {
-                let dname = get_str(&mut buf)?;
-                if buf.remaining() < 8 {
-                    return Err(truncated("dimension size"));
-                }
-                dims.push(Dim::new(dname, buf.get_u64_le() as usize));
-            }
-            let shape = Shape::new(dims);
-            if buf.remaining() < 4 {
-                return Err(truncated("header count"));
-            }
-            let nheaders = buf.get_u32_le() as usize;
-            let mut labels = BTreeMap::new();
-            for _ in 0..nheaders {
-                if buf.remaining() < 6 {
-                    return Err(truncated("header entry"));
-                }
-                let dim = buf.get_u16_le() as usize;
-                let n = buf.get_u32_le() as usize;
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(get_str(&mut buf)?);
-                }
-                labels.insert(dim, names);
-            }
-            if buf.remaining() < 4 {
-                return Err(truncated("attr count"));
-            }
-            let nattrs = buf.get_u32_le() as usize;
-            let mut attrs = BTreeMap::new();
-            for _ in 0..nattrs {
-                let key = get_str(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(truncated("attr kind"));
-                }
-                let kind = buf.get_u8();
-                let text = get_str(&mut buf)?;
-                let value = match kind {
-                    0 => AttrValue::Text(text),
-                    1 => AttrValue::Int(text.parse().map_err(|_| DataError::Container {
-                        detail: format!("bad int attr {text:?}"),
-                    })?),
-                    2 => AttrValue::Float(text.parse().map_err(|_| DataError::Container {
-                        detail: format!("bad float attr {text:?}"),
-                    })?),
-                    k => {
-                        return Err(DataError::Container {
-                            detail: format!("unknown attr kind {k}"),
-                        })
-                    }
-                };
-                attrs.insert(key, value);
-            }
-            if buf.remaining() < 8 {
-                return Err(truncated("element count"));
-            }
-            let nelems = buf.get_u64_le() as usize;
-            if nelems != shape.total_len() {
-                return Err(DataError::Container {
-                    detail: format!(
-                        "variable {name:?}: payload count {nelems} != shape {}",
-                        shape.total_len()
-                    ),
-                });
-            }
-            let nbytes = nelems * dtype.elem_bytes();
-            if buf.remaining() < nbytes {
-                return Err(truncated("payload"));
-            }
-            let data = Buffer::from_le_bytes(dtype, nelems, &buf[..nbytes])?;
-            buf.advance(nbytes);
-            let mut var = Variable::new(name, shape, data)?;
-            var.labels = labels;
-            var.attrs = attrs;
+            let meta = decode_meta(&mut buf)?;
+            let nelems = get_u64(&mut buf, "element count")? as usize;
+            // A variable is a chunk covering its whole shape, and is
+            // checked like one: a shape whose volume overflows is an error.
+            let nbytes = validated_payload_bytes(&meta, &Region::whole(&meta.shape), nelems)?;
+            let data =
+                Buffer::from_le_bytes(meta.dtype, nelems, take(&mut buf, nbytes, "payload")?)?;
+            let mut var = Variable::new(meta.name, meta.shape, data)?;
+            var.labels = meta.labels;
+            var.attrs = meta.attrs;
             vars.push(var);
         }
         Ok(Some((step_id, vars)))
@@ -264,6 +168,8 @@ impl<R: Read> ContainerReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::Shape;
+    use crate::variable::AttrValue;
     use std::io::Cursor;
 
     fn sample_var() -> Variable {
@@ -343,5 +249,40 @@ mod tests {
         let mut r = ContainerReader::new(Cursor::new(bytes)).unwrap();
         let (_, vars) = r.next_step().unwrap().unwrap();
         assert_eq!(vars[0].attrs, v.attrs);
+    }
+
+    #[test]
+    fn byte_layout_is_pinned() {
+        // `sample_var()` as step 7, byte for byte: the container's framing
+        // around one wire `meta`. Any change here breaks every file already
+        // written.
+        const GOLDEN: &[&str] = &[
+            "53424331 01000000",                                      // magic, version 1
+            "53544550 cf00000000000000",                              // "STEP", 207 payload bytes
+            "0700000000000000 01000000",                              // step 7, one variable
+            "05000000 61746f6d73 01",                                 // "atoms", f64
+            "0200 09000000 7061727469636c6573 0200000000000000",      // 2 dims: particles 2
+            "05000000 70726f7073 0300000000000000",                   // props 3
+            "01000000 0100 03000000",                                 // 1 header: dim 1, 3 labels
+            "02000000 7678 02000000 7679 02000000 767a",              // vx vy vz
+            "03000000",                                               // 3 attrs, key order
+            "02000000 6474 02 05000000 302e303035",                   // dt = float "0.005"
+            "0d000000 737465705f696e74657276616c 01 03000000 313030", // step_interval = int "100"
+            "05000000 756e697473 00 02000000 6c6a",                   // units = text "lj"
+            "0600000000000000",                                       // 6 elements
+            "000000000000f03f 0000000000000040 0000000000000840",
+            "0000000000001040 0000000000001440 0000000000001840",
+        ];
+        let golden: Vec<u8> = GOLDEN
+            .concat()
+            .split_whitespace()
+            .collect::<String>()
+            .as_bytes()
+            .chunks(2)
+            .map(|h| u8::from_str_radix(std::str::from_utf8(h).unwrap(), 16).unwrap())
+            .collect();
+        let mut w = ContainerWriter::new(Vec::new()).unwrap();
+        w.write_step(7, &[sample_var()]).unwrap();
+        assert_eq!(w.finish().unwrap(), golden);
     }
 }

@@ -14,6 +14,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::lock;
+
 /// The synchronous observer a runtime arms on the board:
 /// `(component, signal, step, value)`.
 pub type SignalHook = Box<dyn Fn(&str, &str, u64, f64) + Send + Sync>;
@@ -54,7 +56,7 @@ impl SignalBoard {
     /// value and calls the hook synchronously on the publishing thread.
     /// Replaces any previously armed hook.
     pub fn arm(&self, hook: SignalHook) {
-        *self.hook.lock().expect("signal hook poisoned") = Some(Arc::new(hook));
+        *lock(&self.hook) = Some(Arc::new(hook));
         self.armed.store(true, Ordering::SeqCst);
     }
 
@@ -62,7 +64,7 @@ impl SignalBoard {
     /// recorded latest values stay readable.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
-        *self.hook.lock().expect("signal hook poisoned") = None;
+        *lock(&self.hook) = None;
     }
 
     /// Publishes `component.signal = value` at `step`. A no-op (one relaxed
@@ -77,7 +79,7 @@ impl SignalBoard {
             return;
         }
         {
-            let mut latest = self.latest.lock().expect("signal board poisoned");
+            let mut latest = lock(&self.latest);
             latest.insert((component.to_string(), signal.to_string()), (step, value));
         }
         // Both locks are released before the hook runs: the latest-value
@@ -85,12 +87,7 @@ impl SignalBoard {
         // action performed by the hook may itself publish a signal (a
         // reentrant publication sees the same hook and recurses safely
         // instead of deadlocking on the hook mutex).
-        let hook = self
-            .hook
-            .lock()
-            .expect("signal hook poisoned")
-            .as_ref()
-            .map(Arc::clone);
+        let hook = lock(&self.hook).as_ref().map(Arc::clone);
         if let Some(hook) = hook {
             hook(component, signal, step, value);
         }
@@ -98,9 +95,7 @@ impl SignalBoard {
 
     /// The latest `(step, value)` published for `component.signal`, if any.
     pub fn latest(&self, component: &str, signal: &str) -> Option<(u64, f64)> {
-        self.latest
-            .lock()
-            .expect("signal board poisoned")
+        lock(&self.latest)
             .get(&(component.to_string(), signal.to_string()))
             .copied()
     }
@@ -108,9 +103,7 @@ impl SignalBoard {
     /// Every recorded signal as `(component, signal, step, value)`, sorted
     /// by key.
     pub fn snapshot(&self) -> Vec<(String, String, u64, f64)> {
-        self.latest
-            .lock()
-            .expect("signal board poisoned")
+        lock(&self.latest)
             .iter()
             .map(|((c, s), (step, v))| (c.clone(), s.clone(), *step, *v))
             .collect()

@@ -1,12 +1,13 @@
 //! Wire frames for chunks in flight — the frame codec of the TCP transport.
 //!
-//! The container format (`container`) serializes whole *variables* to
-//! storage; streaming transports move writer-side *chunks*: the metadata of
-//! the global variable, the bounding box one rank contributes, and the raw
+//! Streaming transports move writer-side *chunks*: the metadata of the
+//! global variable, the bounding box one rank contributes, and the raw
 //! payload covering that box. This module encodes exactly that triple with
-//! the same primitives (length-prefixed strings, little-endian integers,
-//! [`Buffer::append_le_bytes`] payloads) so a step travels byte-identically
-//! whether it crosses a thread boundary or a socket.
+//! the [`crate::cursor`] primitives (length-prefixed strings, little-endian
+//! integers) and [`Buffer::append_le_bytes`] payloads. The file container
+//! (`container`) frames each variable with the same [`encode_meta`], so a
+//! step is described byte-identically whether it crosses a thread boundary,
+//! a socket or a file.
 //!
 //! ```text
 //! meta   := str name | u8 dtype | u16 ndims | { str dim_name | u64 size }*
@@ -43,52 +44,17 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use bytes::{Buf, BufMut};
-
 use crate::buffer::{Buffer, DType};
 use crate::chunk::{Chunk, VariableMeta};
 use crate::compress::{lz_compress_into, lz_decompress};
+use crate::cursor::{
+    fits, get_str, get_u16, get_u32, get_u64, get_u8, put_str, put_u16, put_u32, put_u64, put_u8,
+    take,
+};
 use crate::dims::{Dim, Shape};
 use crate::error::{DataError, DataResult};
 use crate::region::Region;
 use crate::variable::AttrValue;
-
-/// The error for a count or length too large for its wire field.
-fn overflow(what: &str, n: usize, field: &str) -> DataError {
-    DataError::Container {
-        detail: format!("{what} {n} does not fit the {field} wire field"),
-    }
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) -> DataResult<()> {
-    let len = u32::try_from(s.len()).map_err(|_| overflow("string length", s.len(), "u32"))?;
-    buf.put_u32_le(len);
-    buf.put_slice(s.as_bytes());
-    Ok(())
-}
-
-/// Decodes a length-prefixed UTF-8 string, advancing `buf` past it.
-pub fn get_str(buf: &mut &[u8]) -> DataResult<String> {
-    if buf.remaining() < 4 {
-        return Err(truncated("string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(truncated("string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DataError::Container {
-        detail: "invalid utf-8 in string".into(),
-    })
-}
-
-/// The error for input that ends mid-field.
-pub fn truncated(what: &str) -> DataError {
-    DataError::Container {
-        detail: format!("truncated while reading {what}"),
-    }
-}
 
 /// Clamps an untrusted element count to what the remaining bytes could
 /// possibly encode, so a corrupt header cannot force a huge pre-allocation.
@@ -97,7 +63,7 @@ pub fn truncated(what: &str) -> DataError {
 /// one byte: a decoded `Dim` or `String` occupies 24–48 heap bytes, so a
 /// byte-count clamp would still let a short corrupt frame demand an
 /// allocation tens of times larger than the input it arrived in.
-fn bounded(n: usize, remaining: usize, min_entry_bytes: usize) -> usize {
+pub(crate) fn bounded(n: usize, remaining: usize, min_entry_bytes: usize) -> usize {
     n.min(remaining / min_entry_bytes.max(1))
 }
 
@@ -110,27 +76,21 @@ const MIN_STR_BYTES: usize = 4;
 /// Appends the encoded metadata of a variable to `buf`.
 pub fn encode_meta(buf: &mut Vec<u8>, meta: &VariableMeta) -> DataResult<()> {
     put_str(buf, &meta.name)?;
-    buf.put_u8(meta.dtype.tag());
-    let ndims = meta.shape.ndims();
-    buf.put_u16_le(u16::try_from(ndims).map_err(|_| overflow("dimension count", ndims, "u16"))?);
+    put_u8(buf, meta.dtype.tag());
+    put_u16(buf, fits(meta.shape.ndims(), "dimension count")?);
     for d in meta.shape.dims() {
         put_str(buf, &d.name)?;
-        buf.put_u64_le(d.size as u64);
+        put_u64(buf, d.size as u64);
     }
-    let nheaders = meta.labels.len();
-    buf.put_u32_le(
-        u32::try_from(nheaders).map_err(|_| overflow("label header count", nheaders, "u32"))?,
-    );
+    put_u32(buf, fits(meta.labels.len(), "label header count")?);
     for (&dim, names) in &meta.labels {
-        buf.put_u16_le(u16::try_from(dim).map_err(|_| overflow("label dimension", dim, "u16"))?);
-        let n = names.len();
-        buf.put_u32_le(u32::try_from(n).map_err(|_| overflow("label count", n, "u32"))?);
+        put_u16(buf, fits(dim, "label dimension")?);
+        put_u32(buf, fits(names.len(), "label count")?);
         for n in names {
             put_str(buf, n)?;
         }
     }
-    let nattrs = meta.attrs.len();
-    buf.put_u32_le(u32::try_from(nattrs).map_err(|_| overflow("attr count", nattrs, "u32"))?);
+    put_u32(buf, fits(meta.attrs.len(), "attr count")?);
     for (k, a) in &meta.attrs {
         put_str(buf, k)?;
         let (kind, text) = match a {
@@ -138,7 +98,7 @@ pub fn encode_meta(buf: &mut Vec<u8>, meta: &VariableMeta) -> DataResult<()> {
             AttrValue::Int(i) => (1u8, i.to_string()),
             AttrValue::Float(x) => (2u8, format!("{x:?}")),
         };
-        buf.put_u8(kind);
+        put_u8(buf, kind);
         put_str(buf, &text)?;
     }
     Ok(())
@@ -146,35 +106,23 @@ pub fn encode_meta(buf: &mut Vec<u8>, meta: &VariableMeta) -> DataResult<()> {
 
 /// Decodes variable metadata, advancing `buf` past it.
 pub fn decode_meta(buf: &mut &[u8]) -> DataResult<VariableMeta> {
-    let name = get_str(buf)?;
-    if buf.remaining() < 3 {
-        return Err(truncated("variable header"));
-    }
-    let dtype = DType::from_tag(buf.get_u8())?;
-    let ndims = buf.get_u16_le() as usize;
-    let mut dims = Vec::with_capacity(bounded(ndims, buf.remaining(), MIN_DIM_BYTES));
+    let name = get_str(buf, "variable name")?;
+    let dtype = DType::from_tag(get_u8(buf, "dtype")?)?;
+    let ndims = get_u16(buf, "dimension count")? as usize;
+    let mut dims = Vec::with_capacity(bounded(ndims, buf.len(), MIN_DIM_BYTES));
     for _ in 0..ndims {
-        let dname = get_str(buf)?;
-        if buf.remaining() < 8 {
-            return Err(truncated("dimension size"));
-        }
-        dims.push(Dim::new(dname, buf.get_u64_le() as usize));
+        let dname = get_str(buf, "dimension name")?;
+        dims.push(Dim::new(dname, get_u64(buf, "dimension size")? as usize));
     }
     let shape = Shape::new(dims);
-    if buf.remaining() < 4 {
-        return Err(truncated("header count"));
-    }
-    let nheaders = buf.get_u32_le() as usize;
+    let nheaders = get_u32(buf, "header count")? as usize;
     let mut labels = BTreeMap::new();
     for _ in 0..nheaders {
-        if buf.remaining() < 6 {
-            return Err(truncated("header entry"));
-        }
-        let dim = buf.get_u16_le() as usize;
-        let n = buf.get_u32_le() as usize;
-        let mut names = Vec::with_capacity(bounded(n, buf.remaining(), MIN_STR_BYTES));
+        let dim = get_u16(buf, "header dimension")? as usize;
+        let n = get_u32(buf, "label count")? as usize;
+        let mut names = Vec::with_capacity(bounded(n, buf.len(), MIN_STR_BYTES));
         for _ in 0..n {
-            names.push(get_str(buf)?);
+            names.push(get_str(buf, "label")?);
         }
         // Encoding iterates a map, so a valid frame names each dimension at
         // most once; accepting a duplicate here would silently drop the
@@ -185,18 +133,12 @@ pub fn decode_meta(buf: &mut &[u8]) -> DataResult<VariableMeta> {
             });
         }
     }
-    if buf.remaining() < 4 {
-        return Err(truncated("attr count"));
-    }
-    let nattrs = buf.get_u32_le() as usize;
+    let nattrs = get_u32(buf, "attr count")? as usize;
     let mut attrs = BTreeMap::new();
     for _ in 0..nattrs {
-        let key = get_str(buf)?;
-        if buf.remaining() < 1 {
-            return Err(truncated("attr kind"));
-        }
-        let kind = buf.get_u8();
-        let text = get_str(buf)?;
+        let key = get_str(buf, "attr key")?;
+        let kind = get_u8(buf, "attr kind")?;
+        let text = get_str(buf, "attr value")?;
         let value = match kind {
             0 => AttrValue::Text(text),
             1 => AttrValue::Int(text.parse().map_err(|_| DataError::Container {
@@ -228,29 +170,22 @@ pub fn decode_meta(buf: &mut &[u8]) -> DataResult<VariableMeta> {
 
 /// Appends an encoded bounding box to `buf`.
 pub fn encode_region(buf: &mut Vec<u8>, region: &Region) -> DataResult<()> {
-    let ndims = region.ndims();
-    buf.put_u16_le(u16::try_from(ndims).map_err(|_| overflow("region rank", ndims, "u16"))?);
-    for i in 0..ndims {
-        buf.put_u64_le(region.offset()[i] as u64);
-        buf.put_u64_le(region.count()[i] as u64);
+    put_u16(buf, fits(region.ndims(), "region rank")?);
+    for (&offset, &count) in region.offset().iter().zip(region.count()) {
+        put_u64(buf, offset as u64);
+        put_u64(buf, count as u64);
     }
     Ok(())
 }
 
 /// Decodes a bounding box, advancing `buf` past it.
 pub fn decode_region(buf: &mut &[u8]) -> DataResult<Region> {
-    if buf.remaining() < 2 {
-        return Err(truncated("region rank"));
-    }
-    let ndims = buf.get_u16_le() as usize;
-    if buf.remaining() < ndims * 16 {
-        return Err(truncated("region extents"));
-    }
-    let mut offset = Vec::with_capacity(ndims);
-    let mut count = Vec::with_capacity(ndims);
+    let ndims = get_u16(buf, "region rank")? as usize;
+    let cap = bounded(ndims, buf.len(), 16);
+    let (mut offset, mut count) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
     for _ in 0..ndims {
-        offset.push(buf.get_u64_le() as usize);
-        count.push(buf.get_u64_le() as usize);
+        offset.push(get_u64(buf, "region offset")? as usize);
+        count.push(get_u64(buf, "region count")? as usize);
     }
     Ok(Region::new(offset, count))
 }
@@ -260,14 +195,14 @@ pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &Chunk) -> DataResult<()> {
     buf.reserve(chunk.byte_len() + 128);
     encode_meta(buf, &chunk.meta)?;
     encode_region(buf, &chunk.region)?;
-    buf.put_u64_le(chunk.data.len() as u64);
+    put_u64(buf, chunk.data.len() as u64);
     chunk.data.append_le_bytes(buf);
     Ok(())
 }
 
 /// Validates the `nelems` field of a chunk header against its region and
 /// dtype, returning the payload byte count a well-formed frame must carry.
-fn validated_payload_bytes(
+pub(crate) fn validated_payload_bytes(
     meta: &VariableMeta,
     region: &Region,
     nelems: usize,
@@ -279,19 +214,21 @@ fn validated_payload_bytes(
         .iter()
         .try_fold(1usize, |acc, &c| acc.checked_mul(c))
         .ok_or_else(|| DataError::Container {
-            detail: format!("chunk {:?}: region volume overflows usize", meta.name),
+            detail: format!("{:?}: region volume overflows usize", meta.name),
         })?;
     if nelems != volume {
         return Err(DataError::Container {
             detail: format!(
-                "chunk {:?}: payload count {nelems} != region volume {volume}",
+                "{:?}: payload count {nelems} != region volume {volume}",
                 meta.name
             ),
         });
     }
     nelems
         .checked_mul(meta.dtype.elem_bytes())
-        .ok_or_else(|| truncated("payload size"))
+        .ok_or_else(|| DataError::Container {
+            detail: format!("{:?}: payload size overflows usize", meta.name),
+        })
 }
 
 /// Decodes one chunk, advancing `buf` past it.
@@ -302,16 +239,9 @@ fn validated_payload_bytes(
 pub fn decode_chunk(buf: &mut &[u8]) -> DataResult<Chunk> {
     let meta = decode_meta(buf)?;
     let region = decode_region(buf)?;
-    if buf.remaining() < 8 {
-        return Err(truncated("element count"));
-    }
-    let nelems = buf.get_u64_le() as usize;
+    let nelems = get_u64(buf, "element count")? as usize;
     let nbytes = validated_payload_bytes(&meta, &region, nelems)?;
-    if buf.remaining() < nbytes {
-        return Err(truncated("payload"));
-    }
-    let data = Buffer::from_le_bytes(meta.dtype, nelems, &buf[..nbytes])?;
-    buf.advance(nbytes);
+    let data = Buffer::from_le_bytes(meta.dtype, nelems, take(buf, nbytes, "payload")?)?;
     Chunk::new(meta, region, data)
 }
 
@@ -389,10 +319,9 @@ impl MetaInternTable {
                 return Ok(id);
             }
         }
-        let id = u32::try_from(self.entries.len())
-            .map_err(|_| overflow("meta intern id", self.entries.len(), "u32"))?;
+        let id = fits(self.entries.len(), "meta intern id")?;
         let mut def = Vec::new();
-        def.put_u32_le(id);
+        put_u32(&mut def, id);
         encode_meta(&mut def, meta)?;
         self.by_name.insert(meta.name.clone(), id);
         self.entries.push((meta.clone(), def));
@@ -442,10 +371,7 @@ impl MetaDefs {
     /// Decodes one `def` frame, advancing `buf` past it. Definitions must
     /// arrive in id order with no gaps — anything else is a corrupt stream.
     pub fn decode_def(&mut self, buf: &mut &[u8]) -> DataResult<u32> {
-        if buf.remaining() < 4 {
-            return Err(truncated("meta def id"));
-        }
-        let id = buf.get_u32_le();
+        let id = get_u32(buf, "meta def id")?;
         if id as usize != self.metas.len() {
             return Err(DataError::Container {
                 detail: format!(
@@ -539,17 +465,17 @@ pub fn encode_chunk_interned(
 ) -> DataResult<InternedEncode> {
     let raw_payload = chunk.byte_len();
     buf.reserve(raw_payload + 64);
-    buf.put_u32_le(meta_id);
+    put_u32(buf, meta_id);
     encode_region(buf, &chunk.region)?;
-    buf.put_u64_le(chunk.data.len() as u64);
+    put_u64(buf, chunk.data.len() as u64);
     let codec_at = buf.len();
     if compression == Compression::Lz && lz_worth_trying(&chunk.data) {
         // The compressor needs the payload as bytes, so this path stages it
         // once; the block itself is written straight into the frame behind
         // a length placeholder, and rolled back if it did not shrink.
         let raw = chunk.data.to_le_bytes();
-        buf.put_u8(Compression::Lz.tag());
-        buf.put_u64_le(0);
+        put_u8(buf, Compression::Lz.tag());
+        put_u64(buf, 0);
         let block_at = buf.len();
         lz_compress_into(&raw, buf);
         let packed = buf.len() - block_at;
@@ -561,10 +487,10 @@ pub fn encode_chunk_interned(
             });
         }
         buf.truncate(codec_at);
-        buf.put_u8(Compression::None.tag());
+        put_u8(buf, Compression::None.tag());
         buf.extend_from_slice(&raw);
     } else {
-        buf.put_u8(Compression::None.tag());
+        put_u8(buf, Compression::None.tag());
         chunk.data.append_le_bytes(buf);
     }
     Ok(InternedEncode {
@@ -577,39 +503,17 @@ pub fn encode_chunk_interned(
 /// advancing `buf` past it. Runs the full [`Chunk::new`] validation, like
 /// [`decode_chunk`].
 pub fn decode_chunk_interned(buf: &mut &[u8], defs: &MetaDefs) -> DataResult<Chunk> {
-    if buf.remaining() < 4 {
-        return Err(truncated("meta id"));
-    }
-    let meta = defs.get(buf.get_u32_le())?.clone();
+    let meta = defs.get(get_u32(buf, "meta id")?)?.clone();
     let region = decode_region(buf)?;
-    if buf.remaining() < 8 {
-        return Err(truncated("element count"));
-    }
-    let nelems = buf.get_u64_le() as usize;
+    let nelems = get_u64(buf, "element count")? as usize;
     let nbytes = validated_payload_bytes(&meta, &region, nelems)?;
-    if buf.remaining() < 1 {
-        return Err(truncated("payload codec"));
-    }
-    let codec = Compression::from_tag(buf.get_u8())?;
-    let data = match codec {
+    let data = match Compression::from_tag(get_u8(buf, "payload codec")?)? {
         Compression::None => {
-            if buf.remaining() < nbytes {
-                return Err(truncated("payload"));
-            }
-            let data = Buffer::from_le_bytes(meta.dtype, nelems, &buf[..nbytes])?;
-            buf.advance(nbytes);
-            data
+            Buffer::from_le_bytes(meta.dtype, nelems, take(buf, nbytes, "payload")?)?
         }
         Compression::Lz => {
-            if buf.remaining() < 8 {
-                return Err(truncated("compressed length"));
-            }
-            let clen = buf.get_u64_le() as usize;
-            if buf.remaining() < clen {
-                return Err(truncated("compressed payload"));
-            }
-            let raw = lz_decompress(&buf[..clen], nbytes)?;
-            buf.advance(clen);
+            let clen = get_u64(buf, "compressed length")? as usize;
+            let raw = lz_decompress(take(buf, clen, "compressed payload")?, nbytes)?;
             Buffer::from_le_bytes(meta.dtype, nelems, &raw)?
         }
     };
@@ -697,8 +601,8 @@ mod tests {
         // raw byte count — decoded `Dim`s occupy 24-48 heap bytes each.
         let mut buf = Vec::new();
         put_str(&mut buf, "v").unwrap();
-        buf.put_u8(DType::F64.tag());
-        buf.put_u16_le(u16::MAX);
+        put_u8(&mut buf, DType::F64.tag());
+        put_u16(&mut buf, u16::MAX);
         buf.extend_from_slice(&[0u8; 40]); // far too short for 65535 dims
         let remaining = buf.len();
         let mut slice: &[u8] = &buf;
@@ -739,19 +643,19 @@ mod tests {
         let meta = sample_chunk().meta;
         let mut buf = Vec::new();
         put_str(&mut buf, &meta.name).unwrap();
-        buf.put_u8(meta.dtype.tag());
-        buf.put_u16_le(2);
+        put_u8(&mut buf, meta.dtype.tag());
+        put_u16(&mut buf, 2);
         for d in meta.shape.dims() {
             put_str(&mut buf, &d.name).unwrap();
-            buf.put_u64_le(d.size as u64);
+            put_u64(&mut buf, d.size as u64);
         }
-        buf.put_u32_le(2); // two headers, same dimension
+        put_u32(&mut buf, 2); // two headers, same dimension
         for _ in 0..2 {
-            buf.put_u16_le(1);
-            buf.put_u32_le(1);
+            put_u16(&mut buf, 1);
+            put_u32(&mut buf, 1);
             put_str(&mut buf, "vx").unwrap();
         }
-        buf.put_u32_le(0);
+        put_u32(&mut buf, 0);
         let mut slice: &[u8] = &buf;
         let err = decode_meta(&mut slice).unwrap_err();
         assert!(
@@ -767,7 +671,7 @@ mod tests {
         encode_meta(&mut buf, &chunk.meta).unwrap();
         // Region claiming a larger box than the payload that follows.
         encode_region(&mut buf, &Region::new(vec![0, 0], vec![4, 3])).unwrap();
-        buf.put_u64_le(6);
+        put_u64(&mut buf, 6);
         buf.extend_from_slice(&chunk.data.to_le_bytes());
         let mut slice: &[u8] = &buf;
         assert!(decode_chunk(&mut slice).is_err());

@@ -12,9 +12,10 @@
 //! freshly built plan for every run you want to compare.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use sb_data::lock;
 
 /// What kind of fault a directive injects, and when.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +157,7 @@ impl FaultPlan {
     /// every step. At most one discrete op is returned (first match wins).
     pub fn consult(&self, component: &str, rank: usize, step: u64) -> InjectedFault {
         let mut out = InjectedFault::none();
-        let mut fired = self.fired.lock();
+        let mut fired = lock(&self.fired);
         for (idx, d) in self.directives.iter().enumerate() {
             if d.component != component {
                 continue;

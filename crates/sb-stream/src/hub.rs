@@ -1,10 +1,10 @@
 //! The stream registry where writer and reader groups rendezvous by name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use sb_data::lock;
 use sb_data::signal::SignalBoard;
 
 use crate::faults::{FaultPlan, InjectedFault};
@@ -240,13 +240,13 @@ impl StreamHub {
     /// the top of every step via [`StreamHub::fault_for`]. Replaces any
     /// previously installed plan.
     pub fn install_faults(&self, plan: FaultPlan) {
-        *self.faults.lock() = Some(Arc::new(plan));
+        *lock(&self.faults) = Some(Arc::new(plan));
     }
 
     /// The fault(s) to apply at `(component, rank, step)`; a no-op fault
     /// when no plan is installed.
     pub fn fault_for(&self, component: &str, rank: usize, step: u64) -> InjectedFault {
-        let plan = self.faults.lock().clone();
+        let plan = lock(&self.faults).clone();
         match plan {
             Some(plan) => plan.consult(component, rank, step),
             None => InjectedFault::none(),

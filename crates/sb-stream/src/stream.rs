@@ -3,11 +3,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-use sb_data::{Chunk, VariableMeta};
+use sb_data::{lock, Chunk, VariableMeta};
 
 use crate::error::{StreamError, StreamResult};
 use crate::metrics::Counters;
@@ -219,17 +218,17 @@ impl Stream {
         Duration::from_micros(self.wait_timeout_micros.load(Ordering::Relaxed))
     }
 
-    /// Blocks on `cond` until `pred` holds. Returns
-    /// [`StreamError::PeerGone`] as soon as the stream is poisoned and
-    /// [`StreamError::Timeout`] (with a state snapshot) after the hub
-    /// timeout — a hung workflow surfaces as a typed, diagnosable error
-    /// instead of a panic or a silent deadlock.
-    fn wait_until<T>(
+    /// Blocks on `cond` until `pred` holds, handing the guard back with
+    /// `pred`'s value. Returns [`StreamError::PeerGone`] as soon as the
+    /// stream is poisoned and [`StreamError::Timeout`] (with a state
+    /// snapshot) after the hub timeout — a hung workflow surfaces as a typed,
+    /// diagnosable error instead of a panic or a silent deadlock.
+    fn wait_until<'a, T>(
         &self,
-        state: &mut parking_lot::MutexGuard<'_, State>,
+        state: MutexGuard<'a, State>,
         what: &str,
         pred: impl FnMut(&mut State) -> Option<T>,
-    ) -> StreamResult<T> {
+    ) -> StreamResult<(MutexGuard<'a, State>, T)> {
         self.wait_until_or(state, what, pred, |_| None)
     }
 
@@ -237,13 +236,13 @@ impl Stream {
     /// `fail` yields an error the wait aborts immediately instead of running
     /// out the deadline. Checked *after* `pred`, so anything already
     /// satisfiable is still served.
-    fn wait_until_or<T>(
+    fn wait_until_or<'a, T>(
         &self,
-        state: &mut parking_lot::MutexGuard<'_, State>,
+        mut state: MutexGuard<'a, State>,
         what: &str,
         mut pred: impl FnMut(&mut State) -> Option<T>,
         mut fail: impl FnMut(&State) -> Option<StreamError>,
-    ) -> StreamResult<T> {
+    ) -> StreamResult<(MutexGuard<'a, State>, T)> {
         let timeout = self.wait_timeout();
         let deadline = Instant::now() + timeout;
         loop {
@@ -253,13 +252,19 @@ impl Stream {
                     reason: reason.clone(),
                 });
             }
-            if let Some(v) = pred(state) {
-                return Ok(v);
+            if let Some(v) = pred(&mut state) {
+                return Ok((state, v));
             }
-            if let Some(err) = fail(state) {
+            if let Some(err) = fail(&state) {
                 return Err(err);
             }
-            if self.cond.wait_until(state, deadline).timed_out() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let waited;
+            (state, waited) = self
+                .cond
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner);
+            if waited.timed_out() {
                 return Err(StreamError::Timeout {
                     stream: self.name.clone(),
                     waiting_for: what.to_string(),
@@ -288,7 +293,7 @@ impl Stream {
     /// holds committed steps).
     pub(crate) fn register_writer(&self, nranks: usize, options: WriterOptions) -> u64 {
         assert!(nranks > 0, "writer group must have at least one rank");
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match state.writer_nranks {
             None => {
                 state.writer_nranks = Some(nranks);
@@ -314,10 +319,10 @@ impl Stream {
 
     /// A writer rank starts `step`; blocks while the buffer is full.
     pub(crate) fn writer_begin_step(&self, step: u64) -> StreamResult<()> {
-        let mut state = self.state.lock();
+        let state = lock(&self.state);
         let capacity = state.options.queue_capacity as u64;
         let start = Instant::now();
-        self.wait_until(&mut state, "buffer space", |s| {
+        let (mut state, ()) = self.wait_until(state, "buffer space", |s| {
             (step < s.base_step + capacity).then_some(())
         })?;
         self.counters.add_writer_wait(start.elapsed());
@@ -331,7 +336,7 @@ impl Stream {
 
     /// A writer rank contributes a chunk to `step`.
     pub(crate) fn writer_put(&self, step: u64, chunk: Chunk) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let idx = (step - state.base_step) as usize;
         let slot = &mut state.queue[idx];
         assert!(
@@ -365,7 +370,7 @@ impl Stream {
         rank: usize,
         nranks: usize,
     ) -> StreamResult<()> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let idx = (step - state.base_step) as usize;
         let slot = &mut state.queue[idx];
         slot.committed += 1;
@@ -389,7 +394,7 @@ impl Stream {
         }
         if state.options.rendezvous {
             let start = Instant::now();
-            self.wait_until(&mut state, "rendezvous consumption", |s| {
+            let (_state, ()) = self.wait_until(state, "rendezvous consumption", |s| {
                 (s.base_step > step).then_some(())
             })?;
             self.counters.add_writer_wait(start.elapsed());
@@ -409,14 +414,14 @@ impl Stream {
     /// and close used to leave readers hanging). A subsequent
     /// [`Stream::reattach_writer`] (component restart) clears the marks.
     pub(crate) fn writer_disconnect(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.gone_writers += 1;
         self.cond.notify_all();
     }
 
     /// A writer rank closes; the last one marks the stream ended.
     pub(crate) fn writer_close(&self, rank: usize, nranks: usize) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.closed_writers += 1;
         if state.closed_writers == nranks {
             state.closed = true;
@@ -438,7 +443,7 @@ impl Stream {
     /// restart.
     pub(crate) fn register_reader(&self, group: &str, nranks: usize) -> u64 {
         assert!(nranks > 0, "reader group must have at least one rank");
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let base = state.base_step;
         match state.reader_groups.get(group) {
             None => {
@@ -468,7 +473,7 @@ impl Stream {
     /// A reader rank asks for `step`; returns its frozen contents, or `None`
     /// at end of stream.
     pub(crate) fn reader_begin_step(&self, step: u64) -> StreamResult<Option<StepContents>> {
-        let mut state = self.state.lock();
+        let state = lock(&self.state);
         let start = Instant::now();
         let name = self.name.clone();
         let fail = move |s: &State| {
@@ -491,8 +496,8 @@ impl Stream {
                 ),
             })
         };
-        let got = self.wait_until_or(
-            &mut state,
+        let (_state, got) = self.wait_until_or(
+            state,
             "a committed step",
             |s| {
                 let idx = step.checked_sub(s.base_step).map(|d| d as usize);
@@ -528,7 +533,7 @@ impl Stream {
     /// the front once *every* subscribed group has released them, which
     /// unblocks writers waiting on buffer capacity.
     pub(crate) fn reader_end_step(&self, group: &str, step: u64, nranks: usize) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let idx = (step - state.base_step) as usize;
         let fully_released = {
             let slot = &mut state.queue[idx];
@@ -573,7 +578,7 @@ impl Stream {
     /// untouched — readers and writers proceed as if nothing happened.
     /// Used by the reactive-trigger `snapshot_stream` action.
     pub(crate) fn snapshot(&self) -> Vec<(u64, StepContents)> {
-        let state = self.state.lock();
+        let state = lock(&self.state);
         state
             .queue
             .iter()
@@ -593,7 +598,7 @@ impl Stream {
     /// workflow supervisor when aborting, so no component hangs waiting on
     /// a peer that will never come back.
     pub(crate) fn poison(&self, reason: &str) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if state.poisoned.is_none() {
             state.poisoned = Some(reason.to_string());
             self.tracer.instant(
@@ -610,7 +615,7 @@ impl Stream {
     /// steps drain. This is the degradation contract — downstream sees a
     /// short stream, never a hang.
     pub(crate) fn force_end_of_stream(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         while state.queue.back().is_some_and(|s| s.ready.is_none()) {
             state.queue.pop_back();
         }
@@ -629,7 +634,7 @@ impl Stream {
     /// zero-rank placeholder if the group never attached, so writers whose
     /// `expected_reader_groups` counts it are not stuck waiting forever.
     pub(crate) fn detach_reader_group(&self, group: &str) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let base = state.base_step;
         match state.reader_groups.get_mut(group) {
             Some(g) => g.detached = true,
@@ -653,7 +658,7 @@ impl Stream {
     /// release counts at steps the group has not fully released are
     /// discarded (the restarted ranks will re-read and re-release them).
     pub(crate) fn reset_reader_group(&self, group: &str) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let Some(g) = state.reader_groups.get_mut(group) else {
             return;
         };
@@ -675,7 +680,7 @@ impl Stream {
     /// re-produces them) and the registration is reopened so the new
     /// incarnation can attach.
     pub(crate) fn reattach_writer(&self) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         while state.queue.back().is_some_and(|s| s.ready.is_none()) {
             state.queue.pop_back();
         }

@@ -12,11 +12,12 @@
 //! ## Framing
 //!
 //! Every message is one frame: a `u32` little-endian payload length, then
-//! the payload, whose first byte is the opcode. Payload fields use the
-//! [`sb_data::wire`] primitives (length-prefixed strings, LE integers).
+//! the payload, whose first byte is the opcode. Payload fields are read and
+//! written through the [`sb_data::cursor`] (length-prefixed strings, LE
+//! integers); a frame that ends mid-field is a typed error naming the field.
 //! Under protocol **v1**, steps travel as [`sb_data::wire::encode_chunk`]
-//! frames — the container codec, reused on the wire, so payload bytes are
-//! identical to what the file components persist. Under protocol **v2**
+//! frames, whose `meta` is the description the file components persist.
+//! Under protocol **v2**
 //! (the default, negotiated in the hello) each connection interns variable
 //! metadata: a numbered definition travels once and chunks reference it by
 //! id ([`sb_data::wire::encode_chunk_interned`]), optionally with per-chunk
@@ -103,17 +104,18 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BufMut;
-use parking_lot::Mutex;
+use sb_data::cursor::{
+    fits, get_str, get_u16, get_u32, get_u64, get_u8, put_str, put_u16, put_u32, put_u64, put_u8,
+};
 use sb_data::wire::{
     decode_chunk, decode_chunk_interned, decode_region, encode_chunk, encode_chunk_interned,
-    encode_region, get_str, Compression, MetaDefs, MetaInternTable,
+    encode_region, Compression, MetaDefs, MetaInternTable,
 };
-use sb_data::{AllocationId, Chunk, Region};
+use sb_data::{lock, AllocationId, Chunk, DataError, DataResult, Region};
 
 use crate::error::{StreamError, StreamResult};
 use crate::hub::StreamHub;
@@ -190,11 +192,13 @@ impl WireProtocol {
     }
 
     /// Parses a wire tag.
-    pub fn from_tag(tag: u8) -> Result<WireProtocol, String> {
+    pub fn from_tag(tag: u8) -> DataResult<WireProtocol> {
         match tag {
             1 => Ok(WireProtocol::V1),
             2 => Ok(WireProtocol::V2),
-            t => Err(format!("unknown wire protocol {t}")),
+            t => Err(DataError::Container {
+                detail: format!("unknown wire protocol {t}"),
+            }),
         }
     }
 
@@ -286,25 +290,6 @@ pub fn parse_url(url: &str) -> io::Result<SocketAddr> {
             format!("transport URL {url:?} resolved to no address"),
         )
     })
-}
-
-/// Appends a length-prefixed protocol string. Frame strings are normally
-/// tiny (stream names, reasons, error text), but an oversized one must
-/// surface as the typed error path, never a client-thread panic.
-fn put_wire_str(buf: &mut Vec<u8>, s: &str) -> Result<(), String> {
-    check_wire_str_len(s.len())?;
-    sb_data::wire::put_str(buf, s).map_err(|e| e.to_string())
-}
-
-/// The length gate of [`put_wire_str`], split out so the >4 GiB boundary
-/// is testable by injecting a length instead of allocating one.
-fn check_wire_str_len(len: usize) -> Result<(), String> {
-    if u32::try_from(len).is_err() {
-        return Err(format!(
-            "protocol string of {len} bytes exceeds the u32 wire length field"
-        ));
-    }
-    Ok(())
 }
 
 // ---- framing -------------------------------------------------------------
@@ -458,67 +443,17 @@ impl<S: Socket> FrameIo for S {
     }
 }
 
-// ---- payload parsing helpers ---------------------------------------------
-
-/// A bounds-checked little-endian cursor over one frame payload; every
-/// failure is a `String` detail the caller wraps into a typed error.
-struct Cur<'a>(&'a [u8]);
-
-impl<'a> Cur<'a> {
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        let (&b, rest) = self
-            .0
-            .split_first()
-            .ok_or_else(|| format!("truncated {what}"))?;
-        self.0 = rest;
-        Ok(b)
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, String> {
-        if self.0.len() < 2 {
-            return Err(format!("truncated {what}"));
-        }
-        let (head, rest) = self.0.split_at(2);
-        self.0 = rest;
-        Ok(u16::from_le_bytes(head.try_into().unwrap()))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        if self.0.len() < 4 {
-            return Err(format!("truncated {what}"));
-        }
-        let (head, rest) = self.0.split_at(4);
-        self.0 = rest;
-        Ok(u32::from_le_bytes(head.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        if self.0.len() < 8 {
-            return Err(format!("truncated {what}"));
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        get_str(&mut self.0).map_err(|e| format!("bad {what}: {e}"))
-    }
-
-    fn chunk(&mut self) -> Result<Chunk, String> {
-        decode_chunk(&mut self.0).map_err(|e| format!("bad chunk frame: {e}"))
-    }
-}
+// ---- payload codecs -------------------------------------------------------
 
 /// Parses the optional trailing `[u8 proto][u8 comp]` negotiation bytes a
 /// hello or `REPLY_STARTED` may carry. Their absence means the peer
 /// predates protocol v2 and speaks v1 uncompressed.
-fn negotiated(cur: &mut Cur<'_>) -> Result<(WireProtocol, Compression), String> {
-    if cur.0.is_empty() {
+fn negotiated(cur: &mut &[u8]) -> DataResult<(WireProtocol, Compression)> {
+    if cur.is_empty() {
         return Ok((WireProtocol::V1, Compression::None));
     }
-    let proto = WireProtocol::from_tag(cur.u8("protocol tag")?)?;
-    let comp = Compression::from_tag(cur.u8("compression tag")?).map_err(|e| e.to_string())?;
+    let proto = WireProtocol::from_tag(get_u8(cur, "protocol tag")?)?;
+    let comp = Compression::from_tag(get_u8(cur, "compression tag")?)?;
     // v1 frames have nowhere to record a codec; the pair degrades together.
     if proto == WireProtocol::V1 {
         return Ok((proto, Compression::None));
@@ -527,12 +462,11 @@ fn negotiated(cur: &mut Cur<'_>) -> Result<(WireProtocol, Compression), String> 
 }
 
 /// Appends the box trailer of an `R_BEGIN`: `u16 nboxes | (str var | region)*`.
-fn encode_boxes(buf: &mut Vec<u8>, boxes: &[(String, Region)]) -> Result<(), String> {
-    let n = u16::try_from(boxes.len()).map_err(|_| format!("{} boxes", boxes.len()))?;
-    buf.put_u16_le(n);
+fn encode_boxes(buf: &mut Vec<u8>, boxes: &[(String, Region)]) -> DataResult<()> {
+    put_u16(buf, fits(boxes.len(), "box count")?);
     for (var, region) in boxes {
-        put_wire_str(buf, var)?;
-        encode_region(buf, region).map_err(|e| e.to_string())?;
+        put_str(buf, var)?;
+        encode_region(buf, region)?;
     }
     Ok(())
 }
@@ -542,19 +476,17 @@ fn encode_boxes(buf: &mut Vec<u8>, boxes: &[(String, Region)]) -> Result<(), Str
 /// not even parsed). The regions are as hostile as the rest of the frame:
 /// nothing may do arithmetic on one before it passed
 /// [`Region::validate`] against the shape it is to cut.
-fn decode_boxes(cur: &mut Cur<'_>) -> Result<Vec<(String, Region)>, String> {
-    if cur.0.is_empty() {
+fn decode_boxes(cur: &mut &[u8]) -> DataResult<Vec<(String, Region)>> {
+    if cur.is_empty() {
         return Ok(Vec::new());
     }
-    let n = cur.u16("box count")? as usize;
+    let n = get_u16(cur, "box count")? as usize;
     if n > MAX_STEP_BOXES {
         return Ok(Vec::new());
     }
     let mut boxes = Vec::with_capacity(n);
     for _ in 0..n {
-        let var = cur.string("box variable")?;
-        let region = decode_region(&mut cur.0).map_err(|e| format!("bad box region: {e}"))?;
-        boxes.push((var, region));
+        boxes.push((get_str(cur, "box variable")?, decode_region(cur)?));
     }
     Ok(boxes)
 }
@@ -568,7 +500,7 @@ fn proto_gone(stream: &str, detail: impl std::fmt::Display) -> StreamError {
 
 fn encode_err(buf: &mut Vec<u8>, err: &StreamError) {
     let start = buf.len();
-    let framed = (|| -> Result<(), String> {
+    let framed = (|| -> DataResult<()> {
         match err {
             StreamError::Timeout {
                 stream,
@@ -576,16 +508,16 @@ fn encode_err(buf: &mut Vec<u8>, err: &StreamError) {
                 timeout,
                 detail,
             } => {
-                buf.put_u8(REPLY_ERR_TIMEOUT);
-                put_wire_str(buf, stream)?;
-                put_wire_str(buf, waiting_for)?;
-                buf.put_u64_le(timeout.as_micros() as u64);
-                put_wire_str(buf, detail)?;
+                put_u8(buf, REPLY_ERR_TIMEOUT);
+                put_str(buf, stream)?;
+                put_str(buf, waiting_for)?;
+                put_u64(buf, timeout.as_micros() as u64);
+                put_str(buf, detail)?;
             }
             StreamError::PeerGone { stream, reason } => {
-                buf.put_u8(REPLY_ERR_PEER_GONE);
-                put_wire_str(buf, stream)?;
-                put_wire_str(buf, reason)?;
+                put_u8(buf, REPLY_ERR_PEER_GONE);
+                put_str(buf, stream)?;
+                put_str(buf, reason)?;
             }
         }
         Ok(())
@@ -595,67 +527,94 @@ fn encode_err(buf: &mut Vec<u8>, err: &StreamError) {
         // peer as *something* decodable; degrade to a constant PeerGone.
         buf.truncate(start);
         const DETAIL: &str = "unframeable error reply";
-        buf.put_u8(REPLY_ERR_PEER_GONE);
-        buf.put_u32_le(0); // empty stream name
-        buf.put_u32_le(DETAIL.len() as u32);
+        put_u8(buf, REPLY_ERR_PEER_GONE);
+        put_u32(buf, 0); // empty stream name
+        put_u32(buf, DETAIL.len() as u32);
         buf.extend_from_slice(DETAIL.as_bytes());
     }
 }
 
-fn decode_err(op: u8, cur: &mut Cur<'_>) -> Result<StreamError, String> {
+fn decode_err(op: u8, cur: &mut &[u8]) -> DataResult<StreamError> {
     match op {
         REPLY_ERR_TIMEOUT => Ok(StreamError::Timeout {
-            stream: cur.string("error stream")?,
-            waiting_for: cur.string("error cause")?,
-            timeout: Duration::from_micros(cur.u64("error timeout")?),
-            detail: cur.string("error detail")?,
+            stream: get_str(cur, "error stream")?,
+            waiting_for: get_str(cur, "error cause")?,
+            timeout: Duration::from_micros(get_u64(cur, "error timeout")?),
+            detail: get_str(cur, "error detail")?,
         }),
         REPLY_ERR_PEER_GONE => Ok(StreamError::PeerGone {
-            stream: cur.string("error stream")?,
-            reason: cur.string("error reason")?,
+            stream: get_str(cur, "error stream")?,
+            reason: get_str(cur, "error reason")?,
         }),
-        other => Err(format!("unexpected reply opcode {other:#04x}")),
+        other => Err(DataError::Container {
+            detail: format!("unexpected reply opcode {other:#04x}"),
+        }),
     }
 }
 
-fn encode_metrics(buf: &mut Vec<u8>, m: &StreamMetrics) -> Result<(), String> {
-    put_wire_str(buf, &m.stream)?;
-    buf.put_u64_le(m.bytes_written);
-    buf.put_u64_le(m.bytes_read);
-    buf.put_u64_le(m.steps_committed);
-    buf.put_u64_le(m.steps_consumed);
-    buf.put_u64_le(m.writer_wait.as_nanos() as u64);
-    buf.put_u64_le(m.reader_wait.as_nanos() as u64);
-    buf.put_u64_le(m.bytes_copied);
-    buf.put_u64_le(m.copies_elided);
-    buf.put_u64_le(m.zero_fills_elided);
-    buf.put_u64_le(m.wire_writer_bytes);
-    buf.put_u64_le(m.wire_reader_bytes);
-    buf.put_u64_le(m.wire_shm_bytes);
-    buf.put_u64_le(m.wire_uncompressed_bytes);
-    buf.put_u64_le(m.wire_compressed_bytes);
-    buf.put_u64_le(m.bytes_on_wire);
+/// Parses a reply frame whose opcode should be `want`, reading what
+/// follows the opcode with `body`. Any other opcode is the broker's typed
+/// error; a malformed frame is a protocol error against `stream` — the one
+/// place a client turns a [`DataError`] into a [`StreamError`].
+fn parse_reply<T>(
+    payload: &[u8],
+    want: u8,
+    stream: &str,
+    body: impl FnOnce(&mut &[u8]) -> DataResult<T>,
+) -> StreamResult<T> {
+    let mut cur = payload;
+    let parsed = get_u8(&mut cur, "reply opcode").and_then(|op| {
+        if op == want {
+            body(&mut cur).map(Ok)
+        } else {
+            decode_err(op, &mut cur).map(Err)
+        }
+    });
+    parsed.unwrap_or_else(|e| Err(proto_gone(stream, e)))
+}
+
+fn encode_metrics(buf: &mut Vec<u8>, m: &StreamMetrics) -> DataResult<()> {
+    put_str(buf, &m.stream)?;
+    for v in [
+        m.bytes_written,
+        m.bytes_read,
+        m.steps_committed,
+        m.steps_consumed,
+        m.writer_wait.as_nanos() as u64,
+        m.reader_wait.as_nanos() as u64,
+        m.bytes_copied,
+        m.copies_elided,
+        m.zero_fills_elided,
+        m.wire_writer_bytes,
+        m.wire_reader_bytes,
+        m.wire_shm_bytes,
+        m.wire_uncompressed_bytes,
+        m.wire_compressed_bytes,
+        m.bytes_on_wire,
+    ] {
+        put_u64(buf, v);
+    }
     Ok(())
 }
 
-fn decode_metrics(cur: &mut Cur<'_>) -> Result<StreamMetrics, String> {
+fn decode_metrics(cur: &mut &[u8]) -> DataResult<StreamMetrics> {
     Ok(StreamMetrics {
-        stream: cur.string("metrics stream")?,
-        bytes_written: cur.u64("bytes_written")?,
-        bytes_read: cur.u64("bytes_read")?,
-        steps_committed: cur.u64("steps_committed")?,
-        steps_consumed: cur.u64("steps_consumed")?,
-        writer_wait: Duration::from_nanos(cur.u64("writer_wait")?),
-        reader_wait: Duration::from_nanos(cur.u64("reader_wait")?),
-        bytes_copied: cur.u64("bytes_copied")?,
-        copies_elided: cur.u64("copies_elided")?,
-        zero_fills_elided: cur.u64("zero_fills_elided")?,
-        wire_writer_bytes: cur.u64("wire_writer_bytes")?,
-        wire_reader_bytes: cur.u64("wire_reader_bytes")?,
-        wire_shm_bytes: cur.u64("wire_shm_bytes")?,
-        wire_uncompressed_bytes: cur.u64("wire_uncompressed_bytes")?,
-        wire_compressed_bytes: cur.u64("wire_compressed_bytes")?,
-        bytes_on_wire: cur.u64("bytes_on_wire")?,
+        stream: get_str(cur, "metrics stream")?,
+        bytes_written: get_u64(cur, "bytes_written")?,
+        bytes_read: get_u64(cur, "bytes_read")?,
+        steps_committed: get_u64(cur, "steps_committed")?,
+        steps_consumed: get_u64(cur, "steps_consumed")?,
+        writer_wait: Duration::from_nanos(get_u64(cur, "writer_wait")?),
+        reader_wait: Duration::from_nanos(get_u64(cur, "reader_wait")?),
+        bytes_copied: get_u64(cur, "bytes_copied")?,
+        copies_elided: get_u64(cur, "copies_elided")?,
+        zero_fills_elided: get_u64(cur, "zero_fills_elided")?,
+        wire_writer_bytes: get_u64(cur, "wire_writer_bytes")?,
+        wire_reader_bytes: get_u64(cur, "wire_reader_bytes")?,
+        wire_shm_bytes: get_u64(cur, "wire_shm_bytes")?,
+        wire_uncompressed_bytes: get_u64(cur, "wire_uncompressed_bytes")?,
+        wire_compressed_bytes: get_u64(cur, "wire_compressed_bytes")?,
+        bytes_on_wire: get_u64(cur, "bytes_on_wire")?,
     })
 }
 
@@ -722,14 +681,7 @@ impl ClientConn {
     /// Receives a reply and requires a bare `OK`.
     fn expect_ok(&mut self, waiting_for: &str) -> StreamResult<()> {
         let payload = self.recv(waiting_for)?;
-        let mut cur = Cur(&payload);
-        match cur.u8("reply opcode") {
-            Ok(REPLY_OK) => Ok(()),
-            Ok(op) => {
-                Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone(&self.stream_name, d)))
-            }
-            Err(d) => Err(proto_gone(&self.stream_name, d)),
-        }
+        parse_reply(&payload, REPLY_OK, &self.stream_name, |_| Ok(()))
     }
 }
 
@@ -874,8 +826,7 @@ impl TcpTransport {
 
     fn stream_counters(&self, name: &str) -> Arc<Counters> {
         Arc::clone(
-            self.counters
-                .lock()
+            lock(&self.counters)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(Counters::default())),
         )
@@ -906,7 +857,7 @@ impl TcpTransport {
     /// connection is gone; the connection is dropped on any error so the
     /// next verb starts clean.
     fn control_exchange(&self, request: &[u8], waiting_for: &str) -> StreamResult<Vec<u8>> {
-        let mut guard = self.control.lock();
+        let mut guard = lock(&self.control);
         if guard.is_none() {
             let mut conn = self.client_conn("<control>")?;
             conn.send(&[HELLO_CONTROL])?;
@@ -923,31 +874,16 @@ impl TcpTransport {
 
     fn control_ok(&self, request: &[u8], waiting_for: &str) -> StreamResult<()> {
         let payload = self.control_exchange(request, waiting_for)?;
-        let mut cur = Cur(&payload);
-        match cur.u8("reply opcode") {
-            Ok(REPLY_OK) => Ok(()),
-            Ok(op) => Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone("<control>", d))),
-            Err(d) => Err(proto_gone("<control>", d)),
-        }
+        parse_reply(&payload, REPLY_OK, "<control>", |_| Ok(()))
     }
 
     fn broker_metrics(&self) -> StreamResult<Vec<StreamMetrics>> {
         let payload = self.control_exchange(&[C_METRICS], "metrics snapshot")?;
-        let mut cur = Cur(&payload);
-        let op = cur
-            .u8("reply opcode")
-            .map_err(|d| proto_gone("<control>", d))?;
-        if op != REPLY_METRICS {
-            return Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone("<control>", d)));
-        }
-        let n = cur
-            .u32("metrics count")
-            .map_err(|d| proto_gone("<control>", d))?;
-        let mut out = Vec::with_capacity((n as usize).min(1024));
-        for _ in 0..n {
-            out.push(decode_metrics(&mut cur).map_err(|d| proto_gone("<control>", d))?);
-        }
-        Ok(out)
+        parse_reply(&payload, REPLY_METRICS, "<control>", |cur| {
+            (0..get_u32(cur, "metrics count")?)
+                .map(|_| decode_metrics(cur))
+                .collect()
+        })
     }
 }
 
@@ -1007,9 +943,8 @@ impl WriterEndpoint for TcpWriter {
     fn begin_step(&mut self, step: u64) -> StreamResult<()> {
         let counters = Arc::clone(&self.counters);
         let conn = self.conn()?;
-        let mut req = Vec::with_capacity(9);
-        req.put_u8(W_BEGIN);
-        req.put_u64_le(step);
+        let mut req = vec![W_BEGIN];
+        put_u64(&mut req, step);
         counters.add_wire_writer(4 + req.len());
         conn.send(&req)?;
         conn.expect_ok("buffer space")
@@ -1051,11 +986,10 @@ impl WriterEndpoint for TcpWriter {
         let (step_raw, step_wire) = (self.step_raw, self.step_wire);
         self.step_raw = 0;
         self.step_wire = 0;
-        let mut head = Vec::with_capacity(13);
-        head.put_u8(W_STEP);
-        head.put_u64_le(step);
+        let mut head = vec![W_STEP];
+        put_u64(&mut head, step);
         if self.proto == WireProtocol::V2 {
-            head.put_u32_le(ndefs);
+            put_u32(&mut head, ndefs);
             // The writer-hop payload is encoded here, so this side charges
             // the compression ledger (the broker charges only what it has
             // to encode itself).
@@ -1137,9 +1071,8 @@ impl ReaderEndpoint for TcpReader {
         if self.pending != Some(step) {
             // Not prefetched: the connection's first step, or the open step
             // asked for again. No boxes, so the reply is the whole step.
-            let mut req = Vec::with_capacity(9);
-            req.put_u8(R_BEGIN);
-            req.put_u64_le(step);
+            let mut req = vec![R_BEGIN];
+            put_u64(&mut req, step);
             counters.add_wire_reader(4 + req.len());
             conn.send(&req)?;
             self.pending = Some(step);
@@ -1147,50 +1080,33 @@ impl ReaderEndpoint for TcpReader {
         let payload = conn.recv("a committed step")?;
         counters.add_wire_reader(4 + payload.len());
         self.pending = None;
-        let name = conn.stream_name.clone();
-        let mut cur = Cur(&payload);
-        match cur.u8("reply opcode").map_err(|d| proto_gone(&name, d))? {
-            REPLY_STEP => {
-                let got = cur.u64("step id").map_err(|d| proto_gone(&name, d))?;
-                if got != step {
-                    return Err(proto_gone(
-                        &name,
-                        format!("broker sent step {got}, expected {step}"),
-                    ));
-                }
-                if self.proto == WireProtocol::V2 {
-                    let ndefs = cur.u32("def count").map_err(|d| proto_gone(&name, d))?;
-                    for _ in 0..ndefs {
-                        self.defs
-                            .decode_def(&mut cur.0)
-                            .map_err(|e| proto_gone(&name, format!("bad meta def: {e}")))?;
-                    }
-                }
-                let nchunks = cur.u32("chunk count").map_err(|d| proto_gone(&name, d))?;
-                let mut vars: BTreeMap<String, VarSlot> = BTreeMap::new();
-                for _ in 0..nchunks {
-                    let chunk = match self.proto {
-                        WireProtocol::V1 => cur.chunk().map_err(|d| proto_gone(&name, d))?,
-                        WireProtocol::V2 => decode_chunk_interned(&mut cur.0, &self.defs)
-                            .map_err(|e| proto_gone(&name, format!("bad chunk frame: {e}")))?,
-                    };
-                    vars.entry(chunk.meta.name.clone())
-                        .or_insert_with(|| VarSlot {
-                            meta: chunk.meta.clone(),
-                            chunks: Vec::new(),
-                        })
-                        .chunks
-                        .push(chunk);
-                }
-                self.fetched += 1;
-                Ok(Some(Arc::new(vars)))
-            }
-            REPLY_EOS => {
-                self.eos = true;
-                Ok(None)
-            }
-            op => Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone(&name, d))),
+        if payload.first() == Some(&REPLY_EOS) {
+            self.eos = true;
+            return Ok(None);
         }
+        let (proto, defs) = (self.proto, &mut self.defs);
+        let (got, chunks) = parse_reply(&payload, REPLY_STEP, &conn.stream_name, |cur| {
+            let got = get_u64(cur, "step id")?;
+            Ok((got, decode_step_body(&payload, cur, proto, defs)?))
+        })?;
+        if got != step {
+            return Err(proto_gone(
+                &conn.stream_name,
+                format!("broker sent step {got}, expected {step}"),
+            ));
+        }
+        let mut vars: BTreeMap<String, VarSlot> = BTreeMap::new();
+        for (chunk, _) in chunks {
+            vars.entry(chunk.meta.name.clone())
+                .or_insert_with(|| VarSlot {
+                    meta: chunk.meta.clone(),
+                    chunks: Vec::new(),
+                })
+                .chunks
+                .push(chunk);
+        }
+        self.fetched += 1;
+        Ok(Some(Arc::new(vars)))
     }
 
     fn release_step(&mut self, step: u64, boxes: &[(String, Region)]) {
@@ -1198,15 +1114,14 @@ impl ReaderEndpoint for TcpReader {
             return;
         }
         if let Ok(conn) = &mut self.io {
-            let mut release = Vec::with_capacity(9);
-            release.put_u8(R_RELEASE);
-            release.put_u64_le(step);
+            let mut release = vec![R_RELEASE];
+            put_u64(&mut release, step);
             // Prefetch: pipeline the request for the next step, in the same
             // write, so the broker can push it while this rank computes. It
             // names the boxes this step read; v1 replies are never cut.
             let mut next = Vec::with_capacity(64);
-            next.put_u8(R_BEGIN);
-            next.put_u64_le(step + 1);
+            put_u8(&mut next, R_BEGIN);
+            put_u64(&mut next, step + 1);
             if self.proto == WireProtocol::V2 && !boxes.is_empty() {
                 let bare = next.len();
                 if encode_boxes(&mut next, boxes).is_err() {
@@ -1244,27 +1159,21 @@ impl Transport for TcpTransport {
         let counters = self.stream_counters(name);
         let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol, Compression)> {
             let mut conn = self.client_conn(name)?;
-            let mut hello = Vec::with_capacity(64);
-            hello.put_u8(HELLO_WRITER);
-            put_wire_str(&mut hello, name).map_err(|d| proto_gone(name, d))?;
-            hello.put_u32_le(rank as u32);
-            hello.put_u32_le(nranks as u32);
-            hello.put_u32_le(options.queue_capacity as u32);
-            hello.put_u8(options.rendezvous as u8);
-            hello.put_u32_le(options.expected_reader_groups as u32);
-            hello.put_u8(self.options.protocol.tag());
-            hello.put_u8(self.options.compression.tag());
+            let mut hello = vec![HELLO_WRITER];
+            put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
+            put_u32(&mut hello, rank as u32);
+            put_u32(&mut hello, nranks as u32);
+            put_u32(&mut hello, options.queue_capacity as u32);
+            put_u8(&mut hello, options.rendezvous as u8);
+            put_u32(&mut hello, options.expected_reader_groups as u32);
+            put_u8(&mut hello, self.options.protocol.tag());
+            put_u8(&mut hello, self.options.compression.tag());
             conn.send(&hello)?;
             let payload = conn.recv("writer registration")?;
-            let mut cur = Cur(&payload);
-            match cur.u8("reply opcode").map_err(|d| proto_gone(name, d))? {
-                REPLY_STARTED => {
-                    let start = cur.u64("start step").map_err(|d| proto_gone(name, d))?;
-                    let (proto, comp) = negotiated(&mut cur).map_err(|d| proto_gone(name, d))?;
-                    Ok((conn, start, proto, comp))
-                }
-                op => Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone(name, d))),
-            }
+            let (start, (proto, comp)) = parse_reply(&payload, REPLY_STARTED, name, |cur| {
+                Ok((get_u64(cur, "start step")?, negotiated(cur)?))
+            })?;
+            Ok((conn, start, proto, comp))
         })();
         let (io, start_step, proto, compression) = match opened {
             Ok((conn, start, proto, comp)) => (Ok(conn), start, proto, comp),
@@ -1304,32 +1213,25 @@ impl Transport for TcpTransport {
         let counters = self.stream_counters(name);
         let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol)> {
             let mut conn = self.client_conn(name)?;
-            let mut hello = Vec::with_capacity(64);
-            hello.put_u8(HELLO_READER);
-            put_wire_str(&mut hello, name).map_err(|d| proto_gone(name, d))?;
-            put_wire_str(&mut hello, group).map_err(|d| proto_gone(name, d))?;
-            hello.put_u32_le(rank as u32);
-            hello.put_u32_le(nranks as u32);
-            hello.put_u8(self.options.protocol.tag());
-            hello.put_u8(self.options.compression.tag());
+            let mut hello = vec![HELLO_READER];
+            put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
+            put_str(&mut hello, group).map_err(|e| proto_gone(name, e))?;
+            put_u32(&mut hello, rank as u32);
+            put_u32(&mut hello, nranks as u32);
+            put_u8(&mut hello, self.options.protocol.tag());
+            put_u8(&mut hello, self.options.compression.tag());
             conn.send(&hello)?;
             let payload = conn.recv("reader registration")?;
-            let mut cur = Cur(&payload);
-            match cur.u8("reply opcode").map_err(|d| proto_gone(name, d))? {
-                REPLY_STARTED => {
-                    let first = cur.u64("first step").map_err(|d| proto_gone(name, d))?;
-                    let (proto, _comp) = negotiated(&mut cur).map_err(|d| proto_gone(name, d))?;
-                    Ok((conn, first, proto))
-                }
-                op => Err(decode_err(op, &mut cur).unwrap_or_else(|d| proto_gone(name, d))),
-            }
+            let (first, (proto, _comp)) = parse_reply(&payload, REPLY_STARTED, name, |cur| {
+                Ok((get_u64(cur, "first step")?, negotiated(cur)?))
+            })?;
+            Ok((conn, first, proto))
         })();
         let (io, first_step, proto, pending) = match opened {
             Ok((mut conn, first, proto)) => {
                 // Prefetch the first step right away.
-                let mut req = Vec::with_capacity(9);
-                req.put_u8(R_BEGIN);
-                req.put_u64_le(first);
+                let mut req = vec![R_BEGIN];
+                put_u64(&mut req, first);
                 counters.add_wire_reader(4 + req.len());
                 let pending = conn.send(&req).is_ok().then_some(first);
                 (Ok(conn), first, proto, pending)
@@ -1360,7 +1262,7 @@ impl Transport for TcpTransport {
         match self.broker_metrics() {
             Ok(all) => all.into_iter().map(|m| m.stream).collect(),
             Err(_) => {
-                let mut names: Vec<String> = self.counters.lock().keys().cloned().collect();
+                let mut names: Vec<String> = lock(&self.counters).keys().cloned().collect();
                 names.sort();
                 names
             }
@@ -1372,7 +1274,7 @@ impl Transport for TcpTransport {
     }
 
     fn all_metrics(&self) -> Vec<StreamMetrics> {
-        let local = self.counters.lock();
+        let local = lock(&self.counters);
         match self.broker_metrics() {
             Ok(mut all) => {
                 for m in &mut all {
@@ -1396,49 +1298,51 @@ impl Transport for TcpTransport {
     fn poison_all(&self, reason: &str) {
         // The control verbs are fire-and-forget; an unframeable argument
         // degrades to a skipped verb, never a client panic.
-        let _ = (|| -> StreamResult<()> {
-            let mut req = vec![C_POISON];
-            put_wire_str(&mut req, reason).map_err(|d| proto_gone("<control>", d))?;
-            self.control_ok(&req, "poison acknowledgement")
-        })();
+        let mut req = vec![C_POISON];
+        if put_str(&mut req, reason).is_ok() {
+            let _ = self.control_ok(&req, "poison acknowledgement");
+        }
     }
 
     fn force_end_of_stream(&self, name: &str) {
-        let _ = (|| -> StreamResult<()> {
-            let mut req = vec![C_FORCE_EOS];
-            put_wire_str(&mut req, name).map_err(|d| proto_gone(name, d))?;
-            self.control_ok(&req, "forced EOS acknowledgement")
-        })();
+        let mut req = vec![C_FORCE_EOS];
+        if put_str(&mut req, name).is_ok() {
+            let _ = self.control_ok(&req, "forced EOS acknowledgement");
+        }
     }
 
     fn detach_reader_group(&self, name: &str, group: &str) {
-        let _ = (|| -> StreamResult<()> {
-            let mut req = vec![C_DETACH];
-            put_wire_str(&mut req, name).map_err(|d| proto_gone(name, d))?;
-            put_wire_str(&mut req, group).map_err(|d| proto_gone(name, d))?;
-            self.control_ok(&req, "detach acknowledgement")
-        })();
+        let mut req = vec![C_DETACH];
+        if put_str(&mut req, name)
+            .and_then(|()| put_str(&mut req, group))
+            .is_ok()
+        {
+            let _ = self.control_ok(&req, "detach acknowledgement");
+        }
     }
 
     fn prepare_restart(&self, inputs: &[(String, String)], outputs: &[String]) {
-        let _ = (|| -> StreamResult<()> {
-            let mut req = vec![C_RESTART];
-            req.put_u32_le(inputs.len() as u32);
+        let mut req = vec![C_RESTART];
+        let framed = (|| -> DataResult<()> {
+            put_u32(&mut req, inputs.len() as u32);
             for (stream, group) in inputs {
-                put_wire_str(&mut req, stream).map_err(|d| proto_gone(stream, d))?;
-                put_wire_str(&mut req, group).map_err(|d| proto_gone(stream, d))?;
+                put_str(&mut req, stream)?;
+                put_str(&mut req, group)?;
             }
-            req.put_u32_le(outputs.len() as u32);
+            put_u32(&mut req, outputs.len() as u32);
             for stream in outputs {
-                put_wire_str(&mut req, stream).map_err(|d| proto_gone(stream, d))?;
+                put_str(&mut req, stream)?;
             }
-            self.control_ok(&req, "restart preparation acknowledgement")
+            Ok(())
         })();
+        if framed.is_ok() {
+            let _ = self.control_ok(&req, "restart preparation acknowledgement");
+        }
     }
 
     fn set_wait_timeout(&self, timeout: Duration) {
         let mut req = vec![C_SET_TIMEOUT];
-        req.put_u64_le(timeout.as_micros() as u64);
+        put_u64(&mut req, timeout.as_micros() as u64);
         let _ = self.control_ok(&req, "timeout acknowledgement");
     }
 }
@@ -1605,8 +1509,8 @@ impl TcpBroker {
     /// have released or left).
     #[doc(hidden)]
     pub fn relay_cached_steps(&self, stream: &str) -> usize {
-        let relay = self.core.relays.streams.lock().get(stream).cloned();
-        relay.map_or(0, |relay| relay.inner.lock().cache.steps.len())
+        let relay = lock(&self.core.relays.streams).get(stream).cloned();
+        relay.map_or(0, |relay| lock(&relay.inner).cache.steps.len())
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -1651,8 +1555,8 @@ impl Drop for TcpBroker {
     }
 }
 
-fn session_err(detail: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail)
+fn session_err(detail: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
 }
 
 /// Sends one reply frame, returning the frame bytes that crossed the
@@ -1712,7 +1616,7 @@ pub(crate) struct RelayTable {
 
 impl RelayTable {
     fn stream(&self, name: &str) -> Arc<StreamRelay> {
-        Arc::clone(self.streams.lock().entry(name.to_string()).or_default())
+        Arc::clone(lock(&self.streams).entry(name.to_string()).or_default())
     }
 }
 
@@ -1806,10 +1710,10 @@ fn slab_of(cached: &CachedChunk, elem_bytes: usize, part: &Region) -> Option<[Se
     let start =
         cached.bytes.range.start + payload_at + (part.offset()[0] - whole.offset()[0]) * row;
     let mut header = Vec::with_capacity(payload_at);
-    header.put_u32_le(cached.id);
+    put_u32(&mut header, cached.id);
     encode_region(&mut header, part).ok()?;
-    header.put_u64_le(part.len() as u64);
-    header.put_u8(Compression::None.tag());
+    put_u64(&mut header, part.len() as u64);
+    put_u8(&mut header, Compression::None.tag());
     Some([
         Segment::owning(header),
         Segment {
@@ -1862,7 +1766,7 @@ impl StreamRelay {
     /// Declares the writer group's queue capacity, which bounds how many
     /// steps can be unconsumed at once and therefore worth caching.
     fn set_queue_capacity(&self, queue: usize) {
-        self.inner.lock().cache.window = (queue as u64 + 1).min(RELAY_CACHE_CAP);
+        lock(&self.inner).cache.window = (queue as u64 + 1).min(RELAY_CACHE_CAP);
     }
 
     /// Seeds the cache with the chunks of one received `W_STEP` frame, so
@@ -1881,7 +1785,7 @@ impl StreamRelay {
         mut frame: Vec<u8>,
         chunks: &[(Chunk, Range<usize>)],
     ) {
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
         if inner.readers == 0 {
             return;
@@ -1942,7 +1846,7 @@ impl StreamRelay {
         boxes: &[(String, Region)],
         defs_seen: &mut u32,
     ) -> sb_data::DataResult<StepReply> {
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
         let entry = inner.cache.entry(step);
         // BTreeMap order makes the chunk order canonical, so every reader
@@ -2020,14 +1924,14 @@ impl StreamRelay {
         }
 
         let mut prelude = Vec::with_capacity(32);
-        prelude.put_u8(REPLY_STEP);
-        prelude.put_u64_le(step);
+        put_u8(&mut prelude, REPLY_STEP);
+        put_u64(&mut prelude, step);
         let ndefs_at = prelude.len();
-        prelude.put_u32_le(0);
+        put_u32(&mut prelude, 0);
         let ndefs = inner.table.append_defs_since(*defs_seen, &mut prelude);
         prelude[ndefs_at..ndefs_at + 4].copy_from_slice(&ndefs.to_le_bytes());
         *defs_seen = inner.table.len();
-        prelude.put_u32_le(nchunks);
+        put_u32(&mut prelude, nchunks);
         Ok(StepReply {
             prelude,
             parts,
@@ -2038,7 +1942,7 @@ impl StreamRelay {
     /// Records one reader's release of `step`, dropping its cached chunks
     /// once every attached v2 reader has released them.
     fn note_release(&self, step: u64) {
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let inner = &mut *guard;
         if let Some(cached) = inner.cache.steps.get_mut(&step) {
             cached.releases += 1;
@@ -2055,7 +1959,7 @@ struct ReaderCountGuard(Arc<StreamRelay>);
 
 impl ReaderCountGuard {
     fn new(relay: Arc<StreamRelay>) -> ReaderCountGuard {
-        relay.inner.lock().readers += 1;
+        lock(&relay.inner).readers += 1;
         ReaderCountGuard(relay)
     }
 }
@@ -2067,7 +1971,7 @@ impl Drop for ReaderCountGuard {
     /// which can drop a step a slower reader has yet to fetch — that costs
     /// the slower reader an encode, never correctness.
     fn drop(&mut self) {
-        let mut guard = self.0.inner.lock();
+        let mut guard = lock(&self.0.inner);
         let inner = &mut *guard;
         inner.readers -= 1;
         let readers = inner.readers;
@@ -2092,8 +1996,8 @@ pub(crate) fn serve_session(
     // `hello_len` carries the length because the cursor they parse from is
     // consumed by then.
     let hello_len = 4 + hello.len();
-    let mut cur = Cur(&hello);
-    match cur.u8("hello opcode").map_err(session_err)? {
+    let mut cur = &hello[..];
+    match get_u8(&mut cur, "hello opcode").map_err(session_err)? {
         HELLO_WRITER => writer_session(hub, relays, io, &mut cur, hello_len, shm),
         HELLO_READER => reader_session(hub, relays, io, &mut cur, hello_len, shm),
         HELLO_CONTROL => control_session(hub, io),
@@ -2101,30 +2005,28 @@ pub(crate) fn serve_session(
     }
 }
 
-/// Decodes the body of one `W_STEP` frame (everything after the step id):
-/// the definitions this connection still owed, then the chunks, each paired
-/// with the range of its bytes inside `frame`.
+/// Decodes the body of one `W_STEP` or `REPLY_STEP` frame (everything
+/// after the step id): the definitions the receiver still lacked, then the
+/// chunks, each paired with the range of its bytes inside `frame`.
 fn decode_step_body(
     frame: &[u8],
-    body: &mut Cur<'_>,
+    body: &mut &[u8],
     proto: WireProtocol,
     defs: &mut MetaDefs,
-) -> Result<Vec<(Chunk, Range<usize>)>, String> {
+) -> DataResult<Vec<(Chunk, Range<usize>)>> {
     if proto == WireProtocol::V2 {
-        for _ in 0..body.u32("def count")? {
-            defs.decode_def(&mut body.0)
-                .map_err(|e| format!("bad meta def: {e}"))?;
+        for _ in 0..get_u32(body, "def count")? {
+            defs.decode_def(body)?;
         }
     }
     let mut chunks = Vec::new();
-    for _ in 0..body.u32("chunk count")? {
-        let at = frame.len() - body.0.len();
+    for _ in 0..get_u32(body, "chunk count")? {
+        let at = frame.len() - body.len();
         let chunk = match proto {
-            WireProtocol::V1 => body.chunk()?,
-            WireProtocol::V2 => decode_chunk_interned(&mut body.0, defs)
-                .map_err(|e| format!("bad chunk frame: {e}"))?,
+            WireProtocol::V1 => decode_chunk(body)?,
+            WireProtocol::V2 => decode_chunk_interned(body, defs)?,
         };
-        chunks.push((chunk, at..frame.len() - body.0.len()));
+        chunks.push((chunk, at..frame.len() - body.len()));
     }
     Ok(chunks)
 }
@@ -2159,17 +2061,23 @@ fn writer_session(
     hub: &Arc<StreamHub>,
     relays: &Arc<RelayTable>,
     io: &mut dyn FrameIo,
-    hello: &mut Cur<'_>,
+    hello: &mut &[u8],
     hello_len: usize,
     shm: bool,
 ) -> io::Result<()> {
-    let name = hello.string("stream name").map_err(session_err)?;
-    let rank = hello.u32("rank").map_err(session_err)? as usize;
-    let nranks = hello.u32("nranks").map_err(session_err)? as usize;
-    let queue = hello.u32("queue capacity").map_err(session_err)? as usize;
-    let rendezvous = hello.u8("rendezvous flag").map_err(session_err)? != 0;
-    let groups = hello.u32("reader groups").map_err(session_err)? as usize;
-    let (proto, comp) = negotiated(hello).map_err(session_err)?;
+    let parsed = (|| -> DataResult<_> {
+        Ok((
+            get_str(hello, "stream name")?,
+            get_u32(hello, "rank")? as usize,
+            get_u32(hello, "nranks")? as usize,
+            get_u32(hello, "queue capacity")? as usize,
+            get_u8(hello, "rendezvous flag")? != 0,
+            get_u32(hello, "reader groups")? as usize,
+            negotiated(hello)?,
+        ))
+    })();
+    let (name, rank, nranks, queue, rendezvous, groups, (proto, comp)) =
+        parsed.map_err(session_err)?;
     if rank >= nranks || queue == 0 || groups == 0 {
         return Err(session_err(format!(
             "invalid writer hello for {name:?}: rank {rank}/{nranks} queue {queue} groups {groups}"
@@ -2195,11 +2103,10 @@ fn writer_session(
     let relay = relays.stream(&name);
     relay.set_queue_capacity(queue);
 
-    let mut started = Vec::with_capacity(11);
-    started.put_u8(REPLY_STARTED);
-    started.put_u64_le(conn.start_step);
-    started.put_u8(proto.tag());
-    started.put_u8(comp.tag());
+    let mut started = vec![REPLY_STARTED];
+    put_u64(&mut started, conn.start_step);
+    put_u8(&mut started, proto.tag());
+    put_u8(&mut started, comp.tag());
     ledger.charge(reply(io, &started)?);
 
     loop {
@@ -2210,17 +2117,17 @@ fn writer_session(
             return Ok(());
         };
         ledger.charge(4 + payload.len());
-        let mut cur = Cur(&payload);
-        match cur.u8("writer opcode").map_err(session_err)? {
+        let mut cur = &payload[..];
+        match get_u8(&mut cur, "writer opcode").map_err(session_err)? {
             W_BEGIN => {
-                let step = cur.u64("step").map_err(session_err)?;
+                let step = get_u64(&mut cur, "step").map_err(session_err)?;
                 let result = writer.endpoint.begin_step(step);
                 ledger.charge(reply_result(io, result)?);
             }
             W_STEP => {
-                let step = cur.u64("step").map_err(session_err)?;
+                let step = get_u64(&mut cur, "step").map_err(session_err)?;
                 let result = match decode_step_body(&payload, &mut cur, proto, &mut defs) {
-                    Err(detail) => Err(proto_gone(&name, detail)),
+                    Err(e) => Err(proto_gone(&name, e)),
                     Ok(chunks) => {
                         // Seed before the commit below makes the step
                         // fetchable, or a fast reader would miss and encode.
@@ -2241,7 +2148,7 @@ fn writer_session(
                 return Ok(());
             }
             W_ABANDON => {
-                let noisy = cur.u8("abandon flag").map_err(session_err)? != 0;
+                let noisy = get_u8(&mut cur, "abandon flag").map_err(session_err)? != 0;
                 let endpoint = writer.defuse();
                 if noisy {
                     endpoint.disconnect();
@@ -2258,11 +2165,10 @@ fn writer_session(
 /// The whole v1 `REPLY_STEP` as one prelude: v1 has no interning to share
 /// across readers, so nothing of it is cached.
 fn encode_v1_step(step: u64, contents: &StepContents) -> sb_data::DataResult<StepReply> {
-    let mut prelude = Vec::with_capacity(64);
-    prelude.put_u8(REPLY_STEP);
-    prelude.put_u64_le(step);
+    let mut prelude = vec![REPLY_STEP];
+    put_u64(&mut prelude, step);
     let nchunks: usize = contents.values().map(|v| v.chunks.len()).sum();
-    prelude.put_u32_le(nchunks as u32);
+    put_u32(&mut prelude, nchunks as u32);
     let mut raw = 0;
     for chunk in contents.values().flat_map(|slot| &slot.chunks) {
         encode_chunk(&mut prelude, chunk)?;
@@ -2279,15 +2185,20 @@ fn reader_session(
     hub: &Arc<StreamHub>,
     relays: &Arc<RelayTable>,
     io: &mut dyn FrameIo,
-    hello: &mut Cur<'_>,
+    hello: &mut &[u8],
     hello_len: usize,
     shm: bool,
 ) -> io::Result<()> {
-    let name = hello.string("stream name").map_err(session_err)?;
-    let group = hello.string("reader group").map_err(session_err)?;
-    let rank = hello.u32("rank").map_err(session_err)? as usize;
-    let nranks = hello.u32("nranks").map_err(session_err)? as usize;
-    let (proto, comp) = negotiated(hello).map_err(session_err)?;
+    let parsed = (|| -> DataResult<_> {
+        Ok((
+            get_str(hello, "stream name")?,
+            get_str(hello, "reader group")?,
+            get_u32(hello, "rank")? as usize,
+            get_u32(hello, "nranks")? as usize,
+            negotiated(hello)?,
+        ))
+    })();
+    let (name, group, rank, nranks, (proto, comp)) = parsed.map_err(session_err)?;
     if rank >= nranks {
         return Err(session_err(format!(
             "invalid reader hello for {name:?}: rank {rank}/{nranks}"
@@ -2311,11 +2222,10 @@ fn reader_session(
     let mut held: Option<u64> = None;
     let trace_id = hub.tracer().intern(&name);
 
-    let mut started = Vec::with_capacity(11);
-    started.put_u8(REPLY_STARTED);
-    started.put_u64_le(conn.first_step);
-    started.put_u8(proto.tag());
-    started.put_u8(comp.tag());
+    let mut started = vec![REPLY_STARTED];
+    put_u64(&mut started, conn.first_step);
+    put_u8(&mut started, proto.tag());
+    put_u8(&mut started, comp.tag());
     ledger.charge(reply(io, &started)?);
 
     loop {
@@ -2324,17 +2234,16 @@ fn reader_session(
         // group is detached on degrade.
         let payload = io.recv_frame()?;
         ledger.charge(4 + payload.len());
-        let mut cur = Cur(&payload);
-        match cur.u8("reader opcode").map_err(session_err)? {
+        let mut cur = &payload[..];
+        match get_u8(&mut cur, "reader opcode").map_err(session_err)? {
             R_BEGIN => {
-                let step = cur.u64("step").map_err(session_err)?;
+                let step = get_u64(&mut cur, "step").map_err(session_err)?;
                 let boxes = decode_boxes(&mut cur).map_err(session_err)?;
                 match endpoint.fetch_step(step) {
                     Ok(Some(contents)) => {
                         held = Some(step);
                         let built = match proto {
-                            // v1 re-sends every chunk self-described; byte
-                            // layout identical to the container.
+                            // v1 re-sends every chunk self-described.
                             WireProtocol::V1 => encode_v1_step(step, &contents),
                             WireProtocol::V2 => {
                                 relay.reply_step(step, comp, &contents, &boxes, &mut defs_seen)
@@ -2387,7 +2296,7 @@ fn reader_session(
                 }
             }
             R_RELEASE => {
-                let step = cur.u64("step").map_err(session_err)?;
+                let step = get_u64(&mut cur, "step").map_err(session_err)?;
                 if held.take() != Some(step) {
                     return Err(session_err(format!(
                         "reader {rank} of {group:?} released step {step} of {name:?}, \
@@ -2411,42 +2320,45 @@ fn control_session(hub: &Arc<StreamHub>, io: &mut dyn FrameIo) -> io::Result<()>
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
-        let mut cur = Cur(&payload);
-        match cur.u8("control opcode").map_err(session_err)? {
+        let mut cur = &payload[..];
+        match get_u8(&mut cur, "control opcode").map_err(session_err)? {
             C_POISON => {
-                let reason = cur.string("poison reason").map_err(session_err)?;
+                let reason = get_str(&mut cur, "poison reason").map_err(session_err)?;
                 hub.poison_all(&reason);
                 reply(io, &[REPLY_OK])?;
             }
             C_FORCE_EOS => {
-                let name = cur.string("stream name").map_err(session_err)?;
+                let name = get_str(&mut cur, "stream name").map_err(session_err)?;
                 hub.force_end_of_stream(&name);
                 reply(io, &[REPLY_OK])?;
             }
             C_DETACH => {
-                let name = cur.string("stream name").map_err(session_err)?;
-                let group = cur.string("reader group").map_err(session_err)?;
+                let parsed = get_str(&mut cur, "stream name")
+                    .and_then(|name| Ok((name, get_str(&mut cur, "reader group")?)));
+                let (name, group) = parsed.map_err(session_err)?;
                 hub.detach_reader_group(&name, &group);
                 reply(io, &[REPLY_OK])?;
             }
             C_RESTART => {
-                let nin = cur.u32("input count").map_err(session_err)?;
-                let mut inputs = Vec::with_capacity((nin as usize).min(1024));
-                for _ in 0..nin {
-                    let stream = cur.string("input stream").map_err(session_err)?;
-                    let group = cur.string("input group").map_err(session_err)?;
-                    inputs.push((stream, group));
-                }
-                let nout = cur.u32("output count").map_err(session_err)?;
-                let mut outputs = Vec::with_capacity((nout as usize).min(1024));
-                for _ in 0..nout {
-                    outputs.push(cur.string("output stream").map_err(session_err)?);
-                }
+                let parsed = (|| -> DataResult<_> {
+                    let nin = get_u32(&mut cur, "input count")?;
+                    let mut inputs = Vec::with_capacity((nin as usize).min(1024));
+                    for _ in 0..nin {
+                        let stream = get_str(&mut cur, "input stream")?;
+                        inputs.push((stream, get_str(&mut cur, "input group")?));
+                    }
+                    let nout = get_u32(&mut cur, "output count")?;
+                    let outputs: Vec<String> = (0..nout)
+                        .map(|_| get_str(&mut cur, "output stream"))
+                        .collect::<DataResult<_>>()?;
+                    Ok((inputs, outputs))
+                })();
+                let (inputs, outputs) = parsed.map_err(session_err)?;
                 hub.prepare_restart(&inputs, &outputs);
                 reply(io, &[REPLY_OK])?;
             }
             C_SET_TIMEOUT => {
-                let micros = cur.u64("timeout").map_err(session_err)?;
+                let micros = get_u64(&mut cur, "timeout").map_err(session_err)?;
                 hub.set_wait_timeout(Duration::from_micros(micros));
                 reply(io, &[REPLY_OK])?;
             }
@@ -2462,8 +2374,8 @@ fn control_session(hub: &Arc<StreamHub>, io: &mut dyn FrameIo) -> io::Result<()>
                     }
                 }
                 let mut buf = Vec::with_capacity(64 + bodies.len() * 128);
-                buf.put_u8(REPLY_METRICS);
-                buf.put_u32_le(bodies.len() as u32);
+                put_u8(&mut buf, REPLY_METRICS);
+                put_u32(&mut buf, bodies.len() as u32);
                 for body in &bodies {
                     buf.extend_from_slice(body);
                 }
@@ -2486,37 +2398,39 @@ mod tests {
 
     #[test]
     fn oversized_protocol_string_is_an_error_not_a_panic() {
-        // Regression: `put_wire_str` used to `.expect()` on the u32 length
-        // check, panicking the client thread on an oversized stream or
-        // group name. The length gate is exercised by injection — nobody
-        // allocates a >4 GiB name in a test.
-        assert!(check_wire_str_len(0).is_ok());
-        assert!(check_wire_str_len(u32::MAX as usize).is_ok());
-        let err = check_wire_str_len(u32::MAX as usize + 1).unwrap_err();
-        assert!(err.contains("exceeds the u32 wire length field"), "{err}");
-        assert!(check_wire_str_len(usize::MAX).is_err());
-
-        // The fallible path still frames ordinary strings byte-identically
-        // to the old infallible one.
-        let mut buf = Vec::new();
-        put_wire_str(&mut buf, "t.fp").unwrap();
-        let mut expect = Vec::new();
-        sb_data::wire::put_str(&mut expect, "t.fp").unwrap();
-        assert_eq!(buf, expect);
+        // Regression: the protocol-string putter used to `.expect()` on the
+        // u32 length check, panicking the client thread on an oversized
+        // stream or group name. Every framed string's length now passes the
+        // one gate `put_str` shares with every encoded count, exercised by
+        // injection — nobody allocates a >4 GiB name in a test.
+        assert_eq!(fits::<u32>(0, "string length"), Ok(0));
+        assert_eq!(
+            fits::<u32>(u32::MAX as usize, "string length"),
+            Ok(u32::MAX)
+        );
+        let err = fits::<u32>(u32::MAX as usize + 1, "string length").unwrap_err();
+        assert!(
+            err.to_string().contains("does not fit the u32 wire field"),
+            "{err}"
+        );
+        assert!(fits::<u32>(usize::MAX, "string length").is_err());
+        // A client surfaces it as a typed error of the stream it framed for.
+        let gone = proto_gone("t.fp", err);
+        assert!(matches!(&gone, StreamError::PeerGone { stream, .. } if stream == "t.fp"));
     }
 
     #[test]
     fn unframeable_error_reply_degrades_to_constant_peer_gone() {
         // An error whose strings cannot be framed must still produce a
-        // decodable reply; the fallback is byte-built without `put_wire_str`.
+        // decodable reply; the fallback is byte-built without `put_str`.
         let mut buf = Vec::new();
         const DETAIL: &str = "unframeable error reply";
-        buf.put_u8(REPLY_ERR_PEER_GONE);
-        buf.put_u32_le(0);
-        buf.put_u32_le(DETAIL.len() as u32);
+        put_u8(&mut buf, REPLY_ERR_PEER_GONE);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, DETAIL.len() as u32);
         buf.extend_from_slice(DETAIL.as_bytes());
-        let mut cur = Cur(&buf);
-        let op = cur.u8("reply opcode").unwrap();
+        let mut cur = &buf[..];
+        let op = get_u8(&mut cur, "reply opcode").unwrap();
         let err = decode_err(op, &mut cur).unwrap();
         match err {
             StreamError::PeerGone { stream, reason } => {
@@ -3007,7 +2921,7 @@ mod tests {
     fn relay_cache_never_spans_more_than_the_queue_plus_one() {
         let relay = Arc::new(StreamRelay::default());
         relay.set_queue_capacity(2);
-        let cached = || relay.inner.lock().cache.steps.len();
+        let cached = || lock(&relay.inner).cache.steps.len();
         let v = var(vec![1.0; 8]);
         let chunk = Chunk::new(
             sb_data::VariableMeta::describing(&v),
@@ -3079,7 +2993,7 @@ mod tests {
             .unwrap();
         assert_eq!(reply.encoded, (0, 0), "the seeded bytes must be relayed");
         assert_eq!(defs_seen, 2, "one definition per step, none re-interned");
-        let seeded = &relay.inner.lock().cache.steps[&0].chunks[0].bytes;
+        let seeded = &lock(&relay.inner).cache.steps[&0].chunks[0].bytes;
         assert_eq!(reply.parts.len(), 1);
         assert!(Arc::ptr_eq(&reply.parts[0].buf, &seeded.buf));
     }
@@ -3109,7 +3023,7 @@ mod tests {
             })
             .collect();
         relay.seed(0, Compression::None, frame, &seeded);
-        let frame = Arc::clone(&relay.inner.lock().cache.steps[&0].chunks[0].bytes.buf);
+        let frame = Arc::clone(&lock(&relay.inner).cache.steps[&0].chunks[0].bytes.buf);
         let slot = VarSlot {
             meta,
             chunks: chunks.clone(),
@@ -3130,15 +3044,15 @@ mod tests {
             for part in &reply.parts {
                 bytes.extend_from_slice(part.bytes());
             }
-            let mut cur = Cur(&bytes[9..]);
+            let mut cur = &bytes[9..];
             let mut defs = MetaDefs::default();
-            for _ in 0..cur.u32("def count").unwrap() {
-                defs.decode_def(&mut cur.0).unwrap();
+            for _ in 0..get_u32(&mut cur, "def count").unwrap() {
+                defs.decode_def(&mut cur).unwrap();
             }
-            let got: Vec<Chunk> = (0..cur.u32("chunk count").unwrap())
-                .map(|_| decode_chunk_interned(&mut cur.0, &defs).unwrap())
+            let got: Vec<Chunk> = (0..get_u32(&mut cur, "chunk count").unwrap())
+                .map(|_| decode_chunk_interned(&mut cur, &defs).unwrap())
                 .collect();
-            assert!(cur.0.is_empty());
+            assert!(cur.is_empty());
             (reply, got)
         };
         let shared = |part: &Segment| Arc::ptr_eq(&part.buf, &frame);
@@ -3255,24 +3169,24 @@ mod tests {
         let hub = StreamHub::with_timeout(Duration::from_secs(30));
         let mut reader = hub.open_reader("w.fp", 0, 1);
         let mut hello = vec![HELLO_WRITER];
-        put_wire_str(&mut hello, "w.fp").unwrap();
+        put_str(&mut hello, "w.fp").unwrap();
         for field in [0, 1, 4] {
-            hello.put_u32_le(field); // rank, nranks, queue capacity
+            put_u32(&mut hello, field); // rank, nranks, queue capacity
         }
-        hello.put_u8(0); // not rendezvous
-        hello.put_u32_le(1); // reader groups
-        hello.put_u8(WireProtocol::V2.tag());
-        hello.put_u8(Compression::None.tag());
+        put_u8(&mut hello, 0); // not rendezvous
+        put_u32(&mut hello, 1); // reader groups
+        put_u8(&mut hello, WireProtocol::V2.tag());
+        put_u8(&mut hello, Compression::None.tag());
         let mut begin = vec![W_BEGIN];
-        begin.put_u64_le(0);
+        put_u64(&mut begin, 0);
         let chunk = Chunk::whole(var(vec![1.0, 2.0]));
         let mut table = MetaInternTable::default();
         let id = table.intern(&chunk.meta).unwrap();
         let mut step = vec![W_STEP];
-        step.put_u64_le(0);
-        step.put_u32_le(1); // one definition
+        put_u64(&mut step, 0);
+        put_u32(&mut step, 1); // one definition
         table.append_defs_since(0, &mut step);
-        step.put_u32_le(1); // one chunk
+        put_u32(&mut step, 1); // one chunk
         encode_chunk_interned(&mut step, &chunk, id, Compression::None).unwrap();
         // REPLY_STARTED and W_BEGIN's OK go out; W_STEP's OK does not.
         let mut io = Scripted {

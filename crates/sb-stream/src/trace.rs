@@ -36,10 +36,10 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use sb_data::lock;
 
 /// Default per-thread ring capacity, in events. At 8 events per step a
 /// component rank traces ~8k steps before the ring starts dropping its
@@ -293,7 +293,7 @@ impl Tracer {
     /// Interns `name`, returning its stable id. Call once per endpoint
     /// (stream open, run-loop entry), never per event.
     pub fn intern(&self, name: &str) -> u32 {
-        let mut interner = self.interner.lock();
+        let mut interner = lock(&self.interner);
         if let Some(&id) = interner.ids.get(name) {
             return id;
         }
@@ -334,7 +334,7 @@ impl Tracer {
             }
         });
         if !ringed {
-            self.sink.lock().push(event);
+            lock(&self.sink).push(event);
         }
     }
 
@@ -383,9 +383,9 @@ impl Tracer {
     /// threads are *not* drained — drop their guards first (the workflow
     /// runtime drains only after every rank and supervisor has joined).
     pub fn drain(&self) -> Timeline {
-        let mut raw = std::mem::take(&mut *self.sink.lock());
+        let mut raw = std::mem::take(&mut *lock(&self.sink));
         raw.sort_by_key(|e| (e.start_ns, e.dur_ns, e.rank));
-        let names = self.interner.lock().names.clone();
+        let names = lock(&self.interner).names.clone();
         let resolve = |id: u32| names.get(id as usize).cloned().unwrap_or_default();
         let events = raw
             .into_iter()
@@ -492,7 +492,7 @@ impl ThreadRing {
         if self.buf.is_empty() {
             return;
         }
-        let mut sink = tracer.sink.lock();
+        let mut sink = lock(&tracer.sink);
         if self.written > self.buf.len() as u64 {
             // Wrapped: the oldest surviving event sits at the next
             // overwrite index.

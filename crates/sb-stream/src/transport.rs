@@ -30,11 +30,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use sb_data::{Chunk, Region};
+use sb_data::{lock, Chunk, Region};
 
 use crate::error::StreamResult;
 use crate::metrics::{Counters, StreamMetrics};
@@ -241,7 +240,7 @@ impl InProcTransport {
     }
 
     fn stream(&self, name: &str) -> Arc<Stream> {
-        let mut streams = self.streams.lock();
+        let mut streams = lock(&self.streams);
         Arc::clone(streams.entry(name.to_string()).or_insert_with(|| {
             Arc::new(Stream::new(
                 name.to_string(),
@@ -351,20 +350,19 @@ impl Transport for InProcTransport {
     }
 
     fn stream_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.streams.lock().keys().cloned().collect();
+        let mut names: Vec<String> = lock(&self.streams).keys().cloned().collect();
         names.sort();
         names
     }
 
     fn metrics(&self, name: &str) -> Option<StreamMetrics> {
-        self.streams
-            .lock()
+        lock(&self.streams)
             .get(name)
             .map(|s| s.counters.snapshot(name))
     }
 
     fn all_metrics(&self) -> Vec<StreamMetrics> {
-        let streams = self.streams.lock();
+        let streams = lock(&self.streams);
         let mut out: Vec<StreamMetrics> = streams
             .iter()
             .map(|(name, s)| s.counters.snapshot(name))
@@ -374,7 +372,7 @@ impl Transport for InProcTransport {
     }
 
     fn poison_all(&self, reason: &str) {
-        for stream in self.streams.lock().values() {
+        for stream in lock(&self.streams).values() {
             stream.poison(reason);
         }
     }
@@ -402,6 +400,6 @@ impl Transport for InProcTransport {
     }
 
     fn snapshot_stream(&self, name: &str) -> Option<Vec<(u64, StepContents)>> {
-        self.streams.lock().get(name).map(|s| s.snapshot())
+        lock(&self.streams).get(name).map(|s| s.snapshot())
     }
 }

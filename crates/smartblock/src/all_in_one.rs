@@ -10,13 +10,12 @@
 //! The AIO component reuses the same kernels as the generic components, so
 //! the comparison isolates exactly the cost of the extra stream hops.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{DataError, DataResult, Region};
+use sb_data::{lock, DataError, DataResult, Region};
 use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
@@ -186,7 +185,7 @@ impl Component for AllInOne {
                 let compute = kernel_start.elapsed();
 
                 if let Some(counts) = total {
-                    self.results.lock().push(HistogramResult {
+                    lock(&self.results).push(HistogramResult {
                         step: io.step,
                         min,
                         max,
@@ -219,7 +218,7 @@ mod tests {
         let aio = AllInOne::new(("dump.fp", "atoms"), ["vx", "vy", "vz"], 16);
         assert_eq!(aio.keep, vec!["vx", "vy", "vz"]);
         let h = aio.results_handle();
-        assert!(h.lock().is_empty());
+        assert!(lock(&h).is_empty());
         assert_eq!(aio.label(), "all-in-one");
     }
 

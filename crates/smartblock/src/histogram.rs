@@ -17,13 +17,12 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{AttrValue, Buffer, Chunk, DataError, DataResult, Region, Shape, Variable};
+use sb_data::{lock, AttrValue, Buffer, Chunk, DataError, DataResult, Region, Shape, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
@@ -434,7 +433,7 @@ impl Component for Histogram {
                         io.put(0, Chunk::whole(counts_var));
                         io.put(0, Chunk::whole(edges_var));
                     }
-                    self.results.lock().push(result);
+                    lock(&self.results).push(result);
                 }
                 Ok(StepEnd::Publish { bytes_in, compute })
             },

@@ -7,10 +7,9 @@
 //! every component's input has ended.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use sb_comm::Communicator;
 use sb_data::decompose::default_partition;
 use sb_data::{Chunk, Variable, VariableMeta};

@@ -20,11 +20,11 @@
 //!   workflow completes without the component.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use sb_comm::{CommError, LaunchHandle};
+use sb_data::lock;
 use sb_stream::{EventKind, StreamHub, TraceConfig, TraceSite};
 
 use crate::component::{take_partial_stats, Component};
@@ -202,12 +202,12 @@ impl Supervision {
     }
 
     pub(crate) fn take_first_failure(&self) -> Option<(String, u32, ComponentError)> {
-        self.first_failure.lock().take()
+        lock(&self.first_failure).take()
     }
 
     fn escalate(&self, label: &str, attempts: u32, error: ComponentError) {
         {
-            let mut first = self.first_failure.lock();
+            let mut first = lock(&self.first_failure);
             if first.is_none() {
                 *first = Some((label.to_string(), attempts, error.clone()));
             }
@@ -316,7 +316,7 @@ pub(crate) fn supervise(
 
         // Re-read the slot at the decision point: a trigger may have raised
         // the policy since the component was launched.
-        let policy = policy.lock().clone();
+        let policy = lock(policy).clone();
         match policy.action {
             FailureAction::Restart if attempts <= policy.max_restarts => {
                 supervisor_event(sup, label, EventKind::RestartAttempt, (attempts + 1) as u64);

@@ -22,9 +22,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use sb_data::lock;
 use sb_stream::StreamHub;
 
 use crate::component::Component;
@@ -319,7 +319,7 @@ impl TriggerEngine {
         // engine lock while doing so.
         let mut due = Vec::new();
         {
-            let mut armed = self.armed.lock();
+            let mut armed = lock(&self.armed);
             for a in armed.iter_mut() {
                 if !a.fired
                     && a.trigger.component == component
@@ -333,7 +333,7 @@ impl TriggerEngine {
         }
         for trigger in due {
             let outcome = self.perform(&trigger.action, step);
-            self.fired.lock().push(TriggerFire {
+            lock(&self.fired).push(TriggerFire {
                 trigger: trigger.to_string(),
                 step,
                 value,
@@ -379,7 +379,7 @@ impl TriggerEngine {
             TriggerAction::RaiseFaultPolicy { target, policy } => {
                 match self.policy_slots.get(target) {
                     Some(slot) => {
-                        *slot.lock() = policy.clone();
+                        *lock(slot) = policy.clone();
                         ActionOutcome::Applied
                     }
                     None => ActionOutcome::Failed,
@@ -390,7 +390,7 @@ impl TriggerEngine {
 
     /// Drains the fired records (called once, after the run).
     pub(crate) fn take_fired(&self) -> Vec<TriggerFire> {
-        std::mem::take(&mut self.fired.lock())
+        std::mem::take(&mut lock(&self.fired))
     }
 }
 

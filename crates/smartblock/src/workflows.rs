@@ -12,10 +12,9 @@
 //! paper's Fig. 8 where it gives them.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use sb_comm::Communicator;
 use sb_sims::{drive, GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim};
 use sb_stream::{StreamHub, WriterOptions};

@@ -11,6 +11,7 @@
 //!
 //! Run with: `cargo run --release -p sb-examples --bin dag_fork`
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
@@ -53,7 +54,7 @@ fn main() {
     });
 
     let report = wf.run_with(RunOptions::default()).expect("workflow run");
-    if let Some(last) = hist_results.lock().last() {
+    if let Some(last) = lock(&hist_results).last() {
         println!("\n{}", render_histogram("spread (branch A)", last));
     }
     println!(

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release -p sb-examples --bin file_decoupled`
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
@@ -55,7 +56,7 @@ fn main() {
     phase2.add(1, hist);
     let r2 = phase2.run_with(RunOptions::default()).expect("phase 2");
 
-    for r in results.lock().iter() {
+    for r in lock(&results).iter() {
         println!("\n{}", render_histogram("replayed velocity magnitudes", r));
     }
     println!("phase 2 time: {:.3}s", r2.elapsed.as_secs_f64());

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release -p sb-examples --bin gromacs_spread`
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use smartblock::prelude::*;
 use smartblock::workflows::{gromacs_workflow, PresetScale};
@@ -31,7 +32,7 @@ fn main() {
         .expect("workflow run");
 
     println!("spread of the atom cloud over time:");
-    for r in results.lock().iter() {
+    for r in lock(&results).iter() {
         // Mean radius from the histogram itself: bin centers x counts.
         let total = r.total().max(1) as f64;
         let mean: f64 = r
@@ -46,7 +47,7 @@ fn main() {
             / total;
         println!("  step {}: mean |x| = {mean:.4}", r.step);
     }
-    if let Some(last) = results.lock().last() {
+    if let Some(last) = lock(&results).last() {
         println!("\n{}", render_histogram("final spread", last));
     }
     println!("end-to-end time: {:.3}s", report.elapsed.as_secs_f64());

@@ -12,6 +12,7 @@
 //! text waterfall of where each component's time went and writes
 //! `TRACE_gtcp_pressure.json` for Perfetto / `chrome://tracing`.
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use smartblock::prelude::*;
 use smartblock::workflows::{gtcp_workflow, PresetScale};
@@ -36,7 +37,7 @@ fn main() {
         .run_with(RunOptions::default())
         .expect("workflow run");
 
-    for r in results.lock().iter() {
+    for r in lock(&results).iter() {
         println!("\n{}", render_histogram("perpendicular pressure", r));
     }
 

@@ -21,6 +21,7 @@
 use std::process::Command;
 use std::sync::Arc;
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use sb_stream::tcp::TcpBroker;
 use smartblock::prelude::*;
@@ -95,7 +96,7 @@ fn analysis_process() {
     wf.run_with(RunOptions::new().with_validation(Validation::Skip))
         .expect("analysis side");
 
-    for r in results.lock().iter() {
+    for r in lock(&results).iter() {
         println!("\n{}", render_histogram("atom radii (over TCP)", r));
     }
 }

@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release -p sb-examples --bin quickstart`
 
+use sb_data::lock;
 use sb_examples::render_histogram;
 use smartblock::prelude::*;
 use smartblock::workflows::{lammps_workflow, PresetScale};
@@ -30,7 +31,7 @@ fn main() {
         .run_with(RunOptions::default())
         .expect("workflow run");
 
-    for r in results.lock().iter() {
+    for r in lock(&results).iter() {
         println!("\n{}", render_histogram("velocity magnitudes", r));
     }
 

@@ -3,10 +3,9 @@
 //! everything the paper claims "out of the box".
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
 use smartblock::workflows::Simulation;
@@ -37,7 +36,7 @@ fn components_connect_regardless_of_add_order() {
     let sink_data = Arc::clone(&collected);
     let mut wf = Workflow::new();
     wf.add_sink("end", 1, "out.fp", move |_step, vars| {
-        sink_data.lock().extend(vars["picked"].data.to_f64_vec());
+        lock(&sink_data).extend(vars["picked"].data.to_f64_vec());
     });
     wf.add(
         2,
@@ -47,7 +46,7 @@ fn components_connect_regardless_of_add_order() {
         (step < 2).then(|| labelled_source(step, 6))
     });
     wf.run_with(RunOptions::default()).unwrap();
-    let got = collected.lock().clone();
+    let got = lock(&collected).clone();
     // Column b per step: i*0.5 + step for i in 0..6.
     let expect: Vec<f64> = (0..2u64)
         .flat_map(|s| (0..6).map(move |i| i as f64 * 0.5 + s as f64))
@@ -67,14 +66,14 @@ fn fork_feeds_identical_data_to_both_branches() {
     });
     wf.add(3, Fork::new("src.fp", ["left.fp", "right.fp"]));
     wf.add_sink("left", 1, "left.fp", move |_s, vars| {
-        a2.lock().extend(vars["rows"].data.to_f64_vec());
+        lock(&a2).extend(vars["rows"].data.to_f64_vec());
     });
     wf.add_sink("right", 2, "right.fp", move |_s, vars| {
-        b2.lock().extend(vars["rows"].data.to_f64_vec());
+        lock(&b2).extend(vars["rows"].data.to_f64_vec());
     });
     wf.run_with(RunOptions::default()).unwrap();
-    let left = a.lock().clone();
-    let right = b.lock().clone();
+    let left = lock(&a).clone();
+    let right = lock(&b).clone();
     assert_eq!(left.len(), 3 * 8 * 4);
     assert_eq!(left, right, "fork branches diverged");
 }
@@ -97,11 +96,11 @@ fn file_write_then_file_read_preserves_the_stream() {
     let mut phase2 = Workflow::new();
     phase2.add(3, FileRead::new(&path, "replay.fp"));
     phase2.add_sink("end", 1, "replay.fp", move |step, vars| {
-        sink_data.lock().push((step, vars["rows"].clone()));
+        lock(&sink_data).push((step, vars["rows"].clone()));
     });
     phase2.run_with(RunOptions::default()).unwrap();
 
-    let got = collected.lock().clone();
+    let got = lock(&collected).clone();
     assert_eq!(got.len(), 3);
     for (step, var) in got {
         let expect = labelled_source(step, 10);
@@ -131,10 +130,10 @@ fn stats_component_summarizes_any_rank_input() {
     });
     wf.add(3, Stats::new(("cube.fp", "t"), ("sum.fp", "s")));
     wf.add_sink("end", 1, "sum.fp", move |_s, vars| {
-        sink_data.lock().extend(vars["s"].data.to_f64_vec());
+        lock(&sink_data).extend(vars["s"].data.to_f64_vec());
     });
     wf.run_with(RunOptions::default()).unwrap();
-    let got = collected.lock().clone();
+    let got = lock(&collected).clone();
     assert_eq!(got.len(), 5);
     assert_eq!(got[0], 0.0); // min
     assert_eq!(got[1], 23.0); // max
@@ -163,11 +162,11 @@ fn histogram_output_stream_chains_downstream() {
         Histogram::new(("v.fp", "x"), 4).with_output_stream("h.fp"),
     );
     wf.add_sink("end", 1, "h.fp", move |_s, vars| {
-        sink_data.lock().push(vars.clone());
+        lock(&sink_data).push(vars.clone());
     });
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = collected.lock().clone();
+    let got = lock(&collected).clone();
     assert_eq!(got.len(), 2);
     for vars in &got {
         let counts = vars["counts"].data.to_f64_vec();
@@ -197,7 +196,7 @@ fn rendezvous_mode_workflows_are_still_correct() {
     .size("points", 8);
     let (wf, results) = smartblock::workflows::gtcp_workflow(&scale);
     wf.run_with(RunOptions::default()).unwrap();
-    let got = results.lock().clone();
+    let got = lock(&results).clone();
     assert_eq!(got.len(), 2);
     assert!(got.iter().all(|h| h.total() == 64));
 }
@@ -245,8 +244,8 @@ fn simulation_component_params_control_problem_size() {
     let seen: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
     let seen2 = Arc::clone(&seen);
     wf.add_sink("end", 1, "gtcp.fp", move |_s, vars| {
-        seen2.lock().push(vars["plasma"].shape.total_len());
+        lock(&seen2).push(vars["plasma"].shape.total_len());
     });
     wf.run_with(RunOptions::default()).unwrap();
-    assert_eq!(seen.lock().clone(), vec![6 * 10 * 7]);
+    assert_eq!(lock(&seen).clone(), vec![6 * 10 * 7]);
 }

@@ -2,10 +2,9 @@
 //! multi-subscriber (reader-group) DAGs — the capabilities beyond the
 //! paper's four components.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use sb_stream::WriterOptions;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
@@ -34,7 +33,7 @@ fn collect_array(
         1,
         stream.to_string(),
         move |_s, vars| {
-            sink.lock().push(vars[array].data.to_f64_vec());
+            lock(&sink).push(vars[array].data.to_f64_vec());
         },
     );
     out
@@ -53,7 +52,7 @@ fn reduce_component_collapses_an_axis_across_ranks() {
     let got = collect_array(&mut wf, "sums.fp", "s");
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     assert_eq!(got.len(), 2);
     for (step, values) in got.iter().enumerate() {
         // 2x3 sums of 4-element rows.
@@ -87,7 +86,7 @@ fn reduce_component_produces_scalar_for_1d_input() {
     );
     let got = collect_array(&mut wf, "m.fp", "mean");
     wf.run_with(RunOptions::default()).unwrap();
-    assert_eq!(got.lock().clone(), vec![vec![5.5]]);
+    assert_eq!(lock(&got).clone(), vec![vec![5.5]]);
 }
 
 #[test]
@@ -112,12 +111,12 @@ fn threshold_component_filters_with_global_indices() {
     let indices: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(Vec::new()));
     let (v2, i2) = (Arc::clone(&values), Arc::clone(&indices));
     wf.add_sink("end", 1, "kept.fp", move |_s, vars| {
-        v2.lock().push(vars["big"].data.to_f64_vec());
-        i2.lock().push(vars["big_indices"].data.to_f64_vec());
+        lock(&v2).push(vars["big"].data.to_f64_vec());
+        lock(&i2).push(vars["big_indices"].data.to_f64_vec());
     });
     wf.run_with(RunOptions::default()).unwrap();
-    assert_eq!(values.lock().clone(), vec![vec![9.0, 10.0, 11.0]]);
-    assert_eq!(indices.lock().clone(), vec![vec![9.0, 10.0, 11.0]]);
+    assert_eq!(lock(&values).clone(), vec![vec![9.0, 10.0, 11.0]]);
+    assert_eq!(lock(&indices).clone(), vec![vec![9.0, 10.0, 11.0]]);
 }
 
 #[test]
@@ -137,7 +136,7 @@ fn threshold_handles_empty_result_sets() {
     );
     let got = collect_array(&mut wf, "kept.fp", "none");
     wf.run_with(RunOptions::default()).unwrap();
-    assert_eq!(got.lock().clone(), vec![Vec::<f64>::new(), Vec::new()]);
+    assert_eq!(lock(&got).clone(), vec![Vec::<f64>::new(), Vec::new()]);
 }
 
 #[test]
@@ -154,11 +153,11 @@ fn transpose_component_reorders_axes_across_ranks() {
     let collected: Arc<Mutex<Vec<Variable>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&collected);
     wf.add_sink("end", 1, "tp.fp", move |_s, vars| {
-        sink.lock().push(vars["t"].clone());
+        lock(&sink).push(vars["t"].clone());
     });
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = collected.lock().clone();
+    let got = lock(&collected).clone();
     assert_eq!(got.len(), 1);
     let t = &got[0];
     assert_eq!(t.shape.sizes(), vec![4, 2, 3]);
@@ -201,8 +200,8 @@ fn two_components_subscribe_to_one_simulation_stream() {
     let stats_out = collect_array(&mut wf, "summary.fp", "s");
     let report = wf.run_with(RunOptions::default()).unwrap();
 
-    assert_eq!(hist_results.lock().len(), 3);
-    let stats_rows = stats_out.lock().clone();
+    assert_eq!(lock(&hist_results).len(), 3);
+    let stats_rows = lock(&stats_out).clone();
     assert_eq!(stats_rows.len(), 3);
     for row in &stats_rows {
         assert_eq!(row[4] as usize, 12 * 8 * 3, "count = atoms x coords");
@@ -286,7 +285,7 @@ fn deep_pipeline_with_varied_ranks_stays_correct() {
     assert!(wf.validate().is_empty());
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = results.lock().clone();
+    let got = lock(&results).clone();
     assert_eq!(got.len(), 4);
     // Shape bookkeeping: select -> [2,6,2]; transpose(1,0,2) -> [6,2,2];
     // dim-reduce(0 into 1) -> [12,2]; reduce(mean over dim 1) -> [12];

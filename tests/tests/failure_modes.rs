@@ -7,11 +7,10 @@
 //! golden outputs intact, and the same seed reproduces the same run.
 //! `SB_CHAOS_SEED` overrides the default seed so CI can sweep several.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use smartblock::prelude::*;
 
 fn tiny_source(step: u64) -> Variable {
@@ -414,7 +413,7 @@ fn analysis_side(wf: &mut Workflow) -> Arc<Mutex<Vec<Vec<f64>>>> {
     let out: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&out);
     wf.add_sink("collect", 1, "r.fp", move |_s, vars| {
-        sink.lock().push(vars["radii"].data.to_f64_vec());
+        lock(&sink).push(vars["radii"].data.to_f64_vec());
     });
     out
 }
@@ -448,7 +447,7 @@ fn stalled_source_degrades_downstream_instead_of_hanging() {
         "stall must resolve via timeout, not hang"
     );
     // The step committed before the stall made it all the way through.
-    assert_eq!(out.lock().len(), 1);
+    assert_eq!(lock(&out).len(), 1);
     // Magnitude is the component directly starved by the stalled stream;
     // it must be reported degraded (the sink may degrade too, or finish
     // cleanly off magnitude's forced end-of-stream — both are legal).
@@ -467,7 +466,7 @@ fn stalled_source_degrades_downstream_instead_of_hanging() {
 fn killed_transform_restarts_and_matches_golden_output() {
     let (golden_wf, golden_out) = chaos_pipeline(4);
     golden_wf.run_with(RunOptions::default()).unwrap();
-    let golden = golden_out.lock().clone();
+    let golden = lock(&golden_out).clone();
     assert_eq!(golden.len(), 4);
 
     let (mut wf, out) = chaos_pipeline(4);
@@ -481,7 +480,7 @@ fn killed_transform_restarts_and_matches_golden_output() {
     let mag = report.component("magnitude").unwrap();
     assert_eq!(mag.restarts(), 1, "exactly one restart: {:?}", mag.outcome);
     assert!(mag.outcome.is_completed(), "{:?}", mag.outcome);
-    let got = out.lock().clone();
+    let got = lock(&out).clone();
     assert_eq!(got, golden, "restart must not lose or duplicate steps");
     assert_eq!(bin_histogram(&got), bin_histogram(&golden));
 }
@@ -530,7 +529,7 @@ fn seeded_chaos_runs_are_reproducible() {
             FaultPolicy::restart(3).with_backoff(Duration::from_millis(5)),
         );
         let report = wf.run_with(RunOptions::default()).unwrap();
-        let got = out.lock().clone();
+        let got = lock(&out).clone();
         (report.restarts(), got)
     };
     let seed = chaos_seed();
@@ -584,7 +583,7 @@ fn seeded_kill_restart_run(hub: Arc<StreamHub>) -> (u32, Vec<Vec<f64>>) {
     let report = wf.run_with(RunOptions::default()).unwrap();
     let mag = report.component("magnitude").unwrap();
     assert!(mag.outcome.is_completed(), "{:?}", mag.outcome);
-    let got = out.lock().clone();
+    let got = lock(&out).clone();
     (report.restarts(), got)
 }
 
@@ -643,7 +642,7 @@ fn compressed_tcp_backend_reproduces_inproc_chaos_outcomes() {
         let report = wf.run_with(RunOptions::default()).unwrap();
         let mag = report.component("magnitude").unwrap();
         assert!(mag.outcome.is_completed(), "{:?}", mag.outcome);
-        let got = out.lock().clone();
+        let got = lock(&out).clone();
         (report.restarts(), got)
     };
     let (inproc_restarts, inproc_out) = run(StreamHub::new());
@@ -683,7 +682,7 @@ fn seeded_stall_run(hub: Arc<StreamHub>) -> (Vec<Vec<f64>>, bool) {
         "a noisy disconnect must surface promptly, not wait out the timeout"
     );
     let degraded = report.degraded().contains(&"magnitude");
-    let collected = out.lock().clone();
+    let collected = lock(&out).clone();
     (collected, degraded)
 }
 
@@ -760,13 +759,13 @@ fn stalled_fork_starves_both_branches_with_peer_gone() {
     for (label, stream) in [("left", "a.fp"), ("right", "b.fp")] {
         let seen = Arc::clone(&seen);
         wf.add_sink(label, 1, stream, move |step, _| {
-            seen.lock().push((label, step))
+            lock(&seen).push((label, step))
         });
     }
     wf.hub()
         .install_faults(FaultPlan::seeded(chaos_seed()).stall_at("fork", 1));
     assert_stall_starves_with_peer_gone(wf, &["left", "right"]);
-    let mut seen = seen.lock().clone();
+    let mut seen = lock(&seen).clone();
     seen.sort();
     assert_eq!(seen, [("left", 0), ("right", 0)]);
 }
@@ -786,11 +785,11 @@ fn stalled_combine_starves_downstream_with_peer_gone() {
     );
     let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
-    wf.add_sink("collect", 1, "c.fp", move |step, _| sink.lock().push(step));
+    wf.add_sink("collect", 1, "c.fp", move |step, _| lock(&sink).push(step));
     wf.hub()
         .install_faults(FaultPlan::seeded(chaos_seed()).stall_at("combine", 1));
     assert_stall_starves_with_peer_gone(wf, &["collect"]);
-    assert_eq!(*seen.lock(), [0]);
+    assert_eq!(*lock(&seen), [0]);
 }
 
 /// Regression for the EOS race: a writer vanishing *between* `end_step`
@@ -864,7 +863,7 @@ fn assert_killed_process_degrades(broker_hub: Arc<StreamHub>, url: &str) {
 
     let status = child.wait().unwrap();
     assert!(!status.success(), "the host process must have died mid-run");
-    assert_eq!(out.lock().len(), 1, "the committed step survives the death");
+    assert_eq!(lock(&out).len(), 1, "the committed step survives the death");
     assert!(
         report.degraded().contains(&"magnitude"),
         "degraded: {:?}",
@@ -896,7 +895,7 @@ fn killed_component_process_degrades_downstream_over_shm() {
 fn assert_killed_process_restarts_to_golden(broker_hub: Arc<StreamHub>, url: String) {
     let (golden_wf, golden_out) = chaos_pipeline(4);
     golden_wf.run_with(RunOptions::default()).unwrap();
-    let golden = golden_out.lock().clone();
+    let golden = lock(&golden_out).clone();
     assert_eq!(golden.len(), 4);
 
     let respawn_hub = Arc::clone(&broker_hub);
@@ -927,7 +926,7 @@ fn assert_killed_process_restarts_to_golden(broker_hub: Arc<StreamHub>, url: Str
     let mag = report.component("magnitude").unwrap();
     assert!(mag.outcome.is_completed(), "{:?}", mag.outcome);
     assert_eq!(
-        out.lock().clone(),
+        lock(&out).clone(),
         golden,
         "the replayed step must be neither lost nor duplicated"
     );
@@ -964,7 +963,7 @@ fn sigkilled_component_process_leaves_nothing_behind_over_shm() {
     let killer = {
         let out = Arc::clone(&out);
         std::thread::spawn(move || {
-            wait_until("two steps to arrive", || out.lock().len() >= 2);
+            wait_until("two steps to arrive", || lock(&out).len() >= 2);
             child.kill().expect("SIGKILL the host process");
             child.wait().unwrap()
         })

@@ -24,8 +24,10 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_data::compress::lz_decompress;
+use sb_data::container::ContainerReader;
+use sb_data::cursor::{put_str, put_u16, put_u32, put_u64};
 use sb_data::wire::{
-    decode_chunk_interned, encode_region, put_str, Compression, MetaDefs, MetaInternTable,
+    decode_chunk_interned, encode_meta, encode_region, Compression, MetaDefs, MetaInternTable,
 };
 use sb_data::{Buffer, Chunk, DType, DataError, Region, Shape, VariableMeta};
 use sb_integration_tests::wait_until;
@@ -599,4 +601,86 @@ fn a_short_lz_block_under_a_terabyte_header_is_refused_unallocated() {
     let rise = heap_rise_during(|| outcome = Some(decode_chunk_interned(&mut &frame[..], &defs)));
     assert!(matches!(outcome, Some(Err(DataError::Container { .. }))));
     assert!(rise <= 4096, "{rise} bytes allocated for a 1-byte block");
+}
+
+/// A container file holding one step whose payload is `payload`.
+fn container_with_step(payload: &[u8]) -> Vec<u8> {
+    let mut file = b"SBC1".to_vec();
+    put_u32(&mut file, 1);
+    file.extend_from_slice(b"STEP");
+    put_u64(&mut file, payload.len() as u64);
+    file.extend_from_slice(payload);
+    file
+}
+
+/// Reads the one step of `file`, returning the outcome and the heap it cost.
+fn read_container_step(file: &[u8]) -> (sb_data::DataResult<usize>, usize) {
+    let mut outcome = None;
+    let rise = heap_rise_during(|| {
+        outcome = Some(
+            ContainerReader::new(file)
+                .and_then(|mut r| r.next_step())
+                .map(|step| step.map_or(0, |(_, vars)| vars.len())),
+        )
+    });
+    (outcome.expect("the read ran"), rise)
+}
+
+/// Regression: a container step's counts are as hostile as a frame's. A
+/// step claiming `u32::MAX` variables, or a variable whose label header
+/// claims `u32::MAX` names, used to reserve that many entries up front and
+/// abort in the allocator; both are now clamped by the bytes present and
+/// end in a typed error.
+#[test]
+fn container_counts_cannot_reserve_what_the_file_merely_names() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let mut many_vars = Vec::new();
+    put_u64(&mut many_vars, 0); // step id
+    put_u32(&mut many_vars, u32::MAX);
+    many_vars.extend_from_slice(&[0u8; 64]);
+
+    let mut many_labels = Vec::new();
+    put_u64(&mut many_labels, 0); // step id
+    put_u32(&mut many_labels, 1);
+    let bare = VariableMeta::new("x", Shape::linear("n", 1), DType::F64);
+    encode_meta(&mut many_labels, &bare).unwrap();
+    many_labels.truncate(many_labels.len() - 8); // its empty header and attr counts
+    put_u32(&mut many_labels, 1); // one label header...
+    put_u16(&mut many_labels, 0);
+    put_u32(&mut many_labels, u32::MAX); // ...naming four billion rows
+    many_labels.extend_from_slice(&[0u8; 64]);
+
+    for (what, payload) in [("variables", many_vars), ("labels", many_labels)] {
+        let (outcome, rise) = read_container_step(&container_with_step(&payload));
+        assert!(
+            matches!(outcome, Err(DataError::Container { .. })),
+            "{what}: {outcome:?}"
+        );
+        assert!(rise <= 64 << 10, "{what}: {rise} bytes allocated");
+    }
+}
+
+/// Regression: a container variable whose dimensions multiply past `usize`
+/// used to panic computing its element count; its volume is now checked
+/// like a frame's region volume and the step is a typed error.
+#[test]
+fn container_shape_whose_volume_overflows_is_a_typed_error() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let meta = VariableMeta::new(
+        "x",
+        Shape::of(&[("a", 1 << 40), ("b", 1 << 40)]),
+        DType::F64,
+    );
+    let mut payload = Vec::new();
+    put_u64(&mut payload, 0); // step id
+    put_u32(&mut payload, 1);
+    encode_meta(&mut payload, &meta).unwrap();
+    put_u64(&mut payload, 0); // element count
+    let (outcome, _) = read_container_step(&container_with_step(&payload));
+    let err = outcome.unwrap_err();
+    assert!(
+        matches!(&err, DataError::Container { detail } if detail.contains("overflows")),
+        "{err:?}"
+    );
 }

@@ -1,10 +1,9 @@
 //! Combine (two-input join) and TemporalMean (cross-step state) behaviours
 //! inside real workflows.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use smartblock::prelude::*;
 
 fn linear_source(step: u64, n: usize, scale: f64) -> Variable {
@@ -20,7 +19,7 @@ fn collect(wf: &mut Workflow, stream: &str, array: &'static str) -> Arc<Mutex<Ve
         1,
         stream.to_string(),
         move |_s, vars| {
-            sink.lock().push(vars[array].data.to_f64_vec());
+            lock(&sink).push(vars[array].data.to_f64_vec());
         },
     );
     out
@@ -43,7 +42,7 @@ fn combine_adds_two_different_streams() {
     assert!(wf.validate().is_empty());
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     assert_eq!(got.len(), 3);
     for (step, values) in got.iter().enumerate() {
         for (i, v) in values.iter().enumerate() {
@@ -116,7 +115,7 @@ fn combine_joins_two_arrays_of_the_same_stream() {
     let got = collect(&mut wf, "prod.fp", "p");
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     assert_eq!(got.len(), 2);
     for (step, values) in got.iter().enumerate() {
         for (i, v) in values.iter().enumerate() {
@@ -148,7 +147,7 @@ fn combine_handles_unequal_stream_lengths() {
     );
     let got = collect(&mut wf, "d.fp", "diff");
     wf.run_with(RunOptions::default()).unwrap();
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     assert_eq!(got.len(), 2);
     assert!(got.iter().all(|v| v.iter().all(|&x| x == 0.0)));
 }
@@ -172,7 +171,7 @@ fn temporal_mean_smooths_over_the_window() {
     assert!(wf.validate().is_empty());
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     assert_eq!(got.len(), 5);
     // Means: 0, (0+1)/2, (0+1+2)/3, (1+2+3)/3, (2+3+4)/3.
     let expect = [0.0, 0.5, 1.0, 2.0, 3.0];
@@ -196,7 +195,7 @@ fn temporal_mean_state_is_per_rank_partition() {
     wf.add(3, TemporalMean::new(("v.fp", "x"), 2, ("smooth.fp", "m")));
     let got = collect(&mut wf, "smooth.fp", "m");
     wf.run_with(RunOptions::default()).unwrap();
-    let got = got.lock().clone();
+    let got = lock(&got).clone();
     // Step 3: mean of steps 2 and 3 -> i + 2.5.
     let last = &got[3];
     for (i, v) in last.iter().enumerate() {
@@ -282,7 +281,7 @@ fn script_options_assemble_and_run_a_dag() {
     assert!(issues.is_empty(), "{issues:?}");
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = summaries.lock().clone();
+    let got = lock(&summaries).clone();
     assert_eq!(got.len(), 3);
     // Deviation of the smoothed signal is 0 on step 0 (window holds one
     // step) and generally small thereafter; count covers every atom.

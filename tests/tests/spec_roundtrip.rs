@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use sb_stream::tcp::TcpBroker;
 use sb_stream::StreamHub;
 use smartblock::analysis::{lint_plan, LintConfig};
@@ -263,7 +263,7 @@ fn seeded_spike_trigger_flips_temporal_mean_stride_mid_run() {
         SPIKE_STEP + 1,
         "stride flip did not take effect at the spike step"
     );
-    let results = results.lock();
+    let results = lock(&results);
     assert_eq!(results.len() as u64, SPIKE_STEP + 1);
     assert_eq!(
         results.last().unwrap().max,

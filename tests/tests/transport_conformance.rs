@@ -10,11 +10,11 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sb_comm::LaunchHandle;
 use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DType, Shape, VariableMeta};
+use sb_data::{lock, Buffer, Chunk, DType, Shape, VariableMeta};
 use sb_stream::tcp::TcpBroker;
 use sb_stream::{
     Compression, ShmBroker, StepStatus, StreamHub, StreamMetrics, TcpOptions, WireProtocol,
@@ -68,8 +68,7 @@ fn shm_scratch(tag: &str) -> PathBuf {
     dir
 }
 
-type Preset =
-    fn(Arc<StreamHub>, &PresetScale) -> (Workflow, Arc<parking_lot::Mutex<Vec<HistogramResult>>>);
+type Preset = fn(Arc<StreamHub>, &PresetScale) -> (Workflow, Arc<Mutex<Vec<HistogramResult>>>);
 
 /// Per-component step counts, keyed by label so backends can be compared.
 fn step_counts(report: &WorkflowReport) -> BTreeMap<String, u64> {
@@ -85,7 +84,7 @@ fn step_counts(report: &WorkflowReport) -> BTreeMap<String, u64> {
 fn run_on(hub: Arc<StreamHub>, preset: Preset) -> (String, BTreeMap<String, u64>) {
     let (wf, results) = preset(hub, &scale());
     let report = wf.run_with(RunOptions::default()).unwrap();
-    let rendered = render(&results.lock());
+    let rendered = render(&lock(&results));
     (rendered, step_counts(&report))
 }
 

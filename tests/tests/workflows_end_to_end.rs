@@ -2,6 +2,7 @@
 //! histogram output is checked against a serial reference computation of
 //! the same quantity.
 
+use sb_data::lock;
 use sb_integration_tests::{reference_histogram, serial_gtcp_pperp, serial_lammps_magnitudes};
 use sb_sims::{GtcpConfig, LammpsConfig};
 use smartblock::prelude::*;
@@ -35,7 +36,7 @@ fn lammps_workflow_matches_serial_reference() {
     };
     let reference = serial_lammps_magnitudes(cfg, scale.io_steps, scale.substeps);
 
-    let got = results.lock().clone();
+    let got = lock(&results).clone();
     assert_eq!(got.len(), 3, "one histogram per coarse step");
     for (step, hist) in got.iter().enumerate() {
         let expect = reference_histogram(step as u64, &reference[step], scale.bins);
@@ -78,7 +79,7 @@ fn gtcp_workflow_matches_serial_reference() {
     };
     let reference = serial_gtcp_pperp(cfg, scale.io_steps, scale.substeps);
 
-    let got = results.lock().clone();
+    let got = lock(&results).clone();
     assert_eq!(got.len(), 3);
     for (step, hist) in got.iter().enumerate() {
         let expect = reference_histogram(step as u64, &reference[step], scale.bins);
@@ -105,7 +106,7 @@ fn gromacs_workflow_shows_growing_spread() {
     let (wf, results) = gromacs_workflow(&scale);
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = results.lock().clone();
+    let got = lock(&results).clone();
     assert_eq!(got.len(), 4);
     for hist in &got {
         assert_eq!(hist.total() as usize, 24 * 12, "every atom binned");
@@ -129,8 +130,8 @@ fn aio_and_componentized_pipelines_agree_exactly() {
     let (wf, fused) = lammps_aio_workflow(&scale);
     wf.run_with(RunOptions::default()).unwrap();
 
-    let a = composed.lock().clone();
-    let b = fused.lock().clone();
+    let a = lock(&composed).clone();
+    let b = lock(&fused).clone();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.counts, y.counts, "step {}", x.step);
@@ -156,7 +157,7 @@ fn results_are_invariant_under_rank_counts() {
 
     let (wf, first) = gtcp_workflow(&base);
     wf.run_with(RunOptions::default()).unwrap();
-    let reference = first.lock().clone();
+    let reference = lock(&first).clone();
 
     for ranks in [vec![2, 3, 2, 2], vec![4, 1, 3, 1]] {
         let scale = PresetScale {
@@ -166,7 +167,7 @@ fn results_are_invariant_under_rank_counts() {
         };
         let (wf, results) = gtcp_workflow(&scale);
         wf.run_with(RunOptions::default()).unwrap();
-        let got = results.lock().clone();
+        let got = lock(&results).clone();
         assert_eq!(got, reference, "ranks {ranks:?} changed the analysis");
     }
 }

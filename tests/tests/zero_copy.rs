@@ -5,7 +5,7 @@
 
 use std::path::Path;
 
-use sb_data::{Buffer, Shape, Variable};
+use sb_data::{lock, Buffer, Shape, Variable};
 use smartblock::prelude::*;
 use smartblock::workflows::{gromacs_workflow, gtcp_workflow, lammps_workflow, PresetScale};
 
@@ -85,13 +85,13 @@ fn assert_matches_golden(name: &str, rendered: &str) {
 fn paper_workflow_histograms_match_pre_zero_copy_goldens() {
     let (wf, results) = lammps_workflow(&scale());
     wf.run_with(RunOptions::default()).unwrap();
-    assert_matches_golden("lammps", &render(&results.lock()));
+    assert_matches_golden("lammps", &render(&lock(&results)));
 
     let (wf, results) = gtcp_workflow(&scale());
     wf.run_with(RunOptions::default()).unwrap();
-    assert_matches_golden("gtcp", &render(&results.lock()));
+    assert_matches_golden("gtcp", &render(&lock(&results)));
 
     let (wf, results) = gromacs_workflow(&scale());
     wf.run_with(RunOptions::default()).unwrap();
-    assert_matches_golden("gromacs", &render(&results.lock()));
+    assert_matches_golden("gromacs", &render(&lock(&results)));
 }
