@@ -30,7 +30,7 @@ pub const DEFAULT_WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 /// creates the stream; the other side may attach at any later time
 /// (launch-order independence).
 ///
-/// A hub fronts a [`Transport`] backend. [`StreamHub::new`] serves streams
+/// A hub fronts a `Transport` backend. [`StreamHub::new`] serves streams
 /// in process (shared memory, `Arc`-moved steps); [`StreamHub::connect`]
 /// serves the same API over TCP frames to a
 /// [`TcpBroker`](crate::tcp::TcpBroker) in another process — components
@@ -179,7 +179,8 @@ impl StreamHub {
 
     /// Opens the writer side of `name` for rank `rank` of a `nranks`-rank
     /// writer group. Every rank of the group must call this with the same
-    /// `nranks` and `options`.
+    /// `nranks` and `options`; on an in-proc hub, a rank that disagrees
+    /// panics.
     pub fn open_writer(
         &self,
         name: &str,
@@ -189,7 +190,7 @@ impl StreamHub {
     ) -> StreamWriter {
         assert!(rank < nranks, "writer rank out of range");
         let conn = self.transport.open_writer(name, rank, nranks, options);
-        StreamWriter::new(conn, rank, nranks)
+        StreamWriter::new(conn.expect("the hub refused the writer"), rank, nranks)
     }
 
     /// Opens the reader side of `name` for rank `rank` of a `nranks`-rank
@@ -204,7 +205,8 @@ impl StreamHub {
     /// "write groups" capability the paper's future work wants for DAG
     /// workflows. Every group sees every step from the moment it attaches;
     /// a step is released (and writer buffer space freed) only when all
-    /// subscribed groups have consumed it.
+    /// subscribed groups have consumed it. Ranks of one group must agree on
+    /// `nranks`; on an in-proc hub, a rank that disagrees panics.
     pub fn open_reader_grouped(
         &self,
         name: &str,
@@ -214,6 +216,7 @@ impl StreamHub {
     ) -> StreamReader {
         assert!(rank < nranks, "reader rank out of range");
         let conn = self.transport.open_reader(name, group, rank, nranks);
+        let conn = conn.expect("the hub refused the reader");
         StreamReader::new(conn, group.to_string(), rank, nranks)
     }
 

@@ -24,8 +24,8 @@
 //!
 //! ## Backends
 //!
-//! The same endpoints run over three backends behind the [`Transport`]
-//! trait, picked by how the hub is made: [`StreamHub::new`] keeps streams in
+//! The same endpoints run over three backends behind one crate-private
+//! `Transport` trait, picked by how the hub is made: [`StreamHub::new`] keeps streams in
 //! process; [`StreamHub::connect`] reaches a broker process fronting such a
 //! hub, over TCP (`tcp://host:port`, [`TcpBroker`]) or over a Unix-domain
 //! socket in a rendezvous directory on the same host (`shm://DIR`,
@@ -59,7 +59,7 @@ pub mod shm;
 mod stream;
 pub mod tcp;
 pub mod trace;
-pub mod transport;
+mod transport;
 mod writer;
 
 pub use error::{StreamError, StreamResult};
@@ -73,8 +73,5 @@ pub use shm::ShmBroker;
 pub use stream::WriterOptions;
 pub use tcp::{TcpBroker, TcpOptions, WireProtocol};
 pub use trace::{EventKind, PhaseHistogram, Timeline, TraceConfig, TraceEvent, TraceSite, Tracer};
-pub use transport::{
-    ReaderConnection, ReaderEndpoint, StepContents, Transport, VarSlot, WriterConnection,
-    WriterEndpoint,
-};
+pub use transport::{StepContents, VarSlot};
 pub use writer::StreamWriter;

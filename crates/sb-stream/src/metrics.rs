@@ -12,15 +12,13 @@
 //! chunks and row slabs the rank's last boxes touch — about one payload per
 //! reader *group* however many ranks it has — plus a whole step for each
 //! connection's first request and for each wrong guess (see
-//! [`crate::tcp`]). Each frame byte is charged exactly once,
-//! to the hop it crossed, by whichever side plays *broker* for that hop —
-//! the broker sessions see every frame of every client on both hops, so
-//! they are the single metering authority. Client endpoints keep their own
-//! hop counters purely as a fallback snapshot for when the broker is
-//! unreachable; [`Counters::merge_into`] deliberately leaves the wire
-//! counters out so the two views never sum. (Earlier revisions charged both
-//! ends of every frame into one shared counter, which reported a 1×1
-//! pipeline as "4× amplification" when the true per-hop cost was ~1×.)
+//! [`crate::tcp`]). Each frame byte is charged exactly once, to the hop it
+//! crossed, by the broker sessions: they see every frame of every client on
+//! both hops, so they are the only meter, and a client's snapshot taken
+//! after the broker is gone reports every hop counter as 0. (Earlier
+//! revisions charged both ends of every frame into one shared counter,
+//! which reported a 1×1 pipeline as "4× amplification" when the true
+//! per-hop cost was ~1×.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -138,13 +136,10 @@ impl Counters {
     /// client hub folds its local read-side counters into the broker's
     /// authoritative snapshot.
     ///
-    /// Wire-hop counters are **not** merged: the broker already metered
-    /// every frame this client sent or received, so adding the client's
-    /// local mirror would double-count each byte (the pre-v2 bug that
-    /// reported 1×1 pipelines at "4×"). Compression counters *are* merged —
-    /// they are charged only where a payload is encoded (the client for
-    /// its writes, the broker for what its relay had to encode itself), so
-    /// the contributions are disjoint.
+    /// Wire-hop counters are not merged: only the broker meters them.
+    /// Compression counters are — they are charged only where a payload is
+    /// encoded (the client for its writes, the broker for what its relay had
+    /// to encode itself), so the contributions are disjoint.
     pub(crate) fn merge_into(&self, m: &mut StreamMetrics) {
         m.bytes_written += self.bytes_written.load(Ordering::Relaxed);
         m.bytes_read += self.bytes_read.load(Ordering::Relaxed);

@@ -317,12 +317,13 @@ impl StreamReader {
     }
 
     /// Releases the open step; once every reader rank has done so, the
-    /// writer-side buffer slot is freed.
+    /// writer-side buffer slot is freed. Panics when the hub refuses the
+    /// release: more ranks of the group released the step than it has.
     pub fn end_step(&mut self) {
         assert!(self.current.is_some(), "end_step without begin_step");
         self.current = None;
         let endpoint = self.endpoint.get_mut();
-        match &mut self.learning {
+        let released = match &mut self.learning {
             None => endpoint.release_step(self.next_step, &[]),
             Some(learning) => {
                 learning.whole.take();
@@ -331,10 +332,12 @@ impl StreamReader {
                     served.clear();
                 }
                 learning.filtered = !served.is_empty();
-                endpoint.release_step(self.next_step, served);
+                let released = endpoint.release_step(self.next_step, served);
                 served.clear();
+                released
             }
-        }
+        };
+        released.expect("the hub refused the release");
         self.next_step += 1;
     }
 }

@@ -95,7 +95,6 @@ pub(crate) fn connect(
 ) -> io::Result<TcpTransport> {
     let dir = parse_shm_url(url)?;
     Ok(TcpTransport::with_dialer(
-        url.to_string(),
         Box::new(ShmDialer { dir, options }),
         options,
         wait_timeout_micros,

@@ -167,6 +167,13 @@ impl State {
                 || front.done_by.get(name).copied().unwrap_or(0) == g.nranks
         })
     }
+
+    /// The slot of `step`, unless no writer has begun it yet or it has
+    /// already left the queue.
+    fn slot_mut(&mut self, step: u64) -> Option<&mut Slot> {
+        let idx = usize::try_from(step.checked_sub(self.base_step)?).ok()?;
+        self.queue.get_mut(idx)
+    }
 }
 
 /// A named stream connecting one writer group to one reader group.
@@ -216,6 +223,16 @@ impl Stream {
 
     fn wait_timeout(&self) -> Duration {
         Duration::from_micros(self.wait_timeout_micros.load(Ordering::Relaxed))
+    }
+
+    /// The typed refusal of a call that breaks the group protocol. In
+    /// process that is the caller's bug and the handles panic on it; a
+    /// broker session answers it, so no socket can reach a panic.
+    fn refuse(&self, reason: String) -> StreamError {
+        StreamError::PeerGone {
+            stream: self.name.clone(),
+            reason,
+        }
     }
 
     /// Blocks on `cond` until `pred` holds, handing the guard back with
@@ -290,8 +307,13 @@ impl Stream {
 
     /// Registers a writer rank; returns the step the writer group starts at
     /// (nonzero when a restarted group reattaches to a stream that already
-    /// holds committed steps).
-    pub(crate) fn register_writer(&self, nranks: usize, options: WriterOptions) -> u64 {
+    /// holds committed steps). A rank that disagrees with the group's size
+    /// or options is refused.
+    pub(crate) fn register_writer(
+        &self,
+        nranks: usize,
+        options: WriterOptions,
+    ) -> StreamResult<u64> {
         assert!(nranks > 0, "writer group must have at least one rank");
         let mut state = lock(&self.state);
         match state.writer_nranks {
@@ -301,20 +323,20 @@ impl Stream {
                 state.writer_start = state.base_step + state.queue.len() as u64;
                 self.cond.notify_all();
             }
-            Some(existing) => {
-                assert_eq!(
-                    existing, nranks,
-                    "stream {:?}: writer ranks disagree on group size",
-                    self.name
-                );
-                assert_eq!(
-                    state.options, options,
-                    "stream {:?}: writer ranks disagree on options",
-                    self.name
-                );
+            Some(existing) if existing != nranks => {
+                return Err(self.refuse(format!(
+                    "writer ranks disagree on group size ({existing}, then {nranks})"
+                )));
             }
+            Some(_) if state.options != options => {
+                return Err(self.refuse(format!(
+                    "writer ranks disagree on options ({:?}, then {options:?})",
+                    state.options
+                )));
+            }
+            Some(_) => {}
         }
-        state.writer_start
+        Ok(state.writer_start)
     }
 
     /// A writer rank starts `step`; blocks while the buffer is full.
@@ -334,16 +356,14 @@ impl Stream {
         Ok(())
     }
 
-    /// A writer rank contributes a chunk to `step`.
-    pub(crate) fn writer_put(&self, step: u64, chunk: Chunk) {
+    /// A writer rank contributes a chunk to `step`. Refused unless the step
+    /// is open, and when the chunk's metadata disagrees with what another
+    /// rank put for the same variable.
+    pub(crate) fn writer_put(&self, step: u64, chunk: Chunk) -> StreamResult<()> {
         let mut state = lock(&self.state);
-        let idx = (step - state.base_step) as usize;
-        let slot = &mut state.queue[idx];
-        assert!(
-            slot.ready.is_none(),
-            "stream {:?}: put after the step was committed",
-            self.name
-        );
+        let Some(slot) = state.slot_mut(step).filter(|s| s.ready.is_none()) else {
+            return Err(self.refuse(format!("put to step {step}, which is not open")));
+        };
         let bytes = chunk.byte_len();
         let entry = slot
             .staging
@@ -352,18 +372,21 @@ impl Stream {
                 meta: chunk.meta.clone(),
                 chunks: Vec::new(),
             });
-        assert_eq!(
-            entry.meta, chunk.meta,
-            "stream {:?}: writer ranks disagree on metadata of {:?}",
-            self.name, chunk.meta.name
-        );
+        if entry.meta != chunk.meta {
+            return Err(self.refuse(format!(
+                "writer ranks disagree on metadata of {:?}",
+                chunk.meta.name
+            )));
+        }
         entry.chunks.push(chunk);
         drop(state);
         self.counters.add_written(bytes);
+        Ok(())
     }
 
     /// A writer rank finishes `step`; the last rank freezes the slot. In
     /// rendezvous mode, blocks until the reader group releases the step.
+    /// Refused unless the step is open: a step is committed once.
     pub(crate) fn writer_end_step(
         &self,
         step: u64,
@@ -371,14 +394,10 @@ impl Stream {
         nranks: usize,
     ) -> StreamResult<()> {
         let mut state = lock(&self.state);
-        let idx = (step - state.base_step) as usize;
-        let slot = &mut state.queue[idx];
+        let Some(slot) = state.slot_mut(step).filter(|s| s.ready.is_none()) else {
+            return Err(self.refuse(format!("end of step {step}, which is not open")));
+        };
         slot.committed += 1;
-        assert!(
-            slot.committed <= nranks,
-            "stream {:?}: more end_step calls than writer ranks",
-            self.name
-        );
         if slot.committed == nranks {
             let staged = std::mem::take(&mut slot.staging);
             slot.ready = Some(Arc::new(staged));
@@ -440,8 +459,8 @@ impl Stream {
     /// Registers rank membership of reader group `group`; returns the step
     /// this rank resumes at — `base_step` for a brand-new group, or the
     /// first not-yet-fully-released step for a group reattaching after a
-    /// restart.
-    pub(crate) fn register_reader(&self, group: &str, nranks: usize) -> u64 {
+    /// restart. A rank that disagrees with the group's size is refused.
+    pub(crate) fn register_reader(&self, group: &str, nranks: usize) -> StreamResult<u64> {
         assert!(nranks > 0, "reader group must have at least one rank");
         let mut state = lock(&self.state);
         let base = state.base_step;
@@ -457,16 +476,13 @@ impl Stream {
                     },
                 );
                 self.cond.notify_all();
-                base
+                Ok(base)
             }
-            Some(existing) => {
-                assert_eq!(
-                    existing.nranks, nranks,
-                    "stream {:?}: ranks of reader group {group:?} disagree on group size",
-                    self.name
-                );
-                existing.first_step + existing.full_releases
-            }
+            Some(existing) if existing.nranks != nranks => Err(self.refuse(format!(
+                "ranks of reader group {group:?} disagree on group size ({}, then {nranks})",
+                existing.nranks
+            ))),
+            Some(existing) => Ok(existing.first_step + existing.full_releases),
         }
     }
 
@@ -531,19 +547,26 @@ impl Stream {
 
     /// A rank of reader group `group` releases `step`; slots are popped off
     /// the front once *every* subscribed group has released them, which
-    /// unblocks writers waiting on buffer capacity.
-    pub(crate) fn reader_end_step(&self, group: &str, step: u64, nranks: usize) {
+    /// unblocks writers waiting on buffer capacity. Refused when the step is
+    /// not buffered or the group has already released it `nranks` times.
+    pub(crate) fn reader_end_step(
+        &self,
+        group: &str,
+        step: u64,
+        nranks: usize,
+    ) -> StreamResult<()> {
         let mut state = lock(&self.state);
-        let idx = (step - state.base_step) as usize;
         let fully_released = {
-            let slot = &mut state.queue[idx];
-            let done = slot.done_by.entry(group.to_string()).or_insert(0);
+            let done = state
+                .slot_mut(step)
+                .map(|slot| slot.done_by.entry(group.to_string()).or_insert(0))
+                .filter(|done| **done < nranks);
+            let Some(done) = done else {
+                return Err(self.refuse(format!(
+                    "more releases of step {step} than ranks in reader group {group:?}"
+                )));
+            };
             *done += 1;
-            assert!(
-                *done <= nranks,
-                "stream {:?}: more end_step calls than ranks in reader group {group:?}",
-                self.name
-            );
             *done == nranks
         };
         if fully_released {
@@ -556,6 +579,7 @@ impl Stream {
         if self.pop_consumed(&mut state) {
             self.cond.notify_all();
         }
+        Ok(())
     }
 
     /// Pops every fully consumed front slot; returns whether any were.

@@ -64,13 +64,17 @@
 //!
 //! ## Latency discipline
 //!
-//! *Writer-side batching*: `put` only appends to a local buffer; the whole
-//! step goes out as one `W_STEP` frame at `end_step`, so an N-variable step
-//! costs one round trip, not N. *Reader-side prefetch*: releasing step `s`
-//! immediately pipelines the request for `s + 1` — `R_RELEASE s` and
-//! `R_BEGIN s + 1` with the boxes of step `s` leave as one gathered write —
-//! so the broker can cut and send the next step while the component is
-//! still computing.
+//! *One request, one reply per writer step*: `begin_step` sends nothing and
+//! `put` only encodes into a local batch; the whole step goes out as one
+//! `W_STEP` frame at `end_step`, and its one reply covers the broker's wait
+//! for buffer space, the commit and, in rendezvous mode, the consumption —
+//! so an N-variable step costs one round trip, not N + 1. The broker
+//! session owns the writer's step sequence: it expects the step its hub
+//! registration started at, then each next one, and anything else costs
+//! the connection. *Reader-side prefetch*: releasing step `s` immediately
+//! pipelines the request for `s + 1` — `R_RELEASE s` and `R_BEGIN s + 1`
+//! with the boxes of step `s` leave as one gathered write — so the broker
+//! can cut and send the next step while the component is still computing.
 //!
 //! ## Failure semantics
 //!
@@ -78,15 +82,20 @@
 //! surface as the existing [`StreamError::Timeout`] /
 //! [`StreamError::PeerGone`] taxonomy, so the workflow supervisor's
 //! Restart/Degrade policies work unchanged across the process boundary. A
-//! writer session that ends without a clean `close`/`abandon` terminator —
-//! the connection dropped (a SIGKILLed component), a reply could not be
-//! sent, a frame was malformed — is a *noisy* disconnect: a drop guard on
-//! the session's endpoint makes every such exit one, so readers blocked on
-//! steps that writer group can no longer commit fail promptly with
-//! `PeerGone` instead of waiting out the hub timeout. A reader session has
-//! no terminator to send: a reader process that dies holding a step leaves
-//! its writers blocked on buffer space until a supervisor detaches or
-//! restarts the group — or, if none does, until the hub timeout.
+//! remote writer blocks only in `end_step`: a full queue surfaces there as
+//! the broker's own `Timeout { waiting_for: "buffer space" }`, and a step
+//! that failed so committed nothing. A hello, put or release the hub refuses
+//! (a rank disagreeing with its group, a step committed or released twice)
+//! is answered `PeerGone`, never a broker panic. A writer session that ends
+//! without a clean `close`/`abandon` terminator — the connection dropped (a
+//! SIGKILLed component), a reply could not be sent, a frame was malformed or
+//! out of sequence — is a *noisy* disconnect: a drop guard on the session's
+//! endpoint makes every such exit one, so readers blocked on steps that
+//! writer group can no longer commit fail promptly with `PeerGone` instead
+//! of waiting out the hub timeout. A reader session has no terminator to
+//! send: a reader process that dies holding a step leaves its writers
+//! blocked on buffer space until a supervisor detaches or restarts the
+//! group — or, if none does, until the hub timeout.
 //!
 //! A box is a guess. When a `get` asks a step that was fetched with boxes
 //! for a region its chunks do not cover, the reader handle asks for the
@@ -131,7 +140,6 @@ use crate::transport::{
 const HELLO_WRITER: u8 = 0x01;
 const HELLO_READER: u8 = 0x02;
 const HELLO_CONTROL: u8 = 0x03;
-const W_BEGIN: u8 = 0x10;
 const W_STEP: u8 = 0x11;
 const W_CLOSE: u8 = 0x12;
 const W_ABANDON: u8 = 0x13;
@@ -765,9 +773,8 @@ impl Dialer for TcpDialer {
 /// The client-side [`Transport`]: every endpoint is one framed connection
 /// to the broker, dialed through a fabric-specific [`Dialer`] (a TCP
 /// socket, or the same-host Unix-domain socket of [`crate::shm`]).
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     dialer: Box<dyn Dialer>,
-    url: String,
     options: TcpOptions,
     wait_timeout_micros: Arc<AtomicU64>,
     tracer: Arc<Tracer>,
@@ -791,7 +798,6 @@ impl TcpTransport {
     ) -> io::Result<TcpTransport> {
         let addr = parse_url(url)?;
         Ok(TcpTransport::with_dialer(
-            url.to_string(),
             Box::new(TcpDialer { addr, options }),
             options,
             wait_timeout_micros,
@@ -801,7 +807,6 @@ impl TcpTransport {
 
     /// Assembles the client protocol over an arbitrary fabric dialer.
     pub(crate) fn with_dialer(
-        url: String,
         dialer: Box<dyn Dialer>,
         options: TcpOptions,
         wait_timeout_micros: Arc<AtomicU64>,
@@ -809,7 +814,6 @@ impl TcpTransport {
     ) -> TcpTransport {
         TcpTransport {
             dialer,
-            url,
             options,
             wait_timeout_micros,
             tracer,
@@ -817,11 +821,6 @@ impl TcpTransport {
             control: Mutex::new(None),
             broker_lost: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// The URL this transport dials.
-    pub fn url(&self) -> &str {
-        &self.url
     }
 
     fn stream_counters(&self, name: &str) -> Arc<Counters> {
@@ -909,13 +908,13 @@ struct TcpWriter {
     /// Payload bytes of the open step before/after the codec.
     step_raw: u64,
     step_wire: u64,
-    /// `put` is infallible by contract; an encode failure is stashed here
-    /// and surfaces from `end_step`, where the run loop handles errors.
+    /// An encode failure is not a refusal of the group protocol, which
+    /// `StreamWriter::put` panics on: it is stashed here and surfaces from
+    /// `end_step`, where the run loop handles errors.
     encode_failure: Option<String>,
     tracer: Arc<Tracer>,
     trace_id: u32,
     rank: usize,
-    terminated: bool,
 }
 
 impl TcpWriter {
@@ -940,19 +939,15 @@ impl TcpWriter {
 }
 
 impl WriterEndpoint for TcpWriter {
-    fn begin_step(&mut self, step: u64) -> StreamResult<()> {
-        let counters = Arc::clone(&self.counters);
-        let conn = self.conn()?;
-        let mut req = vec![W_BEGIN];
-        put_u64(&mut req, step);
-        counters.add_wire_writer(4 + req.len());
-        conn.send(&req)?;
-        conn.expect_ok("buffer space")
+    fn begin_step(&mut self, _step: u64) -> StreamResult<()> {
+        // Nothing goes out: the broker waits for buffer space when the step
+        // arrives, and answers for it in `end_step`'s one reply.
+        self.conn().map(drop)
     }
 
-    fn put(&mut self, _step: u64, chunk: Chunk) {
+    fn put(&mut self, _step: u64, chunk: Chunk) -> StreamResult<()> {
         if self.encode_failure.is_some() {
-            return;
+            return Ok(());
         }
         let result = match self.proto {
             WireProtocol::V1 => encode_chunk(&mut self.batch, &chunk),
@@ -962,6 +957,7 @@ impl WriterEndpoint for TcpWriter {
             Ok(()) => self.nchunks += 1,
             Err(e) => self.encode_failure = Some(e.to_string()),
         }
+        Ok(())
     }
 
     fn end_step(&mut self, step: u64) -> StreamResult<()> {
@@ -1005,8 +1001,6 @@ impl WriterEndpoint for TcpWriter {
         }
         let count = nchunks.to_le_bytes();
         let parts: [&[u8]; 4] = [&head, &self.defs, &count, &self.batch];
-        self.counters
-            .add_wire_writer(4 + parts.iter().map(|p| p.len()).sum::<usize>());
         let sent = match &mut self.io {
             Ok(conn) => conn.send_parts(&parts),
             Err(e) => Err(e.clone()),
@@ -1018,7 +1012,6 @@ impl WriterEndpoint for TcpWriter {
     }
 
     fn close(&mut self) {
-        self.terminated = true;
         if let Ok(conn) = &mut self.io {
             // Wait for the ack so the close is durable broker-side before
             // this process may exit.
@@ -1028,7 +1021,6 @@ impl WriterEndpoint for TcpWriter {
     }
 
     fn abandon(&mut self) {
-        self.terminated = true;
         if let Ok(conn) = &mut self.io {
             // Explicit *silent* terminator: the broker must not treat the
             // imminent connection drop as a noisy disconnect — the
@@ -1038,7 +1030,6 @@ impl WriterEndpoint for TcpWriter {
     }
 
     fn disconnect(&mut self) {
-        self.terminated = true;
         if let Ok(conn) = &mut self.io {
             let _ = conn.send(&[W_ABANDON, 1]);
         }
@@ -1047,7 +1038,6 @@ impl WriterEndpoint for TcpWriter {
 
 struct TcpReader {
     io: Result<ClientConn, StreamError>,
-    counters: Arc<Counters>,
     /// Protocol revision the broker accepted for this connection.
     proto: WireProtocol,
     /// Definitions applied so far (v2 interning, per connection).
@@ -1063,7 +1053,6 @@ impl ReaderEndpoint for TcpReader {
         if self.eos {
             return Ok(None);
         }
-        let counters = Arc::clone(&self.counters);
         let conn = match &mut self.io {
             Ok(conn) => conn,
             Err(e) => return Err(e.clone()),
@@ -1073,12 +1062,10 @@ impl ReaderEndpoint for TcpReader {
             // asked for again. No boxes, so the reply is the whole step.
             let mut req = vec![R_BEGIN];
             put_u64(&mut req, step);
-            counters.add_wire_reader(4 + req.len());
             conn.send(&req)?;
             self.pending = Some(step);
         }
         let payload = conn.recv("a committed step")?;
-        counters.add_wire_reader(4 + payload.len());
         self.pending = None;
         if payload.first() == Some(&REPLY_EOS) {
             self.eos = true;
@@ -1109,9 +1096,9 @@ impl ReaderEndpoint for TcpReader {
         Ok(Some(Arc::new(vars)))
     }
 
-    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]) {
+    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]) -> StreamResult<()> {
         if self.eos {
-            return;
+            return Ok(());
         }
         if let Ok(conn) = &mut self.io {
             let mut release = vec![R_RELEASE];
@@ -1128,12 +1115,12 @@ impl ReaderEndpoint for TcpReader {
                     next.truncate(bare);
                 }
             }
-            self.counters
-                .add_wire_reader(8 + release.len() + next.len());
+            // A broken connection surfaces from the next fetch instead.
             if conn.send_frames(&[&[&release], &[&next]]).is_ok() {
                 self.pending = Some(step + 1);
             }
         }
+        Ok(())
     }
 
     fn committed_steps(&self) -> u64 {
@@ -1154,7 +1141,7 @@ impl Transport for TcpTransport {
         rank: usize,
         nranks: usize,
         options: WriterOptions,
-    ) -> WriterConnection {
+    ) -> StreamResult<WriterConnection> {
         let trace_id = self.tracer.intern(name);
         let counters = self.stream_counters(name);
         let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol, Compression)> {
@@ -1177,15 +1164,15 @@ impl Transport for TcpTransport {
         })();
         let (io, start_step, proto, compression) = match opened {
             Ok((conn, start, proto, comp)) => (Ok(conn), start, proto, comp),
-            // Opens stay infallible: the failure is stored and surfaces
-            // from the first begin_step, where the run loop handles it.
+            // A failed open is stored and surfaces from the first
+            // begin_step, where the run loop handles it.
             Err(e) => (Err(e), 0, WireProtocol::V1, Compression::None),
         };
-        WriterConnection::new(
-            Box::new(TcpWriter {
+        Ok(WriterConnection {
+            endpoint: Box::new(TcpWriter {
                 io,
                 stream: name.to_string(),
-                counters,
+                counters: Arc::clone(&counters),
                 proto,
                 compression,
                 table: MetaInternTable::default(),
@@ -1200,15 +1187,21 @@ impl Transport for TcpTransport {
                 tracer: Arc::clone(&self.tracer),
                 trace_id,
                 rank,
-                terminated: false,
             }),
             start_step,
-            Arc::clone(&self.tracer),
+            tracer: Arc::clone(&self.tracer),
             trace_id,
-        )
+            counters,
+        })
     }
 
-    fn open_reader(&self, name: &str, group: &str, rank: usize, nranks: usize) -> ReaderConnection {
+    fn open_reader(
+        &self,
+        name: &str,
+        group: &str,
+        rank: usize,
+        nranks: usize,
+    ) -> StreamResult<ReaderConnection> {
         let trace_id = self.tracer.intern(name);
         let counters = self.stream_counters(name);
         let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol)> {
@@ -1232,17 +1225,15 @@ impl Transport for TcpTransport {
                 // Prefetch the first step right away.
                 let mut req = vec![R_BEGIN];
                 put_u64(&mut req, first);
-                counters.add_wire_reader(4 + req.len());
                 let pending = conn.send(&req).is_ok().then_some(first);
                 (Ok(conn), first, proto, pending)
             }
             Err(e) => (Err(e), 0, WireProtocol::V1, None),
         };
-        let learns_boxes = io.is_ok() && proto == WireProtocol::V2;
-        let mut rc = ReaderConnection::new(
-            Box::new(TcpReader {
+        Ok(ReaderConnection {
+            learns_boxes: io.is_ok() && proto == WireProtocol::V2,
+            endpoint: Box::new(TcpReader {
                 io,
-                counters: Arc::clone(&counters),
                 proto,
                 defs: MetaDefs::default(),
                 pending,
@@ -1250,12 +1241,10 @@ impl Transport for TcpTransport {
                 fetched: 0,
             }),
             first_step,
-            Arc::clone(&self.tracer),
+            tracer: Arc::clone(&self.tracer),
             trace_id,
-        );
-        rc.counters = counters;
-        rc.learns_boxes = learns_boxes;
-        rc
+            counters,
+        })
     }
 
     fn stream_names(&self) -> Vec<String> {
@@ -1285,7 +1274,8 @@ impl Transport for TcpTransport {
                 all.sort_by(|a, b| a.stream.cmp(&b.stream));
                 all
             }
-            // Broker unreachable (teardown): serve what this process saw.
+            // Broker unreachable (teardown): serve what this process saw,
+            // which is no wire hop — only the broker sessions meter those.
             Err(_) => {
                 let mut out: Vec<StreamMetrics> =
                     local.iter().map(|(name, c)| c.snapshot(name)).collect();
@@ -1576,6 +1566,14 @@ fn reply_result(io: &mut dyn FrameIo, result: StreamResult<()>) -> io::Result<us
             reply(io, &buf)
         }
     }
+}
+
+/// Answers a hello the hub refused with the refusal, which the client's
+/// open stores, and ends the session: nothing was registered.
+fn refuse(io: &mut dyn FrameIo, refused: StreamError) -> io::Result<()> {
+    let detail = refused.to_string();
+    reply_result(io, Err(refused))?;
+    Err(session_err(detail))
 }
 
 /// Charges one session's frame bytes to its hop counter, attributing them
@@ -2087,7 +2085,10 @@ fn writer_session(
         .with_queue_capacity(queue)
         .with_rendezvous(rendezvous)
         .with_reader_groups(groups);
-    let conn = hub.transport().open_writer(&name, rank, nranks, options);
+    let conn = match hub.transport().open_writer(&name, rank, nranks, options) {
+        Ok(conn) => conn,
+        Err(refused) => return refuse(io, refused),
+    };
     let ledger = HopLedger {
         counters: Arc::clone(&conn.counters),
         hop: Hop::Writer,
@@ -2108,6 +2109,9 @@ fn writer_session(
     put_u8(&mut started, proto.tag());
     put_u8(&mut started, comp.tag());
     ledger.charge(reply(io, &started)?);
+    // The one step this connection may send next: the hub takes step
+    // numbers on trust, so the sequence is kept here.
+    let mut next = conn.start_step;
 
     loop {
         // A connection that drops without a terminator is a process gone
@@ -2119,27 +2123,33 @@ fn writer_session(
         ledger.charge(4 + payload.len());
         let mut cur = &payload[..];
         match get_u8(&mut cur, "writer opcode").map_err(session_err)? {
-            W_BEGIN => {
-                let step = get_u64(&mut cur, "step").map_err(session_err)?;
-                let result = writer.endpoint.begin_step(step);
-                ledger.charge(reply_result(io, result)?);
-            }
             W_STEP => {
                 let step = get_u64(&mut cur, "step").map_err(session_err)?;
+                if step != next {
+                    return Err(session_err(format!(
+                        "writer {rank} of {name:?} sent step {step}, expected {next}"
+                    )));
+                }
+                // Decoded whole before anything can fail, so this
+                // connection's definitions stay in step with the writer's.
                 let result = match decode_step_body(&payload, &mut cur, proto, &mut defs) {
                     Err(e) => Err(proto_gone(&name, e)),
-                    Ok(chunks) => {
-                        // Seed before the commit below makes the step
-                        // fetchable, or a fast reader would miss and encode.
+                    Ok(chunks) => writer.endpoint.begin_step(step).and_then(|()| {
+                        // Seeded once the step owns a slot, so the cache
+                        // keeps its queue + 1 window, and before the commit
+                        // makes it fetchable, or a fast reader would miss.
                         if proto == WireProtocol::V2 {
                             relay.seed(step, comp, payload, &chunks);
                         }
                         for (chunk, _) in chunks {
-                            writer.endpoint.put(step, chunk);
+                            writer.endpoint.put(step, chunk)?;
                         }
                         writer.endpoint.end_step(step)
-                    }
+                    }),
                 };
+                if result.is_ok() {
+                    next += 1;
+                }
                 ledger.charge(reply_result(io, result)?);
             }
             W_CLOSE => {
@@ -2204,7 +2214,10 @@ fn reader_session(
             "invalid reader hello for {name:?}: rank {rank}/{nranks}"
         )));
     }
-    let conn = hub.transport().open_reader(&name, &group, rank, nranks);
+    let conn = match hub.transport().open_reader(&name, &group, rank, nranks) {
+        Ok(conn) => conn,
+        Err(refused) => return refuse(io, refused),
+    };
     let counters = conn.counters;
     let ledger = HopLedger {
         counters: Arc::clone(&counters),
@@ -2303,7 +2316,7 @@ fn reader_session(
                          which this connection does not hold"
                     )));
                 }
-                endpoint.release_step(step, &[]);
+                endpoint.release_step(step, &[]).map_err(session_err)?;
                 if proto == WireProtocol::V2 {
                     relay.note_release(step);
                 }
@@ -3177,8 +3190,6 @@ mod tests {
         put_u32(&mut hello, 1); // reader groups
         put_u8(&mut hello, WireProtocol::V2.tag());
         put_u8(&mut hello, Compression::None.tag());
-        let mut begin = vec![W_BEGIN];
-        put_u64(&mut begin, 0);
         let chunk = Chunk::whole(var(vec![1.0, 2.0]));
         let mut table = MetaInternTable::default();
         let id = table.intern(&chunk.meta).unwrap();
@@ -3188,10 +3199,10 @@ mod tests {
         table.append_defs_since(0, &mut step);
         put_u32(&mut step, 1); // one chunk
         encode_chunk_interned(&mut step, &chunk, id, Compression::None).unwrap();
-        // REPLY_STARTED and W_BEGIN's OK go out; W_STEP's OK does not.
+        // REPLY_STARTED goes out; W_STEP's OK does not.
         let mut io = Scripted {
-            frames: [hello, begin, step].into(),
-            sends: 2,
+            frames: [hello, step].into(),
+            sends: 1,
         };
         let relays = Arc::new(RelayTable::default());
         let err = serve_session(&hub, &relays, &mut io, false).unwrap_err();
@@ -3204,6 +3215,315 @@ mod tests {
         let err = reader.begin_step().unwrap_err();
         assert!(matches!(err, StreamError::PeerGone { .. }), "{err:?}");
         assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    /// The broker's side of one connection as in-memory channels: request
+    /// frames in, reply frames out.
+    struct Piped {
+        requests: std::sync::mpsc::Receiver<Vec<u8>>,
+        replies: std::sync::mpsc::Sender<Vec<u8>>,
+    }
+
+    impl FrameIo for Piped {
+        fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+            let mut sent = 0;
+            for parts in frames {
+                let frame = parts.concat();
+                sent += 4 + frame.len();
+                let _ = self.replies.send(frame);
+            }
+            Ok(sent)
+        }
+        fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+            self.requests
+                .recv()
+                .map_err(|_| io::ErrorKind::UnexpectedEof.into())
+        }
+        fn set_recv_deadline(&mut self, _: Option<Duration>) {}
+    }
+
+    /// A client's end of one broker session served on a thread of its own.
+    struct Session {
+        requests: std::sync::mpsc::Sender<Vec<u8>>,
+        replies: std::sync::mpsc::Receiver<Vec<u8>>,
+        served: JoinHandle<io::Result<()>>,
+    }
+
+    impl Session {
+        fn open(hub: &Arc<StreamHub>, relays: &Arc<RelayTable>, hello: Vec<u8>) -> Session {
+            let (requests, from_client) = std::sync::mpsc::channel();
+            let (to_client, replies) = std::sync::mpsc::channel();
+            let (hub, relays) = (Arc::clone(hub), Arc::clone(relays));
+            let served = std::thread::spawn(move || {
+                let mut io = Piped {
+                    requests: from_client,
+                    replies: to_client,
+                };
+                serve_session(&hub, &relays, &mut io, false)
+            });
+            let session = Session {
+                requests,
+                replies,
+                served,
+            };
+            session.send(hello);
+            session
+        }
+
+        fn send(&self, frame: Vec<u8>) {
+            let _ = self.requests.send(frame);
+        }
+
+        fn reply(&self) -> Vec<u8> {
+            let reply = self.replies.recv_timeout(Duration::from_secs(10));
+            reply.expect("the session sent no reply")
+        }
+
+        /// Hangs up and returns how the session ended; a panic fails the test.
+        fn end(self) -> io::Result<()> {
+            drop(self.requests);
+            self.served.join().expect("the session panicked")
+        }
+    }
+
+    fn writer_hello(name: &str, rank: u32, nranks: u32, queue: u32) -> Vec<u8> {
+        let mut hello = vec![HELLO_WRITER];
+        put_str(&mut hello, name).unwrap();
+        for field in [rank, nranks, queue] {
+            put_u32(&mut hello, field);
+        }
+        put_u8(&mut hello, 0); // not rendezvous
+        put_u32(&mut hello, 1); // reader groups
+        put_u8(&mut hello, WireProtocol::V2.tag());
+        put_u8(&mut hello, Compression::None.tag());
+        hello
+    }
+
+    fn reader_hello(name: &str, group: &str, rank: u32, nranks: u32) -> Vec<u8> {
+        let mut hello = vec![HELLO_READER];
+        put_str(&mut hello, name).unwrap();
+        put_str(&mut hello, group).unwrap();
+        put_u32(&mut hello, rank);
+        put_u32(&mut hello, nranks);
+        put_u8(&mut hello, WireProtocol::V2.tag());
+        put_u8(&mut hello, Compression::None.tag());
+        hello
+    }
+
+    /// The v2 `W_STEP` a client sends for `chunks`: the definitions `table`
+    /// has not framed yet, then the chunks.
+    fn w_step(step: u64, chunks: &[Chunk], table: &mut MetaInternTable) -> Vec<u8> {
+        let framed = table.len();
+        let mut body = Vec::new();
+        for chunk in chunks {
+            let id = table.intern(&chunk.meta).unwrap();
+            encode_chunk_interned(&mut body, chunk, id, Compression::None).unwrap();
+        }
+        let mut defs = Vec::new();
+        let ndefs = table.append_defs_since(framed, &mut defs);
+        let mut frame = vec![W_STEP];
+        put_u64(&mut frame, step);
+        put_u32(&mut frame, ndefs);
+        frame.extend(defs);
+        put_u32(&mut frame, chunks.len() as u32);
+        frame.extend(body);
+        frame
+    }
+
+    fn refusal(reply: &[u8]) -> String {
+        match parse_reply(reply, REPLY_OK, "", |_| Ok(())) {
+            Err(StreamError::PeerGone { reason, .. }) => reason,
+            other => panic!("expected a PeerGone reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_remote_writer_step_is_one_request_and_one_reply_on_both_fabrics() {
+        let (name, steps) = ("pin.fp", 4u64);
+        let vals: Vec<f64> = (0..64).map(f64::from).collect();
+        let chunks = [Chunk::whole(var(vals.clone()))];
+        let mut table = MetaInternTable::default();
+        let requests: usize = (0..steps)
+            .map(|step| 4 + w_step(step, &chunks, &mut table).len())
+            .sum();
+        let ok = 4 + 1;
+        let expected = 4 + writer_hello(name, 0, 1, 4).len() // hello
+            + 4 + 1 + 8 + 2 // REPLY_STARTED
+            + requests + steps as usize * ok // each W_STEP and its one reply
+            + (4 + 1) + ok; // W_CLOSE and its reply
+        let dir = std::env::temp_dir().join(format!("sb-pin-{}", std::process::id()));
+        let tcp = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let shm = crate::ShmBroker::bind(dir.to_str().unwrap()).unwrap();
+        for (url, on_shm) in [(tcp.url(), false), (shm.url(), true)] {
+            let hub = StreamHub::connect(&url).unwrap();
+            pump(&hub, name, steps, vals.clone());
+            // The broker charges a reply after sending it.
+            let writer_hop = || hub.metrics(name).unwrap().wire_writer_bytes;
+            let what = format!("{url}: writer hop {} B, pinned at {expected}", writer_hop());
+            eventually(&what, || writer_hop() == expected as u64);
+            let m = hub.metrics(name).unwrap();
+            let shm_bytes = if on_shm { m.bytes_on_wire } else { 0 };
+            assert_eq!(m.wire_shm_bytes, shm_bytes, "{url}");
+        }
+    }
+
+    #[test]
+    fn a_w_step_out_of_sequence_costs_the_connection() {
+        // A first step the registration did not start at, and a step sent
+        // twice: either used to index the hub's queue unchecked.
+        for (sent, served) in [(vec![5], 0), (vec![0, 0], 1)] {
+            let hub = StreamHub::with_timeout(Duration::from_secs(30));
+            let mut reader = hub.open_reader("seq.fp", 0, 1);
+            let mut table = MetaInternTable::default();
+            let chunks = [Chunk::whole(var(vec![1.0]))];
+            let session = Session::open(&hub, &Arc::default(), writer_hello("seq.fp", 0, 1, 4));
+            for &step in &sent {
+                session.send(w_step(step, &chunks, &mut table));
+            }
+            let err = session.end().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{sent:?}: {err}");
+
+            let started = Instant::now();
+            for step in 0..served {
+                assert_eq!(reader.begin_step().unwrap(), StepStatus::Ready(step));
+                reader.end_step();
+            }
+            let err = reader.begin_step().unwrap_err();
+            assert!(matches!(err, StreamError::PeerGone { .. }), "{err:?}");
+            assert!(started.elapsed() < Duration::from_secs(10));
+        }
+    }
+
+    #[test]
+    fn a_full_queue_surfaces_from_end_step_as_the_brokers_timeout() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let hub = StreamHub::connect(&broker.url()).unwrap();
+        hub.set_wait_timeout(Duration::from_secs(1));
+        let mut reader = broker.hub().open_reader("full.fp", 0, 1);
+        let mut w = hub.open_writer("full.fp", 0, 1, WriterOptions::buffered(1));
+        w.begin_step().unwrap();
+        w.put_whole(var(vec![0.0]));
+        w.end_step().unwrap();
+        // The reader holds step 0, so step 1 has no buffer space.
+        assert_eq!(reader.begin_step().unwrap(), StepStatus::Ready(0));
+        w.begin_step().unwrap();
+        w.put_whole(var(vec![1.0]));
+        match w.end_step() {
+            Err(StreamError::Timeout { waiting_for, .. }) => {
+                assert_eq!(waiting_for, "buffer space")
+            }
+            other => panic!("expected the broker's buffer-space timeout, got {other:?}"),
+        }
+        w.abandon();
+        reader.end_step();
+    }
+
+    #[test]
+    fn a_writer_hello_that_disagrees_with_its_group_is_refused() {
+        let hub = StreamHub::new();
+        let relays = Arc::default();
+        let _rank0 = hub.open_writer("g.fp", 0, 2, WriterOptions::default());
+        for (hello, why) in [
+            (writer_hello("g.fp", 1, 3, 4), "disagree on group size"),
+            (writer_hello("g.fp", 1, 2, 2), "disagree on options"),
+        ] {
+            let session = Session::open(&hub, &relays, hello);
+            assert!(refusal(&session.reply()).contains(why));
+            let err = session.end().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_reader_hello_that_disagrees_with_its_group_is_refused() {
+        let hub = StreamHub::new();
+        let _rank0 = hub.open_reader_grouped("g.fp", "g", 0, 2);
+        let session = Session::open(&hub, &Arc::default(), reader_hello("g.fp", "g", 1, 3));
+        assert!(refusal(&session.reply()).contains("disagree on group size"));
+        let err = session.end().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn writer_ranks_that_disagree_on_metadata_are_refused() {
+        let hub = StreamHub::new();
+        // Two rows of a `grid` the ranks disagree on the length of.
+        let rows = |len, base| {
+            let meta = sb_data::VariableMeta::new("grid", Shape::linear("n", len), DType::F64);
+            let region = Region::new(vec![base], vec![2]);
+            Chunk::new(meta, region, Buffer::F64(vec![0.0; 2])).unwrap()
+        };
+        let mut rank0 = hub.open_writer("meta.fp", 0, 2, WriterOptions::default());
+        rank0.begin_step().unwrap();
+        rank0.put(rows(4, 0));
+        let session = Session::open(&hub, &Arc::default(), writer_hello("meta.fp", 1, 2, 4));
+        assert_eq!(session.reply()[0], REPLY_STARTED);
+        session.send(w_step(0, &[rows(5, 2)], &mut MetaInternTable::default()));
+        assert!(refusal(&session.reply()).contains("disagree on metadata"));
+        session.end().unwrap();
+        rank0.abandon();
+    }
+
+    #[test]
+    fn two_connections_claiming_one_writer_rank_cannot_commit_a_step_twice() {
+        let hub = StreamHub::with_timeout(Duration::from_secs(30));
+        let mut reader = hub.open_reader("dup.fp", 0, 1);
+        let mut w = hub.open_writer("dup.fp", 0, 1, WriterOptions::default());
+        w.begin_step().unwrap();
+        w.put_whole(var(vec![1.0]));
+        w.end_step().unwrap();
+        // A second rank 0 resumes where the registration started, at the
+        // step the first one committed: neither its put nor, for a step
+        // with no chunks, its commit may land.
+        let session = Session::open(&hub, &Arc::default(), writer_hello("dup.fp", 0, 1, 4));
+        assert_eq!(session.reply()[0], REPLY_STARTED);
+        let mut table = MetaInternTable::default();
+        let chunk = Chunk::whole(var(vec![2.0]));
+        session.send(w_step(0, &[chunk], &mut table));
+        assert!(refusal(&session.reply()).contains("put to step 0, which is not open"));
+        session.send(w_step(0, &[], &mut table));
+        assert!(refusal(&session.reply()).contains("end of step 0, which is not open"));
+        session.end().unwrap();
+        assert_eq!(reader.begin_step().unwrap(), StepStatus::Ready(0));
+        assert_eq!(reader.get_whole("x").unwrap().data.to_f64_vec(), [1.0]);
+        reader.end_step();
+        w.close();
+    }
+
+    #[test]
+    fn two_connections_claiming_one_reader_rank_cannot_release_a_step_twice() {
+        let hub = StreamHub::with_timeout(Duration::from_secs(30));
+        let relays = Arc::default();
+        let mut w = hub.open_writer("twice.fp", 0, 1, WriterOptions::default());
+        w.begin_step().unwrap();
+        w.put_whole(var(vec![1.0]));
+        w.end_step().unwrap();
+        let mut begin = vec![R_BEGIN];
+        put_u64(&mut begin, 0);
+        let mut release = vec![R_RELEASE];
+        put_u64(&mut release, 0);
+        // Both connections hold step 0 before either releases it.
+        let sessions: Vec<Session> = (0..2)
+            .map(|_| {
+                let session = Session::open(&hub, &relays, reader_hello("twice.fp", "g", 0, 1));
+                session.send(begin.clone());
+                assert_eq!(session.reply()[0], REPLY_STARTED);
+                assert_eq!(session.reply()[0], REPLY_STEP);
+                session
+            })
+            .collect();
+        // The first release lands and that session ends on the hang-up; the
+        // second is refused.
+        let ended: Vec<io::ErrorKind> = sessions
+            .into_iter()
+            .map(|session| {
+                session.send(release.clone());
+                session.end().unwrap_err().kind()
+            })
+            .collect();
+        let kinds = [io::ErrorKind::UnexpectedEof, io::ErrorKind::InvalidData];
+        assert_eq!(ended, kinds);
+        w.close();
     }
 
     fn tcp_pair() -> (TcpStream, TcpStream) {

@@ -96,7 +96,9 @@ pub enum EventKind {
     /// Time a component rank spent publishing its output step (begin_step
     /// through end_step on the output stream, including backpressure).
     Publish,
-    /// A writer rank blocked in `begin_step` until buffer space freed.
+    /// A writer rank blocked in `begin_step` (in process, until buffer
+    /// space freed) or in `end_step` (a rendezvous hand-off; over a remote
+    /// fabric, the whole step's one round trip, buffer space included).
     WriterBlocked,
     /// A reader rank blocked in `begin_step` until a step was committed.
     ReaderBlocked,

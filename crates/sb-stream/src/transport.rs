@@ -21,12 +21,16 @@
 //!
 //! ## Contract
 //!
-//! Opening endpoints is infallible so components never special-case the
-//! backend; a backend that must connect somewhere does so eagerly at open
-//! and surfaces any failure as a [`StreamError`] from the first blocking
-//! call. Blocking calls return [`StreamError::Timeout`] after the hub
-//! deadline and [`StreamError::PeerGone`] when the peer or the supervisor
-//! tore the stream down — never a panic, never a hang.
+//! A backend that must connect somewhere does so eagerly at open and
+//! surfaces any failure as a [`StreamError`] from the first blocking call,
+//! so components never special-case the backend. An open, a put or a
+//! release that breaks the group protocol — a rank disagreeing with its
+//! group's size, options or metadata, a step committed or released twice —
+//! is refused with [`StreamError::PeerGone`]: the handles panic on it in
+//! process, a broker session answers it over the socket. Blocking calls
+//! return [`StreamError::Timeout`] after the hub deadline and
+//! [`StreamError::PeerGone`] when the peer or the supervisor tore the
+//! stream down — never a hang.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,11 +51,13 @@ use crate::trace::Tracer;
 /// `begin_step(s) → put(s)* → end_step(s)` with `s` strictly increasing,
 /// terminated by exactly one of `close`, `abandon`, or `disconnect`.
 pub trait WriterEndpoint: Send {
-    /// Opens `step`, blocking while the writer-side buffer is full.
+    /// Opens `step`. In process this blocks while the writer-side buffer is
+    /// full; a remote writer sends nothing here, and the broker waits for
+    /// buffer space when the step arrives, inside `end_step`.
     fn begin_step(&mut self, step: u64) -> StreamResult<()>;
 
     /// Contributes one chunk to the open step.
-    fn put(&mut self, step: u64, chunk: Chunk);
+    fn put(&mut self, step: u64, chunk: Chunk) -> StreamResult<()>;
 
     /// Commits the open step; in rendezvous mode, blocks until consumed.
     fn end_step(&mut self, step: u64) -> StreamResult<()>;
@@ -91,7 +97,7 @@ pub trait ReaderEndpoint: Send {
     /// so a remote backend can ask for only those bytes of `step + 1`. Empty
     /// for backends that hand steps over by reference, and when the rank
     /// read more than [`MAX_STEP_BOXES`].
-    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]);
+    fn release_step(&mut self, step: u64, boxes: &[(String, Region)]) -> StreamResult<()>;
 
     /// Steps the writer group has committed so far (diagnostics).
     fn committed_steps(&self) -> u64;
@@ -109,25 +115,6 @@ pub struct WriterConnection {
     pub(crate) counters: Arc<Counters>,
 }
 
-impl WriterConnection {
-    /// Builds a connection for a custom backend (with a fresh counter
-    /// block; in-tree backends share one per stream).
-    pub fn new(
-        endpoint: Box<dyn WriterEndpoint>,
-        start_step: u64,
-        tracer: Arc<Tracer>,
-        trace_id: u32,
-    ) -> WriterConnection {
-        WriterConnection {
-            endpoint,
-            start_step,
-            tracer,
-            trace_id,
-            counters: Arc::new(Counters::default()),
-        }
-    }
-}
-
 /// What [`Transport::open_reader`] hands back: the endpoint, the first step
 /// this rank will observe, the tracer identity, and the counter block the
 /// reader's MxN assembly path charges its copies/reads to.
@@ -143,26 +130,6 @@ pub struct ReaderConnection {
     pub(crate) learns_boxes: bool,
 }
 
-impl ReaderConnection {
-    /// Builds a connection for a custom backend (with a fresh counter
-    /// block; in-tree backends share one per stream).
-    pub fn new(
-        endpoint: Box<dyn ReaderEndpoint>,
-        first_step: u64,
-        tracer: Arc<Tracer>,
-        trace_id: u32,
-    ) -> ReaderConnection {
-        ReaderConnection {
-            endpoint,
-            first_step,
-            tracer,
-            trace_id,
-            counters: Arc::new(Counters::default()),
-            learns_boxes: false,
-        }
-    }
-}
-
 /// A stream transport backend: name-based endpoint rendezvous plus the
 /// supervision verbs the workflow runtime drives.
 pub trait Transport: Send + Sync {
@@ -176,10 +143,16 @@ pub trait Transport: Send + Sync {
         rank: usize,
         nranks: usize,
         options: WriterOptions,
-    ) -> WriterConnection;
+    ) -> StreamResult<WriterConnection>;
 
     /// Opens the reader side of `name` for one rank of reader group `group`.
-    fn open_reader(&self, name: &str, group: &str, rank: usize, nranks: usize) -> ReaderConnection;
+    fn open_reader(
+        &self,
+        name: &str,
+        group: &str,
+        rank: usize,
+        nranks: usize,
+    ) -> StreamResult<ReaderConnection>;
 
     /// Names of all streams opened so far, sorted.
     fn stream_names(&self) -> Vec<String>;
@@ -262,8 +235,8 @@ impl WriterEndpoint for InProcWriter {
         self.stream.writer_begin_step(step)
     }
 
-    fn put(&mut self, step: u64, chunk: Chunk) {
-        self.stream.writer_put(step, chunk);
+    fn put(&mut self, step: u64, chunk: Chunk) -> StreamResult<()> {
+        self.stream.writer_put(step, chunk)
     }
 
     fn end_step(&mut self, step: u64) -> StreamResult<()> {
@@ -295,8 +268,8 @@ impl ReaderEndpoint for InProcReader {
         self.stream.reader_begin_step(step)
     }
 
-    fn release_step(&mut self, step: u64, _boxes: &[(String, Region)]) {
-        self.stream.reader_end_step(&self.group, step, self.nranks);
+    fn release_step(&mut self, step: u64, _boxes: &[(String, Region)]) -> StreamResult<()> {
+        self.stream.reader_end_step(&self.group, step, self.nranks)
     }
 
     fn committed_steps(&self) -> u64 {
@@ -315,10 +288,10 @@ impl Transport for InProcTransport {
         rank: usize,
         nranks: usize,
         options: WriterOptions,
-    ) -> WriterConnection {
+    ) -> StreamResult<WriterConnection> {
         let stream = self.stream(name);
-        let start_step = stream.register_writer(nranks, options);
-        WriterConnection {
+        let start_step = stream.register_writer(nranks, options)?;
+        Ok(WriterConnection {
             start_step,
             tracer: Arc::clone(&stream.tracer),
             trace_id: stream.trace_id,
@@ -328,14 +301,20 @@ impl Transport for InProcTransport {
                 rank,
                 nranks,
             }),
-        }
+        })
     }
 
-    fn open_reader(&self, name: &str, group: &str, rank: usize, nranks: usize) -> ReaderConnection {
+    fn open_reader(
+        &self,
+        name: &str,
+        group: &str,
+        rank: usize,
+        nranks: usize,
+    ) -> StreamResult<ReaderConnection> {
         let _ = rank;
         let stream = self.stream(name);
-        let first_step = stream.register_reader(group, nranks);
-        ReaderConnection {
+        let first_step = stream.register_reader(group, nranks)?;
+        Ok(ReaderConnection {
             first_step,
             tracer: Arc::clone(&stream.tracer),
             trace_id: stream.trace_id,
@@ -346,7 +325,7 @@ impl Transport for InProcTransport {
                 group: group.to_string(),
                 nranks,
             }),
-        }
+        })
     }
 
     fn stream_names(&self) -> Vec<String> {

@@ -70,29 +70,45 @@ impl StreamWriter {
         &self.tracer
     }
 
-    /// Opens the next step, blocking while the writer-side buffer is full.
-    pub fn begin_step(&mut self) -> StreamResult<()> {
-        assert!(!self.closed, "begin_step on a closed writer");
-        assert!(!self.in_step, "begin_step called twice without end_step");
+    /// Runs one endpoint call that may block inside a `writer_blocked` span.
+    fn blocking(
+        &mut self,
+        call: fn(&mut dyn WriterEndpoint, u64) -> StreamResult<()>,
+    ) -> StreamResult<()> {
         let start_ns = if self.tracer.enabled() {
             self.tracer.now_ns()
         } else {
             0
         };
-        self.endpoint.begin_step(self.next_step)?;
+        call(&mut *self.endpoint, self.next_step)?;
         self.tracer.span(
             EventKind::WriterBlocked,
             TraceSite::stream(self.trace_id, self.rank, self.next_step),
             start_ns,
         );
+        Ok(())
+    }
+
+    /// Opens the next step. In process this blocks while the writer-side
+    /// buffer is full; a remote writer returns at once (or with the error
+    /// its open stored), and the wait for buffer space happens broker-side
+    /// inside [`end_step`](Self::end_step).
+    pub fn begin_step(&mut self) -> StreamResult<()> {
+        assert!(!self.closed, "begin_step on a closed writer");
+        assert!(!self.in_step, "begin_step called twice without end_step");
+        self.blocking(|endpoint, step| endpoint.begin_step(step))?;
         self.in_step = true;
         Ok(())
     }
 
-    /// Contributes one chunk of a variable to the open step.
+    /// Contributes one chunk of a variable to the open step. Panics when the
+    /// hub refuses it: a chunk whose metadata disagrees with what another
+    /// rank put for the same variable.
     pub fn put(&mut self, chunk: Chunk) {
         assert!(self.in_step, "put outside begin_step/end_step");
-        self.endpoint.put(self.next_step, chunk);
+        self.endpoint
+            .put(self.next_step, chunk)
+            .expect("the hub refused the chunk");
     }
 
     /// Convenience: contributes an entire variable as this rank's chunk
@@ -102,10 +118,13 @@ impl StreamWriter {
     }
 
     /// Commits the open step. The last committing rank publishes it to
-    /// readers; in rendezvous mode this blocks until it is consumed.
+    /// readers; in rendezvous mode this blocks until it is consumed. A remote
+    /// writer sends the whole step here and blocks for the broker's one
+    /// reply, which also covers the wait for buffer space: a full queue
+    /// surfaces here as `Timeout { waiting_for: "buffer space" }`.
     pub fn end_step(&mut self) -> StreamResult<()> {
         assert!(self.in_step, "end_step without begin_step");
-        self.endpoint.end_step(self.next_step)?;
+        self.blocking(|endpoint, step| endpoint.end_step(step))?;
         self.in_step = false;
         self.next_step += 1;
         Ok(())

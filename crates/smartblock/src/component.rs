@@ -346,6 +346,13 @@ enum Exit {
 /// `Stall`: a stalled rank never comes back, so the readers it starves get
 /// a prompt [`StreamError::PeerGone`] instead of waiting out the hub
 /// timeout.
+///
+/// A run whose outputs resume at different steps does not start: it fails
+/// with [`ComponentError::OutputsOutOfStep`] and abandons them. That is a
+/// restart after a step committed on some outputs and failed on others — a
+/// remote commit that timed out waiting for buffer space, say — and running
+/// would write input step s + 1 as step s on the lagging output, so a join
+/// downstream would pair the wrong data.
 pub fn run_steps<F>(
     ports: Ports<'_>,
     comm: &Communicator,
@@ -367,15 +374,17 @@ where
         .map(|(stream, options)| hub.open_writer(stream, rank, size, *options))
         .collect();
     let mut stats = ComponentStats::default();
-    let exit = step_loop(
-        ports.label,
-        comm,
-        hub,
-        &mut readers,
-        &mut writers,
-        &mut stats,
-        &mut per_step,
-    );
+    let exit = outputs_in_step(&ports, &writers).and_then(|()| {
+        step_loop(
+            ports.label,
+            comm,
+            hub,
+            &mut readers,
+            &mut writers,
+            &mut stats,
+            &mut per_step,
+        )
+    });
     match exit {
         Ok(Exit::Ended) => writers.iter_mut().for_each(StreamWriter::close),
         Ok(Exit::Stalled) => writers.iter_mut().for_each(StreamWriter::disconnect),
@@ -386,6 +395,24 @@ where
         }
     }
     Ok(stats)
+}
+
+/// [`ComponentError::OutputsOutOfStep`] unless every output resumes at the
+/// same step.
+fn outputs_in_step(ports: &Ports<'_>, writers: &[StreamWriter]) -> Result<(), ComponentError> {
+    let steps: Vec<u64> = writers.iter().map(StreamWriter::current_step).collect();
+    if steps.windows(2).all(|pair| pair[0] == pair[1]) {
+        return Ok(());
+    }
+    Err(ComponentError::OutputsOutOfStep {
+        label: ports.label.to_string(),
+        outputs: ports
+            .outputs
+            .iter()
+            .map(|(stream, _)| stream.to_string())
+            .zip(steps)
+            .collect(),
+    })
 }
 
 fn step_loop<F>(
@@ -734,6 +761,51 @@ mod tests {
                 assert_eq!(metrics.steps_consumed, fed(i), "{row}: {name} drained");
             }
         }
+    }
+
+    #[test]
+    fn a_restart_whose_outputs_are_out_of_step_does_not_run() {
+        // The first incarnation committed step 1 on one output and failed
+        // before committing it on the other.
+        let hub = StreamHub::new();
+        let deep = WriterOptions::buffered(2 * STEPS as usize);
+        let outputs = [("ahead.fp", deep), ("behind.fp", deep)];
+        for ((name, _), steps) in outputs.iter().zip([2, 1]) {
+            let mut w = hub.open_writer(name, 0, 1, deep);
+            for step in 0..steps {
+                w.begin_step().unwrap();
+                w.put_whole(var("y", step));
+                w.end_step().unwrap();
+            }
+            w.abandon();
+        }
+        hub.prepare_restart(&[], &outputs.map(|(name, _)| name.to_string()));
+
+        let run_hub = Arc::clone(&hub);
+        let result = sb_comm::LaunchHandle::spawn("fork", 1, move |comm| {
+            let ports = Ports {
+                label: "fork",
+                inputs: &[],
+                outputs: &outputs,
+            };
+            run_steps(ports, &comm, &run_hub, |_| panic!("the step loop ran"))
+        })
+        .unwrap()
+        .join()
+        .unwrap()
+        .remove(0);
+        match result {
+            Err(ComponentError::OutputsOutOfStep { label, outputs }) => {
+                assert_eq!(label, "fork");
+                let resume = [("ahead.fp".to_string(), 2), ("behind.fp".to_string(), 1)];
+                assert_eq!(outputs, resume);
+            }
+            other => panic!("expected OutputsOutOfStep, got {other:?}"),
+        }
+        // Abandoned, not closed: no reader may take the refusal for an end.
+        hub.set_wait_timeout(Duration::from_millis(40));
+        assert_eq!(observe(&hub, "ahead.fp"), (vec![true; 2], Left::Abandoned));
+        assert_eq!(observe(&hub, "behind.fp"), (vec![true], Left::Abandoned));
     }
 
     #[test]

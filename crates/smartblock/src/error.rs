@@ -102,6 +102,15 @@ pub enum ComponentError {
         /// The underlying launch error.
         source: CommError,
     },
+    /// The component's outputs resume at different steps — an earlier
+    /// incarnation committed a step on some outputs and not on others — so
+    /// running it would label one input step differently on each.
+    OutputsOutOfStep {
+        /// Component label.
+        label: String,
+        /// Each output stream and the step it resumes at.
+        outputs: Vec<(String, u64)>,
+    },
 }
 
 impl ComponentError {
@@ -128,7 +137,8 @@ impl ComponentError {
             | ComponentError::Data { label, .. }
             | ComponentError::Injected { label, .. }
             | ComponentError::Panicked { label, .. }
-            | ComponentError::Launch { label, .. } => label,
+            | ComponentError::Launch { label, .. }
+            | ComponentError::OutputsOutOfStep { label, .. } => label,
         }
     }
 
@@ -174,6 +184,13 @@ impl fmt::Display for ComponentError {
             } => write!(f, "component {label:?}: rank {rank} panicked: {message}"),
             ComponentError::Launch { label, source } => {
                 write!(f, "component {label:?}: launch failed: {source}")
+            }
+            ComponentError::OutputsOutOfStep { label, outputs } => {
+                write!(f, "component {label:?}: outputs resume at different steps:")?;
+                for (stream, step) in outputs {
+                    write!(f, " {stream:?} at {step}")?;
+                }
+                Ok(())
             }
         }
     }

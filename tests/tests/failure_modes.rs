@@ -1008,8 +1008,9 @@ fn spawn_broker(addr: &str) -> (std::process::Child, String) {
 }
 
 /// Kill the **broker**, not a component (ROADMAP 4d): a reader blocked in
-/// `begin_step`, a writer blocked in `begin_step` on a full queue and a
-/// rendezvous writer blocked in `end_step` all see the broker's death as
+/// `begin_step`, a writer blocked in `end_step` on a full queue (a remote
+/// step waits at the broker for buffer space) and a rendezvous writer
+/// blocked in `end_step` all see the broker's death as
 /// `PeerGone` — at once, from the socket EOF, so well within the read grace
 /// and nowhere near the 120 s hub timeout.
 fn assert_killed_broker_fails_every_blocked_client(addr: &str) {
@@ -1040,7 +1041,9 @@ fn assert_killed_broker_fails_every_blocked_client(addr: &str) {
             w.begin_step().unwrap();
             w.put_whole(tiny_source(0));
             w.end_step().unwrap();
-            let err = w.begin_step().unwrap_err();
+            w.begin_step().unwrap();
+            w.put_whole(tiny_source(1));
+            let err = w.end_step().unwrap_err();
             w.abandon();
             err
         }),
