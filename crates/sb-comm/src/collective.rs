@@ -357,91 +357,8 @@ impl Communicator {
         out[rank].clone()
     }
 
-    /// All-to-all personalized exchange: rank *r* supplies one value per
-    /// destination and receives one value per source (`out[s]` came from
-    /// rank *s*'s `values[r]`).
-    pub fn alltoall<T>(&self, values: Vec<T>) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        assert_eq!(
-            values.len(),
-            self.size,
-            "alltoall: supply exactly one value per rank"
-        );
-        let rank = self.rank;
-        let out = self.collective::<Vec<Vec<T>>, _>(Box::new(values), |inputs| {
-            inputs
-                .into_iter()
-                .map(|b| {
-                    *b.downcast::<Vec<T>>()
-                        .expect("alltoall payload type mismatch")
-                })
-                .collect()
-        });
-        out.iter().map(|row| row[rank].clone()).collect()
-    }
-
-    /// Splits the communicator MPI-style: ranks passing the same `color`
-    /// land in a fresh sub-communicator together; ranks within a color are
-    /// ordered by `key` (ties broken by parent rank). Ranks passing
-    /// `color = None` receive `None` (the `MPI_UNDEFINED` case).
-    ///
-    /// Collective: every rank of the parent must call it.
-    ///
-    /// ```
-    /// use sb_comm::launch;
-    /// let sums = launch(4, |comm| {
-    ///     let sub = comm.split(Some((comm.rank() % 2) as u64), 0).unwrap();
-    ///     sub.allreduce(comm.rank(), |a, b| a + b)
-    /// })
-    /// .unwrap();
-    /// assert_eq!(sums, vec![0 + 2, 1 + 3, 0 + 2, 1 + 3]);
-    /// ```
-    pub fn split(&self, color: Option<u64>, key: i64) -> Option<Communicator> {
-        let rank = self.rank;
-        let all = self.allgather((color, key, rank));
-        let my_color = color?;
-        // Members of my color, ordered by (key, parent rank).
-        let mut members: Vec<(i64, usize)> = all
-            .iter()
-            .filter_map(|&(c, k, r)| (c == Some(my_color)).then_some((k, r)))
-            .collect();
-        members.sort_unstable();
-        let my_new_rank = members
-            .iter()
-            .position(|&(_, r)| r == rank)
-            .expect("caller is a member of its own color");
-
-        // The lowest parent rank of each color creates that color's handles
-        // and distributes them to the members via point-to-point messages.
-        let leader = members[0].1;
-        const SPLIT_TAG: u64 = u64::MAX - 51;
-        if rank == leader {
-            let comms = Communicator::create(members.len());
-            let mut mine = None;
-            for ((_, dest), comm) in members.iter().zip(comms) {
-                if *dest == rank {
-                    debug_assert_eq!(comm.rank(), my_new_rank);
-                    mine = Some(comm);
-                } else {
-                    self.send(*dest, SPLIT_TAG, comm);
-                }
-            }
-            Some(mine.expect("leader is one of its members"))
-        } else {
-            let comm: Communicator = self.recv(leader, SPLIT_TAG);
-            debug_assert_eq!(comm.rank(), my_new_rank);
-            Some(comm)
-        }
-    }
-
     /// Sends `value` to `dst` under `tag`. Never blocks (the underlying
     /// queues are unbounded, like MPI eager sends at these payload sizes).
-    ///
-    /// Tags at and above `u64::MAX - 127` are reserved for internal
-    /// protocols ([`Communicator::split`], [`crate::tree`]); user tags must
-    /// stay below that range.
     pub fn send<T: Send + 'static>(&self, dst: usize, tag: u64, value: T) {
         assert!(dst < self.size, "send destination {dst} out of range");
         self.endpoint.send(self.rank, dst, tag, Box::new(value));
@@ -460,29 +377,6 @@ impl Communicator {
             .payload
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("recv: payload type mismatch from rank {src} tag {tag}"))
-    }
-
-    /// Non-blocking receive: returns a matching queued message if one has
-    /// already arrived.
-    pub fn try_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<T> {
-        assert!(src < self.size, "recv source {src} out of range");
-        let packet = self.endpoint.try_recv(src, tag)?;
-        Some(*packet.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!("try_recv: payload type mismatch from rank {src} tag {tag}")
-        }))
-    }
-
-    /// Blocks for the next message carrying `tag` from *any* rank; returns
-    /// `(source_rank, value)`.
-    pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> (usize, T) {
-        let packet = self.endpoint.recv_any(tag);
-        let src = packet.src;
-        (
-            src,
-            *packet.payload.downcast::<T>().unwrap_or_else(|_| {
-                panic!("recv_any: payload type mismatch from rank {src} tag {tag}")
-            }),
-        )
     }
 }
 
@@ -612,21 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_transposes() {
-        let out = launch(3, |comm| {
-            let values: Vec<(usize, usize)> = (0..3).map(|dst| (comm.rank(), dst)).collect();
-            comm.alltoall(values)
-        })
-        .unwrap();
-        for (rank, row) in out.iter().enumerate() {
-            for (src, &(from, to)) in row.iter().enumerate() {
-                assert_eq!(from, src);
-                assert_eq!(to, rank);
-            }
-        }
-    }
-
-    #[test]
     fn repeated_collectives_do_not_cross_talk() {
         let out = launch(4, |comm| {
             let mut acc = 0u64;
@@ -658,104 +537,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn recv_any_reports_source() {
-        let out = launch(4, |comm| {
-            if comm.rank() == 0 {
-                let mut seen = vec![];
-                for _ in 0..3 {
-                    let (src, v): (usize, usize) = comm.recv_any(1);
-                    assert_eq!(v, src * 2);
-                    seen.push(src);
-                }
-                seen.sort_unstable();
-                assert_eq!(seen, vec![1, 2, 3]);
-            } else {
-                comm.send(0, 1, comm.rank() * 2);
-            }
-        })
-        .unwrap();
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        launch(2, |comm| {
-            if comm.rank() == 0 {
-                assert!(comm.try_recv::<u32>(1, 5).is_none());
-                comm.barrier(); // let rank 1 send
-                comm.barrier(); // ensure delivery ordering via rendezvous
-                                // After both barriers the message is in flight or arrived;
-                                // recv (blocking) must find it.
-                let v: u32 = comm.recv(1, 5);
-                assert_eq!(v, 77);
-            } else {
-                comm.barrier();
-                comm.send(0, 5, 77u32);
-                comm.barrier();
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn split_partitions_by_color_with_key_order() {
-        let out = launch(6, |comm| {
-            // Colors: even/odd parent rank; key reverses the parent order.
-            let color = Some((comm.rank() % 2) as u64);
-            let key = -(comm.rank() as i64);
-            let sub = comm.split(color, key).expect("everyone has a color");
-            // Each sub-communicator has 3 ranks and works.
-            let members = sub.allgather(comm.rank());
-            let sum = sub.allreduce(1u32, |a, b| a + b);
-            (sub.rank(), sub.size(), members, sum)
-        })
-        .unwrap();
-        for (parent_rank, (sub_rank, sub_size, members, sum)) in out.iter().enumerate() {
-            assert_eq!(*sub_size, 3);
-            assert_eq!(*sum, 3);
-            // Reversed key ordering: highest parent rank becomes rank 0.
-            let mut expect: Vec<usize> = (0..6).filter(|r| r % 2 == parent_rank % 2).collect();
-            expect.reverse();
-            assert_eq!(members, &expect);
-            assert_eq!(expect[*sub_rank], parent_rank);
-        }
-    }
-
-    #[test]
-    fn split_with_undefined_color_returns_none() {
-        let out = launch(4, |comm| {
-            let color = (comm.rank() != 0).then_some(7u64);
-            match comm.split(color, 0) {
-                None => {
-                    assert_eq!(comm.rank(), 0);
-                    0
-                }
-                Some(sub) => {
-                    assert_eq!(sub.size(), 3);
-                    sub.allreduce(1usize, |a, b| a + b)
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(out, vec![0, 3, 3, 3]);
-    }
-
-    #[test]
-    fn split_subcommunicators_are_independent() {
-        launch(4, |comm| {
-            let sub = comm.split(Some((comm.rank() / 2) as u64), 0).unwrap();
-            // Interleave parent and sub collectives; no cross-talk.
-            for round in 0..10u64 {
-                let parent_sum = comm.allreduce(round, |a, b| a + b);
-                assert_eq!(parent_sum, 4 * round);
-                let sub_sum = sub.allreduce(round, |a, b| a + b);
-                assert_eq!(sub_sum, 2 * round);
-            }
-        })
-        .unwrap();
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! This crate provides the same programming model on a single machine: each
 //! *rank* is an OS thread, and a [`Communicator`] handle gives that thread
 //! its rank id, the communicator size, blocking collectives (barrier,
-//! broadcast, reduce, allreduce, gather, allgather, scatter, scan,
-//! all-to-all) and tagged point-to-point `send`/`recv`.
+//! broadcast, reduce, allreduce, gather, allgather, scatter, scan) and
+//! tagged point-to-point `send`/`recv`.
 //!
 //! Collectives are *deterministic*: reductions fold contributions in rank
 //! order, so results are reproducible regardless of thread scheduling — a
@@ -31,7 +31,6 @@ mod error;
 mod launch;
 mod p2p;
 mod stopwatch;
-pub mod tree;
 
 pub use collective::Communicator;
 pub use error::{CommError, CommResult};

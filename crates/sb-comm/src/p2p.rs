@@ -70,35 +70,6 @@ impl Endpoint {
         }
     }
 
-    pub(crate) fn recv_any(&self, tag: u64) -> Packet {
-        if let Some(p) = self.take_stashed(|p| p.tag == tag) {
-            return p;
-        }
-        loop {
-            let packet = self
-                .receiver
-                .recv()
-                .unwrap_or_else(|_| panic!("recv_any: all peers exited while awaiting tag {tag}"));
-            if packet.tag == tag {
-                return packet;
-            }
-            self.stash.borrow_mut().push_back(packet);
-        }
-    }
-
-    pub(crate) fn try_recv(&self, src: usize, tag: u64) -> Option<Packet> {
-        if let Some(p) = self.take_stashed(|p| p.src == src && p.tag == tag) {
-            return Some(p);
-        }
-        while let Ok(packet) = self.receiver.try_recv() {
-            if packet.src == src && packet.tag == tag {
-                return Some(packet);
-            }
-            self.stash.borrow_mut().push_back(packet);
-        }
-        None
-    }
-
     fn take_stashed(&self, matches: impl Fn(&Packet) -> bool) -> Option<Packet> {
         let mut stash = self.stash.borrow_mut();
         let idx = stash.iter().position(matches)?;

@@ -282,7 +282,7 @@ impl Buffer {
     ///
     /// This is the typed fast path of the Select kernel. Indices are
     /// validated once, adjacent ones are coalesced into contiguous runs of
-    /// the `[d * post]` source row ([`coalesce_runs`]), and every source row
+    /// the `[d * post]` source row (`coalesce_runs`), and every source row
     /// is then copied run by run — so keeping columns 2, 3, 4 of a
     /// five-column table is one three-element copy per row, not three
     /// one-element copies.

@@ -18,15 +18,15 @@
 //! ```
 //!
 //! A nibble of 15 spills into extension bytes (each `0xff` adds 255, the
-//! first other byte terminates). Matches are at least [`MIN_MATCH`] bytes
-//! and reference up to [`MAX_OFFSET`] bytes back; a match may overlap its
+//! first other byte terminates). Matches are at least `MIN_MATCH` bytes
+//! and reference up to `MAX_OFFSET` bytes back; a match may overlap its
 //! own output (offset < length), which is how runs compress. The final
 //! sequence carries literals only — the input simply ends after them.
 //!
 //! Decoding is total: corrupt input yields a [`DataError::Container`],
 //! never a panic, and the output allocation is bounded both by the caller's
 //! `expected_len` (which the wire layer derives from the chunk header) and
-//! by [`MAX_EXPANSION`] times the block's own length, so a forged header
+//! by `MAX_EXPANSION` times the block's own length, so a forged header
 //! cannot make a short block reserve more than the bytes that arrived could
 //! decode to.
 

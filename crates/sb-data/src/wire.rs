@@ -454,7 +454,7 @@ fn lz_worth_trying(data: &Buffer) -> bool {
 /// connection's table, and the matching definition must reach the receiver
 /// no later than this chunk. With [`Compression::Lz`] the payload is
 /// compressed per chunk and kept only if it actually shrank; incompressible
-/// chunks fall back to raw storage, tagged as such. Above [`SAMPLE`] bytes
+/// chunks fall back to raw storage, tagged as such. Above `SAMPLE` bytes
 /// a sample decides first, and a chunk whose sample does not shrink is
 /// emitted exactly as [`Compression::None`] would emit it, in one pass.
 pub fn encode_chunk_interned(

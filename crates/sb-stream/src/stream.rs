@@ -715,3 +715,48 @@ impl Stream {
         self.cond.notify_all();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn steps_consumed_is_the_oldest_buffered_step() {
+        // The broker's relay cache keeps a step only while this holds: it
+        // reads `steps_consumed` as the hub's oldest buffered step.
+        let stream = Stream::new(
+            "s.fp".to_string(),
+            Arc::new(AtomicU64::new(10_000_000)),
+            Arc::new(Tracer::new()),
+        );
+        let agree = |stream: &Stream, base: u64| {
+            assert_eq!(lock(&stream.state).base_step, base);
+            assert_eq!(stream.counters.steps_consumed.load(Ordering::Relaxed), base);
+        };
+        let options = WriterOptions::default().with_reader_groups(2);
+        stream.register_writer(1, options).unwrap();
+        for group in ["a", "b"] {
+            stream.register_reader(group, 1).unwrap();
+        }
+        for step in 0..3 {
+            stream.writer_begin_step(step).unwrap();
+            stream.writer_end_step(step, 0, 1).unwrap();
+        }
+        // A release that completes the step pops it.
+        stream.reader_end_step("a", 0, 1).unwrap();
+        agree(&stream, 0);
+        stream.reader_end_step("b", 0, 1).unwrap();
+        agree(&stream, 1);
+        // Detaching the one group still holding step 1 pops it.
+        stream.reader_end_step("a", 1, 1).unwrap();
+        stream.detach_reader_group("b");
+        agree(&stream, 2);
+        // Discarding a half-written trailing step pops nothing, nor does
+        // reopening the writer registration.
+        stream.writer_begin_step(3).unwrap();
+        stream.force_end_of_stream();
+        agree(&stream, 2);
+        stream.reattach_writer();
+        agree(&stream, 2);
+    }
+}

@@ -30,17 +30,21 @@
 //! ichunk     := u32 id | region | u64 nelems | u8 codec | payload
 //! ```
 //!
-//! The writer's encoded bytes are the stream's bytes: a broker writer
-//! session keeps each received `W_STEP` frame and seeds the per-stream relay
-//! cache with its chunks (meta ids rewritten in place to stream-global
-//! ones), and reader sessions answer fetches with slices of those frames —
-//! no re-encode, no second compression. A chunk nothing seeded (in-proc or
-//! v1 writer, another codec, no v2 reader attached yet) is encoded **once**
-//! per codec into the same cache and shared the same way; per-connection
-//! definition high-water marks prepend exactly the definitions a given
-//! reader still lacks. Each frame byte is charged once, to the hop it
+//! The writer's encoded bytes are the stream's bytes: once a v2 reader has
+//! opened the stream, a broker writer session keeps each received `W_STEP`
+//! frame and seeds the per-stream relay cache with its chunks (meta ids
+//! rewritten in place to stream-global ones), and reader sessions answer
+//! fetches with slices of those frames — no re-encode, no second
+//! compression. A chunk nothing seeded (in-proc or v1 writer, another
+//! codec, a step committed before any v2 reader opened the stream) is
+//! encoded **once** per codec into the same cache and shared the same way;
+//! per-connection definition high-water marks prepend exactly the
+//! definitions a given reader still lacks. The cache keeps a step only while
+//! the hub buffers it: every seed, reply and release first drops the steps
+//! below the stream's `steps_consumed`, and a reader session that answers
+//! end of stream empties it. Each frame byte is charged once, to the hop it
 //! crossed (writer→broker or broker→reader), by the broker sessions — see
-//! the honest-accounting notes in [`crate::metrics`].
+//! the honest-accounting notes in `crate::metrics`.
 //!
 //! ## Each reader rank is sent its box, not the step
 //!
@@ -58,7 +62,7 @@
 //! step's shape, a chunk met in anything but a row slab or by several
 //! boxes, an LZ-coded payload (a block has no addressable rows). A reply
 //! never lacks a variable. No trailer — a connection's first request, a v1
-//! or older v2 client, more than [`MAX_STEP_BOXES`] boxes — means the whole
+//! or older v2 client, more than `MAX_STEP_BOXES` boxes — means the whole
 //! step, and a broker that predates the trailer ignores it and replies
 //! whole, so every pairing of old and new peers still works.
 //!
@@ -164,13 +168,6 @@ const REPLY_METRICS: u8 = 0x86;
 /// Upper bound on a single frame; a corrupt length prefix fails cleanly
 /// instead of attempting a giant allocation.
 pub(crate) const MAX_FRAME: u32 = 1 << 30;
-
-/// Most steps the broker's relay cache spans per stream while no remote
-/// writer has declared a queue capacity to derive a tighter bound from.
-/// Steps normally leave the cache when every attached v2 reader has released
-/// them; the span only bounds what was never fetched (a premature eviction
-/// costs an encode, never correctness).
-const RELAY_CACHE_CAP: u64 = 64;
 
 /// Frame-protocol revisions the hello negotiates.
 ///
@@ -1495,12 +1492,12 @@ impl TcpBroker {
     }
 
     /// Steps of `stream` the relay cache currently holds encoded bytes for
-    /// (diagnostics: it must fall back to 0 once the stream's v2 readers
-    /// have released or left).
+    /// (diagnostics: between relay operations at most the steps the hub
+    /// buffers, and 0 once a remote reader has been told end of stream).
     #[doc(hidden)]
     pub fn relay_cached_steps(&self, stream: &str) -> usize {
         let relay = lock(&self.core.relays.streams).get(stream).cloned();
-        relay.map_or(0, |relay| lock(&relay.inner).cache.steps.len())
+        relay.map_or(0, |relay| lock(&relay.inner).steps.len())
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -1618,10 +1615,16 @@ impl RelayTable {
     }
 }
 
-/// One stream's relay state, shared by its writer and v2 reader sessions.
+/// One stream's relay state, shared by its writer and reader sessions.
 #[derive(Default)]
 struct StreamRelay {
     inner: Mutex<RelayInner>,
+    /// Set at the hello of the stream's first v2 reader session and never
+    /// cleared: until then nobody could use a writer's frame, so writer
+    /// sessions seed nothing. It publishes no other data (`Relaxed`): a
+    /// writer that sees it late costs a reader one encode, never a wrong
+    /// byte.
+    read_remotely: AtomicBool,
 }
 
 #[derive(Default)]
@@ -1630,44 +1633,9 @@ struct RelayInner {
     /// the broker side, and each session tracks its own high-water mark of
     /// ids already sent.
     table: MetaInternTable,
-    cache: StepCache,
-    /// v2 reader sessions currently attached; once each has released a
-    /// cached step, the step is dropped.
-    readers: usize,
-}
-
-/// Encoded chunks by step.
-struct StepCache {
-    steps: BTreeMap<u64, CachedStep>,
-    /// Most steps the cache may span: the writer group's queue capacity
-    /// plus one once a remote writer declared it (no step older than that
-    /// can still be unconsumed), [`RELAY_CACHE_CAP`] until then.
-    window: u64,
-}
-
-impl Default for StepCache {
-    fn default() -> StepCache {
-        StepCache {
-            steps: BTreeMap::new(),
-            window: RELAY_CACHE_CAP,
-        }
-    }
-}
-
-impl StepCache {
-    /// The entry for `step`, dropping every step that fell out of the
-    /// window ending at it.
-    fn entry(&mut self, step: u64) -> &mut CachedStep {
-        let oldest = (step + 1).saturating_sub(self.window);
-        if self
-            .steps
-            .first_key_value()
-            .is_some_and(|(&s, _)| s < oldest)
-        {
-            self.steps = self.steps.split_off(&oldest);
-        }
-        self.steps.entry(step).or_default()
-    }
+    /// Encoded chunks by step: only steps the hub still buffers (see
+    /// [`StreamRelay::retire`]).
+    steps: BTreeMap<u64, Vec<CachedChunk>>,
 }
 
 /// A run of bytes inside a shared buffer: a writer's received `W_STEP`
@@ -1742,12 +1710,6 @@ struct CachedChunk {
     bytes: Segment,
 }
 
-#[derive(Default)]
-struct CachedStep {
-    chunks: Vec<CachedChunk>,
-    releases: usize,
-}
-
 /// What [`StreamRelay::reply_step`] hands a reader session to send.
 struct StepReply {
     /// `REPLY_STEP | step | ndefs | def* | nchunks`.
@@ -1761,10 +1723,13 @@ struct StepReply {
 }
 
 impl StreamRelay {
-    /// Declares the writer group's queue capacity, which bounds how many
-    /// steps can be unconsumed at once and therefore worth caching.
-    fn set_queue_capacity(&self, queue: usize) {
-        lock(&self.inner).cache.window = (queue as u64 + 1).min(RELAY_CACHE_CAP);
+    /// Drops every cached step below `consumed`, the stream's
+    /// `steps_consumed`. That counter is the hub's oldest buffered step —
+    /// both move only in `Stream::pop_consumed` — so no reader can fetch an
+    /// older step again. Sessions call this before every seed, reply and
+    /// release, and with `u64::MAX` before answering end of stream.
+    fn retire(&self, consumed: u64) {
+        lock(&self.inner).steps.retain(|&step, _| step >= consumed);
     }
 
     /// Seeds the cache with the chunks of one received `W_STEP` frame, so
@@ -1774,8 +1739,9 @@ impl StreamRelay {
     /// by the writer's connection — is overwritten in place with the
     /// stream-global id, after which the frame is shared, never copied.
     ///
-    /// A no-op while no v2 reader is attached: nobody could use the bytes,
-    /// and a late reader is served by the encode path.
+    /// Writer sessions call it only once a v2 reader has opened the stream
+    /// (`read_remotely`): before that nobody could use the bytes, and a
+    /// late reader is served by the encode path.
     fn seed(
         &self,
         step: u64,
@@ -1783,11 +1749,7 @@ impl StreamRelay {
         mut frame: Vec<u8>,
         chunks: &[(Chunk, Range<usize>)],
     ) {
-        let mut guard = lock(&self.inner);
-        let inner = &mut *guard;
-        if inner.readers == 0 {
-            return;
-        }
+        let mut inner = lock(&self.inner);
         let mut ids = Vec::with_capacity(chunks.len());
         for (chunk, range) in chunks {
             let Ok(id) = inner.table.intern(&chunk.meta) else {
@@ -1797,35 +1759,34 @@ impl StreamRelay {
             ids.push(id);
         }
         let buf = Arc::new(frame);
-        let entry = inner.cache.entry(step);
-        entry.chunks.extend(
-            chunks
-                .iter()
-                .zip(ids)
-                .map(|((chunk, range), id)| CachedChunk {
-                    id,
-                    region: chunk.region.clone(),
-                    data: chunk.data.allocation_id(),
-                    codec: comp,
-                    bytes: Segment {
-                        buf: Arc::clone(&buf),
-                        range: range.clone(),
-                    },
-                }),
-        );
+        let cached = chunks
+            .iter()
+            .zip(ids)
+            .map(|((chunk, range), id)| CachedChunk {
+                id,
+                region: chunk.region.clone(),
+                data: chunk.data.allocation_id(),
+                codec: comp,
+                bytes: Segment {
+                    buf: Arc::clone(&buf),
+                    range: range.clone(),
+                },
+            });
+        inner.steps.entry(step).or_default().extend(cached);
     }
 
     /// Builds the `REPLY_STEP` for `step` out of cached chunk bytes: the
     /// writer's own where [`seed`](Self::seed) supplied them, otherwise an
-    /// encode that joins the same cache — so across all attached readers
-    /// each chunk is encoded at most once per codec, and not at all on the
-    /// pass-through path. Only the per-session definition catch-up prelude
+    /// encode that joins the same cache — so while the step is cached, each
+    /// chunk is encoded at most once per codec across all readers, and not
+    /// at all on the pass-through path. Only the per-session definition catch-up prelude
     /// and the cut below differ between readers. The lock is held across the
     /// encode, which is what makes "at most once" exact.
     ///
     /// A chunk misses when nothing seeded it: its writer is in-proc on the
     /// broker hub or speaks v1, it negotiated a different codec than this
-    /// reader, or no v2 reader was attached when its frame arrived. Finding
+    /// reader, its frame arrived before any v2 reader opened the stream, or
+    /// another reader group's end of stream emptied the cache. Finding
     /// a chunk is a scan of the step's cached chunks — one per writer rank
     /// and variable, so a handful.
     ///
@@ -1846,7 +1807,7 @@ impl StreamRelay {
     ) -> sb_data::DataResult<StepReply> {
         let mut guard = lock(&self.inner);
         let inner = &mut *guard;
-        let entry = inner.cache.entry(step);
+        let entry = inner.steps.entry(step).or_default();
         // BTreeMap order makes the chunk order canonical, so every reader
         // of a step sees byte-identical chunk bodies.
         let mut parts = Vec::new();
@@ -1885,7 +1846,7 @@ impl StreamRelay {
                 // table maps a name to its newest meta) and re-send the
                 // definition with a re-encoded chunk.
                 let table = &inner.table;
-                let hit = entry.chunks.iter().position(|c| {
+                let hit = entry.iter().position(|c| {
                     c.codec == comp
                         && c.region == chunk.region
                         && c.data.names(&chunk.data)
@@ -1899,17 +1860,17 @@ impl StreamRelay {
                         let enc = encode_chunk_interned(&mut buf, chunk, id, comp)?;
                         encoded.0 += enc.raw_payload as u64;
                         encoded.1 += enc.wire_payload as u64;
-                        entry.chunks.push(CachedChunk {
+                        entry.push(CachedChunk {
                             id,
                             region: chunk.region.clone(),
                             data: chunk.data.allocation_id(),
                             codec: comp,
                             bytes: Segment::owning(buf),
                         });
-                        entry.chunks.len() - 1
+                        entry.len() - 1
                     }
                 };
-                let cached = &entry.chunks[at];
+                let cached = &entry[at];
                 let slab = (cut != chunk.region && cut.is_row_slab_of(&chunk.region))
                     .then(|| slab_of(cached, chunk.meta.dtype.elem_bytes(), &cut))
                     .flatten();
@@ -1935,48 +1896,6 @@ impl StreamRelay {
             parts,
             encoded,
         })
-    }
-
-    /// Records one reader's release of `step`, dropping its cached chunks
-    /// once every attached v2 reader has released them.
-    fn note_release(&self, step: u64) {
-        let mut guard = lock(&self.inner);
-        let inner = &mut *guard;
-        if let Some(cached) = inner.cache.steps.get_mut(&step) {
-            cached.releases += 1;
-            if cached.releases >= inner.readers {
-                inner.cache.steps.remove(&step);
-            }
-        }
-    }
-}
-
-/// Counts one attached v2 reader session of a [`StreamRelay`], panics
-/// included.
-struct ReaderCountGuard(Arc<StreamRelay>);
-
-impl ReaderCountGuard {
-    fn new(relay: Arc<StreamRelay>) -> ReaderCountGuard {
-        lock(&relay.inner).readers += 1;
-        ReaderCountGuard(relay)
-    }
-}
-
-impl Drop for ReaderCountGuard {
-    /// A departing reader will never send the releases the cache is waiting
-    /// for, so every step is re-judged against the readers that remain (all
-    /// of them go when none does). Its own earlier releases stay counted,
-    /// which can drop a step a slower reader has yet to fetch — that costs
-    /// the slower reader an encode, never correctness.
-    fn drop(&mut self) {
-        let mut guard = lock(&self.0.inner);
-        let inner = &mut *guard;
-        inner.readers -= 1;
-        let readers = inner.readers;
-        inner
-            .cache
-            .steps
-            .retain(|_, cached| cached.releases < readers);
     }
 }
 
@@ -2102,7 +2021,6 @@ fn writer_session(
     // Interned definitions this connection has applied (v2).
     let mut defs = MetaDefs::default();
     let relay = relays.stream(&name);
-    relay.set_queue_capacity(queue);
 
     let mut started = vec![REPLY_STARTED];
     put_u64(&mut started, conn.start_step);
@@ -2135,10 +2053,13 @@ fn writer_session(
                 let result = match decode_step_body(&payload, &mut cur, proto, &mut defs) {
                     Err(e) => Err(proto_gone(&name, e)),
                     Ok(chunks) => writer.endpoint.begin_step(step).and_then(|()| {
-                        // Seeded once the step owns a slot, so the cache
-                        // keeps its queue + 1 window, and before the commit
-                        // makes it fetchable, or a fast reader would miss.
-                        if proto == WireProtocol::V2 {
+                        // Seeded once the step owns a hub slot, so the cache
+                        // spans no more steps than the hub buffers, and
+                        // before the commit makes it fetchable, or a fast
+                        // reader would miss.
+                        let wanted = relay.read_remotely.load(Ordering::Relaxed);
+                        if proto == WireProtocol::V2 && wanted {
+                            relay.retire(conn.counters.steps_consumed.load(Ordering::Relaxed));
                             relay.seed(step, comp, payload, &chunks);
                         }
                         for (chunk, _) in chunks {
@@ -2227,7 +2148,10 @@ fn reader_session(
     let mut endpoint = conn.endpoint;
     ledger.charge(hello_len);
     let relay = relays.stream(&name);
-    let _gauge = (proto == WireProtocol::V2).then(|| ReaderCountGuard::new(Arc::clone(&relay)));
+    if proto == WireProtocol::V2 {
+        relay.read_remotely.store(true, Ordering::Relaxed);
+    }
+    let consumed = || counters.steps_consumed.load(Ordering::Relaxed);
     // Definition ids already sent to this session (v2 catch-up mark).
     let mut defs_seen = 0u32;
     // The step this session last served and has not released yet: the only
@@ -2259,6 +2183,7 @@ fn reader_session(
                             // v1 re-sends every chunk self-described.
                             WireProtocol::V1 => encode_v1_step(step, &contents),
                             WireProtocol::V2 => {
+                                relay.retire(consumed());
                                 relay.reply_step(step, comp, &contents, &boxes, &mut defs_seen)
                             }
                         };
@@ -2299,6 +2224,9 @@ fn reader_session(
                         }
                     }
                     Ok(None) => {
+                        // A group that lags this one pays at most an encode
+                        // per step it still fetches.
+                        relay.retire(u64::MAX);
                         ledger.charge(reply(io, &[REPLY_EOS])?);
                     }
                     Err(e) => {
@@ -2317,9 +2245,7 @@ fn reader_session(
                     )));
                 }
                 endpoint.release_step(step, &[]).map_err(session_err)?;
-                if proto == WireProtocol::V2 {
-                    relay.note_release(step);
-                }
+                relay.retire(consumed());
             }
             op => return Err(session_err(format!("unknown reader opcode {op:#04x}"))),
         }
@@ -2865,9 +2791,9 @@ mod tests {
 
     #[test]
     fn a_reader_killed_mid_step_strands_no_cached_steps() {
-        // Regression: `note_release` only re-judged a step when a release
-        // for that step arrived, so the steps a dead reader never released
-        // sat in the cache until 64 newer ones pushed them out.
+        // The steps a dead reader never released stay in the hub, and so in
+        // the cache, until the stream ends: the first end of stream a remote
+        // reader is told empties the cache, whoever still holds a step.
         let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
         let hub = StreamHub::connect(&broker.url()).unwrap();
         let options = WriterOptions::default().with_reader_groups(2);
@@ -2881,20 +2807,53 @@ mod tests {
         }
         w.close();
         // The steady reader consumes and releases everything while the
-        // doomed one still holds step 0 open …
+        // doomed one still holds step 0 open, so the hub keeps all three …
         assert_eq!(doomed.begin_step().unwrap(), StepStatus::Ready(0));
         for step in 0..3 {
             assert_eq!(steady.begin_step().unwrap(), StepStatus::Ready(step));
             steady.end_step();
+            assert!(broker.relay_cached_steps("dead.fp") > 0);
         }
+        // … until the steady reader is told the stream ended.
         assert_eq!(steady.begin_step().unwrap(), StepStatus::EndOfStream);
-        assert!(broker.relay_cached_steps("dead.fp") > 0);
-        // … and then dies without releasing anything: its connection drops,
-        // no release will ever arrive for the steps it pinned.
+        assert_eq!(broker.relay_cached_steps("dead.fp"), 0);
+        // The doomed reader then dies without releasing anything: no
+        // release will ever arrive for the steps it pinned, and none is
+        // waited for.
         drop(doomed);
-        eventually("the dead reader's steps to leave the cache", || {
-            broker.relay_cached_steps("dead.fp") == 0
-        });
+        assert_eq!(broker.relay_cached_steps("dead.fp"), 0);
+    }
+
+    #[test]
+    fn a_reader_that_reconnects_is_sent_the_writers_bytes() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        broker.hub().tracer().enable(&crate::TraceConfig::default());
+        let hub = StreamHub::connect(&broker.url()).unwrap();
+        let mut first = hub.open_reader("again.fp", 0, 1);
+        let mut w = hub.open_writer("again.fp", 0, 1, WriterOptions::default());
+        for step in 0..3 {
+            w.begin_step().unwrap();
+            w.put_whole(var(vec![step as f64; 512]));
+            w.end_step().unwrap();
+        }
+        w.close();
+        // The first reader crashes holding step 0: nothing is released, so
+        // the hub still buffers every step and the cache keeps them all.
+        assert_eq!(first.begin_step().unwrap(), StepStatus::Ready(0));
+        drop(first);
+        let mut second = hub.open_reader("again.fp", 0, 1);
+        for step in 0..3 {
+            assert_eq!(second.begin_step().unwrap(), StepStatus::Ready(step));
+            assert_eq!(
+                second.get_whole("x").unwrap().data.to_f64_vec(),
+                [step as f64; 512]
+            );
+            second.end_step();
+        }
+        assert_eq!(second.begin_step().unwrap(), StepStatus::EndOfStream);
+        let timeline = broker.hub().tracer().drain();
+        assert_eq!(timeline.of_kind(EventKind::RelayEncoded).count(), 0);
+        assert_eq!(broker.relay_cached_steps("again.fp"), 0);
     }
 
     #[test]
@@ -2933,8 +2892,7 @@ mod tests {
     #[test]
     fn relay_cache_never_spans_more_than_the_queue_plus_one() {
         let relay = Arc::new(StreamRelay::default());
-        relay.set_queue_capacity(2);
-        let cached = || lock(&relay.inner).cache.steps.len();
+        let cached = || lock(&relay.inner).steps.len();
         let v = var(vec![1.0; 8]);
         let chunk = Chunk::new(
             sb_data::VariableMeta::describing(&v),
@@ -2944,7 +2902,11 @@ mod tests {
         .unwrap();
         let mut frame = Vec::new();
         encode_chunk_interned(&mut frame, &chunk, 7, Compression::None).unwrap();
-        let seed = |step| {
+        // Seeded the way a writer session seeds: first the steps the hub
+        // has popped leave, here with the hub one step behind the writer
+        // (a queue of 2, the writer blocked on the oldest step).
+        let seed = |step: u64| {
+            relay.retire(step.saturating_sub(1));
             let whole = 0..frame.len();
             relay.seed(
                 step,
@@ -2953,18 +2915,13 @@ mod tests {
                 &[(chunk.clone(), whole)],
             );
         };
-        // Nobody to relay to: nothing is kept.
-        seed(0);
-        assert_eq!(cached(), 0);
-        // A v2 reader that attaches and never fetches: steps are seeded for
-        // it but no release ever comes, so only the window bounds them.
-        let idle = ReaderCountGuard::new(Arc::clone(&relay));
         for step in 0..8 {
             seed(step);
-            assert!(cached() <= 3, "step {step}: {} steps cached", cached());
+            assert!(cached() <= 2, "step {step}: {} steps cached", cached());
         }
-        assert_eq!(cached(), 3);
-        drop(idle);
+        assert_eq!(cached(), 2);
+        // Every step released: nothing is kept.
+        relay.retire(8);
         assert_eq!(cached(), 0);
     }
 
@@ -2975,7 +2932,6 @@ mod tests {
         // step 0 is still the writer's bytes under the id it was seeded
         // with, and no definition is interned or sent twice.
         let relay = Arc::new(StreamRelay::default());
-        let _reader = ReaderCountGuard::new(Arc::clone(&relay));
         let chunks: Vec<Chunk> = (0..2)
             .map(|step| {
                 let v = var(vec![step as f64; 8])
@@ -3006,7 +2962,7 @@ mod tests {
             .unwrap();
         assert_eq!(reply.encoded, (0, 0), "the seeded bytes must be relayed");
         assert_eq!(defs_seen, 2, "one definition per step, none re-interned");
-        let seeded = &lock(&relay.inner).cache.steps[&0].chunks[0].bytes;
+        let seeded = &lock(&relay.inner).steps[&0][0].bytes;
         assert_eq!(reply.parts.len(), 1);
         assert!(Arc::ptr_eq(&reply.parts[0].buf, &seeded.buf));
     }
@@ -3014,7 +2970,6 @@ mod tests {
     #[test]
     fn a_row_slab_box_is_answered_with_a_slice_of_the_writers_frame() {
         let relay = Arc::new(StreamRelay::default());
-        let _reader = ReaderCountGuard::new(Arc::clone(&relay));
         let shape = Shape::of(&[("row", 8), ("col", 3)]);
         let meta = sb_data::VariableMeta::new("grid", shape, DType::F64);
         // Two writer ranks, four rows each, in one received frame.
@@ -3036,7 +2991,7 @@ mod tests {
             })
             .collect();
         relay.seed(0, Compression::None, frame, &seeded);
-        let frame = Arc::clone(&lock(&relay.inner).cache.steps[&0].chunks[0].bytes.buf);
+        let frame = Arc::clone(&lock(&relay.inner).steps[&0][0].bytes.buf);
         let slot = VarSlot {
             meta,
             chunks: chunks.clone(),

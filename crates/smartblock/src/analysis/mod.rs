@@ -10,8 +10,8 @@
 //!   levels and per-run [`LintConfig`] overrides;
 //! - [`diagnostics`] — structured [`AnalysisIssue`]s and [`Diagnostic`]s
 //!   with rustc-style text and `smartblock.lint.v1` JSON renderings;
-//! - [`model`] — the shared graph/spec/step model built once per lint;
-//! - [`passes`] — the model-level passes (wiring, cycle, contract,
+//! - `model` — the shared graph/spec/step model built once per lint;
+//! - `passes` — the model-level passes (wiring, cycle, contract,
 //!   cadence, fault-policy soundness);
 //! - [`script`] — plan-level linting ([`lint_plan`], [`lint_source`]) plus
 //!   the passes that need a plan's directives: starvation, partition

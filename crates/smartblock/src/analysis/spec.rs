@@ -5,7 +5,7 @@
 //! self-describing data model (`sb_data::VariableMeta`): every component
 //! declares *statically* what it reads, how it partitions it, how specs
 //! flow through it, and at what step rate it produces output. The passes
-//! in [`crate::analysis::passes`] consume these declarations.
+//! in `crate::analysis::passes` consume these declarations.
 
 use std::collections::BTreeMap;
 use std::fmt;
