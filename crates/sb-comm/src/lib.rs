@@ -30,12 +30,10 @@ mod collective;
 mod error;
 mod launch;
 mod p2p;
-mod stopwatch;
 
 pub use collective::Communicator;
 pub use error::{CommError, CommResult};
 pub use launch::{launch, launch_named, LaunchHandle};
-pub use stopwatch::Stopwatch;
 
 /// Reduction helpers usable with [`Communicator::allreduce`] and friends.
 pub mod ops {

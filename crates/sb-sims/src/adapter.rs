@@ -2,8 +2,9 @@
 //!
 //! The paper reports that instrumenting each simulation took "roughly 70
 //! lines of code … along with an approximately 25-line XML file". The
-//! output code is [`crate::driver::drive`] plus each simulation's
-//! `output_chunk`; the XML files are the documents below, parsed by
+//! output code is each simulation's `output_chunk`, which the workflow's
+//! simulation component publishes once per I/O step; the XML files are the
+//! documents below, parsed by
 //! [`sb_data::GroupConfig`]. They are what a launch script (or a test)
 //! consults to know each code's output contract without touching the
 //! simulation source.
@@ -59,7 +60,7 @@ pub fn gromacs_group() -> DataResult<GroupConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::SimRank;
+    use crate::SimRank;
 
     #[test]
     fn all_three_groups_parse() {

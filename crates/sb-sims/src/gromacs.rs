@@ -22,7 +22,7 @@ use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
 use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
 
-use crate::driver::SimRank;
+use crate::SimRank;
 
 /// Chain-system and integrator parameters.
 #[derive(Debug, Clone)]
@@ -272,10 +272,6 @@ impl GromacsSim {
 }
 
 impl SimRank for GromacsSim {
-    fn name(&self) -> &'static str {
-        "gromacs"
-    }
-
     /// One Langevin (BAOAB-flavoured Euler) step plus global COM-motion
     /// removal.
     fn substep(&mut self, comm: &Communicator) {

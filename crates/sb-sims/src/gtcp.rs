@@ -21,7 +21,7 @@ use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
 use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
 
-use crate::driver::SimRank;
+use crate::SimRank;
 
 /// Names of the seven output properties, in output order.
 pub const GTCP_PROPERTIES: [&str; 7] = [
@@ -254,10 +254,6 @@ impl GtcpSim {
 }
 
 impl SimRank for GtcpSim {
-    fn name(&self) -> &'static str {
-        "gtcp"
-    }
-
     /// One explicit step: toroidal upwind advection + poloidal diffusion +
     /// drift coupling.
     fn substep(&mut self, comm: &Communicator) {

@@ -16,7 +16,7 @@ use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
 use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
 
-use crate::driver::SimRank;
+use crate::SimRank;
 
 /// Lattice and integration parameters of the crack run.
 #[derive(Debug, Clone)]
@@ -326,10 +326,6 @@ impl LammpsSim {
 }
 
 impl SimRank for LammpsSim {
-    fn name(&self) -> &'static str {
-        "lammps"
-    }
-
     /// One velocity-Verlet step.
     fn substep(&mut self, comm: &Communicator) {
         let dt = self.cfg.dt;

@@ -19,19 +19,38 @@
 //!   emitting `atoms × {x, y, z}`.
 //!
 //! Each simulation is rank-parallel over an `sb-comm` communicator and
-//! exposes its per-rank output as an [`sb_data::Chunk`], which the shared
-//! [`driver`] loop publishes on an `sb-stream` stream — the moral
+//! implements [`SimRank`]: fine substeps, plus its per-rank output as an
+//! [`sb_data::Chunk`]. The crate knows nothing of streams. The workflow's
+//! simulation component (`smartblock::workflows::Simulation`) runs the
+//! paper's §V-A schedule on the same step loop as every other component:
+//! one published step per coarse I/O interval of substeps — the moral
 //! equivalent of the "roughly 70 lines" of ADIOS output code the paper adds
 //! to each simulation. The corresponding ADIOS-style group configuration
 //! for each code lives in [`adapter`].
 
+use sb_comm::Communicator;
+use sb_data::Chunk;
+
 pub mod adapter;
-pub mod driver;
 pub mod gromacs;
 pub mod gtcp;
 pub mod lammps;
 
-pub use driver::{drive, SimRank, SimRunStats};
 pub use gromacs::{GromacsConfig, GromacsSim};
 pub use gtcp::{GtcpConfig, GtcpSim};
 pub use lammps::{LammpsConfig, LammpsSim};
+
+/// One rank's view of a running simulation.
+///
+/// Implementations advance local state in `substep` (communicating with
+/// their peers as the physics requires) and expose the local portion of the
+/// output array as a self-describing chunk. A simulation is deterministic
+/// from its configuration: the same substeps from the same seed give the
+/// same output.
+pub trait SimRank {
+    /// Advances the local state by one fine-grained simulation step.
+    fn substep(&mut self, comm: &Communicator);
+
+    /// This rank's chunk of the output variable for the current state.
+    fn output_chunk(&self) -> Chunk;
+}

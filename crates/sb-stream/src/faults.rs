@@ -94,7 +94,7 @@ impl InjectedFault {
 ///
 /// let plan = FaultPlan::seeded(7)
 ///     .kill_at("magnitude", 2)
-///     .delay_jitter("simulation", Duration::from_millis(2));
+///     .delay_jitter("lammps", Duration::from_millis(2));
 /// let first = plan.consult("magnitude", 0, 2).op;
 /// let again = plan.consult("magnitude", 0, 2).op;
 /// assert!(first.is_some() && again.is_none()); // kill fires once per rank

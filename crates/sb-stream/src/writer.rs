@@ -63,13 +63,6 @@ impl StreamWriter {
         self.next_step
     }
 
-    /// The hub tracer behind this stream — for callers that run their own
-    /// step loop (the sim driver) and stamp component-phase spans onto the
-    /// same timeline.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
     /// Runs one endpoint call that may block inside a `writer_blocked` span.
     fn blocking(
         &mut self,

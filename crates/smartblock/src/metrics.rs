@@ -142,8 +142,10 @@ impl ComponentReport {
         };
         // Per-timestep completion time, averaged over the communicator;
         // per-timestep bytes, summed over it (matched pairs for Fig. 9).
-        // Stats recorded without per-step bytes (external drivers) keep the
-        // aggregate vector empty so consumers fall back to the run average.
+        // Stats recorded without per-step bytes (a user component that
+        // builds its own `ComponentStats` instead of running `run_steps`)
+        // keep the aggregate vector empty so consumers fall back to the run
+        // average.
         let have_step_bytes = per_rank.iter().any(|s| !s.step_bytes_in.is_empty());
         for step in 0..steps as usize {
             let times: Vec<Duration> = per_rank
@@ -192,7 +194,8 @@ impl ComponentReport {
     /// pairing the run-average bytes-per-step with one step's time
     /// misreports whenever chunk sizes vary across steps (Threshold and
     /// Select outputs do). Falls back to the run average only for stats
-    /// recorded without per-step bytes (e.g. external `Simulation` drivers).
+    /// recorded without per-step bytes (a user component that does not run
+    /// on [`crate::component::run_steps`]).
     pub fn per_process_throughput_kbs(&self, step: usize) -> Option<f64> {
         let t = self.stats.step_times.get(step)?.as_secs_f64();
         if t == 0.0 || self.stats.steps == 0 {

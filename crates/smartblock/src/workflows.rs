@@ -13,17 +13,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use sb_comm::Communicator;
-use sb_sims::{drive, GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim};
+use sb_comm::{CommError, Communicator};
+use sb_sims::{GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, SimRank};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::Component;
-use crate::error::{ComponentError, ComponentResult};
+use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::error::ComponentResult;
 use crate::histogram::HistogramResult;
 use crate::launch::{LaunchEntry, Program, SimCode};
-use crate::metrics::ComponentStats;
 use crate::runtime::Workflow;
 use crate::{
     AllInOne, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude, Reduce, Select,
@@ -106,6 +105,60 @@ impl Simulation {
             Some(v) => parse_param(key, v, "a number").unwrap_or_else(|e| panic!("{e}")),
         }
     }
+
+    fn seed(&self, default: u64) -> u64 {
+        self.get("seed", default as usize) as u64
+    }
+
+    fn gtcp_config(&self) -> GtcpConfig {
+        let defaults = GtcpConfig::default();
+        GtcpConfig {
+            n_slices: self.get("slices", defaults.n_slices),
+            n_points: self.get("points", defaults.n_points),
+            seed: self.seed(defaults.seed),
+            zonal_damping: self.get_f64("zonal", defaults.zonal_damping),
+            ..defaults
+        }
+    }
+
+    fn gromacs_config(&self) -> GromacsConfig {
+        let defaults = GromacsConfig::default();
+        GromacsConfig {
+            n_chains: self.get("chains", defaults.n_chains),
+            chain_len: self.get("len", defaults.chain_len),
+            seed: self.seed(defaults.seed),
+            angle_k: self.get_f64("angle", defaults.angle_k),
+            ..defaults
+        }
+    }
+
+    /// This rank's share of the configured simulation: the one place the
+    /// parameters become a code's configuration.
+    fn rank_sim(&self, rank: usize, nranks: usize) -> Box<dyn SimRank> {
+        match self.code {
+            SimCode::Lammps => {
+                let defaults = LammpsConfig::default();
+                let cfg = LammpsConfig {
+                    nx: self.get("nx", defaults.nx),
+                    ny: self.get("ny", defaults.ny),
+                    seed: self.seed(defaults.seed),
+                    thermostat: self
+                        .params
+                        .contains_key("thermostat")
+                        .then(|| self.get_f64("thermostat", 0.0)),
+                    ..defaults
+                };
+                Box::new(LammpsSim::new(cfg, rank, nranks))
+            }
+            SimCode::Gtcp => Box::new(GtcpSim::new(self.gtcp_config(), rank, nranks)),
+            SimCode::Gromacs => Box::new(GromacsSim::new(self.gromacs_config(), rank, nranks)),
+        }
+    }
+
+    /// Coarse I/O steps, and fine substeps per step.
+    fn schedule(&self) -> (u64, u64) {
+        (self.get("steps", 5) as u64, self.get("interval", 10) as u64)
+    }
 }
 
 /// The parameters [`Simulation`] reads as integers, and as floats.
@@ -150,13 +203,13 @@ impl Component for Simulation {
                 .with_dim_labels(1, ["ID", "Type", "vx", "vy", "vz"]),
             ),
             SimCode::Gtcp => {
-                let defaults = GtcpConfig::default();
+                let cfg = self.gtcp_config();
                 (
                     "plasma",
                     ArraySpec::new(
                         vec![
-                            DimSpec::fixed("toroidal", self.get("slices", defaults.n_slices)),
-                            DimSpec::fixed("gridpoints", self.get("points", defaults.n_points)),
+                            DimSpec::fixed("toroidal", cfg.n_slices),
+                            DimSpec::fixed("gridpoints", cfg.n_points),
                             DimSpec::fixed("properties", sb_sims::gtcp::GTCP_PROPERTIES.len()),
                         ],
                         sb_data::DType::F64,
@@ -165,9 +218,8 @@ impl Component for Simulation {
                 )
             }
             SimCode::Gromacs => {
-                let defaults = GromacsConfig::default();
-                let atoms =
-                    self.get("chains", defaults.n_chains) * self.get("len", defaults.chain_len);
+                let cfg = self.gromacs_config();
+                let atoms = cfg.n_chains * cfg.chain_len;
                 (
                     "coords",
                     ArraySpec::new(
@@ -179,76 +231,40 @@ impl Component for Simulation {
             }
         };
         let out = StreamSpec::known_one(array, spec);
-        Signature::new(Vec::new(), move |_ins| Ok(vec![out.clone()])).with_steps(
-            crate::analysis::StepContract::Produces(self.get("steps", 5) as u64),
-        )
+        Signature::new(Vec::new(), move |_ins| Ok(vec![out.clone()]))
+            .with_steps(crate::analysis::StepContract::Produces(self.schedule().0))
     }
 
+    /// A source on the one step loop: stream step k is the state after
+    /// (k + 1) · `interval` substeps (paper §V-A). The count is of the
+    /// stream step, not of this incarnation's steps, so a rank restarted at
+    /// step s replays the first s · `interval` substeps from its seed
+    /// without publishing, then publishes step s.
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let io_steps = self.get("steps", 5) as u64;
-        let substeps = self.get("interval", 10) as u64;
-        let mut writer =
-            hub.open_writer(&self.stream, comm.rank(), comm.size(), self.writer_options);
-        let stats = match self.code {
-            SimCode::Lammps => {
-                let defaults = LammpsConfig::default();
-                let cfg = LammpsConfig {
-                    nx: self.get("nx", defaults.nx),
-                    ny: self.get("ny", defaults.ny),
-                    seed: self.get("seed", defaults.seed as usize) as u64,
-                    thermostat: self
-                        .params
-                        .contains_key("thermostat")
-                        .then(|| self.get_f64("thermostat", 0.0)),
-                    ..defaults
-                };
-                let mut sim = LammpsSim::new(cfg, comm.rank(), comm.size());
-                drive(&mut sim, comm, Some(&mut writer), io_steps, substeps)
-            }
-            SimCode::Gtcp => {
-                let defaults = GtcpConfig::default();
-                let cfg = GtcpConfig {
-                    n_slices: self.get("slices", defaults.n_slices),
-                    n_points: self.get("points", defaults.n_points),
-                    seed: self.get("seed", defaults.seed as usize) as u64,
-                    zonal_damping: self.get_f64("zonal", defaults.zonal_damping),
-                    ..defaults
-                };
-                let mut sim = GtcpSim::new(cfg, comm.rank(), comm.size());
-                drive(&mut sim, comm, Some(&mut writer), io_steps, substeps)
-            }
-            SimCode::Gromacs => {
-                let defaults = GromacsConfig::default();
-                let cfg = GromacsConfig {
-                    n_chains: self.get("chains", defaults.n_chains),
-                    chain_len: self.get("len", defaults.chain_len),
-                    seed: self.get("seed", defaults.seed as usize) as u64,
-                    angle_k: self.get_f64("angle", defaults.angle_k),
-                    ..defaults
-                };
-                let mut sim = GromacsSim::new(cfg, comm.rank(), comm.size());
-                drive(&mut sim, comm, Some(&mut writer), io_steps, substeps)
-            }
+        let (steps, interval) = self.schedule();
+        let mut sim = self.rank_sim(comm.rank(), comm.size());
+        let mut substeps = 0;
+        let label = self.label();
+        let outputs = [(self.stream.as_str(), self.writer_options)];
+        let ports = Ports {
+            label: &label,
+            inputs: &[],
+            outputs: &outputs,
         };
-        let stats = match stats {
-            Ok(s) => s,
-            // `drive` has already abandoned the writer on this path.
-            Err(source) => {
-                return Err(ComponentError::Stream {
-                    label: self.label(),
-                    step: writer.current_step(),
-                    source,
-                })
+        run_steps(ports, comm, hub, |io| {
+            if io.step >= steps {
+                return Ok(StepEnd::Done);
             }
-        };
-        Ok(ComponentStats {
-            steps: stats.io_steps,
-            bytes_in: 0,
-            bytes_out: stats.bytes_output,
-            step_times: Vec::new(),
-            step_bytes_in: Vec::new(),
-            wait_time: stats.io_time,
-            compute_time: stats.compute_time,
+            let start = Instant::now();
+            while substeps < (io.step + 1) * interval {
+                sim.substep(io.comm);
+                substeps += 1;
+            }
+            io.put(0, sim.output_chunk());
+            Ok(StepEnd::Publish {
+                bytes_in: 0,
+                compute: start.elapsed(),
+            })
         })
     }
 }
@@ -528,39 +544,35 @@ pub fn lammps_aio_workflow(scale: &PresetScale) -> (Workflow, Arc<Mutex<Vec<Hist
 /// The Table II third column: the simulation alone, output routines removed.
 pub fn lammps_sim_only(scale: &PresetScale) -> SimOnly {
     SimOnly {
-        scale: scale.clone(),
+        sim: scale.simulation(SimCode::Lammps),
+        ranks: scale.sim_ranks,
     }
 }
 
-/// A runnable simulation-only baseline (not a workflow: no streams at all).
+/// A runnable simulation-only baseline (not a workflow: no streams at all):
+/// the preset's own simulation, every substep and no output.
 #[derive(Debug, Clone)]
 pub struct SimOnly {
-    scale: PresetScale,
+    sim: Simulation,
+    ranks: usize,
 }
 
 impl SimOnly {
-    /// Runs the bare simulation and returns its wall-clock time.
+    /// Runs the bare simulation and returns its wall-clock time. A
+    /// parameter that does not parse is refused before launch, naming it.
     pub fn run(&self) -> sb_comm::CommResult<Duration> {
-        let scale = self.scale.clone();
-        let start = std::time::Instant::now();
-        let nx = scale
-            .size_params
-            .get("nx")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40);
-        let ny = scale
-            .size_params
-            .get("ny")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40);
-        sb_comm::launch_named("lammps-only", scale.sim_ranks, move |comm| {
-            let cfg = LammpsConfig {
-                nx,
-                ny,
-                ..LammpsConfig::default()
-            };
-            let mut sim = LammpsSim::new(cfg, comm.rank(), comm.size());
-            drive(&mut sim, &comm, None, scale.io_steps, scale.substeps)
+        self.sim
+            .check_params()
+            .map_err(|issue| CommError::InvalidWorkflow {
+                issues: vec![issue],
+            })?;
+        let (steps, interval) = self.sim.schedule();
+        let start = Instant::now();
+        sb_comm::launch_named("lammps-only", self.ranks, |comm| {
+            let mut sim = self.sim.rank_sim(comm.rank(), comm.size());
+            for _ in 0..steps * interval {
+                sim.substep(&comm);
+            }
         })?;
         Ok(start.elapsed())
     }
@@ -656,6 +668,19 @@ mod tests {
             "simulation parameter nx=\"forty\" is not an integer"
         );
         let _ = sim.get("nx", 40);
+    }
+
+    #[test]
+    fn sim_only_refuses_a_parameter_that_does_not_parse() {
+        let mut scale = PresetScale {
+            sim_ranks: 1,
+            io_steps: 1,
+            substeps: 1,
+            ..PresetScale::default()
+        };
+        scale.size_params.insert("nx".into(), "forty".into());
+        let err = lammps_sim_only(&scale).run().unwrap_err();
+        assert!(err.to_string().contains("nx=\"forty\""), "{err}");
     }
 
     #[test]

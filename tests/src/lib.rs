@@ -3,8 +3,7 @@
 
 use sb_comm::launch;
 use sb_data::{Buffer, Shape, Variable};
-use sb_sims::driver::SimRank;
-use sb_sims::{GtcpConfig, GtcpSim, LammpsConfig, LammpsSim};
+use sb_sims::{GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, SimRank};
 use smartblock::histogram::bin_counts;
 use smartblock::HistogramResult;
 

@@ -541,6 +541,53 @@ fn seeded_chaos_runs_are_reproducible() {
     assert!(restarts_a >= 1, "the kill directive must actually fire");
 }
 
+/// A killed simulation under a Restart policy replays from its seed: the
+/// restarted ranks re-run the substeps of the steps already published,
+/// publish the step that was killed, and the histograms come out bit-equal
+/// to an unfaulted run's.
+#[test]
+fn killed_simulation_restarts_and_replays_to_the_clean_run() {
+    use smartblock::workflows::{gromacs_workflow, PresetScale};
+    let scale = PresetScale {
+        sim_ranks: 2,
+        analysis_ranks: vec![1, 1],
+        io_steps: 4,
+        substeps: 3,
+        bins: 8,
+        ..PresetScale::default()
+    }
+    .size("chains", 4)
+    .size("len", 6);
+    let bits = |hists: &[HistogramResult]| -> Vec<(Vec<u64>, u64, u64)> {
+        hists
+            .iter()
+            .map(|h| (h.counts.clone(), h.min.to_bits(), h.max.to_bits()))
+            .collect()
+    };
+
+    let (golden_wf, golden_out) = gromacs_workflow(&scale);
+    golden_wf.run_with(RunOptions::default()).unwrap();
+    let golden = lock(&golden_out).clone();
+    assert_eq!(golden.len(), scale.io_steps as usize);
+
+    let (mut wf, out) = gromacs_workflow(&scale);
+    wf.hub()
+        .install_faults(FaultPlan::seeded(chaos_seed()).kill_at("gromacs", 2));
+    wf.set_fault_policy(
+        "gromacs",
+        FaultPolicy::restart(2).with_backoff(Duration::from_millis(5)),
+    );
+    let report = wf.run_with(RunOptions::default()).unwrap();
+    assert!(
+        report.restarts() >= 1,
+        "the kill directive must actually fire"
+    );
+    let sim = report.component("gromacs").unwrap();
+    assert!(sim.outcome.is_completed(), "{:?}", sim.outcome);
+    assert_eq!(sim.stats.steps, scale.io_steps, "no step lost or repeated");
+    assert_eq!(bits(&lock(&out)), bits(&golden));
+}
+
 // ---------------------------------------------------------------------------
 // Chaos across the remote backends: the same seeded plans behind a loopback
 // TCP broker and a same-host `shm://` broker, and component and broker

@@ -274,7 +274,8 @@ fn seeded_spike_trigger_flips_temporal_mean_stride_mid_run() {
 
 /// Every component publishes `<label>.wait_ratio` from the one step loop,
 /// so a DIVA-style clause on a component that used to run its own loop —
-/// which always linted clean — now fires, once.
+/// Threshold, or the simulation — which always linted clean — now fires,
+/// once each.
 #[test]
 fn wait_ratio_trigger_fires_on_a_threshold_component() {
     let report = Workflow::from_spec_text(
@@ -301,6 +302,10 @@ args = ["hot.fp", "hot", "4"]
 [[trigger]]
 when = "threshold.wait_ratio >= 0"
 then = "raise_fault_policy threshold degrade"
+
+[[trigger]]
+when = "gromacs.wait_ratio >= 0"
+then = "raise_fault_policy gromacs degrade"
 "#,
     )
     .unwrap_or_else(|e| panic!("{e}"))
@@ -308,11 +313,19 @@ then = "raise_fault_policy threshold degrade"
     .unwrap();
 
     assert_eq!(report.component("threshold").unwrap().stats.steps, 3);
-    assert_eq!(report.triggers.len(), 1, "{:?}", report.triggers);
-    let fire = &report.triggers[0];
-    assert_eq!(fire.step, 0);
-    assert!((0.0..=1.0).contains(&fire.value), "{fire:?}");
-    assert!(fire.applied, "{fire:?}");
+    // The simulation is a source on the same loop: its wait ratio is the
+    // share of its step spent blocked on the output.
+    assert_eq!(report.triggers.len(), 2, "{:?}", report.triggers);
+    for label in ["threshold", "gromacs"] {
+        let fire = report
+            .triggers
+            .iter()
+            .find(|f| f.trigger.starts_with(&format!("when {label}.")))
+            .unwrap_or_else(|| panic!("no {label} fire: {:?}", report.triggers));
+        assert_eq!(fire.step, 0);
+        assert!((0.0..=1.0).contains(&fire.value), "{fire:?}");
+        assert!(fire.applied, "{fire:?}");
+    }
 }
 
 /// The same flip, driven end-to-end from `.sbw` text: a `[[trigger]]`

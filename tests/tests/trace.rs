@@ -72,6 +72,9 @@ fn lammps_timeline_nests_phase_spans_inside_each_step() {
     let tl = &report.timeline;
     assert!(!tl.is_empty(), "tracing was enabled; timeline must record");
     assert_eq!(tl.dropped, 0, "this run is far below the ring capacity");
+    // The sim runs on the same loop, so its per-step laps are recorded too.
+    let sim = &report.component("lammps").unwrap().stats;
+    assert_eq!(sim.step_times.len() as u64, scale.io_steps);
 
     for comp in &report.components {
         // Sources (the sim) never wait on input; sinks never publish.
