@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::launch::{Program, ScriptDirectives};
+use crate::launch::ScriptDirectives;
 use crate::plan::{PlannedComponent, WorkflowPlan};
 use crate::spec::SpecIssue;
 use crate::supervisor::FaultPolicy;
@@ -52,11 +52,7 @@ const STEP_ENVELOPE_BYTES: u64 = 64;
 
 /// `groups=N` declared on a writer's launch line, when parseable.
 fn declared_groups(c: &PlannedComponent) -> Option<usize> {
-    match &c.entry.program {
-        Program::Simulation { params, .. } => params.get("groups"),
-        _ => c.entry.options.get("groups"),
-    }
-    .and_then(|g| g.parse().ok())
+    c.entry.options.get("groups")?.parse().ok()
 }
 
 /// Lowers one workflow source (`*.sbw` as a spec, anything else as a

@@ -13,23 +13,30 @@
 //! wait
 //! ```
 //!
-//! `launch` is the grammar of one such invocation — program name,
-//! process count, argument tokens — and yields a typed [`LaunchEntry`].
-//! [`WorkflowPlan::from_script`] imports a whole script (the aprun lines
-//! plus `#@` directive comments) by tokenising each line into `launch`;
-//! the `.sbw` compiler in [`crate::spec`] feeds the same function from its
-//! `[[component]]` tables. Both lower to one [`WorkflowPlan`].
+//! `LaunchEntry::tokenise` reads one such invocation — program name,
+//! process count, argument tokens — into a [`LaunchEntry`] without knowing
+//! any program, and [`LaunchEntry::build`] holds one arm per program that
+//! turns those tokens into its component. [`WorkflowPlan::from_script`]
+//! imports a whole script (the aprun lines plus `#@` directive comments)
+//! by tokenising each line; the `.sbw` compiler in [`crate::spec`]
+//! tokenises its `[[component]]` tables the same way. Both lower to one
+//! [`WorkflowPlan`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::time::Duration;
 
-use crate::combine::BinaryOp;
-use crate::component::StreamArray;
+use sb_stream::WriterOptions;
+
+use crate::component::{Component, StreamArray};
 use crate::plan::{plan_components, WorkflowPlan};
-use crate::reduce::ReduceOp;
 use crate::supervisor::FaultPolicy;
-use crate::threshold::Predicate;
+use crate::workflows::Simulation;
+use crate::{
+    AllInOne, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
+    Predicate, Reduce, ReduceOp, Select, Stats, TemporalMean, Threshold, Transpose,
+};
 
 /// Why one line of a launch description — a `.sb` script line or a `.sbw`
 /// table — does not lower to a [`WorkflowPlan`]: a syntax error, a bad
@@ -72,174 +79,28 @@ impl SimCode {
     }
 }
 
-/// One parsed program invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Program {
-    /// `select in-stream in-array dim-index out-stream out-array names...`
-    Select {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Dimension to filter.
-        dim_index: usize,
-        /// Output endpoint.
-        output: StreamArray,
-        /// Row names to keep.
-        keep: Vec<String>,
-    },
-    /// `magnitude in-stream in-array out-stream out-array`
-    Magnitude {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `dim-reduce in-stream in-array remove grow out-stream out-array`
-    DimReduce {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Dimension to remove.
-        remove: usize,
-        /// Dimension that absorbs it.
-        grow: usize,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `histogram in-stream in-array num-bins [output-file]`
-    Histogram {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Bin count.
-        num_bins: usize,
-        /// Optional file rank 0 appends results to.
-        output_file: Option<String>,
-    },
-    /// `reduce in-stream in-array dim op out-stream out-array`
-    Reduce {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Dimension to collapse.
-        dim: usize,
-        /// Aggregation (`sum`, `mean`, `min`, `max`).
-        op: ReduceOp,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `threshold in-stream in-array mode value out-stream out-array`
-    Threshold {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Predicate (`gt`, `lt`, `abs-gt` with a threshold value).
-        predicate: Predicate,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `transpose in-stream in-array perm out-stream out-array`
-    Transpose {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Axis permutation (comma-separated indices).
-        perm: Vec<usize>,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `combine left-stream left-array op right-stream right-array out-stream out-array`
-    Combine {
-        /// Left input endpoint.
-        left: StreamArray,
-        /// Element-wise operation (`add`, `sub`, `mul`, `div`).
-        op: BinaryOp,
-        /// Right input endpoint.
-        right: StreamArray,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `temporal-mean in-stream in-array window out-stream out-array`
-    TemporalMean {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Steps to average over.
-        window: usize,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `stats in-stream in-array out-stream out-array`
-    Stats {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Output endpoint.
-        output: StreamArray,
-    },
-    /// `fork in-stream out-stream...`
-    Fork {
-        /// Input stream.
-        input: String,
-        /// Output streams.
-        outputs: Vec<String>,
-    },
-    /// `aio in-stream in-array num-bins names...`
-    AllInOne {
-        /// Input endpoint.
-        input: StreamArray,
-        /// Bin count.
-        num_bins: usize,
-        /// Vector-component column names.
-        keep: Vec<String>,
-    },
-    /// `file-write in-stream path`
-    FileWrite {
-        /// Input stream.
-        input: String,
-        /// Container path.
-        path: String,
-    },
-    /// `file-read path out-stream`
-    FileRead {
-        /// Container path.
-        path: String,
-        /// Output stream.
-        output: String,
-    },
-    /// `lammps|gtcp|gromacs [key=value ...] [< input-file]`
-    Simulation {
-        /// Which code.
-        code: SimCode,
-        /// `key=value` overrides (sizes, steps, seed, stream).
-        params: BTreeMap<String, String>,
-        /// The `< file` operand, if present (recorded, not read).
-        stdin: Option<String>,
-    },
-}
-
-/// One program invocation of a launch description.
+/// One program invocation of a launch description, as tokens: what a `.sb`
+/// line or a `.sbw` `[[component]]` table says, before any program reads
+/// it. [`LaunchEntry::build`] is the one place the tokens meet a component.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchEntry {
     /// Process count from `-n`.
     pub nranks: usize,
-    /// The program and its arguments.
-    pub program: Program,
-    /// Trailing `key=value` options on component lines: `group=` (reader
-    /// group), `groups=N` (declared subscriber count on the output),
-    /// `queue=N` (writer queue depth), `rendezvous=1` (synchronous
-    /// hand-off). Simulation lines keep their `key=value` tokens as
-    /// program parameters instead.
+    /// The program name.
+    pub program: String,
+    /// The positional argument tokens, in order.
+    pub args: Vec<String>,
+    /// Every `key=value` token: a component's launch options (`group=`
+    /// reader group, `groups=N` declared subscriber count on the output,
+    /// `queue=N` writer queue depth, `rendezvous=1` synchronous hand-off,
+    /// ...), a simulation's parameters.
     pub options: BTreeMap<String, String>,
+    /// The `< file` operand, if present (recorded, not read).
+    pub stdin: Option<String>,
     /// 1-based source line of the invocation (the aprun line of a `.sb`
     /// script, the `[[component]]` header of a `.sbw` spec), threaded into
     /// lint diagnostics.
     pub line: usize,
-}
-
-impl LaunchEntry {
-    /// Sets one `key=value` launch option where the grammar would have put
-    /// it: among a simulation's parameters, or among a component's
-    /// trailing options.
-    pub(crate) fn set_option(&mut self, key: &str, value: String) {
-        let map = match &mut self.program {
-            Program::Simulation { params, .. } => params,
-            _ => &mut self.options,
-        };
-        map.insert(key.to_string(), value);
-    }
 }
 
 /// The fault policy the workflow applies to one component: a
@@ -373,10 +234,12 @@ fn parse_usize(tok: &str, what: &str, line: usize) -> Result<usize, LaunchError>
 
 impl WorkflowPlan {
     /// Imports an aprun-style `.sb` launch script — the paper's Fig. 8
-    /// grammar plus `#@` directive comments — as a plan. A malformed line
-    /// or directive (unknown key, missing value, bad transport URL) stops
-    /// the import at that line, so linted scripts are deployable as
-    /// written; `wait`, comments and blank lines are skipped.
+    /// grammar plus `#@` directive comments — as a plan. A line that does
+    /// not tokenise (a bad `-n`, a missing program, a dangling `<`) or a
+    /// malformed directive (unknown key, missing value, bad transport URL)
+    /// stops the import at that line; otherwise every entry a program
+    /// refuses is reported, each on its own line. So linted scripts are
+    /// deployable as written; `wait`, comments and blank lines are skipped.
     pub fn from_script(text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
         let (entries, directives) = import_script(text).map_err(|e| vec![e])?;
         Ok(WorkflowPlan {
@@ -387,7 +250,7 @@ impl WorkflowPlan {
     }
 }
 
-/// Tokenises script lines into [`launch`] calls and `#@` directives.
+/// Tokenises script lines into launch entries and `#@` directives.
 fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), LaunchError> {
     let mut entries = Vec::new();
     let mut directives = ScriptDirectives::default();
@@ -472,251 +335,378 @@ fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), Lau
             return Err(err(line, "missing program name"));
         }
         let program = tokens.remove(0);
-        entries.push(launch(nranks, program, &tokens, line)?);
+        entries.push(LaunchEntry::tokenise(nranks, program, &tokens, line)?);
     }
     Ok((entries, directives))
 }
 
-/// The grammar of one program invocation, shared by both front-ends:
-/// `program` launched on `nranks` processes with `args`, each one token —
-/// positionals, trailing `key=value` options, an optional `< file`
-/// redirect. `line` is the invocation's source line.
-pub(crate) fn launch(
-    nranks: usize,
-    program: &str,
-    args: &[&str],
-    line: usize,
-) -> Result<LaunchEntry, LaunchError> {
-    let mut tokens = args.to_vec();
-    let is_sim = matches!(program, "lammps" | "gtcp" | "gromacs");
+/// A positional count no program bounds.
+const MANY: usize = usize::MAX;
 
-    // Component lines may carry trailing key=value options; simulation
-    // lines keep key=value tokens as their parameters.
-    let mut options = BTreeMap::new();
-    if !is_sim {
-        tokens.retain(|t| {
-            if let Some((k, v)) = t.split_once('=') {
-                options.insert(k.to_string(), v.to_string());
-                false
+impl LaunchEntry {
+    /// Tokenises one program invocation, shared by both front-ends:
+    /// `program` launched on `nranks` processes with `args`, each one token
+    /// — a positional, a `key=value` option, or an `< file` redirect. `line`
+    /// is the invocation's source line. Nothing here knows any program.
+    pub(crate) fn tokenise(
+        nranks: usize,
+        program: &str,
+        args: &[&str],
+        line: usize,
+    ) -> Result<LaunchEntry, LaunchError> {
+        let mut entry = LaunchEntry {
+            nranks,
+            program: program.to_string(),
+            args: Vec::new(),
+            options: BTreeMap::new(),
+            stdin: None,
+            line,
+        };
+        let mut tokens = args.iter();
+        while let Some(&token) = tokens.next() {
+            if token == "<" {
+                let file = tokens
+                    .next()
+                    .ok_or_else(|| err(line, "'<' needs a file operand"))?;
+                entry.stdin = Some(file.to_string());
+            } else if let Some((key, value)) = token.split_once('=') {
+                entry.options.insert(key.to_string(), value.to_string());
             } else {
-                true
+                entry.args.push(token.to_string());
             }
-        });
+        }
+        Ok(entry)
     }
 
-    // Extract a `< file` redirect anywhere in the remaining tokens.
-    let mut stdin = None;
-    if let Some(pos) = tokens.iter().position(|t| *t == "<") {
-        if pos + 1 >= tokens.len() {
-            return Err(err(line, "'<' needs a file operand"));
-        }
-        stdin = Some(tokens[pos + 1].to_string());
-        tokens.drain(pos..pos + 2);
-    }
-
-    let need = |n: usize, usage: &str| -> Result<(), LaunchError> {
-        if tokens.len() < n {
-            Err(err(line, format!("usage: {usage}")))
-        } else {
-            Ok(())
-        }
-    };
-
-    let parsed = match program {
-        "select" => {
-            need(
-                5,
-                "select in-stream in-array dim-index out-stream out-array names...",
-            )?;
-            Program::Select {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                dim_index: parse_usize(tokens[2], "dimension index", line)?,
-                output: StreamArray::new(tokens[3], tokens[4]),
-                keep: tokens[5..].iter().map(|t| t.to_string()).collect(),
+    /// Builds the component this entry launches: one arm per program reads
+    /// its positional arguments, calls its constructor and applies the
+    /// options it honours. Whatever is wrong with the entry — an argument
+    /// count off the program's usage, a token that does not parse, a
+    /// constructor's refusal, an option or `< file` the program does not
+    /// take — is one error on the entry's line. A simulation's options are
+    /// its parameters; keys no code reads pass through.
+    pub fn build(&self) -> Result<Box<dyn Component>, LaunchError> {
+        let line = self.line;
+        let a: Vec<&str> = self.args.iter().map(String::as_str).collect();
+        let arity = |count: RangeInclusive<usize>, usage: &str| {
+            if count.contains(&a.len()) {
+                Ok(())
+            } else {
+                Err(err(line, format!("usage: {usage}")))
             }
-        }
-        "magnitude" => {
-            need(4, "magnitude in-stream in-array out-stream out-array")?;
-            Program::Magnitude {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                output: StreamArray::new(tokens[2], tokens[3]),
+        };
+        let io = |i: usize| StreamArray::new(a[i], a[i + 1]);
+        let rejected =
+            |reason: String| err(line, format!("component rejected its arguments: {reason}"));
+        let mut opts = Options {
+            given: &self.options,
+            read: BTreeSet::new(),
+        };
+        let component: Box<dyn Component> = match self.program.as_str() {
+            "select" => {
+                arity(
+                    5..=MANY,
+                    "select in-stream in-array dim-index out-stream out-array names...",
+                )?;
+                let dim = parse_usize(a[2], "dimension index", line)?;
+                let mut c = Select::new(io(0), dim, a[5..].iter().copied(), io(3));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
-        }
-        "dim-reduce" => {
-            need(
-                6,
-                "dim-reduce in-stream in-array remove grow out-stream out-array",
-            )?;
-            Program::DimReduce {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                remove: parse_usize(tokens[2], "dim-to-remove", line)?,
-                grow: parse_usize(tokens[3], "dim-to-grow", line)?,
-                output: StreamArray::new(tokens[4], tokens[5]),
+            "magnitude" => {
+                arity(4..=4, "magnitude in-stream in-array out-stream out-array")?;
+                let mut c = Magnitude::new(io(0), io(2));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
-        }
-        "histogram" => {
-            need(3, "histogram in-stream in-array num-bins [output-file]")?;
-            Program::Histogram {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                num_bins: parse_usize(tokens[2], "num-bins", line)?,
-                output_file: tokens.get(3).map(|t| t.to_string()),
+            "dim-reduce" => {
+                arity(
+                    6..=6,
+                    "dim-reduce in-stream in-array remove grow out-stream out-array",
+                )?;
+                let remove = parse_usize(a[2], "dim-to-remove", line)?;
+                let grow = parse_usize(a[3], "dim-to-grow", line)?;
+                let mut c = DimReduce::new(io(0), remove, grow, io(4));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
-        }
-        "reduce" => {
-            need(6, "reduce in-stream in-array dim op out-stream out-array")?;
-            let op = ReduceOp::parse(tokens[3]).ok_or_else(|| {
-                err(
-                    line,
-                    format!("unknown reduce op {:?} (sum|mean|min|max)", tokens[3]),
-                )
-            })?;
-            Program::Reduce {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                dim: parse_usize(tokens[2], "dimension", line)?,
-                op,
-                output: StreamArray::new(tokens[4], tokens[5]),
+            "histogram" => {
+                arity(3..=4, "histogram in-stream in-array num-bins [output-file]")?;
+                let bins = parse_usize(a[2], "num-bins", line)?;
+                let mut c = Histogram::try_new(io(0), bins).map_err(rejected)?;
+                if let Some(&path) = a.get(3) {
+                    c = c.with_output_file(path);
+                }
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
-        }
-        "threshold" => {
-            need(
-                6,
-                "threshold in-stream in-array mode value out-stream out-array",
-            )?;
-            let value: f64 = tokens[3].parse().map_err(|_| {
-                err(
-                    line,
-                    format!("threshold value must be a number, got {:?}", tokens[3]),
-                )
-            })?;
-            let predicate = Predicate::parse(tokens[2], value).ok_or_else(|| {
-                err(
-                    line,
-                    format!("unknown threshold mode {:?} (gt|lt|abs-gt)", tokens[2]),
-                )
-            })?;
-            Program::Threshold {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                predicate,
-                output: StreamArray::new(tokens[4], tokens[5]),
-            }
-        }
-        "transpose" => {
-            need(5, "transpose in-stream in-array perm out-stream out-array")?;
-            let perm: Vec<usize> = tokens[2]
-                .split(',')
-                .map(|t| parse_usize(t.trim(), "permutation index", line))
-                .collect::<Result<_, _>>()?;
-            Program::Transpose {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                perm,
-                output: StreamArray::new(tokens[3], tokens[4]),
-            }
-        }
-        "combine" => {
-            need(
-                7,
-                "combine left-stream left-array op right-stream right-array out-stream out-array",
-            )?;
-            let op = BinaryOp::parse(tokens[2]).ok_or_else(|| {
-                err(
-                    line,
-                    format!("unknown combine op {:?} (add|sub|mul|div)", tokens[2]),
-                )
-            })?;
-            Program::Combine {
-                left: StreamArray::new(tokens[0], tokens[1]),
-                op,
-                right: StreamArray::new(tokens[3], tokens[4]),
-                output: StreamArray::new(tokens[5], tokens[6]),
-            }
-        }
-        "temporal-mean" => {
-            need(
-                5,
-                "temporal-mean in-stream in-array window out-stream out-array",
-            )?;
-            Program::TemporalMean {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                window: parse_usize(tokens[2], "window", line)?,
-                output: StreamArray::new(tokens[3], tokens[4]),
-            }
-        }
-        "stats" => {
-            need(4, "stats in-stream in-array out-stream out-array")?;
-            Program::Stats {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                output: StreamArray::new(tokens[2], tokens[3]),
-            }
-        }
-        "fork" => {
-            need(2, "fork in-stream out-stream...")?;
-            Program::Fork {
-                input: tokens[0].to_string(),
-                outputs: tokens[1..].iter().map(|t| t.to_string()).collect(),
-            }
-        }
-        "aio" => {
-            need(4, "aio in-stream in-array num-bins names...")?;
-            Program::AllInOne {
-                input: StreamArray::new(tokens[0], tokens[1]),
-                num_bins: parse_usize(tokens[2], "num-bins", line)?,
-                keep: tokens[3..].iter().map(|t| t.to_string()).collect(),
-            }
-        }
-        "file-write" => {
-            need(2, "file-write in-stream path")?;
-            Program::FileWrite {
-                input: tokens[0].to_string(),
-                path: tokens[1].to_string(),
-            }
-        }
-        "file-read" => {
-            need(2, "file-read path out-stream")?;
-            Program::FileRead {
-                path: tokens[0].to_string(),
-                output: tokens[1].to_string(),
-            }
-        }
-        "lammps" | "gtcp" | "gromacs" => {
-            let code = match program {
-                "lammps" => SimCode::Lammps,
-                "gtcp" => SimCode::Gtcp,
-                _ => SimCode::Gromacs,
-            };
-            let mut params = BTreeMap::new();
-            for t in &tokens {
-                let (k, v) = t.split_once('=').ok_or_else(|| {
+            "reduce" => {
+                arity(
+                    6..=6,
+                    "reduce in-stream in-array dim op out-stream out-array",
+                )?;
+                let op = ReduceOp::parse(a[3]).ok_or_else(|| {
                     err(
                         line,
-                        format!("simulation arguments must be key=value, got {t:?}"),
+                        format!("unknown reduce op {:?} (sum|mean|min|max)", a[3]),
                     )
                 })?;
-                params.insert(k.to_string(), v.to_string());
+                let dim = parse_usize(a[2], "dimension", line)?;
+                let mut c = Reduce::new(io(0), dim, op, io(4));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
-            Program::Simulation {
-                code,
-                params,
-                stdin,
+            "threshold" => {
+                arity(
+                    6..=6,
+                    "threshold in-stream in-array mode value out-stream out-array",
+                )?;
+                let value: f64 = a[3].parse().map_err(|_| {
+                    err(
+                        line,
+                        format!("threshold value must be a number, got {:?}", a[3]),
+                    )
+                })?;
+                let predicate = Predicate::parse(a[2], value).ok_or_else(|| {
+                    err(
+                        line,
+                        format!("unknown threshold mode {:?} (gt|lt|abs-gt)", a[2]),
+                    )
+                })?;
+                let mut c = Threshold::new(io(0), predicate, io(4));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
             }
+            "transpose" => {
+                arity(
+                    5..=5,
+                    "transpose in-stream in-array perm out-stream out-array",
+                )?;
+                let perm: Vec<usize> = a[2]
+                    .split(',')
+                    .map(|t| parse_usize(t.trim(), "permutation index", line))
+                    .collect::<Result<_, _>>()?;
+                let mut c = Transpose::new(io(0), perm, io(3));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
+            }
+            "combine" => {
+                arity(
+                    7..=7,
+                    "combine left-stream left-array op right-stream right-array out-stream out-array",
+                )?;
+                let op = BinaryOp::parse(a[2]).ok_or_else(|| {
+                    err(
+                        line,
+                        format!("unknown combine op {:?} (add|sub|mul|div)", a[2]),
+                    )
+                })?;
+                let mut c = Combine::new(io(0), op, io(3), io(5));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.left_group = opts.take("group").map(String::from);
+                c.right_group = opts.take("rgroup").map(String::from);
+                Box::new(c)
+            }
+            "temporal-mean" => {
+                arity(
+                    5..=5,
+                    "temporal-mean in-stream in-array window out-stream out-array",
+                )?;
+                let window = parse_usize(a[2], "window", line)?;
+                let mut c = TemporalMean::try_new(io(0), window, io(3)).map_err(rejected)?;
+                if let Some(stride) = opts.usize("stride").map_err(rejected)? {
+                    c = c.try_with_stride(stride).map_err(rejected)?;
+                }
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
+            }
+            "stats" => {
+                arity(4..=4, "stats in-stream in-array out-stream out-array")?;
+                let mut c = Stats::new(io(0), io(2));
+                c.writer_options = opts.writer().map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
+            }
+            "fork" => {
+                arity(2..=MANY, "fork in-stream out-stream...")?;
+                let writer = opts.writer().map_err(rejected)?;
+                Box::new(Fork::new(a[0], a[1..].iter().copied()).with_writer_options(writer))
+            }
+            "aio" => {
+                arity(4..=MANY, "aio in-stream in-array num-bins names...")?;
+                let bins = parse_usize(a[2], "num-bins", line)?;
+                let mut c =
+                    AllInOne::try_new(io(0), a[3..].iter().copied(), bins).map_err(rejected)?;
+                c.reader_group = opts.reader();
+                Box::new(c)
+            }
+            "file-write" => {
+                arity(2..=2, "file-write in-stream path")?;
+                Box::new(FileWrite::new(a[0], a[1]))
+            }
+            "file-read" => {
+                arity(2..=2, "file-read path out-stream")?;
+                let mut c = FileRead::new(a[0], a[1]);
+                c.writer_options = opts.writer().map_err(rejected)?;
+                Box::new(c)
+            }
+            "lammps" | "gtcp" | "gromacs" => {
+                if let Some(t) = a.first() {
+                    return Err(err(
+                        line,
+                        format!("simulation arguments must be key=value, got {t:?}"),
+                    ));
+                }
+                let code = match self.program.as_str() {
+                    "lammps" => SimCode::Lammps,
+                    "gtcp" => SimCode::Gtcp,
+                    _ => SimCode::Gromacs,
+                };
+                let mut sim = Simulation::new(code);
+                sim.writer_options = opts.writer().map_err(rejected)?;
+                if let Some(stream) = opts.take("stream") {
+                    sim.stream = stream.to_string();
+                }
+                sim.params = self.options.clone();
+                sim.check_params().map_err(rejected)?;
+                return Ok(Box::new(sim));
+            }
+            other => return Err(err(line, format!("unknown program {other:?}"))),
+        };
+        opts.all_read(&self.program).map_err(rejected)?;
+        if let Some(file) = &self.stdin {
+            return Err(rejected(format!(
+                "{} reads no '<' input, got {file:?}",
+                self.program
+            )));
         }
-        other => return Err(err(line, format!("unknown program {other:?}"))),
-    };
-    Ok(LaunchEntry {
-        nranks,
-        program: parsed,
-        options,
-        line,
-    })
+        Ok(component)
+    }
+}
+
+/// An entry's options as its program's arm reads them: every key an arm
+/// asks for is one the program honours, and a key no arm asked for is
+/// refused by [`Options::all_read`].
+struct Options<'a> {
+    given: &'a BTreeMap<String, String>,
+    read: BTreeSet<&'static str>,
+}
+
+impl<'a> Options<'a> {
+    /// The value of option `key`, when given.
+    fn take(&mut self, key: &'static str) -> Option<&'a str> {
+        self.read.insert(key);
+        self.given.get(key).map(String::as_str)
+    }
+
+    /// The integer option `key`, when given.
+    fn usize(&mut self, key: &'static str) -> Result<Option<usize>, String> {
+        self.take(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{key}={v:?} is not an integer"))
+            })
+            .transpose()
+    }
+
+    /// The input's reader group: `group=`, else `default`.
+    fn reader(&mut self) -> String {
+        self.take("group").unwrap_or("default").to_string()
+    }
+
+    /// The output's writer settings — `queue=`, `rendezvous=`, `groups=` —
+    /// over the default policy.
+    fn writer(&mut self) -> Result<WriterOptions, String> {
+        let mut w = WriterOptions::default();
+        if let Some(q) = self.usize("queue")? {
+            if q == 0 {
+                return Err("queue depth must be at least 1".to_string());
+            }
+            w.queue_capacity = q;
+        }
+        if let Some(r) = self.take("rendezvous") {
+            w.rendezvous = match r {
+                "1" | "true" => true,
+                "0" | "false" => false,
+                _ => return Err(format!("rendezvous={r:?} is not 0, 1, true or false")),
+            };
+        }
+        if let Some(g) = self.usize("groups")? {
+            if g == 0 {
+                return Err("groups must be at least 1".to_string());
+            }
+            w.expected_reader_groups = g;
+        }
+        Ok(w)
+    }
+
+    /// Refuses the first given option `program`'s arm never read.
+    fn all_read(&self, program: &str) -> Result<(), String> {
+        let Some(key) = self.given.keys().find(|k| !self.read.contains(k.as_str())) else {
+            return Ok(());
+        };
+        let honoured: Vec<String> = self.read.iter().map(|k| format!("{k}=")).collect();
+        let honoured = if honoured.is_empty() {
+            "none".to_string()
+        } else {
+            honoured.join(" ")
+        };
+        Err(format!(
+            "{program} takes no option {key}= (its options: {honoured})"
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The launch entries `script` imports to, through the one entry point.
-    fn entries(script: &str) -> Vec<LaunchEntry> {
-        let plan = WorkflowPlan::from_script(script).unwrap();
-        plan.components.into_iter().map(|c| c.entry).collect()
+    use crate::plan::PlannedComponent;
+
+    fn strings(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    fn options(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// What a built component declares to the wiring: its label, its
+    /// `(stream, group)` subscriptions and its output streams.
+    type Wiring = (String, Vec<(String, String)>, Vec<String>);
+
+    fn wiring(c: &dyn Component) -> Wiring {
+        (c.label(), c.input_subscriptions(), c.output_streams())
+    }
+
+    fn sub(stream: &str, group: &str) -> (String, String) {
+        (stream.to_string(), group.to_string())
+    }
+
+    /// The program names `LaunchEntry::build` has an arm for, read off its
+    /// source.
+    fn grammar_names() -> BTreeSet<&'static str> {
+        let source = include_str!("launch.rs");
+        let start = source
+            .find("let component: Box<dyn Component> = match self.program.as_str() {")
+            .unwrap();
+        let end = start + source[start..].find("other => return Err").unwrap();
+        source[start..end]
+            .lines()
+            .filter_map(|l| l.trim().strip_suffix("=> {"))
+            .flat_map(|arm| arm.split('|'))
+            .map(|name| name.trim().trim_matches('"'))
+            .collect()
     }
 
     /// The paper's Fig. 8 script, verbatim in structure.
@@ -730,42 +720,57 @@ mod tests {
 
     #[test]
     fn parses_the_papers_fig8_script() {
-        let entries = entries(FIG8);
-        assert_eq!(entries.len(), 4);
-        assert_eq!(entries[0].nranks, 64);
+        let plan = WorkflowPlan::from_script(FIG8).unwrap();
+        let c = &plan.components;
+        assert_eq!(c.len(), 4);
+        let ranks: Vec<usize> = c.iter().map(|c| c.entry.nranks).collect();
+        assert_eq!(ranks, [64, 256, 256, 1024]);
+        assert_eq!(c[0].entry.program, "histogram");
+        assert_eq!(c[0].entry.args, strings(&["velos.fp", "velocities", "16"]));
+        assert_eq!(c[1].entry.program, "magnitude");
         assert_eq!(
-            entries[0].program,
-            Program::Histogram {
-                input: StreamArray::new("velos.fp", "velocities"),
-                num_bins: 16,
-                output_file: None,
-            }
+            c[1].entry.args,
+            strings(&["lmpselect.fp", "lmpsel", "velos.fp", "velocities"])
         );
-        assert_eq!(entries[1].nranks, 256);
+        assert_eq!(c[2].entry.program, "select");
         assert_eq!(
-            entries[1].program,
-            Program::Magnitude {
-                input: StreamArray::new("lmpselect.fp", "lmpsel"),
-                output: StreamArray::new("velos.fp", "velocities"),
-            }
+            c[2].entry.args,
+            strings(&[
+                "dump.custom.fp",
+                "atoms",
+                "1",
+                "lmpselect.fp",
+                "lmpsel",
+                "vx",
+                "vy",
+                "vz"
+            ])
         );
+        assert_eq!(c[3].entry.program, "lammps");
+        assert!(c[3].entry.args.is_empty() && c[3].entry.options.is_empty());
+        assert_eq!(c[3].entry.stdin.as_deref(), Some("in.cracksm"));
+        assert!(c
+            .iter()
+            .all(|c| c.entry.stdin.is_none() || c.label == "lammps"));
+
+        // The built components wire the paper's pipeline.
+        let wired: Vec<Wiring> = c.iter().map(|c| wiring(&*c.component)).collect();
         assert_eq!(
-            entries[2].program,
-            Program::Select {
-                input: StreamArray::new("dump.custom.fp", "atoms"),
-                dim_index: 1,
-                output: StreamArray::new("lmpselect.fp", "lmpsel"),
-                keep: vec!["vx".into(), "vy".into(), "vz".into()],
-            }
-        );
-        assert_eq!(entries[3].nranks, 1024);
-        assert_eq!(
-            entries[3].program,
-            Program::Simulation {
-                code: SimCode::Lammps,
-                params: BTreeMap::new(),
-                stdin: Some("in.cracksm".into()),
-            }
+            wired,
+            [
+                ("histogram".into(), vec![sub("velos.fp", "default")], vec![]),
+                (
+                    "magnitude".into(),
+                    vec![sub("lmpselect.fp", "default")],
+                    strings(&["velos.fp"])
+                ),
+                (
+                    "select".into(),
+                    vec![sub("dump.custom.fp", "default")],
+                    strings(&["lmpselect.fp"])
+                ),
+                ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
+            ]
         );
     }
 
@@ -780,27 +785,28 @@ mod tests {
             aprun -n 1 histogram dr2.fp flat1 20 /tmp/h.txt &
             wait
         "#;
-        let entries = entries(script);
-        assert_eq!(entries.len(), 5);
-        match &entries[0].program {
-            Program::Simulation {
-                code,
-                params,
-                stdin,
-            } => {
-                assert_eq!(*code, SimCode::Gtcp);
-                assert_eq!(params["slices"], "16");
-                assert_eq!(params["steps"], "3");
-                assert!(stdin.is_none());
-            }
-            other => panic!("expected simulation, got {other:?}"),
-        }
-        match &entries[4].program {
-            Program::Histogram { output_file, .. } => {
-                assert_eq!(output_file.as_deref(), Some("/tmp/h.txt"));
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        let c = &plan.components;
+        assert_eq!(c.len(), 5);
+        // A simulation's key=value tokens are its options, and its
+        // parameters.
+        assert_eq!(c[0].entry.program, "gtcp");
+        assert_eq!(
+            c[0].entry.options,
+            options(&[("slices", "16"), ("points", "32"), ("steps", "3")])
+        );
+        assert!(c[0].entry.args.is_empty() && c[0].entry.stdin.is_none());
+        assert_eq!(c[0].component.output_streams(), ["gtcp.fp"]);
+        assert_eq!(
+            c[4].entry.args,
+            strings(&["dr2.fp", "flat1", "20", "/tmp/h.txt"])
+        );
+        let labels: Vec<&str> = c.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["gtcp", "select", "dim-reduce", "dim-reduce-2", "histogram"]
+        );
+        assert_eq!(c[3].component.output_streams(), ["dr2.fp"]);
     }
 
     #[test]
@@ -812,17 +818,149 @@ mod tests {
             file-read /tmp/out.sbc replay.fp
             aio dump.fp atoms 16 vx vy vz
         "#;
-        let entries = entries(script);
-        assert_eq!(entries.len(), 5);
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        let c = &plan.components;
         // Bare lines default to one rank.
-        assert!(entries.iter().all(|e| e.nranks == 1));
-        assert!(matches!(entries[0].program, Program::Fork { .. }));
-        assert!(matches!(entries[4].program, Program::AllInOne { .. }));
+        assert!(c.iter().all(|c| c.entry.nranks == 1));
+        let programs: Vec<&str> = c.iter().map(|c| c.entry.program.as_str()).collect();
+        assert_eq!(
+            programs,
+            ["fork", "stats", "file-write", "file-read", "aio"]
+        );
+        assert_eq!(c[0].component.output_streams(), ["a.fp", "b.fp"]);
+        assert_eq!(c[2].component.input_streams(), ["b.fp"]);
+        assert_eq!(c[3].component.output_streams(), ["replay.fp"]);
+        assert_eq!(c[4].component.input_streams(), ["dump.fp"]);
+    }
+
+    /// Every program through both front-ends: a `.sb` line and its
+    /// `[[component]]` twin tokenise to equal entries, and a component
+    /// rebuilt from the entry declares the same wiring as the plan's
+    /// instance, options applied.
+    #[test]
+    fn every_program_lowers_alike_from_both_front_ends() {
+        let cases: &[(&str, &str, Wiring)] = &[
+            (
+                "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz group=g queue=3",
+                "program = \"select\"\nranks = 2\nargs = [\"dump.fp\", \"atoms\", \"1\", \"sel.fp\", \"v\", \"vx\", \"vy\", \"vz\"]\ngroup = \"g\"\nqueue = 3",
+                ("select".into(), vec![sub("dump.fp", "g")], strings(&["sel.fp"])),
+            ),
+            (
+                "magnitude sel.fp v mag.fp speed rendezvous=1",
+                "program = \"magnitude\"\nargs = [\"sel.fp\", \"v\", \"mag.fp\", \"speed\"]\nrendezvous = true",
+                ("magnitude".into(), vec![sub("sel.fp", "default")], strings(&["mag.fp"])),
+            ),
+            (
+                "dim-reduce a.fp x 2 1 b.fp y groups=2",
+                "program = \"dim-reduce\"\nargs = [\"a.fp\", \"x\", \"2\", \"1\", \"b.fp\", \"y\"]\ngroups = 2",
+                ("dim-reduce".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+            ),
+            (
+                "histogram a.fp x 8 /tmp/h.txt group=h",
+                "program = \"histogram\"\nargs = [\"a.fp\", \"x\", \"8\", \"/tmp/h.txt\"]\ngroup = \"h\"",
+                ("histogram".into(), vec![sub("a.fp", "h")], vec![]),
+            ),
+            (
+                "reduce a.fp x 0 mean b.fp y",
+                "program = \"reduce\"\nargs = [\"a.fp\", \"x\", \"0\", \"mean\", \"b.fp\", \"y\"]",
+                ("reduce".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+            ),
+            (
+                "threshold a.fp x abs-gt 2.5 b.fp y",
+                "program = \"threshold\"\nargs = [\"a.fp\", \"x\", \"abs-gt\", \"2.5\", \"b.fp\", \"y\"]",
+                ("threshold".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+            ),
+            (
+                "transpose a.fp x 1,0 b.fp y",
+                "program = \"transpose\"\nargs = [\"a.fp\", \"x\", \"1,0\", \"b.fp\", \"y\"]",
+                ("transpose".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+            ),
+            (
+                "combine a.fp x sub b.fp y c.fp z group=l rgroup=r",
+                "program = \"combine\"\nargs = [\"a.fp\", \"x\", \"sub\", \"b.fp\", \"y\", \"c.fp\", \"z\", \"rgroup=r\"]\ngroup = \"l\"",
+                (
+                    "combine".into(),
+                    vec![sub("a.fp", "l"), sub("b.fp", "r")],
+                    strings(&["c.fp"]),
+                ),
+            ),
+            (
+                "temporal-mean a.fp x 3 b.fp y stride=2",
+                "program = \"temporal-mean\"\nargs = [\"a.fp\", \"x\", \"3\", \"b.fp\", \"y\"]\nstride = 2",
+                ("temporal-mean".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+            ),
+            (
+                "stats a.fp x st.fp summary",
+                "program = \"stats\"\nargs = [\"a.fp\", \"x\", \"st.fp\", \"summary\"]",
+                ("stats".into(), vec![sub("a.fp", "default")], strings(&["st.fp"])),
+            ),
+            (
+                "fork in.fp a.fp b.fp queue=2",
+                "program = \"fork\"\nargs = [\"in.fp\", \"a.fp\", \"b.fp\"]\nqueue = 2",
+                ("fork".into(), vec![sub("in.fp", "fork")], strings(&["a.fp", "b.fp"])),
+            ),
+            (
+                "aio dump.fp atoms 16 vx vy vz group=a",
+                "program = \"aio\"\nargs = [\"dump.fp\", \"atoms\", \"16\", \"vx\", \"vy\", \"vz\"]\ngroup = \"a\"",
+                ("all-in-one".into(), vec![sub("dump.fp", "a")], vec![]),
+            ),
+            (
+                "file-write b.fp /tmp/out.sbc",
+                "program = \"file-write\"\nargs = [\"b.fp\", \"/tmp/out.sbc\"]",
+                ("file-write".into(), vec![sub("b.fp", "default")], vec![]),
+            ),
+            (
+                "file-read /tmp/out.sbc replay.fp rendezvous=0",
+                "program = \"file-read\"\nargs = [\"/tmp/out.sbc\", \"replay.fp\"]\nrendezvous = false",
+                ("file-read".into(), vec![], strings(&["replay.fp"])),
+            ),
+            (
+                "aprun -n 4 lammps nx=8 steps=2 < in.cracksm",
+                "program = \"lammps\"\nranks = 4\nargs = [\"nx=8\", \"steps=2\", \"<\", \"in.cracksm\"]",
+                ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
+            ),
+            (
+                "gtcp slices=4 queue=2 group=any",
+                "program = \"gtcp\"\nargs = [\"slices=4\"]\nqueue = 2\ngroup = \"any\"",
+                ("gtcp".into(), vec![], strings(&["gtcp.fp"])),
+            ),
+            (
+                "gromacs chains=2 stream=g2.fp rendezvous=1",
+                "program = \"gromacs\"\nargs = [\"chains=2\", \"stream=g2.fp\"]\nrendezvous = true",
+                ("gromacs".into(), vec![], strings(&["g2.fp"])),
+            ),
+        ];
+        let mut covered = BTreeSet::new();
+        for (line, table, expected) in cases {
+            let script =
+                WorkflowPlan::from_script(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            let spec = WorkflowPlan::from_spec(&format!("[[component]]\n{table}\n"))
+                .unwrap_or_else(|e| panic!("{table}: {e:?}"));
+            let (a, b): (&PlannedComponent, &PlannedComponent) =
+                (&script.components[0], &spec.components[0]);
+            assert_eq!((script.components.len(), spec.components.len()), (1, 1));
+            assert_eq!(
+                a.entry,
+                LaunchEntry {
+                    line: 1,
+                    ..b.entry.clone()
+                },
+                "{line}"
+            );
+            assert_eq!(a.label, b.label, "{line}");
+            assert_eq!(&wiring(&*a.component), expected, "{line}");
+            assert_eq!(&wiring(&*b.component), expected, "{table}");
+            let rebuilt = a.entry.build().unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(&wiring(&*rebuilt), expected, "{line}");
+            covered.insert(a.entry.program.as_str().to_owned());
+        }
+        let names: BTreeSet<String> = grammar_names().into_iter().map(String::from).collect();
+        assert_eq!(covered, names);
+        assert_eq!(names.len(), 17);
     }
 
     #[test]
     fn spec_schema_names_exactly_the_programs_launch_accepts() {
-        use std::collections::BTreeSet;
         let schema = include_str!("../../../schemas/smartblock.spec.v1.json");
         // The `program` property's description lists the names in
         // parentheses: `a simulation (lammps, …) or a component (select, …)`.
@@ -835,28 +973,24 @@ mod tests {
             .flat_map(|group| group.split(')').next().unwrap().split(','))
             .map(str::trim)
             .collect();
-        // The names `launch` matches on, read off its arms...
-        let source = include_str!("launch.rs");
-        let start = source.find("let parsed = match program {").unwrap();
-        let end = source.find("other => return Err").unwrap();
-        let grammar: BTreeSet<&str> = source[start..end]
-            .lines()
-            .filter_map(|l| l.trim().strip_suffix("=> {"))
-            .flat_map(|arm| arm.split('|'))
-            .map(|name| name.trim().trim_matches('"'))
-            .collect();
-        // ...and `launch` itself, so a schema name no arm matches fails by
+        // The names `LaunchEntry::build` matches on, read off its arms...
+        let grammar = grammar_names();
+        // ...and `build` itself, so a schema name no arm matches fails by
         // name and a misread arm cannot pass.
         for name in schema.union(&grammar) {
-            let accepted = match launch(1, name, &[], 1) {
+            let entry = LaunchEntry::tokenise(1, name, &[], 1).unwrap();
+            let accepted = match entry.build() {
                 Ok(_) => true,
                 Err(e) => !e.detail.starts_with("unknown program"),
             };
-            assert!(accepted, "launch rejects {name:?}");
+            assert!(accepted, "build rejects {name:?}");
         }
         assert_eq!(schema, grammar);
     }
 
+    /// Whatever the tokeniser cannot read stops the import; everything a
+    /// program refuses — arity, numbers, every option and `< file` it does
+    /// not take — is an error on the entry's own line.
     #[test]
     fn rejects_malformed_lines() {
         for (script, what) in [
@@ -869,12 +1003,63 @@ mod tests {
             ("aprun -n", "missing count"),
             ("lammps <", "dangling redirect"),
             ("aprun -n 2", "missing program"),
+            (
+                "magnitude gromacs.fp coords m.fp r EXTRA",
+                "surplus positional",
+            ),
+            (
+                "histogram a.fp r 8 /tmp/h.txt EXTRA2",
+                "surplus after the output file",
+            ),
+            (
+                "file-write b.fp /tmp/out.sbc extra",
+                "surplus on file-write",
+            ),
+            ("magnitude gromacs.fp coords m.fp r queu=4", "option typo"),
+            (
+                "magnitude a b c d rendezvous=yes",
+                "rendezvous not a boolean",
+            ),
+            ("fork m.fp a.fp b.fp group=g2", "group on fork"),
+            (
+                "file-write b.fp /tmp/out.sbc group=zzz",
+                "group on file-write",
+            ),
+            (
+                "file-write b.fp /tmp/out.sbc queue=4",
+                "queue on file-write",
+            ),
+            ("histogram a.fp r 8 queue=4", "queue on histogram"),
+            ("aio a.fp x 8 vx queue=4", "queue on aio"),
+            ("magnitude a b c d stride=3", "stride off temporal-mean"),
+            (
+                "combine a x add b y c z rgroup=r stride=2",
+                "stride on combine",
+            ),
+            ("magnitude a b c d < in.txt", "input file on a component"),
         ] {
-            assert!(
-                WorkflowPlan::from_script(script).is_err(),
-                "should reject: {what}"
-            );
+            let line = format!("\n# {what}\n{script}");
+            match WorkflowPlan::from_script(&line) {
+                Ok(_) => panic!("should reject: {what}"),
+                Err(e) => assert_eq!(
+                    e.iter().map(|e| e.line).collect::<Vec<_>>(),
+                    [3],
+                    "{what}: {e:?}"
+                ),
+            }
         }
+        // The refusal names the option and what the program takes.
+        let e = WorkflowPlan::from_script("fork m.fp a.fp group=g2").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "component rejected its arguments: fork takes no option group= \
+             (its options: groups= queue= rendezvous=)"
+        );
+        let e = WorkflowPlan::from_script("magnitude a b c d EXTRA").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "usage: magnitude in-stream in-array out-stream out-array"
+        );
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use error::{ComponentError, ComponentResult, StepError, StepResult, Workflow
 pub use file_io::{FileRead, FileWrite};
 pub use fork::Fork;
 pub use histogram::{Histogram, HistogramResult};
-pub use launch::{LaunchEntry, LaunchError, Program, ScriptDirectives};
+pub use launch::{LaunchEntry, LaunchError, ScriptDirectives};
 pub use magnitude::Magnitude;
 pub use metrics::{ComponentOutcome, ComponentReport, ComponentStats, WorkflowReport};
 pub use plan::{PlannedComponent, WorkflowPlan};

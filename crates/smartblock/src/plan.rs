@@ -46,14 +46,14 @@ use crate::launch::{err, LaunchEntry, LaunchError, ScriptDirectives};
 use crate::runtime::{unique_label, Workflow};
 use crate::spec::SpecIssue;
 use crate::triggers::Trigger;
-use crate::workflows::instantiate_entry;
 
 /// One launch entry with the label every process agrees on.
 #[derive(Clone)]
 pub struct PlannedComponent {
     /// Deduplicated component label (assignment key).
     pub label: String,
-    /// The typed launch entry: ranks, program, options, source line.
+    /// The launch entry as its source tokenised it: ranks, program name,
+    /// positional arguments, options, `< file` operand, source line.
     pub entry: LaunchEntry,
     /// The instance the plan builder constructed to check the entry's
     /// arguments and derive its label; lints read its declared streams and
@@ -96,19 +96,18 @@ pub struct WorkflowPlan {
     pub issues: Vec<SpecIssue>,
 }
 
-/// Plans `entries`: constructs each component once — the single place a
-/// launch description's arguments meet a constructor before launch — and
-/// labels it exactly as [`Workflow::add`] would, so every process planning
-/// the same source computes the same assignment keys. A component that
-/// rejects its arguments becomes one error on its own line; all entries are
-/// checked before any error is returned.
+/// Plans `entries`: builds each component once with
+/// [`LaunchEntry::build`] and labels it exactly as [`Workflow::add`] would,
+/// so every process planning the same source computes the same assignment
+/// keys. An entry its program refuses becomes one error on its own line;
+/// all entries are checked before any error is returned.
 pub(crate) fn plan_components(
     entries: Vec<LaunchEntry>,
 ) -> Result<Vec<PlannedComponent>, Vec<LaunchError>> {
     let mut components: Vec<PlannedComponent> = Vec::with_capacity(entries.len());
     let mut rejected = Vec::new();
     for entry in entries {
-        match instantiate_entry(&entry) {
+        match entry.build() {
             Ok(component) => {
                 let label = unique_label(component.label(), |l| {
                     components.iter().any(|c| c.label == l)
@@ -119,10 +118,7 @@ pub(crate) fn plan_components(
                     component: Arc::from(component),
                 });
             }
-            Err(reason) => rejected.push(err(
-                entry.line,
-                format!("component rejected its arguments: {reason}"),
-            )),
+            Err(e) => rejected.push(e),
         }
     }
     if rejected.is_empty() {
@@ -199,7 +195,10 @@ impl WorkflowPlan {
             if !select.is_empty() && !select.contains(&c.label) {
                 continue;
             }
-            let component = instantiate_entry(&c.entry).map_err(|e| format!("{}: {e}", c.label))?;
+            let component = c
+                .entry
+                .build()
+                .map_err(|e| format!("{}: {}", c.label, e.detail))?;
             wf.push_entry(
                 c.label.clone(),
                 c.entry.nranks,
@@ -316,11 +315,12 @@ args = ["m.fp", "r", "4"]
     /// component's reason, in either language — and never as a panic.
     #[test]
     fn rejected_arguments_are_one_typed_error_per_entry() {
-        let script = "histogram a.fp x 0\nmagnitude a.fp x b.fp y queue=lots\nhistogram b.fp y 4";
+        let script = "histogram a.fp x 0\nmagnitude a.fp x b.fp y queue=lots\nhistogram b.fp y 4\n\
+                      magnitude a.fp x";
         let spec = "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"0\"]\n\n\
                     [[component]]\nprogram = \"aio\"\nargs = [\"a.fp\", \"x\", \"0\", \"vx\"]\n";
         let errors = WorkflowPlan::load("bad.sb", script).unwrap_err();
-        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert_eq!(errors.len(), 3, "{errors:?}");
         assert_eq!(errors[0].line, 1);
         assert_eq!(
             errors[0].detail,
@@ -328,6 +328,13 @@ args = ["m.fp", "r", "4"]
         );
         assert_eq!(errors[1].line, 2);
         assert!(errors[1].detail.contains("queue=\"lots\""), "{errors:?}");
+        // An argument count off the usage is one more such error, not the
+        // end of the import.
+        assert_eq!(errors[2].line, 4);
+        assert_eq!(
+            errors[2].detail,
+            "usage: magnitude in-stream in-array out-stream out-array"
+        );
         let errors = WorkflowPlan::load("bad.sbw", spec).unwrap_err();
         assert_eq!(errors.iter().map(|e| e.line).collect::<Vec<_>>(), [1, 5]);
         assert!(errors[0].detail.contains("at least one bin"), "{errors:?}");

@@ -48,13 +48,15 @@
 //!
 //! [`WorkflowPlan::from_spec`] lowers the tables straight to the typed
 //! [`WorkflowPlan`] the `.sb` importer also produces; no launch-script text
-//! is synthesized on the way. Each `[[component]]` table hands its
-//! `program`, `ranks` and `args` to the per-entry grammar
-//! ([`crate::launch`]'s `launch`) — one non-empty `args` element is one
-//! token, whatever characters it holds — and its typed option keys are set on the
-//! resulting [`LaunchEntry`]; `[transport]`, `[policy.*]` and
-//! `[process.*]` tables become the same directive values a script's `#@`
-//! lines do.
+//! is synthesized on the way. Each `[[component]]` table's `program`,
+//! `ranks` and `args` are tokenised exactly as a script line's are — one
+//! non-empty `args` element is one token, whatever characters it holds —
+//! and its typed option keys (`group`, `queue`, `rendezvous`, `groups`,
+//! `stride`) join the resulting [`LaunchEntry`]'s options, as the same
+//! `key=value` tokens would. [`LaunchEntry::build`] then builds every entry
+//! of either language, so a key the program does not take is refused on
+//! the table's header line. `[transport]`, `[policy.*]` and `[process.*]`
+//! tables become the same directive values a script's `#@` lines do.
 //!
 //! Every value carries the 1-based `.sbw` line it was read from: an entry
 //! its `[[component]]` header, a policy or process its table header, the
@@ -80,7 +82,7 @@ use std::time::Duration;
 
 use sb_stream::{Compression, StreamHub, TraceConfig, WireProtocol};
 
-use crate::launch::{err, launch, LaunchEntry, LaunchError, PolicyDirective, ProcessDirective};
+use crate::launch::{err, LaunchEntry, LaunchError, PolicyDirective, ProcessDirective};
 use crate::plan::{plan_components, WorkflowPlan};
 use crate::runtime::Workflow;
 use crate::supervisor::FaultPolicy;
@@ -234,8 +236,8 @@ impl RawTable {
     }
 }
 
-/// The option keys a `[[component]]` table may carry, set on the lowered
-/// entry as launch options.
+/// The option keys a `[[component]]` table may carry, added to the lowered
+/// entry's options as if they were `key=value` tokens.
 const COMPONENT_OPTION_KEYS: &[&str] = &["group", "queue", "rendezvous", "groups", "stride"];
 
 impl WorkflowPlan {
@@ -426,8 +428,9 @@ fn lower_transport(table: &RawTable, plan: &mut WorkflowPlan) -> Result<(), Laun
 }
 
 /// Lowers one `[[component]]` table to its launch entry. Each `args`
-/// element is one token of the launch grammar, passed through as written
-/// (an empty one is refused).
+/// element is one token, passed through as written (an empty one is
+/// refused); whether the program takes them is [`LaunchEntry::build`]'s
+/// to say.
 fn lower_component(
     table: &RawTable,
     issues: &mut Vec<SpecIssue>,
@@ -452,7 +455,7 @@ fn lower_component(
         None => Vec::new(),
     };
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let mut entry = launch(ranks, &program, &args, table.line)?;
+    let mut entry = LaunchEntry::tokenise(ranks, &program, &args, table.line)?;
     for key in COMPONENT_OPTION_KEYS {
         let Some((v, vline)) = table.get(key) else {
             continue;
@@ -467,7 +470,7 @@ fn lower_component(
             (_, "rendezvous") => return Err(err(vline, "rendezvous must be a boolean")),
             (v, key) => expect_pos_int(v, key, vline)?.to_string(),
         };
-        entry.set_option(key, value);
+        entry.options.insert(key.to_string(), value);
     }
     let mut known: Vec<&str> = vec!["program", "ranks", "args"];
     known.extend_from_slice(COMPONENT_OPTION_KEYS);
@@ -839,8 +842,6 @@ fn parse_scalar(tok: &str, line: usize) -> Result<SpecValue, LaunchError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::StreamArray;
-    use crate::launch::Program;
     use crate::supervisor::{FailureAction, FaultPolicy};
     use crate::triggers::TriggerOp;
 
@@ -900,11 +901,21 @@ then = "snapshot_stream m.fp /tmp/spec_snap.txt"
         let gromacs = &spec.components[0].entry;
         assert_eq!(gromacs.line, 16);
         assert_eq!(gromacs.nranks, 2);
-        assert!(matches!(gromacs.program, Program::Simulation { .. }));
-        assert!(matches!(
-            spec.components[2].entry.program,
-            Program::Histogram { num_bins: 8, .. }
-        ));
+        assert_eq!(gromacs.program, "gromacs");
+        assert_eq!(gromacs.options["chains"], "4");
+        assert_eq!(
+            spec.components[0].component.output_streams(),
+            ["gromacs.fp"]
+        );
+        let histogram = &spec.components[2].entry;
+        assert_eq!(
+            (histogram.program.as_str(), histogram.args[2].as_str()),
+            ("histogram", "8")
+        );
+        assert_eq!(
+            spec.components[2].component.input_subscriptions(),
+            [("m.fp".to_string(), "default".to_string())]
+        );
         assert_eq!(
             spec.directives.transport.as_deref(),
             Some("tcp://127.0.0.1:7654")
@@ -961,16 +972,18 @@ stride = 3
         assert_eq!(e.options["groups"], "2");
         assert_eq!(e.options["stride"], "3");
 
-        // On a simulation the same keys are program parameters, exactly
-        // where the launch grammar puts a simulation line's key=value.
+        assert_eq!(
+            spec.components[0].component.input_subscriptions(),
+            [("a.fp".to_string(), "smooth".to_string())]
+        );
+
+        // On a simulation the same keys are options too, which are its
+        // parameters, exactly as a simulation line's key=value tokens.
         let spec =
             WorkflowPlan::from_spec("[[component]]\nprogram = \"gromacs\"\nqueue = 4\n").unwrap();
         let e = &spec.components[0].entry;
-        assert!(e.options.is_empty(), "{e:?}");
-        assert!(
-            matches!(&e.program, Program::Simulation { params, .. } if params["queue"] == "4"),
-            "{e:?}"
-        );
+        assert_eq!(e.options["queue"], "4", "{e:?}");
+        assert!(e.args.is_empty(), "{e:?}");
     }
 
     /// One `args` element is one token, whatever it holds: nothing
@@ -982,13 +995,12 @@ stride = 3
             "[[component]]\nprogram = \"histogram\"\nargs = [\"my stream.fp\", \"x y\", \"4\", \"/tmp/out dir/h.txt\"]\n",
         )
         .unwrap();
+        let e = &spec.components[0].entry;
+        assert_eq!(e.program, "histogram");
+        assert_eq!(e.args, ["my stream.fp", "x y", "4", "/tmp/out dir/h.txt"]);
         assert_eq!(
-            spec.components[0].entry.program,
-            Program::Histogram {
-                input: StreamArray::new("my stream.fp", "x y"),
-                num_bins: 4,
-                output_file: Some("/tmp/out dir/h.txt".into()),
-            }
+            spec.components[0].component.input_subscriptions(),
+            [("my stream.fp".to_string(), "default".to_string())]
         );
         // A program name is a token too: one with a space names no program.
         let e = WorkflowPlan::from_spec("[[component]]\nprogram = \"histo gram\"\n").unwrap_err();
@@ -1111,6 +1123,12 @@ stride = 3
             // protocol = "shm" pins the declared url to the shm:// scheme.
             ("[transport]\nurl = \"tcp://h:1\"\nprotocol = \"shm\"", 3),
             ("[transport]\nprotocol = \"shm\"", 2),
+            // A typed option key the program does not take is refused on
+            // the [[component]] header's line, like any other.
+            (
+                "\n[[component]]\nprogram = \"magnitude\"\nargs = [\"a\", \"x\", \"b\", \"y\"]\nstride = 3",
+                2,
+            ),
         ] {
             let e = WorkflowPlan::from_spec(text).unwrap_err();
             assert_eq!(e.len(), 1, "{text:?} -> {e:?}");

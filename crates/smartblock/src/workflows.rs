@@ -1,5 +1,5 @@
-//! The paper's three workflow presets, the simulation component wrapper,
-//! and launch-entry instantiation.
+//! The paper's three workflow presets and the simulation component
+//! wrapper.
 //!
 //! Figures 5–7 of the paper define the pipelines:
 //!
@@ -22,12 +22,9 @@ use sb_stream::{StreamHub, WriterOptions};
 use crate::component::{run_steps, Component, Ports, StepEnd};
 use crate::error::ComponentResult;
 use crate::histogram::HistogramResult;
-use crate::launch::{LaunchEntry, Program, SimCode};
+use crate::launch::SimCode;
 use crate::runtime::Workflow;
-use crate::{
-    AllInOne, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude, Reduce, Select,
-    Stats, TemporalMean, Threshold, Transpose,
-};
+use crate::{AllInOne, DimReduce, Histogram, Magnitude, Select};
 
 /// A simulation driver as a workflow component: the "driving scientific
 /// code" slot of every paper workflow.
@@ -73,9 +70,10 @@ impl Simulation {
     }
 
     /// Checks every numeric parameter the simulation will read: `Err` is
-    /// the first one that does not parse. A launch description's params
-    /// arrive as data, so the plan builder asks here before the workflow
-    /// ever reads one; keys no code reads pass through.
+    /// the first one that does not parse. A launch entry's options arrive
+    /// as data and become these parameters, so
+    /// [`LaunchEntry::build`](crate::LaunchEntry::build) asks here before
+    /// the workflow ever reads one; keys no code reads pass through.
     pub fn check_params(&self) -> Result<(), String> {
         for (key, value) in &self.params {
             if INT_PARAMS.contains(&key.as_str()) {
@@ -267,172 +265,6 @@ impl Component for Simulation {
             })
         })
     }
-}
-
-/// Parses the integer launch option `key`, when present.
-fn option_usize(options: &BTreeMap<String, String>, key: &str) -> Result<Option<usize>, String> {
-    options
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{key}={v:?} is not an integer"))
-        })
-        .transpose()
-}
-
-/// Parses `options` into writer settings (`queue=`, `rendezvous=`,
-/// `groups=`), starting from the default policy.
-fn writer_options_from(options: &BTreeMap<String, String>) -> Result<WriterOptions, String> {
-    let mut w = WriterOptions::default();
-    if let Some(q) = option_usize(options, "queue")? {
-        if q == 0 {
-            return Err("queue depth must be at least 1".to_string());
-        }
-        w.queue_capacity = q;
-    }
-    if let Some(r) = options.get("rendezvous") {
-        w.rendezvous = r == "1" || r == "true";
-    }
-    if let Some(g) = option_usize(options, "groups")? {
-        if g == 0 {
-            return Err("groups must be at least 1".to_string());
-        }
-        w.expected_reader_groups = g;
-    }
-    Ok(w)
-}
-
-/// Instantiates one launch entry as a boxed component, applying its
-/// trailing options. `Err` carries the reason the component rejects its
-/// arguments (zero bins, a non-integer option, a non-numeric simulation
-/// parameter). Each rule lives with the component that owns it — a
-/// constructor that can refuse has a `try_` form, called here; the
-/// panicking form is that same check unwrapped — so a launch description
-/// gets the programmatic API's wording without reaching its panic.
-pub(crate) fn instantiate_entry(entry: &LaunchEntry) -> Result<Box<dyn Component>, String> {
-    let opts = &entry.options;
-    let group = opts.get("group").cloned();
-    let wopts = writer_options_from(opts)?;
-    macro_rules! finish {
-        ($c:expr) => {{
-            let mut c = $c;
-            c.writer_options = wopts;
-            if let Some(g) = group {
-                c.reader_group = g;
-            }
-            Box::new(c)
-        }};
-    }
-    Ok(match entry.program.clone() {
-        Program::Select {
-            input,
-            dim_index,
-            output,
-            keep,
-        } => finish!(Select::new(input, dim_index, keep, output)),
-        Program::Magnitude { input, output } => finish!(Magnitude::new(input, output)),
-        Program::DimReduce {
-            input,
-            remove,
-            grow,
-            output,
-        } => finish!(DimReduce::new(input, remove, grow, output)),
-        Program::Stats { input, output } => finish!(Stats::new(input, output)),
-        Program::Reduce {
-            input,
-            dim,
-            op,
-            output,
-        } => finish!(Reduce::new(input, dim, op, output)),
-        Program::Threshold {
-            input,
-            predicate,
-            output,
-        } => finish!(Threshold::new(input, predicate, output)),
-        Program::Transpose {
-            input,
-            perm,
-            output,
-        } => {
-            finish!(Transpose::new(input, perm, output))
-        }
-        Program::TemporalMean {
-            input,
-            window,
-            output,
-        } => {
-            let mut t = TemporalMean::try_new(input, window, output)?;
-            if let Some(stride) = option_usize(opts, "stride")? {
-                t = t.try_with_stride(stride)?;
-            }
-            finish!(t)
-        }
-        Program::Histogram {
-            input,
-            num_bins,
-            output_file,
-        } => {
-            let mut h = Histogram::try_new(input, num_bins)?;
-            if let Some(path) = output_file {
-                h = h.with_output_file(path);
-            }
-            if let Some(g) = group {
-                h = h.with_reader_group(g);
-            }
-            Box::new(h)
-        }
-        Program::Combine {
-            left,
-            op,
-            right,
-            output,
-        } => {
-            let mut c = Combine::new(left, op, right, output);
-            c.writer_options = wopts;
-            if let Some(g) = group {
-                c.left_group = Some(g);
-            }
-            if let Some(g) = opts.get("rgroup") {
-                c.right_group = Some(g.clone());
-            }
-            Box::new(c)
-        }
-        Program::Fork { input, outputs } => {
-            Box::new(Fork::new(input, outputs).with_writer_options(wopts))
-        }
-        Program::AllInOne {
-            input,
-            num_bins,
-            keep,
-        } => {
-            let mut a = AllInOne::try_new(input, keep, num_bins)?;
-            if let Some(g) = group {
-                a.reader_group = g;
-            }
-            Box::new(a)
-        }
-        Program::FileWrite { input, path } => Box::new(FileWrite::new(input, path)),
-        Program::FileRead { path, output } => {
-            let mut f = FileRead::new(path, output);
-            f.writer_options = wopts;
-            Box::new(f)
-        }
-        Program::Simulation {
-            code,
-            params,
-            stdin: _,
-        } => {
-            let mut sim = Simulation::new(code);
-            if let Some(stream) = params.get("stream") {
-                sim.stream = stream.clone();
-            }
-            // Writer-policy params ride along with the physics params.
-            sim.writer_options = writer_options_from(&params)?;
-            sim.params = params;
-            sim.check_params()?;
-            Box::new(sim)
-        }
-    })
 }
 
 /// Process counts and problem size of one preset workflow run.
