@@ -332,10 +332,11 @@ impl Buffer {
 
     /// Appends elements `range` of the payload to `out` as little-endian
     /// bytes — [`Buffer::append_le_bytes`] over a sub-range, for encoders
-    /// that look at part of a payload before committing to all of it.
+    /// that look at part of a payload before committing to all of it, and
+    /// for senders that convert a payload one cache-sized piece at a time.
     ///
     /// Panics if `range` is out of bounds, like slice indexing.
-    pub(crate) fn append_le_range(&self, range: Range<usize>, out: &mut Vec<u8>) {
+    pub fn append_le_range(&self, range: Range<usize>, out: &mut Vec<u8>) {
         const BLOCK: usize = 4096;
         out.reserve(range.len() * self.dtype().elem_bytes());
         macro_rules! emit {
@@ -381,20 +382,42 @@ impl Buffer {
                 detail: format!("payload truncated: need {need} bytes, have {}", bytes.len()),
             });
         }
+        let mut out = Buffer::with_capacity(dtype, 0);
+        out.extend_from_le_bytes(&bytes[..need]);
+        Ok(out)
+    }
+
+    /// Appends the whole elements the little-endian `bytes` encode, a
+    /// trailing partial element ignored, reserving exactly what they need
+    /// beyond the spare capacity — the one LE parser: a payload that
+    /// arrives in pieces is converted piece by piece, and
+    /// [`Buffer::from_le_bytes`] is the one-piece case.
+    pub(crate) fn extend_from_le_bytes(&mut self, bytes: &[u8]) {
         macro_rules! parse {
-            ($t:ty, $variant:ident, $w:expr) => {{
-                let (src, _) = bytes[..need].as_chunks::<$w>();
-                Buffer::$variant(src.iter().map(|c| <$t>::from_le_bytes(*c)).collect())
+            ($v:expr, $t:ty, $w:expr) => {{
+                let (src, _) = bytes.as_chunks::<$w>();
+                $v.reserve_exact(src.len());
+                $v.extend(src.iter().map(|c| <$t>::from_le_bytes(*c)));
             }};
         }
-        Ok(match dtype {
-            DType::F32 => parse!(f32, F32, 4),
-            DType::F64 => parse!(f64, F64, 8),
-            DType::I32 => parse!(i32, I32, 4),
-            DType::I64 => parse!(i64, I64, 8),
-            DType::U32 => parse!(u32, U32, 4),
-            DType::U64 => parse!(u64, U64, 8),
-        })
+        match self {
+            Buffer::F32(v) => parse!(v, f32, 4),
+            Buffer::F64(v) => parse!(v, f64, 8),
+            Buffer::I32(v) => parse!(v, i32, 4),
+            Buffer::I64(v) => parse!(v, i64, 8),
+            Buffer::U32(v) => parse!(v, u32, 4),
+            Buffer::U64(v) => parse!(v, u64, 8),
+        }
+    }
+
+    /// Elements the buffer can hold without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        for_each_variant!(self, v => v.capacity())
+    }
+
+    /// Reserves room for exactly `additional` more elements.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        for_each_variant!(self, v => v.reserve_exact(additional))
     }
 
     /// An empty buffer of `dtype` with room for `capacity` elements —

@@ -33,6 +33,15 @@
 //! payload(lz)  := u64 compressed_len | lz block
 //! ```
 //!
+//! Each chunk is a header and a payload, and every codec is built from one
+//! header and one payload function per grammar: [`encode_chunk`] is
+//! [`encode_chunk_head`] plus the raw payload, [`encode_chunk_interned`] is
+//! [`encode_chunk_interned_head`] plus the raw payload unless LZ won, and
+//! [`decode_chunk`] / [`decode_chunk_interned`] are the whole-input case of
+//! the header and payload functions a [`StepDecoder`] runs over a step body
+//! while it arrives. So a sender may stream a raw payload behind its header,
+//! and a receiver may convert it piece by piece, without a second codec.
+//!
 //! Decoding is total: truncated or corrupt input yields a
 //! [`DataError::Container`] (or another typed `DataError` from the chunk
 //! validators), never a panic and never an unbounded allocation — vector
@@ -43,13 +52,14 @@
 //! hardened decoder then misparses.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use crate::buffer::{Buffer, DType};
 use crate::chunk::{Chunk, VariableMeta};
 use crate::compress::{lz_compress_into, lz_decompress};
 use crate::cursor::{
     fits, get_str, get_u16, get_u32, get_u64, get_u8, put_str, put_u16, put_u32, put_u64, put_u8,
-    take,
+    take, truncated,
 };
 use crate::dims::{Dim, Shape};
 use crate::error::{DataError, DataResult};
@@ -190,12 +200,20 @@ pub fn decode_region(buf: &mut &[u8]) -> DataResult<Region> {
     Ok(Region::new(offset, count))
 }
 
-/// Appends one encoded chunk — metadata, region, payload — to `buf`.
-pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &Chunk) -> DataResult<()> {
-    buf.reserve(chunk.byte_len() + 128);
+/// Appends a self-described chunk's header — `meta | region | u64 nelems`
+/// — which its raw payload follows on the wire.
+pub fn encode_chunk_head(buf: &mut Vec<u8>, chunk: &Chunk) -> DataResult<()> {
     encode_meta(buf, &chunk.meta)?;
     encode_region(buf, &chunk.region)?;
     put_u64(buf, chunk.data.len() as u64);
+    Ok(())
+}
+
+/// Appends one encoded chunk — metadata, region, payload — to `buf`: its
+/// [`encode_chunk_head`] and the raw payload behind it.
+pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &Chunk) -> DataResult<()> {
+    buf.reserve(chunk.byte_len() + 128);
+    encode_chunk_head(buf, chunk)?;
     chunk.data.append_le_bytes(buf);
     Ok(())
 }
@@ -237,12 +255,112 @@ pub(crate) fn validated_payload_bytes(
 /// dtype, header consistency), so a frame that decodes successfully is safe
 /// to hand to the MxN assembly path.
 pub fn decode_chunk(buf: &mut &[u8]) -> DataResult<Chunk> {
+    let header = decode_described_header(buf)?;
+    decode_payload(buf, header)
+}
+
+fn decode_described_header(buf: &mut &[u8]) -> DataResult<PendingChunk> {
     let meta = decode_meta(buf)?;
+    decode_after_meta(buf, meta, false)
+}
+
+/// Decodes what follows the `meta` (or meta id) of a chunk header —
+/// `region | u64 nelems`, then `u8 codec [| u64 compressed_len]` when the
+/// grammar is `coded` — into the chunk that awaits its payload.
+fn decode_after_meta(buf: &mut &[u8], meta: VariableMeta, coded: bool) -> DataResult<PendingChunk> {
     let region = decode_region(buf)?;
     let nelems = get_u64(buf, "element count")? as usize;
     let nbytes = validated_payload_bytes(&meta, &region, nelems)?;
-    let data = Buffer::from_le_bytes(meta.dtype, nelems, take(buf, nbytes, "payload")?)?;
-    Chunk::new(meta, region, data)
+    let codec = match coded {
+        true => Compression::from_tag(get_u8(buf, "payload codec")?)?,
+        false => Compression::None,
+    };
+    let wire_len = match codec {
+        Compression::None => nbytes,
+        Compression::Lz => get_u64(buf, "compressed length")? as usize,
+    };
+    Ok(PendingChunk {
+        data: Buffer::with_capacity(meta.dtype, 0),
+        meta,
+        region,
+        nelems,
+        nbytes,
+        codec,
+        wire_len,
+        taken: 0,
+    })
+}
+
+/// Decodes the payload of `chunk` from the front of `buf`: the whole-input
+/// case of [`PendingChunk::finish`].
+fn decode_payload(buf: &mut &[u8], chunk: PendingChunk) -> DataResult<Chunk> {
+    let bytes = take(buf, chunk.wire_len, chunk.payload_field())?;
+    chunk.finish(bytes)
+}
+
+/// A chunk whose header is decoded and whose payload bytes are arriving: a
+/// raw payload is converted into the chunk's buffer a piece at a time, an
+/// LZ block is decoded once it is complete.
+#[derive(Debug)]
+struct PendingChunk {
+    meta: VariableMeta,
+    region: Region,
+    nelems: usize,
+    /// Payload bytes once decoded.
+    nbytes: usize,
+    codec: Compression,
+    /// Payload bytes on the wire: `nbytes` raw, the block's length under LZ.
+    wire_len: usize,
+    data: Buffer,
+    /// Wire bytes already converted into `data`.
+    taken: usize,
+}
+
+impl PendingChunk {
+    /// The field a payload cut short is reported as.
+    fn payload_field(&self) -> &'static str {
+        match self.codec {
+            Compression::None => "payload",
+            Compression::Lz => "compressed payload",
+        }
+    }
+
+    /// Converts the whole elements of `fresh`, the raw payload bytes that
+    /// arrived since the last call. The buffer grows geometrically and
+    /// never past the element count the header names: its first
+    /// reservation is `stride` bytes and each later one doubles it, so it
+    /// holds at most one stride or twice the arrived elements. An LZ block
+    /// waits whole.
+    fn feed(&mut self, fresh: &[u8], stride: usize) {
+        if self.codec != Compression::None {
+            return;
+        }
+        let width = self.meta.dtype.elem_bytes();
+        let elems = fresh.len() / width;
+        let (len, cap) = (self.data.len(), self.data.capacity());
+        if cap - len < elems {
+            let want = (len + elems).max(2 * cap).max(stride / width);
+            self.data.reserve_exact(want.min(self.nelems) - len);
+        }
+        self.data.extend_from_le_bytes(&fresh[..elems * width]);
+        self.taken += elems * width;
+    }
+
+    /// The chunk, from `rest`: the wire bytes of its payload that
+    /// [`feed`](Self::feed) has not converted, now all arrived.
+    fn finish(mut self, rest: &[u8]) -> DataResult<Chunk> {
+        let data = match self.codec {
+            Compression::None => {
+                self.data.extend_from_le_bytes(rest);
+                self.data
+            }
+            Compression::Lz => {
+                let raw = lz_decompress(rest, self.nbytes)?;
+                Buffer::from_le_bytes(self.meta.dtype, self.nelems, &raw)?
+            }
+        };
+        Chunk::new(self.meta, self.region, data)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,31 +566,34 @@ fn lz_worth_trying(data: &Buffer) -> bool {
     packed.len() < sample.len()
 }
 
-/// Appends one interned chunk — meta id, region, payload — to `buf`.
+/// Appends an interned chunk's header — `meta_id | region | nelems |
+/// codec` — and, when [`Compression::Lz`] wins, the compressed block behind
+/// it: everything of the chunk but a raw payload, which follows on the wire
+/// when the returned encode is not [`compressed`](InternedEncode::compressed).
 ///
 /// `meta_id` must come from [`MetaInternTable::intern`] on the same
 /// connection's table, and the matching definition must reach the receiver
 /// no later than this chunk. With [`Compression::Lz`] the payload is
-/// compressed per chunk and kept only if it actually shrank; incompressible
+/// compressed whole and kept only if it actually shrank; incompressible
 /// chunks fall back to raw storage, tagged as such. Above `SAMPLE` bytes
 /// a sample decides first, and a chunk whose sample does not shrink is
-/// emitted exactly as [`Compression::None`] would emit it, in one pass.
-pub fn encode_chunk_interned(
+/// headed exactly as [`Compression::None`] heads it, without staging the
+/// payload at all.
+pub fn encode_chunk_interned_head(
     buf: &mut Vec<u8>,
     chunk: &Chunk,
     meta_id: u32,
     compression: Compression,
 ) -> DataResult<InternedEncode> {
     let raw_payload = chunk.byte_len();
-    buf.reserve(raw_payload + 64);
     put_u32(buf, meta_id);
     encode_region(buf, &chunk.region)?;
     put_u64(buf, chunk.data.len() as u64);
-    let codec_at = buf.len();
     if compression == Compression::Lz && lz_worth_trying(&chunk.data) {
         // The compressor needs the payload as bytes, so this path stages it
-        // once; the block itself is written straight into the frame behind
-        // a length placeholder, and rolled back if it did not shrink.
+        // once; the block itself is written straight into `buf` behind a
+        // length placeholder, and rolled back if it did not shrink.
+        let codec_at = buf.len();
         let raw = chunk.data.to_le_bytes();
         put_u8(buf, Compression::Lz.tag());
         put_u64(buf, 0);
@@ -487,37 +608,240 @@ pub fn encode_chunk_interned(
             });
         }
         buf.truncate(codec_at);
-        put_u8(buf, Compression::None.tag());
-        buf.extend_from_slice(&raw);
-    } else {
-        put_u8(buf, Compression::None.tag());
-        chunk.data.append_le_bytes(buf);
     }
+    put_u8(buf, Compression::None.tag());
     Ok(InternedEncode {
         raw_payload,
         wire_payload: raw_payload,
     })
 }
 
+/// Appends one interned chunk — meta id, region, payload — to `buf`: its
+/// [`encode_chunk_interned_head`] and, unless LZ won, the raw payload.
+pub fn encode_chunk_interned(
+    buf: &mut Vec<u8>,
+    chunk: &Chunk,
+    meta_id: u32,
+    compression: Compression,
+) -> DataResult<InternedEncode> {
+    buf.reserve(chunk.byte_len() + 64);
+    let enc = encode_chunk_interned_head(buf, chunk, meta_id, compression)?;
+    if !enc.compressed() {
+        chunk.data.append_le_bytes(buf);
+    }
+    Ok(enc)
+}
+
 /// Decodes one interned chunk against the definitions applied so far,
 /// advancing `buf` past it. Runs the full [`Chunk::new`] validation, like
 /// [`decode_chunk`].
 pub fn decode_chunk_interned(buf: &mut &[u8], defs: &MetaDefs) -> DataResult<Chunk> {
+    let header = decode_interned_header(buf, defs)?;
+    decode_payload(buf, header)
+}
+
+fn decode_interned_header(buf: &mut &[u8], defs: &MetaDefs) -> DataResult<PendingChunk> {
     let meta = defs.get(get_u32(buf, "meta id")?)?.clone();
-    let region = decode_region(buf)?;
-    let nelems = get_u64(buf, "element count")? as usize;
-    let nbytes = validated_payload_bytes(&meta, &region, nelems)?;
-    let data = match Compression::from_tag(get_u8(buf, "payload codec")?)? {
-        Compression::None => {
-            Buffer::from_le_bytes(meta.dtype, nelems, take(buf, nbytes, "payload")?)?
+    decode_after_meta(buf, meta, true)
+}
+
+// ---------------------------------------------------------------------------
+// Step bodies, decoded while they arrive.
+// ---------------------------------------------------------------------------
+
+/// The chunk grammar of a step body: the one place protocol v1 and v2
+/// differ in how a step is received.
+#[derive(Debug)]
+pub enum ChunkGrammar<'d> {
+    /// v1: no definition section; every chunk carries its whole `meta`
+    /// ([`encode_chunk`]).
+    Described,
+    /// v2: a definition section applied to these definitions, then chunks
+    /// that name a meta id ([`encode_chunk_interned`]).
+    Interned(&'d mut MetaDefs),
+}
+
+/// Where a [`StepDecoder`] stands in the body.
+#[derive(Debug)]
+enum Item {
+    DefCount,
+    /// Definitions left, this one included.
+    Def(u32),
+    ChunkCount,
+    /// Chunks left, this one included.
+    Header(u32),
+    /// The payload of a chunk whose header starts at frame offset `from`.
+    Payload {
+        left: u32,
+        from: usize,
+        payload: Box<PendingChunk>,
+    },
+    Done,
+}
+
+/// Decodes a step body while its frame is still arriving:
+///
+/// ```text
+/// body := [ u32 ndefs | def* ] u32 nchunks | chunk*   (defs: v2 only)
+/// ```
+///
+/// Feed [`arrived`](StepDecoder::arrived) the frame's arrived prefix as it
+/// grows, then [`finish`](StepDecoder::finish) with the whole frame. Each
+/// definition count, definition and chunk header is parsed, with the
+/// whole-input parser, as soon as it is complete; each arrived piece of a
+/// raw payload is converted into the chunk's buffer while it is still in
+/// cache; an LZ block is decoded once it is complete. The outcome does not
+/// depend on how the frame was split: the chunks are bitwise those, and an
+/// error is exactly the one, that [`decode_chunk`] /
+/// [`decode_chunk_interned`] give over the whole body, and an error is
+/// reported by `finish` only.
+///
+/// A header item that fails on an arrived prefix is tried again only once
+/// the bytes past its start have doubled, or at the end, so parse work
+/// stays linear in the frame length; a payload's buffer holds at most
+/// `stride` bytes or twice its arrived elements, like an amortised `Vec`
+/// whose first reservation is one stride.
+#[derive(Debug)]
+pub struct StepDecoder<'d> {
+    grammar: ChunkGrammar<'d>,
+    item: Item,
+    /// Frame offset of the first byte no finished item covers.
+    at: usize,
+    /// Arrived length below which the header item at `at` is not retried.
+    retry_at: usize,
+    stride: usize,
+    chunks: Vec<(Chunk, Range<usize>)>,
+    failed: Option<DataError>,
+}
+
+impl<'d> StepDecoder<'d> {
+    /// A decoder for the body that starts at frame offset `start`.
+    pub fn new(grammar: ChunkGrammar<'d>, start: usize, stride: usize) -> StepDecoder<'d> {
+        let item = match grammar {
+            ChunkGrammar::Described => Item::ChunkCount,
+            ChunkGrammar::Interned(_) => Item::DefCount,
+        };
+        StepDecoder {
+            grammar,
+            item,
+            at: start,
+            retry_at: start,
+            stride,
+            chunks: Vec::new(),
+            failed: None,
         }
-        Compression::Lz => {
-            let clen = get_u64(buf, "compressed length")? as usize;
-            let raw = lz_decompress(take(buf, clen, "compressed payload")?, nbytes)?;
-            Buffer::from_le_bytes(meta.dtype, nelems, &raw)?
+    }
+
+    /// Decodes what `frame`, the arrived prefix of the frame, newly
+    /// completes. An error is kept for [`finish`](Self::finish).
+    pub fn arrived(&mut self, frame: &[u8]) {
+        if self.failed.is_none() {
+            if let Err(e) = self.advance(frame, false) {
+                self.failed = Some(e);
+            }
         }
-    };
-    Chunk::new(meta, region, data)
+    }
+
+    /// The step's chunks, each with the frame range of its bytes, once
+    /// `frame` has arrived whole.
+    pub fn finish(mut self, frame: &[u8]) -> DataResult<Vec<(Chunk, Range<usize>)>> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        self.advance(frame, true)?;
+        Ok(self.chunks)
+    }
+
+    fn advance(&mut self, frame: &[u8], whole: bool) -> DataResult<()> {
+        loop {
+            self.item = match std::mem::replace(&mut self.item, Item::Done) {
+                Item::Done => return Ok(()),
+                Item::Payload {
+                    left,
+                    from,
+                    mut payload,
+                } => {
+                    let end = self.at.saturating_add(payload.wire_len);
+                    let have = frame.len().min(end);
+                    payload.feed(&frame[self.at + payload.taken..have], self.stride);
+                    if have < end {
+                        if whole {
+                            return Err(truncated(payload.payload_field()));
+                        }
+                        self.item = Item::Payload {
+                            left,
+                            from,
+                            payload,
+                        };
+                        return Ok(());
+                    }
+                    let rest = &frame[self.at + payload.taken..end];
+                    self.chunks.push((payload.finish(rest)?, from..end));
+                    self.at = end;
+                    self.retry_at = end;
+                    if left > 1 {
+                        Item::Header(left - 1)
+                    } else {
+                        Item::Done
+                    }
+                }
+                item => {
+                    if !whole && frame.len() < self.retry_at {
+                        self.item = item;
+                        return Ok(());
+                    }
+                    let mut cur = &frame[self.at..];
+                    match self.parse(&item, &mut cur) {
+                        Ok(next) => {
+                            self.at = frame.len() - cur.len();
+                            self.retry_at = self.at;
+                            next
+                        }
+                        Err(e) if whole => return Err(e),
+                        Err(_) => {
+                            self.retry_at = self.at + 2 * (frame.len() - self.at).max(1);
+                            self.item = item;
+                            return Ok(());
+                        }
+                    }
+                }
+            };
+        }
+    }
+
+    /// Parses the header item `item` from the front of `cur`, returning the
+    /// item after it.
+    fn parse(&mut self, item: &Item, cur: &mut &[u8]) -> DataResult<Item> {
+        Ok(match (item, &mut self.grammar) {
+            (Item::DefCount, _) => match get_u32(cur, "def count")? {
+                0 => Item::ChunkCount,
+                n => Item::Def(n),
+            },
+            (Item::Def(left), ChunkGrammar::Interned(defs)) => {
+                defs.decode_def(cur)?;
+                match left {
+                    1 => Item::ChunkCount,
+                    _ => Item::Def(left - 1),
+                }
+            }
+            (Item::ChunkCount, _) => match get_u32(cur, "chunk count")? {
+                0 => Item::Done,
+                n => Item::Header(n),
+            },
+            (Item::Header(left), grammar) => {
+                let payload = match grammar {
+                    ChunkGrammar::Described => decode_described_header(cur)?,
+                    ChunkGrammar::Interned(defs) => decode_interned_header(cur, defs)?,
+                };
+                Item::Payload {
+                    left: *left,
+                    from: self.at,
+                    payload: Box::new(payload),
+                }
+            }
+            (item, _) => unreachable!("{item:?} is no header item of this grammar"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -913,5 +1237,38 @@ mod tests {
                 "n = {n}"
             );
         }
+    }
+
+    #[test]
+    fn a_payload_spanning_many_strides_grows_geometrically() {
+        const STRIDE: usize = 4096;
+        let n = 10_000; // f64: about twenty strides
+        let meta = VariableMeta::new("x", Shape::linear("n", n), DType::F64);
+        let values: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 7.0).collect();
+        let chunk = Chunk::new(meta, Region::new(vec![0], vec![n]), Buffer::F64(values)).unwrap();
+        let mut frame = Vec::new();
+        encode_chunk(&mut frame, &chunk).unwrap();
+        let mut cur: &[u8] = &frame;
+        let mut pending = decode_described_header(&mut cur).unwrap();
+        let payload = cur;
+
+        // Pieces that split elements, as a socket delivers them.
+        let mut capacities = vec![pending.data.capacity()];
+        for have in (0..payload.len()).step_by(1001).skip(1) {
+            pending.feed(&payload[pending.taken..have], STRIDE);
+            let cap = pending.data.capacity();
+            assert!(
+                cap <= (STRIDE / 8).max(2 * have / 8),
+                "{cap} elements reserved with {have} bytes arrived"
+            );
+            if capacities.last() != Some(&cap) {
+                capacities.push(cap);
+            }
+        }
+        // A first stride, then doublings up to the element count.
+        assert_eq!(capacities, [0, 512, 1024, 2048, 4096, 8192, n]);
+        let rest = &payload[pending.taken..];
+        let back = pending.finish(rest).unwrap();
+        assert_eq!(back.data.to_le_bytes(), chunk.data.to_le_bytes());
     }
 }

@@ -41,7 +41,9 @@ use std::time::Duration;
 
 use crate::error::StreamError;
 use crate::hub::StreamHub;
-use crate::tcp::{dial_retry, BrokerCore, Dialer, FrameIo, Socket, TcpOptions, TcpTransport};
+use crate::tcp::{
+    dial_retry, BrokerCore, Dialer, FrameIo, Framed, Socket, TcpOptions, TcpTransport,
+};
 use crate::trace::Tracer;
 
 /// Name of the broker's listening socket inside the `shm://` directory.
@@ -117,7 +119,7 @@ impl Dialer for ShmDialer {
         let sock = dial_retry(&self.peer(), &self.options, stream_name, |_budget| {
             with_socket_path(&self.dir, |path| UnixStream::connect(path))
         })?;
-        Ok(Box::new(sock))
+        Ok(Box::new(Framed::new(sock)))
     }
 
     fn peer(&self) -> String {

@@ -69,16 +69,30 @@
 //! ## Latency discipline
 //!
 //! *One request, one reply per writer step*: `begin_step` sends nothing and
-//! `put` only encodes into a local batch; the whole step goes out as one
-//! `W_STEP` frame at `end_step`, and its one reply covers the broker's wait
-//! for buffer space, the commit and, in rendezvous mode, the consumption —
-//! so an N-variable step costs one round trip, not N + 1. The broker
-//! session owns the writer's step sequence: it expects the step its hub
+//! `put` keeps the chunk (an `Arc` clone of its payload) and encodes only
+//! its header into a local batch — or, under LZ, the whole block, when the
+//! sample says compression wins; the whole step goes out as one `W_STEP`
+//! frame at `end_step`, and its one reply covers the broker's wait for
+//! buffer space, the commit and, in rendezvous mode, the consumption — so
+//! an N-variable step costs one round trip, not N + 1. The broker session
+//! owns the writer's step sequence: it expects the step its hub
 //! registration started at, then each next one, and anything else costs
 //! the connection. *Reader-side prefetch*: releasing step `s` immediately
 //! pipelines the request for `s + 1` — `R_RELEASE s` and `R_BEGIN s + 1`
 //! with the boxes of step `s` leave as one gathered write — so the broker
 //! can cut and send the next step while the component is still computing.
+//!
+//! *Each step streams through a hop*: no endpoint waits for a whole step
+//! before it starts encoding or decoding it. `end_step` converts each raw payload into wire
+//! bytes one `STREAM_BLOCK` at a time and writes the piece while it is
+//! still in L2; the broker's writer session and a reader client hand each
+//! arrived block to a [`StepDecoder`], which parses definitions and chunk
+//! headers as soon as they are complete and converts raw payload pieces
+//! into the chunks' buffers while the rest of the frame is still on the
+//! wire. Not a wire byte differs from a frame encoded whole, and a
+//! malformed frame is the same typed error, reported once the whole frame
+//! has arrived, so a session stays in frame sync. The broker decodes a
+//! `W_STEP` only when it is the step the session expects next.
 //!
 //! ## Failure semantics
 //!
@@ -125,10 +139,11 @@ use sb_data::cursor::{
     fits, get_str, get_u16, get_u32, get_u64, get_u8, put_str, put_u16, put_u32, put_u64, put_u8,
 };
 use sb_data::wire::{
-    decode_chunk, decode_chunk_interned, decode_region, encode_chunk, encode_chunk_interned,
-    encode_region, Compression, MetaDefs, MetaInternTable,
+    decode_region, encode_chunk, encode_chunk_head, encode_chunk_interned,
+    encode_chunk_interned_head, encode_region, ChunkGrammar, Compression, MetaDefs,
+    MetaInternTable, StepDecoder,
 };
-use sb_data::{lock, AllocationId, Chunk, DataError, DataResult, Region};
+use sb_data::{lock, AllocationId, Buffer, Chunk, DataError, DataResult, Region};
 
 use crate::error::{StreamError, StreamResult};
 use crate::hub::StreamHub;
@@ -299,44 +314,80 @@ pub fn parse_url(url: &str) -> io::Result<SocketAddr> {
 
 // ---- framing -------------------------------------------------------------
 
+/// One piece of a frame's payload: bytes sent as they are, or a payload
+/// buffer converted to its little-endian wire bytes while it is sent.
+#[derive(Clone, Copy)]
+pub(crate) enum Part<'a> {
+    Bytes(&'a [u8]),
+    Le(&'a Buffer),
+}
+
+impl Part<'_> {
+    /// Wire bytes this part contributes to its frame.
+    fn len(&self) -> usize {
+        match self {
+            Part::Bytes(bytes) => bytes.len(),
+            Part::Le(data) => data.byte_len(),
+        }
+    }
+}
+
 /// One framed, bidirectional byte channel: the seam between the protocol
 /// (hellos, steps, control verbs) and the fabric carrying it. Every kernel
-/// stream [`Socket`] implements it — the TCP socket here, the Unix-domain
-/// socket of [`crate::shm`] — so every client and broker-session codepath
-/// above this line is fabric-agnostic.
+/// stream [`Socket`] is one through [`Framed`] — the TCP socket here, the
+/// Unix-domain socket of [`crate::shm`] — so every client and
+/// broker-session codepath above this line is fabric-agnostic.
+///
+/// A step streams through it at both ends: a sender converts a payload
+/// into wire bytes a [`STREAM_BLOCK`] at a time and writes each piece while
+/// it is still in cache, and a receiver hands each arrived piece to an
+/// observer, which decodes it while the rest is still on the wire.
 pub(crate) trait FrameIo: Send {
-    /// Sends `frames` back to back as one gathered write, each a
-    /// `u32`-length-prefixed frame whose payload is the concatenation of its
-    /// parts, returning the bytes that crossed the fabric (headers plus
-    /// payloads). Taking a payload as slices is what lets a sender frame
-    /// bytes it does not own contiguously — a step batch behind its header,
-    /// relayed chunk bodies behind a prelude — without first copying them
-    /// into one buffer; taking several frames is what lets a reader's
-    /// release and its next request leave in one syscall.
-    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize>;
+    /// Sends `frames` back to back, each a `u32`-length-prefixed frame
+    /// whose payload is the concatenation of its parts, returning the bytes
+    /// that crossed the fabric (headers plus payloads). Byte parts go out as
+    /// one gathered write with the first piece of the payload part after
+    /// them, so a step batch behind its header, relayed chunk bodies behind
+    /// a prelude, or a reader's release and its next request leave without
+    /// first being copied into one buffer. A frame the peer's [`read_frame`]
+    /// would refuse is refused before any byte leaves.
+    fn send_frames(&mut self, frames: &[&[Part]]) -> io::Result<usize>;
 
     /// Sends one frame whose payload is the concatenation of `parts`.
-    fn send_frame_parts(&mut self, parts: &[&[u8]]) -> io::Result<usize> {
+    fn send_frame_parts(&mut self, parts: &[Part]) -> io::Result<usize> {
         self.send_frames(&[parts])
     }
 
     /// Sends one frame from a contiguous payload.
     fn send_frame(&mut self, payload: &[u8]) -> io::Result<usize> {
-        self.send_frame_parts(&[payload])
+        self.send_frame_parts(&[Part::Bytes(payload)])
     }
 
-    /// Receives one frame payload.
-    fn recv_frame(&mut self) -> io::Result<Vec<u8>>;
+    /// Receives one frame payload into `frame`, replacing its contents and
+    /// keeping its capacity. `observe` sees the arrived prefix after each
+    /// piece, the last time the whole frame.
+    fn recv_frame_into(
+        &mut self,
+        frame: &mut Vec<u8>,
+        observe: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<()>;
 
-    /// Sets the deadline applied to subsequent [`FrameIo::recv_frame`]
-    /// calls; expiry must surface as `WouldBlock` or `TimedOut`.
+    /// Receives one frame payload, unobserved.
+    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+        let mut frame = Vec::new();
+        self.recv_frame_into(&mut frame, &mut |_| {})?;
+        Ok(frame)
+    }
+
+    /// Sets the deadline applied to subsequent receives; expiry must
+    /// surface as `WouldBlock` or `TimedOut`.
     fn set_recv_deadline(&mut self, deadline: Option<Duration>);
 }
 
 /// The length prefix for a frame made of `parts`, refusing one the peer's
 /// [`read_frame`] would reject (and one a `u32` could not even describe).
-pub(crate) fn frame_header(parts: &[&[u8]]) -> io::Result<[u8; 4]> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
+pub(crate) fn frame_header(parts: &[Part]) -> io::Result<[u8; 4]> {
+    let len: usize = parts.iter().map(Part::len).sum();
     match u32::try_from(len) {
         Ok(len) if len <= MAX_FRAME => Ok(len.to_le_bytes()),
         _ => Err(io::Error::new(
@@ -347,18 +398,34 @@ pub(crate) fn frame_header(parts: &[&[u8]]) -> io::Result<[u8; 4]> {
 }
 
 /// Most bytes [`read_frame`] reserves ahead of the bytes that have actually
-/// arrived.
+/// arrived, and most bytes a decoded payload buffer reserves ahead of its
+/// arrived elements.
 pub(crate) const FRAME_STRIDE: usize = 4 << 20;
 
-/// Reads one length-prefixed frame from either fabric's byte stream.
+/// The piece a frame streams in at both ends: a sender converts a payload
+/// this many bytes at a time into one reused buffer and writes the piece
+/// while it is still in L2, and [`read_frame`] hands a receiver's decoder
+/// this many arrived bytes at a time. A standalone writer → broker → reader
+/// hop did best at 512 KiB of 128 KiB to 1 MiB.
+pub(crate) const STREAM_BLOCK: usize = 512 << 10;
+
+const _: () = assert!(STREAM_BLOCK <= FRAME_STRIDE);
+
+/// Reads one length-prefixed frame from either fabric's byte stream into
+/// `body`, calling `observe` with the arrived prefix after every
+/// [`STREAM_BLOCK`].
 ///
 /// The prefix is hostile until the body has arrived: it is capped at
 /// [`MAX_FRAME`], and the body buffer is reserved at most one
 /// [`FRAME_STRIDE`] ahead of what has been received, so a forged 1 GiB
 /// prefix followed by a hang-up costs one stride, not a gigabyte. A frame
 /// that fits one stride — every step the workflows here move — is received
-/// into a single exact reservation.
-pub(crate) fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
+/// into a single exact reservation, or none when `body` already has room.
+pub(crate) fn read_frame(
+    src: &mut impl Read,
+    body: &mut Vec<u8>,
+    observe: &mut dyn FnMut(&[u8]),
+) -> io::Result<()> {
     let mut len = [0u8; 4];
     src.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len);
@@ -369,24 +436,28 @@ pub(crate) fn read_frame(src: &mut impl Read) -> io::Result<Vec<u8>> {
         ));
     }
     let len = len as usize;
-    let mut body = Vec::new();
+    body.clear();
     while body.len() < len {
-        let stride = (len - body.len()).min(FRAME_STRIDE);
-        body.reserve(stride);
-        let got = src.by_ref().take(stride as u64).read_to_end(&mut body)?;
-        if got < stride {
+        let left = len - body.len();
+        let piece = left.min(STREAM_BLOCK);
+        if body.capacity() - body.len() < piece {
+            body.reserve(left.min(FRAME_STRIDE));
+        }
+        let got = src.by_ref().take(piece as u64).read_to_end(body)?;
+        if got < piece {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-frame",
             ));
         }
+        observe(body);
     }
-    Ok(body)
+    Ok(())
 }
 
 /// A kernel stream socket: blocking reads and writes, backpressure from the
 /// socket buffer, EOF when the peer closes or dies. [`TcpStream`] and the
-/// `UnixStream` of [`crate::shm`] share the one [`FrameIo`] below.
+/// `UnixStream` of [`crate::shm`] share the one [`FrameIo`] of [`Framed`].
 pub(crate) trait Socket: Read + Write + Send {
     /// The socket's receive-timeout setter (`SO_RCVTIMEO`).
     fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
@@ -398,45 +469,81 @@ impl Socket for TcpStream {
     }
 }
 
-impl<S: Socket> FrameIo for S {
-    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+/// A [`Socket`] as a [`FrameIo`], with the one buffer its sends convert
+/// payload pieces into.
+pub(crate) struct Framed<S> {
+    sock: S,
+    block: Vec<u8>,
+}
+
+impl<S> Framed<S> {
+    pub(crate) fn new(sock: S) -> Framed<S> {
+        Framed {
+            sock,
+            block: Vec::new(),
+        }
+    }
+}
+
+/// Writes all of `slices`: one gathered write in the common case, a loop
+/// over short writes and lists longer than the kernel's iovec limit.
+fn write_all_slices(sock: &mut impl Write, mut slices: &mut [IoSlice]) -> io::Result<()> {
+    while !slices.is_empty() {
+        match sock.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "socket accepted no bytes mid-frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+impl<S: Socket> FrameIo for Framed<S> {
+    fn send_frames(&mut self, frames: &[&[Part]]) -> io::Result<usize> {
         let headers = frames
             .iter()
             .map(|parts| frame_header(parts))
             .collect::<io::Result<Vec<[u8; 4]>>>()?;
-        let mut slices = Vec::with_capacity(frames.iter().map(|parts| 1 + parts.len()).sum());
+        let Framed { sock, block } = self;
+        // Byte parts wait here until a payload piece or the end sends them.
+        let mut pending = Vec::with_capacity(frames.iter().map(|parts| 1 + parts.len()).sum());
         let mut sent = 0;
         for (header, parts) in headers.iter().zip(frames) {
-            slices.push(IoSlice::new(header));
-            slices.extend(
-                parts
-                    .iter()
-                    .filter(|p| !p.is_empty())
-                    .map(|p| IoSlice::new(p)),
-            );
+            pending.push(IoSlice::new(header));
             sent += header.len() + u32::from_le_bytes(*header) as usize;
-        }
-        // One gathered write per call in the common case; the loop covers
-        // short writes and lists longer than the kernel's iovec limit.
-        let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match self.write_vectored(rest) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted no bytes mid-frame",
-                    ))
+            for part in *parts {
+                match part {
+                    Part::Bytes([]) => {}
+                    Part::Bytes(bytes) => pending.push(IoSlice::new(bytes)),
+                    Part::Le(data) => {
+                        let per_block = STREAM_BLOCK / data.dtype().elem_bytes();
+                        for start in (0..data.len()).step_by(per_block) {
+                            block.clear();
+                            data.append_le_range(start..data.len().min(start + per_block), block);
+                            let mut slices: Vec<IoSlice> = std::mem::take(&mut pending);
+                            slices.push(IoSlice::new(block));
+                            write_all_slices(sock, &mut slices)?;
+                        }
+                    }
                 }
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
         }
+        write_all_slices(sock, &mut pending)?;
         Ok(sent)
     }
 
-    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-        read_frame(self)
+    fn recv_frame_into(
+        &mut self,
+        frame: &mut Vec<u8>,
+        observe: &mut dyn FnMut(&[u8]),
+    ) -> io::Result<()> {
+        read_frame(&mut self.sock, frame, observe)
     }
 
     fn set_recv_deadline(&mut self, deadline: Option<Duration>) {
@@ -444,7 +551,7 @@ impl<S: Socket> FrameIo for S {
         // previous (possibly infinite) deadline armed; the shortest real one
         // keeps "no time left" a timeout instead of a hang.
         let deadline = deadline.map(|d| d.max(Duration::from_millis(1)));
-        let _ = self.set_read_timeout(deadline);
+        let _ = self.sock.set_read_timeout(deadline);
     }
 }
 
@@ -638,14 +745,14 @@ struct ClientConn {
 
 impl ClientConn {
     fn send(&mut self, payload: &[u8]) -> StreamResult<()> {
-        self.send_parts(&[payload])
+        self.send_parts(&[Part::Bytes(payload)])
     }
 
-    fn send_parts(&mut self, parts: &[&[u8]]) -> StreamResult<()> {
+    fn send_parts(&mut self, parts: &[Part]) -> StreamResult<()> {
         self.send_frames(&[parts])
     }
 
-    fn send_frames(&mut self, frames: &[&[&[u8]]]) -> StreamResult<()> {
+    fn send_frames(&mut self, frames: &[&[Part]]) -> StreamResult<()> {
         self.io
             .send_frames(frames)
             .map(|_| ())
@@ -665,22 +772,37 @@ impl ClientConn {
         }
     }
 
-    /// Receives one reply frame. The broker enforces the hub timeout where
-    /// the blocking happens; the fabric deadline only adds wire slack, and
-    /// its expiry surfaces as the same [`StreamError::Timeout`].
+    /// Receives one reply frame.
     fn recv(&mut self, waiting_for: &str) -> StreamResult<Vec<u8>> {
+        let mut frame = Vec::new();
+        self.recv_into(waiting_for, &mut frame, &mut |_| {})?;
+        Ok(frame)
+    }
+
+    /// Receives one reply frame into `frame`, observed as it arrives (see
+    /// [`FrameIo::recv_frame_into`]). The broker enforces the hub timeout
+    /// where the blocking happens; the fabric deadline only adds wire
+    /// slack, and its expiry surfaces as the same [`StreamError::Timeout`].
+    fn recv_into(
+        &mut self,
+        waiting_for: &str,
+        frame: &mut Vec<u8>,
+        observe: &mut dyn FnMut(&[u8]),
+    ) -> StreamResult<()> {
         let base = Duration::from_micros(self.wait_timeout_micros.load(Ordering::Relaxed));
         let deadline = base + self.read_grace;
         self.io.set_recv_deadline(Some(deadline));
-        self.io.recv_frame().map_err(|e| match e.kind() {
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => StreamError::Timeout {
-                stream: self.stream_name.clone(),
-                waiting_for: waiting_for.to_string(),
-                timeout: deadline,
-                detail: format!("no reply from broker at {}", self.peer),
-            },
-            _ => self.lost(e),
-        })
+        self.io
+            .recv_frame_into(frame, observe)
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => StreamError::Timeout {
+                    stream: self.stream_name.clone(),
+                    waiting_for: waiting_for.to_string(),
+                    timeout: deadline,
+                    detail: format!("no reply from broker at {}", self.peer),
+                },
+                _ => self.lost(e),
+            })
     }
 
     /// Receives a reply and requires a bare `OK`.
@@ -759,7 +881,7 @@ impl Dialer for TcpDialer {
             let _ = sock.set_nodelay(true);
             Ok(sock)
         })?;
-        Ok(Box::new(sock))
+        Ok(Box::new(Framed::new(sock)))
     }
 
     fn peer(&self) -> String {
@@ -898,10 +1020,15 @@ struct TcpWriter {
     /// Encoded definitions pending for the open step (v2).
     defs: Vec<u8>,
     ndefs: u32,
-    /// Chunks of the open step, encoded as they are put; flushed as one
-    /// `W_STEP` frame at `end_step` (writer-side batching).
-    batch: Vec<u8>,
-    nchunks: u32,
+    /// The open step's chunk headers, each followed by its LZ block when
+    /// compression won; `end_step` streams them out as one `W_STEP` frame
+    /// (writer-side batching).
+    heads: Vec<u8>,
+    /// Per chunk put: where its bytes in `heads` end, and the chunk whose
+    /// raw payload follows them on the wire (`None` when the block is in
+    /// `heads`). Kept, not encoded: `end_step` converts each payload while
+    /// sending it.
+    staged: Vec<(usize, Option<Chunk>)>,
     /// Payload bytes of the open step before/after the codec.
     step_raw: u64,
     step_wire: u64,
@@ -922,16 +1049,30 @@ impl TcpWriter {
         }
     }
 
-    fn put_interned(&mut self, chunk: &Chunk) -> sb_data::DataResult<()> {
+    /// Encodes `chunk`'s header into `heads`, returning whether its raw
+    /// payload must follow on the wire.
+    fn put_head(&mut self, chunk: &Chunk) -> DataResult<bool> {
+        if self.proto == WireProtocol::V1 {
+            encode_chunk_head(&mut self.heads, chunk)?;
+            return Ok(true);
+        }
         let id = self.table.intern(&chunk.meta)?;
         if self.table.len() > self.defs_sent {
             self.ndefs += self.table.append_defs_since(self.defs_sent, &mut self.defs);
             self.defs_sent = self.table.len();
         }
-        let enc = encode_chunk_interned(&mut self.batch, chunk, id, self.compression)?;
+        let enc = encode_chunk_interned_head(&mut self.heads, chunk, id, self.compression)?;
         self.step_raw += enc.raw_payload as u64;
         self.step_wire += enc.wire_payload as u64;
-        Ok(())
+        Ok(!enc.compressed())
+    }
+
+    /// Forgets the open step's chunks.
+    fn clear_step(&mut self) {
+        self.heads.clear();
+        self.staged.clear();
+        self.step_raw = 0;
+        self.step_wire = 0;
     }
 }
 
@@ -946,12 +1087,8 @@ impl WriterEndpoint for TcpWriter {
         if self.encode_failure.is_some() {
             return Ok(());
         }
-        let result = match self.proto {
-            WireProtocol::V1 => encode_chunk(&mut self.batch, &chunk),
-            WireProtocol::V2 => self.put_interned(&chunk),
-        };
-        match result {
-            Ok(()) => self.nchunks += 1,
+        match self.put_head(&chunk) {
+            Ok(raw) => self.staged.push((self.heads.len(), raw.then_some(chunk))),
             Err(e) => self.encode_failure = Some(e.to_string()),
         }
         Ok(())
@@ -959,26 +1096,16 @@ impl WriterEndpoint for TcpWriter {
 
     fn end_step(&mut self, step: u64) -> StreamResult<()> {
         if let Some(detail) = self.encode_failure.take() {
-            // Drop the poisoned batch but keep any pending defs: their ids
+            // Drop the poisoned step but keep any pending defs: their ids
             // are already marked sent in `defs_sent`, so they must still
             // ride along with the next step that does go out.
-            self.batch.clear();
-            self.nchunks = 0;
-            self.step_raw = 0;
-            self.step_wire = 0;
+            self.clear_step();
             return Err(StreamError::PeerGone {
                 stream: self.stream.clone(),
                 reason: format!("unencodable chunk: {detail}"),
             });
         }
-        // The frame goes out as slices of the buffers it was built in; the
-        // batch is cleared afterwards, not taken, so the next step encodes
-        // into capacity this one already paid for.
-        let nchunks = std::mem::take(&mut self.nchunks);
         let ndefs = std::mem::take(&mut self.ndefs);
-        let (step_raw, step_wire) = (self.step_raw, self.step_wire);
-        self.step_raw = 0;
-        self.step_wire = 0;
         let mut head = vec![W_STEP];
         put_u64(&mut head, step);
         if self.proto == WireProtocol::V2 {
@@ -987,23 +1114,38 @@ impl WriterEndpoint for TcpWriter {
             // the compression ledger (the broker charges only what it has
             // to encode itself).
             self.counters
-                .add_compression(step_raw as usize, step_wire as usize);
-            if step_wire < step_raw {
+                .add_compression(self.step_raw as usize, self.step_wire as usize);
+            if self.step_wire < self.step_raw {
                 self.tracer.instant(
                     EventKind::Compressed,
                     TraceSite::stream(self.trace_id, self.rank, step),
-                    step_raw - step_wire,
+                    self.step_raw - self.step_wire,
                 );
             }
         }
-        let count = nchunks.to_le_bytes();
-        let parts: [&[u8]; 4] = [&head, &self.defs, &count, &self.batch];
+        // The frame goes out as slices of the buffers it was built in, each
+        // raw payload converted while it is sent; the buffers are cleared
+        // afterwards, not taken, so the next step reuses their capacity.
+        let count = (self.staged.len() as u32).to_le_bytes();
+        let mut parts = vec![
+            Part::Bytes(&head),
+            Part::Bytes(&self.defs),
+            Part::Bytes(&count),
+        ];
+        let mut from = 0;
+        for (end, raw) in &self.staged {
+            parts.push(Part::Bytes(&self.heads[from..*end]));
+            from = *end;
+            if let Some(chunk) = raw {
+                parts.push(Part::Le(&chunk.data));
+            }
+        }
         let sent = match &mut self.io {
             Ok(conn) => conn.send_parts(&parts),
             Err(e) => Err(e.clone()),
         };
         self.defs.clear();
-        self.batch.clear();
+        self.clear_step();
         sent?;
         self.conn()?.expect_ok("step commit")
     }
@@ -1039,6 +1181,8 @@ struct TcpReader {
     proto: WireProtocol,
     /// Definitions applied so far (v2 interning, per connection).
     defs: MetaDefs,
+    /// The receive buffer, reused by every reply on the connection.
+    frame: Vec<u8>,
     /// Step a `R_BEGIN` is in flight for (reader-side prefetch).
     pending: Option<u64>,
     eos: bool,
@@ -1062,16 +1206,20 @@ impl ReaderEndpoint for TcpReader {
             conn.send(&req)?;
             self.pending = Some(step);
         }
-        let payload = conn.recv("a committed step")?;
+        // The step is decoded while it arrives.
+        let mut body = StepRecv::new(REPLY_STEP, step, chunk_grammar(self.proto, &mut self.defs));
+        conn.recv_into("a committed step", &mut self.frame, &mut |arrived| {
+            body.arrived(arrived)
+        })?;
         self.pending = None;
-        if payload.first() == Some(&REPLY_EOS) {
+        let frame = &self.frame;
+        if frame.first() == Some(&REPLY_EOS) {
             self.eos = true;
             return Ok(None);
         }
-        let (proto, defs) = (self.proto, &mut self.defs);
-        let (got, chunks) = parse_reply(&payload, REPLY_STEP, &conn.stream_name, |cur| {
+        let (got, chunks) = parse_reply(frame, REPLY_STEP, &conn.stream_name, |cur| {
             let got = get_u64(cur, "step id")?;
-            Ok((got, decode_step_body(&payload, cur, proto, defs)?))
+            Ok((got, body.finish(frame)?))
         })?;
         if got != step {
             return Err(proto_gone(
@@ -1113,7 +1261,10 @@ impl ReaderEndpoint for TcpReader {
                 }
             }
             // A broken connection surfaces from the next fetch instead.
-            if conn.send_frames(&[&[&release], &[&next]]).is_ok() {
+            if conn
+                .send_frames(&[&[Part::Bytes(&release)], &[Part::Bytes(&next)]])
+                .is_ok()
+            {
                 self.pending = Some(step + 1);
             }
         }
@@ -1176,8 +1327,8 @@ impl Transport for TcpTransport {
                 defs_sent: 0,
                 defs: Vec::new(),
                 ndefs: 0,
-                batch: Vec::new(),
-                nchunks: 0,
+                heads: Vec::new(),
+                staged: Vec::new(),
                 step_raw: 0,
                 step_wire: 0,
                 encode_failure: None,
@@ -1233,6 +1384,7 @@ impl Transport for TcpTransport {
                 io,
                 proto,
                 defs: MetaDefs::default(),
+                frame: Vec::new(),
                 pending,
                 eos: false,
                 fetched: 0,
@@ -1378,7 +1530,7 @@ impl BrokerCore {
     /// `accept` yields is served on a thread of its own
     /// (`sb-<fabric>-session`) until its client hangs up. `shm` is
     /// [`serve_session`]'s fabric flag.
-    pub(crate) fn start<S: FrameIo + 'static>(
+    pub(crate) fn start<S: Socket + 'static>(
         hub: Arc<StreamHub>,
         shm: bool,
         mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
@@ -1401,7 +1553,7 @@ impl BrokerCore {
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut sock) = sock else {
+                    let Ok(sock) = sock else {
                         std::thread::sleep(ACCEPT_BACKOFF);
                         continue;
                     };
@@ -1414,7 +1566,7 @@ impl BrokerCore {
                         .name(format!("sb-{fabric}-session"))
                         .spawn(move || {
                             let _guard = guard;
-                            let _ = serve_session(&hub, &relays, &mut sock, shm);
+                            let _ = serve_session(&hub, &relays, &mut Framed::new(sock), shm);
                         });
                 })?
         };
@@ -1922,30 +2074,61 @@ pub(crate) fn serve_session(
     }
 }
 
-/// Decodes the body of one `W_STEP` or `REPLY_STEP` frame (everything
-/// after the step id): the definitions the receiver still lacked, then the
-/// chunks, each paired with the range of its bytes inside `frame`.
-fn decode_step_body(
-    frame: &[u8],
-    body: &mut &[u8],
-    proto: WireProtocol,
-    defs: &mut MetaDefs,
-) -> DataResult<Vec<(Chunk, Range<usize>)>> {
-    if proto == WireProtocol::V2 {
-        for _ in 0..get_u32(body, "def count")? {
-            defs.decode_def(body)?;
+/// The chunk grammar `proto` steps are received in, applying v2
+/// definitions to `defs`: the one protocol arm of the receive path.
+fn chunk_grammar(proto: WireProtocol, defs: &mut MetaDefs) -> ChunkGrammar<'_> {
+    match proto {
+        WireProtocol::V1 => ChunkGrammar::Described,
+        WireProtocol::V2 => ChunkGrammar::Interned(defs),
+    }
+}
+
+/// Offset of a step body in a `W_STEP` or `REPLY_STEP` frame, behind the
+/// opcode and the `u64` step id.
+const STEP_BODY: usize = 9;
+
+/// Decodes the body of a step frame — `opcode | u64 step | body` — while
+/// the frame arrives, once its head shows `opcode` and `step`: the receive
+/// half of a streamed step at both the broker's writer session and a
+/// reader client.
+struct StepRecv<'d> {
+    opcode: u8,
+    step: u64,
+    started: bool,
+    decoder: StepDecoder<'d>,
+}
+
+impl<'d> StepRecv<'d> {
+    fn new(opcode: u8, step: u64, grammar: ChunkGrammar<'d>) -> StepRecv<'d> {
+        StepRecv {
+            opcode,
+            step,
+            started: false,
+            decoder: StepDecoder::new(grammar, STEP_BODY, FRAME_STRIDE),
         }
     }
-    let mut chunks = Vec::new();
-    for _ in 0..get_u32(body, "chunk count")? {
-        let at = frame.len() - body.len();
-        let chunk = match proto {
-            WireProtocol::V1 => decode_chunk(body)?,
-            WireProtocol::V2 => decode_chunk_interned(body, defs)?,
-        };
-        chunks.push((chunk, at..frame.len() - body.len()));
+
+    /// An observer for [`FrameIo::recv_frame_into`].
+    fn arrived(&mut self, frame: &[u8]) {
+        if !self.started {
+            let mut head = frame;
+            let (Ok(op), Ok(step)) = (get_u8(&mut head, "opcode"), get_u64(&mut head, "step"))
+            else {
+                return;
+            };
+            self.started = op == self.opcode && step == self.step;
+        }
+        if self.started {
+            self.decoder.arrived(frame);
+        }
     }
-    Ok(chunks)
+
+    /// The chunks of the step body `frame` carries, each with the range of
+    /// its bytes inside `frame`, once the frame has arrived whole. The
+    /// caller has checked its opcode and step.
+    fn finish(self, frame: &[u8]) -> DataResult<Vec<(Chunk, Range<usize>)>> {
+        self.decoder.finish(frame)
+    }
 }
 
 /// A writer session's endpoint, disconnected on drop unless `W_CLOSE` or
@@ -2030,16 +2213,24 @@ fn writer_session(
     // The one step this connection may send next: the hub takes step
     // numbers on trust, so the sequence is kept here.
     let mut next = conn.start_step;
+    // The receive buffer; a frame seeded into the relay cache takes it.
+    let mut frame = Vec::new();
 
     loop {
+        // Only the step this connection may send next is decoded, and it is
+        // decoded while it arrives.
+        let mut body = StepRecv::new(W_STEP, next, chunk_grammar(proto, &mut defs));
         // A connection that drops without a terminator is a process gone
         // (killed, crashed before abandon): not a session error, and the
         // guard makes it noisy.
-        let Ok(payload) = io.recv_frame() else {
+        if io
+            .recv_frame_into(&mut frame, &mut |arrived| body.arrived(arrived))
+            .is_err()
+        {
             return Ok(());
-        };
-        ledger.charge(4 + payload.len());
-        let mut cur = &payload[..];
+        }
+        ledger.charge(4 + frame.len());
+        let mut cur = &frame[..];
         match get_u8(&mut cur, "writer opcode").map_err(session_err)? {
             W_STEP => {
                 let step = get_u64(&mut cur, "step").map_err(session_err)?;
@@ -2050,7 +2241,7 @@ fn writer_session(
                 }
                 // Decoded whole before anything can fail, so this
                 // connection's definitions stay in step with the writer's.
-                let result = match decode_step_body(&payload, &mut cur, proto, &mut defs) {
+                let result = match body.finish(&frame) {
                     Err(e) => Err(proto_gone(&name, e)),
                     Ok(chunks) => writer.endpoint.begin_step(step).and_then(|()| {
                         // Seeded once the step owns a hub slot, so the cache
@@ -2060,7 +2251,7 @@ fn writer_session(
                         let wanted = relay.read_remotely.load(Ordering::Relaxed);
                         if proto == WireProtocol::V2 && wanted {
                             relay.retire(conn.counters.steps_consumed.load(Ordering::Relaxed));
-                            relay.seed(step, comp, payload, &chunks);
+                            relay.seed(step, comp, std::mem::take(&mut frame), &chunks);
                         }
                         for (chunk, _) in chunks {
                             writer.endpoint.put(step, chunk)?;
@@ -2200,8 +2391,8 @@ fn reader_session(
                                         );
                                     }
                                 }
-                                let mut parts = vec![&built.prelude[..]];
-                                parts.extend(built.parts.iter().map(Segment::bytes));
+                                let mut parts = vec![Part::Bytes(&built.prelude)];
+                                parts.extend(built.parts.iter().map(|s| Part::Bytes(s.bytes())));
                                 let sent = io.send_frame_parts(&parts)?;
                                 ledger.charge(sent);
                                 let kind = if raw > 0 {
@@ -3012,16 +3203,16 @@ mod tests {
             for part in &reply.parts {
                 bytes.extend_from_slice(part.bytes());
             }
-            let mut cur = &bytes[9..];
             let mut defs = MetaDefs::default();
-            for _ in 0..get_u32(&mut cur, "def count").unwrap() {
-                defs.decode_def(&mut cur).unwrap();
-            }
-            let got: Vec<Chunk> = (0..get_u32(&mut cur, "chunk count").unwrap())
-                .map(|_| decode_chunk_interned(&mut cur, &defs).unwrap())
-                .collect();
-            assert!(cur.is_empty());
-            (reply, got)
+            let got = StepRecv::new(REPLY_STEP, 0, ChunkGrammar::Interned(&mut defs))
+                .finish(&bytes)
+                .unwrap();
+            // The reply carries no bytes past its last chunk.
+            assert_eq!(got.last().map(|(_, r)| r.end), Some(bytes.len()));
+            (
+                reply,
+                got.into_iter().map(|(chunk, _)| chunk).collect::<Vec<_>>(),
+            )
         };
         let shared = |part: &Segment| Arc::ptr_eq(&part.buf, &frame);
 
@@ -3087,26 +3278,48 @@ mod tests {
             data: io::Cursor::new(bytes),
             largest_ask: 0,
         };
-        let err = read_frame(&mut src).unwrap_err();
+        let mut body = Vec::new();
+        let err = read_frame(&mut src, &mut body, &mut |_| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
         assert!(
-            src.largest_ask <= FRAME_STRIDE,
+            src.largest_ask <= STREAM_BLOCK,
             "asked to fill {} bytes at once",
             src.largest_ask
+        );
+        assert!(
+            body.capacity() <= FRAME_STRIDE,
+            "{} reserved",
+            body.capacity()
         );
 
         // Over the cap: rejected before any body byte is awaited.
         let over = (MAX_FRAME + 1).to_le_bytes();
-        let err = read_frame(&mut io::Cursor::new(over)).unwrap_err();
+        let err = read_frame(&mut io::Cursor::new(over), &mut body, &mut |_| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 
-        // A frame spanning several strides still arrives whole.
-        let body: Vec<u8> = (0..2 * FRAME_STRIDE + 17)
+        // A frame spanning several strides still arrives whole, observed
+        // one block at a time and never reserved more than a stride ahead.
+        let whole: Vec<u8> = (0..2 * FRAME_STRIDE + 17)
             .map(|i| (i % 251) as u8)
             .collect();
-        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&body);
-        assert_eq!(read_frame(&mut io::Cursor::new(bytes)).unwrap(), body);
+        let mut bytes = (whole.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&whole);
+        let mut seen = Vec::new();
+        read_frame(&mut io::Cursor::new(bytes), &mut body, &mut |arrived| {
+            assert_eq!(arrived, &whole[..arrived.len()]);
+            seen.push(arrived.len());
+        })
+        .unwrap();
+        assert_eq!(body, whole);
+        let pieces: Vec<usize> = seen
+            .iter()
+            .scan(0, |at, &n| Some(n - std::mem::replace(at, n)))
+            .collect();
+        assert_eq!(seen.last(), Some(&whole.len()));
+        assert!(
+            pieces.iter().all(|&n| n > 0 && n <= STREAM_BLOCK),
+            "{pieces:?}"
+        );
     }
 
     #[test]
@@ -3119,17 +3332,24 @@ mod tests {
             sends: usize,
         }
         impl FrameIo for Scripted {
-            fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+            fn send_frames(&mut self, frames: &[&[Part]]) -> io::Result<usize> {
                 if self.sends == 0 {
                     return Err(io::ErrorKind::BrokenPipe.into());
                 }
                 self.sends -= 1;
-                Ok(frames.iter().flat_map(|f| f.iter()).map(|p| p.len()).sum())
+                Ok(frames.iter().map(|parts| concat(parts).len()).sum())
             }
-            fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-                self.frames
+            fn recv_frame_into(
+                &mut self,
+                frame: &mut Vec<u8>,
+                observe: &mut dyn FnMut(&[u8]),
+            ) -> io::Result<()> {
+                *frame = self
+                    .frames
                     .pop_front()
-                    .ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+                    .ok_or(io::ErrorKind::UnexpectedEof)?;
+                observe(frame);
+                Ok(())
             }
             fn set_recv_deadline(&mut self, _: Option<Duration>) {}
         }
@@ -3179,20 +3399,39 @@ mod tests {
         replies: std::sync::mpsc::Sender<Vec<u8>>,
     }
 
+    /// A frame's payload as one byte vector.
+    fn concat(parts: &[Part]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        for part in parts {
+            match part {
+                Part::Bytes(bytes) => frame.extend_from_slice(bytes),
+                Part::Le(data) => data.append_le_bytes(&mut frame),
+            }
+        }
+        frame
+    }
+
     impl FrameIo for Piped {
-        fn send_frames(&mut self, frames: &[&[&[u8]]]) -> io::Result<usize> {
+        fn send_frames(&mut self, frames: &[&[Part]]) -> io::Result<usize> {
             let mut sent = 0;
             for parts in frames {
-                let frame = parts.concat();
+                let frame = concat(parts);
                 sent += 4 + frame.len();
                 let _ = self.replies.send(frame);
             }
             Ok(sent)
         }
-        fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
-            self.requests
+        fn recv_frame_into(
+            &mut self,
+            frame: &mut Vec<u8>,
+            observe: &mut dyn FnMut(&[u8]),
+        ) -> io::Result<()> {
+            *frame = self
+                .requests
                 .recv()
-                .map_err(|_| io::ErrorKind::UnexpectedEof.into())
+                .map_err(|_| io::ErrorKind::UnexpectedEof)?;
+            observe(frame);
+            Ok(())
         }
         fn set_recv_deadline(&mut self, _: Option<Duration>) {}
     }
@@ -3481,6 +3720,140 @@ mod tests {
         w.close();
     }
 
+    /// Dials the one socket it holds.
+    struct PairDialer(Mutex<Option<std::os::unix::net::UnixStream>>);
+
+    impl Dialer for PairDialer {
+        fn backend(&self) -> &'static str {
+            "pair"
+        }
+        fn dial(&self, _: &str) -> Result<Box<dyn FrameIo>, StreamError> {
+            let sock = lock(&self.0).take().expect("the pair is dialed once");
+            Ok(Box::new(Framed::new(sock)))
+        }
+        fn peer(&self) -> String {
+            "pair".to_string()
+        }
+    }
+
+    #[test]
+    fn a_streamed_w_step_is_the_encoded_step_byte_for_byte() {
+        // Both big payloads span several stream blocks and lie above the LZ
+        // sample threshold: the sample of one refuses, of the other shrinks.
+        let n = 80_000;
+        let noise = {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let values = (0..n).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f64::from_bits(x)
+            });
+            Chunk::whole(
+                Variable::new(
+                    "noise",
+                    Shape::linear("n", n),
+                    Buffer::F64(values.collect()),
+                )
+                .unwrap(),
+            )
+        };
+        let flat = Chunk::whole(
+            Variable::new(
+                "flat",
+                Shape::linear("n", n),
+                Buffer::U32((0..n as u32).map(|i| i % 97).collect()),
+            )
+            .unwrap(),
+        );
+        let chunks = [
+            Chunk::whole(var((0..64).map(f64::from).collect())),
+            noise,
+            flat,
+        ];
+        for (proto, comp) in [
+            (WireProtocol::V2, Compression::Lz),
+            (WireProtocol::V2, Compression::None),
+            (WireProtocol::V1, Compression::None),
+        ] {
+            let (client, server) = std::os::unix::net::UnixStream::pair().unwrap();
+            let broker = std::thread::spawn(move || {
+                let mut io = Framed::new(server);
+                io.recv_frame().unwrap();
+                let mut started = vec![REPLY_STARTED];
+                put_u64(&mut started, 0);
+                put_u8(&mut started, proto.tag());
+                put_u8(&mut started, comp.tag());
+                io.send_frame(&started).unwrap();
+                let mut steps = Vec::new();
+                for _ in 0..2 {
+                    steps.push(io.recv_frame().unwrap());
+                    io.send_frame(&[REPLY_OK]).unwrap();
+                }
+                steps
+            });
+            let transport = TcpTransport::with_dialer(
+                Box::new(PairDialer(Mutex::new(Some(client)))),
+                TcpOptions::default()
+                    .with_protocol(proto)
+                    .with_compression(comp),
+                Arc::new(AtomicU64::new(10_000_000)),
+                Arc::new(Tracer::new()),
+            );
+            let mut writer = transport
+                .open_writer("wire.fp", 0, 1, WriterOptions::default())
+                .unwrap()
+                .endpoint;
+            for step in 0..2 {
+                writer.begin_step(step).unwrap();
+                for chunk in &chunks {
+                    writer.put(step, chunk.clone()).unwrap();
+                }
+                writer.end_step(step).unwrap();
+            }
+            let steps = broker.join().unwrap();
+
+            // head | defs | count | encode_chunk_interned(..)*, and the v1
+            // head | count | encode_chunk(..)*: the first step carries every
+            // definition, the second none.
+            let mut table = MetaInternTable::new();
+            for (step, got) in steps.iter().enumerate() {
+                let framed = table.len();
+                let mut body = Vec::new();
+                let mut compressed = Vec::new();
+                for chunk in &chunks {
+                    if proto == WireProtocol::V1 {
+                        encode_chunk(&mut body, chunk).unwrap();
+                        continue;
+                    }
+                    let id = table.intern(&chunk.meta).unwrap();
+                    let enc = encode_chunk_interned(&mut body, chunk, id, comp).unwrap();
+                    compressed.push(enc.compressed());
+                }
+                let mut want = vec![W_STEP];
+                put_u64(&mut want, step as u64);
+                if proto == WireProtocol::V2 {
+                    let mut defs = Vec::new();
+                    let ndefs = table.append_defs_since(framed, &mut defs);
+                    assert_eq!(ndefs, if step == 0 { 3 } else { 0 });
+                    put_u32(&mut want, ndefs);
+                    want.extend(defs);
+                }
+                put_u32(&mut want, chunks.len() as u32);
+                want.extend(body);
+                assert!(
+                    *got == want,
+                    "{proto:?} {comp:?} step {step}: the wire bytes moved"
+                );
+                if comp == Compression::Lz {
+                    // The small ramp is tried whole; of the big ones the
+                    // noise's sample refuses and the flat one's shrinks.
+                    assert_eq!(compressed, [true, false, true]);
+                }
+            }
+        }
+    }
+
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -3492,17 +3865,27 @@ mod tests {
     fn vectored_frames_equal_contiguous_frames_on_both_sockets() {
         fn check(mut client: impl FrameIo, mut server: impl FrameIo + 'static) {
             let big: Vec<u8> = (0..300_000).map(|i| (i % 253) as u8).collect();
-            let parts: [&[u8]; 5] = [b"head", &[], &big, b"", b"tail"];
+            // A payload of several stream blocks, with a partial last one.
+            let payload = Buffer::I32((0..(STREAM_BLOCK as i32 / 2 + 7)).collect());
+            let parts = [
+                Part::Bytes(b"head"),
+                Part::Bytes(&[]),
+                Part::Bytes(&big),
+                Part::Le(&payload),
+                Part::Bytes(b""),
+                Part::Le(&Buffer::F64(vec![])),
+                Part::Bytes(b"tail"),
+            ];
             let reader = std::thread::spawn(move || server.recv_frame().unwrap());
             let sent = client.send_frame_parts(&parts).unwrap();
-            let whole: Vec<u8> = parts.concat();
+            let whole = concat(&parts);
             assert_eq!(sent, 4 + whole.len());
             assert_eq!(reader.join().unwrap(), whole);
         }
         let (client, server) = tcp_pair();
-        check(client, server);
+        check(Framed::new(client), Framed::new(server));
         let (client, server) = std::os::unix::net::UnixStream::pair().unwrap();
-        check(client, server);
+        check(Framed::new(client), Framed::new(server));
     }
 
     #[test]
@@ -3510,7 +3893,8 @@ mod tests {
         // Regression: a zero socket timeout is `InvalidInput`, which the
         // deadline setter swallowed — leaving the previous deadline (here:
         // none at all) armed on a broker that never answers.
-        let (mut client, _mute_server) = tcp_pair();
+        let (client, _mute_server) = tcp_pair();
+        let mut client = Framed::new(client);
         client.set_recv_deadline(None);
         let mut conn = ClientConn {
             io: Box::new(client),

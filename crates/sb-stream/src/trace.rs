@@ -98,7 +98,8 @@ pub enum EventKind {
     Publish,
     /// A writer rank blocked in `begin_step` (in process, until buffer
     /// space freed) or in `end_step` (a rendezvous hand-off; over a remote
-    /// fabric, the whole step's one round trip, buffer space included).
+    /// fabric, the whole step's one round trip, buffer space included, and
+    /// the streamed encode of its payloads: a remote `put` encodes headers).
     WriterBlocked,
     /// A reader rank blocked in `begin_step` until a step was committed.
     ReaderBlocked,

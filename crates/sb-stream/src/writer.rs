@@ -112,9 +112,10 @@ impl StreamWriter {
 
     /// Commits the open step. The last committing rank publishes it to
     /// readers; in rendezvous mode this blocks until it is consumed. A remote
-    /// writer sends the whole step here and blocks for the broker's one
-    /// reply, which also covers the wait for buffer space: a full queue
-    /// surfaces here as `Timeout { waiting_for: "buffer space" }`.
+    /// writer encodes and sends the whole step here, each payload streamed
+    /// a block at a time, and blocks for the broker's one reply, which also
+    /// covers the wait for buffer space: a full queue surfaces here as
+    /// `Timeout { waiting_for: "buffer space" }`.
     pub fn end_step(&mut self) -> StreamResult<()> {
         assert!(self.in_step, "end_step without begin_step");
         self.blocking(|endpoint, step| endpoint.end_step(step))?;

@@ -3,10 +3,12 @@
 //! a freed step, or an allocation the frame merely names.
 //!
 //! Both brokers read frames through one bounded reader that reserves at
-//! most 4 MiB ahead of the bytes that have actually arrived. The first test
-//! sends each of them a 1 GiB length prefix followed by a hang-up and
-//! watches the process's live heap through a counting allocator — the only
-//! vantage point from which "did not allocate a gigabyte" is observable.
+//! most 4 MiB ahead of the bytes that have actually arrived, and decode a
+//! step while it arrives into payload buffers held to the same stride. The
+//! first tests send each of them a 1 GiB length prefix, or a chunk header
+//! claiming a 1 GiB payload, followed by a hang-up and watch the process's
+//! live heap through a counting allocator — the only vantage point from
+//! which "did not allocate a gigabyte" is observable.
 //! The tests of this binary take turns ([`SERIAL`]) so that nothing else
 //! moves the counters meanwhile.
 
@@ -27,7 +29,8 @@ use sb_data::compress::lz_decompress;
 use sb_data::container::ContainerReader;
 use sb_data::cursor::{put_str, put_u16, put_u32, put_u64};
 use sb_data::wire::{
-    decode_chunk_interned, encode_meta, encode_region, Compression, MetaDefs, MetaInternTable,
+    decode_chunk_interned, encode_chunk_interned, encode_meta, encode_region, Compression,
+    MetaDefs, MetaInternTable,
 };
 use sb_data::{Buffer, Chunk, DType, DataError, Region, Shape, VariableMeta};
 use sb_integration_tests::wait_until;
@@ -94,8 +97,11 @@ static ALLOCATOR: Counting = Counting;
 /// The transports' frame cap: the largest prefix a receiver does not reject
 /// outright, so the one that reaches the body reader.
 const FORGED_LEN: u32 = 1 << 30;
+/// The most a receiver reserves ahead of arrived bytes, for a frame and
+/// again for a payload decoded out of it.
+const STRIDE: usize = 4 << 20;
 /// One receive stride, plus room for everything else a session allocates.
-const BUDGET: usize = (4 << 20) + (1 << 20);
+const BUDGET: usize = STRIDE + (1 << 20);
 
 /// Runs `attack` and returns how far the live heap rose above where it
 /// stood when the attack began.
@@ -157,7 +163,24 @@ struct Target {
     hub: Arc<StreamHub>,
     url: String,
     dial: Box<dyn Fn() -> Box<dyn RawSocket>>,
-    _broker: Box<dyn std::any::Any>,
+    broker: Box<dyn Broker>,
+}
+
+/// What a test watches of either broker.
+trait Broker {
+    fn active_connections(&self) -> usize;
+}
+
+impl Broker for TcpBroker {
+    fn active_connections(&self) -> usize {
+        TcpBroker::active_connections(self)
+    }
+}
+
+impl Broker for ShmBroker {
+    fn active_connections(&self) -> usize {
+        ShmBroker::active_connections(self)
+    }
 }
 
 trait RawSocket: Read + Write {}
@@ -183,7 +206,7 @@ fn targets(tag: &str) -> Vec<Target> {
                 sock.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
                 Box::new(sock)
             }),
-            _broker: Box::new(tcp),
+            broker: Box::new(tcp),
         },
         Target {
             hub: Arc::clone(shm.hub()),
@@ -193,7 +216,7 @@ fn targets(tag: &str) -> Vec<Target> {
                 sock.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
                 Box::new(sock)
             }),
-            _broker: Box::new(shm),
+            broker: Box::new(shm),
         },
     ]
 }
@@ -454,6 +477,139 @@ fn hostile_boxes_get_the_whole_variable_or_a_hang_up() {
             });
             assert!(rise <= 1 << 20, "a torn trailer cost {rise} bytes");
         }
+    }
+}
+
+// ---- writer sessions driven from a raw socket ------------------------------
+
+const HELLO_WRITER: u8 = 0x01;
+const W_STEP: u8 = 0x11;
+const W_CLOSE: u8 = 0x12;
+const REPLY_OK: u8 = 0x80;
+const REPLY_ERR_PEER_GONE: u8 = 0x85;
+
+/// Opens a v2, uncompressed writer session (rank 0 of 1) by hand and
+/// returns the socket past its `REPLY_STARTED`.
+fn raw_writer(target: &Target, stream: &str) -> Box<dyn RawSocket> {
+    let mut sock = (target.dial)();
+    let mut hello = vec![HELLO_WRITER];
+    put_str(&mut hello, stream).unwrap();
+    for field in [0u32, 1, 4] {
+        put_u32(&mut hello, field); // rank, nranks, queue capacity
+    }
+    hello.push(0); // not rendezvous
+    put_u32(&mut hello, 1); // reader groups
+    hello.extend_from_slice(&[2, 0]);
+    send_frame(&mut *sock, &hello);
+    recv_frame(&mut *sock).expect("a REPLY_STARTED");
+    sock
+}
+
+/// The head of a `W_STEP` for `step` whose body starts with every
+/// definition `table` holds.
+fn w_step_head(step: u64, table: &MetaInternTable) -> Vec<u8> {
+    let mut frame = vec![W_STEP];
+    put_u64(&mut frame, step);
+    let mut defs = Vec::new();
+    put_u32(&mut frame, table.append_defs_since(0, &mut defs));
+    frame.extend(defs);
+    frame
+}
+
+#[test]
+fn a_chunk_header_claiming_a_gigabyte_costs_two_strides_on_both_fabrics() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ELEMS: usize = 1 << 27; // f64: a 1 GiB payload
+    let meta = VariableMeta::new("x", Shape::linear("n", ELEMS), DType::F64);
+    let mut table = MetaInternTable::new();
+    let id = table.intern(&meta).unwrap();
+    let mut frame = w_step_head(0, &table);
+    put_u32(&mut frame, 1); // one chunk
+    put_u32(&mut frame, id);
+    encode_region(&mut frame, &Region::new(vec![0], vec![ELEMS])).unwrap();
+    put_u64(&mut frame, ELEMS as u64);
+    frame.push(Compression::None.tag());
+    // More than one stream block of the payload arrives, so the session
+    // starts filling the chunk's buffer before the hang-up.
+    frame.extend(std::iter::repeat_n(0x3f, 600 << 10));
+    let mut bytes = FORGED_LEN.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&frame);
+
+    for target in targets("claim") {
+        let mut sock = raw_writer(&target, "claim.fp");
+        let rise = heap_rise_during(|| {
+            sock.write_all(&bytes).unwrap();
+            drop(sock);
+            wait_until("the session to give up", || {
+                target.broker.active_connections() == 0
+            });
+        });
+        // A frame stride and a payload stride, plus a little bookkeeping:
+        // less than a stream block, so a payload buffer reserved a block
+        // past its stride does not fit.
+        assert!(
+            rise <= 2 * STRIDE + (64 << 10),
+            "{}: {rise} bytes allocated",
+            target.url
+        );
+    }
+}
+
+#[test]
+fn a_chunk_naming_an_unknown_meta_id_is_refused_and_the_next_step_commits() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let chunk = Chunk::new(
+        VariableMeta::new("x", Shape::linear("n", 3), DType::F64),
+        Region::new(vec![0], vec![3]),
+        Buffer::F64(vec![1.0, 2.0, 3.0]),
+    )
+    .unwrap();
+    for target in targets("unknown") {
+        let mut reader = target.hub.open_reader("id.fp", 0, 1);
+        let mut sock = raw_writer(&target, "id.fp");
+        let mut table = MetaInternTable::new();
+
+        // No definitions, and a chunk naming id 7.
+        let mut forged = w_step_head(0, &table);
+        put_u32(&mut forged, 1);
+        encode_chunk_interned(&mut forged, &chunk, 7, Compression::None).unwrap();
+        send_frame(&mut *sock, &forged);
+        let reply = recv_frame(&mut *sock).expect("a refusal");
+        let mut want = vec![REPLY_ERR_PEER_GONE];
+        put_str(&mut want, "id.fp").unwrap();
+        put_str(
+            &mut want,
+            "transport protocol error: container format error: \
+             chunk references unknown meta id 7",
+        )
+        .unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&reply),
+            String::from_utf8_lossy(&want),
+            "{}",
+            target.url
+        );
+
+        // The connection is still in frame sync: the same step, well
+        // formed, commits.
+        let id = table.intern(&chunk.meta).unwrap();
+        let mut step = w_step_head(0, &table);
+        put_u32(&mut step, 1);
+        encode_chunk_interned(&mut step, &chunk, id, Compression::None).unwrap();
+        send_frame(&mut *sock, &step);
+        assert_eq!(
+            recv_frame(&mut *sock).unwrap(),
+            [REPLY_OK],
+            "{}",
+            target.url
+        );
+        assert_eq!(reader.begin_step().unwrap(), StepStatus::Ready(0));
+        let got = reader.get_whole("x").unwrap().data.to_f64_vec();
+        assert_eq!(got, [1.0, 2.0, 3.0]);
+        reader.end_step();
+        send_frame(&mut *sock, &[W_CLOSE]);
+        assert_eq!(recv_frame(&mut *sock).unwrap(), [REPLY_OK]);
+        assert_eq!(reader.begin_step().unwrap(), StepStatus::EndOfStream);
     }
 }
 

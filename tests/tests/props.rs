@@ -1493,3 +1493,301 @@ fn collectives_agree_with_serial_folds_across_rank_counts() {
         }
     }
 }
+
+// ---- streamed step bodies --------------------------------------------------
+
+fn split_seed() -> u64 {
+    std::env::var("SB_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5711)
+}
+
+/// One generated `W_STEP` / `REPLY_STEP` body and what its receiver has
+/// already applied.
+struct StepBody {
+    bytes: Vec<u8>,
+    interned: bool,
+    /// Definitions the receiver applied before this step.
+    prior_defs: Vec<u8>,
+    /// Body ranges a corruption may hit that are not raw payload bytes.
+    headers: Vec<std::ops::Range<usize>>,
+}
+
+/// A chunk of `dtype` over a box of a 1–2-d shape: the whole shape, a row
+/// slab of it (what a relay answers a box with), or any box. Payloads are
+/// noise, or runs LZ shrinks; a few exceed the encoder's 48 KiB sample.
+fn step_chunk(rng: &mut StdRng, name: &str, dtype: DType, small: bool) -> sb_data::Chunk {
+    let rows = 1 + below(rng, if small { 12 } else { 7000 });
+    let cols = 1 + below(rng, 3);
+    let shape = if below(rng, 2) == 0 {
+        Shape::of(&[("row", rows * cols)])
+    } else {
+        Shape::of(&[("row", rows), ("col", cols)])
+    };
+    let mut offset = Vec::new();
+    let mut count = Vec::new();
+    let kind = below(rng, 3);
+    for d in 0..shape.ndims() {
+        let size = shape.size(d);
+        let (off, n) = match (kind, d) {
+            (0, _) => (0, size),
+            (1, 0) => {
+                let off = below(rng, size);
+                (off, 1 + below(rng, size - off))
+            }
+            (1, _) => (0, size),
+            _ => {
+                let off = below(rng, size);
+                (off, 1 + below(rng, size - off))
+            }
+        };
+        offset.push(off);
+        count.push(n);
+    }
+    let region = Region::new(offset, count);
+    let run = below(rng, 2) == 0;
+    let values: Vec<f64> = (0..region.len())
+        .map(|i| match run {
+            true => (i / 64) as f64,
+            false => (rng.next_u64() % 1_000_000) as f64 - 5e5,
+        })
+        .collect();
+    let mut meta = sb_data::VariableMeta::new(name, shape, dtype);
+    meta.attrs
+        .insert("units".into(), sb_data::AttrValue::Text("lj".into()));
+    sb_data::Chunk::new(meta, region, Buffer::from_f64_vec(dtype, values)).unwrap()
+}
+
+/// A step body of 1–4 chunks of random dtypes, in the v1 (self-described)
+/// or v2 (interned) chunk grammar; under v2 each definition is new in this
+/// body or already applied, and each payload raw or LZ.
+fn step_body(rng: &mut StdRng, small: bool) -> StepBody {
+    use sb_data::cursor::put_u32;
+    use sb_data::wire::{
+        encode_chunk_head, encode_chunk_interned_head, Compression, MetaInternTable,
+    };
+    let dtypes = [
+        DType::F32,
+        DType::F64,
+        DType::I32,
+        DType::I64,
+        DType::U32,
+        DType::U64,
+    ];
+    let interned = below(rng, 2) == 0;
+    let chunks: Vec<sb_data::Chunk> = (0..1 + below(rng, 4))
+        .map(|i| {
+            let dtype = dtypes[below(rng, 6)];
+            step_chunk(rng, &format!("v{i}"), dtype, small)
+        })
+        .collect();
+    let mut table = MetaInternTable::new();
+    let ids: Vec<u32> = chunks
+        .iter()
+        .map(|c| table.intern(&c.meta).unwrap())
+        .collect();
+    // The receiver applied the first `known` definitions with an earlier step.
+    let known = below(rng, table.len() as usize + 1) as u32;
+    let mut prior_defs = Vec::new();
+    table.append_defs_since(0, &mut prior_defs);
+    let mut prior = Vec::new();
+    let mut all = &prior_defs[..];
+    let mut scratch = sb_data::wire::MetaDefs::new();
+    for _ in 0..known {
+        let before = all.len();
+        scratch.decode_def(&mut all).unwrap();
+        prior.extend_from_slice(
+            &prior_defs[prior_defs.len() - before..prior_defs.len() - all.len()],
+        );
+    }
+
+    let mut bytes = Vec::new();
+    if interned {
+        let mut defs = Vec::new();
+        put_u32(&mut bytes, table.append_defs_since(known, &mut defs));
+        bytes.extend(defs);
+    }
+    put_u32(&mut bytes, chunks.len() as u32);
+    // The counts and definitions, then each chunk's header.
+    let mut headers = Vec::new();
+    headers.push(0..bytes.len());
+    for (chunk, &id) in chunks.iter().zip(&ids) {
+        let from = bytes.len();
+        let raw = if interned {
+            let codec = [Compression::None, Compression::Lz][below(rng, 2)];
+            !encode_chunk_interned_head(&mut bytes, chunk, id, codec)
+                .unwrap()
+                .compressed()
+        } else {
+            encode_chunk_head(&mut bytes, chunk).unwrap();
+            true
+        };
+        headers.push(from..bytes.len());
+        if raw {
+            chunk.data.append_le_bytes(&mut bytes);
+        }
+    }
+    StepBody {
+        bytes,
+        interned,
+        prior_defs: if interned { prior } else { Vec::new() },
+        headers,
+    }
+}
+
+/// What a body decodes to, as comparable values: per chunk its name,
+/// region, payload bytes and body range, or the error's text; and how many
+/// definitions the receiver holds after it.
+type Decoded = (
+    Result<Vec<(String, Region, Vec<u8>, std::ops::Range<usize>)>, String>,
+    u32,
+);
+
+fn receiver_defs(body: &StepBody) -> sb_data::wire::MetaDefs {
+    let mut defs = sb_data::wire::MetaDefs::new();
+    let mut cur = &body.prior_defs[..];
+    while !cur.is_empty() {
+        defs.decode_def(&mut cur).unwrap();
+    }
+    defs
+}
+
+fn comparable(
+    chunks: Vec<(sb_data::Chunk, std::ops::Range<usize>)>,
+) -> Vec<(String, Region, Vec<u8>, std::ops::Range<usize>)> {
+    chunks
+        .into_iter()
+        .map(|(c, range)| {
+            (
+                c.meta.name.clone(),
+                c.region.clone(),
+                c.data.to_le_bytes(),
+                range,
+            )
+        })
+        .collect()
+}
+
+/// The body decoded by the whole-input functions, item after item.
+fn decode_whole(body: &StepBody, bytes: &[u8]) -> Decoded {
+    use sb_data::cursor::get_u32;
+    use sb_data::wire::{decode_chunk, decode_chunk_interned};
+    let mut defs = receiver_defs(body);
+    let mut cur = bytes;
+    let mut decode = || -> sb_data::DataResult<_> {
+        if body.interned {
+            for _ in 0..get_u32(&mut cur, "def count")? {
+                defs.decode_def(&mut cur)?;
+            }
+        }
+        let mut chunks = Vec::new();
+        for _ in 0..get_u32(&mut cur, "chunk count")? {
+            let at = bytes.len() - cur.len();
+            let chunk = match body.interned {
+                true => decode_chunk_interned(&mut cur, &defs)?,
+                false => decode_chunk(&mut cur)?,
+            };
+            chunks.push((chunk, at..bytes.len() - cur.len()));
+        }
+        Ok(chunks)
+    };
+    let out = decode().map(comparable).map_err(|e| e.to_string());
+    (out, defs.len())
+}
+
+/// The body fed to a [`StepDecoder`] as the prefixes ending at `cuts`.
+fn decode_split(body: &StepBody, bytes: &[u8], cuts: &[usize]) -> Decoded {
+    use sb_data::wire::{ChunkGrammar, StepDecoder};
+    let mut defs = receiver_defs(body);
+    let grammar = match body.interned {
+        true => ChunkGrammar::Interned(&mut defs),
+        false => ChunkGrammar::Described,
+    };
+    let mut decoder = StepDecoder::new(grammar, 0, 1 << 16);
+    for &cut in cuts {
+        decoder.arrived(&bytes[..cut]);
+    }
+    let out = decoder
+        .finish(bytes)
+        .map(comparable)
+        .map_err(|e| e.to_string());
+    (out, defs.len())
+}
+
+/// `n` sorted cut points in `1..len`.
+fn random_cuts(rng: &mut StdRng, len: usize, n: usize) -> Vec<usize> {
+    if len < 2 {
+        return Vec::new();
+    }
+    let mut cuts: Vec<usize> = (0..n).map(|_| 1 + below(rng, len - 1)).collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+/// A step body decodes to the same chunks — bitwise — and the same
+/// definitions however it is split while it arrives: whole, one byte at a
+/// time, or at random points; and every truncation and every corrupted
+/// header byte ends in the same outcome, error text included, as the
+/// whole-input decoders give. `SB_CHAOS_SEED` reseeds the sweep.
+#[test]
+fn split_invariance_of_streamed_step_bodies() {
+    let seed = split_seed();
+    for case in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let small = case % 4 != 3;
+        let body = step_body(&mut rng, small);
+        let bytes = &body.bytes;
+        let whole = decode_whole(&body, bytes);
+        assert!(whole.0.is_ok(), "case {case}: {:?}", whole.0);
+        let one_by_one: Vec<usize> = (1..bytes.len()).collect();
+        let feedings = [
+            Vec::new(),
+            one_by_one,
+            random_cuts(&mut rng, bytes.len(), 3),
+            random_cuts(&mut rng, bytes.len(), 40),
+        ];
+        for cuts in &feedings {
+            assert!(
+                decode_split(&body, bytes, cuts) == whole,
+                "case {case}: cuts {cuts:?}"
+            );
+        }
+        if !small {
+            continue;
+        }
+        for cut in 0..bytes.len() {
+            let cut_body = &bytes[..cut];
+            let want = decode_whole(&body, cut_body);
+            assert!(want.0.is_err(), "case {case}: cut at {cut} decoded");
+            let cuts = random_cuts(&mut rng, cut, 4);
+            assert_eq!(
+                decode_split(&body, cut_body, &cuts),
+                want,
+                "case {case}: cut {cut}"
+            );
+            assert_eq!(
+                decode_split(&body, cut_body, &[]),
+                want,
+                "case {case}: cut {cut}"
+            );
+        }
+        for at in body.headers.iter().flat_map(|r| r.clone()) {
+            for flip in [0xffu8, 0x01, 0x80] {
+                let mut bad = bytes.clone();
+                bad[at] ^= flip;
+                let want = decode_whole(&body, &bad);
+                for cuts in [
+                    random_cuts(&mut rng, bad.len(), 6),
+                    (1..bad.len()).step_by(7).collect(),
+                ] {
+                    assert_eq!(
+                        decode_split(&body, &bad, &cuts),
+                        want,
+                        "case {case}: byte {at} ^ {flip:#x}, cuts {cuts:?}"
+                    );
+                }
+            }
+        }
+    }
+}
