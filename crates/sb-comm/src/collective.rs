@@ -169,43 +169,6 @@ impl Communicator {
             .expect("collective result type mismatch across ranks")
     }
 
-    /// Blocks until every rank of the communicator reaches the barrier.
-    pub fn barrier(&self) {
-        let _ = self.collective::<(), _>(Box::new(()), |_| ());
-    }
-
-    /// Broadcasts `value` from `root` to all ranks. Non-root ranks pass
-    /// `None`; the root must pass `Some`.
-    pub fn broadcast<T>(&self, root: usize, value: Option<T>) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        assert!(root < self.size, "broadcast root {root} out of range");
-        assert_eq!(
-            self.rank == root,
-            value.is_some(),
-            "broadcast: exactly the root rank must supply Some(value)"
-        );
-        let out = self.collective::<T, _>(Box::new(value), move |mut inputs| {
-            let boxed = inputs.swap_remove(root);
-            boxed
-                .downcast::<Option<T>>()
-                .expect("broadcast payload type mismatch")
-                .expect("root deposited Some")
-        });
-        (*out).clone()
-    }
-
-    /// Gathers one value from every rank to `root`, in rank order.
-    pub fn gather<T>(&self, root: usize, value: T) -> Option<Vec<T>>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        assert!(root < self.size, "gather root {root} out of range");
-        let out = self.all_inputs::<T>(value);
-        (self.rank == root).then(|| (*out).clone())
-    }
-
     /// Gathers one value from every rank to every rank, in rank order.
     pub fn allgather<T>(&self, value: T) -> Vec<T>
     where
@@ -273,32 +236,6 @@ impl Communicator {
         })
     }
 
-    /// Inclusive prefix reduction: rank *r* receives
-    /// `op(v_0, op(v_1, ... v_r))` folded in rank order.
-    pub fn scan<T, F>(&self, value: T, op: F) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let rank = self.rank;
-        let out = self.collective::<Vec<T>, _>(Box::new(value), move |inputs| {
-            let values: Vec<T> = inputs
-                .into_iter()
-                .map(|b| *b.downcast::<T>().expect("scan payload type mismatch"))
-                .collect();
-            let mut prefixes = Vec::with_capacity(values.len());
-            let mut iter = values.into_iter();
-            let mut acc = iter.next().expect("communicator is non-empty");
-            prefixes.push(acc.clone());
-            for v in iter {
-                acc = op(acc, v);
-                prefixes.push(acc.clone());
-            }
-            prefixes
-        });
-        out[rank].clone()
-    }
-
     /// Exclusive prefix reduction: rank 0 receives `None`, rank *r > 0*
     /// receives the fold of ranks `0..r`.
     pub fn exscan<T, F>(&self, value: T, op: F) -> Option<T>
@@ -325,36 +262,6 @@ impl Communicator {
             prefixes
         });
         (rank > 0).then(|| out[rank - 1].clone())
-    }
-
-    /// Scatters one element of `values` (root-only, length == `size`) to
-    /// each rank in rank order.
-    pub fn scatter<T>(&self, root: usize, values: Option<Vec<T>>) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        assert!(root < self.size, "scatter root {root} out of range");
-        assert_eq!(
-            self.rank == root,
-            values.is_some(),
-            "scatter: exactly the root rank must supply Some(values)"
-        );
-        if let Some(v) = &values {
-            assert_eq!(
-                v.len(),
-                self.size,
-                "scatter: root must supply exactly one value per rank"
-            );
-        }
-        let rank = self.rank;
-        let out = self.collective::<Vec<T>, _>(Box::new(values), move |mut inputs| {
-            let boxed = inputs.swap_remove(root);
-            boxed
-                .downcast::<Option<Vec<T>>>()
-                .expect("scatter payload type mismatch")
-                .expect("root deposited Some")
-        });
-        out[rank].clone()
     }
 
     /// Sends `value` to `dst` under `tag`. Never blocks (the underlying
@@ -387,37 +294,6 @@ pub(crate) type Stash = VecDeque<Packet>;
 #[cfg(test)]
 mod tests {
     use crate::launch;
-
-    #[test]
-    fn barrier_synchronizes_all_ranks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let before = AtomicUsize::new(0);
-        let fail = AtomicUsize::new(0);
-        launch(8, |comm| {
-            before.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            if before.load(Ordering::SeqCst) != 8 {
-                fail.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-        .unwrap();
-        assert_eq!(fail.load(std::sync::atomic::Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn broadcast_reaches_every_rank() {
-        let got = launch(5, |comm| {
-            if comm.rank() == 2 {
-                comm.broadcast(2, Some(vec![9u32, 8, 7]))
-            } else {
-                comm.broadcast(2, None::<Vec<u32>>)
-            }
-        })
-        .unwrap();
-        for v in got {
-            assert_eq!(v, vec![9, 8, 7]);
-        }
-    }
 
     #[test]
     fn allreduce_sum_matches_serial_fold() {
@@ -457,20 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_allgather_preserve_rank_order() {
-        let out = launch(5, |comm| {
-            let g = comm.gather(0, comm.rank() * 10);
-            let ag = comm.allgather(comm.rank() * 10);
-            (g, ag)
-        })
-        .unwrap();
-        let expect: Vec<usize> = vec![0, 10, 20, 30, 40];
-        assert_eq!(out[0].0.as_ref(), Some(&expect));
-        for (g, ag) in &out[1..] {
-            assert!(g.is_none());
-            assert_eq!(ag, &expect);
+    fn allgather_preserves_rank_order() {
+        let out = launch(5, |comm| comm.allgather(comm.rank() * 10)).unwrap();
+        for ag in out {
+            assert_eq!(ag, vec![0, 10, 20, 30, 40]);
         }
-        assert_eq!(out[0].1, expect);
     }
 
     #[test]
@@ -483,26 +350,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_exscan_prefixes() {
+    fn exscan_prefixes() {
         let out = launch(5, |comm| {
-            let v = (comm.rank() + 1) as u64;
-            (comm.scan(v, |a, b| a + b), comm.exscan(v, |a, b| a + b))
+            comm.exscan((comm.rank() + 1) as u64, |a, b| a + b)
         })
         .unwrap();
-        let scans: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
-        let exscans: Vec<Option<u64>> = out.iter().map(|(_, e)| *e).collect();
-        assert_eq!(scans, vec![1, 3, 6, 10, 15]);
-        assert_eq!(exscans, vec![None, Some(1), Some(3), Some(6), Some(10)]);
-    }
-
-    #[test]
-    fn scatter_hands_each_rank_its_slot() {
-        let out = launch(4, |comm| {
-            let values = (comm.rank() == 0).then(|| vec!["a", "b", "c", "d"]);
-            comm.scatter(0, values)
-        })
-        .unwrap();
-        assert_eq!(out, vec!["a", "b", "c", "d"]);
+        assert_eq!(out, vec![None, Some(1), Some(3), Some(6), Some(10)]);
     }
 
     #[test]
@@ -542,13 +395,11 @@ mod tests {
     #[test]
     fn single_rank_communicator_works() {
         let out = launch(1, |comm| {
-            comm.barrier();
             let s = comm.allreduce(41, |a, b| a + b);
             let g = comm.allgather(s);
-
-            comm.broadcast(0, Some(g[0] + 1))
+            (g[0] + 1, comm.exscan(s, |a, b| a + b))
         })
         .unwrap();
-        assert_eq!(out, vec![42]);
+        assert_eq!(out, vec![(42, None)]);
     }
 }

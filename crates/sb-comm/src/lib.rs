@@ -7,9 +7,9 @@
 //!
 //! This crate provides the same programming model on a single machine: each
 //! *rank* is an OS thread, and a [`Communicator`] handle gives that thread
-//! its rank id, the communicator size, blocking collectives (barrier,
-//! broadcast, reduce, allreduce, gather, allgather, scatter, scan) and
-//! tagged point-to-point `send`/`recv`.
+//! its rank id, the communicator size, the blocking collectives the
+//! components use (reduce, allreduce, allgather, exscan) and tagged
+//! point-to-point `send`/`recv`.
 //!
 //! Collectives are *deterministic*: reductions fold contributions in rank
 //! order, so results are reproducible regardless of thread scheduling — a

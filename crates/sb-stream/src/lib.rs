@@ -72,6 +72,8 @@ pub use sb_data::wire::Compression;
 pub use shm::ShmBroker;
 pub use stream::WriterOptions;
 pub use tcp::{TcpBroker, TcpOptions, WireProtocol};
-pub use trace::{EventKind, PhaseHistogram, Timeline, TraceConfig, TraceEvent, TraceSite, Tracer};
+pub use trace::{
+    thread_label, EventKind, PhaseHistogram, Timeline, TraceConfig, TraceEvent, TraceSite, Tracer,
+};
 pub use transport::{StepContents, VarSlot};
 pub use writer::StreamWriter;

@@ -306,17 +306,10 @@ impl Tracer {
         id
     }
 
-    /// Interns the calling thread's component label: the workflow runtime
-    /// names rank threads `"<label>/<rank>"`, and that label is
-    /// workflow-unique — it distinguishes two instances of one component
-    /// type (GTCP wires Dim-Reduce twice) where the type's own base label
-    /// cannot. Falls back to `fallback` off launch threads.
+    /// Interns the calling thread's component label ([`thread_label`]),
+    /// or `fallback` off launch threads.
     pub fn intern_thread_label(&self, fallback: &str) -> u32 {
-        let thread = std::thread::current();
-        match thread.name().and_then(|n| n.rsplit_once('/')) {
-            Some((label, _)) if !label.is_empty() => self.intern(label),
-            _ => self.intern(fallback),
-        }
+        self.intern(&thread_label().unwrap_or_else(|| fallback.to_string()))
     }
 
     /// Records a raw event: into this thread's installed ring when it
@@ -794,6 +787,17 @@ impl PhaseHistogram {
             self.mean().as_nanos() as f64 / 1e3,
         )
     }
+}
+
+/// The calling thread's component label, if it is a rank thread: the
+/// workflow runtime names rank threads `"<label>/<rank>"`, and that label
+/// is workflow-unique — it distinguishes two instances of one component
+/// type (GTCP wires Dim-Reduce twice) where the type's own base label
+/// cannot.
+pub fn thread_label() -> Option<String> {
+    let thread = std::thread::current();
+    let (label, _) = thread.name()?.rsplit_once('/')?;
+    (!label.is_empty()).then(|| label.to_string())
 }
 
 fn category(kind: EventKind) -> &'static str {

@@ -16,9 +16,9 @@ use std::time::Instant;
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
 use sb_data::{lock, DataError, DataResult, Region};
-use sb_stream::StreamHub;
+use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 use crate::histogram::{bin_counts, finite_min_max, HistogramResult};
 use crate::magnitude::vector_magnitudes;
@@ -82,10 +82,6 @@ impl Component for AllInOne {
         "all-in-one".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -137,65 +133,56 @@ impl Component for AllInOne {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "all-in-one",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                if meta.shape.ndims() != 2 {
-                    return Err(DataError::RegionOutOfBounds {
-                        detail: format!(
-                            "all-in-one expects 2-d input, stream carries rank {}",
-                            meta.shape.ndims()
-                        ),
-                    }
-                    .into());
+        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            if meta.shape.ndims() != 2 {
+                return Err(DataError::RegionOutOfBounds {
+                    detail: format!(
+                        "all-in-one expects 2-d input, stream carries rank {}",
+                        meta.shape.ndims()
+                    ),
                 }
-                let indices: Vec<usize> = self
-                    .keep
-                    .iter()
-                    .map(|n| meta.resolve_label(1, n))
-                    .collect::<DataResult<_>>()?;
-                let n = meta.shape.size(0);
-                let m = meta.shape.size(1);
-                let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-                let var = io.inputs[0].get(
-                    &self.input.array,
-                    &Region::new(vec![off, 0], vec![count, m]),
-                )?;
-                let bytes_in = var.byte_len() as u64;
+                .into());
+            }
+            let indices: Vec<usize> = self
+                .keep
+                .iter()
+                .map(|n| meta.resolve_label(1, n))
+                .collect::<DataResult<_>>()?;
+            let n = meta.shape.size(0);
+            let m = meta.shape.size(1);
+            let (off, count) = split_1d_part(n, comm.size(), comm.rank());
+            let var = io.inputs[0].get(
+                &self.input.array,
+                &Region::new(vec![off, 0], vec![count, m]),
+            )?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                let selected = select_rows(&var, 1, &indices)?;
-                let mags = vector_magnitudes(&selected)?;
-                let (lmin, lmax) = finite_min_max(&mags);
-                let min = comm.allreduce(lmin, f64::min);
-                let max = comm.allreduce(lmax, f64::max);
-                let (counts, nan) = bin_counts(&mags, min, max, self.num_bins);
-                let total = comm.reduce(0, counts, |a, b| {
-                    a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            let kernel_start = Instant::now();
+            let selected = select_rows(&var, 1, &indices)?;
+            let mags = vector_magnitudes(&selected)?;
+            let (lmin, lmax) = finite_min_max(&mags);
+            let min = comm.allreduce(lmin, f64::min);
+            let max = comm.allreduce(lmax, f64::max);
+            let (counts, nan) = bin_counts(&mags, min, max, self.num_bins);
+            let total = comm.reduce(0, counts, |a, b| {
+                a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            });
+            let nan_total = comm.reduce(0, nan, |a, b| a + b);
+            let compute = kernel_start.elapsed();
+
+            if let Some(counts) = total {
+                lock(&self.results).push(HistogramResult {
+                    step: io.step,
+                    min,
+                    max,
+                    counts,
+                    nan_count: nan_total.unwrap_or(0),
                 });
-                let nan_total = comm.reduce(0, nan, |a, b| a + b);
-                let compute = kernel_start.elapsed();
-
-                if let Some(counts) = total {
-                    lock(&self.results).push(HistogramResult {
-                        step: io.step,
-                        min,
-                        max,
-                        counts,
-                        nan_count: nan_total.unwrap_or(0),
-                    });
-                }
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            }
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

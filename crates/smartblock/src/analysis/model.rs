@@ -69,12 +69,10 @@ impl<'a> Model<'a> {
             for s in e.component.output_streams() {
                 writers.entry(s).or_default().push(i);
             }
-            for s in e.component.input_streams() {
-                readers.entry(s).or_default().push(i);
-            }
-            for sub in e.component.input_subscriptions() {
+            for (stream, group) in e.component.input_subscriptions() {
+                readers.entry(stream.clone()).or_default().push(i);
                 subscriptions
-                    .entry(sub)
+                    .entry((stream, group))
                     .or_default()
                     .push(e.label.to_string());
             }
@@ -138,7 +136,7 @@ impl<'a> Model<'a> {
                 }
             }
 
-            let input_streams = e.component.input_streams();
+            let input_streams = read_streams(e.component);
             let ins: Vec<StreamSpec> = input_streams
                 .iter()
                 .map(|s| specs.get(s).cloned().unwrap_or(StreamSpec::Opaque))
@@ -205,6 +203,15 @@ impl<'a> Model<'a> {
             propagation_issues,
         }
     }
+}
+
+/// The streams `component` reads, in subscription order.
+pub(crate) fn read_streams(component: &dyn Component) -> Vec<String> {
+    component
+        .input_subscriptions()
+        .into_iter()
+        .map(|(stream, _)| stream)
+        .collect()
 }
 
 /// Kahn's algorithm over `n` nodes; returns the topological order of every

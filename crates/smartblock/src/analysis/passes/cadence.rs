@@ -16,11 +16,11 @@
 use std::collections::BTreeSet;
 
 use crate::analysis::diagnostics::AnalysisIssue;
-use crate::analysis::model::Model;
+use crate::analysis::model::{read_streams, Model};
 
 pub(crate) fn run(model: &Model<'_>, issues: &mut Vec<AnalysisIssue>) {
     for e in model.entries {
-        let distinct: BTreeSet<String> = e.component.input_streams().into_iter().collect();
+        let distinct: BTreeSet<String> = read_streams(e.component).into_iter().collect();
         if distinct.len() < 2 {
             continue;
         }

@@ -326,7 +326,7 @@ impl ReadSpec {
 }
 
 /// Maps input stream specs (parallel to
-/// [`Component::input_streams`](crate::Component::input_streams)) to
+/// [`Component::input_subscriptions`](crate::Component::input_subscriptions)) to
 /// output stream specs (parallel to
 /// [`Component::output_streams`](crate::Component::output_streams)).
 pub type TransferFn =

@@ -16,7 +16,7 @@ use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, DType, DataError, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// The element-wise operation applied to the two inputs.
@@ -136,10 +136,6 @@ impl Component for Combine {
         "combine".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.left.stream.clone(), self.right.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         let (lg, rg) = self.reader_groups();
         vec![
@@ -203,51 +199,41 @@ impl Component for Combine {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let (lgroup, rgroup) = self.reader_groups();
-        run_steps(
-            Ports {
-                label: "combine",
-                inputs: &[(&self.left.stream, &lgroup), (&self.right.stream, &rgroup)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let lmeta = io.meta(0, &self.left.array)?;
-                let rmeta = io.meta(1, &self.right.array)?;
-                if lmeta.shape.sizes() != rmeta.shape.sizes() {
-                    return Err(DataError::RegionOutOfBounds {
-                        detail: format!(
-                            "combine: input shapes disagree ({} vs {})",
-                            lmeta.shape, rmeta.shape
-                        ),
-                    }
-                    .into());
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let lmeta = io.meta(0, &self.left.array)?;
+            let rmeta = io.meta(1, &self.right.array)?;
+            if lmeta.shape.sizes() != rmeta.shape.sizes() {
+                return Err(DataError::RegionOutOfBounds {
+                    detail: format!(
+                        "combine: input shapes disagree ({} vs {})",
+                        lmeta.shape, rmeta.shape
+                    ),
                 }
-                let region = default_partition(&lmeta.shape, io.comm.size(), io.comm.rank());
-                let lv = io.inputs[0].get(&self.left.array, &region)?;
-                let rv = io.inputs[1].get(&self.right.array, &region)?;
-                let bytes_in = (lv.byte_len() + rv.byte_len()) as u64;
+                .into());
+            }
+            let region = default_partition(&lmeta.shape, io.comm.size(), io.comm.rank());
+            let lv = io.inputs[0].get(&self.left.array, &region)?;
+            let rv = io.inputs[1].get(&self.right.array, &region)?;
+            let bytes_in = (lv.byte_len() + rv.byte_len()) as u64;
 
-                let kernel_start = Instant::now();
-                // Borrowed: the step queues still hold the payloads' `Arc`s,
-                // so taking ownership would deep-copy both every step.
-                let out: Vec<f64> = lv
-                    .data
-                    .to_f64_cow()
-                    .iter()
-                    .zip(rv.data.to_f64_cow().iter())
-                    .map(|(&x, &y)| self.op.apply(x, y))
-                    .collect();
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            // Borrowed: the step queues still hold the payloads' `Arc`s,
+            // so taking ownership would deep-copy both every step.
+            let out: Vec<f64> = lv
+                .data
+                .to_f64_cow()
+                .iter()
+                .zip(rv.data.to_f64_cow().iter())
+                .map(|(&x, &y)| self.op.apply(x, y))
+                .collect();
+            let compute = kernel_start.elapsed();
 
-                let mut out_meta =
-                    VariableMeta::new(self.output.array.clone(), lmeta.shape.clone(), DType::F64);
-                out_meta.labels = lmeta.labels.clone();
-                io.put(0, Chunk::new(out_meta, region, Buffer::F64(out))?);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            let mut out_meta =
+                VariableMeta::new(self.output.array.clone(), lmeta.shape.clone(), DType::F64);
+            out_meta.labels = lmeta.labels.clone();
+            io.put(0, Chunk::new(out_meta, region, Buffer::F64(out))?);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 
@@ -278,7 +264,13 @@ mod tests {
         );
         let c = Combine::new(("l.fp", "a"), BinaryOp::Add, ("r.fp", "b"), ("o.fp", "sum"));
         assert_eq!(c.reader_groups(), ("default".into(), "default".into()));
-        assert_eq!(c.input_streams(), vec!["l.fp", "r.fp"]);
+        assert_eq!(
+            c.input_subscriptions(),
+            vec![
+                ("l.fp".to_string(), "default".to_string()),
+                ("r.fp".to_string(), "default".to_string())
+            ]
+        );
         let c = c.with_reader_group("mine").with_right_group("other");
         assert_eq!(c.reader_groups(), ("mine".into(), "other".into()));
     }

@@ -38,8 +38,8 @@ pub(crate) fn take_partial_stats() -> Option<ComponentStats> {
 }
 
 /// The per-step trace instrumentation of one run loop: the hub tracer plus
-/// this component's interned label. Everything is a no-op (one relaxed
-/// atomic load) while tracing is disabled.
+/// this component's interned workflow label. Everything is a no-op (one
+/// relaxed atomic load) while tracing is disabled.
 struct LoopTrace {
     tracer: Arc<sb_stream::Tracer>,
     label: u32,
@@ -50,7 +50,7 @@ impl LoopTrace {
     fn new(hub: &StreamHub, label: &str, rank: usize) -> LoopTrace {
         let tracer = Arc::clone(hub.tracer());
         let label = if tracer.enabled() {
-            tracer.intern_thread_label(label)
+            tracer.intern(label)
         } else {
             0
         };
@@ -119,8 +119,18 @@ impl std::fmt::Display for StreamArray {
 /// `run` is called once per rank, on that rank's thread, with the
 /// component's communicator and the workflow's stream hub. Implementations
 /// must be pure configuration (shared immutably across ranks).
+///
+/// A component declares its wiring once, here: [`run_steps`] opens exactly
+/// the [`input_subscriptions`](Component::input_subscriptions) and
+/// [`output_streams`](Component::output_streams) that
+/// [`crate::Workflow::validate`] checks and the supervisor detaches or
+/// resets. The base [`label`](Component::label) only names the component;
+/// fault plans, signals, trace spans and errors are keyed by its workflow
+/// label — the label the workflow launched its ranks under, unique when
+/// one type runs twice (`histogram`, `histogram-2`).
 pub trait Component: Send + Sync + 'static {
-    /// Display label (also the default thread-name prefix).
+    /// Base label: the component type's name, from which the workflow
+    /// derives its unique label.
     fn label(&self) -> String;
 
     /// Executes one rank of the component until its input ends.
@@ -131,14 +141,17 @@ pub trait Component: Send + Sync + 'static {
     /// [`crate::FaultPolicy`] to it.
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult;
 
-    /// Streams this component reads (for workflow wiring validation).
+    /// Shorthand for [`Component::input_subscriptions`] when every input
+    /// reads in the `"default"` reader group: the streams alone. Nothing
+    /// but that default reads it.
     fn input_streams(&self) -> Vec<String> {
         Vec::new()
     }
 
-    /// `(stream, reader-group)` subscriptions this component opens. Two
-    /// components sharing a `(stream, group)` pair would corrupt each
-    /// other's step accounting; [`crate::Workflow::validate`] flags it.
+    /// `(stream, reader-group)` subscriptions this component opens, in
+    /// [`StepIo::inputs`] order. Two components sharing a `(stream, group)`
+    /// pair would corrupt each other's step accounting;
+    /// [`crate::Workflow::validate`] flags it.
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         self.input_streams()
             .into_iter()
@@ -146,7 +159,7 @@ pub trait Component: Send + Sync + 'static {
             .collect()
     }
 
-    /// Streams this component writes (for workflow wiring validation).
+    /// Streams this component writes, in [`StepIo::put`] order.
     fn output_streams(&self) -> Vec<String> {
         Vec::new()
     }
@@ -173,15 +186,11 @@ pub trait Component: Send + Sync + 'static {
     }
 }
 
-/// What one component rank is wired to — the argument bundle of
-/// [`run_steps`]: k ≥ 0 input subscriptions and m ≥ 0 outputs.
-pub struct Ports<'a> {
-    /// Component label: the fault-plan, trace and signal key.
-    pub label: &'a str,
-    /// `(stream, reader group)` of each input.
-    pub inputs: &'a [(&'a str, &'a str)],
-    /// `(stream, buffering policy)` of each output.
-    pub outputs: &'a [(&'a str, WriterOptions)],
+/// The label `component` answers to in its workflow — the key of its fault
+/// plan, signals, trace spans and errors: the name its ranks were launched
+/// under ([`sb_stream::thread_label`]), else its base [`Component::label`].
+pub(crate) fn workflow_label<C: Component + ?Sized>(component: &C) -> String {
+    sb_stream::thread_label().unwrap_or_else(|| component.label())
 }
 
 /// One open step, as [`run_steps`] hands it to the per-step closure: every
@@ -191,7 +200,9 @@ pub struct StepIo<'a> {
     /// restarted by the supervisor resumes mid-stream and must label (or
     /// produce) the step being replayed.
     pub step: u64,
-    /// The open readers, in [`Ports::inputs`] order.
+    /// The component's workflow label: the key its signals publish under.
+    pub label: &'a str,
+    /// The open readers, in [`Component::input_subscriptions`] order.
     pub inputs: &'a [StreamReader],
     /// This component's communicator.
     pub comm: &'a Communicator,
@@ -209,8 +220,8 @@ impl<'a> StepIo<'a> {
             })
     }
 
-    /// Stages `chunk` for output `output` (in [`Ports::outputs`] order).
-    /// Nothing reaches a stream until the closure returns
+    /// Stages `chunk` for output `output` (in [`Component::output_streams`]
+    /// order). Nothing reaches a stream until the closure returns
     /// [`StepEnd::Publish`]; a rank that stages nothing still paces the
     /// output's step.
     pub fn put(&mut self, output: usize, chunk: Chunk) {
@@ -278,7 +289,7 @@ fn fault_gate(
             };
             tracer.instant(
                 EventKind::FaultInjected,
-                TraceSite::component(tracer.intern_thread_label(label), rank, step),
+                TraceSite::component(tracer.intern(label), rank, step),
                 code,
             );
         }
@@ -321,9 +332,10 @@ enum Exit {
 }
 
 /// The step loop every component runs on — the paper's skeleton, once:
-/// open the ports, then per I/O timestep discover the inputs' step, let
-/// `per_step` read its partition, apply its kernel and stage its chunks,
-/// and publish them, until an input ends.
+/// open the streams `component` declares (its outputs with `options`),
+/// then per I/O timestep discover the inputs' step, let `per_step` read its
+/// partition, apply its kernel and stage its chunks, and publish them,
+/// until an input ends.
 ///
 /// The closure holds the kernel and the metadata only. The loop owns the
 /// rest: the fault gate (keyed on the stream step of the first input, or of
@@ -333,7 +345,8 @@ enum Exit {
 /// begin-all → put → end-all on the outputs, so a join downstream of a
 /// fan-out sees every branch of a step once the last `end_step` lands; the
 /// `step` ⊇ `wait` / `compute` / `publish` trace spans and the
-/// `<label>.wait_ratio` signal; and the [`ComponentStats`] attribution
+/// `<label>.wait_ratio` signal, keyed like the fault gate by the workflow
+/// label; and the [`ComponentStats`] attribution
 /// (`wait_time` = blocking on inputs + blocking in the outputs'
 /// `begin_step` / `end_step`).
 ///
@@ -353,30 +366,33 @@ enum Exit {
 /// remote commit that timed out waiting for buffer space, say — and running
 /// would write input step s + 1 as step s on the lagging output, so a join
 /// downstream would pair the wrong data.
-pub fn run_steps<F>(
-    ports: Ports<'_>,
+pub fn run_steps<C, F>(
+    component: &C,
+    options: WriterOptions,
     comm: &Communicator,
     hub: &Arc<StreamHub>,
     mut per_step: F,
 ) -> ComponentResult
 where
+    C: Component + ?Sized,
     F: FnMut(&mut StepIo<'_>) -> StepResult<StepEnd>,
 {
     let (rank, size) = (comm.rank(), comm.size());
-    let mut readers: Vec<StreamReader> = ports
-        .inputs
+    let label = workflow_label(component);
+    let outputs = component.output_streams();
+    let mut readers: Vec<StreamReader> = component
+        .input_subscriptions()
         .iter()
         .map(|(stream, group)| hub.open_reader_grouped(stream, group, rank, size))
         .collect();
-    let mut writers: Vec<StreamWriter> = ports
-        .outputs
+    let mut writers: Vec<StreamWriter> = outputs
         .iter()
-        .map(|(stream, options)| hub.open_writer(stream, rank, size, *options))
+        .map(|stream| hub.open_writer(stream, rank, size, options))
         .collect();
     let mut stats = ComponentStats::default();
-    let exit = outputs_in_step(&ports, &writers).and_then(|()| {
+    let exit = outputs_in_step(&label, &outputs, &writers).and_then(|()| {
         step_loop(
-            ports.label,
+            &label,
             comm,
             hub,
             &mut readers,
@@ -399,19 +415,18 @@ where
 
 /// [`ComponentError::OutputsOutOfStep`] unless every output resumes at the
 /// same step.
-fn outputs_in_step(ports: &Ports<'_>, writers: &[StreamWriter]) -> Result<(), ComponentError> {
+fn outputs_in_step(
+    label: &str,
+    outputs: &[String],
+    writers: &[StreamWriter],
+) -> Result<(), ComponentError> {
     let steps: Vec<u64> = writers.iter().map(StreamWriter::current_step).collect();
     if steps.windows(2).all(|pair| pair[0] == pair[1]) {
         return Ok(());
     }
     Err(ComponentError::OutputsOutOfStep {
-        label: ports.label.to_string(),
-        outputs: ports
-            .outputs
-            .iter()
-            .map(|(stream, _)| stream.to_string())
-            .zip(steps)
-            .collect(),
+        label: label.to_string(),
+        outputs: outputs.iter().cloned().zip(steps).collect(),
     })
 }
 
@@ -458,6 +473,7 @@ where
         let compute_ns = trace.now();
         let mut io = StepIo {
             step,
+            label,
             inputs: readers,
             comm,
             staged: &mut staged,
@@ -548,8 +564,43 @@ fn commit(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A component that is nothing but its wiring, in the default reader
+    /// group: what tests drive [`run_steps`] over directly.
+    pub(crate) struct Wired {
+        inputs: Vec<String>,
+        outputs: Vec<String>,
+    }
+
+    impl Wired {
+        pub(crate) fn new(inputs: &[&str], outputs: &[&str]) -> Wired {
+            let owned = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
+            Wired {
+                inputs: owned(inputs),
+                outputs: owned(outputs),
+            }
+        }
+    }
+
+    impl Component for Wired {
+        fn label(&self) -> String {
+            "wired".into()
+        }
+
+        fn run(&self, _: &Communicator, _: &Arc<StreamHub>) -> ComponentResult {
+            unreachable!("tests call run_steps directly")
+        }
+
+        fn input_streams(&self) -> Vec<String> {
+            self.inputs.clone()
+        }
+
+        fn output_streams(&self) -> Vec<String> {
+            self.outputs.clone()
+        }
+    }
 
     #[test]
     fn stream_array_construction_and_display() {
@@ -653,48 +704,39 @@ mod tests {
         let run_hub = Arc::clone(&hub);
         let (ins, outs) = (in_names.clone(), out_names.clone());
         let (result, stashed) = sb_comm::LaunchHandle::spawn("cut", 1, move |comm| {
-            let inputs: Vec<(&str, &str)> = ins.iter().map(|s| (s.as_str(), "default")).collect();
-            let outputs: Vec<(&str, WriterOptions)> =
-                outs.iter().map(|s| (s.as_str(), deep)).collect();
+            let ins: Vec<&str> = ins.iter().map(String::as_str).collect();
+            let outs: Vec<&str> = outs.iter().map(String::as_str).collect();
             let mut calls = 0u64;
-            let result = run_steps(
-                Ports {
-                    label: "cut",
-                    inputs: &inputs,
-                    outputs: &outputs,
-                },
-                &comm,
-                &run_hub,
-                |io| {
-                    let call = calls;
-                    calls += 1;
-                    if io.inputs.is_empty() && call == STEPS {
-                        return Ok(StepEnd::Done);
+            let result = run_steps(&Wired::new(&ins, &outs), deep, &comm, &run_hub, |io| {
+                let call = calls;
+                calls += 1;
+                if io.inputs.is_empty() && call == STEPS {
+                    return Ok(StepEnd::Done);
+                }
+                if scenario == Scenario::ClosureError && call == 1 {
+                    return Err(DataError::Container {
+                        detail: "closure gave up".into(),
                     }
-                    if scenario == Scenario::ClosureError && call == 1 {
-                        return Err(DataError::Container {
-                            detail: "closure gave up".into(),
-                        }
-                        .into());
-                    }
-                    let mut bytes_in = 0;
-                    for reader in io.inputs {
-                        assert_eq!(io.step, call, "the closure gets the stream step");
-                        let x = reader.get_whole("x")?;
-                        assert_eq!(x.data.to_f64_vec(), vec![call as f64; 3]);
-                        bytes_in += x.byte_len() as u64;
-                    }
-                    for j in 0..outputs.len() {
-                        io.put(j, Chunk::whole(var("y", call)));
-                    }
-                    let compute = Duration::ZERO;
-                    Ok(if scenario == Scenario::SkipOdd && call % 2 == 1 {
-                        StepEnd::Skip { bytes_in, compute }
-                    } else {
-                        StepEnd::Publish { bytes_in, compute }
-                    })
-                },
-            );
+                    .into());
+                }
+                let mut bytes_in = 0;
+                assert_eq!(io.label, "cut", "the closure gets the launch label");
+                for reader in io.inputs {
+                    assert_eq!(io.step, call, "the closure gets the stream step");
+                    let x = reader.get_whole("x")?;
+                    assert_eq!(x.data.to_f64_vec(), vec![call as f64; 3]);
+                    bytes_in += x.byte_len() as u64;
+                }
+                for j in 0..m {
+                    io.put(j, Chunk::whole(var("y", call)));
+                }
+                let compute = Duration::ZERO;
+                Ok(if scenario == Scenario::SkipOdd && call % 2 == 1 {
+                    StepEnd::Skip { bytes_in, compute }
+                } else {
+                    StepEnd::Publish { bytes_in, compute }
+                })
+            });
             (result, take_partial_stats())
         })
         .unwrap()
@@ -769,8 +811,8 @@ mod tests {
         // before committing it on the other.
         let hub = StreamHub::new();
         let deep = WriterOptions::buffered(2 * STEPS as usize);
-        let outputs = [("ahead.fp", deep), ("behind.fp", deep)];
-        for ((name, _), steps) in outputs.iter().zip([2, 1]) {
+        let outputs = ["ahead.fp", "behind.fp"];
+        for (name, steps) in outputs.iter().zip([2, 1]) {
             let mut w = hub.open_writer(name, 0, 1, deep);
             for step in 0..steps {
                 w.begin_step().unwrap();
@@ -779,16 +821,14 @@ mod tests {
             }
             w.abandon();
         }
-        hub.prepare_restart(&[], &outputs.map(|(name, _)| name.to_string()));
+        hub.prepare_restart(&[], &outputs.map(String::from));
 
         let run_hub = Arc::clone(&hub);
         let result = sb_comm::LaunchHandle::spawn("fork", 1, move |comm| {
-            let ports = Ports {
-                label: "fork",
-                inputs: &[],
-                outputs: &outputs,
-            };
-            run_steps(ports, &comm, &run_hub, |_| panic!("the step loop ran"))
+            let fork = Wired::new(&[], &outputs);
+            run_steps(&fork, deep, &comm, &run_hub, |_| {
+                panic!("the step loop ran")
+            })
         })
         .unwrap()
         .join()

@@ -35,7 +35,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Computes the output shape of a dim-reduce: `remove` dropped, `grow`
@@ -222,10 +222,6 @@ impl Component for DimReduce {
         "dim-reduce".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -284,57 +280,47 @@ impl Component for DimReduce {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "dim-reduce",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                let (global_out_shape, grow_out) =
-                    reduced_shape(&meta.shape, self.remove, self.grow)?;
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            let (global_out_shape, grow_out) = reduced_shape(&meta.shape, self.remove, self.grow)?;
 
-                // Partition along the removed dimension: each rank's output
-                // then occupies a contiguous range of the grown dimension.
-                let g = meta.shape.size(self.grow);
-                let region = slab_partition(&meta.shape, self.remove, comm.size(), comm.rank());
-                let (off, count) = (region.offset()[self.remove], region.count()[self.remove]);
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+            // Partition along the removed dimension: each rank's output
+            // then occupies a contiguous range of the grown dimension.
+            let g = meta.shape.size(self.grow);
+            let region = slab_partition(&meta.shape, self.remove, comm.size(), comm.rank());
+            let (off, count) = (region.offset()[self.remove], region.count()[self.remove]);
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                let mut local = dim_reduce(&var, self.remove, self.grow)?;
-                local.name = self.output.array.clone();
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            let mut local = dim_reduce(&var, self.remove, self.grow)?;
+            local.name = self.output.array.clone();
+            let compute = kernel_start.elapsed();
 
-                let mut out_meta = VariableMeta::new(
-                    self.output.array.clone(),
-                    global_out_shape.clone(),
-                    meta.dtype,
-                );
-                // Global labels for surviving dims, from the global header.
-                for (&d, names) in &meta.labels {
-                    if d == self.remove || d == self.grow {
-                        continue;
-                    }
-                    let nd = if d > self.remove { d - 1 } else { d };
-                    out_meta.labels.insert(nd, names.clone());
+            let mut out_meta = VariableMeta::new(
+                self.output.array.clone(),
+                global_out_shape.clone(),
+                meta.dtype,
+            );
+            // Global labels for surviving dims, from the global header.
+            for (&d, names) in &meta.labels {
+                if d == self.remove || d == self.grow {
+                    continue;
                 }
-                out_meta.attrs = meta.attrs.clone();
+                let nd = if d > self.remove { d - 1 } else { d };
+                out_meta.labels.insert(nd, names.clone());
+            }
+            out_meta.attrs = meta.attrs.clone();
 
-                let mut out_offset = vec![0; global_out_shape.ndims()];
-                let mut out_counts = global_out_shape.sizes();
-                out_offset[grow_out] = off * g;
-                out_counts[grow_out] = count * g;
-                let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
-                io.put(0, chunk);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            let mut out_offset = vec![0; global_out_shape.ndims()];
+            let mut out_counts = global_out_shape.sizes();
+            out_offset[grow_out] = off * g;
+            out_counts[grow_out] = count * g;
+            let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
+            io.put(0, chunk);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

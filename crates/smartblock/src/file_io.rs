@@ -17,7 +17,7 @@ use sb_data::decompose::default_partition;
 use sb_data::{Chunk, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::component::{run_steps, workflow_label, Component, StepEnd};
 use crate::error::{ComponentError, ComponentResult, StepResult};
 
 /// Drains an input stream to a container file (an endpoint component).
@@ -48,12 +48,12 @@ impl Component for FileWrite {
         "file-write".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.clone()]
+    fn input_subscriptions(&self) -> Vec<(String, String)> {
+        vec![(self.input.clone(), "default".into())]
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let label = "file-write";
+        let label = workflow_label(self);
         let mut writer = if comm.rank() == 0 {
             let open = (|| -> StepResult<_> {
                 let file =
@@ -64,38 +64,29 @@ impl Component for FileWrite {
             })();
             match open {
                 Ok(w) => Some(w),
-                Err(e) => return Err(ComponentError::from_step(label, 0, e)),
+                Err(e) => return Err(ComponentError::from_step(&label, 0, e)),
             }
         } else {
             None
         };
-        let stats = run_steps(
-            Ports {
-                label,
-                inputs: &[(&self.input, "default")],
-                outputs: &[],
-            },
-            comm,
-            hub,
-            |io| {
-                let mut bytes_in = 0u64;
-                let start = Instant::now();
-                if let Some(w) = writer.as_mut() {
-                    let reader = &io.inputs[0];
-                    let mut vars = Vec::new();
-                    for name in reader.variables() {
-                        let var = reader.get_whole(&name)?;
-                        bytes_in += var.byte_len() as u64;
-                        vars.push(var);
-                    }
-                    w.write_step(io.step, &vars)?;
+        let stats = run_steps(self, WriterOptions::default(), comm, hub, |io| {
+            let mut bytes_in = 0u64;
+            let start = Instant::now();
+            if let Some(w) = writer.as_mut() {
+                let reader = &io.inputs[0];
+                let mut vars = Vec::new();
+                for name in reader.variables() {
+                    let var = reader.get_whole(&name)?;
+                    bytes_in += var.byte_len() as u64;
+                    vars.push(var);
                 }
-                Ok(StepEnd::Publish {
-                    bytes_in,
-                    compute: start.elapsed(),
-                })
-            },
-        )?;
+                w.write_step(io.step, &vars)?;
+            }
+            Ok(StepEnd::Publish {
+                bytes_in,
+                compute: start.elapsed(),
+            })
+        })?;
         if let Some(w) = writer {
             let flush = (|| -> StepResult<()> {
                 let mut sink = w.finish()?;
@@ -106,7 +97,7 @@ impl Component for FileWrite {
                 Ok(())
             })();
             if let Err(e) = flush {
-                return Err(ComponentError::from_step(label, stats.steps, e));
+                return Err(ComponentError::from_step(&label, stats.steps, e));
             }
         }
         Ok(stats)
@@ -150,7 +141,6 @@ impl Component for FileRead {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let label = "file-read";
         let open = (|| -> StepResult<_> {
             let file = std::fs::File::open(&self.path).map_err(|e| sb_data::DataError::Io {
                 detail: format!("cannot open {:?}: {e}", self.path),
@@ -159,39 +149,30 @@ impl Component for FileRead {
         })();
         let mut container = match open {
             Ok(c) => c,
-            Err(e) => return Err(ComponentError::from_step(label, 0, e)),
+            Err(e) => return Err(ComponentError::from_step(&workflow_label(self), 0, e)),
         };
-        run_steps(
-            Ports {
-                label,
-                inputs: &[],
-                outputs: &[(&self.output, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let start = Instant::now();
-                let Some((_, vars)) = container.next_step()? else {
-                    return Ok(StepEnd::Done);
-                };
-                let (size, rank) = (io.comm.size(), io.comm.rank());
-                for var in vars {
-                    // Rank-0 (scalar) variables cannot be partitioned;
-                    // only rank 0 replays them.
-                    if var.shape.ndims() == 0 && rank != 0 {
-                        continue;
-                    }
-                    let meta = VariableMeta::describing(&var);
-                    let region = default_partition(&var.shape, size, rank);
-                    let local = var.extract(&region)?;
-                    io.put(0, Chunk::new(meta, region, local.data)?);
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let start = Instant::now();
+            let Some((_, vars)) = container.next_step()? else {
+                return Ok(StepEnd::Done);
+            };
+            let (size, rank) = (io.comm.size(), io.comm.rank());
+            for var in vars {
+                // Rank-0 (scalar) variables cannot be partitioned;
+                // only rank 0 replays them.
+                if var.shape.ndims() == 0 && rank != 0 {
+                    continue;
                 }
-                Ok(StepEnd::Publish {
-                    bytes_in: 0,
-                    compute: start.elapsed(),
-                })
-            },
-        )
+                let meta = VariableMeta::describing(&var);
+                let region = default_partition(&var.shape, size, rank);
+                let local = var.extract(&region)?;
+                io.put(0, Chunk::new(meta, region, local.data)?);
+            }
+            Ok(StepEnd::Publish {
+                bytes_in: 0,
+                compute: start.elapsed(),
+            })
+        })
     }
 }
 

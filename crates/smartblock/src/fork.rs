@@ -15,7 +15,7 @@ use sb_data::decompose::default_partition;
 use sb_data::Chunk;
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::component::{run_steps, Component, StepEnd};
 use crate::error::ComponentResult;
 
 /// The Fork workflow component.
@@ -58,10 +58,6 @@ impl Component for Fork {
         "fork".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.clone(), "fork".to_string())]
     }
@@ -85,46 +81,32 @@ impl Component for Fork {
         // Buffered options for fan-out: a rendezvous-mode Fork feeding a
         // join is a cyclic wait even though every output is staged before
         // any is committed.
-        let outputs: Vec<(&str, WriterOptions)> = self
-            .outputs
-            .iter()
-            .map(|name| (name.as_str(), self.writer_options))
-            .collect();
-        run_steps(
-            Ports {
-                label: "fork",
-                inputs: &[(&self.input, "fork")],
-                outputs: &outputs,
-            },
-            comm,
-            hub,
-            |io| {
-                // Read this rank's partition of every variable once, then
-                // stage it on every output.
-                let (size, rank) = (io.comm.size(), io.comm.rank());
-                let reader = &io.inputs[0];
-                let mut bytes_in = 0u64;
-                for name in reader.variables() {
-                    let meta = io.meta(0, &name)?.clone();
-                    let region = default_partition(&meta.shape, size, rank);
-                    let var = reader.get(&name, &region)?;
-                    bytes_in += var.byte_len() as u64;
-                    // Rank-0 (scalar) variables cannot be partitioned; only
-                    // rank 0 contributes them.
-                    if region.ndims() == 0 && rank != 0 {
-                        continue;
-                    }
-                    let chunk = Chunk::new(meta, region, var.data)?;
-                    for output in 0..self.outputs.len() {
-                        io.put(output, chunk.clone());
-                    }
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            // Read this rank's partition of every variable once, then
+            // stage it on every output.
+            let (size, rank) = (io.comm.size(), io.comm.rank());
+            let reader = &io.inputs[0];
+            let mut bytes_in = 0u64;
+            for name in reader.variables() {
+                let meta = io.meta(0, &name)?.clone();
+                let region = default_partition(&meta.shape, size, rank);
+                let var = reader.get(&name, &region)?;
+                bytes_in += var.byte_len() as u64;
+                // Rank-0 (scalar) variables cannot be partitioned; only
+                // rank 0 contributes them.
+                if region.ndims() == 0 && rank != 0 {
+                    continue;
                 }
-                Ok(StepEnd::Publish {
-                    bytes_in,
-                    compute: Duration::ZERO,
-                })
-            },
-        )
+                let chunk = Chunk::new(meta, region, var.data)?;
+                for output in 0..self.outputs.len() {
+                    io.put(output, chunk.clone());
+                }
+            }
+            Ok(StepEnd::Publish {
+                bytes_in,
+                compute: Duration::ZERO,
+            })
+        })
     }
 }
 

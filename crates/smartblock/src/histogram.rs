@@ -25,7 +25,7 @@ use sb_data::decompose::split_1d_part;
 use sb_data::{lock, AttrValue, Buffer, Chunk, DataError, DataResult, Region, Shape, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, workflow_label, Component, StepEnd, StreamArray};
 use crate::error::{ComponentError, ComponentResult};
 
 /// One timestep's histogram.
@@ -258,10 +258,6 @@ impl Component for Histogram {
         "histogram".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -328,7 +324,7 @@ impl Component for Histogram {
                 Ok(f) => Some(f),
                 Err(e) => {
                     return Err(ComponentError::Data {
-                        label: "histogram".into(),
+                        label: workflow_label(self),
                         step: 0,
                         source: DataError::Io {
                             detail: format!("cannot open {path:?}: {e}"),
@@ -338,106 +334,90 @@ impl Component for Histogram {
             },
             _ => None,
         };
-        let output: Vec<(&str, WriterOptions)> = self
-            .output_stream
-            .iter()
-            .map(|s| (s.as_str(), self.writer_options))
-            .collect();
-
-        run_steps(
-            Ports {
-                label: "histogram",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &output,
-            },
-            comm,
-            hub,
-            |io| {
-                let (comm, step) = (io.comm, io.step);
-                let meta = io.meta(0, &self.input.array)?;
-                if meta.shape.ndims() != 1 {
-                    return Err(DataError::RegionOutOfBounds {
-                        detail: format!(
-                            "histogram expects 1-d input, stream carries rank {}",
-                            meta.shape.ndims()
-                        ),
-                    }
-                    .into());
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let (comm, step) = (io.comm, io.step);
+            let meta = io.meta(0, &self.input.array)?;
+            if meta.shape.ndims() != 1 {
+                return Err(DataError::RegionOutOfBounds {
+                    detail: format!(
+                        "histogram expects 1-d input, stream carries rank {}",
+                        meta.shape.ndims()
+                    ),
                 }
-                let n = meta.shape.size(0);
-                let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-                let var =
-                    io.inputs[0].get(&self.input.array, &Region::new(vec![off], vec![count]))?;
-                let bytes_in = var.byte_len() as u64;
+                .into());
+            }
+            let n = meta.shape.size(0);
+            let (off, count) = split_1d_part(n, comm.size(), comm.rank());
+            let var = io.inputs[0].get(&self.input.array, &Region::new(vec![off], vec![count]))?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                // Borrowed: the step queue still holds the payload's `Arc`,
-                // so taking ownership would deep-copy it every step.
-                let local = var.data.to_f64_cow();
-                // Global extremes, then local binning, then a count reduction —
-                // the two communication rounds the paper describes. The
-                // extremes only describe the binnable population, so
-                // non-finite values are excluded here and tallied by
-                // `bin_counts` below.
-                let (lmin, lmax) = finite_min_max(&local);
-                let min = comm.allreduce(lmin, f64::min);
-                let max = comm.allreduce(lmax, f64::max);
-                let (counts, nan) = bin_counts(&local, min, max, self.num_bins);
-                let total = comm.reduce(0, counts, |a, b| {
-                    a.iter().zip(&b).map(|(x, y)| x + y).collect()
-                });
-                let nan_total = comm.reduce(0, nan, |a, b| a + b);
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            // Borrowed: the step queue still holds the payload's `Arc`,
+            // so taking ownership would deep-copy it every step.
+            let local = var.data.to_f64_cow();
+            // Global extremes, then local binning, then a count reduction —
+            // the two communication rounds the paper describes. The
+            // extremes only describe the binnable population, so
+            // non-finite values are excluded here and tallied by
+            // `bin_counts` below.
+            let (lmin, lmax) = finite_min_max(&local);
+            let min = comm.allreduce(lmin, f64::min);
+            let max = comm.allreduce(lmax, f64::max);
+            let (counts, nan) = bin_counts(&local, min, max, self.num_bins);
+            let total = comm.reduce(0, counts, |a, b| {
+                a.iter().zip(&b).map(|(x, y)| x + y).collect()
+            });
+            let nan_total = comm.reduce(0, nan, |a, b| a + b);
+            let compute = kernel_start.elapsed();
 
-                // Rank 0 only: record, write file, stage. The other ranks
-                // pace the output stream without contributing.
-                if let Some(counts) = total {
-                    let result = HistogramResult {
-                        step,
-                        min,
-                        max,
-                        counts,
-                        nan_count: nan_total.unwrap_or(0),
-                    };
-                    // Signals go out *before* this step is committed to the
-                    // output stream or file, so a trigger firing on step k
-                    // takes effect before anything downstream observes k.
-                    let signals = hub.signals();
-                    if signals.armed() {
-                        signals.publish("histogram", "min", step, result.min);
-                        signals.publish("histogram", "max", step, result.max);
-                        signals.publish("histogram", "total", step, result.total() as f64);
-                        signals.publish("histogram", "nan_count", step, result.nan_count as f64);
-                    }
-                    if let Some(f) = file.as_mut() {
-                        write_histogram(f, &result)?;
-                    }
-                    if self.output_stream.is_some() {
-                        let nb = result.counts.len();
-                        let counts_var = Variable::new(
-                            "counts",
-                            Shape::linear("bins", nb),
-                            Buffer::U64(result.counts.clone()),
-                        )?
-                        .with_attr("min", AttrValue::Float(result.min))
-                        .with_attr("max", AttrValue::Float(result.max))
-                        .with_attr("source", AttrValue::Text(self.input.to_string()));
-                        let edges: Vec<f64> = (0..=nb)
-                            .map(|i| result.min + (result.max - result.min) * i as f64 / nb as f64)
-                            .collect();
-                        let edges_var = Variable::new(
-                            "bin_edges",
-                            Shape::linear("edges", nb + 1),
-                            Buffer::F64(edges),
-                        )?;
-                        io.put(0, Chunk::whole(counts_var));
-                        io.put(0, Chunk::whole(edges_var));
-                    }
-                    lock(&self.results).push(result);
+            // Rank 0 only: record, write file, stage. The other ranks
+            // pace the output stream without contributing.
+            if let Some(counts) = total {
+                let result = HistogramResult {
+                    step,
+                    min,
+                    max,
+                    counts,
+                    nan_count: nan_total.unwrap_or(0),
+                };
+                // Signals go out *before* this step is committed to the
+                // output stream or file, so a trigger firing on step k
+                // takes effect before anything downstream observes k.
+                let signals = hub.signals();
+                if signals.armed() {
+                    signals.publish(io.label, "min", step, result.min);
+                    signals.publish(io.label, "max", step, result.max);
+                    signals.publish(io.label, "total", step, result.total() as f64);
+                    signals.publish(io.label, "nan_count", step, result.nan_count as f64);
                 }
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+                if let Some(f) = file.as_mut() {
+                    write_histogram(f, &result)?;
+                }
+                if self.output_stream.is_some() {
+                    let nb = result.counts.len();
+                    let counts_var = Variable::new(
+                        "counts",
+                        Shape::linear("bins", nb),
+                        Buffer::U64(result.counts.clone()),
+                    )?
+                    .with_attr("min", AttrValue::Float(result.min))
+                    .with_attr("max", AttrValue::Float(result.max))
+                    .with_attr("source", AttrValue::Text(self.input.to_string()));
+                    let edges: Vec<f64> = (0..=nb)
+                        .map(|i| result.min + (result.max - result.min) * i as f64 / nb as f64)
+                        .collect();
+                    let edges_var = Variable::new(
+                        "bin_edges",
+                        Shape::linear("edges", nb + 1),
+                        Buffer::F64(edges),
+                    )?;
+                    io.put(0, Chunk::whole(counts_var));
+                    io.put(0, Chunk::whole(edges_var));
+                }
+                lock(&self.results).push(result);
+            }
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

@@ -828,9 +828,15 @@ mod tests {
             ["fork", "stats", "file-write", "file-read", "aio"]
         );
         assert_eq!(c[0].component.output_streams(), ["a.fp", "b.fp"]);
-        assert_eq!(c[2].component.input_streams(), ["b.fp"]);
+        assert_eq!(
+            c[2].component.input_subscriptions(),
+            [sub("b.fp", "default")]
+        );
         assert_eq!(c[3].component.output_streams(), ["replay.fp"]);
-        assert_eq!(c[4].component.input_streams(), ["dump.fp"]);
+        assert_eq!(
+            c[4].component.input_subscriptions(),
+            [sub("dump.fp", "default")]
+        );
     }
 
     /// Every program through both front-ends: a `.sb` line and its

@@ -14,7 +14,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DType, DataError, DataResult, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Computes the Euclidean magnitude of each row vector of a 2-d array.
@@ -97,10 +97,6 @@ impl Component for Magnitude {
         "magnitude".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -139,54 +135,45 @@ impl Component for Magnitude {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "magnitude",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                if meta.shape.ndims() != 2 {
-                    return Err(DataError::RegionOutOfBounds {
-                        detail: format!(
-                            "magnitude expects 2-d input, stream carries rank {}",
-                            meta.shape.ndims()
-                        ),
-                    }
-                    .into());
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            if meta.shape.ndims() != 2 {
+                return Err(DataError::RegionOutOfBounds {
+                    detail: format!(
+                        "magnitude expects 2-d input, stream carries rank {}",
+                        meta.shape.ndims()
+                    ),
                 }
-                // Partition the points dimension; every rank reads whole rows.
-                let n = meta.shape.size(0);
-                let region = slab_partition(&meta.shape, 0, comm.size(), comm.rank());
-                let (off, count) = (region.offset()[0], region.count()[0]);
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+                .into());
+            }
+            // Partition the points dimension; every rank reads whole rows.
+            let n = meta.shape.size(0);
+            let region = slab_partition(&meta.shape, 0, comm.size(), comm.rank());
+            let (off, count) = (region.offset()[0], region.count()[0]);
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                let mags = vector_magnitudes(&var)?;
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            let mags = vector_magnitudes(&var)?;
+            let compute = kernel_start.elapsed();
 
-                let out_meta = VariableMeta::new(
-                    self.output.array.clone(),
-                    Shape::new(vec![sb_data::Dim::new(
-                        meta.shape.dim_name(0).to_string(),
-                        n,
-                    )]),
-                    DType::F64,
-                );
-                let chunk = Chunk::new(
-                    out_meta,
-                    Region::new(vec![off], vec![count]),
-                    Buffer::F64(mags),
-                )?;
-                io.put(0, chunk);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            let out_meta = VariableMeta::new(
+                self.output.array.clone(),
+                Shape::new(vec![sb_data::Dim::new(
+                    meta.shape.dim_name(0).to_string(),
+                    n,
+                )]),
+                DType::F64,
+            );
+            let chunk = Chunk::new(
+                out_meta,
+                Region::new(vec![off], vec![count]),
+                Buffer::F64(mags),
+            )?;
+            io.put(0, chunk);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

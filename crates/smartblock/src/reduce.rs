@@ -16,7 +16,7 @@ use sb_data::decompose::{slab_partition, split_1d_part};
 use sb_data::{Buffer, Chunk, DType, DataResult, Region, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// The aggregation applied along the reduced dimension.
@@ -171,10 +171,6 @@ impl Component for Reduce {
         "reduce".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -217,91 +213,81 @@ impl Component for Reduce {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "reduce",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                meta.shape.check_dim(self.dim)?;
-                let out_shape_global = meta.shape.without_dim(self.dim);
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            meta.shape.check_dim(self.dim)?;
+            let out_shape_global = meta.shape.without_dim(self.dim);
 
-                // Partition along the first non-reduced dim; 1-d inputs use
-                // local partials + a cross-rank reduction instead.
-                let pdim = (0..meta.shape.ndims()).find(|&d| d != self.dim);
-                let (region, out_region) = match pdim {
-                    Some(pdim) => {
-                        let region = slab_partition(&meta.shape, pdim, comm.size(), comm.rank());
-                        // The same block in the output, with `dim` dropped.
-                        let out_pdim = if pdim > self.dim { pdim - 1 } else { pdim };
-                        let out_region =
-                            slab_partition(&out_shape_global, out_pdim, comm.size(), comm.rank());
-                        (region, out_region)
-                    }
-                    None => {
-                        // 1-d input: every rank reduces its share.
-                        let (off, count) =
-                            split_1d_part(meta.shape.size(0), comm.size(), comm.rank());
-                        (
-                            Region::new(vec![off], vec![count]),
-                            Region::new(vec![], vec![]),
-                        )
-                    }
-                };
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
-
-                let kernel_start = Instant::now();
-                if pdim.is_some() {
-                    let mut local = reduce_axis(&var, self.dim, self.op)?;
-                    local.name = self.output.array.clone();
-                    let mut out_meta = VariableMeta::new(
-                        self.output.array.clone(),
-                        out_shape_global.clone(),
-                        DType::F64,
-                    );
-                    for (&ld, names) in &meta.labels {
-                        if ld == self.dim {
-                            continue;
-                        }
-                        let nd = if ld > self.dim { ld - 1 } else { ld };
-                        out_meta.labels.insert(nd, names.clone());
-                    }
-                    out_meta.attrs = meta.attrs.clone();
-                    io.put(0, Chunk::new(out_meta, out_region, local.data)?);
-                } else {
-                    // Scalar result: combine local partials across ranks.
-                    // Borrowed: the step queue still holds the payload's
-                    // `Arc`, so taking ownership would deep-copy it.
-                    let local = var
-                        .data
-                        .to_f64_cow()
-                        .iter()
-                        .fold(self.op.identity(), |a, &b| self.op.combine(a, b));
-                    let combined = comm.allreduce(local, |a, b| self.op.combine(a, b));
-                    let n = meta.shape.total_len();
-                    let value = self.op.finish(combined, n);
-                    let out_meta = VariableMeta::new(
-                        self.output.array.clone(),
-                        out_shape_global.clone(),
-                        DType::F64,
-                    );
-                    // Only rank 0 contributes the scalar; the others pace
-                    // the stream with no chunk.
-                    if comm.rank() == 0 {
-                        let scalar = Region::new(vec![], vec![]);
-                        io.put(0, Chunk::new(out_meta, scalar, Buffer::F64(vec![value]))?);
-                    }
+            // Partition along the first non-reduced dim; 1-d inputs use
+            // local partials + a cross-rank reduction instead.
+            let pdim = (0..meta.shape.ndims()).find(|&d| d != self.dim);
+            let (region, out_region) = match pdim {
+                Some(pdim) => {
+                    let region = slab_partition(&meta.shape, pdim, comm.size(), comm.rank());
+                    // The same block in the output, with `dim` dropped.
+                    let out_pdim = if pdim > self.dim { pdim - 1 } else { pdim };
+                    let out_region =
+                        slab_partition(&out_shape_global, out_pdim, comm.size(), comm.rank());
+                    (region, out_region)
                 }
-                let compute = kernel_start.elapsed();
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+                None => {
+                    // 1-d input: every rank reduces its share.
+                    let (off, count) = split_1d_part(meta.shape.size(0), comm.size(), comm.rank());
+                    (
+                        Region::new(vec![off], vec![count]),
+                        Region::new(vec![], vec![]),
+                    )
+                }
+            };
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
+
+            let kernel_start = Instant::now();
+            if pdim.is_some() {
+                let mut local = reduce_axis(&var, self.dim, self.op)?;
+                local.name = self.output.array.clone();
+                let mut out_meta = VariableMeta::new(
+                    self.output.array.clone(),
+                    out_shape_global.clone(),
+                    DType::F64,
+                );
+                for (&ld, names) in &meta.labels {
+                    if ld == self.dim {
+                        continue;
+                    }
+                    let nd = if ld > self.dim { ld - 1 } else { ld };
+                    out_meta.labels.insert(nd, names.clone());
+                }
+                out_meta.attrs = meta.attrs.clone();
+                io.put(0, Chunk::new(out_meta, out_region, local.data)?);
+            } else {
+                // Scalar result: combine local partials across ranks.
+                // Borrowed: the step queue still holds the payload's
+                // `Arc`, so taking ownership would deep-copy it.
+                let local = var
+                    .data
+                    .to_f64_cow()
+                    .iter()
+                    .fold(self.op.identity(), |a, &b| self.op.combine(a, b));
+                let combined = comm.allreduce(local, |a, b| self.op.combine(a, b));
+                let n = meta.shape.total_len();
+                let value = self.op.finish(combined, n);
+                let out_meta = VariableMeta::new(
+                    self.output.array.clone(),
+                    out_shape_global.clone(),
+                    DType::F64,
+                );
+                // Only rank 0 contributes the scalar; the others pace
+                // the stream with no chunk.
+                if comm.rank() == 0 {
+                    let scalar = Region::new(vec![], vec![]);
+                    io.put(0, Chunk::new(out_meta, scalar, Buffer::F64(vec![value]))?);
+                }
+            }
+            let compute = kernel_start.elapsed();
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

@@ -16,7 +16,7 @@ use sb_data::{Chunk, Variable, VariableMeta};
 use sb_stream::{StreamHub, TraceConfig, WriterOptions};
 
 use crate::analysis::{self, AnalysisIssue, EntryView, Severity};
-use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::component::{run_steps, Component, StepEnd};
 use crate::error::{ComponentResult, WorkflowError};
 use crate::metrics::{ComponentReport, WorkflowReport};
 use crate::supervisor::{supervise, FaultPolicy, RunOptions, Supervision, Validation};
@@ -44,37 +44,28 @@ where
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: &self.label,
-                inputs: &[],
-                outputs: &[(&self.stream, WriterOptions::default())],
-            },
-            comm,
-            hub,
-            |io| {
-                let produce_start = Instant::now();
-                let Some(var) = (self.produce)(io.step) else {
-                    return Ok(StepEnd::Done);
-                };
-                let comm = io.comm;
-                // Scalars cannot be partitioned among several source
-                // ranks (every rank would put the same one-element
-                // region); require a single-rank source for them.
-                assert!(
-                    var.shape.ndims() > 0 || comm.size() == 1,
-                    "a source producing a rank-0 (scalar) variable must run with 1 rank"
-                );
-                let meta = VariableMeta::describing(&var);
-                let region = default_partition(&var.shape, comm.size(), comm.rank());
-                let local = var.extract(&region)?;
-                io.put(0, Chunk::new(meta, region, local.data)?);
-                Ok(StepEnd::Publish {
-                    bytes_in: 0,
-                    compute: produce_start.elapsed(),
-                })
-            },
-        )
+        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+            let produce_start = Instant::now();
+            let Some(var) = (self.produce)(io.step) else {
+                return Ok(StepEnd::Done);
+            };
+            let comm = io.comm;
+            // Scalars cannot be partitioned among several source
+            // ranks (every rank would put the same one-element
+            // region); require a single-rank source for them.
+            assert!(
+                var.shape.ndims() > 0 || comm.size() == 1,
+                "a source producing a rank-0 (scalar) variable must run with 1 rank"
+            );
+            let meta = VariableMeta::describing(&var);
+            let region = default_partition(&var.shape, comm.size(), comm.rank());
+            let local = var.extract(&region)?;
+            io.put(0, Chunk::new(meta, region, local.data)?);
+            Ok(StepEnd::Publish {
+                bytes_in: 0,
+                compute: produce_start.elapsed(),
+            })
+        })
     }
 }
 
@@ -94,41 +85,28 @@ where
         self.label.clone()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.stream.clone(), self.label.clone())]
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: &self.label,
-                inputs: &[(&self.stream, &self.label)],
-                outputs: &[],
-            },
-            comm,
-            hub,
-            |io| {
-                let mut bytes_in = 0u64;
-                if io.comm.rank() == 0 {
-                    let reader = &io.inputs[0];
-                    let mut vars = BTreeMap::new();
-                    for name in reader.variables() {
-                        let v = reader.get_whole(&name)?;
-                        bytes_in += v.byte_len() as u64;
-                        vars.insert(name, v);
-                    }
-                    (self.consume)(io.step, &vars);
+        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+            let mut bytes_in = 0u64;
+            if io.comm.rank() == 0 {
+                let reader = &io.inputs[0];
+                let mut vars = BTreeMap::new();
+                for name in reader.variables() {
+                    let v = reader.get_whole(&name)?;
+                    bytes_in += v.byte_len() as u64;
+                    vars.insert(name, v);
                 }
-                Ok(StepEnd::Publish {
-                    bytes_in,
-                    compute: Duration::ZERO,
-                })
-            },
-        )
+                (self.consume)(io.step, &vars);
+            }
+            Ok(StepEnd::Publish {
+                bytes_in,
+                compute: Duration::ZERO,
+            })
+        })
     }
 }
 

@@ -22,7 +22,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Gathers the rows `indices` of dimension `dim` from `var`, in the order
@@ -162,10 +162,6 @@ impl Component for Select {
         "select".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -212,74 +208,66 @@ impl Component for Select {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let mut resolved: Option<Resolved> = None;
-        run_steps(
-            Ports {
-                label: "select",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                if resolved.as_ref().is_none_or(|r| r.input != *meta) {
-                    resolved = Some(self.resolve(meta)?);
-                }
-                let Resolved {
-                    indices, out_meta, ..
-                } = resolved.as_ref().expect("resolved just above");
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            if resolved.as_ref().is_none_or(|r| r.input != *meta) {
+                resolved = Some(self.resolve(meta)?);
+            }
+            let Resolved {
+                indices, out_meta, ..
+            } = resolved.as_ref().expect("resolved just above");
 
-                // Partition along a non-filtered dimension so every rank
-                // sees the whole header dimension.
-                let region = match self.partition_dim(meta.shape.ndims()) {
-                    Some(pdim) => slab_partition(&meta.shape, pdim, comm.size(), comm.rank()),
-                    None => {
-                        // 1-d input: rank 0 takes everything.
-                        if comm.rank() == 0 {
-                            Region::whole(&meta.shape)
-                        } else {
-                            Region::new(vec![0], vec![0])
-                        }
+            // Partition along a non-filtered dimension so every rank
+            // sees the whole header dimension.
+            let region = match self.partition_dim(meta.shape.ndims()) {
+                Some(pdim) => slab_partition(&meta.shape, pdim, comm.size(), comm.rank()),
+                None => {
+                    // 1-d input: rank 0 takes everything.
+                    if comm.rank() == 0 {
+                        Region::whole(&meta.shape)
+                    } else {
+                        Region::new(vec![0], vec![0])
                     }
-                };
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
-
-                let kernel_start = Instant::now();
-                // A rank whose partition is empty (more ranks than rows, or
-                // the 1-d fallback) contributes an empty chunk and skips the
-                // kernel, whose row bounds are meaningless on a 0-extent dim.
-                let selected_data = if region.is_empty() && var.shape.size(self.dim_index) == 0 {
-                    sb_data::SharedBuffer::from(Buffer::zeros(meta.dtype, 0))
-                } else {
-                    select_rows(&var, self.dim_index, indices)?.data
-                };
-                let compute = kernel_start.elapsed();
-
-                let mut out_region_offset = region.offset().to_vec();
-                let mut out_region_count = region.count().to_vec();
-                out_region_offset[self.dim_index] = 0;
-                out_region_count[self.dim_index] = indices.len();
-                // Empty partitions contribute an empty chunk of the right rank.
-                if region.is_empty() {
-                    out_region_count = vec![0; out_region_count.len()];
                 }
-                let chunk = Chunk::new(
-                    out_meta.clone(),
-                    Region::new(out_region_offset, out_region_count),
-                    selected_data,
-                )?;
-                io.put(0, chunk);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            };
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
+
+            let kernel_start = Instant::now();
+            // A rank whose partition is empty (more ranks than rows, or
+            // the 1-d fallback) contributes an empty chunk and skips the
+            // kernel, whose row bounds are meaningless on a 0-extent dim.
+            let selected_data = if region.is_empty() && var.shape.size(self.dim_index) == 0 {
+                sb_data::SharedBuffer::from(Buffer::zeros(meta.dtype, 0))
+            } else {
+                select_rows(&var, self.dim_index, indices)?.data
+            };
+            let compute = kernel_start.elapsed();
+
+            let mut out_region_offset = region.offset().to_vec();
+            let mut out_region_count = region.count().to_vec();
+            out_region_offset[self.dim_index] = 0;
+            out_region_count[self.dim_index] = indices.len();
+            // Empty partitions contribute an empty chunk of the right rank.
+            if region.is_empty() {
+                out_region_count = vec![0; out_region_count.len()];
+            }
+            let chunk = Chunk::new(
+                out_meta.clone(),
+                Region::new(out_region_offset, out_region_count),
+                selected_data,
+            )?;
+            io.put(0, chunk);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::tests::Wired;
     use sb_data::Shape;
 
     fn particles() -> Variable {
@@ -374,11 +362,8 @@ mod tests {
         let source_hub = Arc::clone(&hub);
         let source = sb_comm::LaunchHandle::spawn("src", 1, move |comm| {
             run_steps(
-                Ports {
-                    label: "src",
-                    inputs: &[],
-                    outputs: &[("in.fp", WriterOptions::default())],
-                },
+                &Wired::new(&[], &["in.fp"]),
+                WriterOptions::default(),
                 &comm,
                 &source_hub,
                 |io| {
@@ -420,11 +405,8 @@ mod tests {
         let sink_hub = Arc::clone(&hub);
         let sink = sb_comm::LaunchHandle::spawn("sink", 1, move |comm| {
             run_steps(
-                Ports {
-                    label: "sink",
-                    inputs: &[("out.fp", "default")],
-                    outputs: &[],
-                },
+                &Wired::new(&["out.fp"], &[]),
+                WriterOptions::default(),
                 &comm,
                 &sink_hub,
                 |io| {

@@ -15,7 +15,7 @@ use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Partial sums that combine associatively across ranks.
@@ -120,10 +120,6 @@ impl Component for Stats {
         "stats".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -149,56 +145,47 @@ impl Component for Stats {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "stats",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                let region = default_partition(&meta.shape, comm.size(), comm.rank());
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            let region = default_partition(&meta.shape, comm.size(), comm.rank());
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                // Borrowed: the step queue still holds the payload's `Arc`,
-                // so taking ownership would deep-copy it every step.
-                let local = Moments::of(&var.data.to_f64_cow());
-                let global = comm.allreduce(local, Moments::merge);
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            // Borrowed: the step queue still holds the payload's `Arc`,
+            // so taking ownership would deep-copy it every step.
+            let local = Moments::of(&var.data.to_f64_cow());
+            let global = comm.allreduce(local, Moments::merge);
+            let compute = kernel_start.elapsed();
 
-                let mut out_meta = VariableMeta::new(
-                    self.output.array.clone(),
-                    Shape::linear("stat", 5),
-                    sb_data::DType::F64,
-                );
-                out_meta.labels.insert(
-                    0,
-                    ["min", "max", "mean", "std", "count"]
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                );
-                // Rank 0 publishes the whole result; other ranks just pace
-                // the writer group.
-                if comm.rank() == 0 {
-                    let values = vec![
-                        global.min,
-                        global.max,
-                        global.mean(),
-                        global.std(),
-                        global.count as f64,
-                    ];
-                    let region = Region::new(vec![0], vec![5]);
-                    io.put(0, Chunk::new(out_meta, region, Buffer::F64(values))?);
-                }
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            let mut out_meta = VariableMeta::new(
+                self.output.array.clone(),
+                Shape::linear("stat", 5),
+                sb_data::DType::F64,
+            );
+            out_meta.labels.insert(
+                0,
+                ["min", "max", "mean", "std", "count"]
+                    .iter()
+                    .map(|s| s.to_string())
+                    .collect(),
+            );
+            // Rank 0 publishes the whole result; other ranks just pace
+            // the writer group.
+            if comm.rank() == 0 {
+                let values = vec![
+                    global.min,
+                    global.max,
+                    global.mean(),
+                    global.std(),
+                    global.count as f64,
+                ];
+                let region = Region::new(vec![0], vec![5]);
+                io.put(0, Chunk::new(out_meta, region, Buffer::F64(values))?);
+            }
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

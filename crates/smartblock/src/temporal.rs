@@ -18,7 +18,7 @@ use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, DType, DataError, DataResult, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Per-rank moving-average state: ring of past partitions plus a running
@@ -173,10 +173,6 @@ impl Component for TemporalMean {
         "temporal-mean".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -222,40 +218,31 @@ impl Component for TemporalMean {
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let mut state = MovingMean::new(self.window);
         let mut consumed: usize = 0;
-        run_steps(
-            Ports {
-                label: "temporal-mean",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let meta = io.meta(0, &self.input.array)?;
-                let region = default_partition(&meta.shape, io.comm.size(), io.comm.rank());
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let meta = io.meta(0, &self.input.array)?;
+            let region = default_partition(&meta.shape, io.comm.size(), io.comm.rank());
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                // Owned: the window keeps this step's values.
-                let mean = state.push(var.data.into_f64_vec())?;
-                let compute = kernel_start.elapsed();
-                consumed += 1;
+            let kernel_start = Instant::now();
+            // Owned: the window keeps this step's values.
+            let mean = state.push(var.data.into_f64_vec())?;
+            let compute = kernel_start.elapsed();
+            consumed += 1;
 
-                // Decimating publish: the mean updates every consumed step,
-                // but only every stride-th step is pushed downstream. The
-                // stride is re-read each step so a trigger can retarget it.
-                if !consumed.is_multiple_of(self.stride().max(1)) {
-                    return Ok(StepEnd::Skip { bytes_in, compute });
-                }
-                let mut out_meta =
-                    VariableMeta::new(self.output.array.clone(), meta.shape.clone(), DType::F64);
-                out_meta.labels = meta.labels.clone();
-                out_meta.attrs = meta.attrs.clone();
-                io.put(0, Chunk::new(out_meta, region, Buffer::F64(mean))?);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            // Decimating publish: the mean updates every consumed step,
+            // but only every stride-th step is pushed downstream. The
+            // stride is re-read each step so a trigger can retarget it.
+            if !consumed.is_multiple_of(self.stride().max(1)) {
+                return Ok(StepEnd::Skip { bytes_in, compute });
+            }
+            let mut out_meta =
+                VariableMeta::new(self.output.array.clone(), meta.shape.clone(), DType::F64);
+            out_meta.labels = meta.labels.clone();
+            out_meta.attrs = meta.attrs.clone();
+            io.put(0, Chunk::new(out_meta, region, Buffer::F64(mean))?);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

@@ -15,7 +15,7 @@ use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, Region, Shape, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// The comparison a value must satisfy to survive.
@@ -109,10 +109,6 @@ impl Component for Threshold {
         "threshold".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -153,68 +149,58 @@ impl Component for Threshold {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "threshold",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                let region = default_partition(&meta.shape, comm.size(), comm.rank());
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            let region = default_partition(&meta.shape, comm.size(), comm.rank());
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                // This rank's rows start at a known global linear offset
-                // because the default partition blocks the slowest dimension;
-                // assert that contract so a future partitioning change fails
-                // loudly instead of mis-indexing.
-                debug_assert!(
-                    region.offset().iter().skip(1).all(|&o| o == 0),
-                    "threshold: partition must be a leading-dimension slab"
-                );
-                let row_len: usize = meta.shape.sizes().iter().skip(1).product();
-                let base = (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
-                // Borrowed: the step queue still holds the payload's `Arc`,
-                // so taking ownership would deep-copy it every step.
-                let (kept, indices) =
-                    threshold_filter(&var.data.to_f64_cow(), self.predicate, base);
+            let kernel_start = Instant::now();
+            // This rank's rows start at a known global linear offset
+            // because the default partition blocks the slowest dimension;
+            // assert that contract so a future partitioning change fails
+            // loudly instead of mis-indexing.
+            debug_assert!(
+                region.offset().iter().skip(1).all(|&o| o == 0),
+                "threshold: partition must be a leading-dimension slab"
+            );
+            let row_len: usize = meta.shape.sizes().iter().skip(1).product();
+            let base = (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
+            // Borrowed: the step queue still holds the payload's `Arc`,
+            // so taking ownership would deep-copy it every step.
+            let (kept, indices) = threshold_filter(&var.data.to_f64_cow(), self.predicate, base);
 
-                // Agree on global sizes: my offset = exscan of counts, total =
-                // allreduce. (The two communication rounds of a shape-dynamic
-                // component.)
-                let local_n = kept.len() as u64;
-                let my_off = comm.exscan(local_n, |a, b| a + b).unwrap_or(0);
-                let total = comm.allreduce(local_n, |a, b| a + b);
-                let compute = kernel_start.elapsed();
+            // Agree on global sizes: my offset = exscan of counts, total =
+            // allreduce. (The two communication rounds of a shape-dynamic
+            // component.)
+            let local_n = kept.len() as u64;
+            let my_off = comm.exscan(local_n, |a, b| a + b).unwrap_or(0);
+            let total = comm.allreduce(local_n, |a, b| a + b);
+            let compute = kernel_start.elapsed();
 
-                // Two variables per step: the survivors and their positions.
-                let values_meta = VariableMeta::new(
-                    self.output.array.clone(),
-                    Shape::linear("kept", total as usize),
-                    sb_data::DType::F64,
-                );
-                let indices_meta = VariableMeta::new(
-                    format!("{}_indices", self.output.array),
-                    Shape::linear("kept", total as usize),
-                    sb_data::DType::U64,
-                );
-                let out_region = Region::new(vec![my_off as usize], vec![local_n as usize]);
-                io.put(
-                    0,
-                    Chunk::new(values_meta, out_region.clone(), Buffer::F64(kept))?,
-                );
-                io.put(
-                    0,
-                    Chunk::new(indices_meta, out_region, Buffer::U64(indices))?,
-                );
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            // Two variables per step: the survivors and their positions.
+            let values_meta = VariableMeta::new(
+                self.output.array.clone(),
+                Shape::linear("kept", total as usize),
+                sb_data::DType::F64,
+            );
+            let indices_meta = VariableMeta::new(
+                format!("{}_indices", self.output.array),
+                Shape::linear("kept", total as usize),
+                sb_data::DType::U64,
+            );
+            let out_region = Region::new(vec![my_off as usize], vec![local_n as usize]);
+            io.put(
+                0,
+                Chunk::new(values_meta, out_region.clone(), Buffer::F64(kept))?,
+            );
+            io.put(
+                0,
+                Chunk::new(indices_meta, out_region, Buffer::U64(indices))?,
+            );
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

@@ -17,7 +17,7 @@ use sb_data::decompose::slab_partition;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd, StreamArray};
+use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
 
 /// Validates that `perm` is a permutation of `0..ndims`.
@@ -152,10 +152,6 @@ impl Component for Transpose {
         "transpose".into()
     }
 
-    fn input_streams(&self) -> Vec<String> {
-        vec![self.input.stream.clone()]
-    }
-
     fn input_subscriptions(&self) -> Vec<(String, String)> {
         vec![(self.input.stream.clone(), self.reader_group.clone())]
     }
@@ -219,73 +215,61 @@ impl Component for Transpose {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(
-            Ports {
-                label: "transpose",
-                inputs: &[(&self.input.stream, &self.reader_group)],
-                outputs: &[(&self.output.stream, self.writer_options)],
-            },
-            comm,
-            hub,
-            |io| {
-                let comm = io.comm;
-                let meta = io.meta(0, &self.input.array)?;
-                check_permutation(&self.perm, meta.shape.ndims())?;
-                if meta.shape.ndims() == 0 {
-                    // Rank-0 input: pass the scalar through on rank 0.
-                    let var = io.inputs[0].get(&self.input.array, &Region::new(vec![], vec![]))?;
-                    let out_meta = VariableMeta::new(
-                        self.output.array.clone(),
-                        meta.shape.clone(),
-                        meta.dtype,
-                    );
-                    if comm.rank() == 0 {
-                        let scalar = Region::new(vec![], vec![]);
-                        io.put(0, Chunk::new(out_meta, scalar, var.data.clone())?);
-                    }
-                    return Ok(StepEnd::Publish {
-                        bytes_in: var.byte_len() as u64,
-                        compute: std::time::Duration::ZERO,
-                    });
+        run_steps(self, self.writer_options, comm, hub, |io| {
+            let comm = io.comm;
+            let meta = io.meta(0, &self.input.array)?;
+            check_permutation(&self.perm, meta.shape.ndims())?;
+            if meta.shape.ndims() == 0 {
+                // Rank-0 input: pass the scalar through on rank 0.
+                let var = io.inputs[0].get(&self.input.array, &Region::new(vec![], vec![]))?;
+                let out_meta =
+                    VariableMeta::new(self.output.array.clone(), meta.shape.clone(), meta.dtype);
+                if comm.rank() == 0 {
+                    let scalar = Region::new(vec![], vec![]);
+                    io.put(0, Chunk::new(out_meta, scalar, var.data.clone())?);
                 }
+                return Ok(StepEnd::Publish {
+                    bytes_in: var.byte_len() as u64,
+                    compute: std::time::Duration::ZERO,
+                });
+            }
 
-                // Partition along the input dim that becomes output dim 0,
-                // so every rank's output is a leading contiguous slab.
-                let pdim = self.perm[0];
-                let region = slab_partition(&meta.shape, pdim, comm.size(), comm.rank());
-                let (off, count) = (region.offset()[pdim], region.count()[pdim]);
-                let var = io.inputs[0].get(&self.input.array, &region)?;
-                let bytes_in = var.byte_len() as u64;
+            // Partition along the input dim that becomes output dim 0,
+            // so every rank's output is a leading contiguous slab.
+            let pdim = self.perm[0];
+            let region = slab_partition(&meta.shape, pdim, comm.size(), comm.rank());
+            let (off, count) = (region.offset()[pdim], region.count()[pdim]);
+            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let bytes_in = var.byte_len() as u64;
 
-                let kernel_start = Instant::now();
-                let mut local = permute_axes(&var, &self.perm)?;
-                local.name = self.output.array.clone();
-                let compute = kernel_start.elapsed();
+            let kernel_start = Instant::now();
+            let mut local = permute_axes(&var, &self.perm)?;
+            local.name = self.output.array.clone();
+            let compute = kernel_start.elapsed();
 
-                // Global output metadata with permuted dims and labels.
-                let out_dims: Vec<Dim> = self
-                    .perm
-                    .iter()
-                    .map(|&p| meta.shape.dims()[p].clone())
-                    .collect();
-                let mut out_meta =
-                    VariableMeta::new(self.output.array.clone(), Shape::new(out_dims), meta.dtype);
-                for (out_d, &in_d) in self.perm.iter().enumerate() {
-                    if let Some(names) = meta.labels.get(&in_d) {
-                        out_meta.labels.insert(out_d, names.clone());
-                    }
+            // Global output metadata with permuted dims and labels.
+            let out_dims: Vec<Dim> = self
+                .perm
+                .iter()
+                .map(|&p| meta.shape.dims()[p].clone())
+                .collect();
+            let mut out_meta =
+                VariableMeta::new(self.output.array.clone(), Shape::new(out_dims), meta.dtype);
+            for (out_d, &in_d) in self.perm.iter().enumerate() {
+                if let Some(names) = meta.labels.get(&in_d) {
+                    out_meta.labels.insert(out_d, names.clone());
                 }
-                out_meta.attrs = meta.attrs.clone();
+            }
+            out_meta.attrs = meta.attrs.clone();
 
-                let mut out_offset = vec![0; self.perm.len()];
-                let mut out_counts = out_meta.shape.sizes();
-                out_offset[0] = off;
-                out_counts[0] = count;
-                let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
-                io.put(0, chunk);
-                Ok(StepEnd::Publish { bytes_in, compute })
-            },
-        )
+            let mut out_offset = vec![0; self.perm.len()];
+            let mut out_counts = out_meta.shape.sizes();
+            out_offset[0] = off;
+            out_counts[0] = count;
+            let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
+            io.put(0, chunk);
+            Ok(StepEnd::Publish { bytes_in, compute })
+        })
     }
 }
 

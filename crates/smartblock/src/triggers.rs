@@ -136,7 +136,7 @@ impl fmt::Display for TriggerAction {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trigger {
     /// Component whose signal is watched (the label the component
-    /// publishes under — its base label).
+    /// publishes under — its workflow label, e.g. `histogram-2`).
     pub component: String,
     /// Signal name (`max`, `min`, `total`, `nan_count`, `wait_ratio`, …).
     pub signal: String,

@@ -19,7 +19,7 @@ use sb_comm::{CommError, Communicator};
 use sb_sims::{GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, SimRank};
 use sb_stream::{StreamHub, WriterOptions};
 
-use crate::component::{run_steps, Component, Ports, StepEnd};
+use crate::component::{run_steps, Component, StepEnd};
 use crate::error::ComponentResult;
 use crate::histogram::HistogramResult;
 use crate::launch::SimCode;
@@ -242,14 +242,7 @@ impl Component for Simulation {
         let (steps, interval) = self.schedule();
         let mut sim = self.rank_sim(comm.rank(), comm.size());
         let mut substeps = 0;
-        let label = self.label();
-        let outputs = [(self.stream.as_str(), self.writer_options)];
-        let ports = Ports {
-            label: &label,
-            inputs: &[],
-            outputs: &outputs,
-        };
-        run_steps(ports, comm, hub, |io| {
+        run_steps(self, self.writer_options, comm, hub, |io| {
             if io.step >= steps {
                 return Ok(StepEnd::Done);
             }

@@ -761,6 +761,55 @@ fn shm_backend_reproduces_inproc_stall_degradation() {
     assert!(inproc_degraded && shm_degraded);
 }
 
+/// Degrade detaches the reader group the killed component joined, not the
+/// default one: the writer's other group sees every step and the writer,
+/// whose one-step queue a dead group would fill, completes long before the
+/// hub timeout.
+#[test]
+fn degrade_detaches_the_group_the_component_joined() {
+    use smartblock::launch::SimCode;
+    use smartblock::workflows::Simulation;
+    const STEPS: u64 = 6;
+    let mut wf = Workflow::new();
+    wf.add(
+        1,
+        Simulation::new(SimCode::Gromacs)
+            .param("chains", 4)
+            .param("len", 4)
+            .param("steps", STEPS)
+            .param("interval", 1)
+            .with_writer_options(WriterOptions::buffered(1).with_reader_groups(2)),
+    );
+    wf.add(
+        1,
+        Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")).with_reader_group("mag"),
+    );
+    wf.add(
+        1,
+        Stats::new(("gromacs.fp", "coords"), ("summary.fp", "s")).with_reader_group("stats"),
+    );
+    wf.add(1, Histogram::new(("radii.fp", "r"), 4));
+    let summaries = Arc::new(Mutex::new(0u64));
+    let seen = Arc::clone(&summaries);
+    wf.add_sink("collect", 1, "summary.fp", move |_, _| *lock(&seen) += 1);
+    wf.hub()
+        .install_faults(FaultPlan::seeded(chaos_seed()).kill_at("magnitude", 1));
+    wf.set_fault_policy("magnitude", FaultPolicy::degrade());
+
+    let start = std::time::Instant::now();
+    let report = wf
+        .run_with(RunOptions::new().with_hub_timeout(Duration::from_secs(120)))
+        .unwrap();
+    assert!(
+        start.elapsed() < Duration::from_secs(30),
+        "the writer waited on the dead group"
+    );
+    assert_eq!(report.degraded(), ["magnitude"]);
+    assert_eq!(report.component("stats").unwrap().stats.steps, STEPS);
+    assert_eq!(*lock(&summaries), STEPS);
+    assert!(report.component("gromacs").unwrap().outcome.is_completed());
+}
+
 /// Runs `wf` — some component of which is about to stall — on a hub whose
 /// timeout is far beyond the assertion bound, so only a noisy disconnect
 /// can pass, and checks that every `starved` component (Degrade policy) was

@@ -256,6 +256,38 @@ fn wiring_issues_are_typed() {
     )));
 }
 
+/// A component that declares its inputs as `(stream, group)` subscriptions
+/// alone is wired like any other: the analyser reads the declaration the
+/// step loop opens.
+#[test]
+fn a_component_is_wired_from_its_subscriptions_alone() {
+    struct Subscriber;
+    impl smartblock::Component for Subscriber {
+        fn label(&self) -> String {
+            "subscriber".into()
+        }
+        fn input_subscriptions(&self) -> Vec<(String, String)> {
+            vec![("s.fp".into(), "g".into())]
+        }
+        fn run(
+            &self,
+            _: &sb_comm::Communicator,
+            _: &std::sync::Arc<StreamHub>,
+        ) -> smartblock::ComponentResult {
+            unreachable!("validated, never run")
+        }
+    }
+    let mut wf = Workflow::new();
+    wf.add_source("sim", 1, "s.fp", |_| None::<sb_data::Variable>);
+    wf.add(1, Subscriber);
+    let wiring: Vec<AnalysisIssue> = wf
+        .validate()
+        .into_iter()
+        .filter(|i| matches!(i, AnalysisIssue::Wiring(_)))
+        .collect();
+    assert!(wiring.is_empty(), "{wiring:?}");
+}
+
 // --------------------------------------------------------------- cycles --
 
 fn cyclic_workflow(timeout: Duration) -> Workflow {
