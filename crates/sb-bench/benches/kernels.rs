@@ -6,10 +6,8 @@ use sb_data::{Buffer, Shape, Variable};
 use smartblock::dim_reduce::dim_reduce;
 use smartblock::histogram::{bin_counts, finite_min_max};
 use smartblock::magnitude::vector_magnitudes;
-use smartblock::reduce::{reduce_axis, ReduceOp};
 use smartblock::select::select_rows;
 use smartblock::threshold::{threshold_filter, Predicate};
-use smartblock::transpose::permute_axes;
 use std::hint::black_box;
 
 fn particles_variable(n: usize, props: usize) -> Variable {
@@ -166,47 +164,6 @@ fn bench_histogram_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_reduce(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reduce_axis");
-    for &(t, g) in &[(64usize, 512usize), (256, 512)] {
-        let cells = t * g;
-        let v = Variable::new(
-            "p",
-            Shape::of(&[("t", t), ("g", g)]),
-            Buffer::F64((0..cells).map(|i| (i as f64 * 0.1).sin()).collect()),
-        )
-        .unwrap();
-        group.throughput(Throughput::Bytes((cells * 8) as u64));
-        group.bench_with_input(BenchmarkId::new("sum_axis1", cells), &v, |b, v| {
-            b.iter(|| reduce_axis(black_box(v), 1, ReduceOp::Sum).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("sum_axis0", cells), &v, |b, v| {
-            b.iter(|| reduce_axis(black_box(v), 0, ReduceOp::Sum).unwrap());
-        });
-    }
-    group.finish();
-}
-
-fn bench_transpose(c: &mut Criterion) {
-    let mut group = c.benchmark_group("permute_axes");
-    for &n in &[256usize, 512] {
-        let v = Variable::new(
-            "m",
-            Shape::of(&[("r", n), ("c", n)]),
-            Buffer::F64((0..n * n).map(|i| i as f64).collect()),
-        )
-        .unwrap();
-        group.throughput(Throughput::Bytes((n * n * 8) as u64));
-        group.bench_with_input(BenchmarkId::new("transpose_2d", n), &v, |b, v| {
-            b.iter(|| permute_axes(black_box(v), &[1, 0]).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("identity", n), &v, |b, v| {
-            b.iter(|| permute_axes(black_box(v), &[0, 1]).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_threshold(c: &mut Criterion) {
     let mut group = c.benchmark_group("threshold_filter");
     for &n in &[100_000usize, 1_000_000] {
@@ -230,6 +187,6 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_select, bench_magnitude, bench_dim_reduce, bench_histogram,
-        bench_histogram_step, bench_reduce, bench_transpose, bench_threshold
+        bench_histogram_step, bench_threshold
 }
 criterion_main!(kernels);

@@ -62,8 +62,8 @@ pub fn decompose_along(shape: &Shape, dim: usize, nparts: usize) -> Vec<Region> 
 ///
 /// Rank-0 arrays (scalars) cannot be split: every part receives the whole
 /// (one-element) region. That is correct for reads; *writers* of scalar
-/// variables must contribute the chunk from exactly one rank (see the
-/// Reduce component's scalar path).
+/// variables must contribute the chunk from exactly one rank (as the Fork
+/// component does).
 pub fn default_partition(shape: &Shape, nparts: usize, part: usize) -> Region {
     assert!(part < nparts, "part index out of range");
     if shape.ndims() == 0 {

@@ -226,8 +226,8 @@ pub enum SpecError {
         /// Rendered right spec.
         right: String,
     },
-    /// An axis list is malformed (bad permutation, self-referential
-    /// dim-reduce, ...).
+    /// An axis list is malformed (a dim-reduce folding a dimension into
+    /// itself).
     InvalidAxes {
         /// What is wrong with it.
         detail: String,
@@ -285,7 +285,7 @@ pub enum PartitionRule {
     /// Slab decomposition along a fixed dimension.
     Along(usize),
     /// The first dimension that is *not* the given one (the rule Select
-    /// and Reduce use so the operated-on dimension stays whole per rank).
+    /// uses so the operated-on dimension stays whole per rank).
     FirstExcept(usize),
 }
 

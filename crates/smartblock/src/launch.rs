@@ -35,7 +35,7 @@ use crate::supervisor::FaultPolicy;
 use crate::workflows::Simulation;
 use crate::{
     AllInOne, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
-    Predicate, Reduce, ReduceOp, Select, Stats, TemporalMean, Threshold, Transpose,
+    Predicate, Select, TemporalMean, Threshold,
 };
 
 /// Why one line of a launch description — a `.sb` script line or a `.sbw`
@@ -443,23 +443,6 @@ impl LaunchEntry {
                 c.reader_group = opts.reader();
                 Box::new(c)
             }
-            "reduce" => {
-                arity(
-                    6..=6,
-                    "reduce in-stream in-array dim op out-stream out-array",
-                )?;
-                let op = ReduceOp::parse(a[3]).ok_or_else(|| {
-                    err(
-                        line,
-                        format!("unknown reduce op {:?} (sum|mean|min|max)", a[3]),
-                    )
-                })?;
-                let dim = parse_usize(a[2], "dimension", line)?;
-                let mut c = Reduce::new(io(0), dim, op, io(4));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
-                Box::new(c)
-            }
             "threshold" => {
                 arity(
                     6..=6,
@@ -478,20 +461,6 @@ impl LaunchEntry {
                     )
                 })?;
                 let mut c = Threshold::new(io(0), predicate, io(4));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
-                Box::new(c)
-            }
-            "transpose" => {
-                arity(
-                    5..=5,
-                    "transpose in-stream in-array perm out-stream out-array",
-                )?;
-                let perm: Vec<usize> = a[2]
-                    .split(',')
-                    .map(|t| parse_usize(t.trim(), "permutation index", line))
-                    .collect::<Result<_, _>>()?;
-                let mut c = Transpose::new(io(0), perm, io(3));
                 c.writer_options = opts.writer().map_err(rejected)?;
                 c.reader_group = opts.reader();
                 Box::new(c)
@@ -523,13 +492,6 @@ impl LaunchEntry {
                 if let Some(stride) = opts.usize("stride").map_err(rejected)? {
                     c = c.try_with_stride(stride).map_err(rejected)?;
                 }
-                c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
-                Box::new(c)
-            }
-            "stats" => {
-                arity(4..=4, "stats in-stream in-array out-stream out-array")?;
-                let mut c = Stats::new(io(0), io(2));
                 c.writer_options = opts.writer().map_err(rejected)?;
                 c.reader_group = opts.reader();
                 Box::new(c)
@@ -813,7 +775,7 @@ mod tests {
     fn parses_extension_components() {
         let script = r#"
             fork in.fp a.fp b.fp
-            stats a.fp x st.fp summary
+            threshold a.fp x gt 1.5 th.fp y
             file-write b.fp /tmp/out.sbc
             file-read /tmp/out.sbc replay.fp
             aio dump.fp atoms 16 vx vy vz
@@ -825,7 +787,7 @@ mod tests {
         let programs: Vec<&str> = c.iter().map(|c| c.entry.program.as_str()).collect();
         assert_eq!(
             programs,
-            ["fork", "stats", "file-write", "file-read", "aio"]
+            ["fork", "threshold", "file-write", "file-read", "aio"]
         );
         assert_eq!(c[0].component.output_streams(), ["a.fp", "b.fp"]);
         assert_eq!(
@@ -867,19 +829,9 @@ mod tests {
                 ("histogram".into(), vec![sub("a.fp", "h")], vec![]),
             ),
             (
-                "reduce a.fp x 0 mean b.fp y",
-                "program = \"reduce\"\nargs = [\"a.fp\", \"x\", \"0\", \"mean\", \"b.fp\", \"y\"]",
-                ("reduce".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
-            ),
-            (
                 "threshold a.fp x abs-gt 2.5 b.fp y",
                 "program = \"threshold\"\nargs = [\"a.fp\", \"x\", \"abs-gt\", \"2.5\", \"b.fp\", \"y\"]",
                 ("threshold".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
-            ),
-            (
-                "transpose a.fp x 1,0 b.fp y",
-                "program = \"transpose\"\nargs = [\"a.fp\", \"x\", \"1,0\", \"b.fp\", \"y\"]",
-                ("transpose".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
             ),
             (
                 "combine a.fp x sub b.fp y c.fp z group=l rgroup=r",
@@ -894,11 +846,6 @@ mod tests {
                 "temporal-mean a.fp x 3 b.fp y stride=2",
                 "program = \"temporal-mean\"\nargs = [\"a.fp\", \"x\", \"3\", \"b.fp\", \"y\"]\nstride = 2",
                 ("temporal-mean".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
-            ),
-            (
-                "stats a.fp x st.fp summary",
-                "program = \"stats\"\nargs = [\"a.fp\", \"x\", \"st.fp\", \"summary\"]",
-                ("stats".into(), vec![sub("a.fp", "default")], strings(&["st.fp"])),
             ),
             (
                 "fork in.fp a.fp b.fp queue=2",
@@ -962,7 +909,7 @@ mod tests {
         }
         let names: BTreeSet<String> = grammar_names().into_iter().map(String::from).collect();
         assert_eq!(covered, names);
-        assert_eq!(names.len(), 17);
+        assert_eq!(names.len(), 14);
     }
 
     #[test]
@@ -1003,6 +950,10 @@ mod tests {
             ("aprun -n x select a b 1 c d vx", "bad nranks"),
             ("aprun -n 0 magnitude a b c d", "zero ranks"),
             ("aprun -n 2 bogus a b", "unknown program"),
+            (
+                "aprun -n 2 transpose a.fp x 1,0 b.fp y",
+                "a program the grammar dropped",
+            ),
             ("select a b", "too few args"),
             ("dim-reduce a b one 1 c d", "non-integer dim"),
             ("lammps foo", "non key=value sim arg"),
@@ -1061,6 +1012,13 @@ mod tests {
             "component rejected its arguments: fork takes no option group= \
              (its options: groups= queue= rendezvous=)"
         );
+        // A dropped program is unknown like any other, and lints as SB000.
+        let script = "aprun -n 2 transpose a.fp x 1,0 b.fp y";
+        let e = WorkflowPlan::from_script(script).unwrap_err();
+        assert_eq!(e[0].detail, "unknown program \"transpose\"");
+        let lint = crate::lint_source("t.sb", script, &crate::LintConfig::default());
+        let found: Vec<_> = lint.diagnostics.iter().map(|d| (d.id(), d.line)).collect();
+        assert_eq!(found, [("SB000", Some(1))]);
         let e = WorkflowPlan::from_script("magnitude a b c d EXTRA").unwrap_err();
         assert_eq!(
             e[0].detail,

@@ -24,8 +24,8 @@
 //! Beyond the paper's four components, the crate includes the §V-C
 //! all-in-one baseline ([`AllInOne`]) used to measure the cost of
 //! componentization, and the §VI future-work components: [`Fork`] (DAG
-//! fan-out), [`Stats`], and [`FileWrite`]/[`FileRead`] (storage-decoupled
-//! workflows).
+//! fan-out), [`Combine`], [`TemporalMean`], [`Threshold`] and
+//! [`FileWrite`]/[`FileRead`] (storage-decoupled workflows).
 //!
 //! ## Quick example
 //!
@@ -79,15 +79,12 @@ pub mod launch;
 pub mod magnitude;
 pub mod metrics;
 pub mod plan;
-pub mod reduce;
 pub mod runtime;
 pub mod select;
 pub mod spec;
-pub mod stats;
 pub mod supervisor;
 pub mod temporal;
 pub mod threshold;
-pub mod transpose;
 pub mod triggers;
 pub mod workflows;
 
@@ -108,15 +105,12 @@ pub use launch::{LaunchEntry, LaunchError, ScriptDirectives};
 pub use magnitude::Magnitude;
 pub use metrics::{ComponentOutcome, ComponentReport, ComponentStats, WorkflowReport};
 pub use plan::{PlannedComponent, WorkflowPlan};
-pub use reduce::{Reduce, ReduceOp};
 pub use runtime::{WiringIssue, Workflow};
 pub use select::Select;
 pub use spec::{SpecIssue, SpecLoadError};
-pub use stats::Stats;
 pub use supervisor::{FailureAction, FaultPolicy, RunOptions, Validation};
 pub use temporal::TemporalMean;
 pub use threshold::{Predicate, Threshold};
-pub use transpose::Transpose;
 pub use triggers::{ControlAction, Trigger, TriggerAction, TriggerFire, TriggerOp};
 
 /// Trace types re-exported from the stream layer: workflows configure
@@ -134,7 +128,7 @@ pub mod prelude {
     pub use crate::runtime::{WiringIssue, Workflow};
     pub use crate::{
         AllInOne, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
-        Predicate, Reduce, ReduceOp, Select, Stats, TemporalMean, Threshold, Transpose,
+        Predicate, Select, TemporalMean, Threshold,
     };
     pub use crate::{
         ComponentError, ComponentOutcome, ComponentReport, ComponentResult, ComponentStats,

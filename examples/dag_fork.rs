@@ -6,7 +6,7 @@
 //! ```text
 //!                    ┌─> magnitude ─> histogram   (spread of the atoms)
 //! gromacs ─> fork ───┤
-//!                    └─> stats                    (min/max/mean/std of x,y,z)
+//!                    └─> threshold                (coordinate values beyond ±8)
 //! ```
 //!
 //! Run with: `cargo run --release -p sb-examples --bin dag_fork`
@@ -16,6 +16,9 @@ use sb_examples::render_histogram;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
 use smartblock::workflows::Simulation;
+
+/// Branch B's cut-off on a single coordinate value.
+const FAR: f64 = 8.0;
 
 fn main() {
     let mut wf = Workflow::new();
@@ -38,19 +41,19 @@ fn main() {
     let hist_results = hist.results_handle();
     wf.add(1, hist);
 
-    // Branch B: summary statistics straight off the coordinates.
+    // Branch B: the coordinate values beyond ±FAR; how many there are is
+    // known only at run time.
     wf.add(
         2,
-        Stats::new(("branch-b.fp", "coords"), ("summary.fp", "s")),
+        Threshold::new(
+            ("branch-b.fp", "coords"),
+            Predicate::AbsGreaterThan(FAR),
+            ("far.fp", "coords"),
+        ),
     );
-    wf.add_sink("print-stats", 1, "summary.fp", |step, vars| {
-        if let Some((min, max, mean, std, count)) =
-            smartblock::stats::parse_stats_output(&vars["s"])
-        {
-            println!(
-                "stats step {step}: count={count} min={min:.3} max={max:.3} mean={mean:.3} std={std:.3}"
-            );
-        }
+    wf.add_sink("print-far", 1, "far.fp", |step, vars| {
+        let n = vars["coords"].shape.total_len();
+        println!("threshold step {step}: {n} coordinate values with |x| > {FAR}");
     });
 
     let report = wf.run_with(RunOptions::default()).expect("workflow run");

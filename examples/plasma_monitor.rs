@@ -1,16 +1,16 @@
 //! A richer analysis DAG built entirely from generic components, using the
-//! extension library (Transpose, Reduce, Threshold) and multi-subscriber
+//! extension library (TemporalMean, Threshold) and multi-subscriber
 //! streams — no Fork, no data duplication:
 //!
 //! ```text
-//!                      ┌─[group "profile"]─> transpose ─> reduce(mean) ──┐
-//! gtcp ── gtcp.fp ─────┤                                                 ├─> printed
-//!                      └─[group "alarms"]──> select(P_perp) ─> 2x dim-reduce
-//!                                            ─> threshold(hot cells) ────┘
+//!                      ┌─[group "trend"]──> temporal-mean(2 steps) ─────┐
+//! gtcp ── gtcp.fp ─────┤                                                ├─> printed
+//!                      └─[group "alarms"]─> select(P_perp) ─> 2x dim-reduce
+//!                                           ─> threshold(hot cells) ────┘
 //! ```
 //!
-//! Branch 1 computes the mean poloidal profile of every plasma property
-//! (gridpoints-major after the transpose). Branch 2 reproduces the paper's
+//! Branch 1 smooths every plasma property over the last two steps, state
+//! the component carries across steps. Branch 2 reproduces the paper's
 //! flattening pipeline but ends in a Threshold that reports which grid
 //! cells exceed a pressure alarm level, with their global indices.
 //!
@@ -34,34 +34,26 @@ fn main() {
             .with_writer_options(WriterOptions::default().with_reader_groups(2)),
     );
 
-    // Branch 1: per-property poloidal profile.
-    // [slices, points, props] -> [props, points, slices] -> mean over slices.
+    // Branch 1: the running two-step mean of the whole plasma array.
     wf.add(
         2,
-        Transpose::new(
-            ("gtcp.fp", "plasma"),
-            vec![2, 1, 0],
-            ("byprop.fp", "plasma"),
-        )
-        .with_reader_group("profile"),
+        TemporalMean::new(("gtcp.fp", "plasma"), 2, ("trend.fp", "plasma"))
+            .with_reader_group("trend"),
     );
-    wf.add(
-        2,
-        Reduce::new(
-            ("byprop.fp", "plasma"),
-            2,
-            ReduceOp::Mean,
-            ("profile.fp", "mean"),
-        ),
-    );
-    wf.add_sink("print-profile", 1, "profile.fp", |step, vars| {
-        let v = &vars["mean"];
-        // Row 5 is P_perp (see sb_sims::gtcp::GTCP_PROPERTIES).
-        let points = v.shape.size(1);
-        let row: Vec<f64> = (0..points).map(|j| v.get(&[5, j])).collect();
-        let lo = row.iter().cloned().fold(f64::MAX, f64::min);
-        let hi = row.iter().cloned().fold(f64::MIN, f64::max);
-        println!("step {step}: mean P_perp poloidal profile in [{lo:.4}, {hi:.4}]");
+    wf.add_sink("print-trend", 1, "trend.fp", |step, vars| {
+        let v = &vars["plasma"];
+        // Property 5 is P_perp (see sb_sims::gtcp::GTCP_PROPERTIES).
+        let props = v.shape.size(2);
+        let pperp: Vec<f64> = v
+            .data
+            .to_f64_vec()
+            .into_iter()
+            .skip(5)
+            .step_by(props)
+            .collect();
+        let lo = pperp.iter().cloned().fold(f64::MAX, f64::min);
+        let hi = pperp.iter().cloned().fold(f64::MIN, f64::max);
+        println!("step {step}: two-step mean P_perp in [{lo:.4}, {hi:.4}]");
     });
 
     // Branch 2: the paper's flattening pipeline ending in an alarm filter.

@@ -1,5 +1,5 @@
 //! Composition behaviours: launch-order independence, DAG fan-out, file
-//! decoupling, stats, histogram chaining, and script-driven assembly —
+//! decoupling, histogram chaining, and script-driven assembly —
 //! everything the paper claims "out of the box".
 
 use std::collections::BTreeMap;
@@ -109,41 +109,6 @@ fn file_write_then_file_read_preserves_the_stream() {
         assert_eq!(var.shape.sizes(), expect.shape.sizes());
     }
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn stats_component_summarizes_any_rank_input() {
-    let collected: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink_data = Arc::clone(&collected);
-    let mut wf = Workflow::new();
-    // A 3-d input: stats must flatten it regardless of rank.
-    wf.add_source("gen", 2, "cube.fp", |step| {
-        (step < 1).then(|| {
-            let data: Vec<f64> = (0..24).map(|i| i as f64).collect();
-            Variable::new(
-                "t",
-                Shape::of(&[("a", 2), ("b", 3), ("c", 4)]),
-                Buffer::from(data),
-            )
-            .unwrap()
-        })
-    });
-    wf.add(3, Stats::new(("cube.fp", "t"), ("sum.fp", "s")));
-    wf.add_sink("end", 1, "sum.fp", move |_s, vars| {
-        lock(&sink_data).extend(vars["s"].data.to_f64_vec());
-    });
-    wf.run_with(RunOptions::default()).unwrap();
-    let got = lock(&collected).clone();
-    assert_eq!(got.len(), 5);
-    assert_eq!(got[0], 0.0); // min
-    assert_eq!(got[1], 23.0); // max
-    assert_eq!(got[2], 11.5); // mean
-    assert_eq!(got[4], 24.0); // count
-    let expect_std = (0..24)
-        .map(|i| (i as f64 - 11.5) * (i as f64 - 11.5))
-        .sum::<f64>()
-        / 24.0;
-    assert!((got[3] - expect_std.sqrt()).abs() < 1e-12);
 }
 
 #[test]

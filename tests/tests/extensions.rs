@@ -1,6 +1,7 @@
-//! Extension-component behaviours: Reduce, Threshold, Transpose, and
-//! multi-subscriber (reader-group) DAGs — the capabilities beyond the
-//! paper's four components.
+//! Extension-component behaviours: Threshold's data-dependent output,
+//! multi-subscriber (reader-group) DAGs, and chains of the §VI components
+//! from launch scripts — the capabilities beyond the paper's four
+//! components.
 
 use std::sync::{Arc, Mutex};
 
@@ -9,17 +10,6 @@ use sb_stream::WriterOptions;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
 use smartblock::workflows::Simulation;
-
-fn cube_source(step: u64) -> Variable {
-    // 2 x 3 x 4, element = linear index + step.
-    let data: Vec<f64> = (0..24).map(|i| (i as u64 + step) as f64).collect();
-    Variable::new(
-        "t",
-        Shape::of(&[("a", 2), ("b", 3), ("c", 4)]),
-        Buffer::from(data),
-    )
-    .unwrap()
-}
 
 fn collect_array(
     wf: &mut Workflow,
@@ -37,56 +27,6 @@ fn collect_array(
         },
     );
     out
-}
-
-#[test]
-fn reduce_component_collapses_an_axis_across_ranks() {
-    let mut wf = Workflow::new();
-    wf.add_source("gen", 2, "cube.fp", |step| {
-        (step < 2).then(|| cube_source(step))
-    });
-    wf.add(
-        3,
-        Reduce::new(("cube.fp", "t"), 2, ReduceOp::Sum, ("sums.fp", "s")),
-    );
-    let got = collect_array(&mut wf, "sums.fp", "s");
-    wf.run_with(RunOptions::default()).unwrap();
-
-    let got = lock(&got).clone();
-    assert_eq!(got.len(), 2);
-    for (step, values) in got.iter().enumerate() {
-        // 2x3 sums of 4-element rows.
-        assert_eq!(values.len(), 6);
-        for (row, v) in values.iter().enumerate() {
-            let base = row * 4;
-            let expect: f64 = (base..base + 4)
-                .map(|i| (i as u64 + step as u64) as f64)
-                .sum();
-            assert_eq!(*v, expect, "step {step} row {row}");
-        }
-    }
-}
-
-#[test]
-fn reduce_component_produces_scalar_for_1d_input() {
-    let mut wf = Workflow::new();
-    wf.add_source("gen", 1, "v.fp", |step| {
-        (step < 1).then(|| {
-            Variable::new(
-                "x",
-                Shape::linear("n", 10),
-                Buffer::F64((1..=10).map(f64::from).collect()),
-            )
-            .unwrap()
-        })
-    });
-    wf.add(
-        3,
-        Reduce::new(("v.fp", "x"), 0, ReduceOp::Mean, ("m.fp", "mean")),
-    );
-    let got = collect_array(&mut wf, "m.fp", "mean");
-    wf.run_with(RunOptions::default()).unwrap();
-    assert_eq!(lock(&got).clone(), vec![vec![5.5]]);
 }
 
 #[test]
@@ -120,6 +60,40 @@ fn threshold_component_filters_with_global_indices() {
 }
 
 #[test]
+fn threshold_offsets_each_ranks_survivors_by_exscan() {
+    // Every Threshold rank keeps one value, so each rank's slice of the
+    // output starts where the exclusive scan of the counts before it ends.
+    let mut wf = Workflow::new();
+    wf.add_source("gen", 2, "v.fp", |step| {
+        (step < 1).then(|| {
+            let data: Vec<f64> = (0..12).map(|i| (i % 4) as f64).collect();
+            Variable::new("x", Shape::linear("n", 12), Buffer::from(data)).unwrap()
+        })
+    });
+    wf.add(
+        3,
+        Threshold::new(
+            ("v.fp", "x"),
+            Predicate::GreaterThan(2.0),
+            ("kept.fp", "top"),
+        ),
+    );
+    let kept = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&kept);
+    wf.add_sink("end", 1, "kept.fp", move |_s, vars| {
+        lock(&sink).push((
+            vars["top"].data.to_f64_vec(),
+            vars["top_indices"].data.to_f64_vec(),
+        ));
+    });
+    wf.run_with(RunOptions::default()).unwrap();
+    assert_eq!(
+        lock(&kept).clone(),
+        vec![(vec![3.0; 3], vec![3.0, 7.0, 11.0])]
+    );
+}
+
+#[test]
 fn threshold_handles_empty_result_sets() {
     let mut wf = Workflow::new();
     wf.add_source("gen", 1, "v.fp", |step| {
@@ -140,42 +114,10 @@ fn threshold_handles_empty_result_sets() {
 }
 
 #[test]
-fn transpose_component_reorders_axes_across_ranks() {
-    let mut wf = Workflow::new();
-    wf.add_source("gen", 2, "cube.fp", |step| {
-        (step < 1).then(|| cube_source(step))
-    });
-    // Output dims: (c, a, b).
-    wf.add(
-        2,
-        Transpose::new(("cube.fp", "t"), vec![2, 0, 1], ("tp.fp", "t")),
-    );
-    let collected: Arc<Mutex<Vec<Variable>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&collected);
-    wf.add_sink("end", 1, "tp.fp", move |_s, vars| {
-        lock(&sink).push(vars["t"].clone());
-    });
-    wf.run_with(RunOptions::default()).unwrap();
-
-    let got = lock(&collected).clone();
-    assert_eq!(got.len(), 1);
-    let t = &got[0];
-    assert_eq!(t.shape.sizes(), vec![4, 2, 3]);
-    assert_eq!(t.shape.dim_name(0), "c");
-    let source = cube_source(0);
-    for a in 0..2 {
-        for b in 0..3 {
-            for c in 0..4 {
-                assert_eq!(t.get(&[c, a, b]), source.get(&[a, b, c]));
-            }
-        }
-    }
-}
-
-#[test]
 fn two_components_subscribe_to_one_simulation_stream() {
     // The reader-group DAG: no Fork, no duplication — the GROMACS stream
-    // feeds both the Magnitude branch and the Stats branch directly.
+    // feeds two Magnitude → Histogram branches directly, each Magnitude in
+    // its own reader group.
     let mut wf = Workflow::new();
     wf.add(
         2,
@@ -191,22 +133,26 @@ fn two_components_subscribe_to_one_simulation_stream() {
         Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")).with_reader_group("mag"),
     );
     wf.add(
-        2,
-        Stats::new(("gromacs.fp", "coords"), ("summary.fp", "s")).with_reader_group("stats"),
+        3,
+        Magnitude::new(("gromacs.fp", "coords"), ("radii2.fp", "r")).with_reader_group("mag2"),
     );
     let hist = Histogram::new(("radii.fp", "r"), 8);
     let hist_results = hist.results_handle();
     wf.add(1, hist);
-    let stats_out = collect_array(&mut wf, "summary.fp", "s");
+    let second = Histogram::new(("radii2.fp", "r"), 8);
+    let second_results = second.results_handle();
+    wf.add(2, second);
     let report = wf.run_with(RunOptions::default()).unwrap();
 
-    assert_eq!(lock(&hist_results).len(), 3);
-    let stats_rows = lock(&stats_out).clone();
-    assert_eq!(stats_rows.len(), 3);
-    for row in &stats_rows {
-        assert_eq!(row[4] as usize, 12 * 8 * 3, "count = atoms x coords");
-        assert!(row[0] <= row[2] && row[2] <= row[1], "min <= mean <= max");
+    let first = lock(&hist_results).clone();
+    let second = lock(&second_results).clone();
+    assert_eq!(first.len(), 3);
+    for h in &first {
+        assert_eq!(h.total() as usize, 12 * 8, "count = atoms");
+        assert!(h.min <= h.max, "min <= max");
     }
+    // Both branches read the same steps, whatever their rank counts.
+    assert_eq!(second, first);
     // Both branches consumed all steps of the same stream.
     let sim_stream = report
         .streams
@@ -221,11 +167,15 @@ fn two_components_subscribe_to_one_simulation_stream() {
 
 #[test]
 fn extension_components_work_from_launch_scripts() {
+    // Every §VI stream component from one script: Fork copies the plasma,
+    // TemporalMean smooths one copy, Combine subtracts it from the other,
+    // and Threshold keeps the large deviations.
     let script = r#"
         aprun -n 2 gtcp slices=8 points=12 steps=2 interval=3 &
-        aprun -n 2 transpose gtcp.fp plasma 1,0,2 tp.fp plasma_t &
-        aprun -n 2 reduce tp.fp plasma_t 2 mean rm.fp means &
-        aprun -n 1 threshold rm.fp means gt 0.9 th.fp hot &
+        aprun -n 1 fork gtcp.fp raw.fp avg.fp &
+        aprun -n 2 temporal-mean avg.fp plasma 2 tm.fp smooth &
+        aprun -n 2 combine raw.fp plasma sub tm.fp smooth dev.fp deviation &
+        aprun -n 1 threshold dev.fp deviation abs-gt 0.01 th.fp hot &
         wait
     "#;
     let wf = WorkflowPlan::from_script(script)
@@ -234,7 +184,7 @@ fn extension_components_work_from_launch_scripts() {
         .unwrap();
     assert_eq!(
         wf.labels(),
-        vec!["gtcp", "transpose", "reduce", "threshold"]
+        vec!["gtcp", "fork", "temporal-mean", "combine", "threshold"]
     );
     let report = wf.run_with(RunOptions::default()).unwrap();
     for c in &report.components {
@@ -247,7 +197,7 @@ fn extension_components_work_from_launch_scripts() {
 
 #[test]
 fn deep_pipeline_with_varied_ranks_stays_correct() {
-    // A seven-stage chain mixing every transform kind, each at a different
+    // A six-stage chain mixing every transform kind, each at a different
     // rank count — the paper's "any number of components in any order"
     // claim under stress.
     use sb_data::{Shape, Variable};
@@ -269,17 +219,11 @@ fn deep_pipeline_with_varied_ranks_stays_correct() {
         2,
         Select::new(("s0.fp", "t"), 2, ["x", "z"], ("s1.fp", "t")),
     );
-    wf.add(
-        4,
-        Transpose::new(("s1.fp", "t"), vec![1, 0, 2], ("s2.fp", "t")),
-    );
-    wf.add(3, DimReduce::new(("s2.fp", "t"), 0, 1, ("s3.fp", "t")));
-    wf.add(
-        2,
-        Reduce::new(("s3.fp", "t"), 1, ReduceOp::Mean, ("s4.fp", "t")),
-    );
-    wf.add(2, TemporalMean::new(("s4.fp", "t"), 2, ("s5.fp", "t")));
-    let hist = Histogram::new(("s5.fp", "t"), 4);
+    // Absorbing b into a permutes memory: b follows a in row-major order.
+    wf.add(4, DimReduce::new(("s1.fp", "t"), 1, 0, ("s2.fp", "t")));
+    wf.add(3, Magnitude::new(("s2.fp", "t"), ("s3.fp", "t")));
+    wf.add(2, TemporalMean::new(("s3.fp", "t"), 2, ("s4.fp", "t")));
+    let hist = Histogram::new(("s4.fp", "t"), 4);
     let results = hist.results_handle();
     wf.add(1, hist);
     assert!(wf.validate().is_empty());
@@ -287,13 +231,12 @@ fn deep_pipeline_with_varied_ranks_stays_correct() {
 
     let got = lock(&results).clone();
     assert_eq!(got.len(), 4);
-    // Shape bookkeeping: select -> [2,6,2]; transpose(1,0,2) -> [6,2,2];
-    // dim-reduce(0 into 1) -> [12,2]; reduce(mean over dim 1) -> [12];
-    // histogram bins 12 values per step.
+    // Shape bookkeeping: select -> [2,6,2]; dim-reduce(1 into 0) -> [12,2];
+    // magnitude -> [12]; histogram bins 12 values per step.
     assert!(got.iter().all(|h| h.total() == 12), "{got:?}");
 
-    // Value check for step 0, element 0 of the final vector: the pipeline
-    // is deterministic, so compute the same thing serially.
+    // Value check for step 0 of the final vector: the pipeline is
+    // deterministic, so compute the same thing serially.
     let serial = {
         let data: Vec<f64> = (0..48).map(|i| i as f64).collect();
         let v = Variable::new(
@@ -305,24 +248,13 @@ fn deep_pipeline_with_varied_ranks_stays_correct() {
         .with_labels(2, &["w", "x", "y", "z"])
         .unwrap();
         let v = smartblock::select::select_rows(&v, 2, &[1, 3]).unwrap();
-        let v = smartblock::transpose::permute_axes(&v, &[1, 0, 2]).unwrap();
-        let v = smartblock::dim_reduce::dim_reduce(&v, 0, 1).unwrap();
-        smartblock::reduce::reduce_axis(&v, 1, ReduceOp::Mean).unwrap()
+        let v = smartblock::dim_reduce::dim_reduce(&v, 1, 0).unwrap();
+        smartblock::magnitude::vector_magnitudes(&v).unwrap()
     };
     // TemporalMean at step 0 is the identity, so histogram 0's range must
     // match the serial vector's range.
-    let lo = serial
-        .data
-        .to_f64_vec()
-        .iter()
-        .cloned()
-        .fold(f64::MAX, f64::min);
-    let hi = serial
-        .data
-        .to_f64_vec()
-        .iter()
-        .cloned()
-        .fold(f64::MIN, f64::max);
+    let lo = serial.iter().cloned().fold(f64::MAX, f64::min);
+    let hi = serial.iter().cloned().fold(f64::MIN, f64::max);
     assert!((got[0].min - lo).abs() < 1e-12);
     assert!((got[0].max - hi).abs() < 1e-12);
 }

@@ -786,12 +786,12 @@ fn degrade_detaches_the_group_the_component_joined() {
     );
     wf.add(
         1,
-        Stats::new(("gromacs.fp", "coords"), ("summary.fp", "s")).with_reader_group("stats"),
+        Magnitude::new(("gromacs.fp", "coords"), ("kept.fp", "r")).with_reader_group("kept"),
     );
     wf.add(1, Histogram::new(("radii.fp", "r"), 4));
-    let summaries = Arc::new(Mutex::new(0u64));
-    let seen = Arc::clone(&summaries);
-    wf.add_sink("collect", 1, "summary.fp", move |_, _| *lock(&seen) += 1);
+    let kept = Histogram::new(("kept.fp", "r"), 4);
+    let kept_results = kept.results_handle();
+    wf.add(1, kept);
     wf.hub()
         .install_faults(FaultPlan::seeded(chaos_seed()).kill_at("magnitude", 1));
     wf.set_fault_policy("magnitude", FaultPolicy::degrade());
@@ -805,8 +805,8 @@ fn degrade_detaches_the_group_the_component_joined() {
         "the writer waited on the dead group"
     );
     assert_eq!(report.degraded(), ["magnitude"]);
-    assert_eq!(report.component("stats").unwrap().stats.steps, STEPS);
-    assert_eq!(*lock(&summaries), STEPS);
+    assert_eq!(report.component("magnitude-2").unwrap().stats.steps, STEPS);
+    assert_eq!(lock(&kept_results).len() as u64, STEPS);
     assert!(report.component("gromacs").unwrap().outcome.is_completed());
 }
 

@@ -210,7 +210,7 @@ fn joins_work_from_launch_scripts() {
         aprun -n 2 magnitude gromacs.fp coords r.fp radii &
         aprun -n 2 temporal-mean r.fp radii 2 rs.fp radii_smooth &
         aprun -n 1 combine r.fp radii sub rs.fp radii_smooth dev.fp deviation &
-        aprun -n 1 stats dev.fp deviation st.fp summary &
+        aprun -n 1 threshold dev.fp deviation abs-gt 0 th.fp drift &
         wait
     "#;
     let wf = WorkflowPlan::from_script(script)
@@ -219,17 +219,23 @@ fn joins_work_from_launch_scripts() {
         .unwrap();
     assert_eq!(
         wf.labels(),
-        vec!["gromacs", "magnitude", "temporal-mean", "combine", "stats"]
+        vec![
+            "gromacs",
+            "magnitude",
+            "temporal-mean",
+            "combine",
+            "threshold"
+        ]
     );
     // Validate finds both problems in this deliberately flawed script:
-    // st.fp has no consumer, and r.fp is consumed by temporal-mean and
+    // th.fp has no consumer, and r.fp is consumed by temporal-mean and
     // combine under the same "default" reader group.
     let issues = wf.validate();
     assert_eq!(issues.len(), 2, "{issues:?}");
     assert!(issues.iter().any(|i| matches!(
         i,
         smartblock::AnalysisIssue::Wiring(smartblock::WiringIssue::NoReader { stream, .. })
-            if stream == "st.fp"
+            if stream == "th.fp"
     )));
     assert!(issues.iter().any(|i| matches!(
         i,
@@ -259,14 +265,14 @@ fn joins_work_from_launch_scripts() {
 fn script_options_assemble_and_run_a_dag() {
     // The corrected version of the script above: magnitude declares two
     // subscriber groups (groups=2), combine subscribes to r.fp under its
-    // own group (group=dev), and the stats output is consumed by a sink we
-    // attach programmatically.
+    // own group (group=dev), and the threshold output is consumed by a sink
+    // we attach programmatically.
     let script = r#"
         aprun -n 2 gromacs chains=6 len=6 steps=3 interval=4 &
         aprun -n 2 magnitude gromacs.fp coords r.fp radii groups=2 &
         aprun -n 2 temporal-mean r.fp radii 2 rs.fp radii_smooth &
         aprun -n 1 combine r.fp radii sub rs.fp radii_smooth dev.fp deviation group=dev &
-        aprun -n 1 stats dev.fp deviation st.fp summary &
+        aprun -n 1 threshold dev.fp deviation abs-gt 0 th.fp drift &
         wait
     "#;
     let plan = WorkflowPlan::from_script(script).unwrap();
@@ -275,16 +281,18 @@ fn script_options_assemble_and_run_a_dag() {
     assert_eq!(option(3, "group").as_deref(), Some("dev"));
 
     let mut wf = plan.workflow(StreamHub::new(), &[]).unwrap();
-    let summaries = collect(&mut wf, "st.fp", "summary");
+    let drifts = collect(&mut wf, "th.fp", "drift_indices");
     // Combine's left subscription rides its own group now.
     let issues = wf.validate();
     assert!(issues.is_empty(), "{issues:?}");
     wf.run_with(RunOptions::default()).unwrap();
 
-    let got = lock(&summaries).clone();
+    let got = lock(&drifts).clone();
     assert_eq!(got.len(), 3);
     // Deviation of the smoothed signal is 0 on step 0 (window holds one
-    // step) and generally small thereafter; count covers every atom.
-    assert_eq!(got[0][4] as usize, 36);
-    assert!(got[0][3].abs() < 1e-12, "step-0 deviation must be zero");
+    // step), so nothing drifts; thereafter every atom moves, and the
+    // indices cover every atom.
+    assert!(got[0].is_empty(), "step-0 deviation must be zero");
+    let every_atom: Vec<f64> = (0..36).map(f64::from).collect();
+    assert_eq!(got[1..], [every_atom.clone(), every_atom]);
 }

@@ -1,10 +1,9 @@
 //! Property tests over the core data structures and kernels: decomposition
 //! tiling, region-copy identity, the Select and Dim-Reduce mapping laws,
-//! histogram conservation, container round-trips, and collective/merge
-//! algebra.
+//! histogram conservation, container round-trips, and collective algebra.
 //!
 //! Each property is exercised over a deterministic sweep of generated
-//! cases (shapes, subsets, permutations derived from a seeded LCG), so the
+//! cases (shapes and subsets derived from a seeded LCG), so the
 //! suite needs no property-testing dependency and every failure is
 //! reproducible from the case index alone.
 
@@ -16,11 +15,8 @@ use sb_data::{Buffer, DType, Region, Shape, Variable};
 use smartblock::dim_reduce::dim_reduce;
 use smartblock::histogram::{bin_counts, finite_min_max};
 use smartblock::magnitude::vector_magnitudes;
-use smartblock::reduce::{reduce_axis, ReduceOp};
 use smartblock::select::select_rows;
-use smartblock::stats::Moments;
 use smartblock::temporal::MovingMean;
-use smartblock::transpose::permute_axes;
 
 /// A small deterministic generator for case derivation.
 struct Lcg(u64);
@@ -537,62 +533,6 @@ fn dim_reduce_obeys_the_mapping_law() {
                 .collect();
             out_idx[grow_out] = idx[remove] * g + idx[grow];
             assert_eq!(out.get(&out_idx), lin as f64, "case {case}");
-        }
-    }
-}
-
-#[test]
-fn transpose_is_a_bijection_with_correct_mapping() {
-    for (case, shape) in case_shapes(48).iter().enumerate() {
-        // Derive a permutation from the case (factorial number system).
-        let ndims = shape.ndims();
-        let mut avail: Vec<usize> = (0..ndims).collect();
-        let mut perm = Vec::with_capacity(ndims);
-        let mut s = case * 97 + 11;
-        for k in (1..=ndims).rev() {
-            perm.push(avail.remove(s % k));
-            s /= k;
-        }
-        let var = indexed_variable(shape);
-        let out = permute_axes(&var, &perm).unwrap();
-        assert_eq!(out.data.len(), var.data.len());
-        for lin in 0..shape.total_len() {
-            let idx = shape.multi_index(lin);
-            let out_idx: Vec<usize> = perm.iter().map(|&p| idx[p]).collect();
-            assert_eq!(out.get(&out_idx), lin as f64, "case {case} perm {perm:?}");
-        }
-    }
-}
-
-#[test]
-fn reduce_axis_matches_naive_fold() {
-    let ops = [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Min, ReduceOp::Max];
-    for (case, shape) in case_shapes(32).iter().enumerate() {
-        for dim in 0..shape.ndims() {
-            let op = ops[case % 4];
-            let var = indexed_variable(shape);
-            let out = reduce_axis(&var, dim, op).unwrap();
-            assert_eq!(out.shape.total_len(), shape.total_len() / shape.size(dim));
-            // Naive check on every output element.
-            for lin in 0..out.shape.total_len() {
-                let out_idx = out.shape.multi_index(lin);
-                let mut values = Vec::new();
-                for k in 0..shape.size(dim) {
-                    let mut idx = out_idx.clone();
-                    idx.insert(dim, k);
-                    values.push(var.get(&idx));
-                }
-                let expect = match op {
-                    ReduceOp::Sum => values.iter().sum::<f64>(),
-                    ReduceOp::Mean => values.iter().sum::<f64>() / values.len() as f64,
-                    ReduceOp::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
-                    ReduceOp::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                };
-                assert!(
-                    (out.data.get_f64(lin) - expect).abs() < 1e-9,
-                    "case {case} dim {dim}"
-                );
-            }
         }
     }
 }
@@ -1444,31 +1384,6 @@ fn duplicate_label_dimensions_fail_meta_decode() {
         err.to_string().contains("duplicate label"),
         "wrong error: {err}"
     );
-}
-
-#[test]
-fn moments_merge_is_order_insensitive() {
-    for case in 0..24u64 {
-        let mut rng = Lcg(case * 53 + 1);
-        let a: Vec<f64> = (0..rng.below(49) + 1)
-            .map(|_| rng.float(-100.0, 100.0))
-            .collect();
-        let b: Vec<f64> = (0..rng.below(49) + 1)
-            .map(|_| rng.float(-100.0, 100.0))
-            .collect();
-        let ab = Moments::merge(Moments::of(&a), Moments::of(&b));
-        let ba = Moments::merge(Moments::of(&b), Moments::of(&a));
-        let whole = {
-            let mut all = a.clone();
-            all.extend_from_slice(&b);
-            Moments::of(&all)
-        };
-        assert_eq!(ab.count, whole.count);
-        assert_eq!(ab.min, ba.min);
-        assert_eq!(ab.max, whole.max);
-        assert!((ab.sum - whole.sum).abs() <= 1e-9 * whole.sum.abs().max(1.0));
-        assert!((ab.mean() - whole.mean()).abs() < 1e-9, "case {case}");
-    }
 }
 
 /// Collectives agree with serial folds for any rank count.

@@ -11,7 +11,7 @@ use smartblock::workflows::{
 };
 use smartblock::{
     AnalysisIssue, BinaryOp, Combine, DimReduce, Histogram, Magnitude, RunOptions, Select,
-    Severity, Transpose, Validation, WiringIssue, Workflow, WorkflowPlan,
+    Severity, Validation, WiringIssue, Workflow, WorkflowPlan,
 };
 
 fn errors(wf: &Workflow) -> Vec<AnalysisIssue> {
@@ -95,7 +95,7 @@ fn unknown_select_label_is_rejected_statically() {
 
 /// Dim-Reduce folding an axis the array does not have.
 #[test]
-fn out_of_range_reduce_axis_is_rejected_statically() {
+fn dim_reduce_of_an_out_of_range_axis_is_rejected_statically() {
     let mut wf = Workflow::new();
     wf.add(2, Simulation::new(SimCode::Gtcp).param("steps", 1));
     wf.add(
@@ -108,23 +108,6 @@ fn out_of_range_reduce_axis_is_rejected_statically() {
     let msg = errs[0].to_string();
     assert!(msg.contains("dim-reduce"), "{msg}");
     assert!(msg.contains("axis 7"), "{msg}");
-}
-
-/// Transpose with a permutation of the wrong length.
-#[test]
-fn bad_transpose_permutation_is_rejected_statically() {
-    let mut wf = Workflow::new();
-    wf.add(2, Simulation::new(SimCode::Gromacs).param("steps", 1));
-    wf.add(
-        1,
-        Transpose::new(("gromacs.fp", "coords"), vec![1, 0, 2], ("t.fp", "ct")),
-    );
-    wf.add(1, Histogram::new(("t.fp", "ct"), 4));
-    let errs = errors(&wf);
-    assert_eq!(errs.len(), 1, "{errs:?}");
-    let msg = errs[0].to_string();
-    assert!(msg.contains("transpose"), "{msg}");
-    assert!(msg.contains("permutation"), "{msg}");
 }
 
 /// Combine joining two statically different global shapes.
