@@ -57,29 +57,9 @@ pub fn decompose_along(shape: &Shape, dim: usize, nparts: usize) -> Vec<Region> 
         .collect()
 }
 
-/// The region rank `part` receives when `shape` is decomposed along its
-/// slowest-varying dimension — the default SmartBlock partitioning.
-///
-/// Rank-0 arrays (scalars) cannot be split: every part receives the whole
-/// (one-element) region. That is correct for reads; *writers* of scalar
-/// variables must contribute the chunk from exactly one rank (as the Fork
-/// component does).
-pub fn default_partition(shape: &Shape, nparts: usize, part: usize) -> Region {
-    assert!(part < nparts, "part index out of range");
-    if shape.ndims() == 0 {
-        return Region::new(vec![], vec![]);
-    }
-    let (off, count) = split_1d_part(shape.size(0), nparts, part);
-    let mut offset = vec![0; shape.ndims()];
-    let mut counts = shape.sizes();
-    offset[0] = off;
-    counts[0] = count;
-    Region::new(offset, counts)
-}
-
 /// The slab of `shape` that `part` of `nparts` receives when splitting
-/// along `dim` only: every other dimension is taken whole. This is the
-/// partition every transform component computes per step.
+/// along `dim` only: every other dimension is taken whole. This is the box
+/// each rank of a transform component reads per step.
 pub fn slab_partition(shape: &Shape, dim: usize, nparts: usize, part: usize) -> Region {
     assert!(dim < shape.ndims(), "slab dimension out of range");
     let (off, count) = split_1d_part(shape.size(dim), nparts, part);
@@ -202,20 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn default_partition_covers_first_dim() {
+    fn slab_partition_covers_first_dim() {
         let shape = Shape::of(&[("particles", 10), ("props", 5)]);
-        let r0 = default_partition(&shape, 4, 0);
+        let r0 = slab_partition(&shape, 0, 4, 0);
         assert_eq!(r0.offset(), &[0, 0]);
         assert_eq!(r0.count(), &[3, 5]);
-        let r3 = default_partition(&shape, 4, 3);
+        let r3 = slab_partition(&shape, 0, 4, 3);
         assert_eq!(r3.offset(), &[8, 0]);
         assert_eq!(r3.count(), &[2, 5]);
-    }
-
-    #[test]
-    fn default_partition_scalar() {
-        let r = default_partition(&Shape::new(vec![]), 3, 1);
-        assert_eq!(r.ndims(), 0);
     }
 
     #[test]

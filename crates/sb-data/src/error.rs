@@ -63,6 +63,12 @@ pub enum DataError {
         /// What went wrong.
         detail: String,
     },
+    /// An input breaks the contract its reader declares: the wrong rank, a
+    /// label its header lacks, a shape the other input disagrees with.
+    Contract {
+        /// Which input, and what it breaks.
+        detail: String,
+    },
     /// The binary container was malformed or truncated.
     Container {
         /// What went wrong.
@@ -112,6 +118,7 @@ impl fmt::Display for DataError {
             DataError::ConfigParse { line, detail } => {
                 write!(f, "group config parse error at line {line}: {detail}")
             }
+            DataError::Contract { detail } => write!(f, "{detail}"),
             DataError::Container { detail } => write!(f, "container format error: {detail}"),
             DataError::Io { detail } => write!(f, "io error: {detail}"),
         }

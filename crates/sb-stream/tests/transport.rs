@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sb_comm::LaunchHandle;
-use sb_data::decompose::{default_partition, split_1d_part};
+use sb_data::decompose::{slab_partition, split_1d_part};
 use sb_data::{Buffer, Chunk, DType, Region, Shape, Variable, VariableMeta};
 use sb_stream::{StepStatus, StreamError, StreamHub, WriterOptions};
 
@@ -97,7 +97,7 @@ fn mxn_redistribution_reassembles_exactly() {
             comm.size(),
             WriterOptions::default(),
         );
-        let region = default_partition(&src_w.shape, comm.size(), comm.rank());
+        let region = slab_partition(&src_w.shape, 0, comm.size(), comm.rank());
         let local = src_w.extract(&region).unwrap();
         let meta = VariableMeta::new("field", src_w.shape.clone(), DType::F64);
         w.begin_step().unwrap();
@@ -112,7 +112,7 @@ fn mxn_redistribution_reassembles_exactly() {
     let readers = LaunchHandle::spawn("readers", 3, move |comm| {
         let mut r = hub_r.open_reader("field.fp", comm.rank(), comm.size());
         assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0));
-        let region = default_partition(&shape_r, comm.size(), comm.rank());
+        let region = slab_partition(&shape_r, 0, comm.size(), comm.rank());
         let v = r.get("field", &region).unwrap();
         r.end_step();
         assert_eq!(r.begin_step().unwrap(), StepStatus::EndOfStream);
@@ -486,7 +486,7 @@ fn tiling_slab_reads_skip_the_zero_fill() {
             comm.size(),
             WriterOptions::default(),
         );
-        let region = default_partition(&src_w.shape, comm.size(), comm.rank());
+        let region = slab_partition(&src_w.shape, 0, comm.size(), comm.rank());
         let local = src_w.extract(&region).unwrap();
         let meta = VariableMeta::new("field", src_w.shape.clone(), DType::F64);
         w.begin_step().unwrap();

@@ -14,8 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::split_1d_part;
-use sb_data::{lock, DataError, DataResult, Region};
+use sb_data::{lock, DataResult};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -82,10 +81,6 @@ impl Component for AllInOne {
         "all-in-one".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn signature(&self) -> crate::analysis::Signature {
         use crate::analysis::{Extent, PartitionRule, ReadSpec, Signature, SpecError};
         let in_stream = self.input.stream.clone();
@@ -93,11 +88,10 @@ impl Component for AllInOne {
         let keep = self.keep.clone();
         let bins = self.num_bins;
         Signature::new(
-            vec![ReadSpec::new(
-                &in_stream,
-                &in_array,
-                PartitionRule::Along(0),
-            )],
+            vec![
+                ReadSpec::new(&in_stream, &in_array, PartitionRule::Along(0))
+                    .in_group(&self.reader_group),
+            ],
             move |ins| {
                 let spec = match ins.first() {
                     Some(s) => s.array(&in_array)?,
@@ -110,17 +104,7 @@ impl Component for AllInOne {
                             got: spec.ndims(),
                         });
                     }
-                    if let Some(available) = spec.labels.get(&1) {
-                        for name in &keep {
-                            if !available.contains(name) {
-                                return Err(SpecError::UnknownLabel {
-                                    dim: 1,
-                                    label: name.clone(),
-                                    available: available.clone(),
-                                });
-                            }
-                        }
-                    }
+                    spec.check_labels(1, &keep)?;
                     if let Extent::Fixed(elements) = spec.dims[0].extent {
                         if bins > elements {
                             return Err(SpecError::DegenerateBins { bins, elements });
@@ -136,27 +120,13 @@ impl Component for AllInOne {
         run_steps(self, WriterOptions::default(), comm, hub, |io| {
             let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
-            if meta.shape.ndims() != 2 {
-                return Err(DataError::RegionOutOfBounds {
-                    detail: format!(
-                        "all-in-one expects 2-d input, stream carries rank {}",
-                        meta.shape.ndims()
-                    ),
-                }
-                .into());
-            }
             let indices: Vec<usize> = self
                 .keep
                 .iter()
                 .map(|n| meta.resolve_label(1, n))
                 .collect::<DataResult<_>>()?;
-            let n = meta.shape.size(0);
-            let m = meta.shape.size(1);
-            let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-            let var = io.inputs[0].get(
-                &self.input.array,
-                &Region::new(vec![off, 0], vec![count, m]),
-            )?;
+            let region = io.region(0).expect("a 2-d read always partitions");
+            let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
             let kernel_start = Instant::now();

@@ -10,7 +10,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sb_data::DType;
+use sb_data::decompose::slab_partition;
+use sb_data::{DType, Dim, Region, Shape, VariableMeta};
 
 /// A statically known or data-dependent dimension length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +97,37 @@ impl ArraySpec {
         }
     }
 
+    /// The spec of an array a stream carries: every extent fixed, dtype and
+    /// labels copied from `meta`.
+    pub fn of(meta: &VariableMeta) -> ArraySpec {
+        ArraySpec {
+            dims: meta
+                .shape
+                .dims()
+                .iter()
+                .map(|d| DimSpec::fixed(d.name.clone(), d.size))
+                .collect(),
+            dtype: meta.dtype,
+            labels: meta.labels.clone(),
+        }
+    }
+
+    /// The attr-less meta of array `name` with this spec, if every extent
+    /// is fixed.
+    pub fn to_meta(&self, name: &str) -> Option<VariableMeta> {
+        let dims = self
+            .dims
+            .iter()
+            .map(|d| match d.extent {
+                Extent::Fixed(n) => Some(Dim::new(d.name.clone(), n)),
+                Extent::Dynamic => None,
+            })
+            .collect::<Option<Vec<Dim>>>()?;
+        let mut meta = VariableMeta::new(name, Shape::new(dims), self.dtype);
+        meta.labels = self.labels.clone();
+        Some(meta)
+    }
+
     /// Attaches labels along `dim` (builder style).
     pub fn with_dim_labels<S: Into<String>>(
         mut self,
@@ -121,6 +153,20 @@ impl ArraySpec {
                 axis: dim,
                 ndims: self.dims.len(),
             })
+        }
+    }
+
+    /// Errors with [`SpecError::UnknownLabel`] unless dimension `dim`'s
+    /// labels carry every name in `names` (an unlabelled one carries none).
+    pub fn check_labels(&self, dim: usize, names: &[String]) -> Result<(), SpecError> {
+        let available = self.labels.get(&dim).cloned().unwrap_or_default();
+        match names.iter().find(|name| !available.contains(name)) {
+            Some(name) => Err(SpecError::UnknownLabel {
+                dim,
+                label: name.clone(),
+                available,
+            }),
+            None => Ok(()),
         }
     }
 
@@ -297,9 +343,20 @@ impl PartitionRule {
             PartitionRule::FirstExcept(x) => (0..ndims).find(|&d| d != x),
         }
     }
+
+    /// Rank `rank` of `nranks`'s box of an array of `shape`: an even slab
+    /// along the resolved dimension. A rule that does not resolve gives the
+    /// whole array to rank 0 and nothing (`None`) to the other ranks.
+    pub fn region(&self, shape: &Shape, nranks: usize, rank: usize) -> Option<Region> {
+        match self.resolve(shape.ndims()) {
+            Some(d) => Some(slab_partition(shape, d, nranks, rank)),
+            None => (rank == 0).then(|| Region::whole(shape)),
+        }
+    }
 }
 
-/// One `(stream, array)` pair a component reads, with its partition rule.
+/// One `(stream, array)` pair a component reads, with its partition rule
+/// and the reader group it subscribes under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSpec {
     /// Stream the array arrives on.
@@ -308,10 +365,12 @@ pub struct ReadSpec {
     pub array: String,
     /// How the array is split among the component's ranks.
     pub partition: PartitionRule,
+    /// Reader group of the subscription (`"default"` unless set).
+    pub group: String,
 }
 
 impl ReadSpec {
-    /// Builds a read declaration.
+    /// Builds a read declaration in the `"default"` reader group.
     pub fn new(
         stream: impl Into<String>,
         array: impl Into<String>,
@@ -321,7 +380,14 @@ impl ReadSpec {
             stream: stream.into(),
             array: array.into(),
             partition,
+            group: "default".into(),
         }
+    }
+
+    /// Reads in reader group `group` instead (builder style).
+    pub fn in_group(mut self, group: impl Into<String>) -> ReadSpec {
+        self.group = group.into();
+        self
     }
 }
 
@@ -353,8 +419,13 @@ pub enum StepContract {
 
 /// A component's static contract: what it reads, how specs flow through
 /// it, its output step rate, and whether it carries state across steps.
+///
+/// It is also the contract of every step: [`crate::component::run_steps`]
+/// subscribes to the reads, partitions each one by its rule, and runs the
+/// transfer on each step's input metas — the same function the analyser
+/// runs, so the two cannot disagree.
 pub struct Signature {
-    /// Declared input reads (used for over-decomposition checks).
+    /// Declared input reads, parallel to the component's inputs.
     pub reads: Vec<ReadSpec>,
     /// Spec transfer function; `None` means the component is opaque and
     /// its outputs propagate as [`StreamSpec::Opaque`].
@@ -486,6 +557,34 @@ mod tests {
         assert_eq!(PartitionRule::FirstExcept(0).resolve(3), Some(1));
         assert_eq!(PartitionRule::FirstExcept(2).resolve(3), Some(0));
         assert_eq!(PartitionRule::FirstExcept(0).resolve(1), None);
+    }
+
+    #[test]
+    fn an_unresolvable_rule_gives_the_whole_array_to_rank_0_alone() {
+        let line = Shape::linear("n", 5);
+        let rule = PartitionRule::FirstExcept(0);
+        assert_eq!(rule.region(&line, 2, 0), Some(Region::whole(&line)));
+        assert_eq!(rule.region(&line, 2, 1), None);
+        let scalar = Shape::new(Vec::new());
+        assert_eq!(
+            PartitionRule::Along(0).region(&scalar, 3, 0),
+            Some(Region::new(vec![], vec![]))
+        );
+        assert_eq!(PartitionRule::Along(0).region(&scalar, 3, 2), None);
+        let slab = PartitionRule::Along(0).region(&line, 2, 1).unwrap();
+        assert_eq!((slab.offset(), slab.count()), (&[3][..], &[2][..]));
+    }
+
+    #[test]
+    fn a_meta_round_trips_through_its_spec() {
+        let mut meta = VariableMeta::new("x", Shape::of(&[("n", 2), ("p", 3)]), DType::I32);
+        meta.labels
+            .insert(1, vec!["a".into(), "b".into(), "c".into()]);
+        let spec = ArraySpec::of(&meta);
+        assert_eq!(spec.to_string(), "[n=2, p=3] i32");
+        assert_eq!(spec.to_meta("x"), Some(meta));
+        let dynamic = ArraySpec::new(vec![DimSpec::dynamic("kept")], DType::F64);
+        assert_eq!(dynamic.to_meta("x"), None);
     }
 
     #[test]

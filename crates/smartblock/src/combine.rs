@@ -3,17 +3,16 @@
 //! Every paper component has exactly one input; real workflows also need
 //! joins — "richer workflows described by directed acyclic graphs" (§VI).
 //! Combine reads step *k* of two arrays (possibly produced by different
-//! components at different process counts), checks that their global
-//! shapes agree, and emits their element-wise combination. Steps are
-//! aligned by transport step index, which FlexPath-style lockstep
-//! guarantees matches producer timesteps.
+//! components at different process counts) and emits their element-wise
+//! combination; its signature refuses two global shapes that disagree.
+//! Steps are aligned by transport step index, which FlexPath-style
+//! lockstep guarantees matches producer timesteps.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DType, DataError, VariableMeta};
+use sb_data::{Buffer, Chunk};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -136,14 +135,6 @@ impl Component for Combine {
         "combine".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        let (lg, rg) = self.reader_groups();
-        vec![
-            (self.left.stream.clone(), lg),
-            (self.right.stream.clone(), rg),
-        ]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
@@ -155,14 +146,17 @@ impl Component for Combine {
         let left = self.left.clone();
         let right = self.right.clone();
         let out_array = self.output.array.clone();
+        let (lg, rg) = self.reader_groups();
         Signature::new(
             vec![
-                ReadSpec::new(&self.left.stream, &self.left.array, PartitionRule::Along(0)),
+                ReadSpec::new(&self.left.stream, &self.left.array, PartitionRule::Along(0))
+                    .in_group(lg),
                 ReadSpec::new(
                     &self.right.stream,
                     &self.right.array,
                     PartitionRule::Along(0),
-                ),
+                )
+                .in_group(rg),
             ],
             move |ins| {
                 let lspec = match ins.first() {
@@ -200,20 +194,14 @@ impl Component for Combine {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         run_steps(self, self.writer_options, comm, hub, |io| {
-            let lmeta = io.meta(0, &self.left.array)?;
-            let rmeta = io.meta(1, &self.right.array)?;
-            if lmeta.shape.sizes() != rmeta.shape.sizes() {
-                return Err(DataError::RegionOutOfBounds {
-                    detail: format!(
-                        "combine: input shapes disagree ({} vs {})",
-                        lmeta.shape, rmeta.shape
-                    ),
-                }
-                .into());
-            }
-            let region = default_partition(&lmeta.shape, io.comm.size(), io.comm.rank());
-            let lv = io.inputs[0].get(&self.left.array, &region)?;
-            let rv = io.inputs[1].get(&self.right.array, &region)?;
+            let (Some(left), Some(right)) = (io.region(0), io.region(1)) else {
+                return Ok(StepEnd::Publish {
+                    bytes_in: 0,
+                    compute: Duration::ZERO,
+                });
+            };
+            let lv = io.inputs[0].get(&self.left.array, left)?;
+            let rv = io.inputs[1].get(&self.right.array, right)?;
             let bytes_in = (lv.byte_len() + rv.byte_len()) as u64;
 
             let kernel_start = Instant::now();
@@ -228,10 +216,8 @@ impl Component for Combine {
                 .collect();
             let compute = kernel_start.elapsed();
 
-            let mut out_meta =
-                VariableMeta::new(self.output.array.clone(), lmeta.shape.clone(), DType::F64);
-            out_meta.labels = lmeta.labels.clone();
-            io.put(0, Chunk::new(out_meta, region, Buffer::F64(out))?);
+            let out_meta = io.out_meta(0, &self.output.array)?.clone();
+            io.put(0, Chunk::new(out_meta, left.clone(), Buffer::F64(out))?);
             Ok(StepEnd::Publish { bytes_in, compute })
         })
     }

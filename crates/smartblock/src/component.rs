@@ -11,12 +11,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::{Chunk, DataError, DataResult, VariableMeta};
+use sb_data::{Chunk, DataError, DataResult, Region, VariableMeta};
 use sb_stream::{
     EventKind, FaultOp, StepStatus, StreamError, StreamHub, StreamReader, StreamWriter, TraceSite,
     WriterOptions,
 };
 
+use crate::analysis::{AnalysisIssue, ArraySpec, Severity, Signature, StreamSpec};
 use crate::error::{ComponentError, ComponentResult, StepResult};
 use crate::metrics::ComponentStats;
 
@@ -142,8 +143,9 @@ pub trait Component: Send + Sync + 'static {
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult;
 
     /// Shorthand for [`Component::input_subscriptions`] when every input
-    /// reads in the `"default"` reader group: the streams alone. Nothing
-    /// but that default reads it.
+    /// reads in the `"default"` reader group: the streams alone. Only a
+    /// component that declares no reads in its
+    /// [`signature`](Component::signature) needs it.
     fn input_streams(&self) -> Vec<String> {
         Vec::new()
     }
@@ -151,12 +153,20 @@ pub trait Component: Send + Sync + 'static {
     /// `(stream, reader-group)` subscriptions this component opens, in
     /// [`StepIo::inputs`] order. Two components sharing a `(stream, group)`
     /// pair would corrupt each other's step accounting;
-    /// [`crate::Workflow::validate`] flags it.
+    /// [`crate::Workflow::validate`] flags it. The default is the
+    /// signature's reads, so reads and inputs are parallel; a component
+    /// that declares no reads subscribes to its
+    /// [`input_streams`](Component::input_streams).
     fn input_subscriptions(&self) -> Vec<(String, String)> {
-        self.input_streams()
-            .into_iter()
-            .map(|s| (s, "default".to_string()))
-            .collect()
+        let reads = self.signature().reads;
+        if reads.is_empty() {
+            return self
+                .input_streams()
+                .into_iter()
+                .map(|s| (s, "default".to_string()))
+                .collect();
+        }
+        reads.into_iter().map(|r| (r.stream, r.group)).collect()
     }
 
     /// Streams this component writes, in [`StepIo::put`] order.
@@ -166,10 +176,10 @@ pub trait Component: Send + Sync + 'static {
 
     /// The component's static contract — declared reads plus a transfer
     /// function from input to output array specs — consumed by
-    /// [`crate::Workflow::validate`]. The default is fully opaque: the
-    /// component's reads are unchecked and its outputs propagate as
-    /// [`crate::analysis::StreamSpec::Opaque`], silencing (never
-    /// falsifying) downstream checks.
+    /// [`crate::Workflow::validate`] and, step by step, by [`run_steps`].
+    /// The default is fully opaque: the component's reads are unchecked and
+    /// its outputs propagate as [`crate::analysis::StreamSpec::Opaque`],
+    /// silencing (never falsifying) downstream checks.
     fn signature(&self) -> crate::analysis::Signature {
         crate::analysis::Signature::opaque()
     }
@@ -206,6 +216,7 @@ pub struct StepIo<'a> {
     pub inputs: &'a [StreamReader],
     /// This component's communicator.
     pub comm: &'a Communicator,
+    contract: &'a Contract,
     staged: &'a mut [Vec<Chunk>],
 }
 
@@ -213,10 +224,26 @@ impl<'a> StepIo<'a> {
     /// Self-describing metadata of `array` on input `input`; a stream that
     /// does not carry it is a typed error naming the array.
     pub fn meta(&self, input: usize, array: &str) -> DataResult<&'a VariableMeta> {
-        self.inputs[input]
-            .meta(array)
-            .ok_or_else(|| DataError::Container {
-                detail: format!("no array {array:?} in stream"),
+        meta_of(&self.inputs[input], array)
+    }
+
+    /// This rank's box of read `read` (in the signature's reads order), from
+    /// its [`PartitionRule`](crate::analysis::PartitionRule); `None` when
+    /// this rank reads nothing of it.
+    pub fn region(&self, read: usize) -> Option<&'a Region> {
+        self.contract.regions[read].as_ref()
+    }
+
+    /// The meta of `array` on output `output` that the signature's transfer
+    /// derives from this step's input metas. It carries no attrs; an array
+    /// the transfer gives no fully fixed spec has none.
+    pub fn out_meta(&self, output: usize, array: &str) -> DataResult<&'a VariableMeta> {
+        self.contract
+            .outputs
+            .get(output)
+            .and_then(|metas| metas.iter().find(|m| m.name == array))
+            .ok_or_else(|| DataError::Contract {
+                detail: format!("the signature derives no meta for output array {array:?}"),
             })
     }
 
@@ -226,6 +253,100 @@ impl<'a> StepIo<'a> {
     /// output's step.
     pub fn put(&mut self, output: usize, chunk: Chunk) {
         self.staged[output].push(chunk);
+    }
+}
+
+fn meta_of<'r>(reader: &'r StreamReader, array: &str) -> DataResult<&'r VariableMeta> {
+    reader.meta(array).ok_or_else(|| DataError::Container {
+        detail: format!("no array {array:?} in stream"),
+    })
+}
+
+/// What a component's [`Signature`] says about one step, for one set of
+/// input metas: each read's region on this rank and each output's metas.
+#[derive(Default)]
+struct Contract {
+    /// The meta of each read this was derived from.
+    inputs: Vec<VariableMeta>,
+    /// This rank's box of each read; `None` where it reads nothing.
+    regions: Vec<Option<Region>>,
+    /// Per output stream, the metas of the arrays the transfer gives a
+    /// fully fixed spec.
+    outputs: Vec<Vec<VariableMeta>>,
+}
+
+impl Contract {
+    /// Re-derives the contract unless every read's meta still has the
+    /// shape, dtype and labels it was derived from. A read the stream does
+    /// not carry, or a transfer error the analyser denies (SB006), fails
+    /// the step; an advisory one (SB007) derives no output metas.
+    fn refresh(
+        &mut self,
+        signature: &Signature,
+        label: &str,
+        readers: &[StreamReader],
+        comm: &Communicator,
+    ) -> DataResult<()> {
+        let reads = &signature.reads;
+        let metas = || {
+            reads
+                .iter()
+                .zip(readers)
+                .map(|(read, reader)| meta_of(reader, &read.array))
+        };
+        let mut same = self.inputs.len() == reads.len();
+        for (meta, old) in metas().zip(&self.inputs) {
+            let meta = meta?;
+            same &= meta.shape == old.shape && meta.dtype == old.dtype && meta.labels == old.labels;
+        }
+        if same {
+            return Ok(());
+        }
+        let inputs: Vec<VariableMeta> = metas().map(|m| m.cloned()).collect::<DataResult<_>>()?;
+        let specs: Vec<StreamSpec> = reads
+            .iter()
+            .zip(&inputs)
+            .map(|(read, meta)| StreamSpec::known_one(read.array.clone(), ArraySpec::of(meta)))
+            .collect();
+        let out_specs = match signature.transfer.as_ref().map(|transfer| transfer(&specs)) {
+            None => Vec::new(),
+            Some(Ok(out_specs)) => out_specs,
+            Some(Err(error)) => {
+                let stream = reads
+                    .iter()
+                    .map(|r| format!("{}:{}", r.stream, r.array))
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                let detail = format!("input {stream:?}: {error}");
+                let component = label.to_string();
+                let issue = AnalysisIssue::Contract {
+                    component,
+                    stream,
+                    error,
+                };
+                if issue.severity() == Severity::Error {
+                    return Err(DataError::Contract { detail });
+                }
+                Vec::new()
+            }
+        };
+        self.outputs = out_specs
+            .iter()
+            .map(|spec| match spec {
+                StreamSpec::Known(arrays) => arrays
+                    .iter()
+                    .filter_map(|(name, spec)| spec.to_meta(name))
+                    .collect(),
+                StreamSpec::Opaque => Vec::new(),
+            })
+            .collect();
+        self.regions = reads
+            .iter()
+            .zip(&inputs)
+            .map(|(read, meta)| read.partition.region(&meta.shape, comm.size(), comm.rank()))
+            .collect();
+        self.inputs = inputs;
+        Ok(())
     }
 }
 
@@ -379,6 +500,7 @@ where
 {
     let (rank, size) = (comm.rank(), comm.size());
     let label = workflow_label(component);
+    let signature = component.signature();
     let outputs = component.output_streams();
     let mut readers: Vec<StreamReader> = component
         .input_subscriptions()
@@ -393,6 +515,7 @@ where
     let exit = outputs_in_step(&label, &outputs, &writers).and_then(|()| {
         step_loop(
             &label,
+            &signature,
             comm,
             hub,
             &mut readers,
@@ -430,8 +553,10 @@ fn outputs_in_step(
     })
 }
 
+#[allow(clippy::too_many_arguments)] // the loop's state, borrowed from run_steps
 fn step_loop<F>(
     label: &str,
+    signature: &Signature,
     comm: &Communicator,
     hub: &Arc<StreamHub>,
     readers: &mut [StreamReader],
@@ -451,6 +576,7 @@ where
     };
     // One staging buffer per output, reused across steps.
     let mut staged: Vec<Vec<Chunk>> = writers.iter().map(|_| Vec::new()).collect();
+    let mut contract = Contract::default();
     loop {
         let step = match (readers.first(), writers.first()) {
             (Some(r), _) => r.current_step(),
@@ -471,11 +597,15 @@ where
             trace.span(EventKind::Wait, step, step_ns);
         }
         let compute_ns = trace.now();
+        contract
+            .refresh(signature, label, readers, comm)
+            .map_err(|e| ComponentError::from_step(label, step, e.into()))?;
         let mut io = StepIo {
             step,
             label,
             inputs: readers,
             comm,
+            contract: &contract,
             staged: &mut staged,
         };
         // The closure runs while the inputs are still open: a signal it

@@ -31,8 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::slab_partition;
-use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable, VariableMeta};
+use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -222,10 +221,6 @@ impl Component for DimReduce {
         "dim-reduce".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
@@ -241,7 +236,8 @@ impl Component for DimReduce {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(remove),
-            )],
+            )
+            .in_group(&self.reader_group)],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),
@@ -280,43 +276,27 @@ impl Component for DimReduce {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
+        let (remove, grow) = (self.remove, self.grow);
         run_steps(self, self.writer_options, comm, hub, |io| {
-            let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
-            let (global_out_shape, grow_out) = reduced_shape(&meta.shape, self.remove, self.grow)?;
-
-            // Partition along the removed dimension: each rank's output
-            // then occupies a contiguous range of the grown dimension.
-            let g = meta.shape.size(self.grow);
-            let region = slab_partition(&meta.shape, self.remove, comm.size(), comm.rank());
-            let (off, count) = (region.offset()[self.remove], region.count()[self.remove]);
-            let var = io.inputs[0].get(&self.input.array, &region)?;
+            // The partition runs along the removed dimension: each rank's
+            // output then occupies a contiguous range of the grown one.
+            let region = io.region(0).expect("the removed dimension exists");
+            let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
             let kernel_start = Instant::now();
-            let mut local = dim_reduce(&var, self.remove, self.grow)?;
-            local.name = self.output.array.clone();
+            let local = dim_reduce(&var, remove, grow)?;
             let compute = kernel_start.elapsed();
 
-            let mut out_meta = VariableMeta::new(
-                self.output.array.clone(),
-                global_out_shape.clone(),
-                meta.dtype,
-            );
-            // Global labels for surviving dims, from the global header.
-            for (&d, names) in &meta.labels {
-                if d == self.remove || d == self.grow {
-                    continue;
-                }
-                let nd = if d > self.remove { d - 1 } else { d };
-                out_meta.labels.insert(nd, names.clone());
-            }
+            let mut out_meta = io.out_meta(0, &self.output.array)?.clone();
             out_meta.attrs = meta.attrs.clone();
-
-            let mut out_offset = vec![0; global_out_shape.ndims()];
-            let mut out_counts = global_out_shape.sizes();
-            out_offset[grow_out] = off * g;
-            out_counts[grow_out] = count * g;
+            let g = meta.shape.size(grow);
+            let grow_out = if remove < grow { grow - 1 } else { grow };
+            let mut out_offset = vec![0; out_meta.shape.ndims()];
+            let mut out_counts = out_meta.shape.sizes();
+            out_offset[grow_out] = region.offset()[remove] * g;
+            out_counts[grow_out] = region.count()[remove] * g;
             let chunk = Chunk::new(out_meta, Region::new(out_offset, out_counts), local.data)?;
             io.put(0, chunk);
             Ok(StepEnd::Publish { bytes_in, compute })

@@ -13,10 +13,10 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::container::{ContainerReader, ContainerWriter};
-use sb_data::decompose::default_partition;
 use sb_data::{Chunk, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
+use crate::analysis::PartitionRule;
 use crate::component::{run_steps, workflow_label, Component, StepEnd};
 use crate::error::{ComponentError, ComponentResult, StepResult};
 
@@ -107,7 +107,8 @@ impl Component for FileWrite {
 /// Replays a container file as a stream (a source component).
 ///
 /// Every rank opens the file independently (no communication) and
-/// contributes its default partition of each variable, so downstream
+/// contributes its slab of each variable along dimension 0 (a scalar from
+/// rank 0 alone), so downstream
 /// components see exactly the stream shape an in situ producer would have
 /// given them — self-description, labels and attributes included.
 #[derive(Debug, Clone)]
@@ -158,13 +159,10 @@ impl Component for FileRead {
             };
             let (size, rank) = (io.comm.size(), io.comm.rank());
             for var in vars {
-                // Rank-0 (scalar) variables cannot be partitioned;
-                // only rank 0 replays them.
-                if var.shape.ndims() == 0 && rank != 0 {
+                let Some(region) = PartitionRule::Along(0).region(&var.shape, size, rank) else {
                     continue;
-                }
+                };
                 let meta = VariableMeta::describing(&var);
-                let region = default_partition(&var.shape, size, rank);
                 let local = var.extract(&region)?;
                 io.put(0, Chunk::new(meta, region, local.data)?);
             }

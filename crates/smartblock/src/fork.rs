@@ -11,14 +11,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sb_comm::Communicator;
-use sb_data::decompose::default_partition;
 use sb_data::Chunk;
 use sb_stream::{StreamHub, WriterOptions};
 
+use crate::analysis::PartitionRule;
 use crate::component::{run_steps, Component, StepEnd};
 use crate::error::ComponentResult;
 
-/// The Fork workflow component.
+/// The Fork workflow component. It declares no reads and keeps a
+/// hand-written step: it forwards every array of the step, whatever the
+/// stream carries.
 #[derive(Debug, Clone)]
 pub struct Fork {
     /// Input stream name (all arrays are forwarded).
@@ -89,14 +91,11 @@ impl Component for Fork {
             let mut bytes_in = 0u64;
             for name in reader.variables() {
                 let meta = io.meta(0, &name)?.clone();
-                let region = default_partition(&meta.shape, size, rank);
+                let Some(region) = PartitionRule::Along(0).region(&meta.shape, size, rank) else {
+                    continue;
+                };
                 let var = reader.get(&name, &region)?;
                 bytes_in += var.byte_len() as u64;
-                // Rank-0 (scalar) variables cannot be partitioned; only
-                // rank 0 contributes them.
-                if region.ndims() == 0 && rank != 0 {
-                    continue;
-                }
                 let chunk = Chunk::new(meta, region, var.data)?;
                 for output in 0..self.outputs.len() {
                     io.put(output, chunk.clone());

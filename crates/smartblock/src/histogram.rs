@@ -21,8 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::split_1d_part;
-use sb_data::{lock, AttrValue, Buffer, Chunk, DataError, DataResult, Region, Shape, Variable};
+use sb_data::{lock, AttrValue, Buffer, Chunk, DataError, DataResult, Shape, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, workflow_label, Component, StepEnd, StreamArray};
@@ -177,7 +176,8 @@ pub fn bin_counts(values: &[f64], min: f64, max: f64, nbins: usize) -> (Vec<u64>
     (counts, nan_count)
 }
 
-/// The Histogram workflow component (an endpoint).
+/// The Histogram workflow component (an endpoint). Its output metas are
+/// built by hand: they carry each step's min/max attrs.
 pub struct Histogram {
     /// Input stream/array names (must be 1-d).
     pub input: StreamArray,
@@ -258,10 +258,6 @@ impl Component for Histogram {
         "histogram".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         self.output_stream.iter().cloned().collect()
     }
@@ -275,11 +271,10 @@ impl Component for Histogram {
         let bins = self.num_bins;
         let has_output = self.output_stream.is_some();
         Signature::new(
-            vec![ReadSpec::new(
-                &self.input.stream,
-                &in_array,
-                PartitionRule::Along(0),
-            )],
+            vec![
+                ReadSpec::new(&self.input.stream, &in_array, PartitionRule::Along(0))
+                    .in_group(&self.reader_group),
+            ],
             move |ins| {
                 if let Some(stream) = ins.first() {
                     if let Some(spec) = stream.array(&in_array)? {
@@ -336,19 +331,8 @@ impl Component for Histogram {
         };
         run_steps(self, self.writer_options, comm, hub, |io| {
             let (comm, step) = (io.comm, io.step);
-            let meta = io.meta(0, &self.input.array)?;
-            if meta.shape.ndims() != 1 {
-                return Err(DataError::RegionOutOfBounds {
-                    detail: format!(
-                        "histogram expects 1-d input, stream carries rank {}",
-                        meta.shape.ndims()
-                    ),
-                }
-                .into());
-            }
-            let n = meta.shape.size(0);
-            let (off, count) = split_1d_part(n, comm.size(), comm.rank());
-            let var = io.inputs[0].get(&self.input.array, &Region::new(vec![off], vec![count]))?;
+            let region = io.region(0).expect("a 1-d read always partitions");
+            let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
             let kernel_start = Instant::now();

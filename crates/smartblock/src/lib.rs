@@ -13,6 +13,10 @@
 //! 4. publishes its output under user-chosen stream/array names so that any
 //!    downstream component can consume it.
 //!
+//! Steps 1 and 2 are stated once, in [`Component::signature`]: the one step
+//! loop ([`component::run_steps`]) runs it on every step's metadata, and
+//! the static analyser ([`analysis`]) runs it before launch.
+//!
 //! Workflows are assembled exactly as in the paper: a launch script names
 //! each component, its process count, and its input/output stream and array
 //! names ([`launch`] imports the `aprun`-style grammar of Figs. 1–3 and 8;

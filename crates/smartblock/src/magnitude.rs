@@ -10,8 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::slab_partition;
-use sb_data::{Buffer, Chunk, DType, DataError, DataResult, Region, Shape, Variable, VariableMeta};
+use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -97,10 +96,6 @@ impl Component for Magnitude {
         "magnitude".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
@@ -114,7 +109,8 @@ impl Component for Magnitude {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(0),
-            )],
+            )
+            .in_group(&self.reader_group)],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),
@@ -136,39 +132,18 @@ impl Component for Magnitude {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         run_steps(self, self.writer_options, comm, hub, |io| {
-            let comm = io.comm;
-            let meta = io.meta(0, &self.input.array)?;
-            if meta.shape.ndims() != 2 {
-                return Err(DataError::RegionOutOfBounds {
-                    detail: format!(
-                        "magnitude expects 2-d input, stream carries rank {}",
-                        meta.shape.ndims()
-                    ),
-                }
-                .into());
-            }
-            // Partition the points dimension; every rank reads whole rows.
-            let n = meta.shape.size(0);
-            let region = slab_partition(&meta.shape, 0, comm.size(), comm.rank());
-            let (off, count) = (region.offset()[0], region.count()[0]);
-            let var = io.inputs[0].get(&self.input.array, &region)?;
+            // The points dimension is partitioned; every rank reads whole rows.
+            let region = io.region(0).expect("a 2-d read always partitions");
+            let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
             let kernel_start = Instant::now();
             let mags = vector_magnitudes(&var)?;
             let compute = kernel_start.elapsed();
 
-            let out_meta = VariableMeta::new(
-                self.output.array.clone(),
-                Shape::new(vec![sb_data::Dim::new(
-                    meta.shape.dim_name(0).to_string(),
-                    n,
-                )]),
-                DType::F64,
-            );
             let chunk = Chunk::new(
-                out_meta,
-                Region::new(vec![off], vec![count]),
+                io.out_meta(0, &self.output.array)?.clone(),
+                Region::new(vec![region.offset()[0]], vec![region.count()[0]]),
                 Buffer::F64(mags),
             )?;
             io.put(0, chunk);
@@ -180,6 +155,7 @@ impl Component for Magnitude {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_data::Shape;
 
     #[test]
     fn kernel_computes_row_magnitudes() {

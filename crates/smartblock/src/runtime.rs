@@ -11,11 +11,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::decompose::default_partition;
 use sb_data::{Chunk, Variable, VariableMeta};
 use sb_stream::{StreamHub, TraceConfig, WriterOptions};
 
-use crate::analysis::{self, AnalysisIssue, EntryView, Severity};
+use crate::analysis::{self, AnalysisIssue, EntryView, PartitionRule, Severity};
 use crate::component::{run_steps, Component, StepEnd};
 use crate::error::{ComponentResult, WorkflowError};
 use crate::metrics::{ComponentReport, WorkflowReport};
@@ -23,8 +22,9 @@ use crate::supervisor::{supervise, FaultPolicy, RunOptions, Supervision, Validat
 use crate::triggers::{Trigger, TriggerEngine};
 
 /// An ad-hoc source component built from a closure; every rank calls the
-/// closure identically and contributes its partition of the produced
-/// variable, so the closure must be deterministic in `step`.
+/// closure identically and contributes its slab of the produced variable
+/// along dimension 0 (a scalar from rank 0 alone), so the closure must be
+/// deterministic in `step`.
 struct ClosureSource<F> {
     label: String,
     stream: String,
@@ -50,17 +50,13 @@ where
                 return Ok(StepEnd::Done);
             };
             let comm = io.comm;
-            // Scalars cannot be partitioned among several source
-            // ranks (every rank would put the same one-element
-            // region); require a single-rank source for them.
-            assert!(
-                var.shape.ndims() > 0 || comm.size() == 1,
-                "a source producing a rank-0 (scalar) variable must run with 1 rank"
-            );
             let meta = VariableMeta::describing(&var);
-            let region = default_partition(&var.shape, comm.size(), comm.rank());
-            let local = var.extract(&region)?;
-            io.put(0, Chunk::new(meta, region, local.data)?);
+            if let Some(region) =
+                PartitionRule::Along(0).region(&var.shape, comm.size(), comm.rank())
+            {
+                let local = var.extract(&region)?;
+                io.put(0, Chunk::new(meta, region, local.data)?);
+            }
             Ok(StepEnd::Publish {
                 bytes_in: 0,
                 compute: produce_start.elapsed(),

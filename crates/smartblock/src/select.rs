@@ -15,11 +15,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::decompose::slab_partition;
-use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable, VariableMeta};
+use sb_data::{Chunk, DataError, DataResult, Region, Variable};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -87,16 +86,6 @@ pub struct Select {
     pub reader_group: String,
 }
 
-/// Everything Select derives from its input's metadata alone. A stream's
-/// metadata rarely changes between steps, so the run loop keeps one of
-/// these and rebuilds it only when `input` no longer matches.
-struct Resolved {
-    input: VariableMeta,
-    /// Row indices of the kept names, in the order asked for.
-    indices: Vec<usize>,
-    out_meta: VariableMeta,
-}
-
 impl Select {
     /// Builds a Select keeping the named rows of dimension `dim_index`.
     pub fn new<I, K, O>(input: I, dim_index: usize, keep: K, output: O) -> Select
@@ -127,34 +116,6 @@ impl Select {
         self.reader_group = group.into();
         self
     }
-
-    /// Resolves the kept names against `meta`'s header and derives the
-    /// output stream's global metadata: the input's with the filtered
-    /// dimension shrunk to the kept rows and re-labelled.
-    fn resolve(&self, meta: &VariableMeta) -> DataResult<Resolved> {
-        meta.shape.check_dim(self.dim_index)?;
-        let indices: Vec<usize> = self
-            .keep
-            .iter()
-            .map(|n| meta.resolve_label(self.dim_index, n))
-            .collect::<DataResult<_>>()?;
-        let out_shape = meta.shape.with_dim_size(self.dim_index, indices.len());
-        let mut out_meta = VariableMeta::new(self.output.array.clone(), out_shape, meta.dtype);
-        out_meta.labels = selected_labels(&meta.labels, self.dim_index, &indices);
-        out_meta.attrs = meta.attrs.clone();
-        Ok(Resolved {
-            input: meta.clone(),
-            indices,
-            out_meta,
-        })
-    }
-
-    /// The dimension this rank partitions along: the first dimension that
-    /// is not the filtered one (`None` for 1-d inputs, which are processed
-    /// whole by rank 0).
-    fn partition_dim(&self, ndims: usize) -> Option<usize> {
-        (0..ndims).find(|&d| d != self.dim_index)
-    }
 }
 
 impl Component for Select {
@@ -162,18 +123,12 @@ impl Component for Select {
         "select".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
 
     fn signature(&self) -> crate::analysis::Signature {
-        use crate::analysis::{
-            unary_transfer, Extent, PartitionRule, ReadSpec, Signature, SpecError,
-        };
+        use crate::analysis::{unary_transfer, Extent, PartitionRule, ReadSpec, Signature};
         let dim = self.dim_index;
         let keep = self.keep.clone();
         Signature::with_boxed_transfer(
@@ -181,22 +136,14 @@ impl Component for Select {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::FirstExcept(dim),
-            )],
+            )
+            .in_group(&self.reader_group)],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),
                 move |spec| {
                     spec.check_dim(dim)?;
-                    let available = spec.labels.get(&dim).cloned().unwrap_or_default();
-                    for name in &keep {
-                        if !available.contains(name) {
-                            return Err(SpecError::UnknownLabel {
-                                dim,
-                                label: name.clone(),
-                                available: available.clone(),
-                            });
-                        }
-                    }
+                    spec.check_labels(dim, &keep)?;
                     let mut out = spec.clone();
                     out.dims[dim].extent = Extent::Fixed(keep.len());
                     out.labels.insert(dim, keep.clone());
@@ -207,57 +154,35 @@ impl Component for Select {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let mut resolved: Option<Resolved> = None;
         run_steps(self, self.writer_options, comm, hub, |io| {
-            let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
-            if resolved.as_ref().is_none_or(|r| r.input != *meta) {
-                resolved = Some(self.resolve(meta)?);
-            }
-            let Resolved {
-                indices, out_meta, ..
-            } = resolved.as_ref().expect("resolved just above");
-
-            // Partition along a non-filtered dimension so every rank
-            // sees the whole header dimension.
-            let region = match self.partition_dim(meta.shape.ndims()) {
-                Some(pdim) => slab_partition(&meta.shape, pdim, comm.size(), comm.rank()),
-                None => {
-                    // 1-d input: rank 0 takes everything.
-                    if comm.rank() == 0 {
-                        Region::whole(&meta.shape)
-                    } else {
-                        Region::new(vec![0], vec![0])
-                    }
-                }
+            let indices: Vec<usize> = self
+                .keep
+                .iter()
+                .map(|n| meta.resolve_label(self.dim_index, n))
+                .collect::<DataResult<_>>()?;
+            // The partition runs along a non-filtered dimension, so every
+            // rank sees the whole header dimension.
+            let Some(region) = io.region(0) else {
+                return Ok(StepEnd::Publish {
+                    bytes_in: 0,
+                    compute: Duration::ZERO,
+                });
             };
-            let var = io.inputs[0].get(&self.input.array, &region)?;
+            let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
             let kernel_start = Instant::now();
-            // A rank whose partition is empty (more ranks than rows, or
-            // the 1-d fallback) contributes an empty chunk and skips the
-            // kernel, whose row bounds are meaningless on a 0-extent dim.
-            let selected_data = if region.is_empty() && var.shape.size(self.dim_index) == 0 {
-                sb_data::SharedBuffer::from(Buffer::zeros(meta.dtype, 0))
-            } else {
-                select_rows(&var, self.dim_index, indices)?.data
-            };
+            let selected = select_rows(&var, self.dim_index, &indices)?;
             let compute = kernel_start.elapsed();
 
-            let mut out_region_offset = region.offset().to_vec();
-            let mut out_region_count = region.count().to_vec();
-            out_region_offset[self.dim_index] = 0;
-            out_region_count[self.dim_index] = indices.len();
-            // Empty partitions contribute an empty chunk of the right rank.
-            if region.is_empty() {
-                out_region_count = vec![0; out_region_count.len()];
-            }
-            let chunk = Chunk::new(
-                out_meta.clone(),
-                Region::new(out_region_offset, out_region_count),
-                selected_data,
-            )?;
+            let mut offset = region.offset().to_vec();
+            let mut count = region.count().to_vec();
+            offset[self.dim_index] = 0;
+            count[self.dim_index] = indices.len();
+            let mut out_meta = io.out_meta(0, &self.output.array)?.clone();
+            out_meta.attrs = meta.attrs.clone();
+            let chunk = Chunk::new(out_meta, Region::new(offset, count), selected.data)?;
             io.put(0, chunk);
             Ok(StepEnd::Publish { bytes_in, compute })
         })
@@ -268,7 +193,7 @@ impl Component for Select {
 mod tests {
     use super::*;
     use crate::component::tests::Wired;
-    use sb_data::Shape;
+    use sb_data::{Buffer, Shape};
 
     fn particles() -> Variable {
         // 4 particles x 5 props; value = 10*particle + prop.
@@ -428,10 +353,11 @@ mod tests {
 
     #[test]
     fn partition_dim_avoids_filtered_dim() {
+        let partition = |s: Select| s.signature().reads[0].partition;
         let s = Select::new(("a", "x"), 1, ["vx"], ("b", "y"));
-        assert_eq!(s.partition_dim(2), Some(0));
+        assert_eq!(partition(s).resolve(2), Some(0));
         let s0 = Select::new(("a", "x"), 0, ["row"], ("b", "y"));
-        assert_eq!(s0.partition_dim(3), Some(1));
-        assert_eq!(s0.partition_dim(1), None);
+        assert_eq!(partition(s0.clone()).resolve(3), Some(1));
+        assert_eq!(partition(s0).resolve(1), None);
     }
 }

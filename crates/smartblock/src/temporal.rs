@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::default_partition;
-use sb_data::{Buffer, Chunk, DType, DataError, DataResult, VariableMeta};
+use sb_data::{Buffer, Chunk, DataError, DataResult};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -173,10 +172,6 @@ impl Component for TemporalMean {
         "temporal-mean".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
@@ -190,7 +185,8 @@ impl Component for TemporalMean {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(0),
-            )],
+            )
+            .in_group(&self.reader_group)],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),
@@ -220,13 +216,16 @@ impl Component for TemporalMean {
         let mut consumed: usize = 0;
         run_steps(self, self.writer_options, comm, hub, |io| {
             let meta = io.meta(0, &self.input.array)?;
-            let region = default_partition(&meta.shape, io.comm.size(), io.comm.rank());
-            let var = io.inputs[0].get(&self.input.array, &region)?;
-            let bytes_in = var.byte_len() as u64;
+            let region = io.region(0);
+            // A rank that reads nothing keeps an empty window.
+            let var = region
+                .map(|region| io.inputs[0].get(&self.input.array, region))
+                .transpose()?;
+            let bytes_in = var.as_ref().map_or(0, |v| v.byte_len() as u64);
 
             let kernel_start = Instant::now();
             // Owned: the window keeps this step's values.
-            let mean = state.push(var.data.into_f64_vec())?;
+            let mean = state.push(var.map_or_else(Vec::new, |v| v.data.into_f64_vec()))?;
             let compute = kernel_start.elapsed();
             consumed += 1;
 
@@ -236,11 +235,11 @@ impl Component for TemporalMean {
             if !consumed.is_multiple_of(self.stride().max(1)) {
                 return Ok(StepEnd::Skip { bytes_in, compute });
             }
-            let mut out_meta =
-                VariableMeta::new(self.output.array.clone(), meta.shape.clone(), DType::F64);
-            out_meta.labels = meta.labels.clone();
-            out_meta.attrs = meta.attrs.clone();
-            io.put(0, Chunk::new(out_meta, region, Buffer::F64(mean))?);
+            if let Some(region) = region {
+                let mut out_meta = io.out_meta(0, &self.output.array)?.clone();
+                out_meta.attrs = meta.attrs.clone();
+                io.put(0, Chunk::new(out_meta, region.clone(), Buffer::F64(mean))?);
+            }
             Ok(StepEnd::Publish { bytes_in, compute })
         })
     }

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sb_comm::Communicator;
-use sb_data::decompose::default_partition;
 use sb_data::{Buffer, Chunk, Region, Shape, VariableMeta};
 use sb_stream::{StreamHub, WriterOptions};
 
@@ -65,7 +64,8 @@ pub fn threshold_filter(values: &[f64], pred: Predicate, base: u64) -> (Vec<f64>
     (kept, indices)
 }
 
-/// The Threshold workflow component.
+/// The Threshold workflow component. Its output metas are built by hand:
+/// their extent is known only after the exscan.
 #[derive(Debug, Clone)]
 pub struct Threshold {
     /// Input stream/array names (any rank; filtered in row-major order).
@@ -109,10 +109,6 @@ impl Component for Threshold {
         "threshold".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.stream.clone(), self.reader_group.clone())]
-    }
-
     fn output_streams(&self) -> Vec<String> {
         vec![self.output.stream.clone()]
     }
@@ -123,11 +119,10 @@ impl Component for Threshold {
         let in_array = self.input.array.clone();
         let out_array = self.output.array.clone();
         Signature::new(
-            vec![ReadSpec::new(
-                &self.input.stream,
-                &in_array,
-                PartitionRule::Along(0),
-            )],
+            vec![
+                ReadSpec::new(&self.input.stream, &in_array, PartitionRule::Along(0))
+                    .in_group(&self.reader_group),
+            ],
             move |ins| {
                 if let Some(stream) = ins.first() {
                     stream.array(&in_array)?;
@@ -152,24 +147,30 @@ impl Component for Threshold {
         run_steps(self, self.writer_options, comm, hub, |io| {
             let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
-            let region = default_partition(&meta.shape, comm.size(), comm.rank());
-            let var = io.inputs[0].get(&self.input.array, &region)?;
-            let bytes_in = var.byte_len() as u64;
+            let region = io.region(0);
+            let var = region
+                .map(|region| io.inputs[0].get(&self.input.array, region))
+                .transpose()?;
+            let bytes_in = var.as_ref().map_or(0, |var| var.byte_len() as u64);
 
             let kernel_start = Instant::now();
-            // This rank's rows start at a known global linear offset
-            // because the default partition blocks the slowest dimension;
-            // assert that contract so a future partitioning change fails
-            // loudly instead of mis-indexing.
-            debug_assert!(
-                region.offset().iter().skip(1).all(|&o| o == 0),
-                "threshold: partition must be a leading-dimension slab"
-            );
-            let row_len: usize = meta.shape.sizes().iter().skip(1).product();
-            let base = (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
-            // Borrowed: the step queue still holds the payload's `Arc`,
-            // so taking ownership would deep-copy it every step.
-            let (kept, indices) = threshold_filter(&var.data.to_f64_cow(), self.predicate, base);
+            // A rank that reads nothing keeps nothing, but still joins the
+            // scan below.
+            let (kept, indices) = match region.zip(var) {
+                Some((region, var)) => {
+                    // This rank's rows start at a known global linear
+                    // offset because the partition is a leading-dimension
+                    // slab.
+                    let row_len: usize = meta.shape.sizes().iter().skip(1).product();
+                    let base =
+                        (region.offset().first().copied().unwrap_or(0) * row_len.max(1)) as u64;
+                    // Borrowed: the step queue still holds the payload's
+                    // `Arc`, so taking ownership would deep-copy it every
+                    // step.
+                    threshold_filter(&var.data.to_f64_cow(), self.predicate, base)
+                }
+                None => (Vec::new(), Vec::new()),
+            };
 
             // Agree on global sizes: my offset = exscan of counts, total =
             // allreduce. (The two communication rounds of a shape-dynamic

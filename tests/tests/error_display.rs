@@ -54,6 +54,9 @@ fn data_error_messages_are_clean() {
             line: 3,
             detail: "unknown key".into(),
         },
+        DataError::Contract {
+            detail: "input \"v.fp:x\": expected a 2-d array, got 1-d".into(),
+        },
         DataError::Container {
             detail: "truncated step record".into(),
         },

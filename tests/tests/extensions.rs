@@ -4,6 +4,7 @@
 //! components.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use sb_data::{lock, Buffer, Shape, Variable};
 use sb_stream::WriterOptions;
@@ -57,6 +58,33 @@ fn threshold_component_filters_with_global_indices() {
     wf.run_with(RunOptions::default()).unwrap();
     assert_eq!(lock(&values).clone(), vec![vec![9.0, 10.0, 11.0]]);
     assert_eq!(lock(&indices).clone(), vec![vec![9.0, 10.0, 11.0]]);
+}
+
+#[test]
+fn a_scalar_threshold_counts_its_survivor_once() {
+    // Only rank 0 reads a scalar; the other rank keeps nothing.
+    let mut wf = Workflow::with_hub(StreamHub::with_timeout(Duration::from_secs(5)));
+    wf.add_source("gen", 1, "v.fp", |step| {
+        (step < 1)
+            .then(|| Variable::new("x", Shape::new(Vec::new()), Buffer::F64(vec![5.0])).unwrap())
+    });
+    wf.add(
+        2,
+        Threshold::new(
+            ("v.fp", "x"),
+            Predicate::GreaterThan(0.0),
+            ("kept.fp", "big"),
+        ),
+    );
+    // Values, then indices, per step.
+    let kept: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&kept);
+    wf.add_sink("end", 1, "kept.fp", move |_s, vars| {
+        let arrays = ["big", "big_indices"].map(|name| vars[name].data.to_f64_vec());
+        lock(&sink).extend(arrays);
+    });
+    wf.run_with(RunOptions::default()).unwrap();
+    assert_eq!(lock(&kept).clone(), vec![vec![5.0], vec![0.0]]);
 }
 
 #[test]

@@ -287,6 +287,102 @@ fn combine_shape_mismatch_is_a_typed_data_error() {
         "{err:?}"
     );
     assert!(err.to_string().contains("shapes disagree"), "{err}");
+    assert!(
+        err.to_string()
+            .ends_with("input \"a.fp:x, b.fp:x\": input shapes disagree: [n=4] f64 vs [n=7] f64"),
+        "{err}"
+    );
+}
+
+/// Every refused shape fails its step with the text the analyser gives
+/// the same contract (SB006), naming the input stream and array.
+#[test]
+fn refused_shapes_fail_with_the_signatures_text() {
+    fn var(sizes: &[usize], labels: Option<&[&str]>) -> Variable {
+        let dims: Vec<(&str, usize)> = ["n", "p"].into_iter().zip(sizes.iter().copied()).collect();
+        let shape = Shape::of(&dims);
+        let data = Buffer::F64(vec![1.0; shape.total_len()]);
+        let v = Variable::new("x", shape, data).unwrap();
+        match labels {
+            Some(labels) => v.with_labels(1, labels).unwrap(),
+            None => v,
+        }
+    }
+    type Add = fn(&mut Workflow);
+    let ab: Option<&[&str]> = Some(&["a", "b"]);
+    let cases: Vec<(Variable, &str, Add, &str)> = vec![
+        (
+            var(&[4], None),
+            "magnitude",
+            |wf| {
+                wf.add(1, Magnitude::new(("v.fp", "x"), ("o.fp", "y")));
+            },
+            "expected a 2-d array, got 1-d",
+        ),
+        (
+            var(&[4, 2], None),
+            "histogram",
+            |wf| {
+                wf.add(1, Histogram::new(("v.fp", "x"), 2));
+            },
+            "expected a 1-d array, got 2-d",
+        ),
+        (
+            var(&[4, 2], ab),
+            "all-in-one",
+            |wf| {
+                wf.add(1, AllInOne::new(("v.fp", "x"), ["zz"], 2));
+            },
+            "dimension 1 carries no quantity named \"zz\" (available: [\"a\", \"b\"])",
+        ),
+        (
+            var(&[4, 2], None),
+            "select",
+            |wf| {
+                wf.add(1, Select::new(("v.fp", "x"), 1, ["a"], ("o.fp", "y")));
+            },
+            "dimension 1 carries no quantity named \"a\" (available: [])",
+        ),
+        (
+            var(&[4, 2], None),
+            "dim-reduce",
+            |wf| {
+                wf.add(1, DimReduce::new(("v.fp", "x"), 3, 1, ("o.fp", "y")));
+            },
+            "axis 3 is out of bounds for a 2-d array",
+        ),
+        (
+            var(&[4, 2], None),
+            "dim-reduce",
+            |wf| {
+                wf.add(1, DimReduce::new(("v.fp", "x"), 1, 1, ("o.fp", "y")));
+            },
+            "cannot fold dimension 1 into itself",
+        ),
+    ];
+    for (input, label, add, text) in cases {
+        let hub = StreamHub::with_timeout(Duration::from_millis(300));
+        let mut wf = Workflow::with_hub(hub);
+        wf.add_source("gen", 1, "v.fp", move |step| {
+            (step < 1).then(|| input.clone())
+        });
+        add(&mut wf);
+        let err = wf
+            .run_with(RunOptions::new().with_validation(Validation::Skip))
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                WorkflowError::ComponentFailed {
+                    error: ComponentError::Data { step: 0, .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let want = format!("component {label:?}: step 0: input \"v.fp:x\": {text}");
+        assert!(err.to_string().ends_with(&want), "{err}");
+    }
 }
 
 /// A rank that does panic — here a user closure — is caught by the

@@ -2,6 +2,7 @@
 //! inside real workflows.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use sb_data::{lock, Buffer, Shape, Variable};
 use smartblock::prelude::*;
@@ -9,6 +10,11 @@ use smartblock::prelude::*;
 fn linear_source(step: u64, n: usize, scale: f64) -> Variable {
     let data: Vec<f64> = (0..n).map(|i| (i as f64 + step as f64) * scale).collect();
     Variable::new("x", Shape::linear("n", n), Buffer::from(data)).unwrap()
+}
+
+/// A 0-d variable holding `value`.
+fn scalar(value: f64) -> Variable {
+    Variable::new("x", Shape::new(Vec::new()), Buffer::F64(vec![value])).unwrap()
 }
 
 fn collect(wf: &mut Workflow, stream: &str, array: &'static str) -> Arc<Mutex<Vec<Vec<f64>>>> {
@@ -182,6 +188,48 @@ fn temporal_mean_smooths_over_the_window() {
             expect[step]
         );
     }
+}
+
+/// The means a TemporalMean (window 2) at `nranks` ranks publishes over a
+/// scalar stream carrying 1, 2, 4, 8.
+fn scalar_temporal_means(nranks: usize) -> Vec<Vec<f64>> {
+    let mut wf = Workflow::with_hub(StreamHub::with_timeout(Duration::from_secs(5)));
+    wf.add_source("gen", 1, "v.fp", |step| {
+        (step < 4).then(|| scalar(f64::from(1u32 << step)))
+    });
+    wf.add(
+        nranks,
+        TemporalMean::new(("v.fp", "x"), 2, ("smooth.fp", "m")),
+    );
+    let got = collect(&mut wf, "smooth.fp", "m");
+    wf.run_with(RunOptions::default()).unwrap();
+    let got = lock(&got).clone();
+    got
+}
+
+#[test]
+fn temporal_mean_over_a_scalar_at_two_ranks_writes_one_chunk() {
+    // A scalar cannot be split: rank 0 reads and writes it, rank 1 reads
+    // nothing, so the sink never meets two overlapping chunks.
+    let one = scalar_temporal_means(1);
+    assert_eq!(one, vec![vec![1.0], vec![1.5], vec![3.0], vec![6.0]]);
+    assert_eq!(scalar_temporal_means(2), one);
+}
+
+#[test]
+fn combine_of_two_scalars_at_two_ranks_writes_one_chunk() {
+    let mut wf = Workflow::with_hub(StreamHub::with_timeout(Duration::from_secs(5)));
+    wf.add_source("gen-a", 1, "a.fp", |step| (step < 2).then(|| scalar(3.0)));
+    wf.add_source("gen-b", 1, "b.fp", |step| {
+        (step < 2).then(|| scalar(step as f64))
+    });
+    wf.add(
+        2,
+        Combine::new(("a.fp", "x"), BinaryOp::Mul, ("b.fp", "x"), ("p.fp", "p")),
+    );
+    let got = collect(&mut wf, "p.fp", "p");
+    wf.run_with(RunOptions::default()).unwrap();
+    assert_eq!(lock(&got).clone(), vec![vec![0.0], vec![3.0]]);
 }
 
 #[test]

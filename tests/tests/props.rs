@@ -1706,3 +1706,298 @@ fn split_invariance_of_streamed_step_bodies() {
         }
     }
 }
+
+// ---- the signature is the step's contract ----------------------------------
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use sb_data::{Chunk, VariableMeta};
+use sb_stream::{StepStatus, StreamHub, WriterOptions};
+use smartblock::analysis::{AnalysisIssue, ArraySpec, Extent, Severity, StreamSpec};
+use smartblock::{
+    AllInOne, BinaryOp, Combine, Component, DimReduce, Histogram, Magnitude, Predicate, Select,
+    TemporalMean, Threshold,
+};
+
+/// A meta of `ndims` 0–3 and extents 0–5, each dimension labelled
+/// `q0, q1, …` or not, of an `f64` or `i32` array.
+fn random_meta(rng: &mut StdRng, name: &str) -> VariableMeta {
+    let ndims = below(rng, 4);
+    let dims: Vec<(String, usize)> = (0..ndims)
+        .map(|d| (format!("d{d}"), below(rng, 6)))
+        .collect();
+    let pairs: Vec<(&str, usize)> = dims.iter().map(|(n, e)| (n.as_str(), *e)).collect();
+    let dtype = [DType::F64, DType::I32][below(rng, 2)];
+    let mut meta = VariableMeta::new(name, Shape::of(&pairs), dtype);
+    for (d, &(_, extent)) in pairs.iter().enumerate() {
+        if below(rng, 2) == 0 {
+            meta.labels
+                .insert(d, (0..extent).map(|i| format!("q{i}")).collect());
+        }
+    }
+    meta
+}
+
+/// Names to keep: `q0`, maybe `q1`, and now and then `zz`, so a header
+/// may or may not carry them all.
+fn random_keep(rng: &mut StdRng) -> Vec<String> {
+    let mut keep = vec!["q0".to_string()];
+    if below(rng, 2) == 0 {
+        keep.push("q1".into());
+    }
+    if below(rng, 4) == 0 {
+        keep.push("zz".into());
+    }
+    keep
+}
+
+/// Converted component number `kind`, configured from `rng`, reading `x`
+/// on `in0.fp` (and, for the join, `in1.fp`) and writing `out.fp`. An axis
+/// it names is one of the `ndims` the input has, or one past them.
+fn converted_component(rng: &mut StdRng, kind: usize, ndims: usize) -> Arc<dyn Component> {
+    let deep = WriterOptions::buffered(2);
+    match kind {
+        0 => Arc::new(Magnitude::new(("in0.fp", "x"), ("out.fp", "y")).with_writer_options(deep)),
+        1 => Arc::new(
+            Select::new(
+                ("in0.fp", "x"),
+                below(rng, ndims + 1),
+                random_keep(rng),
+                ("out.fp", "y"),
+            )
+            .with_writer_options(deep),
+        ),
+        2 => Arc::new(
+            DimReduce::new(
+                ("in0.fp", "x"),
+                below(rng, ndims + 1),
+                below(rng, ndims + 1),
+                ("out.fp", "y"),
+            )
+            .with_writer_options(deep),
+        ),
+        3 => {
+            let mut c = Combine::new(
+                ("in0.fp", "x"),
+                BinaryOp::Add,
+                ("in1.fp", "x"),
+                ("out.fp", "y"),
+            );
+            c.writer_options = deep;
+            Arc::new(c)
+        }
+        4 => {
+            let mut t = TemporalMean::new(("in0.fp", "x"), 2, ("out.fp", "y"));
+            t.writer_options = deep;
+            Arc::new(t)
+        }
+        5 => Arc::new(
+            Histogram::new(("in0.fp", "x"), 1 + below(rng, 6))
+                .with_output_stream("out.fp")
+                .with_writer_options(deep),
+        ),
+        6 => Arc::new(AllInOne::new(
+            ("in0.fp", "x"),
+            random_keep(rng),
+            1 + below(rng, 6),
+        )),
+        _ => {
+            let mut t = Threshold::new(
+                ("in0.fp", "x"),
+                Predicate::GreaterThan(0.5),
+                ("out.fp", "y"),
+            );
+            t.writer_options = deep;
+            Arc::new(t)
+        }
+    }
+}
+
+/// Whether `meta` is what `spec` says, attrs aside: same dimension names,
+/// the fixed extents, dtype and labels.
+fn fits(spec: &ArraySpec, meta: &VariableMeta) -> bool {
+    let of = ArraySpec::of(meta);
+    of.dims.len() == spec.dims.len()
+        && of.dims.iter().zip(&spec.dims).all(|(got, want)| {
+            got.name == want.name && (want.extent == Extent::Dynamic || got.extent == want.extent)
+        })
+        && of.dtype == spec.dtype
+        && of.labels == spec.labels
+}
+
+/// For seeded random metas, every converted component at 1–3 ranks: the
+/// transfer on `ArraySpec::of(meta)` accepts at deny level iff one step of
+/// `run` succeeds; each published meta is the one the transfer's spec
+/// describes; and the ranks' read regions tile each read exactly once.
+/// `SB_CHAOS_SEED` reseeds the sweep.
+#[test]
+fn contract_agreement_between_the_analyser_and_the_step_loop() {
+    let seed = split_seed();
+    for case in 0..480u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ case.wrapping_mul(0xA24B_AED4_963E_E407));
+        let kind = case as usize % 8;
+        let nranks = 1 + below(&mut rng, 3);
+        let left = random_meta(&mut rng, "x");
+        // The join sees the same meta half of the time, so both its
+        // agreeing and its disagreeing shapes are drawn.
+        let right = if below(&mut rng, 2) == 0 {
+            left.clone()
+        } else {
+            random_meta(&mut rng, "x")
+        };
+        let component = converted_component(&mut rng, kind, left.shape.ndims());
+        let row = format!(
+            "case {case}: {} at {nranks} ranks over {left:?}",
+            component.label()
+        );
+        let metas = if kind == 3 {
+            vec![left, right]
+        } else {
+            vec![left]
+        };
+
+        // What the analyser says of these metas.
+        let signature = component.signature();
+        let specs: Vec<StreamSpec> = metas
+            .iter()
+            .map(|m| StreamSpec::known_one("x", ArraySpec::of(m)))
+            .collect();
+        let transfer = signature
+            .transfer
+            .as_ref()
+            .expect("converted components declare one");
+        let verdict = transfer(&specs);
+        let accepted = match &verdict {
+            Ok(_) => true,
+            Err(error) => {
+                let issue = AnalysisIssue::Contract {
+                    component: component.label(),
+                    stream: "in0.fp".into(),
+                    error: error.clone(),
+                };
+                issue.severity() == Severity::Warning
+            }
+        };
+
+        // The ranks' boxes of each read tile it exactly once.
+        for (read, meta) in signature.reads.iter().zip(&metas) {
+            let boxes: Vec<Region> = (0..nranks)
+                .filter_map(|rank| read.partition.region(&meta.shape, nranks, rank))
+                .collect();
+            let covered: usize = boxes.iter().map(Region::len).sum();
+            assert_eq!(covered, meta.shape.total_len(), "{row}: boxes {boxes:?}");
+            for (i, a) in boxes.iter().enumerate() {
+                a.validate(&meta.shape).unwrap();
+                for b in &boxes[i + 1..] {
+                    let overlap = a.intersect(b).map_or(0, |r| r.len());
+                    assert!(a.ndims() == 0 || overlap == 0, "{row}: {a} meets {b}");
+                }
+            }
+            assert!(
+                meta.shape.ndims() > 0 || boxes.len() == 1,
+                "{row}: {boxes:?}"
+            );
+        }
+
+        // One step of `run`.
+        let hub = StreamHub::new();
+        let mut payload_bytes = 0u64;
+        for (i, meta) in metas.iter().enumerate() {
+            let len = meta.shape.total_len();
+            let data = match meta.dtype {
+                DType::I32 => {
+                    Buffer::I32((0..len).map(|_| below(&mut rng, 5) as i32 - 2).collect())
+                }
+                _ => Buffer::F64((0..len).map(|_| rng.gen_range(-2.0..2.0)).collect()),
+            };
+            let mut var = Variable::new("x", meta.shape.clone(), data).unwrap();
+            var.labels = meta.labels.clone();
+            payload_bytes += var.byte_len() as u64;
+            let mut w = hub.open_writer(&format!("in{i}.fp"), 0, 1, WriterOptions::buffered(2));
+            w.begin_step().unwrap();
+            w.put(Chunk::whole(var));
+            w.end_step().unwrap();
+            w.close();
+        }
+        let run_hub = Arc::clone(&hub);
+        let run_component = Arc::clone(&component);
+        let results = sb_comm::LaunchHandle::spawn("cut", nranks, move |comm| {
+            run_component.run(&comm, &run_hub)
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+        let ran = results.iter().all(Result::is_ok);
+        assert_eq!(
+            accepted, ran,
+            "{row}: transfer {verdict:?}, run {results:?}"
+        );
+        if !ran {
+            continue;
+        }
+        let bytes_in: u64 = results.iter().map(|r| r.as_ref().unwrap().bytes_in).sum();
+        assert_eq!(bytes_in, payload_bytes, "{row}: every element read once");
+
+        // What the step published, against what the transfer derived.
+        let Ok(out_specs) = verdict else { continue };
+        for (stream, spec) in component.output_streams().iter().zip(&out_specs) {
+            let StreamSpec::Known(arrays) = spec else {
+                continue;
+            };
+            let mut reader = hub.open_reader(stream, 0, 1);
+            assert!(
+                matches!(reader.begin_step(), Ok(StepStatus::Ready(_))),
+                "{row}"
+            );
+            let published: BTreeMap<String, VariableMeta> = reader
+                .variables()
+                .into_iter()
+                .map(|name| {
+                    let var = reader
+                        .get_whole(&name)
+                        .unwrap_or_else(|e| panic!("{row}: {e}"));
+                    (name, VariableMeta::describing(&var))
+                })
+                .collect();
+            assert!(published.keys().eq(arrays.keys()), "{row}: {published:?}");
+            for (name, meta) in &published {
+                assert!(
+                    fits(&arrays[name], meta),
+                    "{row}: {meta:?} vs {:?}",
+                    arrays[name]
+                );
+            }
+            reader.end_step();
+        }
+    }
+}
+
+/// SB007 is advisory: a Histogram with more bins than its input has
+/// elements still runs to completion.
+#[test]
+fn contract_agreement_runs_a_histogram_with_degenerate_bins() {
+    let hub = StreamHub::new();
+    let mut w = hub.open_writer("in0.fp", 0, 1, WriterOptions::buffered(2));
+    w.begin_step().unwrap();
+    let var = Variable::new(
+        "x",
+        Shape::linear("n", 4),
+        Buffer::F64(vec![1.0, 2.0, 3.0, 4.0]),
+    );
+    w.put(Chunk::whole(var.unwrap()));
+    w.end_step().unwrap();
+    w.close();
+    let histogram = Histogram::new(("in0.fp", "x"), 8);
+    let results = histogram.results_handle();
+    let run_hub = Arc::clone(&hub);
+    let ran =
+        sb_comm::LaunchHandle::spawn("histogram", 2, move |comm| histogram.run(&comm, &run_hub))
+            .unwrap()
+            .join()
+            .unwrap();
+    assert!(ran.iter().all(Result::is_ok), "{ran:?}");
+    let results = sb_data::lock(&results);
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].total(), 4);
+}

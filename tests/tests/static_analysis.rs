@@ -10,8 +10,8 @@ use smartblock::workflows::{
     gromacs_workflow, gtcp_workflow, lammps_aio_workflow, lammps_workflow, PresetScale, Simulation,
 };
 use smartblock::{
-    AnalysisIssue, BinaryOp, Combine, DimReduce, Histogram, Magnitude, RunOptions, Select,
-    Severity, Validation, WiringIssue, Workflow, WorkflowPlan,
+    AllInOne, AnalysisIssue, BinaryOp, Combine, DimReduce, Histogram, Magnitude, RunOptions,
+    Select, Severity, Validation, WiringIssue, Workflow, WorkflowPlan,
 };
 
 fn errors(wf: &Workflow) -> Vec<AnalysisIssue> {
@@ -91,6 +91,33 @@ fn unknown_select_label_is_rejected_statically() {
     // And run_with refuses to launch it.
     let err = wf.run_with(RunOptions::default()).unwrap_err().to_string();
     assert!(err.contains("static validation"), "{err}");
+}
+
+/// All-in-one selecting by name along a dimension whose header a
+/// Dim-Reduce dropped: refused statically, as a Select would be.
+#[test]
+fn all_in_one_on_an_unlabelled_dimension_is_rejected_statically() {
+    let mut wf = Workflow::new();
+    wf.add(2, Simulation::new(SimCode::Gtcp).param("steps", 1));
+    wf.add(
+        1,
+        DimReduce::new(("gtcp.fp", "plasma"), 2, 1, ("dr.fp", "flat")),
+    );
+    wf.add(1, AllInOne::new(("dr.fp", "flat"), ["P_perp"], 4));
+    let errs = errors(&wf);
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    let AnalysisIssue::Contract {
+        component, error, ..
+    } = &errs[0]
+    else {
+        panic!("expected a contract issue, got {:?}", errs[0]);
+    };
+    assert_eq!(component, "all-in-one");
+    assert_eq!(errs[0].lint().id, "SB006");
+    assert_eq!(
+        error.to_string(),
+        "dimension 1 carries no quantity named \"P_perp\" (available: [])"
+    );
 }
 
 /// Dim-Reduce folding an axis the array does not have.

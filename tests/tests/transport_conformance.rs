@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use sb_comm::LaunchHandle;
-use sb_data::decompose::default_partition;
+use sb_data::decompose::slab_partition;
 use sb_data::{lock, Buffer, Chunk, DType, Shape, VariableMeta};
 use sb_stream::tcp::TcpBroker;
 use sb_stream::{
@@ -263,7 +263,7 @@ fn wire_pump(
             comm.size(),
             WriterOptions::buffered(2),
         );
-        let region = default_partition(&shape_w, comm.size(), comm.rank());
+        let region = slab_partition(&shape_w, 0, comm.size(), comm.rank());
         let meta = VariableMeta::new("x", shape_w.clone(), DType::F64);
         let data = Buffer::F64((0..region.len()).map(|i| i as f64).collect());
         for _ in 0..steps {
@@ -279,7 +279,7 @@ fn wire_pump(
     let stream_r = stream.to_string();
     let reader = LaunchHandle::spawn("conf-reader", readers, move |comm| {
         let mut r = hub_r.open_reader(&stream_r, comm.rank(), comm.size());
-        let region = default_partition(&shape, comm.size(), comm.rank());
+        let region = slab_partition(&shape, 0, comm.size(), comm.rank());
         while let StepStatus::Ready(_) = r.begin_step().unwrap() {
             let v = r.get("x", &region).unwrap();
             assert_eq!(v.data.len(), region.len());
