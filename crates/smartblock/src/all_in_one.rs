@@ -87,6 +87,7 @@ impl Component for AllInOne {
         let in_array = self.input.array.clone();
         let keep = self.keep.clone();
         let bins = self.num_bins;
+        let advised_array = in_array.clone();
         Signature::new(
             vec![
                 ReadSpec::new(&in_stream, &in_array, PartitionRule::Along(0))
@@ -105,15 +106,17 @@ impl Component for AllInOne {
                         });
                     }
                     spec.check_labels(1, &keep)?;
-                    if let Extent::Fixed(elements) = spec.dims[0].extent {
-                        if bins > elements {
-                            return Err(SpecError::DegenerateBins { bins, elements });
-                        }
-                    }
                 }
                 Ok(Vec::new())
             },
         )
+        .with_advisory(move |ins| {
+            let spec = ins.first()?.array(&advised_array).ok()??;
+            let Extent::Fixed(elements) = spec.dims.first()?.extent else {
+                return None;
+            };
+            (bins > elements).then_some(SpecError::DegenerateBins { bins, elements })
+        })
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {

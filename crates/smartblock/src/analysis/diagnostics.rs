@@ -194,27 +194,19 @@ pub enum AnalysisIssue {
         /// The distinct URLs declared.
         urls: Vec<String>,
     },
-    /// A `.sbw` spec key or table the spec language does not define; the
-    /// compiler ignores it, which usually means a typo silently changes
-    /// behavior.
-    SpecUnknownKey {
-        /// The unknown key (or `[table]` header).
-        key: String,
-        /// The table it appeared in (`"(top level)"` for unknown tables).
-        table: String,
-    },
-    /// A `.sbw` trigger clause references a component label the spec does
+    /// A `#@ trigger` clause references a component label the script does
     /// not declare; the clause could never fire or act.
-    SpecUndeclaredRef {
+    UndeclaredTriggerRef {
         /// The undeclared component label.
         reference: String,
     },
-    /// Two `.sbw` constructs contradict each other (duplicate singleton
-    /// tables, a component in two process groups, policy knobs the
-    /// declared action ignores).
-    SpecConflict {
-        /// Human-readable description of the contradiction.
-        detail: String,
+    /// A second `#@ policy` directive for a component that already has
+    /// one: the two contradict each other, and only one could apply.
+    DuplicatePolicy {
+        /// The component both directives name.
+        component: String,
+        /// 1-based line of the first directive.
+        first_line: usize,
     },
     /// The estimated wire cost of a cross-process stream exceeds the
     /// threshold: fan-out and per-chunk metadata amplify every payload
@@ -263,9 +255,8 @@ impl AnalysisIssue {
             | AnalysisIssue::UnreachableEndpoint { .. }
             | AnalysisIssue::EndpointCollision { .. } => "SB016",
             AnalysisIssue::WireAmplification { .. } => "SB017",
-            AnalysisIssue::SpecUnknownKey { .. } => "SB018",
-            AnalysisIssue::SpecUndeclaredRef { .. } => "SB019",
-            AnalysisIssue::SpecConflict { .. } => "SB020",
+            AnalysisIssue::UndeclaredTriggerRef { .. } => "SB019",
+            AnalysisIssue::DuplicatePolicy { .. } => "SB020",
         };
         lint_by_id(id).expect("every issue maps to a registered lint")
     }
@@ -290,7 +281,8 @@ impl AnalysisIssue {
             | AnalysisIssue::DegradeTerminal { component }
             | AnalysisIssue::ZeroRestartBudget { component }
             | AnalysisIssue::UnassignedComponent { component, .. }
-            | AnalysisIssue::MultiplyAssigned { component, .. } => Some(component),
+            | AnalysisIssue::MultiplyAssigned { component, .. }
+            | AnalysisIssue::DuplicatePolicy { component, .. } => Some(component),
             AnalysisIssue::UnknownPolicyTarget { label, .. } => Some(label),
             _ => None,
         }
@@ -377,12 +369,11 @@ impl AnalysisIssue {
             AnalysisIssue::DuplicateProcessName { process } => {
                 fields.push(("process", process.clone()));
             }
-            AnalysisIssue::SpecUnknownKey { key, table } => {
-                fields.push(("key", key.clone()));
-                fields.push(("table", table.clone()));
-            }
-            AnalysisIssue::SpecUndeclaredRef { reference } => {
+            AnalysisIssue::UndeclaredTriggerRef { reference } => {
                 fields.push(("reference", reference.clone()));
+            }
+            AnalysisIssue::DuplicatePolicy { first_line, .. } => {
+                fields.push(("first_line", first_line.to_string()));
             }
             _ => {}
         }
@@ -517,16 +508,19 @@ impl fmt::Display for AnalysisIssue {
                 "the script declares conflicting transport endpoints {urls:?}; every process \
                  must rendezvous on the same broker"
             ),
-            AnalysisIssue::SpecUnknownKey { key, table } => write!(
+            AnalysisIssue::UndeclaredTriggerRef { reference } => write!(
                 f,
-                "unknown key {key:?} in {table}; the spec compiler ignores it"
-            ),
-            AnalysisIssue::SpecUndeclaredRef { reference } => write!(
-                f,
-                "trigger references component {reference:?} but the spec declares no such \
+                "trigger references component {reference:?} but the script declares no such \
                  component; the clause could never fire or act"
             ),
-            AnalysisIssue::SpecConflict { detail } => f.write_str(detail),
+            AnalysisIssue::DuplicatePolicy {
+                component,
+                first_line,
+            } => write!(
+                f,
+                "a second #@ policy for component {component:?} contradicts the one at line \
+                 {first_line}; a component has one fault policy"
+            ),
             AnalysisIssue::WireAmplification {
                 stream,
                 amplification_tenths,

@@ -46,7 +46,8 @@ pub struct Lint {
     pub summary: &'static str,
 }
 
-/// Every lint the engine can emit, in ID order.
+/// Every lint ID ever registered, in ID order. A retired lint keeps its
+/// entry at [`Level::Allow`] and is never emitted.
 pub const LINTS: &[Lint] = &[
     Lint {
         id: "SB000",
@@ -164,23 +165,22 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SB018",
         name: "spec-unknown-key",
-        default_level: Level::Warn,
-        summary: "a `.sbw` spec key or table the spec language does not define; the compiler \
-                  ignores it",
+        default_level: Level::Allow,
+        summary: "retired, never emitted: it flagged unknown keys of the deleted declarative \
+                  spec language; an unknown `#@` directive is an SB000 line error",
     },
     Lint {
         id: "SB019",
         name: "spec-undeclared-ref",
         default_level: Level::Deny,
-        summary: "a `.sbw` trigger clause references a component the spec does not declare; \
+        summary: "a `#@ trigger` clause references a component the script does not declare; \
                   the clause could never fire or act",
     },
     Lint {
         id: "SB020",
         name: "spec-conflict",
         default_level: Level::Deny,
-        summary: "two `.sbw` constructs contradict each other: duplicate tables, a component \
-                  in two process groups, or policy knobs the declared action ignores",
+        summary: "two directives contradict each other: a second `#@ policy` for one component",
     },
 ];
 

@@ -14,8 +14,8 @@
 //! - `passes` — the model-level passes (wiring, cycle, contract,
 //!   cadence, fault-policy soundness);
 //! - [`script`] — plan-level linting ([`lint_plan`], [`lint_source`]) plus
-//!   the passes that need a plan's directives: starvation, partition
-//!   plan, transport, and wire cost.
+//!   the passes that need a plan's directives and triggers: directives,
+//!   starvation, partition plan, transport, and wire cost.
 //!
 //! [`Workflow::validate`](crate::Workflow::validate) returns the raw
 //! [`AnalysisIssue`]s (the pre-existing API);

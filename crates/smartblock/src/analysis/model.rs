@@ -142,21 +142,26 @@ impl<'a> Model<'a> {
                 .map(|s| specs.get(s).cloned().unwrap_or(StreamSpec::Opaque))
                 .collect();
             let outs = e.component.output_streams();
-            let out_specs = match &sig.transfer {
-                None => vec![StreamSpec::Opaque; outs.len()],
+            let opaque = || vec![StreamSpec::Opaque; outs.len()];
+            // A transfer error is the finding and hides the outputs; an
+            // advisory finding keeps them.
+            let (out_specs, finding) = match &sig.transfer {
+                None => (opaque(), None),
                 Some(transfer) => match transfer(&ins) {
-                    Ok(v) if v.len() == outs.len() => v,
-                    Ok(_) => vec![StreamSpec::Opaque; outs.len()],
-                    Err(error) => {
-                        propagation_issues.push(AnalysisIssue::Contract {
-                            component: e.label.to_string(),
-                            stream: input_streams.join(", "),
-                            error,
-                        });
-                        vec![StreamSpec::Opaque; outs.len()]
+                    Ok(v) => {
+                        let advice = sig.advisory.as_ref().and_then(|check| check(&ins));
+                        (if v.len() == outs.len() { v } else { opaque() }, advice)
                     }
+                    Err(error) => (opaque(), Some(error)),
                 },
             };
+            if let Some(error) = finding {
+                propagation_issues.push(AnalysisIssue::Contract {
+                    component: e.label.to_string(),
+                    stream: input_streams.join(", "),
+                    error,
+                });
+            }
 
             // Step-count propagation. A relative contract needs *every*
             // input's count: a join stops at the first end-of-stream, so an

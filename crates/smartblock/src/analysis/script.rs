@@ -4,10 +4,12 @@
 //! stops the lowering as SB000.
 //!
 //! On top of the model-level passes shared with
-//! [`Workflow::lint`](crate::Workflow::lint), four passes exist only
+//! [`Workflow::lint`](crate::Workflow::lint), five passes exist only
 //! here because they read plan artifacts a programmatic workflow does not
 //! carry:
 //!
+//! - **directives** (SB019, SB020): every `#@ trigger` names declared
+//!   components, and no component has a second `#@ policy`;
 //! - **starvation** (SB010): a `groups=N` writer declaration against the
 //!   reader groups the plan actually subscribes;
 //! - **partition plan** (SB015): process assignments must cover every
@@ -17,15 +19,14 @@
 //! - **wire cost** (SB017): estimated bytes-on-the-wire per payload byte
 //!   of each cross-process stream, from the propagated specs.
 //!
-//! A `.sbw` spec's own issues (SB018–SB020) ride on the plan and are
-//! reported first.
+//! The directive pass reports first, the others after the model passes.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::launch::ScriptDirectives;
 use crate::plan::{PlannedComponent, WorkflowPlan};
-use crate::spec::SpecIssue;
 use crate::supervisor::FaultPolicy;
+use crate::triggers::TriggerAction;
 
 use super::diagnostics::{AnalysisIssue, ScriptLint};
 use super::lints::LintConfig;
@@ -55,14 +56,13 @@ fn declared_groups(c: &PlannedComponent) -> Option<usize> {
     c.entry.options.get("groups")?.parse().ok()
 }
 
-/// Lowers one workflow source (`*.sbw` as a spec, anything else as a
-/// launch script) and lints the plan. Whatever stops the lowering — a
-/// syntax error, a component that rejects its arguments — is reported as
-/// SB000 on its own line, and nothing else is: a half-built workflow would
-/// cascade into spurious wiring issues. `name` also prefixes the rendering
-/// (`script.sh:12:`); `config` filters and re-levels lints.
+/// Lowers one launch script and lints the plan. Whatever stops the
+/// lowering — a syntax error, a component that rejects its arguments — is
+/// reported as SB000 on its own line, and nothing else is: a half-built
+/// workflow would cascade into spurious wiring issues. `name` prefixes the
+/// rendering (`script.sh:12:`); `config` filters and re-levels lints.
 pub fn lint_source(name: &str, text: &str, config: &LintConfig) -> ScriptLint {
-    match WorkflowPlan::lower(name, text) {
+    match WorkflowPlan::from_script(text) {
         Ok(plan) => lint_plan(name, &plan, config),
         Err(errors) => {
             let mut lint = ScriptLint::new(name);
@@ -78,24 +78,11 @@ pub fn lint_source(name: &str, text: &str, config: &LintConfig) -> ScriptLint {
     }
 }
 
-/// Lints one plan end to end: its spec-level issues (SB018–SB020), the
-/// model-level passes, and the plan-level passes, all attributed to the
-/// plan's source lines.
+/// Lints one plan end to end: its directives, the model-level passes, and
+/// the plan-level passes, all attributed to the plan's script lines.
 pub fn lint_plan(name: &str, plan: &WorkflowPlan, config: &LintConfig) -> ScriptLint {
     let mut lint = ScriptLint::new(name);
-    for issue in &plan.issues {
-        let line = Some(issue.line());
-        let issue = match issue.clone() {
-            SpecIssue::UnknownKey { key, table, .. } => {
-                AnalysisIssue::SpecUnknownKey { key, table }
-            }
-            SpecIssue::UndeclaredTriggerRef { reference, .. } => {
-                AnalysisIssue::SpecUndeclaredRef { reference }
-            }
-            SpecIssue::Conflict { detail, .. } => AnalysisIssue::SpecConflict { detail },
-        };
-        lint.push(config, issue, line);
-    }
+    directive_pass(plan, |issue, line| lint.push(config, issue, line));
 
     let built = &plan.components;
     let directives = &plan.directives;
@@ -134,6 +121,40 @@ pub fn lint_plan(name: &str, plan: &WorkflowPlan, config: &LintConfig) -> Script
         lint.push(config, issue, line)
     });
     lint
+}
+
+/// SB019: a trigger watching or acting on an undeclared component. SB020: a
+/// second policy for one component, on the later directive's line.
+fn directive_pass(plan: &WorkflowPlan, mut push: impl FnMut(AnalysisIssue, Option<usize>)) {
+    for trigger in &plan.triggers {
+        let target = match &trigger.action {
+            TriggerAction::SetOutputStride { target, .. }
+            | TriggerAction::RaiseFaultPolicy { target, .. } => Some(target),
+            TriggerAction::SnapshotStream { .. } => None,
+        };
+        for reference in std::iter::once(&trigger.component).chain(target) {
+            if !plan.declares(reference) {
+                push(
+                    AnalysisIssue::UndeclaredTriggerRef {
+                        reference: reference.clone(),
+                    },
+                    Some(trigger.line),
+                );
+            }
+        }
+    }
+    let policies = &plan.directives.policies;
+    for (i, policy) in policies.iter().enumerate() {
+        if let Some(first) = policies[..i].iter().find(|p| p.label == policy.label) {
+            push(
+                AnalysisIssue::DuplicatePolicy {
+                    component: policy.label.clone(),
+                    first_line: first.line,
+                },
+                Some(policy.line),
+            );
+        }
+    }
 }
 
 /// SB010: writer declares more reader groups than the plan subscribes.

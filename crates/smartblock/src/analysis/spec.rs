@@ -398,6 +398,11 @@ impl ReadSpec {
 pub type TransferFn =
     Box<dyn Fn(&[StreamSpec]) -> Result<Vec<StreamSpec>, SpecError> + Send + Sync>;
 
+/// An advisory check over input specs the transfer accepted: a finding
+/// (SB007 `DegenerateBins`) is reported as a warning, but it neither fails
+/// a step nor hides the outputs the transfer derived.
+pub type AdvisoryFn = Box<dyn Fn(&[StreamSpec]) -> Option<SpecError> + Send + Sync>;
+
 /// How many steps a component publishes on its output streams — the
 /// step-rate half of a component's contract, propagated by the cadence
 /// pass to find joins of provably different step rates.
@@ -428,8 +433,11 @@ pub struct Signature {
     /// Declared input reads, parallel to the component's inputs.
     pub reads: Vec<ReadSpec>,
     /// Spec transfer function; `None` means the component is opaque and
-    /// its outputs propagate as [`StreamSpec::Opaque`].
+    /// its outputs propagate as [`StreamSpec::Opaque`]. Every error it
+    /// returns is deny-level (SB006).
     pub transfer: Option<TransferFn>,
+    /// Advisory check, run by the analyser on inputs the transfer accepted.
+    pub advisory: Option<AdvisoryFn>,
     /// Output step rate relative to the input (or absolute, for sources).
     pub steps: StepContract,
     /// True when the component carries state *across* steps (a temporal
@@ -444,6 +452,7 @@ impl Signature {
         Signature {
             reads: Vec::new(),
             transfer: None,
+            advisory: None,
             steps: StepContract::Unknown,
             stateful: false,
         }
@@ -467,6 +476,7 @@ impl Signature {
         Signature {
             reads,
             transfer: Some(transfer),
+            advisory: None,
             steps: StepContract::SameAsInput,
             stateful: false,
         }
@@ -475,6 +485,15 @@ impl Signature {
     /// Overrides the step contract (builder style).
     pub fn with_steps(mut self, steps: StepContract) -> Signature {
         self.steps = steps;
+        self
+    }
+
+    /// Sets the advisory check (builder style).
+    pub fn with_advisory<F>(mut self, advisory: F) -> Signature
+    where
+        F: Fn(&[StreamSpec]) -> Option<SpecError> + Send + Sync + 'static,
+    {
+        self.advisory = Some(Box::new(advisory));
         self
     }
 
@@ -490,6 +509,7 @@ impl fmt::Debug for Signature {
         f.debug_struct("Signature")
             .field("reads", &self.reads)
             .field("transfer", &self.transfer.as_ref().map(|_| "<fn>"))
+            .field("advisory", &self.advisory.as_ref().map(|_| "<fn>"))
             .field("steps", &self.steps)
             .field("stateful", &self.stateful)
             .finish()

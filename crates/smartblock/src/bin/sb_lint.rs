@@ -1,14 +1,13 @@
 //! `sb-lint`: the SmartBlock lint engine CLI.
 //!
 //! Parses aprun-style launch scripts (the paper's Fig. 8 deployment
-//! format) and declarative `.sbw` workflow specs, assembles each workflow
-//! *without running it*, and reports every diagnostic the staged analyzer
-//! finds — wiring mistakes, subscription cycles, contract violations,
-//! over-decomposition, cadence mismatches, unsound fault policies, invalid
-//! partition plans, transport problems, wire-amplification estimates, and
-//! (for specs) spec-level issues — each under a stable `SBxxx` lint ID.
-//! Inputs named `*.sbw` lower as specs, everything else as launch scripts;
-//! either way the lints run over the one `WorkflowPlan` they lower to.
+//! format), assembles each workflow *without running it*, and reports
+//! every diagnostic the staged analyzer finds — wiring mistakes,
+//! subscription cycles, contract violations, over-decomposition, cadence
+//! mismatches, unsound or contradicting fault policies, invalid partition
+//! plans, transport problems, wire-amplification estimates, and triggers on
+//! undeclared components — each under a stable `SBxxx` lint ID. The lints
+//! run over the one `WorkflowPlan` each script lowers to.
 //!
 //! ```text
 //! wf.sb:4: error[SB001] no-writer: stream "m.fp" has no writer; ...
@@ -32,8 +31,8 @@ const EX_NOINPUT: u8 = 66;
 fn usage() {
     eprintln!(
         "usage: sb-lint [OPTIONS] SCRIPT... (or `-` for stdin)\n\
-         statically checks SmartBlock launch scripts (.sb) and workflow\n\
-         specs (.sbw) without running them\n\
+         statically checks SmartBlock launch scripts (.sb) without\n\
+         running them\n\
          \n\
          options:\n\
          \x20 --format text|json   rendering (default text; json follows\n\

@@ -1,39 +1,38 @@
-//! `sb-run`: run a SmartBlock workflow — a `.sb` launch script or a
-//! declarative `.sbw` spec — whole or as one process of a multi-process
-//! deployment.
+//! `sb-run`: run a SmartBlock workflow from its `.sb` launch script, whole
+//! or as one process of a multi-process deployment.
 //!
 //! Modes:
 //!
-//! * `sb-run --script wf.sbw`
+//! * `sb-run --script wf.sb`
 //!   — run the whole workflow in process (the classic single-process mode).
-//! * `sb-run --script wf.sbw --serve ADDR [--components a,b]`
+//! * `sb-run --script wf.sb --serve ADDR [--components a,b]`
 //!   — serve a broker on `ADDR` (`HOST:PORT` binds TCP, `shm://DIR` opens a
 //!   same-host Unix-socket rendezvous), run the named components (default:
 //!   none, broker only) on the broker's own hub, then keep serving until
 //!   every remote connection has drained.
-//! * `sb-run --script wf.sbw --connect tcp://HOST:PORT --components a,b`
+//! * `sb-run --script wf.sb --connect tcp://HOST:PORT --components a,b`
 //!   (or `--connect shm://DIR`) — connect to a broker another process
 //!   serves and run only the named components there.
 //!
-//! All processes must be given the *same* source file: it is the single
-//! source of truth for stream wiring and component labels (`--list` prints
-//! them). A `#@ transport` directive (or a spec's `[transport]` table)
-//! supplies the default for `--serve`/`--connect`; `#@ policy` directives
-//! (or `[policy.*]` tables) set per-component fault policies. A spec may
-//! also default the wire protocol, compression, hub timeout, and trace
-//! config; explicit flags win over spec defaults.
+//! All processes must be given the *same* script: it is the single source
+//! of truth for stream wiring and component labels (`--list` prints them).
+//! A `#@ transport` directive supplies the default for `--serve`/
+//! `--connect`; `#@ policy` directives set per-component fault policies and
+//! `#@ trigger` directives arm reactive clauses. The wire shape and the hub
+//! timeout are this process's flags (`--protocol`, `--compress`,
+//! `--timeout`).
 //!
-//! The source is lowered once to a `WorkflowPlan`; that plan is what
+//! The script is lowered once to a `WorkflowPlan`; that plan is what
 //! `--list` prints, what the lint gate checks, and what the workflow is
 //! built from. Before binding a broker or spawning any component, the plan
 //! is run through the full lint engine (`sb-lint`); any error-level `SBxxx`
 //! diagnostic — an invalid partition plan, a subscription cycle, a contract
-//! violation — refuses the launch with exit `1`. `--force` downgrades the
+//! violation, a trigger on an undeclared component, a second policy for one
+//! component — refuses the launch with exit `1`. `--force` downgrades the
 //! refusal to a stderr report and launches anyway. Exit status: `0` on
 //! success, `1` on a lint refusal or workflow failure, `2` on usage or I/O
-//! errors, or a source that does not load as a runnable plan — it does not
-//! lower, or a spec carries deny-level issues (SB019/SB020); each offending
-//! line is reported, and `--force` does not apply.
+//! errors, or a script that does not lower — each offending line is
+//! reported, and `--force` does not apply.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -54,8 +53,8 @@ struct Args {
     list: bool,
     force: bool,
     hub_timeout: Option<Duration>,
-    protocol: Option<sb_stream::WireProtocol>,
-    compression: Option<sb_stream::Compression>,
+    protocol: sb_stream::WireProtocol,
+    compression: sb_stream::Compression,
 }
 
 fn usage() {
@@ -63,17 +62,16 @@ fn usage() {
         "usage: sb-run --script FILE [--serve ADDR | --connect URL]\n\
          \x20             [--components a,b,...] [--timeout SECONDS] [--list] [--force]\n\
          \x20             [--protocol v1|v2] [--compress none|lz]\n\
-         runs a SmartBlock workflow — a .sb launch script or a .sbw\n\
-         declarative spec — whole or as one process of a multi-process\n\
-         deployment (every process gets the same file); sources with\n\
-         error-level lint diagnostics are refused before any component\n\
-         starts unless --force is given. --serve takes a TCP bind address\n\
+         runs a SmartBlock workflow from its .sb launch script, whole or\n\
+         as one process of a multi-process deployment (every process gets\n\
+         the same script); scripts with error-level lint diagnostics\n\
+         are refused before any component starts unless --force is\n\
+         given. --serve takes a TCP bind address\n\
          (HOST:PORT, optionally tcp://) or a same-host Unix-socket\n\
          rendezvous (shm://DIR); --connect takes tcp://HOST:PORT or\n\
          shm://DIR. --protocol and --compress shape the wire frames of\n\
          this process's --connect sessions (v2 interns metadata; lz\n\
-         compresses chunk payloads); a spec's [transport] table supplies\n\
-         defaults for both, and explicit flags win"
+         compresses chunk payloads)"
     );
 }
 
@@ -139,8 +137,8 @@ fn parse_args() -> Result<Args, String> {
         list: false,
         force: false,
         hub_timeout: None,
-        protocol: None,
-        compression: None,
+        protocol: Default::default(),
+        compression: Default::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -164,18 +162,18 @@ fn parse_args() -> Result<Args, String> {
                 args.hub_timeout = Some(Duration::from_secs(secs));
             }
             "--protocol" => {
-                args.protocol = Some(match value("--protocol")?.as_str() {
+                args.protocol = match value("--protocol")?.as_str() {
                     "v1" => sb_stream::WireProtocol::V1,
                     "v2" => sb_stream::WireProtocol::V2,
                     other => return Err(format!("--protocol must be v1 or v2, got {other:?}")),
-                });
+                };
             }
             "--compress" => {
-                args.compression = Some(match value("--compress")?.as_str() {
+                args.compression = match value("--compress")?.as_str() {
                     "none" => sb_stream::Compression::None,
                     "lz" => sb_stream::Compression::Lz,
                     other => return Err(format!("--compress must be none or lz, got {other:?}")),
-                });
+                };
             }
             "--list" => args.list = true,
             "--force" => args.force = true,
@@ -205,8 +203,7 @@ fn run(
     if let Some(timeout) = hub_timeout {
         options = options.with_hub_timeout(timeout);
     }
-    // The plan carries policies, triggers, and (for specs) trace and
-    // timeout defaults; `workflow` applies them all.
+    // The plan carries policies and triggers; `workflow` applies them.
     let wf = match plan.workflow(hub, select) {
         Ok(wf) => wf,
         Err(detail) => {
@@ -270,7 +267,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let plan = match WorkflowPlan::load(&script_path, &text) {
+    let plan = match WorkflowPlan::from_script(&text) {
         Ok(p) => p,
         Err(errors) => {
             for e in errors {
@@ -288,12 +285,6 @@ fn main() -> ExitCode {
     if let Err(code) = lint_gate(&script_path, &plan, args.force) {
         return code;
     }
-    // A spec's [transport] table defaults the hub timeout and wire shape;
-    // explicit flags win.
-    let hub_timeout = args.hub_timeout.or(plan.hub_timeout);
-    let protocol = args.protocol.or(plan.protocol).unwrap_or_default();
-    let compression = args.compression.or(plan.compression).unwrap_or_default();
-
     // The source's transport endpoint is the fallback; explicit flags win.
     // `--serve` wants a bare bind address, so strip the scheme.
     let connect = args
@@ -326,7 +317,7 @@ fn main() -> ExitCode {
             Ok(())
         } else {
             let hub = Arc::clone(broker.hub());
-            run(hub, &plan, &args.components, hub_timeout)
+            run(hub, &plan, &args.components, args.hub_timeout)
         };
         if remotes_expected {
             // Local components may finish before remotes even dial in (a
@@ -361,8 +352,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         let options = sb_stream::TcpOptions::default()
-            .with_protocol(protocol)
-            .with_compression(compression);
+            .with_protocol(args.protocol)
+            .with_compression(args.compression);
         let hub = match StreamHub::connect_with(&url, options) {
             Ok(h) => h,
             Err(e) => {
@@ -370,13 +361,13 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match run(hub, &plan, &args.components, hub_timeout) {
+        match run(hub, &plan, &args.components, args.hub_timeout) {
             Ok(()) => ExitCode::SUCCESS,
             Err(code) => code,
         }
     } else {
         // Single-process: the whole workflow on an in-proc hub.
-        match run(StreamHub::new(), &plan, &args.components, hub_timeout) {
+        match run(StreamHub::new(), &plan, &args.components, args.hub_timeout) {
             Ok(()) => ExitCode::SUCCESS,
             Err(code) => code,
         }

@@ -17,7 +17,7 @@ use sb_stream::{
     WriterOptions,
 };
 
-use crate::analysis::{AnalysisIssue, ArraySpec, Severity, Signature, StreamSpec};
+use crate::analysis::{ArraySpec, Signature, StreamSpec};
 use crate::error::{ComponentError, ComponentResult, StepResult};
 use crate::metrics::ComponentStats;
 
@@ -278,12 +278,11 @@ struct Contract {
 impl Contract {
     /// Re-derives the contract unless every read's meta still has the
     /// shape, dtype and labels it was derived from. A read the stream does
-    /// not carry, or a transfer error the analyser denies (SB006), fails
-    /// the step; an advisory one (SB007) derives no output metas.
+    /// not carry, or a transfer error (SB006), fails the step; the
+    /// signature's advisory check is the analyser's alone.
     fn refresh(
         &mut self,
         signature: &Signature,
-        label: &str,
         readers: &[StreamReader],
         comm: &Communicator,
     ) -> DataResult<()> {
@@ -317,17 +316,9 @@ impl Contract {
                     .map(|r| format!("{}:{}", r.stream, r.array))
                     .collect::<Vec<_>>()
                     .join(", ");
-                let detail = format!("input {stream:?}: {error}");
-                let component = label.to_string();
-                let issue = AnalysisIssue::Contract {
-                    component,
-                    stream,
-                    error,
-                };
-                if issue.severity() == Severity::Error {
-                    return Err(DataError::Contract { detail });
-                }
-                Vec::new()
+                return Err(DataError::Contract {
+                    detail: format!("input {stream:?}: {error}"),
+                });
             }
         };
         self.outputs = out_specs
@@ -598,7 +589,7 @@ where
         }
         let compute_ns = trace.now();
         contract
-            .refresh(signature, label, readers, comm)
+            .refresh(signature, readers, comm)
             .map_err(|e| ComponentError::from_step(label, step, e.into()))?;
         let mut io = StepIo {
             step,

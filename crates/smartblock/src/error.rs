@@ -204,9 +204,13 @@ pub type ComponentResult = Result<crate::ComponentStats, ComponentError>;
 /// Why a workflow run failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkflowError {
-    /// Static validation found fatal issues; nothing was launched.
+    /// The workflow was refused before anything launched: static
+    /// validation found fatal issues, or (from
+    /// [`crate::Workflow::from_script_file`]) its script could not be read,
+    /// lowered, or linted clean of errors.
     Invalid {
-        /// Rendered [`crate::AnalysisIssue`]s of [`crate::analysis::Severity::Error`].
+        /// One rendered reason each: an [`crate::AnalysisIssue`] of
+        /// [`crate::analysis::Severity::Error`], a script line, a lint.
         issues: Vec<String>,
     },
     /// A component failed and its [`crate::FaultPolicy`] could not absorb

@@ -270,6 +270,7 @@ impl Component for Histogram {
         let in_array = self.input.array.clone();
         let bins = self.num_bins;
         let has_output = self.output_stream.is_some();
+        let advised_array = in_array.clone();
         Signature::new(
             vec![
                 ReadSpec::new(&self.input.stream, &in_array, PartitionRule::Along(0))
@@ -284,18 +285,13 @@ impl Component for Histogram {
                                 got: spec.ndims(),
                             });
                         }
-                        if let Some(elements) = spec.total_elements() {
-                            if bins > elements {
-                                return Err(SpecError::DegenerateBins { bins, elements });
-                            }
-                        }
                     }
                 }
                 if !has_output {
                     return Ok(Vec::new());
                 }
                 // The output arrays are fixed by configuration, so they are
-                // known even when the input is opaque.
+                // known even when the input is opaque or too small.
                 let mut map = BTreeMap::new();
                 map.insert(
                     "counts".to_string(),
@@ -308,6 +304,11 @@ impl Component for Histogram {
                 Ok(vec![StreamSpec::Known(map)])
             },
         )
+        .with_advisory(move |ins| {
+            let spec = ins.first()?.array(&advised_array).ok()??;
+            let elements = spec.total_elements()?;
+            (bins > elements).then_some(SpecError::DegenerateBins { bins, elements })
+        })
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {

@@ -17,10 +17,18 @@
 //! process count, argument tokens — into a [`LaunchEntry`] without knowing
 //! any program, and [`LaunchEntry::build`] holds one arm per program that
 //! turns those tokens into its component. [`WorkflowPlan::from_script`]
-//! imports a whole script (the aprun lines plus `#@` directive comments)
-//! by tokenising each line; the `.sbw` compiler in [`crate::spec`]
-//! tokenises its `[[component]]` tables the same way. Both lower to one
-//! [`WorkflowPlan`].
+//! imports a whole script — the aprun lines plus `#@` directive comments —
+//! by tokenising each line, and lowers it to one [`WorkflowPlan`].
+//!
+//! The directives say what a workflow needs beyond its launch lines, one
+//! line each; old parsers skip them as comments:
+//!
+//! ```text
+//! #@ transport tcp://127.0.0.1:7654            (or shm://DIR)
+//! #@ policy gromacs restart:2:50               (abort | degrade | restart:N[:MS])
+//! #@ process viz magnitude,histogram
+//! #@ trigger when histogram.max > 100 then set_output_stride temporal-mean 4
+//! ```
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,15 +40,16 @@ use sb_stream::WriterOptions;
 use crate::component::{Component, StreamArray};
 use crate::plan::{plan_components, WorkflowPlan};
 use crate::supervisor::FaultPolicy;
+use crate::triggers::Trigger;
 use crate::workflows::Simulation;
 use crate::{
     AllInOne, BinaryOp, Combine, DimReduce, FileRead, FileWrite, Fork, Histogram, Magnitude,
     Predicate, Select, TemporalMean, Threshold,
 };
 
-/// Why one line of a launch description — a `.sb` script line or a `.sbw`
-/// table — does not lower to a [`WorkflowPlan`]: a syntax error, a bad
-/// argument, or a component that rejects its arguments.
+/// Why one line of a `.sb` launch script does not lower to a
+/// [`WorkflowPlan`]: a syntax error, a bad argument, or a component that
+/// rejects its arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchError {
     /// 1-based source line.
@@ -79,9 +88,9 @@ impl SimCode {
     }
 }
 
-/// One program invocation of a launch description, as tokens: what a `.sb`
-/// line or a `.sbw` `[[component]]` table says, before any program reads
-/// it. [`LaunchEntry::build`] is the one place the tokens meet a component.
+/// One program invocation of a launch script, as tokens: what a `.sb` line
+/// says, before any program reads it. [`LaunchEntry::build`] is the one
+/// place the tokens meet a component.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchEntry {
     /// Process count from `-n`.
@@ -97,15 +106,13 @@ pub struct LaunchEntry {
     pub options: BTreeMap<String, String>,
     /// The `< file` operand, if present (recorded, not read).
     pub stdin: Option<String>,
-    /// 1-based source line of the invocation (the aprun line of a `.sb`
-    /// script, the `[[component]]` header of a `.sbw` spec), threaded into
-    /// lint diagnostics.
+    /// 1-based script line of the invocation, threaded into lint
+    /// diagnostics.
     pub line: usize,
 }
 
 /// The fault policy the workflow applies to one component: a
-/// `#@ policy LABEL abort|degrade|restart:N[:BACKOFF_MS]` directive or a
-/// `[policy.LABEL]` table.
+/// `#@ policy LABEL abort|degrade|restart:N[:BACKOFF_MS]` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyDirective {
     /// The component label the policy targets.
@@ -117,8 +124,7 @@ pub struct PolicyDirective {
 }
 
 /// One process of a distributed deployment and the component labels
-/// assigned to it: a `#@ process NAME member[,member...]` directive or a
-/// `[process.NAME]` table.
+/// assigned to it: a `#@ process NAME member[,member...]` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessDirective {
     /// Process name (the `--only` selection key).
@@ -129,10 +135,10 @@ pub struct ProcessDirective {
     pub line: usize,
 }
 
-/// Workflow-level directives: `#@ key value` comment lines of a `.sb`
-/// script (invisible to the per-line grammar; old parsers skip them as
-/// comments) or the `[transport]`/`[policy.*]`/`[process.*]` tables of a
-/// `.sbw` spec.
+/// Workflow-level directives: the `#@ transport`, `#@ policy` and
+/// `#@ process` comment lines of a `.sb` script (invisible to the per-line
+/// grammar; old parsers skip them as comments). `#@ trigger` lines lower to
+/// [`WorkflowPlan::triggers`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScriptDirectives {
     /// `#@ transport tcp://host:port` — the broker endpoint a multi-process
@@ -147,19 +153,6 @@ pub struct ScriptDirectives {
     pub policies: Vec<PolicyDirective>,
     /// Process directives, in source order.
     pub processes: Vec<ProcessDirective>,
-}
-
-impl ScriptDirectives {
-    /// Records a transport endpoint declared at `line`, rejecting a
-    /// malformed URL.
-    pub(crate) fn declare_transport(&mut self, url: &str, line: usize) -> Result<(), LaunchError> {
-        validate_transport_url(url).map_err(|detail| err(line, detail))?;
-        if self.transport.is_none() {
-            self.transport = Some(url.to_string());
-        }
-        self.transports.push((url.to_string(), line));
-        Ok(())
-    }
 }
 
 /// Parses the policy spec of a `#@ policy` directive (also used by
@@ -236,24 +229,46 @@ impl WorkflowPlan {
     /// Imports an aprun-style `.sb` launch script — the paper's Fig. 8
     /// grammar plus `#@` directive comments — as a plan. A line that does
     /// not tokenise (a bad `-n`, a missing program, a dangling `<`) or a
-    /// malformed directive (unknown key, missing value, bad transport URL)
-    /// stops the import at that line; otherwise every entry a program
-    /// refuses is reported, each on its own line. So linted scripts are
-    /// deployable as written; `wait`, comments and blank lines are skipped.
+    /// malformed directive (unknown key, missing value, bad transport URL,
+    /// a trigger clause that does not parse) stops the import at that
+    /// line; otherwise every entry a program refuses is reported, each on
+    /// its own line. So linted scripts are deployable as written; `wait`,
+    /// comments and blank lines are skipped.
     pub fn from_script(text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
-        let (entries, directives) = import_script(text).map_err(|e| vec![e])?;
+        let (entries, directives, triggers) = import_script(text).map_err(|e| vec![e])?;
         Ok(WorkflowPlan {
             components: plan_components(entries)?,
             directives,
-            ..WorkflowPlan::default()
+            triggers,
         })
     }
 }
 
-/// Tokenises script lines into launch entries and `#@` directives.
-fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), LaunchError> {
+/// Parses the body of a `#@ trigger when <component>.<signal> <op> <value>
+/// then <action>` directive (the tokens after `trigger`) with
+/// [`Trigger::parse_when`] and [`Trigger::parse_then`].
+fn parse_trigger(toks: &[&str], line: usize) -> Result<Trigger, LaunchError> {
+    let usage = "usage: #@ trigger when COMPONENT.SIGNAL OP VALUE then ACTION";
+    let (Some(&"when"), Some(then)) = (toks.first(), toks.iter().position(|t| *t == "then")) else {
+        return Err(err(line, usage));
+    };
+    let when = toks[1..then].join(" ");
+    let (component, signal, op, value) =
+        Trigger::parse_when(&when).map_err(|detail| err(line, detail))?;
+    let action = Trigger::parse_then(&toks[then + 1..].join(" ")).map_err(|d| err(line, d))?;
+    let mut trigger = Trigger::new(component, signal, op, value, action);
+    trigger.line = line;
+    Ok(trigger)
+}
+
+/// Tokenises script lines into launch entries, `#@` directives and
+/// `#@ trigger` clauses.
+fn import_script(
+    text: &str,
+) -> Result<(Vec<LaunchEntry>, ScriptDirectives, Vec<Trigger>), LaunchError> {
     let mut entries = Vec::new();
     let mut directives = ScriptDirectives::default();
+    let mut triggers = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
         let mut s = raw.trim();
@@ -264,7 +279,11 @@ fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), Lau
                     let (Some(url), None) = (toks.next(), toks.next()) else {
                         return Err(err(line, "usage: #@ transport tcp://host:port | shm://DIR"));
                     };
-                    directives.declare_transport(url, line)?;
+                    validate_transport_url(url).map_err(|detail| err(line, detail))?;
+                    if directives.transport.is_none() {
+                        directives.transport = Some(url.to_string());
+                    }
+                    directives.transports.push((url.to_string(), line));
                 }
                 Some("policy") => {
                     let (Some(label), Some(spec), None) = (toks.next(), toks.next(), toks.next())
@@ -300,6 +319,9 @@ fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), Lau
                         members,
                         line,
                     });
+                }
+                Some("trigger") => {
+                    triggers.push(parse_trigger(&toks.collect::<Vec<_>>(), line)?);
                 }
                 Some(other) => {
                     return Err(err(line, format!("unknown directive {other:?}")));
@@ -337,17 +359,17 @@ fn import_script(text: &str) -> Result<(Vec<LaunchEntry>, ScriptDirectives), Lau
         let program = tokens.remove(0);
         entries.push(LaunchEntry::tokenise(nranks, program, &tokens, line)?);
     }
-    Ok((entries, directives))
+    Ok((entries, directives, triggers))
 }
 
 /// A positional count no program bounds.
 const MANY: usize = usize::MAX;
 
 impl LaunchEntry {
-    /// Tokenises one program invocation, shared by both front-ends:
-    /// `program` launched on `nranks` processes with `args`, each one token
-    /// — a positional, a `key=value` option, or an `< file` redirect. `line`
-    /// is the invocation's source line. Nothing here knows any program.
+    /// Tokenises one program invocation: `program` launched on `nranks`
+    /// processes with `args`, each one token — a positional, a `key=value`
+    /// option, or an `< file` redirect. `line` is the invocation's script
+    /// line. Nothing here knows any program.
     pub(crate) fn tokenise(
         nranks: usize,
         program: &str,
@@ -801,41 +823,50 @@ mod tests {
         );
     }
 
-    /// Every program through both front-ends: a `.sb` line and its
-    /// `[[component]]` twin tokenise to equal entries, and a component
-    /// rebuilt from the entry declares the same wiring as the plan's
-    /// instance, options applied.
+    /// Every program from its script line: the planned component declares
+    /// the expected wiring, options applied, and a component rebuilt from
+    /// the entry declares the same.
     #[test]
-    fn every_program_lowers_alike_from_both_front_ends() {
-        let cases: &[(&str, &str, Wiring)] = &[
+    fn every_program_lowers_from_its_script_line() {
+        let cases: &[(&str, Wiring)] = &[
             (
                 "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz group=g queue=3",
-                "program = \"select\"\nranks = 2\nargs = [\"dump.fp\", \"atoms\", \"1\", \"sel.fp\", \"v\", \"vx\", \"vy\", \"vz\"]\ngroup = \"g\"\nqueue = 3",
-                ("select".into(), vec![sub("dump.fp", "g")], strings(&["sel.fp"])),
+                (
+                    "select".into(),
+                    vec![sub("dump.fp", "g")],
+                    strings(&["sel.fp"]),
+                ),
             ),
             (
                 "magnitude sel.fp v mag.fp speed rendezvous=1",
-                "program = \"magnitude\"\nargs = [\"sel.fp\", \"v\", \"mag.fp\", \"speed\"]\nrendezvous = true",
-                ("magnitude".into(), vec![sub("sel.fp", "default")], strings(&["mag.fp"])),
+                (
+                    "magnitude".into(),
+                    vec![sub("sel.fp", "default")],
+                    strings(&["mag.fp"]),
+                ),
             ),
             (
                 "dim-reduce a.fp x 2 1 b.fp y groups=2",
-                "program = \"dim-reduce\"\nargs = [\"a.fp\", \"x\", \"2\", \"1\", \"b.fp\", \"y\"]\ngroups = 2",
-                ("dim-reduce".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+                (
+                    "dim-reduce".into(),
+                    vec![sub("a.fp", "default")],
+                    strings(&["b.fp"]),
+                ),
             ),
             (
                 "histogram a.fp x 8 /tmp/h.txt group=h",
-                "program = \"histogram\"\nargs = [\"a.fp\", \"x\", \"8\", \"/tmp/h.txt\"]\ngroup = \"h\"",
                 ("histogram".into(), vec![sub("a.fp", "h")], vec![]),
             ),
             (
                 "threshold a.fp x abs-gt 2.5 b.fp y",
-                "program = \"threshold\"\nargs = [\"a.fp\", \"x\", \"abs-gt\", \"2.5\", \"b.fp\", \"y\"]",
-                ("threshold".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+                (
+                    "threshold".into(),
+                    vec![sub("a.fp", "default")],
+                    strings(&["b.fp"]),
+                ),
             ),
             (
                 "combine a.fp x sub b.fp y c.fp z group=l rgroup=r",
-                "program = \"combine\"\nargs = [\"a.fp\", \"x\", \"sub\", \"b.fp\", \"y\", \"c.fp\", \"z\", \"rgroup=r\"]\ngroup = \"l\"",
                 (
                     "combine".into(),
                     vec![sub("a.fp", "l"), sub("b.fp", "r")],
@@ -844,65 +875,51 @@ mod tests {
             ),
             (
                 "temporal-mean a.fp x 3 b.fp y stride=2",
-                "program = \"temporal-mean\"\nargs = [\"a.fp\", \"x\", \"3\", \"b.fp\", \"y\"]\nstride = 2",
-                ("temporal-mean".into(), vec![sub("a.fp", "default")], strings(&["b.fp"])),
+                (
+                    "temporal-mean".into(),
+                    vec![sub("a.fp", "default")],
+                    strings(&["b.fp"]),
+                ),
             ),
             (
                 "fork in.fp a.fp b.fp queue=2",
-                "program = \"fork\"\nargs = [\"in.fp\", \"a.fp\", \"b.fp\"]\nqueue = 2",
-                ("fork".into(), vec![sub("in.fp", "fork")], strings(&["a.fp", "b.fp"])),
+                (
+                    "fork".into(),
+                    vec![sub("in.fp", "fork")],
+                    strings(&["a.fp", "b.fp"]),
+                ),
             ),
             (
                 "aio dump.fp atoms 16 vx vy vz group=a",
-                "program = \"aio\"\nargs = [\"dump.fp\", \"atoms\", \"16\", \"vx\", \"vy\", \"vz\"]\ngroup = \"a\"",
                 ("all-in-one".into(), vec![sub("dump.fp", "a")], vec![]),
             ),
             (
                 "file-write b.fp /tmp/out.sbc",
-                "program = \"file-write\"\nargs = [\"b.fp\", \"/tmp/out.sbc\"]",
                 ("file-write".into(), vec![sub("b.fp", "default")], vec![]),
             ),
             (
                 "file-read /tmp/out.sbc replay.fp rendezvous=0",
-                "program = \"file-read\"\nargs = [\"/tmp/out.sbc\", \"replay.fp\"]\nrendezvous = false",
                 ("file-read".into(), vec![], strings(&["replay.fp"])),
             ),
             (
                 "aprun -n 4 lammps nx=8 steps=2 < in.cracksm",
-                "program = \"lammps\"\nranks = 4\nargs = [\"nx=8\", \"steps=2\", \"<\", \"in.cracksm\"]",
                 ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
             ),
             (
                 "gtcp slices=4 queue=2 group=any",
-                "program = \"gtcp\"\nargs = [\"slices=4\"]\nqueue = 2\ngroup = \"any\"",
                 ("gtcp".into(), vec![], strings(&["gtcp.fp"])),
             ),
             (
                 "gromacs chains=2 stream=g2.fp rendezvous=1",
-                "program = \"gromacs\"\nargs = [\"chains=2\", \"stream=g2.fp\"]\nrendezvous = true",
                 ("gromacs".into(), vec![], strings(&["g2.fp"])),
             ),
         ];
         let mut covered = BTreeSet::new();
-        for (line, table, expected) in cases {
-            let script =
-                WorkflowPlan::from_script(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
-            let spec = WorkflowPlan::from_spec(&format!("[[component]]\n{table}\n"))
-                .unwrap_or_else(|e| panic!("{table}: {e:?}"));
-            let (a, b): (&PlannedComponent, &PlannedComponent) =
-                (&script.components[0], &spec.components[0]);
-            assert_eq!((script.components.len(), spec.components.len()), (1, 1));
-            assert_eq!(
-                a.entry,
-                LaunchEntry {
-                    line: 1,
-                    ..b.entry.clone()
-                },
-                "{line}"
-            );
-            assert_eq!(a.label, b.label, "{line}");
+        for (line, expected) in cases {
+            let plan = WorkflowPlan::from_script(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!(plan.components.len(), 1, "{line}");
+            let a: &PlannedComponent = &plan.components[0];
             assert_eq!(&wiring(&*a.component), expected, "{line}");
-            assert_eq!(&wiring(&*b.component), expected, "{table}");
             let rebuilt = a.entry.build().unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(&wiring(&*rebuilt), expected, "{line}");
             covered.insert(a.entry.program.as_str().to_owned());
@@ -910,35 +927,6 @@ mod tests {
         let names: BTreeSet<String> = grammar_names().into_iter().map(String::from).collect();
         assert_eq!(covered, names);
         assert_eq!(names.len(), 14);
-    }
-
-    #[test]
-    fn spec_schema_names_exactly_the_programs_launch_accepts() {
-        let schema = include_str!("../../../schemas/smartblock.spec.v1.json");
-        // The `program` property's description lists the names in
-        // parentheses: `a simulation (lammps, …) or a component (select, …)`.
-        let (_, program) = schema.split_once("\"program\": {").unwrap();
-        let (_, description) = program.split_once("\"description\": \"").unwrap();
-        let (description, _) = description.split_once('"').unwrap();
-        let schema: BTreeSet<&str> = description
-            .split('(')
-            .skip(1)
-            .flat_map(|group| group.split(')').next().unwrap().split(','))
-            .map(str::trim)
-            .collect();
-        // The names `LaunchEntry::build` matches on, read off its arms...
-        let grammar = grammar_names();
-        // ...and `build` itself, so a schema name no arm matches fails by
-        // name and a misread arm cannot pass.
-        for name in schema.union(&grammar) {
-            let entry = LaunchEntry::tokenise(1, name, &[], 1).unwrap();
-            let accepted = match entry.build() {
-                Ok(_) => true,
-                Err(e) => !e.detail.starts_with("unknown program"),
-            };
-            assert!(accepted, "build rejects {name:?}");
-        }
-        assert_eq!(schema, grammar);
     }
 
     /// Whatever the tokeniser cannot read stops the import; everything a
@@ -1109,12 +1097,69 @@ mod tests {
             ("#@ policy a abort extra", "trailing token on policy"),
             ("#@ process viz", "process without members"),
             ("#@ process", "process without name"),
+            ("#@ trigger", "trigger without clauses"),
+            (
+                "#@ trigger histogram.max > 1 then snapshot_stream a b",
+                "no when",
+            ),
+            ("#@ trigger when histogram.max > 1", "no then"),
+            (
+                "#@ trigger when histogram.max ~ 1 then snapshot_stream a b",
+                "bad operator",
+            ),
+            (
+                "#@ trigger when histogram.max > 1 then explode",
+                "bad action",
+            ),
         ] {
             assert!(
                 WorkflowPlan::from_script(script).is_err(),
                 "should reject: {what}"
             );
         }
+    }
+
+    /// A `#@ trigger` line lowers to the very `Trigger` that
+    /// `Trigger::parse_when` / `parse_then` give for its two clauses, on
+    /// its script line; a clause that does not parse is a line-attributed
+    /// SB000 carrying the clause parser's reason.
+    #[test]
+    fn trigger_directive_lowers_through_the_clause_parsers() {
+        let script = "histogram a.fp x 4 &\n\
+                      #@ trigger when histogram.max >= 2.5 then set_output_stride temporal-mean 4\n\
+                      #@ trigger  when  histogram.nan_count > 0  then  raise_fault_policy histogram restart:2:50";
+        let plan = WorkflowPlan::from_script(script).unwrap();
+        let expected: Vec<Trigger> = [
+            (
+                "histogram.max >= 2.5",
+                "set_output_stride temporal-mean 4",
+                2,
+            ),
+            (
+                "histogram.nan_count > 0",
+                "raise_fault_policy histogram restart:2:50",
+                3,
+            ),
+        ]
+        .into_iter()
+        .map(|(when, then, line)| {
+            let (component, signal, op, value) = Trigger::parse_when(when).unwrap();
+            let action = Trigger::parse_then(then).unwrap();
+            Trigger {
+                line,
+                ..Trigger::new(component, signal, op, value, action)
+            }
+        })
+        .collect();
+        assert_eq!(plan.triggers, expected);
+        assert_eq!(plan.components.len(), 1, "directives are not entries");
+
+        let script = "histogram a.fp x 4\n#@ trigger when histogram.max > x then snapshot_stream a.fp /tmp/s";
+        let lint = crate::lint_source("t.sb", script, &crate::LintConfig::default());
+        assert_eq!(
+            lint.render_text(),
+            "t.sb:2: error[SB000]: bad threshold \"x\" (a number)\n"
+        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! Workflows are assembled exactly as in the paper: a launch script names
 //! each component, its process count, and its input/output stream and array
-//! names ([`launch`] imports the `aprun`-style grammar of Figs. 1–3 and 8;
-//! [`spec`] compiles the declarative `.sbw` form; both lower to one typed
+//! names ([`launch`] imports the `aprun`-style grammar of Figs. 1–3 and 8,
+//! whose `#@` directive comments add transport, fault policies, process
+//! groups and DIVA-style triggers, and lowers it to one typed
 //! [`WorkflowPlan`]); the [`runtime`] launches every component of the
 //! workflow simultaneously and FlexPath-style blocking connects them in
 //! any order.
@@ -85,7 +86,6 @@ pub mod metrics;
 pub mod plan;
 pub mod runtime;
 pub mod select;
-pub mod spec;
 pub mod supervisor;
 pub mod temporal;
 pub mod threshold;
@@ -111,7 +111,6 @@ pub use metrics::{ComponentOutcome, ComponentReport, ComponentStats, WorkflowRep
 pub use plan::{PlannedComponent, WorkflowPlan};
 pub use runtime::{WiringIssue, Workflow};
 pub use select::Select;
-pub use spec::{SpecIssue, SpecLoadError};
 pub use supervisor::{FailureAction, FaultPolicy, RunOptions, Validation};
 pub use temporal::TemporalMean;
 pub use threshold::{Predicate, Threshold};
@@ -139,10 +138,7 @@ pub mod prelude {
         FailureAction, FaultPolicy, HistogramResult, RunOptions, StepError, StepResult, Validation,
         WorkflowError, WorkflowReport,
     };
-    pub use crate::{
-        LaunchError, SpecIssue, SpecLoadError, Trigger, TriggerAction, TriggerFire, TriggerOp,
-        WorkflowPlan,
-    };
+    pub use crate::{LaunchError, Trigger, TriggerAction, TriggerFire, TriggerOp, WorkflowPlan};
     pub use sb_stream::{
         EventKind, FaultKind, FaultPlan, StepStatus, StreamError, StreamHub, Timeline, TraceConfig,
         WriterOptions,

@@ -2,23 +2,19 @@
 //!
 //! The paper's claim is that a workflow is *assembled*, not programmed: one
 //! launch description names generic components and the streams between
-//! them. This crate reads two such descriptions — the aprun-style `.sb`
-//! script of the paper's Fig. 8 ([`WorkflowPlan::from_script`]) and the
-//! declarative `.sbw` spec ([`WorkflowPlan::from_spec`]) — and both lower,
-//! once, to the same plan. Everything downstream consumes that value and
-//! nothing else: `sb-lint` lints it
-//! ([`lint_plan`](crate::analysis::lint_plan)), `sb-run` and
-//! [`Workflow::from_spec`] build their workflow from it
-//! ([`WorkflowPlan::workflow`]). Whatever means to run a plan takes it from
-//! [`WorkflowPlan::load`], which refuses deny-level spec issues; the linter
-//! takes it from [`WorkflowPlan::lower`], which keeps them to report.
+//! them. That description is the aprun-style `.sb` script of the paper's
+//! Fig. 8, and it lowers once ([`WorkflowPlan::from_script`]) to a plan.
+//! Everything downstream consumes that value and nothing else: `sb-lint`
+//! lints it ([`lint_plan`]), and `sb-run` and
+//! [`Workflow::from_script_file`] lint it the same way, then build their
+//! workflow from it ([`WorkflowPlan::workflow`]).
 //!
 //! ## Multi-process deployment
 //!
 //! The paper's deployment model is one OS process (group) per component,
 //! wired only by stream names over the network. In process, the whole plan
 //! becomes one [`Workflow`]; across processes, every participant loads the
-//! *same* source, and each runs only its assigned components:
+//! *same* script, and each runs only its assigned components:
 //!
 //! ```text
 //! terminal 1:  sb-run --script wf.sb --serve 127.0.0.1:7654 --components lammps
@@ -26,7 +22,7 @@
 //!                     --components select,magnitude,histogram
 //! ```
 //!
-//! The shared source is the single source of truth for wiring, so the plan
+//! The shared script is the single source of truth for wiring, so the plan
 //! assigns every entry the *same* label in every process (the dedup
 //! suffixes `-2`, `-3`, … are the ones [`Workflow::add`] derives);
 //! component assignment is then by label, and [`WorkflowPlan::workflow`]
@@ -36,15 +32,16 @@
 //! the full plan instead).
 
 use std::fmt;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
-use sb_stream::{Compression, StreamHub, TraceConfig, WireProtocol};
+use sb_stream::StreamHub;
 
+use crate::analysis::{lint_plan, LintConfig};
 use crate::component::Component;
-use crate::launch::{err, LaunchEntry, LaunchError, ScriptDirectives};
+use crate::error::WorkflowError;
+use crate::launch::{LaunchEntry, LaunchError, ScriptDirectives};
 use crate::runtime::{unique_label, Workflow};
-use crate::spec::SpecIssue;
 use crate::triggers::Trigger;
 
 /// One launch entry with the label every process agrees on.
@@ -72,28 +69,15 @@ impl fmt::Debug for PlannedComponent {
 }
 
 /// A whole workflow as data: what to launch, how it is partitioned and
-/// supervised, and the run defaults its source declared.
+/// supervised, and what reacts to its signals.
 #[derive(Debug, Clone, Default)]
 pub struct WorkflowPlan {
-    /// The `[workflow] name`, when declared.
-    pub name: Option<String>,
     /// Components in launch order, with the labels every process agrees on.
     pub components: Vec<PlannedComponent>,
     /// Transport, policy, and process directives.
     pub directives: ScriptDirectives,
-    /// Reactive trigger clauses, in declaration order (a `.sb` script
-    /// cannot declare any).
+    /// Reactive `#@ trigger` clauses, in declaration order.
     pub triggers: Vec<Trigger>,
-    /// The `[trace]` table, when present and enabled.
-    pub trace: Option<TraceConfig>,
-    /// The `[transport] timeout_secs`, when declared.
-    pub hub_timeout: Option<Duration>,
-    /// The `[transport] protocol`, when declared.
-    pub protocol: Option<WireProtocol>,
-    /// The `[transport] compression`, when declared.
-    pub compression: Option<Compression>,
-    /// Spec-level issues (SB018–SB020), in source order.
-    pub issues: Vec<SpecIssue>,
 }
 
 /// Plans `entries`: builds each component once with
@@ -129,43 +113,6 @@ pub(crate) fn plan_components(
 }
 
 impl WorkflowPlan {
-    /// Lowers workflow source text to a plan, choosing the front-end by the
-    /// source name: `*.sbw` compiles as a declarative spec, anything else
-    /// imports as an aprun-style launch script. `Err` lists every line
-    /// that stopped the lowering. The plan keeps its spec-level issues,
-    /// deny-level ones included, so a linter can report them all; anything
-    /// that means to *run* the plan wants [`WorkflowPlan::load`].
-    pub fn lower(name: &str, text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
-        if name.ends_with(".sbw") {
-            WorkflowPlan::from_spec(text)
-        } else {
-            WorkflowPlan::from_script(text)
-        }
-    }
-
-    /// Lowers workflow source text to a plan that may run:
-    /// [`WorkflowPlan::lower`], then [`WorkflowPlan::runnable`].
-    pub fn load(name: &str, text: &str) -> Result<WorkflowPlan, Vec<LaunchError>> {
-        WorkflowPlan::lower(name, text)?.runnable()
-    }
-
-    /// Refuses a plan that carries deny-level spec issues (an undeclared
-    /// trigger reference, conflicting constructs): each becomes one error
-    /// on the issue's own line. Warn-level issues (unknown keys) pass.
-    pub fn runnable(self) -> Result<WorkflowPlan, Vec<LaunchError>> {
-        let denied: Vec<LaunchError> = self
-            .issues
-            .iter()
-            .filter(|i| i.is_deny())
-            .map(|i| err(i.line(), i.to_string()))
-            .collect();
-        if denied.is_empty() {
-            Ok(self)
-        } else {
-            Err(denied)
-        }
-    }
-
     /// Whether a component labelled `label` is planned.
     pub fn declares(&self, label: &str) -> bool {
         self.components.iter().any(|c| c.label == label)
@@ -179,8 +126,9 @@ impl WorkflowPlan {
     /// targets as SB014).
     ///
     /// `Err` names the unknown label when `select` asks for a component
-    /// the plan does not contain. Spec issues are not consulted here: take
-    /// the plan from [`WorkflowPlan::load`], which refuses deny-level ones.
+    /// the plan does not contain. Lints are not consulted here: whatever
+    /// means to run a whole plan lints it first, as `sb-run` and
+    /// [`Workflow::from_script_file`] do.
     pub fn workflow(&self, hub: Arc<StreamHub>, select: &[String]) -> Result<Workflow, String> {
         for wanted in select {
             if !self.declares(wanted) {
@@ -217,9 +165,42 @@ impl WorkflowPlan {
         for trigger in &self.triggers {
             wf.add_trigger(trigger.clone());
         }
-        wf.default_trace = self.trace.clone();
-        wf.default_hub_timeout = self.hub_timeout;
         Ok(wf)
+    }
+}
+
+impl Workflow {
+    /// Loads a `.sb` launch script into a ready-to-run in-process
+    /// workflow: components, policies and triggers applied. With the
+    /// prelude in scope, the two-line entry point is:
+    ///
+    /// ```ignore
+    /// let wf = Workflow::from_script_file("pipeline.sb")?;
+    /// let report = wf.run_with(RunOptions::default())?;
+    /// ```
+    ///
+    /// The script is refused, as `sb-run` refuses it, when it cannot be
+    /// read, when a line does not lower, or when the whole plan has an
+    /// error-level lint; [`WorkflowError::Invalid`] lists each reason. The
+    /// `#@ transport` endpoint is *not* dialed here: a single process runs
+    /// the whole workflow in memory, and `sb-run` uses the URL for
+    /// multi-process deployments.
+    #[allow(clippy::result_large_err)]
+    pub fn from_script_file(path: impl AsRef<Path>) -> Result<Workflow, WorkflowError> {
+        let name = path.as_ref().display().to_string();
+        let invalid = |issues: Vec<String>| WorkflowError::Invalid { issues };
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| invalid(vec![format!("reading {name:?}: {e}")]))?;
+        let plan = WorkflowPlan::from_script(&text)
+            .map_err(|errors| invalid(errors.iter().map(LaunchError::to_string).collect()))?;
+        let lint = lint_plan(&name, &plan, &LintConfig::new());
+        if lint.errors() > 0 {
+            return Err(invalid(
+                lint.render_text().lines().map(String::from).collect(),
+            ));
+        }
+        plan.workflow(StreamHub::new(), &[])
+            .map_err(|detail| invalid(vec![detail]))
     }
 }
 
@@ -277,49 +258,13 @@ mod tests {
         assert!(err.contains("nope"), "{err}");
     }
 
-    #[test]
-    fn scripts_and_specs_load_to_the_same_plan() {
-        const SPEC: &str = r#"
-[transport]
-url = "tcp://127.0.0.1:7654"
-protocol = "v1"
-timeout_secs = 9
-
-[[component]]
-program = "gromacs"
-ranks = 2
-args = ["chains=4", "len=4", "steps=3", "interval=2"]
-
-[[component]]
-program = "magnitude"
-ranks = 2
-args = ["gromacs.fp", "coords", "m.fp", "r"]
-
-[[component]]
-program = "histogram"
-args = ["m.fp", "r", "4"]
-"#;
-        let script = WorkflowPlan::load("wf.sb", SCRIPT).unwrap();
-        let spec = WorkflowPlan::load("wf.sbw", SPEC).unwrap();
-        assert_eq!(labels(&script), labels(&spec));
-        assert_eq!(script.directives.transport, spec.directives.transport);
-        assert_eq!(spec.protocol, Some(WireProtocol::V1));
-        assert_eq!(spec.hub_timeout, Some(Duration::from_secs(9)));
-        assert!(script.protocol.is_none(), "scripts carry no wire options");
-
-        let wf = spec.workflow(StreamHub::new(), &[]).unwrap();
-        assert_eq!(wf.labels(), vec!["gromacs", "magnitude", "histogram"]);
-    }
-
     /// Every rejected entry is reported on its own line, with the
-    /// component's reason, in either language — and never as a panic.
+    /// component's reason — and never as a panic.
     #[test]
     fn rejected_arguments_are_one_typed_error_per_entry() {
         let script = "histogram a.fp x 0\nmagnitude a.fp x b.fp y queue=lots\nhistogram b.fp y 4\n\
                       magnitude a.fp x";
-        let spec = "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"0\"]\n\n\
-                    [[component]]\nprogram = \"aio\"\nargs = [\"a.fp\", \"x\", \"0\", \"vx\"]\n";
-        let errors = WorkflowPlan::load("bad.sb", script).unwrap_err();
+        let errors = WorkflowPlan::from_script(script).unwrap_err();
         assert_eq!(errors.len(), 3, "{errors:?}");
         assert_eq!(errors[0].line, 1);
         assert_eq!(
@@ -335,23 +280,50 @@ args = ["m.fp", "r", "4"]
             errors[2].detail,
             "usage: magnitude in-stream in-array out-stream out-array"
         );
-        let errors = WorkflowPlan::load("bad.sbw", spec).unwrap_err();
-        assert_eq!(errors.iter().map(|e| e.line).collect::<Vec<_>>(), [1, 5]);
-        assert!(errors[0].detail.contains("at least one bin"), "{errors:?}");
     }
 
-    /// Deny-level spec issues stop the loader every runner goes through,
-    /// on the issue's own line; the lint front door keeps them as issues.
+    /// The file loader refuses what `sb-run` refuses — an undeclared
+    /// trigger reference (SB019), a second policy for one component
+    /// (SB020) — naming the script line; a clean script loads and runs.
     #[test]
-    fn loader_refuses_deny_level_spec_issues() {
-        const SPEC: &str = "[[component]]\nprogram = \"histogram\"\nargs = [\"a.fp\", \"x\", \"4\"]\n\n\
-                            [[trigger]]\nwhen = \"ghost.max > 1\"\nthen = \"snapshot_stream a.fp /tmp/x\"\n";
-        let errors = WorkflowPlan::load("bad.sbw", SPEC).unwrap_err();
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert_eq!(errors[0].line, 5);
-        assert!(errors[0].detail.contains("ghost"), "{errors:?}");
-        let plan = WorkflowPlan::lower("bad.sbw", SPEC).unwrap();
-        assert!(plan.issues[0].is_deny(), "{:?}", plan.issues);
+    fn file_loader_refuses_error_level_lints_on_their_lines() {
+        const CLEAN: &str = "gromacs chains=4 len=4 steps=2 interval=2\n\
+                             magnitude gromacs.fp coords m.fp r\n\
+                             histogram m.fp r 4\n";
+        let dir = std::env::temp_dir().join(format!("sb-plan-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, text: String| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        for (name, directive, needle) in [
+            (
+                "ghost.sb",
+                "#@ trigger when ghost.max > 1 then snapshot_stream m.fp /tmp/x",
+                ":1: error[SB019]: trigger references component \"ghost\"",
+            ),
+            (
+                "twice.sb",
+                "#@ policy gromacs restart:2\n#@ policy gromacs abort",
+                ":2: error[SB020]: ",
+            ),
+        ] {
+            let path = write(name, format!("{directive}\n{CLEAN}"));
+            let issues = match Workflow::from_script_file(&path) {
+                Err(WorkflowError::Invalid { issues }) => issues,
+                Err(e) => panic!("{name}: {e}"),
+                Ok(_) => panic!("{name} must be refused"),
+            };
+            assert_eq!(issues.len(), 1, "{issues:?}");
+            assert!(issues[0].contains(needle), "{issues:?}");
+        }
+        let wf = Workflow::from_script_file(write("clean.sb", CLEAN.to_string())).unwrap();
+        let report = wf.run_with(RunOptions::new()).unwrap();
+        assert_eq!(report.component("histogram").unwrap().stats.steps, 2);
+        let missing = Workflow::from_script_file(dir.join("missing.sb"));
+        assert!(matches!(missing, Err(WorkflowError::Invalid { .. })));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

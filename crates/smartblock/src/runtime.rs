@@ -213,12 +213,6 @@ pub struct Workflow {
     policies: BTreeMap<String, FaultPolicy>,
     /// Reactive trigger clauses, evaluated against published signals.
     triggers: Vec<Trigger>,
-    /// Trace config a `.sbw` spec declared; consulted when
-    /// [`RunOptions::trace`] is `None` (before the `SB_TRACE` fallback).
-    pub(crate) default_trace: Option<TraceConfig>,
-    /// Hub timeout a `.sbw` spec declared; consulted when
-    /// [`RunOptions::hub_timeout`] is `None`.
-    pub(crate) default_hub_timeout: Option<Duration>,
 }
 
 impl Default for Workflow {
@@ -241,8 +235,6 @@ impl Workflow {
             entries: Vec::new(),
             policies: BTreeMap::new(),
             triggers: Vec::new(),
-            default_trace: None,
-            default_hub_timeout: None,
         }
     }
 
@@ -441,20 +433,17 @@ impl Workflow {
             entries,
             policies,
             triggers,
-            default_trace,
-            default_hub_timeout,
         } = self;
-        if let Some(timeout) = options.hub_timeout.or(default_hub_timeout) {
+        if let Some(timeout) = options.hub_timeout {
             hub.set_wait_timeout(timeout);
         }
         // Arm the tracer before any component thread spawns so the very
-        // first step is on the timeline. Precedence: RunOptions, then the
-        // spec's `[trace]` table, then `SB_TRACE` (non-empty, not "0"),
-        // which enables the default config without touching call sites.
+        // first step is on the timeline. Precedence: RunOptions, then
+        // `SB_TRACE` (non-empty, not "0"), which enables the default config
+        // without touching call sites.
         let trace_config = options
             .trace
             .clone()
-            .or(default_trace)
             .or_else(|| match std::env::var("SB_TRACE") {
                 Ok(v) if !v.is_empty() && v != "0" => Some(TraceConfig::new()),
                 _ => None,

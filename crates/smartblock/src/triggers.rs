@@ -13,6 +13,10 @@
 //! * `raise_fault_policy LABEL SPEC` — swap the component's fault policy
 //!   (e.g. escalate `degrade` to `restart:3`) before the next failure.
 //!
+//! A launch script declares a clause in one directive line,
+//! `#@ trigger when histogram.max > 100 then set_output_stride temporal-mean 4`;
+//! [`crate::Workflow::add_trigger`] adds one programmatically.
+//!
 //! Evaluation is *synchronous in the publishing thread*: the signal board's
 //! hook runs at the publication point, so a trigger firing at step `k`
 //! takes effect before the publisher commits step `k` downstream — the
@@ -146,7 +150,7 @@ pub struct Trigger {
     pub value: f64,
     /// What happens when the condition first holds.
     pub action: TriggerAction,
-    /// 1-based spec line the trigger came from (0 when built
+    /// 1-based script line of its `#@ trigger` directive (0 when built
     /// programmatically), threaded into lint diagnostics.
     pub line: usize,
 }

@@ -8,31 +8,13 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A LAMMPS pipeline that streams until something stops it.
-fn endless_spec(hist: &Path) -> String {
+fn endless_script(hist: &Path) -> String {
     format!(
-        r#"[workflow]
-name = "broker-death"
-
-[[component]]
-program = "lammps"
-ranks = 1
-args = ["nx=16", "ny=16", "steps=100000000", "interval=1"]
-
-[[component]]
-program = "select"
-ranks = 1
-args = ["dump.custom.fp", "atoms", "1", "lmpselect.fp", "lmpsel", "vx", "vy", "vz"]
-
-[[component]]
-program = "magnitude"
-ranks = 1
-args = ["lmpselect.fp", "lmpsel", "velos.fp", "velocities"]
-
-[[component]]
-program = "histogram"
-ranks = 1
-args = ["velos.fp", "velocities", "16", "{}"]
-"#,
+        "aprun -n 1 lammps nx=16 ny=16 steps=100000000 interval=1 &\n\
+         aprun -n 1 select dump.custom.fp atoms 1 lmpselect.fp lmpsel vx vy vz &\n\
+         aprun -n 1 magnitude lmpselect.fp lmpsel velos.fp velocities &\n\
+         aprun -n 1 histogram velos.fp velocities 16 {} &\n\
+         wait\n",
         hist.display()
     )
 }
@@ -46,15 +28,15 @@ fn assert_client_names_the_dead_broker(tag: &str, serve: &str) {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).unwrap();
     let hist = scratch.join("hist.txt");
-    let spec = scratch.join("wf.sbw");
-    std::fs::write(&spec, endless_spec(&hist)).unwrap();
-    let spec = spec.to_str().unwrap();
+    let script = scratch.join("wf.sb");
+    std::fs::write(&script, endless_script(&hist)).unwrap();
+    let script = script.to_str().unwrap();
     let serve = serve.replace("{scratch}", scratch.to_str().unwrap());
 
     // A broker-only process; it announces its URL on stderr (kept open:
     // the broker goes on logging there).
     let mut broker = sb_run()
-        .args(["--script", spec, "--serve", &serve])
+        .args(["--script", script, "--serve", &serve])
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn the broker process");
@@ -67,7 +49,7 @@ fn assert_client_names_the_dead_broker(tag: &str, serve: &str) {
 
     // Every component in one client process, every stream through the broker.
     let client = sb_run()
-        .args(["--script", spec, "--connect", &url])
+        .args(["--script", script, "--connect", &url])
         .args(["--components", "lammps,select,magnitude,histogram"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())

@@ -1,8 +1,11 @@
-//! End-to-end CLI tests of `sb-lint` (exit-code contract, JSON output) and
+//! End-to-end CLI tests of `sb-lint` (exit-code contract, JSON output),
 //! `sb-run`'s pre-launch lint gate (a malformed plan is refused before any
-//! broker binds or component spawns).
+//! broker binds or component spawns), and a two-process `sb-run`
+//! deployment of an example script.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use smartblock::analysis::check_report;
 
@@ -127,75 +130,71 @@ fn sb_run_refuses_a_malformed_plan_before_launch() {
 
 /// A component that rejects its arguments (a non-numeric simulation
 /// parameter, a non-integer `queue=`, zero bins) is a typed,
-/// line-attributed error in both languages — from `sb-lint` an SB000 on
-/// the component's own line, from `sb-run` a refusal before anything
-/// starts — and never a panic (exit 101).
+/// line-attributed error — from `sb-lint` an SB000 on the component's own
+/// line, from `sb-run` a refusal before anything starts — and never a
+/// panic (exit 101).
 #[test]
 fn rejected_arguments_are_line_attributed_errors_never_panics() {
-    for (file, param_line, queue_line, bins_line) in [
-        ("SB000-ctor-pos.sb", 2, 3, 4),
-        ("SB000-ctor-pos.sbw", 3, 8, 13),
-    ] {
-        let path = fixture(file);
-        let out = sb_lint(&[&path]);
-        assert_eq!(code(&out), 1, "{file}: {out:?}");
-        assert!(out.stderr.is_empty(), "{file}: {out:?}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(
-            text.contains(&format!(
-                "{file}:{param_line}: error[SB000]: component rejected its arguments: \
-                 simulation parameter chains=\"abc\" is not an integer"
-            )),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!("{file}:{queue_line}: error[SB000]")),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "{file}:{bins_line}: error[SB000]: component rejected its arguments: \
-                 histogram needs at least one bin"
-            )),
-            "{text}"
-        );
+    let file = "SB000-ctor-pos.sb";
+    let path = fixture(file);
+    let out = sb_lint(&[&path]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    assert!(out.stderr.is_empty(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains(&format!(
+            "{file}:2: error[SB000]: component rejected its arguments: \
+             simulation parameter chains=\"abc\" is not an integer"
+        )),
+        "{text}"
+    );
+    assert!(text.contains(&format!("{file}:3: error[SB000]")), "{text}");
+    assert!(
+        text.contains(&format!(
+            "{file}:4: error[SB000]: component rejected its arguments: \
+             histogram needs at least one bin"
+        )),
+        "{text}"
+    );
 
-        let out = sb_run(&["--script", &path, "--serve", "127.0.0.1:0"]);
-        assert!(matches!(code(&out), 1 | 2), "{file}: {out:?}");
-        let stderr = String::from_utf8(out.stderr.clone()).unwrap();
-        assert!(
-            stderr.contains(&format!(
-                "line {bins_line}: component rejected its arguments"
-            )),
-            "{stderr}"
-        );
-        assert!(stderr.contains("at least one bin"), "{stderr}");
-        assert!(!stderr.contains("panicked"), "{stderr}");
-        assert!(!stderr.contains("serving"), "broker was bound: {stderr}");
-        assert!(out.stdout.is_empty(), "a component ran: {out:?}");
-    }
+    let out = sb_run(&["--script", &path, "--serve", "127.0.0.1:0"]);
+    assert!(matches!(code(&out), 1 | 2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr.clone()).unwrap();
+    assert!(
+        stderr.contains("line 4: component rejected its arguments"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("at least one bin"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("serving"), "broker was bound: {stderr}");
+    assert!(out.stdout.is_empty(), "a component ran: {out:?}");
 }
 
-/// A spec's deny-level issues (SB019/SB020) stop the loader every `sb-run`
-/// mode goes through — `--list` and `--force` included — with exit 2 and
-/// the issue's own line, exactly like a source that does not lower.
+/// A trigger on an undeclared component (SB019) and a second policy for
+/// one component (SB020) are error-level lints: `sb-run` refuses the
+/// script at its pre-launch gate, naming the directive's line, before a
+/// broker is bound.
 #[test]
-fn sb_run_refuses_deny_level_spec_issues_in_the_loader() {
+fn sb_run_refuses_undeclared_trigger_refs_and_second_policies() {
     for (file, needle) in [
         (
-            "SB019-pos.sbw",
-            "line 16: trigger references undeclared component \"ghost\"",
+            "SB019-pos.sb",
+            "SB019-pos.sb:2: error[SB019]: trigger references component \"ghost\"",
         ),
-        ("SB020-pos.sbw", "line 18: "),
+        (
+            "SB020-pos.sb",
+            "SB020-pos.sb:3: error[SB020]: a second #@ policy for component \"gromacs\" \
+             contradicts the one at line 2",
+        ),
     ] {
         let path = fixture(file);
-        for mode in ["--list", "--force"] {
-            let out = sb_run(&["--script", &path, mode]);
-            assert_eq!(code(&out), 2, "{file} {mode}: {out:?}");
-            assert!(out.stdout.is_empty(), "{file} {mode}: {out:?}");
-            let stderr = String::from_utf8(out.stderr).unwrap();
-            assert!(stderr.contains(needle), "{file} {mode}: {stderr}");
-        }
+        let out = sb_run(&["--script", &path, "--serve", "127.0.0.1:0"]);
+        assert_eq!(code(&out), 1, "{file}: {out:?}");
+        assert!(out.stdout.is_empty(), "{file}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(needle), "{file}: {stderr}");
+        assert!(stderr.contains("refusing to launch"), "{file}: {stderr}");
+        assert!(!stderr.contains("serving"), "broker was bound: {stderr}");
     }
 }
 
@@ -205,4 +204,54 @@ fn sb_run_executes_a_clean_script() {
     assert_eq!(code(&out), 0, "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("histogram"), "{stdout}");
+}
+
+/// The multi-process GROMACS example runs from its one `.sb` script as two
+/// `sb-run` processes: a broker that runs the simulation, and a client
+/// that connects and runs the analysis. Both exit 0. (The broker binds an
+/// ephemeral port instead of the script's `#@ transport` endpoint, so
+/// concurrent test runs cannot collide.)
+#[test]
+fn gromacs_tcp_example_runs_as_a_serve_and_a_connect_process() {
+    let script = format!(
+        "{}/../../examples/scripts/gromacs_tcp.sb",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let mut broker = Command::new(env!("CARGO_BIN_EXE_sb-run"))
+        .args(["--script", &script, "--serve", "127.0.0.1:0"])
+        .args(["--components", "gromacs"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the broker process");
+    // Kept open to the end: the broker goes on logging there.
+    let mut broker_log = BufReader::new(broker.stderr.take().unwrap()).lines();
+    let url = broker_log
+        .by_ref()
+        .map(|line| line.unwrap())
+        .find_map(|line| line.strip_prefix("sb-run: serving ").map(str::to_string))
+        .expect("the broker announces its URL");
+    let client = sb_run(&[
+        "--script",
+        &script,
+        "--connect",
+        &url,
+        "--components",
+        "magnitude,histogram",
+    ]);
+    assert_eq!(code(&client), 0, "{client:?}");
+    let summary = String::from_utf8(client.stdout).unwrap();
+    assert!(summary.contains("histogram"), "{summary}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = broker.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            broker.kill().unwrap();
+            panic!("the broker process did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "broker exited with {status}");
 }

@@ -1,11 +1,13 @@
-//! Fixture-driven coverage of the lint registry: every lint ID has one
+//! Fixture-driven coverage of the lint registry: every live lint ID has one
 //! launch script that provably fires it and one near-identical script that
 //! provably does not, plus golden snapshots of both renderings and
 //! clean-bill-of-health checks for the paper workflows and the checked-in
 //! example scripts.
 
 use sb_stream::StreamHub;
-use smartblock::analysis::{lint_source, render_report_json, Level, LintConfig, ScriptLint, LINTS};
+use smartblock::analysis::{
+    lint_source, render_report_json, Level, Lint, LintConfig, ScriptLint, LINTS,
+};
 use smartblock::plan::WorkflowPlan;
 use smartblock::workflows::{gromacs_workflow, gtcp_workflow, lammps_workflow, PresetScale};
 
@@ -14,20 +16,16 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Lints the fixture `<stem>.sb` (launch script) and/or `<stem>.sbw`
-/// (workflow spec), whichever are checked in — spec-level lints
-/// (SB018–SB020) can only fire from a spec; a stem with both is a pair of
-/// twins.
-fn lint_fixture(stem: &str) -> Vec<ScriptLint> {
-    let dir = format!("{}/tests/fixtures/lint", env!("CARGO_MANIFEST_DIR"));
-    let reports: Vec<ScriptLint> = ["sb", "sbw"]
-        .iter()
-        .map(|ext| format!("{stem}.{ext}"))
-        .filter(|file| std::path::Path::new(&format!("{dir}/{file}")).exists())
-        .map(|file| lint_source(&file, &fixture(&file), &LintConfig::new()))
-        .collect();
-    assert!(!reports.is_empty(), "no fixture {stem}.sb or {stem}.sbw");
-    reports
+/// Lints the launch-script fixture `<stem>.sb`.
+fn lint_fixture(stem: &str) -> ScriptLint {
+    let file = format!("{stem}.sb");
+    lint_source(&file, &fixture(&file), &LintConfig::new())
+}
+
+/// The lints that can fire: a retired lint keeps its ID at allow level and
+/// has no fixtures.
+fn live_lints() -> impl Iterator<Item = &'static Lint> {
+    LINTS.iter().filter(|l| l.default_level != Level::Allow)
 }
 
 /// Positive fixtures beyond the one `<ID>-pos` per lint: `(lint, stem)`.
@@ -38,22 +36,19 @@ const EXTRA_POSITIVES: [(&str, &str); 1] = [("SB000", "SB000-ctor-pos")];
 #[test]
 fn every_lint_has_a_firing_and_a_silent_fixture() {
     let mut failures = Vec::new();
-    let positives = LINTS
-        .iter()
+    let positives = live_lints()
         .map(|lint| (lint.id, format!("{}-pos", lint.id)))
         .chain(EXTRA_POSITIVES.map(|(id, stem)| (id, stem.to_string())));
     for (id, stem) in positives {
-        for report in lint_fixture(&stem) {
-            if !report.diagnostics.iter().any(|d| d.id() == id) {
-                failures.push(format!("{} did not fire {id}", report.name));
-            }
+        let report = lint_fixture(&stem);
+        if !report.diagnostics.iter().any(|d| d.id() == id) {
+            failures.push(format!("{} did not fire {id}", report.name));
         }
     }
-    for lint in LINTS {
-        for report in lint_fixture(&format!("{}-neg", lint.id)) {
-            if report.diagnostics.iter().any(|d| d.id() == lint.id) {
-                failures.push(format!("{} fired {}", report.name, lint.id));
-            }
+    for lint in live_lints() {
+        let report = lint_fixture(&format!("{}-neg", lint.id));
+        if report.diagnostics.iter().any(|d| d.id() == lint.id) {
+            failures.push(format!("{} fired {}", report.name, lint.id));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -63,9 +58,9 @@ fn every_lint_has_a_firing_and_a_silent_fixture() {
 /// default level.
 #[test]
 fn fixture_diagnostics_carry_lines_and_default_levels() {
-    for lint in LINTS {
+    for lint in live_lints() {
         let stem = format!("{}-pos", lint.id);
-        let report = &lint_fixture(&stem)[0];
+        let report = lint_fixture(&stem);
         let d = report
             .diagnostics
             .iter()

@@ -210,6 +210,39 @@ fn degenerate_bins_is_a_warning() {
     assert!(errors(&wf).is_empty());
 }
 
+/// The advisory SB007 does not hide a Histogram's outputs: its `counts`
+/// and `bin_edges` are fixed by configuration, so a Magnitude reading the
+/// 1-d `counts` is still an SB006 contract violation.
+#[test]
+fn degenerate_histogram_still_declares_its_outputs() {
+    let mut wf = Workflow::new();
+    wf.add(
+        1,
+        Simulation::new(SimCode::Gromacs)
+            .param("chains", 2)
+            .param("len", 2),
+    );
+    wf.add(1, Magnitude::new(("gromacs.fp", "coords"), ("m.fp", "r")));
+    wf.add(
+        1,
+        Histogram::new(("m.fp", "r"), 8).with_output_stream("h.fp"),
+    );
+    wf.add(1, Magnitude::new(("h.fp", "counts"), ("hm.fp", "x")));
+    let issues = wf.validate();
+    let ids: Vec<&str> = issues.iter().map(|i| i.lint().id).collect();
+    assert!(ids.contains(&"SB007"), "{issues:?}");
+    let errs = errors(&wf);
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].lint().id, "SB006");
+    assert_eq!(errs[0].component(), Some("magnitude-2"));
+    assert!(
+        errs[0]
+            .to_string()
+            .contains("expected a 2-d array, got 1-d"),
+        "{errs:?}"
+    );
+}
+
 // ------------------------------------------------------- decomposition --
 
 /// More ranks than the partitioned dimension has slices: sb_data's
