@@ -1,5 +1,6 @@
 //! The stream registry where writer and reader groups rendezvous by name.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -67,6 +68,9 @@ pub struct StreamHub {
     /// The hub's scalar signal board; disarmed (one relaxed atomic load per
     /// publication) until the workflow runtime arms a trigger hook on it.
     signals: Arc<SignalBoard>,
+    /// Reader groups per stream, as [`StreamHub::set_reader_groups`]
+    /// declared them; a stream not listed has one.
+    reader_groups: Mutex<HashMap<String, usize>>,
 }
 
 impl StreamHub {
@@ -126,6 +130,7 @@ impl StreamHub {
             faults: Mutex::new(None),
             tracer,
             signals: Arc::new(SignalBoard::new()),
+            reader_groups: Mutex::new(HashMap::new()),
         })
     }
 
@@ -177,8 +182,18 @@ impl StreamHub {
         self.transport.set_wait_timeout(wait_timeout);
     }
 
+    /// Declares that `groups` reader groups subscribe to `name`, so its
+    /// writer keeps every step until each of them has it (see
+    /// [`StreamHub::open_reader_grouped`]). Applies to writers opened
+    /// afterwards; a stream never declared has one group.
+    pub fn set_reader_groups(&self, name: &str, groups: usize) {
+        assert!(groups >= 1, "a stream needs at least one reader group");
+        lock(&self.reader_groups).insert(name.to_string(), groups);
+    }
+
     /// Opens the writer side of `name` for rank `rank` of a `nranks`-rank
-    /// writer group. Every rank of the group must call this with the same
+    /// writer group, retaining steps for the stream's declared reader
+    /// groups. Every rank of the group must call this with the same
     /// `nranks` and `options`; on an in-proc hub, a rank that disagrees
     /// panics.
     pub fn open_writer(
@@ -186,9 +201,10 @@ impl StreamHub {
         name: &str,
         rank: usize,
         nranks: usize,
-        options: WriterOptions,
+        mut options: WriterOptions,
     ) -> StreamWriter {
         assert!(rank < nranks, "writer rank out of range");
+        options.expected_reader_groups = lock(&self.reader_groups).get(name).copied().unwrap_or(1);
         let conn = self.transport.open_writer(name, rank, nranks, options);
         StreamWriter::new(conn.expect("the hub refused the writer"), rank, nranks)
     }
@@ -203,10 +219,18 @@ impl StreamHub {
     ///
     /// Several groups may subscribe to one stream independently — the ADIOS
     /// "write groups" capability the paper's future work wants for DAG
-    /// workflows. Every group sees every step from the moment it attaches;
-    /// a step is released (and writer buffer space freed) only when all
-    /// subscribed groups have consumed it. Ranks of one group must agree on
-    /// `nranks`; on an in-proc hub, a rank that disagrees panics.
+    /// workflows. A step is released (and writer buffer space freed) only
+    /// once the stream's declared number of groups
+    /// ([`StreamHub::set_reader_groups`]) has subscribed and every
+    /// subscribed group has consumed it, so a group that attaches late
+    /// still sees every step. Ranks of one group must agree on `nranks`;
+    /// on an in-proc hub, a rank that disagrees panics.
+    ///
+    /// A workflow derives both facts from its wiring: each component reads
+    /// under its workflow label (a later read of a stream it already reads
+    /// under `label#i`, `i` the read's index), and before any component
+    /// starts the workflow declares, for each stream, how many such groups
+    /// its whole plan subscribes.
     pub fn open_reader_grouped(
         &self,
         name: &str,

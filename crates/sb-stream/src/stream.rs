@@ -27,11 +27,14 @@ pub struct WriterOptions {
     /// When true, `end_step` blocks until the reader group has fully
     /// consumed the step — the no-overlap mode used by the overlap ablation.
     pub rendezvous: bool,
-    /// Number of reader groups the writer expects (ADIOS declares its
-    /// "write groups" up front). Steps are retained until at least this
-    /// many groups have subscribed *and* consumed them, so no declared
-    /// subscriber can miss data by attaching late.
-    pub expected_reader_groups: usize,
+    /// Number of reader groups the stream has. Steps are retained until at
+    /// least this many groups have subscribed *and* consumed them, so no
+    /// subscriber can miss data by attaching late. Not a writer's choice:
+    /// [`StreamHub::open_writer`](crate::StreamHub::open_writer) copies
+    /// the hub's count for the stream
+    /// ([`StreamHub::set_reader_groups`](crate::StreamHub::set_reader_groups))
+    /// into it, and a remote writer's hello carries it to the broker.
+    pub(crate) expected_reader_groups: usize,
 }
 
 impl Default for WriterOptions {
@@ -70,13 +73,6 @@ impl WriterOptions {
     /// Enables or disables rendezvous (synchronous hand-off) mode.
     pub fn with_rendezvous(mut self, rendezvous: bool) -> WriterOptions {
         self.rendezvous = rendezvous;
-        self
-    }
-
-    /// Declares how many reader groups will subscribe (builder style).
-    pub fn with_reader_groups(mut self, groups: usize) -> WriterOptions {
-        assert!(groups >= 1, "a stream needs at least one reader group");
-        self.expected_reader_groups = groups;
         self
     }
 }
@@ -655,8 +651,8 @@ impl Stream {
 
     /// Detaches reader group `group`: it stops holding steps back (its
     /// component was degraded or the workflow is winding down). Registers a
-    /// zero-rank placeholder if the group never attached, so writers whose
-    /// `expected_reader_groups` counts it are not stuck waiting forever.
+    /// zero-rank placeholder if the group never attached, so a writer whose
+    /// reader-group count includes it is not stuck waiting forever.
     pub(crate) fn detach_reader_group(&self, group: &str) {
         let mut state = lock(&self.state);
         let base = state.base_step;
@@ -733,7 +729,10 @@ mod tests {
             assert_eq!(lock(&stream.state).base_step, base);
             assert_eq!(stream.counters.steps_consumed.load(Ordering::Relaxed), base);
         };
-        let options = WriterOptions::default().with_reader_groups(2);
+        let options = WriterOptions {
+            expected_reader_groups: 2,
+            ..WriterOptions::default()
+        };
         stream.register_writer(1, options).unwrap();
         for group in ["a", "b"] {
             stream.register_reader(group, 1).unwrap();

@@ -2183,10 +2183,14 @@ fn writer_session(
             "invalid writer hello for {name:?}: rank {rank}/{nranks} queue {queue} groups {groups}"
         )));
     }
-    let options = WriterOptions::default()
-        .with_queue_capacity(queue)
-        .with_rendezvous(rendezvous)
-        .with_reader_groups(groups);
+    // The hello carries the writer hub's reader-group count: this hub's
+    // own declarations do not override it.
+    let options = WriterOptions {
+        expected_reader_groups: groups,
+        ..WriterOptions::default()
+            .with_queue_capacity(queue)
+            .with_rendezvous(rendezvous)
+    };
     let conn = match hub.transport().open_writer(&name, rank, nranks, options) {
         Ok(conn) => conn,
         Err(refused) => return refuse(io, refused),
@@ -2987,10 +2991,10 @@ mod tests {
         // reader is told empties the cache, whoever still holds a step.
         let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
         let hub = StreamHub::connect(&broker.url()).unwrap();
-        let options = WriterOptions::default().with_reader_groups(2);
+        hub.set_reader_groups("dead.fp", 2);
         let mut doomed = hub.open_reader_grouped("dead.fp", "doomed", 0, 1);
         let mut steady = hub.open_reader_grouped("dead.fp", "steady", 0, 1);
-        let mut w = hub.open_writer("dead.fp", 0, 1, options);
+        let mut w = hub.open_writer("dead.fp", 0, 1, WriterOptions::default());
         for step in 0..3 {
             w.begin_step().unwrap();
             w.put_whole(var(vec![step as f64; 512]));
@@ -3066,10 +3070,10 @@ mod tests {
             TcpOptions::default().with_protocol(WireProtocol::V1),
         )
         .unwrap();
-        let options = WriterOptions::default().with_reader_groups(2);
+        v2.set_reader_groups("quiet.fp", 2);
         let mut local = broker.hub().open_reader_grouped("quiet.fp", "local", 0, 1);
         let mut old = v1.open_reader_grouped("quiet.fp", "old", 0, 1);
-        let mut w = v2.open_writer("quiet.fp", 0, 1, options);
+        let mut w = v2.open_writer("quiet.fp", 0, 1, WriterOptions::default());
         for step in 0..3u64 {
             w.begin_step().unwrap();
             w.put_whole(var(vec![step as f64; 256]));

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sb_data::{Buffer, Shape, Variable};
+use sb_stream::tcp::TcpBroker;
 use sb_stream::{StepStatus, StreamHub, WriterOptions};
 
 fn step_variable(step: u64, n: usize) -> Variable {
@@ -16,14 +17,10 @@ fn step_variable(step: u64, n: usize) -> Variable {
 #[test]
 fn two_groups_each_see_every_step() {
     let hub = StreamHub::new();
+    hub.set_reader_groups("multi.fp", 2);
     let hub_w = Arc::clone(&hub);
     let writer = std::thread::spawn(move || {
-        let mut w = hub_w.open_writer(
-            "multi.fp",
-            0,
-            1,
-            WriterOptions::default().with_reader_groups(2),
-        );
+        let mut w = hub_w.open_writer("multi.fp", 0, 1, WriterOptions::default());
         for step in 0..4u64 {
             w.begin_step().unwrap();
             w.put_whole(step_variable(step, 6));
@@ -57,9 +54,10 @@ fn two_groups_each_see_every_step() {
 #[test]
 fn groups_can_have_different_rank_counts() {
     let hub = StreamHub::new();
+    hub.set_reader_groups("g.fp", 2);
     let hub_w = Arc::clone(&hub);
     let writer = std::thread::spawn(move || {
-        let mut w = hub_w.open_writer("g.fp", 0, 1, WriterOptions::default().with_reader_groups(2));
+        let mut w = hub_w.open_writer("g.fp", 0, 1, WriterOptions::default());
         for step in 0..3u64 {
             w.begin_step().unwrap();
             w.put_whole(step_variable(step, 12));
@@ -101,16 +99,12 @@ fn slow_group_applies_backpressure_for_all() {
     // Queue capacity 2: the writer may run at most 2 steps ahead of the
     // *slowest* group even while a fast group keeps up.
     let hub = StreamHub::new();
+    hub.set_reader_groups("bp.fp", 2);
     let committed = Arc::new(AtomicU64::new(0));
     let hub_w = Arc::clone(&hub);
     let committed_w = Arc::clone(&committed);
     let writer = std::thread::spawn(move || {
-        let mut w = hub_w.open_writer(
-            "bp.fp",
-            0,
-            1,
-            WriterOptions::buffered(2).with_reader_groups(2),
-        );
+        let mut w = hub_w.open_writer("bp.fp", 0, 1, WriterOptions::buffered(2));
         for step in 0..5u64 {
             w.begin_step().unwrap();
             w.put_whole(step_variable(step, 4));
@@ -159,17 +153,13 @@ fn slow_group_applies_backpressure_for_all() {
 
 #[test]
 fn expected_groups_retain_steps_until_every_group_releases() {
-    // Declaring `expected_reader_groups: 2` must hold every step until both
-    // groups have subscribed AND released it — the first branch of
+    // Declaring two reader groups must hold every step until both groups
+    // have subscribed AND released it — the first branch of
     // `front_fully_consumed`. Group "early" consumes the whole stream
     // before "late" even attaches; nothing may be dropped.
     let hub = StreamHub::new();
-    let mut w = hub.open_writer(
-        "retain.fp",
-        0,
-        1,
-        WriterOptions::buffered(8).with_reader_groups(2),
-    );
+    hub.set_reader_groups("retain.fp", 2);
+    let mut w = hub.open_writer("retain.fp", 0, 1, WriterOptions::buffered(8));
     for step in 0..3u64 {
         w.begin_step().unwrap();
         w.put_whole(step_variable(step, 4));
@@ -202,16 +192,53 @@ fn expected_groups_retain_steps_until_every_group_releases() {
 }
 
 #[test]
+fn a_remote_writer_hello_carries_its_hubs_reader_group_count() {
+    // The writer's hub declares two groups; its hello carries the count to
+    // the broker, which then holds each step until both groups released
+    // it, though the first group drains the stream before the second
+    // attaches. The broker's own hub declares nothing.
+    let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+    let writer_hub = StreamHub::connect(&broker.url()).unwrap();
+    writer_hub.set_reader_groups("held.fp", 2);
+    let mut w = writer_hub.open_writer("held.fp", 0, 1, WriterOptions::buffered(8));
+    for step in 0..3u64 {
+        w.begin_step().unwrap();
+        w.put_whole(step_variable(step, 4));
+        w.end_step().unwrap();
+    }
+    w.close();
+
+    let reader_hub = StreamHub::connect(&broker.url()).unwrap();
+    let mut first = reader_hub.open_reader_grouped("held.fp", "first", 0, 1);
+    for step in 0..3u64 {
+        assert_eq!(first.begin_step().unwrap(), StepStatus::Ready(step));
+        first.end_step();
+    }
+    assert_eq!(first.begin_step().unwrap(), StepStatus::EndOfStream);
+    let consumed = || broker.hub().metrics("held.fp").unwrap().steps_consumed;
+    assert_eq!(
+        consumed(),
+        0,
+        "the broker dropped steps the second group never saw"
+    );
+
+    let mut second = broker.hub().open_reader_grouped("held.fp", "second", 0, 1);
+    for step in 0..3u64 {
+        assert_eq!(second.begin_step().unwrap(), StepStatus::Ready(step));
+        assert_eq!(second.get_whole("x").unwrap().data.get_f64(0), step as f64);
+        second.end_step();
+    }
+    assert_eq!(second.begin_step().unwrap(), StepStatus::EndOfStream);
+    assert_eq!(consumed(), 3);
+}
+
+#[test]
 fn front_pops_only_when_every_subscribed_group_releases() {
     // The per-group release branch of `front_fully_consumed`: once two
     // groups subscribe, one releasing a step is not enough to pop it.
     let hub = StreamHub::new();
-    let mut w = hub.open_writer(
-        "joint.fp",
-        0,
-        1,
-        WriterOptions::buffered(8).with_reader_groups(2),
-    );
+    hub.set_reader_groups("joint.fp", 2);
+    let mut w = hub.open_writer("joint.fp", 0, 1, WriterOptions::buffered(8));
     let mut a = hub.open_reader_grouped("joint.fp", "a", 0, 1);
     let mut b = hub.open_reader_grouped("joint.fp", "b", 0, 1);
     for step in 0..2u64 {

@@ -431,16 +431,12 @@ fn whole_read_shares_the_writers_allocation() {
     // is served to every reader group by Arc clone — same allocation, no
     // copies, no zero-fill.
     let hub = StreamHub::new();
+    hub.set_reader_groups("zc.fp", 2);
     let shape = Shape::of(&[("rows", 16), ("cols", 8)]);
     let payload = sb_data::SharedBuffer::from(Buffer::F64(
         (0..shape.total_len()).map(|i| i as f64).collect(),
     ));
-    let mut w = hub.open_writer(
-        "zc.fp",
-        0,
-        1,
-        WriterOptions::default().with_reader_groups(2),
-    );
+    let mut w = hub.open_writer("zc.fp", 0, 1, WriterOptions::default());
     w.begin_step().unwrap();
     let meta = VariableMeta::new("field", shape.clone(), DType::F64);
     w.put(Chunk::new(meta, Region::whole(&shape), payload.clone()).unwrap());

@@ -31,8 +31,6 @@ pub struct AllInOne {
     pub keep: Vec<String>,
     /// Number of histogram bins.
     pub num_bins: usize,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
     results: Arc<Mutex<Vec<HistogramResult>>>,
 }
 
@@ -65,7 +63,6 @@ impl AllInOne {
             input: input.into(),
             keep: keep.into_iter().map(Into::into).collect(),
             num_bins,
-            reader_group: "default".into(),
             results: Arc::new(Mutex::new(Vec::new())),
         })
     }
@@ -89,10 +86,11 @@ impl Component for AllInOne {
         let bins = self.num_bins;
         let advised_array = in_array.clone();
         Signature::new(
-            vec![
-                ReadSpec::new(&in_stream, &in_array, PartitionRule::Along(0))
-                    .in_group(&self.reader_group),
-            ],
+            vec![ReadSpec::new(
+                &in_stream,
+                &in_array,
+                PartitionRule::Along(0),
+            )],
             move |ins| {
                 let spec = match ins.first() {
                     Some(s) => s.array(&in_array)?,

@@ -6,7 +6,7 @@
 //! [`Level`] under the run's [`LintConfig`] and the
 //! launch-script line it points at). A diagnostic renders two ways:
 //!
-//! * text — `script.sb:12: error[SB004]: components ...` — for humans;
+//! * text — `script.sb:12: error[SB001]: stream ...` — for humans;
 //! * JSON — one object per diagnostic with `id`, `name`, `level`, `line`,
 //!   `message` and a `fields` map — for CI, conforming to
 //!   `schemas/smartblock.lint.v1.json`.
@@ -53,7 +53,7 @@ pub enum AnalysisIssue {
         detail: String,
     },
     /// A stream-level wiring problem (dangling reader/writer, contested
-    /// stream or reader group).
+    /// stream).
     Wiring(WiringIssue),
     /// Components whose subscriptions form a cycle: under blocking
     /// connects every member waits for another's first step, forever.
@@ -95,21 +95,6 @@ pub enum AnalysisIssue {
         component: String,
         /// `(input stream, statically known step count)`, slowest first.
         rates: Vec<(String, u64)>,
-    },
-    /// A writer declares more reader groups (`groups=N`) than the script
-    /// actually subscribes: every step is retained for subscribers that
-    /// never come, the queue fills, and the writer wedges.
-    StarvedWriter {
-        /// The writing component's label.
-        component: String,
-        /// The over-declared output stream.
-        stream: String,
-        /// Reader groups the writer waits for.
-        declared: usize,
-        /// Reader groups the script subscribes.
-        actual: usize,
-        /// The subscribing groups, for the message.
-        groups: Vec<String>,
     },
     /// A Restart policy on a component whose signature declares
     /// cross-step state: upstream cannot replay the steps committed before
@@ -233,7 +218,6 @@ impl AnalysisIssue {
             AnalysisIssue::Wiring(WiringIssue::NoWriter { .. }) => "SB001",
             AnalysisIssue::Wiring(WiringIssue::NoReader { .. }) => "SB002",
             AnalysisIssue::Wiring(WiringIssue::MultipleWriters { .. }) => "SB003",
-            AnalysisIssue::Wiring(WiringIssue::DuplicateSubscription { .. }) => "SB004",
             AnalysisIssue::Cycle { .. } => "SB005",
             AnalysisIssue::Contract {
                 error: SpecError::DegenerateBins { .. },
@@ -242,7 +226,6 @@ impl AnalysisIssue {
             AnalysisIssue::Contract { .. } => "SB006",
             AnalysisIssue::OverDecomposed { .. } => "SB008",
             AnalysisIssue::CadenceMismatch { .. } => "SB009",
-            AnalysisIssue::StarvedWriter { .. } => "SB010",
             AnalysisIssue::RestartUnsound { .. } => "SB011",
             AnalysisIssue::DegradeTerminal { .. } => "SB012",
             AnalysisIssue::ZeroRestartBudget { .. } => "SB013",
@@ -276,7 +259,6 @@ impl AnalysisIssue {
             AnalysisIssue::Contract { component, .. }
             | AnalysisIssue::OverDecomposed { component, .. }
             | AnalysisIssue::CadenceMismatch { component, .. }
-            | AnalysisIssue::StarvedWriter { component, .. }
             | AnalysisIssue::RestartUnsound { component }
             | AnalysisIssue::DegradeTerminal { component }
             | AnalysisIssue::ZeroRestartBudget { component }
@@ -294,12 +276,10 @@ impl AnalysisIssue {
             AnalysisIssue::Wiring(
                 WiringIssue::NoWriter { stream, .. }
                 | WiringIssue::NoReader { stream, .. }
-                | WiringIssue::MultipleWriters { stream, .. }
-                | WiringIssue::DuplicateSubscription { stream, .. },
+                | WiringIssue::MultipleWriters { stream, .. },
             ) => Some(stream),
             AnalysisIssue::Contract { stream, .. }
             | AnalysisIssue::OverDecomposed { stream, .. }
-            | AnalysisIssue::StarvedWriter { stream, .. }
             | AnalysisIssue::MissingTransport { stream, .. }
             | AnalysisIssue::WireAmplification { stream, .. } => Some(stream),
             _ => None,
@@ -325,12 +305,6 @@ impl AnalysisIssue {
                 for (stream, steps) in rates {
                     fields.push(("rate", format!("{stream}={steps}")));
                 }
-            }
-            AnalysisIssue::StarvedWriter {
-                declared, actual, ..
-            } => {
-                fields.push(("declared", declared.to_string()));
-                fields.push(("actual", actual.to_string()));
             }
             AnalysisIssue::MissingTransport {
                 writer_process,
@@ -428,18 +402,6 @@ impl fmt::Display for AnalysisIssue {
                      remaining steps are dropped"
                 )
             }
-            AnalysisIssue::StarvedWriter {
-                component,
-                stream,
-                declared,
-                actual,
-                groups,
-            } => write!(
-                f,
-                "component {component:?} declares groups={declared} on stream {stream:?} but \
-                 the script subscribes only {actual} group(s) {groups:?}; every step waits for \
-                 subscribers that never come and the writer wedges once its queue fills"
-            ),
             AnalysisIssue::RestartUnsound { component } => write!(
                 f,
                 "component {component:?} has a Restart policy but carries state across steps; \
@@ -569,7 +531,7 @@ impl Diagnostic {
     }
 
     /// The rustc-style one-line text rendering:
-    /// `script.sb:12: error[SB004]: components ...`.
+    /// `script.sb:12: error[SB001]: stream ...`.
     pub fn render_text(&self, source: &str) -> String {
         let lint = self.lint();
         match self.line {

@@ -76,8 +76,9 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SB004",
         name: "duplicate-subscription",
-        default_level: Level::Warn,
-        summary: "two components share one reader group; their step accounting interleaves",
+        default_level: Level::Allow,
+        summary: "retired, never emitted: it flagged two components sharing one reader group; \
+                  each component now reads under its own workflow label",
     },
     Lint {
         id: "SB005",
@@ -113,9 +114,9 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SB010",
         name: "starved-writer",
-        default_level: Level::Deny,
-        summary: "a writer declares more reader groups than the script subscribes; steps are \
-                  retained for subscribers that never come and the queue wedges",
+        default_level: Level::Allow,
+        summary: "retired, never emitted: it flagged a writer declaring more reader groups than \
+                  the script subscribes; the workflow now derives each stream's count",
     },
     Lint {
         id: "SB011",

@@ -117,7 +117,11 @@ fn attribute_line(
     }
     let stream = issue.stream()?;
     let writes = |e: &&EntryView<'_>| e.component.output_streams().iter().any(|s| s == stream);
-    let reads = |e: &&EntryView<'_>| model::read_streams(e.component).iter().any(|s| s == stream);
+    let reads = |e: &&EntryView<'_>| {
+        crate::component::read_streams(e.component)
+            .iter()
+            .any(|s| s == stream)
+    };
     entries
         .iter()
         .find(writes)

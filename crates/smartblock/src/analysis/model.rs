@@ -1,7 +1,7 @@
 //! The analysis model: the component/stream graph every pass reads.
 //!
 //! [`Model::build`] runs once per lint: it indexes writers, readers and
-//! subscriptions, topologically sorts the component graph (Kahn), and
+//! reader groups, topologically sorts the component graph (Kahn), and
 //! propagates both [`StreamSpec`]s and static step counts from source
 //! declarations through every component's [`Signature`]. Contract and
 //! over-decomposition violations are discovered *during* propagation (they
@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::component::Component;
+use crate::component::{read_streams, reader_group_counts, Component};
 
 use super::diagnostics::AnalysisIssue;
 use super::spec::{Extent, StepContract, StreamSpec};
@@ -36,8 +36,8 @@ pub(crate) struct Model<'a> {
     pub(crate) writers: BTreeMap<String, Vec<usize>>,
     /// Stream → indices of entries reading it.
     pub(crate) readers: BTreeMap<String, Vec<usize>>,
-    /// `(stream, reader group)` → labels subscribed under that group.
-    pub(crate) subscriptions: BTreeMap<(String, String), Vec<String>>,
+    /// Stream → reader groups subscribed to it.
+    pub(crate) reader_groups: BTreeMap<String, usize>,
     /// Writer → reader edges for every stream both ends declare.
     pub(crate) edges: BTreeSet<(usize, usize)>,
     /// Kahn order of every entry not on (or downstream of) a cycle.
@@ -64,19 +64,15 @@ impl<'a> Model<'a> {
     pub(crate) fn build(entries: &'a [EntryView<'a>]) -> Model<'a> {
         let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut readers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut subscriptions: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
         for (i, e) in entries.iter().enumerate() {
             for s in e.component.output_streams() {
                 writers.entry(s).or_default().push(i);
             }
-            for (stream, group) in e.component.input_subscriptions() {
-                readers.entry(stream.clone()).or_default().push(i);
-                subscriptions
-                    .entry((stream, group))
-                    .or_default()
-                    .push(e.label.to_string());
+            for stream in read_streams(e.component) {
+                readers.entry(stream).or_default().push(i);
             }
         }
+        let reader_groups = reader_group_counts(entries.iter().map(|e| (e.label, e.component)));
 
         // Edge writer -> reader for every stream both ends declare.
         let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -200,7 +196,7 @@ impl<'a> Model<'a> {
             entries,
             writers,
             readers,
-            subscriptions,
+            reader_groups,
             edges,
             topo_order,
             specs,
@@ -208,15 +204,6 @@ impl<'a> Model<'a> {
             propagation_issues,
         }
     }
-}
-
-/// The streams `component` reads, in subscription order.
-pub(crate) fn read_streams(component: &dyn Component) -> Vec<String> {
-    component
-        .input_subscriptions()
-        .into_iter()
-        .map(|(stream, _)| stream)
-        .collect()
 }
 
 /// Kahn's algorithm over `n` nodes; returns the topological order of every

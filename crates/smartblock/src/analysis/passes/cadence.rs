@@ -16,7 +16,8 @@
 use std::collections::BTreeSet;
 
 use crate::analysis::diagnostics::AnalysisIssue;
-use crate::analysis::model::{read_streams, Model};
+use crate::analysis::model::Model;
+use crate::component::read_streams;
 
 pub(crate) fn run(model: &Model<'_>, issues: &mut Vec<AnalysisIssue>) {
     for e in model.entries {

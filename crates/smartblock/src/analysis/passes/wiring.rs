@@ -1,5 +1,4 @@
-//! Wiring pass: SB001 no-writer, SB002 no-reader, SB003 multiple-writers,
-//! SB004 duplicate-subscription.
+//! Wiring pass: SB001 no-writer, SB002 no-reader, SB003 multiple-writers.
 
 use crate::analysis::diagnostics::AnalysisIssue;
 use crate::analysis::model::Model;
@@ -25,15 +24,6 @@ pub(crate) fn run(model: &Model<'_>, issues: &mut Vec<AnalysisIssue>) {
             issues.push(AnalysisIssue::Wiring(WiringIssue::MultipleWriters {
                 stream: stream.clone(),
                 writers: model.labels_of(producers),
-            }));
-        }
-    }
-    for ((stream, group), labels) in &model.subscriptions {
-        if labels.len() > 1 {
-            issues.push(AnalysisIssue::Wiring(WiringIssue::DuplicateSubscription {
-                stream: stream.clone(),
-                group: group.clone(),
-                readers: labels.clone(),
             }));
         }
     }

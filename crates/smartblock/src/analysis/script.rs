@@ -4,14 +4,12 @@
 //! stops the lowering as SB000.
 //!
 //! On top of the model-level passes shared with
-//! [`Workflow::lint`](crate::Workflow::lint), five passes exist only
+//! [`Workflow::lint`](crate::Workflow::lint), four passes exist only
 //! here because they read plan artifacts a programmatic workflow does not
 //! carry:
 //!
 //! - **directives** (SB019, SB020): every `#@ trigger` names declared
 //!   components, and no component has a second `#@ policy`;
-//! - **starvation** (SB010): a `groups=N` writer declaration against the
-//!   reader groups the plan actually subscribes;
 //! - **partition plan** (SB015): process assignments must cover every
 //!   component exactly once;
 //! - **transport** (SB016): cross-process streams need a usable `tcp://` or `shm://`
@@ -50,11 +48,6 @@ pub const WIRE_AMPLIFICATION_THRESHOLD_TENTHS: u64 = 60;
 /// framing, handshakes and step control, on top of the self-describing
 /// metadata derived from the spec.
 const STEP_ENVELOPE_BYTES: u64 = 64;
-
-/// `groups=N` declared on a writer's launch line, when parseable.
-fn declared_groups(c: &PlannedComponent) -> Option<usize> {
-    c.entry.options.get("groups")?.parse().ok()
-}
 
 /// Lowers one launch script and lints the plan. Whatever stops the
 /// lowering — a syntax error, a component that rejects its arguments — is
@@ -110,7 +103,6 @@ pub fn lint_plan(name: &str, plan: &WorkflowPlan, config: &LintConfig) -> Script
         .extend(lint_entries(&views, &policies, &policy_lines, config));
 
     let model = Model::build(&views);
-    starvation_pass(&model, built, |issue, line| lint.push(config, issue, line));
     let assignment = plan_pass(built, directives, |issue, line| {
         lint.push(config, issue, line)
     });
@@ -153,39 +145,6 @@ fn directive_pass(plan: &WorkflowPlan, mut push: impl FnMut(AnalysisIssue, Optio
                 },
                 Some(policy.line),
             );
-        }
-    }
-}
-
-/// SB010: writer declares more reader groups than the plan subscribes.
-fn starvation_pass(
-    model: &Model<'_>,
-    built: &[PlannedComponent],
-    mut push: impl FnMut(AnalysisIssue, Option<usize>),
-) {
-    for b in built {
-        let Some(declared) = declared_groups(b) else {
-            continue;
-        };
-        for stream in b.component.output_streams() {
-            let groups: Vec<String> = model
-                .subscriptions
-                .keys()
-                .filter(|(s, _)| *s == stream)
-                .map(|(_, g)| g.clone())
-                .collect();
-            if declared > groups.len() {
-                push(
-                    AnalysisIssue::StarvedWriter {
-                        component: b.label.clone(),
-                        stream,
-                        declared,
-                        actual: groups.len(),
-                        groups,
-                    },
-                    Some(b.entry.line),
-                );
-            }
         }
     }
 }
@@ -416,12 +375,7 @@ fn wire_cost_pass(
                             .sum::<u64>()
                 })
                 .sum::<u64>();
-        let groups = model
-            .subscriptions
-            .keys()
-            .filter(|(s, _)| *s == stream)
-            .count()
-            .max(1) as u64;
+        let groups = model.reader_groups.get(&stream).copied().unwrap_or(1) as u64;
         let writer_idx = model.writers[&stream][0];
         let writer_ranks = built[writer_idx].entry.nranks as u64;
         let reader_ranks: u64 = model.readers[&stream]

@@ -355,8 +355,9 @@ impl PartitionRule {
     }
 }
 
-/// One `(stream, array)` pair a component reads, with its partition rule
-/// and the reader group it subscribes under.
+/// One `(stream, array)` pair a component reads, with its partition rule.
+/// The reader group it subscribes under is derived from the component's
+/// workflow label, not declared here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadSpec {
     /// Stream the array arrives on.
@@ -365,12 +366,10 @@ pub struct ReadSpec {
     pub array: String,
     /// How the array is split among the component's ranks.
     pub partition: PartitionRule,
-    /// Reader group of the subscription (`"default"` unless set).
-    pub group: String,
 }
 
 impl ReadSpec {
-    /// Builds a read declaration in the `"default"` reader group.
+    /// Builds a read declaration.
     pub fn new(
         stream: impl Into<String>,
         array: impl Into<String>,
@@ -380,19 +379,11 @@ impl ReadSpec {
             stream: stream.into(),
             array: array.into(),
             partition,
-            group: "default".into(),
         }
-    }
-
-    /// Reads in reader group `group` instead (builder style).
-    pub fn in_group(mut self, group: impl Into<String>) -> ReadSpec {
-        self.group = group.into();
-        self
     }
 }
 
-/// Maps input stream specs (parallel to
-/// [`Component::input_subscriptions`](crate::Component::input_subscriptions)) to
+/// Maps input stream specs (parallel to the component's reads) to
 /// output stream specs (parallel to
 /// [`Component::output_streams`](crate::Component::output_streams)).
 pub type TransferFn =

@@ -34,6 +34,7 @@
 //! errors, or a script that does not lower — each offending line is
 //! reported, and `--force` does not apply.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,8 +58,22 @@ struct Args {
     compression: sb_stream::Compression,
 }
 
+/// Writes `text` to `out`, ignoring write errors: a broker whose log
+/// reader went away must keep serving the clients that are mid-step, and
+/// the exit status must say how the workflow ended, not how its log did.
+fn emit(mut out: impl Write, text: std::fmt::Arguments<'_>) {
+    let _ = out.write_fmt(text);
+}
+
+/// `eprintln!` through [`emit`]: every message of `sb-run` goes this way.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(std::io::stderr(), format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() {
-    eprintln!(
+    say!(
         "usage: sb-run --script FILE [--serve ADDR | --connect URL]\n\
          \x20             [--components a,b,...] [--timeout SECONDS] [--list] [--force]\n\
          \x20             [--protocol v1|v2] [--compress none|lz]\n\
@@ -207,7 +222,7 @@ fn run(
     let wf = match plan.workflow(hub, select) {
         Ok(wf) => wf,
         Err(detail) => {
-            eprintln!("sb-run: {detail}");
+            say!("sb-run: {detail}");
             return Err(ExitCode::from(2));
         }
     };
@@ -216,11 +231,11 @@ fn run(
     // script already passed the pre-launch lint gate.
     match wf.run_with(options.with_validation(Validation::Skip)) {
         Ok(report) => {
-            println!("{}", report.summary());
+            emit(std::io::stdout(), format_args!("{}\n", report.summary()));
             Ok(())
         }
         Err(e) => {
-            eprintln!("sb-run: workflow failed: {e}");
+            say!("sb-run: workflow failed: {e}");
             Err(ExitCode::from(1))
         }
     }
@@ -232,12 +247,12 @@ fn run(
 fn lint_gate(script_path: &str, plan: &WorkflowPlan, force: bool) -> Result<(), ExitCode> {
     let report = lint_plan(script_path, plan, &LintConfig::new());
     if report.errors() > 0 {
-        eprint!("{}", report.render_text());
+        emit(std::io::stderr(), format_args!("{}", report.render_text()));
         if force {
-            eprintln!("sb-run: {script_path}: launching despite lint errors (--force)");
+            say!("sb-run: {script_path}: launching despite lint errors (--force)");
             return Ok(());
         }
-        eprintln!(
+        say!(
             "sb-run: {}: refusing to launch: {} lint error(s) (--force to override)",
             script_path,
             report.errors()
@@ -245,7 +260,7 @@ fn lint_gate(script_path: &str, plan: &WorkflowPlan, force: bool) -> Result<(), 
         return Err(ExitCode::from(1));
     }
     if report.warnings() > 0 {
-        eprint!("{}", report.render_text());
+        emit(std::io::stderr(), format_args!("{}", report.render_text()));
     }
     Ok(())
 }
@@ -254,7 +269,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("sb-run: {e}");
+            say!("sb-run: {e}");
             usage();
             return ExitCode::from(2);
         }
@@ -263,7 +278,7 @@ fn main() -> ExitCode {
     let text = match std::fs::read_to_string(&script_path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("sb-run: {script_path}: {e}");
+            say!("sb-run: {script_path}: {e}");
             return ExitCode::from(2);
         }
     };
@@ -271,14 +286,17 @@ fn main() -> ExitCode {
         Ok(p) => p,
         Err(errors) => {
             for e in errors {
-                eprintln!("sb-run: {script_path}: {e}");
+                say!("sb-run: {script_path}: {e}");
             }
             return ExitCode::from(2);
         }
     };
     if args.list {
         for c in &plan.components {
-            println!("{}\t-n {}", c.label, c.entry.nranks);
+            emit(
+                std::io::stdout(),
+                format_args!("{}\t-n {}\n", c.label, c.entry.nranks),
+            );
         }
         return ExitCode::SUCCESS;
     }
@@ -293,7 +311,7 @@ fn main() -> ExitCode {
         .filter(|_| args.serve.is_none());
     if let Some(url) = &connect {
         if let Err(e) = validate_transport_url(url) {
-            eprintln!("sb-run: {e}");
+            say!("sb-run: {e}");
             return ExitCode::from(2);
         }
     }
@@ -302,11 +320,11 @@ fn main() -> ExitCode {
         let mut broker = match Broker::bind(&serve) {
             Ok(b) => b,
             Err(e) => {
-                eprintln!("sb-run: cannot serve on {serve}: {e}");
+                say!("sb-run: cannot serve on {serve}: {e}");
                 return ExitCode::from(2);
             }
         };
-        eprintln!("sb-run: serving {}", broker.url());
+        say!("sb-run: serving {}", broker.url());
         // Are parts of the script expected to arrive from other processes?
         let remotes_expected = args.components.is_empty()
             || plan
@@ -327,7 +345,7 @@ fn main() -> ExitCode {
             // active gauge), then keep serving until the active count has
             // stayed at zero for a full second — endpoints of one remote
             // process overlap, so a sustained zero means they all left.
-            eprintln!("sb-run: waiting for remote components");
+            say!("sb-run: waiting for remote components");
             while broker.connections_seen() == 0 {
                 std::thread::sleep(Duration::from_millis(100));
             }
@@ -348,7 +366,7 @@ fn main() -> ExitCode {
         }
     } else if let Some(url) = connect {
         if args.components.is_empty() {
-            eprintln!("sb-run: --connect needs --components (which part of the script runs here?)");
+            say!("sb-run: --connect needs --components (which part of the script runs here?)");
             return ExitCode::from(2);
         }
         let options = sb_stream::TcpOptions::default()
@@ -357,7 +375,7 @@ fn main() -> ExitCode {
         let hub = match StreamHub::connect_with(&url, options) {
             Ok(h) => h,
             Err(e) => {
-                eprintln!("sb-run: cannot connect to {url}: {e}");
+                say!("sb-run: cannot connect to {url}: {e}");
                 return ExitCode::from(2);
             }
         };

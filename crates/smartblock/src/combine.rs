@@ -74,11 +74,6 @@ pub struct Combine {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group override for the left input (defaults to
-    /// `combine-left` when both inputs share a stream, else `default`).
-    pub left_group: Option<String>,
-    /// Reader-group override for the right input.
-    pub right_group: Option<String>,
 }
 
 impl Combine {
@@ -89,44 +84,13 @@ impl Combine {
         R: Into<StreamArray>,
         O: Into<StreamArray>,
     {
-        let left = left.into();
-        let right = right.into();
         Combine {
-            left,
-            right,
+            left: left.into(),
+            right: right.into(),
             op,
             output: output.into(),
             writer_options: WriterOptions::default(),
-            left_group: None,
-            right_group: None,
         }
-    }
-
-    /// Overrides the reader group of the *left* input (the script option
-    /// `group=`); use [`Combine::with_right_group`] for the right side.
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> Combine {
-        self.left_group = Some(group.into());
-        self
-    }
-
-    /// Overrides the reader group of the right input.
-    pub fn with_right_group(mut self, group: impl Into<String>) -> Combine {
-        self.right_group = Some(group.into());
-        self
-    }
-
-    fn reader_groups(&self) -> (String, String) {
-        // Reading both sides of one stream needs distinct groups; distinct
-        // streams can share the default group namespace per stream.
-        let (dl, dr) = if self.left.stream == self.right.stream {
-            ("combine-left", "combine-right")
-        } else {
-            ("default", "default")
-        };
-        (
-            self.left_group.clone().unwrap_or_else(|| dl.to_string()),
-            self.right_group.clone().unwrap_or_else(|| dr.to_string()),
-        )
     }
 }
 
@@ -146,17 +110,14 @@ impl Component for Combine {
         let left = self.left.clone();
         let right = self.right.clone();
         let out_array = self.output.array.clone();
-        let (lg, rg) = self.reader_groups();
         Signature::new(
             vec![
-                ReadSpec::new(&self.left.stream, &self.left.array, PartitionRule::Along(0))
-                    .in_group(lg),
+                ReadSpec::new(&self.left.stream, &self.left.array, PartitionRule::Along(0)),
                 ReadSpec::new(
                     &self.right.stream,
                     &self.right.array,
                     PartitionRule::Along(0),
-                )
-                .in_group(rg),
+                ),
             ],
             move |ins| {
                 let lspec = match ins.first() {
@@ -243,21 +204,19 @@ mod tests {
 
     #[test]
     fn same_stream_inputs_use_distinct_groups() {
+        use crate::component::subscriptions;
+        let sub = |stream: &str, group: &str| (stream.to_string(), group.to_string());
+        // Reading two arrays of one stream: the later read gets `label#1`.
         let c = Combine::new(("s.fp", "a"), BinaryOp::Add, ("s.fp", "b"), ("o.fp", "sum"));
         assert_eq!(
-            c.reader_groups(),
-            ("combine-left".into(), "combine-right".into())
+            subscriptions("combine", &c),
+            vec![sub("s.fp", "combine"), sub("s.fp", "combine#1")]
         );
+        // Two streams: each read is in the component's own group.
         let c = Combine::new(("l.fp", "a"), BinaryOp::Add, ("r.fp", "b"), ("o.fp", "sum"));
-        assert_eq!(c.reader_groups(), ("default".into(), "default".into()));
         assert_eq!(
-            c.input_subscriptions(),
-            vec![
-                ("l.fp".to_string(), "default".to_string()),
-                ("r.fp".to_string(), "default".to_string())
-            ]
+            subscriptions("combine-2", &c),
+            vec![sub("l.fp", "combine-2"), sub("r.fp", "combine-2")]
         );
-        let c = c.with_reader_group("mine").with_right_group("other");
-        assert_eq!(c.reader_groups(), ("mine".into(), "other".into()));
     }
 }

@@ -7,6 +7,7 @@
 //! transform, sink, join, fan-out — runs on.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,13 +123,17 @@ impl std::fmt::Display for StreamArray {
 /// must be pure configuration (shared immutably across ranks).
 ///
 /// A component declares its wiring once, here: [`run_steps`] opens exactly
-/// the [`input_subscriptions`](Component::input_subscriptions) and
-/// [`output_streams`](Component::output_streams) that
+/// the streams its [`signature`](Component::signature) reads (else its
+/// [`input_streams`](Component::input_streams)) and its
+/// [`output_streams`](Component::output_streams) — what
 /// [`crate::Workflow::validate`] checks and the supervisor detaches or
 /// resets. The base [`label`](Component::label) only names the component;
-/// fault plans, signals, trace spans and errors are keyed by its workflow
-/// label — the label the workflow launched its ranks under, unique when
-/// one type runs twice (`histogram`, `histogram-2`).
+/// reader groups, fault plans, signals, trace spans and errors are keyed by
+/// its workflow label — the label the workflow launched its ranks under,
+/// unique when one type runs twice (`histogram`, `histogram-2`). A
+/// component names no reader group: each read subscribes under the
+/// workflow label, a later read of a stream it already reads under
+/// `label#i`, `i` the read's index.
 pub trait Component: Send + Sync + 'static {
     /// Base label: the component type's name, from which the workflow
     /// derives its unique label.
@@ -142,31 +147,11 @@ pub trait Component: Send + Sync + 'static {
     /// [`crate::FaultPolicy`] to it.
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult;
 
-    /// Shorthand for [`Component::input_subscriptions`] when every input
-    /// reads in the `"default"` reader group: the streams alone. Only a
-    /// component that declares no reads in its
-    /// [`signature`](Component::signature) needs it.
+    /// The streams this component reads, in [`StepIo::inputs`] order, when
+    /// its [`signature`](Component::signature) declares no reads; a
+    /// component that declares reads reads exactly their streams.
     fn input_streams(&self) -> Vec<String> {
         Vec::new()
-    }
-
-    /// `(stream, reader-group)` subscriptions this component opens, in
-    /// [`StepIo::inputs`] order. Two components sharing a `(stream, group)`
-    /// pair would corrupt each other's step accounting;
-    /// [`crate::Workflow::validate`] flags it. The default is the
-    /// signature's reads, so reads and inputs are parallel; a component
-    /// that declares no reads subscribes to its
-    /// [`input_streams`](Component::input_streams).
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        let reads = self.signature().reads;
-        if reads.is_empty() {
-            return self
-                .input_streams()
-                .into_iter()
-                .map(|s| (s, "default".to_string()))
-                .collect();
-        }
-        reads.into_iter().map(|r| (r.stream, r.group)).collect()
     }
 
     /// Streams this component writes, in [`StepIo::put`] order.
@@ -203,6 +188,56 @@ pub(crate) fn workflow_label<C: Component + ?Sized>(component: &C) -> String {
     sb_stream::thread_label().unwrap_or_else(|| component.label())
 }
 
+/// The streams `component` reads, in [`StepIo::inputs`] order: its
+/// signature's reads, else its [`Component::input_streams`].
+pub(crate) fn read_streams<C: Component + ?Sized>(component: &C) -> Vec<String> {
+    let reads = component.signature().reads;
+    if reads.is_empty() {
+        return component.input_streams();
+    }
+    reads.into_iter().map(|r| r.stream).collect()
+}
+
+/// The `(stream, reader group)` pairs the component labelled `label`
+/// subscribes, in [`StepIo::inputs`] order — the one group rule, which
+/// [`run_steps`], the supervisor and the analyser all call. A read's group
+/// is the component's workflow label; a read of a stream the component
+/// already reads gets `label#i`, `i` the read's index. Workflow labels are
+/// unique, so no two reads anywhere share a group.
+pub(crate) fn subscriptions<C: Component + ?Sized>(
+    label: &str,
+    component: &C,
+) -> Vec<(String, String)> {
+    let streams = read_streams(component);
+    streams
+        .iter()
+        .enumerate()
+        .map(|(i, stream)| {
+            let group = if streams[..i].contains(stream) {
+                format!("{label}#{i}")
+            } else {
+                label.to_string()
+            };
+            (stream.clone(), group)
+        })
+        .collect()
+}
+
+/// How many reader groups subscribe to each stream read by the
+/// `(label, component)` entries: one per subscription, since each is a
+/// group of its own. A writer keeps a step until that many groups have it.
+pub(crate) fn reader_group_counts<'a>(
+    entries: impl IntoIterator<Item = (&'a str, &'a dyn Component)>,
+) -> BTreeMap<String, usize> {
+    let mut counts = BTreeMap::new();
+    for (label, component) in entries {
+        for (stream, _) in subscriptions(label, component) {
+            *counts.entry(stream).or_default() += 1;
+        }
+    }
+    counts
+}
+
 /// One open step, as [`run_steps`] hands it to the per-step closure: every
 /// input is inside `begin_step`, no output is yet.
 pub struct StepIo<'a> {
@@ -212,7 +247,7 @@ pub struct StepIo<'a> {
     pub step: u64,
     /// The component's workflow label: the key its signals publish under.
     pub label: &'a str,
-    /// The open readers, in [`Component::input_subscriptions`] order.
+    /// The open readers, in the order of the component's reads.
     pub inputs: &'a [StreamReader],
     /// This component's communicator.
     pub comm: &'a Communicator,
@@ -493,8 +528,7 @@ where
     let label = workflow_label(component);
     let signature = component.signature();
     let outputs = component.output_streams();
-    let mut readers: Vec<StreamReader> = component
-        .input_subscriptions()
+    let mut readers: Vec<StreamReader> = subscriptions(&label, component)
         .iter()
         .map(|(stream, group)| hub.open_reader_grouped(stream, group, rank, size))
         .collect();
@@ -688,8 +722,8 @@ fn commit(
 pub(crate) mod tests {
     use super::*;
 
-    /// A component that is nothing but its wiring, in the default reader
-    /// group: what tests drive [`run_steps`] over directly.
+    /// A component that is nothing but its wiring: what tests drive
+    /// [`run_steps`] over directly.
     pub(crate) struct Wired {
         inputs: Vec<String>,
         outputs: Vec<String>,

@@ -181,8 +181,6 @@ pub struct DimReduce {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
 }
 
 impl DimReduce {
@@ -199,19 +197,12 @@ impl DimReduce {
             grow,
             output: output.into(),
             writer_options: WriterOptions::default(),
-            reader_group: "default".into(),
         }
     }
 
     /// Overrides the output buffering policy.
     pub fn with_writer_options(mut self, options: WriterOptions) -> DimReduce {
         self.writer_options = options;
-        self
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> DimReduce {
-        self.reader_group = group.into();
         self
     }
 }
@@ -236,8 +227,7 @@ impl Component for DimReduce {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(remove),
-            )
-            .in_group(&self.reader_group)],
+            )],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),

@@ -48,8 +48,8 @@ impl Component for FileWrite {
         "file-write".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.clone(), "default".into())]
+    fn input_streams(&self) -> Vec<String> {
+        vec![self.input.clone()]
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {

@@ -60,8 +60,8 @@ impl Component for Fork {
         "fork".into()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.input.clone(), "fork".to_string())]
+    fn input_streams(&self) -> Vec<String> {
+        vec![self.input.clone()]
     }
 
     fn output_streams(&self) -> Vec<String> {

@@ -187,8 +187,6 @@ pub struct Histogram {
     pub output_file: Option<PathBuf>,
     /// Stream to publish `counts`/`bin_edges` on, if any.
     pub output_stream: Option<String>,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
     /// Buffering policy for the optional output stream.
     pub writer_options: WriterOptions,
     results: Arc<Mutex<Vec<HistogramResult>>>,
@@ -214,7 +212,6 @@ impl Histogram {
             num_bins,
             output_file: None,
             output_stream: None,
-            reader_group: "default".into(),
             writer_options: WriterOptions::default(),
             results: Arc::new(Mutex::new(Vec::new())),
         })
@@ -224,12 +221,6 @@ impl Histogram {
     /// to declare several subscriber groups on the histogram results).
     pub fn with_writer_options(mut self, options: WriterOptions) -> Histogram {
         self.writer_options = options;
-        self
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> Histogram {
-        self.reader_group = group.into();
         self
     }
 
@@ -272,10 +263,11 @@ impl Component for Histogram {
         let has_output = self.output_stream.is_some();
         let advised_array = in_array.clone();
         Signature::new(
-            vec![
-                ReadSpec::new(&self.input.stream, &in_array, PartitionRule::Along(0))
-                    .in_group(&self.reader_group),
-            ],
+            vec![ReadSpec::new(
+                &self.input.stream,
+                &in_array,
+                PartitionRule::Along(0),
+            )],
             move |ins| {
                 if let Some(stream) = ins.first() {
                     if let Some(spec) = stream.array(&in_array)? {

@@ -99,10 +99,9 @@ pub struct LaunchEntry {
     pub program: String,
     /// The positional argument tokens, in order.
     pub args: Vec<String>,
-    /// Every `key=value` token: a component's launch options (`group=`
-    /// reader group, `groups=N` declared subscriber count on the output,
-    /// `queue=N` writer queue depth, `rendezvous=1` synchronous hand-off,
-    /// ...), a simulation's parameters.
+    /// Every `key=value` token: a component's launch options (`queue=N`
+    /// writer queue depth, `rendezvous=1` synchronous hand-off, ...), a
+    /// simulation's parameters.
     pub options: BTreeMap<String, String>,
     /// The `< file` operand, if present (recorded, not read).
     pub stdin: Option<String>,
@@ -433,14 +432,12 @@ impl LaunchEntry {
                 let dim = parse_usize(a[2], "dimension index", line)?;
                 let mut c = Select::new(io(0), dim, a[5..].iter().copied(), io(3));
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "magnitude" => {
                 arity(4..=4, "magnitude in-stream in-array out-stream out-array")?;
                 let mut c = Magnitude::new(io(0), io(2));
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "dim-reduce" => {
@@ -452,7 +449,6 @@ impl LaunchEntry {
                 let grow = parse_usize(a[3], "dim-to-grow", line)?;
                 let mut c = DimReduce::new(io(0), remove, grow, io(4));
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "histogram" => {
@@ -462,7 +458,6 @@ impl LaunchEntry {
                 if let Some(&path) = a.get(3) {
                     c = c.with_output_file(path);
                 }
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "threshold" => {
@@ -484,7 +479,6 @@ impl LaunchEntry {
                 })?;
                 let mut c = Threshold::new(io(0), predicate, io(4));
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "combine" => {
@@ -500,8 +494,6 @@ impl LaunchEntry {
                 })?;
                 let mut c = Combine::new(io(0), op, io(3), io(5));
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.left_group = opts.take("group").map(String::from);
-                c.right_group = opts.take("rgroup").map(String::from);
                 Box::new(c)
             }
             "temporal-mean" => {
@@ -515,7 +507,6 @@ impl LaunchEntry {
                     c = c.try_with_stride(stride).map_err(rejected)?;
                 }
                 c.writer_options = opts.writer().map_err(rejected)?;
-                c.reader_group = opts.reader();
                 Box::new(c)
             }
             "fork" => {
@@ -526,10 +517,7 @@ impl LaunchEntry {
             "aio" => {
                 arity(4..=MANY, "aio in-stream in-array num-bins names...")?;
                 let bins = parse_usize(a[2], "num-bins", line)?;
-                let mut c =
-                    AllInOne::try_new(io(0), a[3..].iter().copied(), bins).map_err(rejected)?;
-                c.reader_group = opts.reader();
-                Box::new(c)
+                Box::new(AllInOne::try_new(io(0), a[3..].iter().copied(), bins).map_err(rejected)?)
             }
             "file-write" => {
                 arity(2..=2, "file-write in-stream path")?;
@@ -600,13 +588,8 @@ impl<'a> Options<'a> {
             .transpose()
     }
 
-    /// The input's reader group: `group=`, else `default`.
-    fn reader(&mut self) -> String {
-        self.take("group").unwrap_or("default").to_string()
-    }
-
-    /// The output's writer settings — `queue=`, `rendezvous=`, `groups=` —
-    /// over the default policy.
+    /// The output's writer settings — `queue=`, `rendezvous=` — over the
+    /// default policy.
     fn writer(&mut self) -> Result<WriterOptions, String> {
         let mut w = WriterOptions::default();
         if let Some(q) = self.usize("queue")? {
@@ -621,12 +604,6 @@ impl<'a> Options<'a> {
                 "0" | "false" => false,
                 _ => return Err(format!("rendezvous={r:?} is not 0, 1, true or false")),
             };
-        }
-        if let Some(g) = self.usize("groups")? {
-            if g == 0 {
-                return Err("groups must be at least 1".to_string());
-            }
-            w.expected_reader_groups = g;
         }
         Ok(w)
     }
@@ -665,12 +642,15 @@ mod tests {
             .collect()
     }
 
-    /// What a built component declares to the wiring: its label, its
-    /// `(stream, group)` subscriptions and its output streams.
+    /// What a built component declares to the wiring: its label, the
+    /// `(stream, group)` subscriptions it makes under that label, and its
+    /// output streams.
     type Wiring = (String, Vec<(String, String)>, Vec<String>);
 
     fn wiring(c: &dyn Component) -> Wiring {
-        (c.label(), c.input_subscriptions(), c.output_streams())
+        let label = c.label();
+        let subscribed = crate::component::subscriptions(&label, c);
+        (label, subscribed, c.output_streams())
     }
 
     fn sub(stream: &str, group: &str) -> (String, String) {
@@ -742,15 +722,19 @@ mod tests {
         assert_eq!(
             wired,
             [
-                ("histogram".into(), vec![sub("velos.fp", "default")], vec![]),
+                (
+                    "histogram".into(),
+                    vec![sub("velos.fp", "histogram")],
+                    vec![]
+                ),
                 (
                     "magnitude".into(),
-                    vec![sub("lmpselect.fp", "default")],
+                    vec![sub("lmpselect.fp", "magnitude")],
                     strings(&["velos.fp"])
                 ),
                 (
                     "select".into(),
-                    vec![sub("dump.custom.fp", "default")],
+                    vec![sub("dump.custom.fp", "select")],
                     strings(&["lmpselect.fp"])
                 ),
                 ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
@@ -812,15 +796,9 @@ mod tests {
             ["fork", "threshold", "file-write", "file-read", "aio"]
         );
         assert_eq!(c[0].component.output_streams(), ["a.fp", "b.fp"]);
-        assert_eq!(
-            c[2].component.input_subscriptions(),
-            [sub("b.fp", "default")]
-        );
+        assert_eq!(wiring(&*c[2].component).1, [sub("b.fp", "file-write")]);
         assert_eq!(c[3].component.output_streams(), ["replay.fp"]);
-        assert_eq!(
-            c[4].component.input_subscriptions(),
-            [sub("dump.fp", "default")]
-        );
+        assert_eq!(wiring(&*c[4].component).1, [sub("dump.fp", "all-in-one")]);
     }
 
     /// Every program from its script line: the planned component declares
@@ -830,10 +808,10 @@ mod tests {
     fn every_program_lowers_from_its_script_line() {
         let cases: &[(&str, Wiring)] = &[
             (
-                "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz group=g queue=3",
+                "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz queue=3",
                 (
                     "select".into(),
-                    vec![sub("dump.fp", "g")],
+                    vec![sub("dump.fp", "select")],
                     strings(&["sel.fp"]),
                 ),
             ),
@@ -841,35 +819,35 @@ mod tests {
                 "magnitude sel.fp v mag.fp speed rendezvous=1",
                 (
                     "magnitude".into(),
-                    vec![sub("sel.fp", "default")],
+                    vec![sub("sel.fp", "magnitude")],
                     strings(&["mag.fp"]),
                 ),
             ),
             (
-                "dim-reduce a.fp x 2 1 b.fp y groups=2",
+                "dim-reduce a.fp x 2 1 b.fp y",
                 (
                     "dim-reduce".into(),
-                    vec![sub("a.fp", "default")],
+                    vec![sub("a.fp", "dim-reduce")],
                     strings(&["b.fp"]),
                 ),
             ),
             (
-                "histogram a.fp x 8 /tmp/h.txt group=h",
-                ("histogram".into(), vec![sub("a.fp", "h")], vec![]),
+                "histogram a.fp x 8 /tmp/h.txt",
+                ("histogram".into(), vec![sub("a.fp", "histogram")], vec![]),
             ),
             (
                 "threshold a.fp x abs-gt 2.5 b.fp y",
                 (
                     "threshold".into(),
-                    vec![sub("a.fp", "default")],
+                    vec![sub("a.fp", "threshold")],
                     strings(&["b.fp"]),
                 ),
             ),
             (
-                "combine a.fp x sub b.fp y c.fp z group=l rgroup=r",
+                "combine a.fp x sub a.fp y c.fp z",
                 (
                     "combine".into(),
-                    vec![sub("a.fp", "l"), sub("b.fp", "r")],
+                    vec![sub("a.fp", "combine"), sub("a.fp", "combine#1")],
                     strings(&["c.fp"]),
                 ),
             ),
@@ -877,7 +855,7 @@ mod tests {
                 "temporal-mean a.fp x 3 b.fp y stride=2",
                 (
                     "temporal-mean".into(),
-                    vec![sub("a.fp", "default")],
+                    vec![sub("a.fp", "temporal-mean")],
                     strings(&["b.fp"]),
                 ),
             ),
@@ -890,12 +868,16 @@ mod tests {
                 ),
             ),
             (
-                "aio dump.fp atoms 16 vx vy vz group=a",
-                ("all-in-one".into(), vec![sub("dump.fp", "a")], vec![]),
+                "aio dump.fp atoms 16 vx vy vz",
+                (
+                    "all-in-one".into(),
+                    vec![sub("dump.fp", "all-in-one")],
+                    vec![],
+                ),
             ),
             (
                 "file-write b.fp /tmp/out.sbc",
-                ("file-write".into(), vec![sub("b.fp", "default")], vec![]),
+                ("file-write".into(), vec![sub("b.fp", "file-write")], vec![]),
             ),
             (
                 "file-read /tmp/out.sbc replay.fp rendezvous=0",
@@ -977,11 +959,20 @@ mod tests {
             ("histogram a.fp r 8 queue=4", "queue on histogram"),
             ("aio a.fp x 8 vx queue=4", "queue on aio"),
             ("magnitude a b c d stride=3", "stride off temporal-mean"),
-            (
-                "combine a x add b y c z rgroup=r stride=2",
-                "stride on combine",
-            ),
+            ("combine a x add b y c z stride=2", "stride on combine"),
             ("magnitude a b c d < in.txt", "input file on a component"),
+            (
+                "histogram a.fp r 8 group=h",
+                "a reader group: labels name groups",
+            ),
+            (
+                "combine a x add a y c z rgroup=r",
+                "a right reader group: labels name groups",
+            ),
+            (
+                "magnitude a b c d groups=2",
+                "a subscriber count: the workflow counts them",
+            ),
         ] {
             let line = format!("\n# {what}\n{script}");
             match WorkflowPlan::from_script(&line) {
@@ -998,7 +989,7 @@ mod tests {
         assert_eq!(
             e[0].detail,
             "component rejected its arguments: fork takes no option group= \
-             (its options: groups= queue= rendezvous=)"
+             (its options: queue= rendezvous=)"
         );
         // A dropped program is unknown like any other, and lints as SB000.
         let script = "aprun -n 2 transpose a.fp x 1,0 b.fp y";

@@ -63,8 +63,6 @@ pub struct Magnitude {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
 }
 
 impl Magnitude {
@@ -74,19 +72,12 @@ impl Magnitude {
             input: input.into(),
             output: output.into(),
             writer_options: WriterOptions::default(),
-            reader_group: "default".into(),
         }
     }
 
     /// Overrides the output buffering policy.
     pub fn with_writer_options(mut self, options: WriterOptions) -> Magnitude {
         self.writer_options = options;
-        self
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> Magnitude {
-        self.reader_group = group.into();
         self
     }
 }
@@ -109,8 +100,7 @@ impl Component for Magnitude {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(0),
-            )
-            .in_group(&self.reader_group)],
+            )],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),

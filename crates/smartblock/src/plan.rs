@@ -38,7 +38,7 @@ use std::sync::Arc;
 use sb_stream::StreamHub;
 
 use crate::analysis::{lint_plan, LintConfig};
-use crate::component::Component;
+use crate::component::{reader_group_counts, Component};
 use crate::error::WorkflowError;
 use crate::launch::{LaunchEntry, LaunchError, ScriptDirectives};
 use crate::runtime::{unique_label, Workflow};
@@ -120,7 +120,9 @@ impl WorkflowPlan {
 
     /// Builds this process's slice as a workflow on `hub`: the components
     /// named in `select` (all of them when `select` is empty), with the
-    /// plan's policies, triggers, and run defaults applied. Policies whose
+    /// plan's policies, triggers, and run defaults applied. The slice's
+    /// writers keep each step for every reader group of the *whole* plan,
+    /// so a subscriber in another process cannot miss one. Policies whose
     /// label the slice does not contain are skipped (a partial slice only
     /// supervises its own components; `sb-lint` flags genuinely unknown
     /// targets as SB014).
@@ -165,6 +167,11 @@ impl WorkflowPlan {
         for trigger in &self.triggers {
             wf.add_trigger(trigger.clone());
         }
+        wf.set_plan_reader_groups(reader_group_counts(
+            self.components
+                .iter()
+                .map(|c| (c.label.as_str(), c.component.as_ref())),
+        ));
         Ok(wf)
     }
 }

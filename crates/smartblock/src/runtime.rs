@@ -15,7 +15,7 @@ use sb_data::{Chunk, Variable, VariableMeta};
 use sb_stream::{StreamHub, TraceConfig, WriterOptions};
 
 use crate::analysis::{self, AnalysisIssue, EntryView, PartitionRule, Severity};
-use crate::component::{run_steps, Component, StepEnd};
+use crate::component::{reader_group_counts, run_steps, Component, StepEnd};
 use crate::error::{ComponentResult, WorkflowError};
 use crate::metrics::{ComponentReport, WorkflowReport};
 use crate::supervisor::{supervise, FaultPolicy, RunOptions, Supervision, Validation};
@@ -81,8 +81,8 @@ where
         self.label.clone()
     }
 
-    fn input_subscriptions(&self) -> Vec<(String, String)> {
-        vec![(self.stream.clone(), self.label.clone())]
+    fn input_streams(&self) -> Vec<String> {
+        vec![self.stream.clone()]
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
@@ -133,18 +133,6 @@ pub enum WiringIssue {
         /// Components that write it.
         writers: Vec<String>,
     },
-    /// Two components subscribe to one stream under the same reader-group
-    /// name; their step accounting would interleave. Give one of them a
-    /// distinct group via `with_reader_group` (and declare the subscriber
-    /// count on the writer).
-    DuplicateSubscription {
-        /// The contested stream name.
-        stream: String,
-        /// The shared group name.
-        group: String,
-        /// Components sharing it.
-        readers: Vec<String>,
-    },
 }
 
 impl std::fmt::Display for WiringIssue {
@@ -165,15 +153,6 @@ impl std::fmt::Display for WiringIssue {
             WiringIssue::MultipleWriters { stream, writers } => {
                 write!(f, "stream {stream:?} has multiple writers: {writers:?}")
             }
-            WiringIssue::DuplicateSubscription {
-                stream,
-                group,
-                readers,
-            } => write!(
-                f,
-                "components {readers:?} all subscribe to stream {stream:?} as reader group \
-                 {group:?}; give each a distinct group"
-            ),
         }
     }
 }
@@ -213,6 +192,9 @@ pub struct Workflow {
     policies: BTreeMap<String, FaultPolicy>,
     /// Reactive trigger clauses, evaluated against published signals.
     triggers: Vec<Trigger>,
+    /// Reader groups per stream of the whole plan this workflow is a slice
+    /// of; `None` counts this workflow's own entries.
+    reader_groups: Option<BTreeMap<String, usize>>,
 }
 
 impl Default for Workflow {
@@ -235,6 +217,7 @@ impl Workflow {
             entries: Vec::new(),
             policies: BTreeMap::new(),
             triggers: Vec::new(),
+            reader_groups: None,
         }
     }
 
@@ -362,8 +345,14 @@ impl Workflow {
         &self.triggers
     }
 
+    /// Counts reader groups over the whole plan this workflow is a slice
+    /// of, so its writers wait for subscribers in other processes.
+    pub(crate) fn set_plan_reader_groups(&mut self, counts: BTreeMap<String, usize>) {
+        self.reader_groups = Some(counts);
+    }
+
     /// Static workflow analysis: wiring diagnostics (dangling or contested
-    /// streams and reader groups), subscription-cycle detection, and
+    /// streams), subscription-cycle detection, and
     /// [`ArraySpec`](crate::analysis::ArraySpec) propagation through every
     /// component's declared [`signature`](Component::signature), catching
     /// contract violations (unknown labels, out-of-range axes, shape
@@ -433,9 +422,22 @@ impl Workflow {
             entries,
             policies,
             triggers,
+            reader_groups,
         } = self;
         if let Some(timeout) = options.hub_timeout {
             hub.set_wait_timeout(timeout);
+        }
+        // Before any writer opens: each stream keeps a step until every
+        // reader group of the plan has it, however late one attaches.
+        let reader_groups = reader_groups.unwrap_or_else(|| {
+            reader_group_counts(
+                entries
+                    .iter()
+                    .map(|e| (e.label.as_str(), e.component.as_ref())),
+            )
+        });
+        for (stream, groups) in &reader_groups {
+            hub.set_reader_groups(stream, *groups);
         }
         // Arm the tracer before any component thread spawns so the very
         // first step is on the timeline. Precedence: RunOptions, then

@@ -82,8 +82,6 @@ pub struct Select {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group name on the input stream (for multi-subscriber DAGs).
-    pub reader_group: String,
 }
 
 impl Select {
@@ -101,19 +99,12 @@ impl Select {
             keep: keep.into_iter().map(Into::into).collect(),
             output: output.into(),
             writer_options: WriterOptions::default(),
-            reader_group: "default".into(),
         }
     }
 
     /// Overrides the output buffering policy.
     pub fn with_writer_options(mut self, options: WriterOptions) -> Select {
         self.writer_options = options;
-        self
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> Select {
-        self.reader_group = group.into();
         self
     }
 }
@@ -136,8 +127,7 @@ impl Component for Select {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::FirstExcept(dim),
-            )
-            .in_group(&self.reader_group)],
+            )],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),

@@ -27,7 +27,7 @@ use sb_comm::{CommError, LaunchHandle};
 use sb_data::lock;
 use sb_stream::{EventKind, StreamHub, TraceConfig, TraceSite};
 
-use crate::component::{take_partial_stats, Component};
+use crate::component::{subscriptions, take_partial_stats, Component};
 use crate::error::{backoff_delay, ComponentError};
 use crate::metrics::{ComponentOutcome, ComponentReport, ComponentStats};
 
@@ -321,7 +321,7 @@ pub(crate) fn supervise(
             FailureAction::Restart if attempts <= policy.max_restarts => {
                 supervisor_event(sup, label, EventKind::RestartAttempt, (attempts + 1) as u64);
                 sup.hub.prepare_restart(
-                    &component.input_subscriptions(),
+                    &subscriptions(label, component.as_ref()),
                     &component.output_streams(),
                 );
                 std::thread::sleep(backoff_delay(policy.backoff, attempts));
@@ -332,7 +332,7 @@ pub(crate) fn supervise(
                 for stream in component.output_streams() {
                     sup.hub.force_end_of_stream(&stream);
                 }
-                for (stream, group) in component.input_subscriptions() {
+                for (stream, group) in subscriptions(label, component.as_ref()) {
                     sup.hub.detach_reader_group(&stream, &group);
                 }
                 let mut report = ComponentReport::from_ranks(label.to_string(), carried)

@@ -92,8 +92,6 @@ pub struct TemporalMean {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
     /// Publish one output step per `stride` input steps (1 = every step).
     /// The mean still updates on every consumed step; only publishing
     /// decimates, so `stride=n` smooths at full rate but reports at 1/n.
@@ -132,15 +130,8 @@ impl TemporalMean {
             window,
             output: output.into(),
             writer_options: WriterOptions::default(),
-            reader_group: "default".into(),
             stride: Arc::new(AtomicUsize::new(1)),
         })
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> TemporalMean {
-        self.reader_group = group.into();
-        self
     }
 
     /// Publishes one output step per `stride` input steps (builder style).
@@ -185,8 +176,7 @@ impl Component for TemporalMean {
                 &self.input.stream,
                 &self.input.array,
                 PartitionRule::Along(0),
-            )
-            .in_group(&self.reader_group)],
+            )],
             unary_transfer(
                 self.input.array.clone(),
                 self.output.array.clone(),

@@ -77,8 +77,6 @@ pub struct Threshold {
     pub output: StreamArray,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
-    /// Reader-group name on the input stream.
-    pub reader_group: String,
 }
 
 impl Threshold {
@@ -93,14 +91,7 @@ impl Threshold {
             predicate,
             output: output.into(),
             writer_options: WriterOptions::default(),
-            reader_group: "default".into(),
         }
-    }
-
-    /// Subscribes under a named reader group (multi-subscriber streams).
-    pub fn with_reader_group(mut self, group: impl Into<String>) -> Threshold {
-        self.reader_group = group.into();
-        self
     }
 }
 
@@ -119,10 +110,11 @@ impl Component for Threshold {
         let in_array = self.input.array.clone();
         let out_array = self.output.array.clone();
         Signature::new(
-            vec![
-                ReadSpec::new(&self.input.stream, &in_array, PartitionRule::Along(0))
-                    .in_group(&self.reader_group),
-            ],
+            vec![ReadSpec::new(
+                &self.input.stream,
+                &in_array,
+                PartitionRule::Along(0),
+            )],
             move |ins| {
                 if let Some(stream) = ins.first() {
                     stream.array(&in_array)?;

@@ -3,8 +3,8 @@
 //! broker binds or component spawns), and a two-process `sb-run`
 //! deployment of an example script.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Output, Stdio};
+use std::io::{BufRead, BufReader, Lines};
+use std::process::{Child, ChildStderr, Command, ExitStatus, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use smartblock::analysis::check_report;
@@ -206,6 +206,65 @@ fn sb_run_executes_a_clean_script() {
     assert!(stdout.contains("histogram"), "{stdout}");
 }
 
+/// The multi-process GROMACS example script.
+fn gromacs_tcp_script() -> String {
+    format!(
+        "{}/../../examples/scripts/gromacs_tcp.sb",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// Starts `sb-run --serve` on an ephemeral port running the simulation,
+/// and reads the URL it announces on stderr; returns the broker, the rest
+/// of its stderr, and the URL.
+fn serve_gromacs(script: &str) -> (Child, Lines<BufReader<ChildStderr>>, String) {
+    let mut broker = Command::new(env!("CARGO_BIN_EXE_sb-run"))
+        .args(["--script", script, "--serve", "127.0.0.1:0"])
+        .args(["--components", "gromacs"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the broker process");
+    let mut log = BufReader::new(broker.stderr.take().unwrap()).lines();
+    let url = log
+        .by_ref()
+        .map(|line| line.unwrap())
+        .find_map(|line| line.strip_prefix("sb-run: serving ").map(str::to_string))
+        .expect("the broker announces its URL");
+    (broker, log, url)
+}
+
+/// Runs the analysis half of the GROMACS example against `url`; it must
+/// exit 0 and print its summary.
+fn connect_analysis(script: &str, url: &str) {
+    let client = sb_run(&[
+        "--script",
+        script,
+        "--connect",
+        url,
+        "--components",
+        "magnitude,histogram",
+    ]);
+    assert_eq!(code(&client), 0, "{client:?}");
+    let summary = String::from_utf8(client.stdout).unwrap();
+    assert!(summary.contains("histogram"), "{summary}");
+}
+
+/// Waits up to a minute for `child` to exit.
+fn exit_status(child: &mut Child) -> ExitStatus {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            return status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("the broker process did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 /// The multi-process GROMACS example runs from its one `.sb` script as two
 /// `sb-run` processes: a broker that runs the simulation, and a client
 /// that connects and runs the analysis. Both exit 0. (The broker binds an
@@ -213,45 +272,22 @@ fn sb_run_executes_a_clean_script() {
 /// concurrent test runs cannot collide.)
 #[test]
 fn gromacs_tcp_example_runs_as_a_serve_and_a_connect_process() {
-    let script = format!(
-        "{}/../../examples/scripts/gromacs_tcp.sb",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let mut broker = Command::new(env!("CARGO_BIN_EXE_sb-run"))
-        .args(["--script", &script, "--serve", "127.0.0.1:0"])
-        .args(["--components", "gromacs"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn the broker process");
+    let script = gromacs_tcp_script();
     // Kept open to the end: the broker goes on logging there.
-    let mut broker_log = BufReader::new(broker.stderr.take().unwrap()).lines();
-    let url = broker_log
-        .by_ref()
-        .map(|line| line.unwrap())
-        .find_map(|line| line.strip_prefix("sb-run: serving ").map(str::to_string))
-        .expect("the broker announces its URL");
-    let client = sb_run(&[
-        "--script",
-        &script,
-        "--connect",
-        &url,
-        "--components",
-        "magnitude,histogram",
-    ]);
-    assert_eq!(code(&client), 0, "{client:?}");
-    let summary = String::from_utf8(client.stdout).unwrap();
-    assert!(summary.contains("histogram"), "{summary}");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let status = loop {
-        if let Some(status) = broker.try_wait().unwrap() {
-            break status;
-        }
-        if Instant::now() > deadline {
-            broker.kill().unwrap();
-            panic!("the broker process did not exit");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let (mut broker, _log, url) = serve_gromacs(&script);
+    connect_analysis(&script, &url);
+    let status = exit_status(&mut broker);
+    assert!(status.success(), "broker exited with {status}");
+}
+
+/// A broker whose stderr reader goes away keeps serving: its next log
+/// line fails to write, and neither it nor its client may die of that.
+#[test]
+fn a_broker_whose_stderr_is_closed_serves_its_client_to_the_end() {
+    let script = gromacs_tcp_script();
+    let (mut broker, log, url) = serve_gromacs(&script);
+    drop(log);
+    connect_analysis(&script, &url);
+    let status = exit_status(&mut broker);
     assert!(status.success(), "broker exited with {status}");
 }

@@ -3,11 +3,15 @@
 //! streams — no Fork, no data duplication:
 //!
 //! ```text
-//!                      ┌─[group "trend"]──> temporal-mean(2 steps) ─────┐
+//!                      ┌──> temporal-mean(2 steps) ─────────────────────┐
 //! gtcp ── gtcp.fp ─────┤                                                ├─> printed
-//!                      └─[group "alarms"]─> select(P_perp) ─> 2x dim-reduce
-//!                                           ─> threshold(hot cells) ────┘
+//!                      └──> select(P_perp) ─> 2x dim-reduce
+//!                           ─> threshold(hot cells) ────────────────────┘
 //! ```
+//!
+//! Each branch reads `gtcp.fp` in the reader group its workflow label
+//! names, and the workflow tells the simulation's writer that two groups
+//! subscribe, so neither branch can miss a step.
 //!
 //! Branch 1 smooths every plasma property over the last two steps, state
 //! the component carries across steps. Branch 2 reproduces the paper's
@@ -16,7 +20,6 @@
 //!
 //! Run with: `cargo run --release -p sb-examples --bin plasma_monitor`
 
-use sb_stream::WriterOptions;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
 use smartblock::workflows::Simulation;
@@ -29,16 +32,13 @@ fn main() {
             .param("slices", 16)
             .param("points", 24)
             .param("steps", 3)
-            .param("interval", 10)
-            // Two branches subscribe to the raw stream.
-            .with_writer_options(WriterOptions::default().with_reader_groups(2)),
+            .param("interval", 10),
     );
 
     // Branch 1: the running two-step mean of the whole plasma array.
     wf.add(
         2,
-        TemporalMean::new(("gtcp.fp", "plasma"), 2, ("trend.fp", "plasma"))
-            .with_reader_group("trend"),
+        TemporalMean::new(("gtcp.fp", "plasma"), 2, ("trend.fp", "plasma")),
     );
     wf.add_sink("print-trend", 1, "trend.fp", |step, vars| {
         let v = &vars["plasma"];
@@ -59,8 +59,7 @@ fn main() {
     // Branch 2: the paper's flattening pipeline ending in an alarm filter.
     wf.add(
         2,
-        Select::new(("gtcp.fp", "plasma"), 2, ["P_perp"], ("psel.fp", "pperp"))
-            .with_reader_group("alarms"),
+        Select::new(("gtcp.fp", "plasma"), 2, ["P_perp"], ("psel.fp", "pperp")),
     );
     wf.add(
         2,

@@ -7,6 +7,15 @@ use sb_sims::{GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, SimRank};
 use smartblock::histogram::bin_counts;
 use smartblock::HistogramResult;
 
+/// The chaos seed: 41, or `SB_CHAOS_SEED`, so CI can sweep several fixed
+/// seeds.
+pub fn chaos_seed() -> u64 {
+    std::env::var("SB_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(41)
+}
+
 /// Deterministic per-step coordinates for the chaos pipelines. Shared with
 /// the `component_host` helper binary so a source running in another OS
 /// process produces exactly the values an in-proc golden run produces.

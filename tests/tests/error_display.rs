@@ -174,11 +174,6 @@ fn analysis_issue_messages_are_clean() {
             stream: "m.fp".into(),
             writers: vec!["a".into(), "b".into()],
         },
-        WiringIssue::DuplicateSubscription {
-            stream: "r.fp".into(),
-            group: "default".into(),
-            readers: vec!["temporal-mean".into(), "combine".into()],
-        },
     ];
     for w in wiring {
         assert_clean(&AnalysisIssue::Wiring(w).to_string());

@@ -7,7 +7,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sb_data::{lock, Buffer, Shape, Variable};
-use sb_stream::WriterOptions;
 use smartblock::launch::SimCode;
 use smartblock::prelude::*;
 use smartblock::workflows::Simulation;
@@ -145,7 +144,7 @@ fn threshold_handles_empty_result_sets() {
 fn two_components_subscribe_to_one_simulation_stream() {
     // The reader-group DAG: no Fork, no duplication — the GROMACS stream
     // feeds two Magnitude → Histogram branches directly, each Magnitude in
-    // its own reader group.
+    // the reader group its label names; the workflow counts both.
     let mut wf = Workflow::new();
     wf.add(
         2,
@@ -153,16 +152,15 @@ fn two_components_subscribe_to_one_simulation_stream() {
             .param("chains", 12)
             .param("len", 8)
             .param("steps", 3)
-            .param("interval", 5)
-            .with_writer_options(WriterOptions::default().with_reader_groups(2)),
+            .param("interval", 5),
     );
     wf.add(
         2,
-        Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")).with_reader_group("mag"),
+        Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")),
     );
     wf.add(
         3,
-        Magnitude::new(("gromacs.fp", "coords"), ("radii2.fp", "r")).with_reader_group("mag2"),
+        Magnitude::new(("gromacs.fp", "coords"), ("radii2.fp", "r")),
     );
     let hist = Histogram::new(("radii.fp", "r"), 8);
     let hist_results = hist.results_handle();

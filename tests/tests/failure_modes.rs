@@ -474,15 +474,8 @@ fn dangling_reader_times_out_with_stream_name() {
 // Seeded chaos: deterministic fault injection against the supervisor.
 // ---------------------------------------------------------------------------
 
-/// The chaos seed, overridable so CI can sweep several fixed seeds.
-fn chaos_seed() -> u64 {
-    std::env::var("SB_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(41)
-}
-
 use sb_integration_tests::chaos_coords as coords;
+use sb_integration_tests::chaos_seed;
 
 /// gen -> magnitude -> collect, with the collected per-step outputs handed
 /// back so tests can compare them against a golden run.
@@ -857,10 +850,10 @@ fn shm_backend_reproduces_inproc_stall_degradation() {
     assert!(inproc_degraded && shm_degraded);
 }
 
-/// Degrade detaches the reader group the killed component joined, not the
-/// default one: the writer's other group sees every step and the writer,
-/// whose one-step queue a dead group would fill, completes long before the
-/// hub timeout.
+/// Degrade detaches the reader group the killed component joined — its
+/// label: the writer's other group sees every step and the writer, whose
+/// one-step queue a dead group would fill, completes long before the hub
+/// timeout.
 #[test]
 fn degrade_detaches_the_group_the_component_joined() {
     use smartblock::launch::SimCode;
@@ -874,15 +867,15 @@ fn degrade_detaches_the_group_the_component_joined() {
             .param("len", 4)
             .param("steps", STEPS)
             .param("interval", 1)
-            .with_writer_options(WriterOptions::buffered(1).with_reader_groups(2)),
+            .with_writer_options(WriterOptions::buffered(1)),
     );
     wf.add(
         1,
-        Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")).with_reader_group("mag"),
+        Magnitude::new(("gromacs.fp", "coords"), ("radii.fp", "r")),
     );
     wf.add(
         1,
-        Magnitude::new(("gromacs.fp", "coords"), ("kept.fp", "r")).with_reader_group("kept"),
+        Magnitude::new(("gromacs.fp", "coords"), ("kept.fp", "r")),
     );
     wf.add(1, Histogram::new(("radii.fp", "r"), 4));
     let kept = Histogram::new(("kept.fp", "r"), 4);

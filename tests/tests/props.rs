@@ -914,7 +914,11 @@ fn relay_pass_through_and_fallback_encode_deliver_identical_steps() {
         )
         .unwrap();
         let name = "relay.fp";
-        let options = WriterOptions::default().with_reader_groups(3);
+        // Every hub a writer rank opens on declares the three groups, so
+        // the ranks agree on the stream's retention.
+        for hub in [broker.hub(), &v1, &same] {
+            hub.set_reader_groups(name, 3);
+        }
         // Readers first: frames are only kept for readers that can use them.
         let mut readers = [
             same.open_reader_grouped(name, "same-codec", 0, 1),
@@ -928,7 +932,7 @@ fn relay_pass_through_and_fallback_encode_deliver_identical_steps() {
                     1 => &v1,
                     _ => &same,
                 };
-                hub.open_writer(name, rank, nranks, options)
+                hub.open_writer(name, rank, nranks, WriterOptions::default())
             })
             .collect();
 

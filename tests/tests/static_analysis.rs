@@ -299,9 +299,9 @@ fn wiring_issues_are_typed() {
     )));
 }
 
-/// A component that declares its inputs as `(stream, group)` subscriptions
-/// alone is wired like any other: the analyser reads the declaration the
-/// step loop opens.
+/// A component that declares its inputs as streams alone, with no
+/// signature reads, is wired like any other: the analyser reads the
+/// declaration the step loop opens.
 #[test]
 fn a_component_is_wired_from_its_subscriptions_alone() {
     struct Subscriber;
@@ -309,8 +309,8 @@ fn a_component_is_wired_from_its_subscriptions_alone() {
         fn label(&self) -> String {
             "subscriber".into()
         }
-        fn input_subscriptions(&self) -> Vec<(String, String)> {
-            vec![("s.fp".into(), "g".into())]
+        fn input_streams(&self) -> Vec<String> {
+            vec!["s.fp".into()]
         }
         fn run(
             &self,

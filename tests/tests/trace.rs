@@ -6,16 +6,10 @@
 
 use std::time::Duration;
 
+use sb_integration_tests::chaos_seed;
 use smartblock::prelude::*;
 use smartblock::workflows::{lammps_workflow, PresetScale};
 use smartblock::TraceEvent;
-
-fn chaos_seed() -> u64 {
-    std::env::var("SB_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(41)
-}
 
 fn traced(options: RunOptions) -> RunOptions {
     options.with_tracing(TraceConfig::new())
