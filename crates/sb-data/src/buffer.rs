@@ -37,7 +37,7 @@ impl DType {
         }
     }
 
-    /// The canonical lowercase name used by group configs ("f64", "i32", …).
+    /// The canonical lowercase name ("f64", "i32", …), as specs print it.
     pub fn name(self) -> &'static str {
         match self {
             DType::F32 => "f32",
@@ -47,19 +47,6 @@ impl DType {
             DType::U32 => "u32",
             DType::U64 => "u64",
         }
-    }
-
-    /// Parses a config-file type name.
-    pub fn parse(name: &str) -> Option<DType> {
-        Some(match name {
-            "f32" => DType::F32,
-            "f64" | "double" => DType::F64,
-            "i32" | "int" => DType::I32,
-            "i64" | "long" => DType::I64,
-            "u32" => DType::U32,
-            "u64" => DType::U64,
-            _ => return None,
-        })
     }
 
     /// Stable on-disk tag for the binary container.
@@ -638,18 +625,18 @@ mod tests {
 
     #[test]
     fn dtype_names_round_trip() {
-        for dt in [
+        let all = [
             DType::F32,
             DType::F64,
             DType::I32,
             DType::I64,
             DType::U32,
             DType::U64,
-        ] {
-            assert_eq!(DType::parse(dt.name()), Some(dt));
+        ];
+        for dt in all {
+            assert_eq!(all.iter().filter(|d| d.name() == dt.name()).count(), 1);
             assert_eq!(DType::from_tag(dt.tag()).unwrap(), dt);
         }
-        assert_eq!(DType::parse("float128"), None);
         assert!(DType::from_tag(99).is_err());
     }
 

@@ -56,13 +56,6 @@ pub enum DataError {
         /// Row names the header actually supplies.
         found: usize,
     },
-    /// The group-config parser rejected its input.
-    ConfigParse {
-        /// 1-based line of the error.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
     /// An input breaks the contract its reader declares: the wrong rank, a
     /// label its header lacks, a shape the other input disagrees with.
     Contract {
@@ -115,9 +108,6 @@ impl fmt::Display for DataError {
                 f,
                 "header of dimension {dim} names {found} rows but the extent is {expected}"
             ),
-            DataError::ConfigParse { line, detail } => {
-                write!(f, "group config parse error at line {line}: {detail}")
-            }
             DataError::Contract { detail } => write!(f, "{detail}"),
             DataError::Container { detail } => write!(f, "container format error: {detail}"),
             DataError::Io { detail } => write!(f, "io error: {detail}"),

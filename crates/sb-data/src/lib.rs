@@ -1,9 +1,9 @@
 //! # sb-data — a self-describing multi-dimensional data model
 //!
 //! The SmartBlock paper builds on ADIOS: simulation output is packed into
-//! linear buffers, described by named dimensions in a small XML group
-//! configuration, annotated with per-dimension *quantity labels* ("headers"),
-//! and read back through bounding-box selections. Downstream components use
+//! linear buffers, described by named dimensions, annotated with
+//! per-dimension *quantity labels* ("headers"), and read back through
+//! bounding-box selections. Downstream components use
 //! this self-description to discover, at run time, the number of dimensions,
 //! their sizes and names, and the labelled quantities inside them.
 //!
@@ -18,7 +18,6 @@
 //!   local portion of one;
 //! * [`decompose`] — the even block decompositions components use to split
 //!   incoming data among their ranks;
-//! * [`config`] — the ADIOS-XML-style output group description;
 //! * [`cursor`] — the one bounds-checked little-endian byte cursor every
 //!   frame and file parser reads through, with its putters;
 //! * [`container`] — a versioned binary container for steps written to disk
@@ -38,7 +37,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub mod buffer;
 pub mod chunk;
 pub mod compress;
-pub mod config;
 pub mod container;
 pub mod cursor;
 pub mod decompose;
@@ -51,7 +49,6 @@ pub mod wire;
 
 pub use buffer::{AllocationId, Buffer, DType, SharedBuffer};
 pub use chunk::{Chunk, VariableMeta};
-pub use config::{GroupConfig, VarConfig};
 pub use dims::{Dim, Shape};
 pub use error::{DataError, DataResult};
 pub use region::Region;

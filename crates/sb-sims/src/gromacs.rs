@@ -20,9 +20,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
+use sb_data::{Buffer, Chunk, Region};
 
-use crate::SimRank;
+use crate::{OutputContract, SimRank};
+
+/// The chain system's output: the coordinates of every atom.
+pub const OUTPUT: OutputContract = OutputContract {
+    array: "coords",
+    dims: &["atoms", "coords"],
+    labels: &["x", "y", "z"],
+};
 
 /// Chain-system and integrator parameters.
 #[derive(Debug, Clone)]
@@ -145,11 +152,6 @@ impl GromacsSim {
             self.chain_start * self.cfg.chain_len,
             self.chain_count * self.cfg.chain_len,
         )
-    }
-
-    /// Global output shape: `atoms × {x, y, z}`.
-    pub fn global_shape(&self) -> Shape {
-        Shape::of(&[("atoms", self.n_atoms()), ("coords", 3)])
     }
 
     /// Local bead positions.
@@ -327,11 +329,8 @@ impl SimRank for GromacsSim {
         for p in &self.pos {
             data.extend_from_slice(p);
         }
-        let mut meta = VariableMeta::new("coords", self.global_shape(), DType::F64);
-        meta.labels
-            .insert(1, vec!["x".into(), "y".into(), "z".into()]);
         Chunk::new(
-            meta,
+            OUTPUT.meta(&[self.n_atoms()]),
             Region::new(vec![start, 0], vec![count, 3]),
             Buffer::F64(data),
         )

@@ -19,9 +19,9 @@
 
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
+use sb_data::{Buffer, Chunk, Region};
 
-use crate::SimRank;
+use crate::{OutputContract, SimRank};
 
 /// Names of the seven output properties, in output order.
 pub const GTCP_PROPERTIES: [&str; 7] = [
@@ -33,6 +33,13 @@ pub const GTCP_PROPERTIES: [&str; 7] = [
     "P_perp",
     "energy_flux",
 ];
+
+/// The torus's output: every property at every grid point of every slice.
+pub const OUTPUT: OutputContract = OutputContract {
+    array: "plasma",
+    dims: &["toroidal", "gridpoints", "properties"],
+    labels: &GTCP_PROPERTIES,
+};
 
 /// Index of the perpendicular pressure property — the quantity the paper's
 /// GTCP workflow selects and histograms.
@@ -172,15 +179,6 @@ impl GtcpSim {
         (self.slice_start, self.slice_count)
     }
 
-    /// Global output shape: `slices × points × 7`.
-    pub fn global_shape(&self) -> Shape {
-        Shape::of(&[
-            ("toroidal", self.cfg.n_slices),
-            ("gridpoints", self.cfg.n_points),
-            ("properties", GTCP_PROPERTIES.len()),
-        ])
-    }
-
     /// Mean of a prognostic field over this rank's block (for tests).
     pub fn local_mean(&self, field: usize) -> f64 {
         let f = &self.fields[field];
@@ -316,11 +314,8 @@ impl SimRank for GtcpSim {
 
     /// This rank's `slices × points × 7` block of the global output.
     fn output_chunk(&self) -> Chunk {
-        let mut meta = VariableMeta::new("plasma", self.global_shape(), DType::F64);
-        meta.labels
-            .insert(2, GTCP_PROPERTIES.iter().map(|s| s.to_string()).collect());
         Chunk::new(
-            meta,
+            OUTPUT.meta(&[self.cfg.n_slices, self.cfg.n_points]),
             Region::new(
                 vec![self.slice_start, 0, 0],
                 vec![self.slice_count, self.cfg.n_points, GTCP_PROPERTIES.len()],

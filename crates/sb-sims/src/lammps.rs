@@ -14,9 +14,16 @@
 
 use sb_comm::Communicator;
 use sb_data::decompose::split_1d_part;
-use sb_data::{Buffer, Chunk, DType, Region, Shape, VariableMeta};
+use sb_data::{Buffer, Chunk, Region};
 
-use crate::SimRank;
+use crate::{OutputContract, SimRank};
+
+/// The crack run's output: one row of five quantities per particle.
+pub const OUTPUT: OutputContract = OutputContract {
+    array: "atoms",
+    dims: &["particles", "props"],
+    labels: &["ID", "Type", "vx", "vy", "vz"],
+};
 
 /// Lattice and integration parameters of the crack run.
 #[derive(Debug, Clone)]
@@ -173,11 +180,6 @@ impl LammpsSim {
     /// This rank's velocities.
     pub fn velocities(&self) -> &[[f64; 3]] {
         &self.vel
-    }
-
-    /// Global shape of the output variable.
-    pub fn global_shape(&self) -> Shape {
-        Shape::of(&[("particles", self.n_global), ("props", 5)])
     }
 
     /// Sum of this rank's momenta (unit mass), for conservation tests.
@@ -376,19 +378,8 @@ impl SimRank for LammpsSim {
             data.push(self.vel[li][1]);
             data.push(self.vel[li][2]);
         }
-        let mut meta = VariableMeta::new("atoms", self.global_shape(), DType::F64);
-        meta.labels.insert(
-            1,
-            vec![
-                "ID".into(),
-                "Type".into(),
-                "vx".into(),
-                "vy".into(),
-                "vz".into(),
-            ],
-        );
         Chunk::new(
-            meta,
+            OUTPUT.meta(&[self.n_global]),
             Region::new(vec![self.local_start, 0], vec![self.local_count, 5]),
             Buffer::F64(data),
         )

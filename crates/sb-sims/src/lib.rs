@@ -25,13 +25,14 @@
 //! paper's §V-A schedule on the same step loop as every other component:
 //! one published step per coarse I/O interval of substeps — the moral
 //! equivalent of the "roughly 70 lines" of ADIOS output code the paper adds
-//! to each simulation. The corresponding ADIOS-style group configuration
-//! for each code lives in [`adapter`].
+//! to each simulation. Each code states its output array once, as an
+//! [`OutputContract`] (`lammps::OUTPUT`, `gtcp::OUTPUT`, `gromacs::OUTPUT`):
+//! its `output_chunk` builds every published meta from it, and the
+//! simulation component declares its signature from it.
 
 use sb_comm::Communicator;
-use sb_data::Chunk;
+use sb_data::{Chunk, DType, Shape, VariableMeta};
 
-pub mod adapter;
 pub mod gromacs;
 pub mod gtcp;
 pub mod lammps;
@@ -53,4 +54,46 @@ pub trait SimRank {
 
     /// This rank's chunk of the output variable for the current state.
     fn output_chunk(&self) -> Chunk;
+}
+
+/// The one `f64` array a code publishes each step: its name, its dimension
+/// names (outermost first) and the quantity labels of its last dimension,
+/// whose extent is their count. Only the leading extents depend on the
+/// run's configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputContract {
+    /// The array's name.
+    pub array: &'static str,
+    /// Dimension names, outermost first.
+    pub dims: &'static [&'static str],
+    /// Quantity labels of the last dimension.
+    pub labels: &'static [&'static str],
+}
+
+impl OutputContract {
+    /// Element type of every simulation's output.
+    pub const DTYPE: DType = DType::F64;
+
+    /// Index of the labelled (last) dimension.
+    pub fn labelled_dim(&self) -> usize {
+        self.dims.len() - 1
+    }
+
+    /// The global meta of the array whose leading extents (every dimension
+    /// but the labelled one) are `leading`.
+    pub fn meta(&self, leading: &[usize]) -> VariableMeta {
+        assert_eq!(
+            leading.len(),
+            self.labelled_dim(),
+            "one extent per leading dimension"
+        );
+        let extents = leading.iter().copied().chain([self.labels.len()]);
+        let dims: Vec<(&str, usize)> = self.dims.iter().copied().zip(extents).collect();
+        let mut meta = VariableMeta::new(self.array, Shape::of(&dims), Self::DTYPE);
+        meta.labels.insert(
+            self.labelled_dim(),
+            self.labels.iter().map(|l| l.to_string()).collect(),
+        );
+        meta
+    }
 }

@@ -14,8 +14,13 @@
 //! `--smoke` (tiny problem sizes), `--check PATH` (validate an existing
 //! export instead of running a workflow).
 
+use std::sync::{Arc, Mutex};
+
 use smartblock::workflows::{gromacs_workflow, gtcp_workflow, lammps_workflow, PresetScale};
-use smartblock::{RunOptions, TraceConfig};
+use smartblock::{HistogramResult, RunOptions, TraceConfig, Workflow};
+
+/// A preset workflow builder, and the handle to its per-step histograms.
+type Preset = fn(&PresetScale) -> (Workflow, Arc<Mutex<Vec<HistogramResult>>>);
 
 fn fail(msg: &str) -> ! {
     eprintln!("sb-trace: {msg}");
@@ -118,6 +123,12 @@ fn main() {
         }
     }
 
+    let (build, smoke_sizes): (Preset, [(&str, usize); 2]) = match preset.as_str() {
+        "lammps" => (lammps_workflow, [("nx", 8), ("ny", 8)]),
+        "gtcp" => (gtcp_workflow, [("slices", 6), ("points", 8)]),
+        "gromacs" => (gromacs_workflow, [("chains", 4), ("len", 8)]),
+        other => fail(&format!("unknown preset {other:?} (lammps|gtcp|gromacs)")),
+    };
     let mut scale = PresetScale {
         sim_ranks,
         io_steps: steps,
@@ -125,20 +136,11 @@ fn main() {
     };
     if smoke {
         scale.substeps = 2;
-        scale = scale
-            .size("nx", 8)
-            .size("ny", 8)
-            .size("slices", 6)
-            .size("points", 8)
-            .size("chains", 4)
-            .size("len", 8);
+        for (key, value) in smoke_sizes {
+            scale = scale.size(key, value);
+        }
     }
-    let (workflow, _results) = match preset.as_str() {
-        "lammps" => lammps_workflow(&scale),
-        "gtcp" => gtcp_workflow(&scale),
-        "gromacs" => gromacs_workflow(&scale),
-        other => fail(&format!("unknown preset {other:?} (lammps|gtcp|gromacs)")),
-    };
+    let (workflow, _results) = build(&scale);
     eprintln!(
         "tracing {preset} preset: {} sim ranks, {steps} steps",
         scale.sim_ranks

@@ -78,7 +78,26 @@ pub enum SimCode {
 }
 
 impl SimCode {
-    /// The conventional output stream each code's ADIOS config names.
+    /// The program name a script line launches the code by.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimCode::Lammps => "lammps",
+            SimCode::Gtcp => "gtcp",
+            SimCode::Gromacs => "gromacs",
+        }
+    }
+
+    /// The parameters [`Simulation::try_param`] takes for this code:
+    /// `steps`, `interval` and `seed` for all, then the code's own three.
+    pub fn params(self) -> &'static [&'static str] {
+        match self {
+            SimCode::Lammps => &["steps", "interval", "seed", "nx", "ny", "thermostat"],
+            SimCode::Gtcp => &["steps", "interval", "seed", "slices", "points", "zonal"],
+            SimCode::Gromacs => &["steps", "interval", "seed", "chains", "len", "angle"],
+        }
+    }
+
+    /// The conventional output stream of each code.
     pub fn default_stream(self) -> &'static str {
         match self {
             SimCode::Lammps => "dump.custom.fp",
@@ -405,7 +424,8 @@ impl LaunchEntry {
     /// count off the program's usage, a token that does not parse, a
     /// constructor's refusal, an option or `< file` the program does not
     /// take — is one error on the entry's line. A simulation's options are
-    /// its parameters; keys no code reads pass through.
+    /// `stream=`, `queue=`, `rendezvous=` and its code's
+    /// [`SimCode::params`].
     pub fn build(&self) -> Result<Box<dyn Component>, LaunchError> {
         let line = self.line;
         let a: Vec<&str> = self.args.iter().map(String::as_str).collect();
@@ -546,8 +566,14 @@ impl LaunchEntry {
                 if let Some(stream) = opts.take("stream") {
                     sim.stream = stream.to_string();
                 }
-                sim.params = self.options.clone();
-                sim.check_params().map_err(rejected)?;
+                for &key in code.params() {
+                    if let Some(value) = opts.take(key) {
+                        sim = sim.try_param(key, value).map_err(rejected)?;
+                    }
+                }
+                opts.all_read(&self.program).map_err(rejected)?;
+                // `< file` is the code's input deck (the paper's
+                // `lammps < in.cracksm`): recorded, not read.
                 return Ok(Box::new(sim));
             }
             other => return Err(err(line, format!("unknown program {other:?}"))),
@@ -888,7 +914,7 @@ mod tests {
                 ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
             ),
             (
-                "gtcp slices=4 queue=2 group=any",
+                "gtcp slices=4 queue=2",
                 ("gtcp".into(), vec![], strings(&["gtcp.fp"])),
             ),
             (
@@ -973,6 +999,10 @@ mod tests {
                 "magnitude a b c d groups=2",
                 "a subscriber count: the workflow counts them",
             ),
+            ("gromacs nx=4", "another code's parameter"),
+            ("lammps groups=2", "a retired token on a simulation"),
+            ("gtcp step=3", "a parameter typo"),
+            ("lammps thermostat=hot", "a thermostat that is not a number"),
         ] {
             let line = format!("\n# {what}\n{script}");
             match WorkflowPlan::from_script(&line) {
@@ -990,6 +1020,13 @@ mod tests {
             e[0].detail,
             "component rejected its arguments: fork takes no option group= \
              (its options: queue= rendezvous=)"
+        );
+        // A simulation names the keys its code takes, as a component does.
+        let e = WorkflowPlan::from_script("gromacs nx=4").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "component rejected its arguments: gromacs takes no option nx= \
+             (its options: angle= chains= interval= len= queue= rendezvous= seed= steps= stream=)"
         );
         // A dropped program is unknown like any other, and lints as SB000.
         let script = "aprun -n 2 transpose a.fp x 1,0 b.fp y";

@@ -247,7 +247,10 @@ impl Workflow {
     }
 
     /// Adds an already-labelled component, recording the 1-based source
-    /// line it was planned from (threaded into lint diagnostics).
+    /// line it was planned from (threaded into lint diagnostics). Every
+    /// label enters here: it must be new, and it may not contain `#`, which
+    /// the group rule reserves for a component's further reads of one
+    /// stream (`combine#1` would join Combine's second group).
     pub(crate) fn push_entry(
         &mut self,
         label: String,
@@ -259,6 +262,10 @@ impl Workflow {
         assert!(
             self.entries.iter().all(|e| e.label != label),
             "duplicate component label {label:?}"
+        );
+        assert!(
+            !label.contains('#'),
+            "component label {label:?} contains '#', which is reserved for reader groups"
         );
         self.entries.push(Entry {
             label,

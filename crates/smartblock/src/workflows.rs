@@ -15,8 +15,11 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sb_comm::{CommError, Communicator};
-use sb_sims::{GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, SimRank};
+use sb_comm::Communicator;
+use sb_sims::{
+    GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, OutputContract,
+    SimRank,
+};
 use sb_stream::{StreamHub, WriterOptions};
 
 use crate::component::{run_steps, Component, StepEnd};
@@ -30,31 +33,92 @@ use crate::{AllInOne, DimReduce, Histogram, Magnitude, Select};
 /// code" slot of every paper workflow.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    /// Which mini code to run.
-    pub code: SimCode,
-    /// `key=value` overrides (`steps`, `interval`, `seed`, size keys).
-    pub params: BTreeMap<String, String>,
+    /// Which mini code to run, and its configuration.
+    config: SimConfig,
+    /// Coarse I/O steps to publish.
+    steps: u64,
+    /// Fine substeps per published step.
+    interval: u64,
     /// Output stream name.
     pub stream: String,
     /// Output buffering policy.
     pub writer_options: WriterOptions,
 }
 
+/// One mini code's typed configuration: only [`Simulation::try_param`]
+/// sets it, so a simulation has exactly its code's six settable values.
+#[derive(Debug, Clone)]
+enum SimConfig {
+    /// The mini-LAMMPS crack run.
+    Lammps(LammpsConfig),
+    /// The mini-GTCP torus.
+    Gtcp(GtcpConfig),
+    /// The mini-GROMACS chain system.
+    Gromacs(GromacsConfig),
+}
+
 impl Simulation {
     /// A simulation with default parameters on its conventional stream.
     pub fn new(code: SimCode) -> Simulation {
         Simulation {
-            code,
-            params: BTreeMap::new(),
+            config: match code {
+                SimCode::Lammps => SimConfig::Lammps(LammpsConfig::default()),
+                SimCode::Gtcp => SimConfig::Gtcp(GtcpConfig::default()),
+                SimCode::Gromacs => SimConfig::Gromacs(GromacsConfig::default()),
+            },
+            steps: 5,
+            interval: 10,
             stream: code.default_stream().to_string(),
             writer_options: WriterOptions::default(),
         }
     }
 
-    /// Sets one `key=value` parameter (builder style).
-    pub fn param(mut self, key: &str, value: impl ToString) -> Simulation {
-        self.params.insert(key.to_string(), value.to_string());
-        self
+    /// Which mini code this runs.
+    pub fn code(&self) -> SimCode {
+        match self.config {
+            SimConfig::Lammps(_) => SimCode::Lammps,
+            SimConfig::Gtcp(_) => SimCode::Gtcp,
+            SimConfig::Gromacs(_) => SimCode::Gromacs,
+        }
+    }
+
+    /// Sets one parameter from its text, one of the code's
+    /// [`SimCode::params`]; `Err` names a key the code does not take or a
+    /// value that does not parse. A launch line's parameters enter here.
+    pub fn try_param(mut self, key: &str, value: impl ToString) -> Result<Simulation, String> {
+        let value = value.to_string();
+        let int = || parse_param::<usize>(key, &value, "an integer");
+        let num = || parse_param::<f64>(key, &value, "a number");
+        match (&mut self.config, key) {
+            (_, "steps") => self.steps = int()? as u64,
+            (_, "interval") => self.interval = int()? as u64,
+            (SimConfig::Lammps(c), "seed") => c.seed = int()? as u64,
+            (SimConfig::Lammps(c), "nx") => c.nx = int()?,
+            (SimConfig::Lammps(c), "ny") => c.ny = int()?,
+            (SimConfig::Lammps(c), "thermostat") => c.thermostat = Some(num()?),
+            (SimConfig::Gtcp(c), "seed") => c.seed = int()? as u64,
+            (SimConfig::Gtcp(c), "slices") => c.n_slices = int()?,
+            (SimConfig::Gtcp(c), "points") => c.n_points = int()?,
+            (SimConfig::Gtcp(c), "zonal") => c.zonal_damping = num()?,
+            (SimConfig::Gromacs(c), "seed") => c.seed = int()? as u64,
+            (SimConfig::Gromacs(c), "chains") => c.n_chains = int()?,
+            (SimConfig::Gromacs(c), "len") => c.chain_len = int()?,
+            (SimConfig::Gromacs(c), "angle") => c.angle_k = num()?,
+            _ => {
+                let code = self.code();
+                return Err(format!(
+                    "{} takes no parameter {key} (its parameters: {})",
+                    code.name(),
+                    code.params().join(" ")
+                ));
+            }
+        }
+        Ok(self)
+    }
+
+    /// [`Simulation::try_param`], panicking on its `Err` (builder style).
+    pub fn param(self, key: &str, value: impl ToString) -> Simulation {
+        self.try_param(key, value).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Overrides the output stream name.
@@ -69,103 +133,15 @@ impl Simulation {
         self
     }
 
-    /// Checks every numeric parameter the simulation will read: `Err` is
-    /// the first one that does not parse. A launch entry's options arrive
-    /// as data and become these parameters, so
-    /// [`LaunchEntry::build`](crate::LaunchEntry::build) asks here before
-    /// the workflow ever reads one; keys no code reads pass through.
-    pub fn check_params(&self) -> Result<(), String> {
-        for (key, value) in &self.params {
-            if INT_PARAMS.contains(&key.as_str()) {
-                parse_param::<usize>(key, value, "an integer")?;
-            } else if FLOAT_PARAMS.contains(&key.as_str()) {
-                parse_param::<f64>(key, value, "a number")?;
-            }
-        }
-        Ok(())
-    }
-
-    fn get(&self, key: &str, default: usize) -> usize {
-        debug_assert!(INT_PARAMS.contains(&key), "{key} missing from INT_PARAMS");
-        match self.params.get(key) {
-            None => default,
-            Some(v) => parse_param(key, v, "an integer").unwrap_or_else(|e| panic!("{e}")),
-        }
-    }
-
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
-        debug_assert!(
-            FLOAT_PARAMS.contains(&key),
-            "{key} missing from FLOAT_PARAMS"
-        );
-        match self.params.get(key) {
-            None => default,
-            Some(v) => parse_param(key, v, "a number").unwrap_or_else(|e| panic!("{e}")),
-        }
-    }
-
-    fn seed(&self, default: u64) -> u64 {
-        self.get("seed", default as usize) as u64
-    }
-
-    fn gtcp_config(&self) -> GtcpConfig {
-        let defaults = GtcpConfig::default();
-        GtcpConfig {
-            n_slices: self.get("slices", defaults.n_slices),
-            n_points: self.get("points", defaults.n_points),
-            seed: self.seed(defaults.seed),
-            zonal_damping: self.get_f64("zonal", defaults.zonal_damping),
-            ..defaults
-        }
-    }
-
-    fn gromacs_config(&self) -> GromacsConfig {
-        let defaults = GromacsConfig::default();
-        GromacsConfig {
-            n_chains: self.get("chains", defaults.n_chains),
-            chain_len: self.get("len", defaults.chain_len),
-            seed: self.seed(defaults.seed),
-            angle_k: self.get_f64("angle", defaults.angle_k),
-            ..defaults
-        }
-    }
-
-    /// This rank's share of the configured simulation: the one place the
-    /// parameters become a code's configuration.
+    /// This rank's share of the configured simulation.
     fn rank_sim(&self, rank: usize, nranks: usize) -> Box<dyn SimRank> {
-        match self.code {
-            SimCode::Lammps => {
-                let defaults = LammpsConfig::default();
-                let cfg = LammpsConfig {
-                    nx: self.get("nx", defaults.nx),
-                    ny: self.get("ny", defaults.ny),
-                    seed: self.seed(defaults.seed),
-                    thermostat: self
-                        .params
-                        .contains_key("thermostat")
-                        .then(|| self.get_f64("thermostat", 0.0)),
-                    ..defaults
-                };
-                Box::new(LammpsSim::new(cfg, rank, nranks))
-            }
-            SimCode::Gtcp => Box::new(GtcpSim::new(self.gtcp_config(), rank, nranks)),
-            SimCode::Gromacs => Box::new(GromacsSim::new(self.gromacs_config(), rank, nranks)),
+        match &self.config {
+            SimConfig::Lammps(c) => Box::new(LammpsSim::new(c.clone(), rank, nranks)),
+            SimConfig::Gtcp(c) => Box::new(GtcpSim::new(c.clone(), rank, nranks)),
+            SimConfig::Gromacs(c) => Box::new(GromacsSim::new(c.clone(), rank, nranks)),
         }
-    }
-
-    /// Coarse I/O steps, and fine substeps per step.
-    fn schedule(&self) -> (u64, u64) {
-        (self.get("steps", 5) as u64, self.get("interval", 10) as u64)
     }
 }
-
-/// The parameters [`Simulation`] reads as integers, and as floats.
-/// `get`/`get_f64` assert their key is listed, so
-/// [`Simulation::check_params`] covers every read.
-const INT_PARAMS: &[&str] = &[
-    "steps", "interval", "seed", "nx", "ny", "slices", "points", "chains", "len",
-];
-const FLOAT_PARAMS: &[&str] = &["thermostat", "zonal", "angle"];
 
 fn parse_param<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Result<T, String> {
     value
@@ -175,11 +151,7 @@ fn parse_param<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Resu
 
 impl Component for Simulation {
     fn label(&self) -> String {
-        match self.code {
-            SimCode::Lammps => "lammps".into(),
-            SimCode::Gtcp => "gtcp".into(),
-            SimCode::Gromacs => "gromacs".into(),
-        }
+        self.code().name().into()
     }
 
     fn output_streams(&self) -> Vec<String> {
@@ -187,50 +159,36 @@ impl Component for Simulation {
     }
 
     fn signature(&self) -> crate::analysis::Signature {
-        use crate::analysis::{ArraySpec, DimSpec, Signature, StreamSpec};
-        // Each mini code publishes one self-describing array whose shape is
-        // fully determined by its configuration — the source declaration
-        // from which the analyzer propagates specs downstream.
-        let (array, spec) = match self.code {
-            SimCode::Lammps => (
-                "atoms",
-                ArraySpec::new(
-                    vec![DimSpec::dynamic("particles"), DimSpec::fixed("props", 5)],
-                    sb_data::DType::F64,
-                )
-                .with_dim_labels(1, ["ID", "Type", "vx", "vy", "vz"]),
+        use crate::analysis::{ArraySpec, DimSpec, Extent, Signature, StepContract, StreamSpec};
+        // Each mini code publishes its one contracted array; the source
+        // declaration from which the analyzer propagates specs downstream.
+        // LAMMPS's particle count is what survives the notch cut, so only
+        // the data fixes it.
+        let (contract, leading) = match &self.config {
+            SimConfig::Lammps(_) => (sb_sims::lammps::OUTPUT, vec![Extent::Dynamic]),
+            SimConfig::Gtcp(c) => (
+                sb_sims::gtcp::OUTPUT,
+                vec![Extent::Fixed(c.n_slices), Extent::Fixed(c.n_points)],
             ),
-            SimCode::Gtcp => {
-                let cfg = self.gtcp_config();
-                (
-                    "plasma",
-                    ArraySpec::new(
-                        vec![
-                            DimSpec::fixed("toroidal", cfg.n_slices),
-                            DimSpec::fixed("gridpoints", cfg.n_points),
-                            DimSpec::fixed("properties", sb_sims::gtcp::GTCP_PROPERTIES.len()),
-                        ],
-                        sb_data::DType::F64,
-                    )
-                    .with_dim_labels(2, sb_sims::gtcp::GTCP_PROPERTIES),
-                )
-            }
-            SimCode::Gromacs => {
-                let cfg = self.gromacs_config();
-                let atoms = cfg.n_chains * cfg.chain_len;
-                (
-                    "coords",
-                    ArraySpec::new(
-                        vec![DimSpec::fixed("atoms", atoms), DimSpec::fixed("coords", 3)],
-                        sb_data::DType::F64,
-                    )
-                    .with_dim_labels(1, ["x", "y", "z"]),
-                )
-            }
+            SimConfig::Gromacs(c) => (sb_sims::gromacs::OUTPUT, vec![Extent::Fixed(c.n_atoms())]),
         };
-        let out = StreamSpec::known_one(array, spec);
+        let extents = leading
+            .into_iter()
+            .chain([Extent::Fixed(contract.labels.len())]);
+        let dims = contract
+            .dims
+            .iter()
+            .zip(extents)
+            .map(|(name, extent)| DimSpec {
+                name: name.to_string(),
+                extent,
+            })
+            .collect();
+        let spec = ArraySpec::new(dims, OutputContract::DTYPE)
+            .with_dim_labels(contract.labelled_dim(), contract.labels.iter().copied());
+        let out = StreamSpec::known_one(contract.array, spec);
         Signature::new(Vec::new(), move |_ins| Ok(vec![out.clone()]))
-            .with_steps(crate::analysis::StepContract::Produces(self.schedule().0))
+            .with_steps(StepContract::Produces(self.steps))
     }
 
     /// A source on the one step loop: stream step k is the state after
@@ -239,15 +197,14 @@ impl Component for Simulation {
     /// step s replays the first s · `interval` substeps from its seed
     /// without publishing, then publishes step s.
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        let (steps, interval) = self.schedule();
         let mut sim = self.rank_sim(comm.rank(), comm.size());
         let mut substeps = 0;
         run_steps(self, self.writer_options, comm, hub, |io| {
-            if io.step >= steps {
+            if io.step >= self.steps {
                 return Ok(StepEnd::Done);
             }
             let start = Instant::now();
-            while substeps < (io.step + 1) * interval {
+            while substeps < (io.step + 1) * self.interval {
                 sim.substep(io.comm);
                 substeps += 1;
             }
@@ -273,8 +230,9 @@ pub struct PresetScale {
     pub substeps: u64,
     /// Histogram bins.
     pub bins: usize,
-    /// Simulation size parameters (`nx`, `slices`, `chains`, ...).
-    pub size_params: BTreeMap<String, String>,
+    /// Simulation size parameters (`nx`, `slices`, `chains`, ...), each
+    /// one of the preset's code's [`SimCode::params`].
+    pub size_params: BTreeMap<String, usize>,
     /// Writer buffering for every stream in the workflow.
     pub writer_options: WriterOptions,
     /// Hub wait timeout (bench harnesses shorten it).
@@ -297,9 +255,10 @@ impl Default for PresetScale {
 }
 
 impl PresetScale {
-    /// Sets a simulation size parameter.
+    /// Sets a simulation size parameter. Building a preset whose code
+    /// does not take `key` panics, as [`Simulation::param`] does.
     pub fn size(mut self, key: &str, value: usize) -> PresetScale {
-        self.size_params.insert(key.into(), value.to_string());
+        self.size_params.insert(key.into(), value);
         self
     }
 
@@ -312,8 +271,8 @@ impl PresetScale {
             .param("steps", self.io_steps)
             .param("interval", self.substeps)
             .with_writer_options(self.writer_options);
-        for (k, v) in &self.size_params {
-            sim = sim.param(k, v.clone());
+        for (key, &value) in &self.size_params {
+            sim = sim.param(key, value);
         }
         sim
     }
@@ -383,19 +342,12 @@ pub struct SimOnly {
 }
 
 impl SimOnly {
-    /// Runs the bare simulation and returns its wall-clock time. A
-    /// parameter that does not parse is refused before launch, naming it.
+    /// Runs the bare simulation and returns its wall-clock time.
     pub fn run(&self) -> sb_comm::CommResult<Duration> {
-        self.sim
-            .check_params()
-            .map_err(|issue| CommError::InvalidWorkflow {
-                issues: vec![issue],
-            })?;
-        let (steps, interval) = self.sim.schedule();
         let start = Instant::now();
         sb_comm::launch_named("lammps-only", self.ranks, |comm| {
             let mut sim = self.sim.rank_sim(comm.rank(), comm.size());
-            for _ in 0..steps * interval {
+            for _ in 0..self.sim.steps * self.sim.interval {
                 sim.substep(&comm);
             }
         })?;
@@ -469,43 +421,115 @@ mod tests {
         assert_eq!(s.rank(0), 2);
         assert_eq!(s.rank(7), 1); // out of range -> 1
         let sized = s.size("nx", 24);
-        assert_eq!(sized.size_params["nx"], "24");
+        assert_eq!(sized.size_params["nx"], 24);
+        let SimConfig::Lammps(cfg) = sized.simulation(SimCode::Lammps).config else {
+            panic!("a LAMMPS preset runs LAMMPS")
+        };
+        assert_eq!(cfg.nx, 24);
     }
 
     #[test]
     fn simulation_builder() {
         let sim = Simulation::new(SimCode::Gtcp)
             .param("slices", 8)
+            .param("steps", 3)
             .on_stream("custom.fp");
         assert_eq!(sim.stream, "custom.fp");
-        assert_eq!(sim.get("slices", 1), 8);
-        assert_eq!(sim.get("points", 3), 3);
-        assert!(sim.check_params().is_ok());
+        assert_eq!((sim.steps, sim.interval), (3, 10));
+        let SimConfig::Gtcp(cfg) = &sim.config else {
+            panic!("a GTCP simulation holds a GTCP config")
+        };
+        assert_eq!(cfg.n_slices, 8);
+        assert_eq!(cfg.n_points, GtcpConfig::default().n_points);
+        assert_eq!(sim.code(), SimCode::Gtcp);
         assert_eq!(sim.label(), "gtcp");
     }
 
     #[test]
     #[should_panic(expected = "not an integer")]
     fn bad_simulation_param_panics() {
-        let sim = Simulation::new(SimCode::Lammps).param("nx", "forty");
-        assert_eq!(
-            sim.check_params().unwrap_err(),
-            "simulation parameter nx=\"forty\" is not an integer"
-        );
-        let _ = sim.get("nx", 40);
+        let _ = Simulation::new(SimCode::Lammps).param("nx", "forty");
     }
 
+    /// Every code takes exactly its listed keys: each listed key parses a
+    /// valid value, and a key listed for another code is refused, naming
+    /// the keys this one takes.
     #[test]
-    fn sim_only_refuses_a_parameter_that_does_not_parse() {
-        let mut scale = PresetScale {
-            sim_ranks: 1,
-            io_steps: 1,
-            substeps: 1,
-            ..PresetScale::default()
-        };
-        scale.size_params.insert("nx".into(), "forty".into());
-        let err = lammps_sim_only(&scale).run().unwrap_err();
-        assert!(err.to_string().contains("nx=\"forty\""), "{err}");
+    fn try_param_takes_each_codes_keys_and_no_other() {
+        let codes = [SimCode::Lammps, SimCode::Gtcp, SimCode::Gromacs];
+        for code in codes {
+            for key in code.params() {
+                assert!(Simulation::new(code).try_param(key, 3).is_ok(), "{key}");
+            }
+            for other in codes.iter().flat_map(|c| c.params()) {
+                if !code.params().contains(other) {
+                    let err = Simulation::new(code).try_param(other, 3).unwrap_err();
+                    assert_eq!(
+                        err,
+                        format!(
+                            "{} takes no parameter {other} (its parameters: {})",
+                            code.name(),
+                            code.params().join(" ")
+                        )
+                    );
+                }
+            }
+        }
+        let err = Simulation::new(SimCode::Gtcp)
+            .try_param("slices", "abc")
+            .unwrap_err();
+        assert_eq!(err, "simulation parameter slices=\"abc\" is not an integer");
+        let err = Simulation::new(SimCode::Lammps)
+            .try_param("thermostat", "hot")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "simulation parameter thermostat=\"hot\" is not a number"
+        );
+    }
+
+    /// The spec each code's signature declares is the one every rank
+    /// publishes: `ArraySpec::of` each rank's chunk meta, with LAMMPS's
+    /// particle extent left dynamic.
+    #[test]
+    fn signature_declares_what_each_rank_publishes() {
+        use crate::analysis::{ArraySpec, Extent, StreamSpec};
+        let sims = [
+            Simulation::new(SimCode::Lammps)
+                .param("nx", 8)
+                .param("ny", 6),
+            Simulation::new(SimCode::Gtcp)
+                .param("slices", 5)
+                .param("points", 4),
+            Simulation::new(SimCode::Gromacs)
+                .param("chains", 3)
+                .param("len", 4),
+        ];
+        for sim in sims {
+            let transfer = sim
+                .signature()
+                .transfer
+                .expect("a source declares its output");
+            let declared = transfer(&[]).unwrap();
+            let [StreamSpec::Known(arrays)] = declared.as_slice() else {
+                panic!("{}: one known output stream", sim.label())
+            };
+            for nranks in [1, 3] {
+                for rank in 0..nranks {
+                    let meta = sim.rank_sim(rank, nranks).output_chunk().meta;
+                    let mut published = ArraySpec::of(&meta);
+                    if sim.code() == SimCode::Lammps {
+                        published.dims[0].extent = Extent::Dynamic;
+                    }
+                    assert_eq!(
+                        arrays.get(&meta.name),
+                        Some(&published),
+                        "{} rank {rank} of {nranks}",
+                        sim.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

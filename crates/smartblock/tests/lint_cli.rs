@@ -170,6 +170,35 @@ fn rejected_arguments_are_line_attributed_errors_never_panics() {
     assert!(out.stdout.is_empty(), "a component ran: {out:?}");
 }
 
+/// A simulation line takes its code's parameters and the writer options,
+/// nothing else: a retired token, another code's key and a typo are one
+/// SB000 on the line, naming the first of them and what the code takes.
+#[test]
+fn unknown_simulation_keys_are_an_error_on_their_line() {
+    let path = std::env::temp_dir().join(format!("sb-lint-sim-keys-{}.sb", std::process::id()));
+    std::fs::write(
+        &path,
+        "aprun -n 2 gromacs chains=8 len=8 steps=3 interval=2 groups=2 nx=4 step=3 &\n\
+         aprun -n 2 magnitude gromacs.fp coords m.fp r &\n\
+         aprun -n 1 histogram m.fp r 4 &\n\
+         wait\n",
+    )
+    .unwrap();
+    let out = sb_lint(&[path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.matches("error[SB000]").count(), 1, "{text}");
+    assert!(
+        text.contains(
+            ":1: error[SB000]: component rejected its arguments: gromacs takes no option \
+             groups= (its options: angle= chains= interval= len= queue= rendezvous= seed= \
+             steps= stream=)"
+        ),
+        "{text}"
+    );
+}
+
 /// A trigger on an undeclared component (SB019) and a second policy for
 /// one component (SB020) are error-level lints: `sb-run` refuses the
 /// script at its pre-launch gate, naming the directive's line, before a

@@ -50,10 +50,6 @@ fn data_error_messages_are_clean() {
             expected: 4,
             found: 2,
         },
-        DataError::ConfigParse {
-            line: 3,
-            detail: "unknown key".into(),
-        },
         DataError::Contract {
             detail: "input \"v.fp:x\": expected a 2-d array, got 1-d".into(),
         },

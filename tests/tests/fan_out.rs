@@ -116,6 +116,33 @@ fn two_sinks_on_one_stream_each_see_every_step_in_every_run() {
     );
 }
 
+/// `#` is reserved by the group rule: Combine's second read of `s.fp`
+/// subscribes as `combine#1`, so a component under that label would share
+/// the group and the two would split its steps between them. The label is
+/// refused where it enters; were it admitted, the sink would miss steps.
+#[test]
+#[should_panic(expected = "reserved for reader groups")]
+fn a_label_containing_a_hash_is_refused_before_it_can_take_a_reader_group() {
+    let mut wf = sourced_workflow();
+    wf.add(
+        1,
+        Combine::new(("s.fp", "x"), BinaryOp::Add, ("s.fp", "x"), ("c.fp", "y")),
+    );
+    let sums = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&sums);
+    wf.add_sink("sums", 1, "c.fp", move |_, _| {
+        counter.fetch_add(1, Ordering::SeqCst);
+    });
+    let seen = add_counting_sink(&mut wf, "combine#1");
+    wf.run_with(RunOptions::default()).unwrap();
+    assert_eq!(sums.load(Ordering::SeqCst), STEPS);
+    assert_eq!(
+        seen.load(Ordering::SeqCst),
+        STEPS,
+        "the sink labelled combine#1 missed steps"
+    );
+}
+
 /// A GROMACS stream feeding two Magnitude → Histogram branches, each
 /// histogram written to a file under `dir`.
 fn two_branch_script(dir: &std::path::Path) -> String {

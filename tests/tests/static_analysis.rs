@@ -281,6 +281,26 @@ fn over_decomposition_is_rejected_statically() {
     assert_eq!(*nranks, 8);
 }
 
+/// A simulation parameter is parsed where it enters: a bad value is the
+/// `Err` of `try_param`, so no `Simulation` holds one, and validating a
+/// workflow reads only typed values — it has no parse left to panic on.
+#[test]
+fn a_bad_simulation_parameter_is_refused_where_it_enters() {
+    let err = Simulation::new(SimCode::Gtcp)
+        .try_param("slices", "abc")
+        .unwrap_err();
+    assert_eq!(err, "simulation parameter slices=\"abc\" is not an integer");
+    let sim = Simulation::new(SimCode::Gromacs)
+        .try_param("chains", "4")
+        .and_then(|sim| sim.try_param("steps", "1"))
+        .unwrap();
+    let mut wf = Workflow::new();
+    wf.add(1, sim);
+    wf.add(1, Magnitude::new(("gromacs.fp", "coords"), ("m.fp", "r")));
+    wf.add(1, Histogram::new(("m.fp", "r"), 4));
+    assert_eq!(errors(&wf), []);
+}
+
 // --------------------------------------------------------------- wiring --
 
 /// Wiring mistakes surface as typed issues that name streams and readers.
