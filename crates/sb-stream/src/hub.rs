@@ -68,9 +68,11 @@ pub struct StreamHub {
     /// The hub's scalar signal board; disarmed (one relaxed atomic load per
     /// publication) until the workflow runtime arms a trigger hook on it.
     signals: Arc<SignalBoard>,
-    /// Reader groups per stream, as [`StreamHub::set_reader_groups`]
-    /// declared them; a stream not listed has one.
-    reader_groups: Mutex<HashMap<String, usize>>,
+    /// Each stream's declared writer policy: its reader groups, as
+    /// [`StreamHub::set_reader_groups`] declared them, and its queue depth
+    /// and rendezvous, as [`StreamHub::set_writer_options`] declared them.
+    /// A stream not listed has [`WriterOptions::default`].
+    declared: Mutex<HashMap<String, WriterOptions>>,
 }
 
 impl StreamHub {
@@ -130,7 +132,7 @@ impl StreamHub {
             faults: Mutex::new(None),
             tracer,
             signals: Arc::new(SignalBoard::new()),
-            reader_groups: Mutex::new(HashMap::new()),
+            declared: Mutex::new(HashMap::new()),
         })
     }
 
@@ -188,14 +190,33 @@ impl StreamHub {
     /// afterwards; a stream never declared has one group.
     pub fn set_reader_groups(&self, name: &str, groups: usize) {
         assert!(groups >= 1, "a stream needs at least one reader group");
-        lock(&self.reader_groups).insert(name.to_string(), groups);
+        lock(&self.declared)
+            .entry(name.to_string())
+            .or_default()
+            .expected_reader_groups = groups;
+    }
+
+    /// Declares the queue depth and rendezvous mode of `name`'s writer,
+    /// which [`StreamHub::writer_options`] hands to whoever opens it (the
+    /// step loop does). Applies to writers opened afterwards; a stream
+    /// never declared has the default policy.
+    pub fn set_writer_options(&self, name: &str, options: WriterOptions) {
+        let mut declared = lock(&self.declared);
+        let entry = declared.entry(name.to_string()).or_default();
+        entry.queue_capacity = options.queue_capacity;
+        entry.rendezvous = options.rendezvous;
+    }
+
+    /// The writer policy declared for `name`.
+    pub fn writer_options(&self, name: &str) -> WriterOptions {
+        lock(&self.declared).get(name).copied().unwrap_or_default()
     }
 
     /// Opens the writer side of `name` for rank `rank` of a `nranks`-rank
-    /// writer group, retaining steps for the stream's declared reader
-    /// groups. Every rank of the group must call this with the same
-    /// `nranks` and `options`; on an in-proc hub, a rank that disagrees
-    /// panics.
+    /// writer group with `options`' queue depth and rendezvous mode,
+    /// retaining steps for the stream's declared reader groups. Every rank
+    /// of the group must call this with the same `nranks` and `options`;
+    /// on an in-proc hub, a rank that disagrees panics.
     pub fn open_writer(
         &self,
         name: &str,
@@ -204,7 +225,7 @@ impl StreamHub {
         mut options: WriterOptions,
     ) -> StreamWriter {
         assert!(rank < nranks, "writer rank out of range");
-        options.expected_reader_groups = lock(&self.reader_groups).get(name).copied().unwrap_or(1);
+        options.expected_reader_groups = self.writer_options(name).expected_reader_groups;
         let conn = self.transport.open_writer(name, rank, nranks, options);
         StreamWriter::new(conn.expect("the hub refused the writer"), rank, nranks)
     }

@@ -63,11 +63,28 @@ impl WriterOptions {
         }
     }
 
-    /// Sets the buffered queue depth (builder style).
+    /// Sets the buffered queue depth (builder style); panics on a depth
+    /// [`WriterOptions::check_queue_capacity`] refuses.
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> WriterOptions {
-        assert!(queue_capacity >= 1, "queue capacity must be at least 1");
+        WriterOptions::check_queue_capacity(queue_capacity).unwrap_or_else(|e| panic!("{e}"));
         self.queue_capacity = queue_capacity;
         self
+    }
+
+    /// Why `queue_capacity` is no writer's queue depth, if it is not: a
+    /// depth is at least 1, and at most `u32::MAX`, the widest a remote
+    /// writer's hello carries.
+    pub fn check_queue_capacity(queue_capacity: usize) -> Result<(), String> {
+        if queue_capacity == 0 {
+            return Err("queue depth must be at least 1".to_string());
+        }
+        if u32::try_from(queue_capacity).is_err() {
+            return Err(format!(
+                "queue depth {queue_capacity} exceeds {}, the deepest a remote writer declares",
+                u32::MAX
+            ));
+        }
+        Ok(())
     }
 
     /// Enables or disables rendezvous (synchronous hand-off) mode.
@@ -757,5 +774,18 @@ mod tests {
         agree(&stream, 2);
         stream.reattach_writer();
         agree(&stream, 2);
+    }
+
+    /// A queue depth enters as one a remote writer's hello can carry, or
+    /// not at all.
+    #[test]
+    fn a_queue_deeper_than_the_hello_carries_is_refused() {
+        let deepest = u32::MAX as usize;
+        assert_eq!(WriterOptions::buffered(deepest).queue_capacity, deepest);
+        for refused in [0, deepest + 1, (1 << 32) + 1] {
+            assert!(WriterOptions::check_queue_capacity(refused).is_err());
+            let built = std::panic::catch_unwind(|| WriterOptions::buffered(refused));
+            assert!(built.is_err(), "buffered({refused}) was accepted");
+        }
     }
 }

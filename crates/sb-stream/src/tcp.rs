@@ -1296,11 +1296,15 @@ impl Transport for TcpTransport {
             let mut conn = self.client_conn(name)?;
             let mut hello = vec![HELLO_WRITER];
             put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
-            put_u32(&mut hello, rank as u32);
-            put_u32(&mut hello, nranks as u32);
-            put_u32(&mut hello, options.queue_capacity as u32);
+            let count = |n: usize, field: &str| fits(n, field).map_err(|e| proto_gone(name, e));
+            put_u32(&mut hello, count(rank, "rank")?);
+            put_u32(&mut hello, count(nranks, "nranks")?);
+            put_u32(&mut hello, count(options.queue_capacity, "queue capacity")?);
             put_u8(&mut hello, options.rendezvous as u8);
-            put_u32(&mut hello, options.expected_reader_groups as u32);
+            put_u32(
+                &mut hello,
+                count(options.expected_reader_groups, "reader groups")?,
+            );
             put_u8(&mut hello, self.options.protocol.tag());
             put_u8(&mut hello, self.options.compression.tag());
             conn.send(&hello)?;
@@ -3598,6 +3602,29 @@ mod tests {
             assert!(matches!(err, StreamError::PeerGone { .. }), "{err:?}");
             assert!(started.elapsed() < Duration::from_secs(10));
         }
+    }
+
+    /// The hello carries a writer's counts in 32 bits: a queue depth wider
+    /// than that is a typed error from the writer's first step, never a
+    /// depth wrapped to another (`(1 << 32) + 1` used to arrive as 1).
+    #[test]
+    fn a_queue_the_hello_cannot_carry_is_refused_not_wrapped() {
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let hub = StreamHub::connect(&broker.url()).unwrap();
+        hub.set_wait_timeout(Duration::from_millis(500));
+        let options = WriterOptions {
+            queue_capacity: (1 << 32) + 1,
+            ..WriterOptions::default()
+        };
+        let mut w = hub.open_writer("wide.fp", 0, 1, options);
+        match w.begin_step() {
+            Err(StreamError::PeerGone { reason, .. }) => assert!(
+                reason.contains("queue capacity 4294967297 does not fit"),
+                "{reason}"
+            ),
+            other => panic!("expected the hello's refusal, got {other:?}"),
+        }
+        w.abandon();
     }
 
     #[test]

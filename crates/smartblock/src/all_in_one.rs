@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{lock, DataResult};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -118,7 +118,7 @@ impl Component for AllInOne {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
             let indices: Vec<usize> = self

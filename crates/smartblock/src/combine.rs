@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
 use sb_data::{Buffer, Chunk};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -72,8 +72,6 @@ pub struct Combine {
     pub op: BinaryOp,
     /// Output stream/array names.
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl Combine {
@@ -89,7 +87,6 @@ impl Combine {
             right: right.into(),
             op,
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
     }
 }
@@ -154,7 +151,7 @@ impl Component for Combine {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let (Some(left), Some(right)) = (io.region(0), io.region(1)) else {
                 return Ok(StepEnd::Publish {
                     bytes_in: 0,

@@ -15,7 +15,6 @@ use sb_comm::Communicator;
 use sb_data::{Chunk, DataError, DataResult, Region, VariableMeta};
 use sb_stream::{
     EventKind, FaultOp, StepStatus, StreamError, StreamHub, StreamReader, StreamWriter, TraceSite,
-    WriterOptions,
 };
 
 use crate::analysis::{ArraySpec, Signature, StreamSpec};
@@ -128,12 +127,16 @@ impl std::fmt::Display for StreamArray {
 /// [`output_streams`](Component::output_streams) — what
 /// [`crate::Workflow::validate`] checks and the supervisor detaches or
 /// resets. The base [`label`](Component::label) only names the component;
-/// reader groups, fault plans, signals, trace spans and errors are keyed by
-/// its workflow label — the label the workflow launched its ranks under,
-/// unique when one type runs twice (`histogram`, `histogram-2`). A
-/// component names no reader group: each read subscribes under the
-/// workflow label, a later read of a stream it already reads under
-/// `label#i`, `i` the read's index.
+/// reader groups, writer policy, fault policies and plans, signals, trace
+/// spans and errors are keyed by its workflow label — the label the
+/// workflow launched its ranks under, unique when one type runs twice
+/// (`histogram`, `histogram-2`). A component names no reader group: each
+/// read subscribes under the workflow label, a later read of a stream it
+/// already reads under `label#i`, `i` the read's index. Nor does it say
+/// how its writers buffer: [`run_steps`] opens every output under the
+/// queue depth and rendezvous mode its workflow entry declares
+/// ([`crate::Workflow::set_writer_options`], a `.sb` line's `queue=` and
+/// `rendezvous=`).
 pub trait Component: Send + Sync + 'static {
     /// Base label: the component type's name, from which the workflow
     /// derives its unique label.
@@ -479,8 +482,8 @@ enum Exit {
 }
 
 /// The step loop every component runs on — the paper's skeleton, once:
-/// open the streams `component` declares (its outputs with `options`),
-/// then per I/O timestep discover the inputs' step, let `per_step` read its
+/// open the streams `component` declares (each output with the writer
+/// policy its workflow declared on the hub), then per I/O timestep discover the inputs' step, let `per_step` read its
 /// partition, apply its kernel and stage its chunks, and publish them,
 /// until an input ends.
 ///
@@ -515,7 +518,6 @@ enum Exit {
 /// downstream would pair the wrong data.
 pub fn run_steps<C, F>(
     component: &C,
-    options: WriterOptions,
     comm: &Communicator,
     hub: &Arc<StreamHub>,
     mut per_step: F,
@@ -534,7 +536,7 @@ where
         .collect();
     let mut writers: Vec<StreamWriter> = outputs
         .iter()
-        .map(|stream| hub.open_writer(stream, rank, size, options))
+        .map(|stream| hub.open_writer(stream, rank, size, hub.writer_options(stream)))
         .collect();
     let mut stats = ComponentStats::default();
     let exit = outputs_in_step(&label, &outputs, &writers).and_then(|()| {
@@ -768,7 +770,7 @@ pub(crate) mod tests {
     // ---- the loop's contract, once -------------------------------------
 
     use sb_data::{Buffer, Shape, Variable};
-    use sb_stream::FaultPlan;
+    use sb_stream::{FaultPlan, WriterOptions};
 
     /// What each fed input carries, and how long a clean run is.
     const STEPS: u64 = 4;
@@ -835,6 +837,9 @@ pub(crate) mod tests {
         let deep = WriterOptions::buffered(2 * STEPS as usize);
         let in_names: Vec<String> = (0..k).map(|i| format!("in{i}.fp")).collect();
         let out_names: Vec<String> = (0..m).map(|j| format!("out{j}.fp")).collect();
+        for name in &out_names {
+            hub.set_writer_options(name, deep);
+        }
         let fed = |i: usize| match scenario {
             Scenario::EosOn(short) if short == i => 2,
             _ => STEPS,
@@ -862,7 +867,7 @@ pub(crate) mod tests {
             let ins: Vec<&str> = ins.iter().map(String::as_str).collect();
             let outs: Vec<&str> = outs.iter().map(String::as_str).collect();
             let mut calls = 0u64;
-            let result = run_steps(&Wired::new(&ins, &outs), deep, &comm, &run_hub, |io| {
+            let result = run_steps(&Wired::new(&ins, &outs), &comm, &run_hub, |io| {
                 let call = calls;
                 calls += 1;
                 if io.inputs.is_empty() && call == STEPS {
@@ -968,6 +973,7 @@ pub(crate) mod tests {
         let deep = WriterOptions::buffered(2 * STEPS as usize);
         let outputs = ["ahead.fp", "behind.fp"];
         for (name, steps) in outputs.iter().zip([2, 1]) {
+            hub.set_writer_options(name, deep);
             let mut w = hub.open_writer(name, 0, 1, deep);
             for step in 0..steps {
                 w.begin_step().unwrap();
@@ -981,9 +987,7 @@ pub(crate) mod tests {
         let run_hub = Arc::clone(&hub);
         let result = sb_comm::LaunchHandle::spawn("fork", 1, move |comm| {
             let fork = Wired::new(&[], &outputs);
-            run_steps(&fork, deep, &comm, &run_hub, |_| {
-                panic!("the step loop ran")
-            })
+            run_steps(&fork, &comm, &run_hub, |_| panic!("the step loop ran"))
         })
         .unwrap()
         .join()

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Dim, Region, Shape, Variable};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -179,8 +179,6 @@ pub struct DimReduce {
     pub grow: usize,
     /// Output stream/array names.
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl DimReduce {
@@ -196,14 +194,7 @@ impl DimReduce {
             remove,
             grow,
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
-    }
-
-    /// Overrides the output buffering policy.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> DimReduce {
-        self.writer_options = options;
-        self
     }
 }
 
@@ -267,7 +258,7 @@ impl Component for DimReduce {
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let (remove, grow) = (self.remove, self.grow);
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let meta = io.meta(0, &self.input.array)?;
             // The partition runs along the removed dimension: each rank's
             // output then occupies a contiguous range of the grown one.

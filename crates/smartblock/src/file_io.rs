@@ -14,7 +14,7 @@ use std::time::Instant;
 use sb_comm::Communicator;
 use sb_data::container::{ContainerReader, ContainerWriter};
 use sb_data::{Chunk, VariableMeta};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::analysis::PartitionRule;
 use crate::component::{run_steps, workflow_label, Component, StepEnd};
@@ -69,7 +69,7 @@ impl Component for FileWrite {
         } else {
             None
         };
-        let stats = run_steps(self, WriterOptions::default(), comm, hub, |io| {
+        let stats = run_steps(self, comm, hub, |io| {
             let mut bytes_in = 0u64;
             let start = Instant::now();
             if let Some(w) = writer.as_mut() {
@@ -117,8 +117,6 @@ pub struct FileRead {
     pub path: PathBuf,
     /// Output stream name.
     pub output: String,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl FileRead {
@@ -127,7 +125,6 @@ impl FileRead {
         FileRead {
             path: path.into(),
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
     }
 }
@@ -152,7 +149,7 @@ impl Component for FileRead {
             Ok(c) => c,
             Err(e) => return Err(ComponentError::from_step(&workflow_label(self), 0, e)),
         };
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let start = Instant::now();
             let Some((_, vars)) = container.next_step()? else {
                 return Ok(StepEnd::Done);

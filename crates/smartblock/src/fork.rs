@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use sb_comm::Communicator;
 use sb_data::Chunk;
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::analysis::PartitionRule;
 use crate::component::{run_steps, Component, StepEnd};
@@ -27,8 +27,6 @@ pub struct Fork {
     pub input: String,
     /// Output stream names; each receives a full copy of every step.
     pub outputs: Vec<String>,
-    /// Buffering policy for the output streams.
-    pub writer_options: WriterOptions,
 }
 
 impl Fork {
@@ -44,14 +42,7 @@ impl Fork {
         Fork {
             input: input.into(),
             outputs,
-            writer_options: WriterOptions::default(),
         }
-    }
-
-    /// Overrides the output buffering policy.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Fork {
-        self.writer_options = options;
-        self
     }
 }
 
@@ -80,10 +71,10 @@ impl Component for Fork {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        // Buffered options for fan-out: a rendezvous-mode Fork feeding a
-        // join is a cyclic wait even though every output is staged before
-        // any is committed.
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        // A fork feeding a join needs a buffered writer policy: under
+        // rendezvous the join is a cyclic wait even though every output is
+        // staged before any is committed.
+        run_steps(self, comm, hub, |io| {
             // Read this rank's partition of every variable once, then
             // stage it on every output.
             let (size, rank) = (io.comm.size(), io.comm.rank());

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{lock, AttrValue, Buffer, Chunk, DataError, DataResult, Shape, Variable};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, workflow_label, Component, StepEnd, StreamArray};
 use crate::error::{ComponentError, ComponentResult};
@@ -187,8 +187,6 @@ pub struct Histogram {
     pub output_file: Option<PathBuf>,
     /// Stream to publish `counts`/`bin_edges` on, if any.
     pub output_stream: Option<String>,
-    /// Buffering policy for the optional output stream.
-    pub writer_options: WriterOptions,
     results: Arc<Mutex<Vec<HistogramResult>>>,
 }
 
@@ -212,16 +210,8 @@ impl Histogram {
             num_bins,
             output_file: None,
             output_stream: None,
-            writer_options: WriterOptions::default(),
             results: Arc::new(Mutex::new(Vec::new())),
         })
-    }
-
-    /// Overrides the buffering policy of the optional output stream (e.g.
-    /// to declare several subscriber groups on the histogram results).
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Histogram {
-        self.writer_options = options;
-        self
     }
 
     /// Rank 0 appends each step's histogram to `path` (the paper's endpoint
@@ -322,7 +312,7 @@ impl Component for Histogram {
             },
             _ => None,
         };
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let (comm, step) = (io.comm, io.step);
             let region = io.region(0).expect("a 1-d read always partitions");
             let var = io.inputs[0].get(&self.input.array, region)?;

@@ -418,15 +418,18 @@ impl LaunchEntry {
         Ok(entry)
     }
 
-    /// Builds the component this entry launches: one arm per program reads
-    /// its positional arguments, calls its constructor and applies the
-    /// options it honours. Whatever is wrong with the entry — an argument
-    /// count off the program's usage, a token that does not parse, a
+    /// Builds the component this entry launches, with the writer policy of
+    /// its outputs: one arm per program reads its positional arguments,
+    /// calls its constructor and applies the options it honours; then, for
+    /// every component that writes a stream, `queue=` and `rendezvous=`
+    /// give the policy (`None` for one that writes nothing, whose line
+    /// takes neither). Whatever is wrong with the entry — an argument count
+    /// off the program's usage, a token that does not parse, a
     /// constructor's refusal, an option or `< file` the program does not
     /// take — is one error on the entry's line. A simulation's options are
     /// `stream=`, `queue=`, `rendezvous=` and its code's
     /// [`SimCode::params`].
-    pub fn build(&self) -> Result<Box<dyn Component>, LaunchError> {
+    pub fn build(&self) -> Result<(Box<dyn Component>, Option<WriterOptions>), LaunchError> {
         let line = self.line;
         let a: Vec<&str> = self.args.iter().map(String::as_str).collect();
         let arity = |count: RangeInclusive<usize>, usage: &str| {
@@ -450,15 +453,11 @@ impl LaunchEntry {
                     "select in-stream in-array dim-index out-stream out-array names...",
                 )?;
                 let dim = parse_usize(a[2], "dimension index", line)?;
-                let mut c = Select::new(io(0), dim, a[5..].iter().copied(), io(3));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(Select::new(io(0), dim, a[5..].iter().copied(), io(3)))
             }
             "magnitude" => {
                 arity(4..=4, "magnitude in-stream in-array out-stream out-array")?;
-                let mut c = Magnitude::new(io(0), io(2));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(Magnitude::new(io(0), io(2)))
             }
             "dim-reduce" => {
                 arity(
@@ -467,9 +466,7 @@ impl LaunchEntry {
                 )?;
                 let remove = parse_usize(a[2], "dim-to-remove", line)?;
                 let grow = parse_usize(a[3], "dim-to-grow", line)?;
-                let mut c = DimReduce::new(io(0), remove, grow, io(4));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(DimReduce::new(io(0), remove, grow, io(4)))
             }
             "histogram" => {
                 arity(3..=4, "histogram in-stream in-array num-bins [output-file]")?;
@@ -497,9 +494,7 @@ impl LaunchEntry {
                         format!("unknown threshold mode {:?} (gt|lt|abs-gt)", a[2]),
                     )
                 })?;
-                let mut c = Threshold::new(io(0), predicate, io(4));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(Threshold::new(io(0), predicate, io(4)))
             }
             "combine" => {
                 arity(
@@ -512,9 +507,7 @@ impl LaunchEntry {
                         format!("unknown combine op {:?} (add|sub|mul|div)", a[2]),
                     )
                 })?;
-                let mut c = Combine::new(io(0), op, io(3), io(5));
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(Combine::new(io(0), op, io(3), io(5)))
             }
             "temporal-mean" => {
                 arity(
@@ -526,13 +519,11 @@ impl LaunchEntry {
                 if let Some(stride) = opts.usize("stride").map_err(rejected)? {
                     c = c.try_with_stride(stride).map_err(rejected)?;
                 }
-                c.writer_options = opts.writer().map_err(rejected)?;
                 Box::new(c)
             }
             "fork" => {
                 arity(2..=MANY, "fork in-stream out-stream...")?;
-                let writer = opts.writer().map_err(rejected)?;
-                Box::new(Fork::new(a[0], a[1..].iter().copied()).with_writer_options(writer))
+                Box::new(Fork::new(a[0], a[1..].iter().copied()))
             }
             "aio" => {
                 arity(4..=MANY, "aio in-stream in-array num-bins names...")?;
@@ -545,9 +536,7 @@ impl LaunchEntry {
             }
             "file-read" => {
                 arity(2..=2, "file-read path out-stream")?;
-                let mut c = FileRead::new(a[0], a[1]);
-                c.writer_options = opts.writer().map_err(rejected)?;
-                Box::new(c)
+                Box::new(FileRead::new(a[0], a[1]))
             }
             "lammps" | "gtcp" | "gromacs" => {
                 if let Some(t) = a.first() {
@@ -562,7 +551,6 @@ impl LaunchEntry {
                     _ => SimCode::Gromacs,
                 };
                 let mut sim = Simulation::new(code);
-                sim.writer_options = opts.writer().map_err(rejected)?;
                 if let Some(stream) = opts.take("stream") {
                     sim.stream = stream.to_string();
                 }
@@ -571,21 +559,26 @@ impl LaunchEntry {
                         sim = sim.try_param(key, value).map_err(rejected)?;
                     }
                 }
-                opts.all_read(&self.program).map_err(rejected)?;
-                // `< file` is the code's input deck (the paper's
-                // `lammps < in.cracksm`): recorded, not read.
-                return Ok(Box::new(sim));
+                Box::new(sim)
             }
             other => return Err(err(line, format!("unknown program {other:?}"))),
         };
+        let writer_options = if component.output_streams().is_empty() {
+            None
+        } else {
+            Some(opts.writer().map_err(rejected)?)
+        };
         opts.all_read(&self.program).map_err(rejected)?;
-        if let Some(file) = &self.stdin {
+        // `< file` is a simulation's input deck (the paper's
+        // `lammps < in.cracksm`): recorded, not read.
+        let simulation = matches!(self.program.as_str(), "lammps" | "gtcp" | "gromacs");
+        if let (Some(file), false) = (&self.stdin, simulation) {
             return Err(rejected(format!(
                 "{} reads no '<' input, got {file:?}",
                 self.program
             )));
         }
-        Ok(component)
+        Ok((component, writer_options))
     }
 }
 
@@ -619,9 +612,7 @@ impl<'a> Options<'a> {
     fn writer(&mut self) -> Result<WriterOptions, String> {
         let mut w = WriterOptions::default();
         if let Some(q) = self.usize("queue")? {
-            if q == 0 {
-                return Err("queue depth must be at least 1".to_string());
-            }
+            WriterOptions::check_queue_capacity(q)?;
             w.queue_capacity = q;
         }
         if let Some(r) = self.take("rendezvous") {
@@ -828,11 +819,14 @@ mod tests {
     }
 
     /// Every program from its script line: the planned component declares
-    /// the expected wiring, options applied, and a component rebuilt from
-    /// the entry declares the same.
+    /// the expected wiring, the plan keeps the writer policy its options
+    /// give (none for a line that writes nothing), and the entry rebuilds
+    /// to the same.
     #[test]
     fn every_program_lowers_from_its_script_line() {
-        let cases: &[(&str, Wiring)] = &[
+        let default = WriterOptions::default();
+        let rendezvous = default.with_rendezvous(true);
+        let cases: &[(&str, Wiring, Option<WriterOptions>)] = &[
             (
                 "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz queue=3",
                 (
@@ -840,6 +834,7 @@ mod tests {
                     vec![sub("dump.fp", "select")],
                     strings(&["sel.fp"]),
                 ),
+                Some(WriterOptions::buffered(3)),
             ),
             (
                 "magnitude sel.fp v mag.fp speed rendezvous=1",
@@ -848,6 +843,7 @@ mod tests {
                     vec![sub("sel.fp", "magnitude")],
                     strings(&["mag.fp"]),
                 ),
+                Some(rendezvous),
             ),
             (
                 "dim-reduce a.fp x 2 1 b.fp y",
@@ -856,10 +852,12 @@ mod tests {
                     vec![sub("a.fp", "dim-reduce")],
                     strings(&["b.fp"]),
                 ),
+                Some(default),
             ),
             (
                 "histogram a.fp x 8 /tmp/h.txt",
                 ("histogram".into(), vec![sub("a.fp", "histogram")], vec![]),
+                None,
             ),
             (
                 "threshold a.fp x abs-gt 2.5 b.fp y",
@@ -868,6 +866,7 @@ mod tests {
                     vec![sub("a.fp", "threshold")],
                     strings(&["b.fp"]),
                 ),
+                Some(default),
             ),
             (
                 "combine a.fp x sub a.fp y c.fp z",
@@ -876,6 +875,7 @@ mod tests {
                     vec![sub("a.fp", "combine"), sub("a.fp", "combine#1")],
                     strings(&["c.fp"]),
                 ),
+                Some(default),
             ),
             (
                 "temporal-mean a.fp x 3 b.fp y stride=2",
@@ -884,6 +884,7 @@ mod tests {
                     vec![sub("a.fp", "temporal-mean")],
                     strings(&["b.fp"]),
                 ),
+                Some(default),
             ),
             (
                 "fork in.fp a.fp b.fp queue=2",
@@ -892,6 +893,7 @@ mod tests {
                     vec![sub("in.fp", "fork")],
                     strings(&["a.fp", "b.fp"]),
                 ),
+                Some(WriterOptions::buffered(2)),
             ),
             (
                 "aio dump.fp atoms 16 vx vy vz",
@@ -900,36 +902,44 @@ mod tests {
                     vec![sub("dump.fp", "all-in-one")],
                     vec![],
                 ),
+                None,
             ),
             (
                 "file-write b.fp /tmp/out.sbc",
                 ("file-write".into(), vec![sub("b.fp", "file-write")], vec![]),
+                None,
             ),
             (
                 "file-read /tmp/out.sbc replay.fp rendezvous=0",
                 ("file-read".into(), vec![], strings(&["replay.fp"])),
+                Some(default),
             ),
             (
                 "aprun -n 4 lammps nx=8 steps=2 < in.cracksm",
                 ("lammps".into(), vec![], strings(&["dump.custom.fp"])),
+                Some(default),
             ),
             (
                 "gtcp slices=4 queue=2",
                 ("gtcp".into(), vec![], strings(&["gtcp.fp"])),
+                Some(WriterOptions::buffered(2)),
             ),
             (
                 "gromacs chains=2 stream=g2.fp rendezvous=1",
                 ("gromacs".into(), vec![], strings(&["g2.fp"])),
+                Some(rendezvous),
             ),
         ];
         let mut covered = BTreeSet::new();
-        for (line, expected) in cases {
+        for (line, expected, policy) in cases {
             let plan = WorkflowPlan::from_script(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
             assert_eq!(plan.components.len(), 1, "{line}");
             let a: &PlannedComponent = &plan.components[0];
             assert_eq!(&wiring(&*a.component), expected, "{line}");
-            let rebuilt = a.entry.build().unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(&a.writer_options, policy, "{line}");
+            let (rebuilt, options) = a.entry.build().unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(&wiring(&*rebuilt), expected, "{line}");
+            assert_eq!(&options, policy, "{line}");
             covered.insert(a.entry.program.as_str().to_owned());
         }
         let names: BTreeSet<String> = grammar_names().into_iter().map(String::from).collect();
@@ -1003,6 +1013,11 @@ mod tests {
             ("lammps groups=2", "a retired token on a simulation"),
             ("gtcp step=3", "a parameter typo"),
             ("lammps thermostat=hot", "a thermostat that is not a number"),
+            (
+                "magnitude a b c d queue=4294967296",
+                "a queue depth no remote writer's hello carries",
+            ),
+            ("gromacs queue=4294967297", "the same on a simulation"),
         ] {
             let line = format!("\n# {what}\n{script}");
             match WorkflowPlan::from_script(&line) {
@@ -1020,6 +1035,19 @@ mod tests {
             e[0].detail,
             "component rejected its arguments: fork takes no option group= \
              (its options: queue= rendezvous=)"
+        );
+        // A line that writes nothing takes no writer policy.
+        let e = WorkflowPlan::from_script("file-write b.fp /tmp/out.sbc queue=4").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "component rejected its arguments: file-write takes no option queue= \
+             (its options: none)"
+        );
+        let e = WorkflowPlan::from_script("fork m.fp a.fp queue=4294967297").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "component rejected its arguments: queue depth 4294967297 exceeds 4294967295, \
+             the deepest a remote writer declares"
         );
         // A simulation names the keys its code takes, as a component does.
         let e = WorkflowPlan::from_script("gromacs nx=4").unwrap_err();

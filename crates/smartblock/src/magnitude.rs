@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -61,8 +61,6 @@ pub struct Magnitude {
     pub input: StreamArray,
     /// Output stream/array names (a 1-d array of magnitudes).
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl Magnitude {
@@ -71,14 +69,7 @@ impl Magnitude {
         Magnitude {
             input: input.into(),
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
-    }
-
-    /// Overrides the output buffering policy.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Magnitude {
-        self.writer_options = options;
-        self
     }
 }
 
@@ -121,7 +112,7 @@ impl Component for Magnitude {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             // The points dimension is partitioned; every rank reads whole rows.
             let region = io.region(0).expect("a 2-d read always partitions");
             let var = io.inputs[0].get(&self.input.array, region)?;

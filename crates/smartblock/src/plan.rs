@@ -35,7 +35,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use sb_stream::StreamHub;
+use sb_stream::{StreamHub, WriterOptions};
 
 use crate::analysis::{lint_plan, LintConfig};
 use crate::component::{reader_group_counts, Component};
@@ -57,6 +57,9 @@ pub struct PlannedComponent {
     /// signature. [`WorkflowPlan::workflow`] constructs a fresh instance
     /// per workflow, so runs never share component state.
     pub(crate) component: Arc<dyn Component>,
+    /// The writer policy of the entry's outputs, from its `queue=` and
+    /// `rendezvous=`; `None` when the component writes no stream.
+    pub writer_options: Option<WriterOptions>,
 }
 
 impl fmt::Debug for PlannedComponent {
@@ -64,6 +67,7 @@ impl fmt::Debug for PlannedComponent {
         f.debug_struct("PlannedComponent")
             .field("label", &self.label)
             .field("entry", &self.entry)
+            .field("writer_options", &self.writer_options)
             .finish_non_exhaustive()
     }
 }
@@ -92,7 +96,7 @@ pub(crate) fn plan_components(
     let mut rejected = Vec::new();
     for entry in entries {
         match entry.build() {
-            Ok(component) => {
+            Ok((component, writer_options)) => {
                 let label = unique_label(component.label(), |l| {
                     components.iter().any(|c| c.label == l)
                 });
@@ -100,6 +104,7 @@ pub(crate) fn plan_components(
                     label,
                     entry,
                     component: Arc::from(component),
+                    writer_options,
                 });
             }
             Err(e) => rejected.push(e),
@@ -120,12 +125,12 @@ impl WorkflowPlan {
 
     /// Builds this process's slice as a workflow on `hub`: the components
     /// named in `select` (all of them when `select` is empty), with the
-    /// plan's policies, triggers, and run defaults applied. The slice's
-    /// writers keep each step for every reader group of the *whole* plan,
-    /// so a subscriber in another process cannot miss one. Policies whose
-    /// label the slice does not contain are skipped (a partial slice only
-    /// supervises its own components; `sb-lint` flags genuinely unknown
-    /// targets as SB014).
+    /// plan's fault and writer policies, triggers, and run defaults
+    /// applied. The slice's writers keep each step for every reader group
+    /// of the *whole* plan, so a subscriber in another process cannot miss
+    /// one. Fault policies whose label the slice does not contain are
+    /// skipped (a partial slice only supervises its own components;
+    /// `sb-lint` flags genuinely unknown targets as SB014).
     ///
     /// `Err` names the unknown label when `select` asks for a component
     /// the plan does not contain. Lints are not consulted here: whatever
@@ -145,7 +150,7 @@ impl WorkflowPlan {
             if !select.is_empty() && !select.contains(&c.label) {
                 continue;
             }
-            let component = c
+            let (component, _) = c
                 .entry
                 .build()
                 .map_err(|e| format!("{}: {}", c.label, e.detail))?;
@@ -162,6 +167,9 @@ impl WorkflowPlan {
                 .filter(|p| p.label == c.label)
             {
                 wf.set_fault_policy(p.label.clone(), p.policy.clone());
+            }
+            if let Some(options) = c.writer_options {
+                wf.set_writer_options(&c.label, options);
             }
         }
         for trigger in &self.triggers {
@@ -331,6 +339,26 @@ mod tests {
         let missing = Workflow::from_script_file(dir.join("missing.sb"));
         assert!(matches!(missing, Err(WorkflowError::Invalid { .. })));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A process's slice declares the writer policy of its own entries,
+    /// from their lines, and of no one else's.
+    #[test]
+    fn a_slice_declares_its_entries_writer_policy() {
+        let plan = WorkflowPlan::from_script(
+            "gromacs chains=4 len=4 steps=2 interval=1 queue=2\n\
+             magnitude gromacs.fp coords m.fp r rendezvous=1\n\
+             histogram m.fp r 4",
+        )
+        .unwrap();
+        let hub = StreamHub::new();
+        let wf = plan
+            .workflow(Arc::clone(&hub), &["gromacs".to_string()])
+            .unwrap();
+        wf.run_with(RunOptions::new().with_validation(Validation::Skip))
+            .unwrap();
+        assert_eq!(hub.writer_options("gromacs.fp"), WriterOptions::buffered(2));
+        assert_eq!(hub.writer_options("m.fp"), WriterOptions::default());
     }
 
     #[test]

@@ -44,7 +44,7 @@ where
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let produce_start = Instant::now();
             let Some(var) = (self.produce)(io.step) else {
                 return Ok(StepEnd::Done);
@@ -86,7 +86,7 @@ where
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, WriterOptions::default(), comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let mut bytes_in = 0u64;
             if io.comm.rank() == 0 {
                 let reader = &io.inputs[0];
@@ -181,6 +181,8 @@ struct Entry {
     /// 1-based source line this entry came from, when the workflow was
     /// built from a plan; threaded into lint diagnostics.
     line: Option<usize>,
+    /// The policy every stream the component writes opens under.
+    writer_options: WriterOptions,
 }
 
 /// A workflow under assembly: components plus the stream hub that connects
@@ -272,6 +274,7 @@ impl Workflow {
             nranks,
             component,
             line,
+            writer_options: WriterOptions::default(),
         });
         self
     }
@@ -335,6 +338,32 @@ impl Workflow {
     /// [`RunOptions::fault_policy`]).
     pub fn set_fault_policy(&mut self, label: impl Into<String>, policy: FaultPolicy) -> &mut Self {
         self.policies.insert(label.into(), policy);
+        self
+    }
+
+    /// Sets the writer policy — queue depth, rendezvous — of every stream
+    /// the component labelled `label` writes. Components without one write
+    /// under [`WriterOptions::default`]. This is the one place a workflow
+    /// says how its writers buffer; a `.sb` line's `queue=`/`rendezvous=`
+    /// lower to it.
+    ///
+    /// # Panics
+    ///
+    /// When no component is labelled `label`, when that component writes
+    /// no stream, or when `options`' queue depth is one
+    /// [`WriterOptions::check_queue_capacity`] refuses.
+    pub fn set_writer_options(&mut self, label: &str, options: WriterOptions) -> &mut Self {
+        let Some(entry) = self.entries.iter_mut().find(|e| e.label == label) else {
+            panic!("no component labelled {label:?} to set writer options on");
+        };
+        assert!(
+            !entry.component.output_streams().is_empty(),
+            "component {label:?} writes no stream to set writer options on"
+        );
+        if let Err(reason) = WriterOptions::check_queue_capacity(options.queue_capacity) {
+            panic!("component {label:?}: {reason}");
+        }
+        entry.writer_options = options;
         self
     }
 
@@ -445,6 +474,13 @@ impl Workflow {
         });
         for (stream, groups) in &reader_groups {
             hub.set_reader_groups(stream, *groups);
+        }
+        // ...and each output opens, and a restart reopens, under its
+        // entry's writer policy.
+        for entry in &entries {
+            for stream in entry.component.output_streams() {
+                hub.set_writer_options(&stream, entry.writer_options);
+            }
         }
         // Arm the tracer before any component thread spawns so the very
         // first step is on the timeline. Precedence: RunOptions, then
@@ -576,6 +612,67 @@ mod tests {
         assert_eq!(report.total_ranks(), 5);
         assert_eq!(report.streams.len(), 1);
         assert_eq!(report.streams[0].steps_consumed, 5);
+    }
+
+    /// The workflow's writer policy reaches an `add_source` entry: under
+    /// rendezvous the source produces step k + 1 only once its sink has
+    /// released step k, however long the sink holds it.
+    #[test]
+    fn a_rendezvous_source_commits_a_step_only_after_its_sink_released_the_last() {
+        const STEPS: u64 = 4;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (produced, held) = (Arc::clone(&log), Arc::clone(&log));
+        let mut wf = Workflow::new();
+        wf.add_source("gen", 1, "r.fp", move |step| {
+            sb_data::lock(&produced).push(format!("produce {step}"));
+            (step < STEPS).then(|| counter_variable(step, 4))
+        });
+        wf.add_sink("slow", 1, "r.fp", move |step, _| {
+            std::thread::sleep(Duration::from_millis(20));
+            // The sink releases the step only after this returns.
+            sb_data::lock(&held).push(format!("held {step}"));
+        });
+        wf.set_writer_options("gen", WriterOptions::rendezvous());
+        wf.run_with(RunOptions::default()).unwrap();
+        let log = sb_data::lock(&log);
+        for step in 0..STEPS {
+            let at = |event: String| log.iter().position(|e| *e == event).unwrap();
+            let (held, next) = (
+                at(format!("held {step}")),
+                at(format!("produce {}", step + 1)),
+            );
+            assert!(
+                held < next,
+                "step {} produced before {step} was released: {log:?}",
+                step + 1
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no component labelled \"ghost\"")]
+    fn writer_options_for_an_unknown_label_are_refused() {
+        let mut wf = Workflow::new();
+        wf.add_source("gen", 1, "a.fp", |_| None);
+        wf.set_writer_options("ghost", WriterOptions::rendezvous());
+    }
+
+    #[test]
+    #[should_panic(expected = "component \"end\" writes no stream")]
+    fn writer_options_for_a_component_that_writes_nothing_are_refused() {
+        let mut wf = Workflow::new();
+        wf.add_sink("end", 1, "a.fp", |_, _| {});
+        wf.set_writer_options("end", WriterOptions::buffered(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue depth 4294967296 exceeds 4294967295")]
+    fn a_queue_no_remote_writer_carries_is_refused() {
+        let mut wf = Workflow::new();
+        wf.add_source("gen", 1, "a.fp", |_| None);
+        let mut options = WriterOptions::default();
+        options.queue_capacity = 1 << 32;
+        wf.set_writer_options("gen", options);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
 use sb_data::{Chunk, DataError, DataResult, Region, Variable};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -80,8 +80,6 @@ pub struct Select {
     pub keep: Vec<String>,
     /// Output stream/array names.
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl Select {
@@ -98,14 +96,7 @@ impl Select {
             dim_index,
             keep: keep.into_iter().map(Into::into).collect(),
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
-    }
-
-    /// Overrides the output buffering policy.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Select {
-        self.writer_options = options;
-        self
     }
 }
 
@@ -144,7 +135,7 @@ impl Component for Select {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let meta = io.meta(0, &self.input.array)?;
             let indices: Vec<usize> = self
                 .keep
@@ -276,39 +267,33 @@ mod tests {
         let hub = StreamHub::new();
         let source_hub = Arc::clone(&hub);
         let source = sb_comm::LaunchHandle::spawn("src", 1, move |comm| {
-            run_steps(
-                &Wired::new(&[], &["in.fp"]),
-                WriterOptions::default(),
-                &comm,
-                &source_hub,
-                |io| {
-                    if io.step >= 4 {
-                        return Ok(StepEnd::Done);
-                    }
-                    let order = orders[io.step as usize % 2];
-                    // Column `name` of row `r` holds 10 r + the name's
-                    // position in the first order.
-                    let value = |r: usize, name: &str| {
-                        (10 * r + orders[0].iter().position(|n| *n == name).unwrap()) as f64
-                    };
-                    let data = (0..2)
-                        .flat_map(|r| order.iter().map(move |n| value(r, n)))
-                        .collect();
-                    let v = Variable::new(
-                        "atoms",
-                        Shape::of(&[("particles", 2), ("props", 3)]),
-                        Buffer::F64(data),
-                    )
-                    .unwrap()
-                    .with_labels(1, &order)
-                    .unwrap();
-                    io.put(0, Chunk::whole(v));
-                    Ok(StepEnd::Publish {
-                        bytes_in: 0,
-                        compute: Duration::ZERO,
-                    })
-                },
-            )
+            run_steps(&Wired::new(&[], &["in.fp"]), &comm, &source_hub, |io| {
+                if io.step >= 4 {
+                    return Ok(StepEnd::Done);
+                }
+                let order = orders[io.step as usize % 2];
+                // Column `name` of row `r` holds 10 r + the name's
+                // position in the first order.
+                let value = |r: usize, name: &str| {
+                    (10 * r + orders[0].iter().position(|n| *n == name).unwrap()) as f64
+                };
+                let data = (0..2)
+                    .flat_map(|r| order.iter().map(move |n| value(r, n)))
+                    .collect();
+                let v = Variable::new(
+                    "atoms",
+                    Shape::of(&[("particles", 2), ("props", 3)]),
+                    Buffer::F64(data),
+                )
+                .unwrap()
+                .with_labels(1, &order)
+                .unwrap();
+                io.put(0, Chunk::whole(v));
+                Ok(StepEnd::Publish {
+                    bytes_in: 0,
+                    compute: Duration::ZERO,
+                })
+            })
         })
         .unwrap();
         let select_hub = Arc::clone(&hub);
@@ -319,21 +304,15 @@ mod tests {
         .unwrap();
         let sink_hub = Arc::clone(&hub);
         let sink = sb_comm::LaunchHandle::spawn("sink", 1, move |comm| {
-            run_steps(
-                &Wired::new(&["out.fp"], &[]),
-                WriterOptions::default(),
-                &comm,
-                &sink_hub,
-                |io| {
-                    let v = io.inputs[0].get_whole("velos")?;
-                    assert_eq!(v.header(1).unwrap(), &["vx".to_string(), "vy".into()]);
-                    assert_eq!(v.data.to_f64_vec(), vec![1.0, 2.0, 11.0, 12.0]);
-                    Ok(StepEnd::Publish {
-                        bytes_in: v.byte_len() as u64,
-                        compute: Duration::ZERO,
-                    })
-                },
-            )
+            run_steps(&Wired::new(&["out.fp"], &[]), &comm, &sink_hub, |io| {
+                let v = io.inputs[0].get_whole("velos")?;
+                assert_eq!(v.header(1).unwrap(), &["vx".to_string(), "vy".into()]);
+                assert_eq!(v.data.to_f64_vec(), vec![1.0, 2.0, 11.0, 12.0]);
+                Ok(StepEnd::Publish {
+                    bytes_in: v.byte_len() as u64,
+                    compute: Duration::ZERO,
+                })
+            })
         })
         .unwrap();
         source.join().unwrap().remove(0).unwrap();

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{Buffer, Chunk, DataError, DataResult};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -90,8 +90,6 @@ pub struct TemporalMean {
     pub window: usize,
     /// Output stream/array names.
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
     /// Publish one output step per `stride` input steps (1 = every step).
     /// The mean still updates on every consumed step; only publishing
     /// decimates, so `stride=n` smooths at full rate but reports at 1/n.
@@ -129,7 +127,6 @@ impl TemporalMean {
             input: input.into(),
             window,
             output: output.into(),
-            writer_options: WriterOptions::default(),
             stride: Arc::new(AtomicUsize::new(1)),
         })
     }
@@ -204,7 +201,7 @@ impl Component for TemporalMean {
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let mut state = MovingMean::new(self.window);
         let mut consumed: usize = 0;
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let meta = io.meta(0, &self.input.array)?;
             let region = io.region(0);
             // A rank that reads nothing keeps an empty window.

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use sb_comm::Communicator;
 use sb_data::{Buffer, Chunk, Region, Shape, VariableMeta};
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
 use crate::error::ComponentResult;
@@ -75,8 +75,6 @@ pub struct Threshold {
     /// Output stream name; arrays are published as `<array>` (values) and
     /// `<array>_indices`.
     pub output: StreamArray,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 impl Threshold {
@@ -90,7 +88,6 @@ impl Threshold {
             input: input.into(),
             predicate,
             output: output.into(),
-            writer_options: WriterOptions::default(),
         }
     }
 }
@@ -136,7 +133,7 @@ impl Component for Threshold {
     }
 
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             let comm = io.comm;
             let meta = io.meta(0, &self.input.array)?;
             let region = io.region(0);

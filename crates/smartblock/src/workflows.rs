@@ -20,7 +20,7 @@ use sb_sims::{
     GromacsConfig, GromacsSim, GtcpConfig, GtcpSim, LammpsConfig, LammpsSim, OutputContract,
     SimRank,
 };
-use sb_stream::{StreamHub, WriterOptions};
+use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd};
 use crate::error::ComponentResult;
@@ -41,8 +41,6 @@ pub struct Simulation {
     interval: u64,
     /// Output stream name.
     pub stream: String,
-    /// Output buffering policy.
-    pub writer_options: WriterOptions,
 }
 
 /// One mini code's typed configuration: only [`Simulation::try_param`]
@@ -69,7 +67,6 @@ impl Simulation {
             steps: 5,
             interval: 10,
             stream: code.default_stream().to_string(),
-            writer_options: WriterOptions::default(),
         }
     }
 
@@ -124,12 +121,6 @@ impl Simulation {
     /// Overrides the output stream name.
     pub fn on_stream(mut self, stream: impl Into<String>) -> Simulation {
         self.stream = stream.into();
-        self
-    }
-
-    /// Overrides the output buffering policy.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Simulation {
-        self.writer_options = options;
         self
     }
 
@@ -199,7 +190,7 @@ impl Component for Simulation {
     fn run(&self, comm: &Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         let mut sim = self.rank_sim(comm.rank(), comm.size());
         let mut substeps = 0;
-        run_steps(self, self.writer_options, comm, hub, |io| {
+        run_steps(self, comm, hub, |io| {
             if io.step >= self.steps {
                 return Ok(StepEnd::Done);
             }
@@ -233,8 +224,6 @@ pub struct PresetScale {
     /// Simulation size parameters (`nx`, `slices`, `chains`, ...), each
     /// one of the preset's code's [`SimCode::params`].
     pub size_params: BTreeMap<String, usize>,
-    /// Writer buffering for every stream in the workflow.
-    pub writer_options: WriterOptions,
     /// Hub wait timeout (bench harnesses shorten it).
     pub wait_timeout: Duration,
 }
@@ -248,7 +237,6 @@ impl Default for PresetScale {
             substeps: 5,
             bins: 16,
             size_params: BTreeMap::new(),
-            writer_options: WriterOptions::default(),
             wait_timeout: Duration::from_secs(120),
         }
     }
@@ -269,8 +257,7 @@ impl PresetScale {
     fn simulation(&self, code: SimCode) -> Simulation {
         let mut sim = Simulation::new(code)
             .param("steps", self.io_steps)
-            .param("interval", self.substeps)
-            .with_writer_options(self.writer_options);
+            .param("interval", self.substeps);
         for (key, &value) in &self.size_params {
             sim = sim.param(key, value);
         }
@@ -301,13 +288,11 @@ pub fn lammps_workflow_on(
             1,
             ["vx", "vy", "vz"],
             ("lmpselect.fp", "lmpsel"),
-        )
-        .with_writer_options(scale.writer_options),
+        ),
     );
     wf.add(
         scale.rank(1),
-        Magnitude::new(("lmpselect.fp", "lmpsel"), ("velos.fp", "velocities"))
-            .with_writer_options(scale.writer_options),
+        Magnitude::new(("lmpselect.fp", "lmpsel"), ("velos.fp", "velocities")),
     );
     let hist = Histogram::new(("velos.fp", "velocities"), scale.bins);
     let results = hist.results_handle();
@@ -369,18 +354,15 @@ pub fn gtcp_workflow_on(
     wf.add(scale.sim_ranks, scale.simulation(SimCode::Gtcp));
     wf.add(
         scale.rank(0),
-        Select::new(("gtcp.fp", "plasma"), 2, ["P_perp"], ("psel.fp", "pperp"))
-            .with_writer_options(scale.writer_options),
+        Select::new(("gtcp.fp", "plasma"), 2, ["P_perp"], ("psel.fp", "pperp")),
     );
     wf.add(
         scale.rank(1),
-        DimReduce::new(("psel.fp", "pperp"), 2, 1, ("dr1.fp", "flat2"))
-            .with_writer_options(scale.writer_options),
+        DimReduce::new(("psel.fp", "pperp"), 2, 1, ("dr1.fp", "flat2")),
     );
     wf.add(
         scale.rank(2),
-        DimReduce::new(("dr1.fp", "flat2"), 0, 1, ("dr2.fp", "flat1"))
-            .with_writer_options(scale.writer_options),
+        DimReduce::new(("dr1.fp", "flat2"), 0, 1, ("dr2.fp", "flat1")),
     );
     let hist = Histogram::new(("dr2.fp", "flat1"), scale.bins);
     let results = hist.results_handle();
@@ -402,8 +384,7 @@ pub fn gromacs_workflow_on(
     wf.add(scale.sim_ranks, scale.simulation(SimCode::Gromacs));
     wf.add(
         scale.rank(0),
-        Magnitude::new(("gromacs.fp", "coords"), ("gmag.fp", "radii"))
-            .with_writer_options(scale.writer_options),
+        Magnitude::new(("gromacs.fp", "coords"), ("gmag.fp", "radii")),
     );
     let hist = Histogram::new(("gmag.fp", "radii"), scale.bins);
     let results = hist.results_handle();

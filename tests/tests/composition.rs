@@ -154,12 +154,14 @@ fn rendezvous_mode_workflows_are_still_correct() {
         io_steps: 2,
         substeps: 3,
         bins: 6,
-        writer_options: WriterOptions::rendezvous(),
         ..Default::default()
     }
     .size("slices", 8)
     .size("points", 8);
-    let (wf, results) = smartblock::workflows::gtcp_workflow(&scale);
+    let (mut wf, results) = smartblock::workflows::gtcp_workflow(&scale);
+    for writer in ["gtcp", "select", "dim-reduce", "dim-reduce-2"] {
+        wf.set_writer_options(writer, WriterOptions::rendezvous());
+    }
     wf.run_with(RunOptions::default()).unwrap();
     let got = lock(&results).clone();
     assert_eq!(got.len(), 2);

@@ -144,9 +144,11 @@ fn seeded_spike_trigger_flips_temporal_mean_stride_mid_run() {
             Variable::new("vals", Shape::of(&[("cells", 16)]), Buffer::from(data)).unwrap()
         })
     });
-    let mut mean = TemporalMean::new(("sim.fp", "vals"), 1, ("tm.fp", "smoothed"));
-    mean.writer_options = WriterOptions::rendezvous();
-    wf.add(1, mean);
+    wf.add(
+        1,
+        TemporalMean::new(("sim.fp", "vals"), 1, ("tm.fp", "smoothed")),
+    );
+    wf.set_writer_options("temporal-mean", WriterOptions::rendezvous());
     let hist = Histogram::new(("tm.fp", "smoothed"), 8);
     let results = hist.results_handle();
     wf.add(1, hist);

@@ -866,8 +866,7 @@ fn degrade_detaches_the_group_the_component_joined() {
             .param("chains", 4)
             .param("len", 4)
             .param("steps", STEPS)
-            .param("interval", 1)
-            .with_writer_options(WriterOptions::buffered(1)),
+            .param("interval", 1),
     );
     wf.add(
         1,
@@ -883,6 +882,7 @@ fn degrade_detaches_the_group_the_component_joined() {
     wf.add(1, kept);
     wf.hub()
         .install_faults(FaultPlan::seeded(chaos_seed()).kill_at("magnitude", 1));
+    wf.set_writer_options("gromacs", WriterOptions::buffered(1));
     wf.set_fault_policy("magnitude", FaultPolicy::degrade());
 
     let start = std::time::Instant::now();

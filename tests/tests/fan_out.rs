@@ -13,7 +13,7 @@ use sb_comm::Communicator;
 use sb_data::{Buffer, Shape, Variable};
 use sb_integration_tests::{chaos_seed, wait_until};
 use sb_stream::tcp::TcpBroker;
-use sb_stream::{ShmBroker, StreamHub, WriterOptions};
+use sb_stream::{ShmBroker, StreamHub};
 use smartblock::component::{run_steps, StepEnd};
 use smartblock::prelude::*;
 
@@ -63,7 +63,7 @@ impl Component for GatedSubscriber {
         wait_until("the first sink to take every step", || {
             self.gate.load(Ordering::SeqCst) == STEPS
         });
-        run_steps(self, WriterOptions::default(), comm, hub, |_| {
+        run_steps(self, comm, hub, |_| {
             self.seen.fetch_add(1, Ordering::SeqCst);
             Ok(StepEnd::Publish {
                 bytes_in: 0,

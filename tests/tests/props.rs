@@ -1760,61 +1760,40 @@ fn random_keep(rng: &mut StdRng) -> Vec<String> {
 /// on `in0.fp` (and, for the join, `in1.fp`) and writing `out.fp`. An axis
 /// it names is one of the `ndims` the input has, or one past them.
 fn converted_component(rng: &mut StdRng, kind: usize, ndims: usize) -> Arc<dyn Component> {
-    let deep = WriterOptions::buffered(2);
     match kind {
-        0 => Arc::new(Magnitude::new(("in0.fp", "x"), ("out.fp", "y")).with_writer_options(deep)),
-        1 => Arc::new(
-            Select::new(
-                ("in0.fp", "x"),
-                below(rng, ndims + 1),
-                random_keep(rng),
-                ("out.fp", "y"),
-            )
-            .with_writer_options(deep),
-        ),
-        2 => Arc::new(
-            DimReduce::new(
-                ("in0.fp", "x"),
-                below(rng, ndims + 1),
-                below(rng, ndims + 1),
-                ("out.fp", "y"),
-            )
-            .with_writer_options(deep),
-        ),
-        3 => {
-            let mut c = Combine::new(
-                ("in0.fp", "x"),
-                BinaryOp::Add,
-                ("in1.fp", "x"),
-                ("out.fp", "y"),
-            );
-            c.writer_options = deep;
-            Arc::new(c)
-        }
-        4 => {
-            let mut t = TemporalMean::new(("in0.fp", "x"), 2, ("out.fp", "y"));
-            t.writer_options = deep;
-            Arc::new(t)
-        }
+        0 => Arc::new(Magnitude::new(("in0.fp", "x"), ("out.fp", "y"))),
+        1 => Arc::new(Select::new(
+            ("in0.fp", "x"),
+            below(rng, ndims + 1),
+            random_keep(rng),
+            ("out.fp", "y"),
+        )),
+        2 => Arc::new(DimReduce::new(
+            ("in0.fp", "x"),
+            below(rng, ndims + 1),
+            below(rng, ndims + 1),
+            ("out.fp", "y"),
+        )),
+        3 => Arc::new(Combine::new(
+            ("in0.fp", "x"),
+            BinaryOp::Add,
+            ("in1.fp", "x"),
+            ("out.fp", "y"),
+        )),
+        4 => Arc::new(TemporalMean::new(("in0.fp", "x"), 2, ("out.fp", "y"))),
         5 => Arc::new(
-            Histogram::new(("in0.fp", "x"), 1 + below(rng, 6))
-                .with_output_stream("out.fp")
-                .with_writer_options(deep),
+            Histogram::new(("in0.fp", "x"), 1 + below(rng, 6)).with_output_stream("out.fp"),
         ),
         6 => Arc::new(AllInOne::new(
             ("in0.fp", "x"),
             random_keep(rng),
             1 + below(rng, 6),
         )),
-        _ => {
-            let mut t = Threshold::new(
-                ("in0.fp", "x"),
-                Predicate::GreaterThan(0.5),
-                ("out.fp", "y"),
-            );
-            t.writer_options = deep;
-            Arc::new(t)
-        }
+        _ => Arc::new(Threshold::new(
+            ("in0.fp", "x"),
+            Predicate::GreaterThan(0.5),
+            ("out.fp", "y"),
+        )),
     }
 }
 
@@ -1899,6 +1878,7 @@ fn contract_agreement_between_the_analyser_and_the_step_loop() {
 
         // One step of `run`.
         let hub = StreamHub::new();
+        hub.set_writer_options("out.fp", WriterOptions::buffered(2));
         let mut payload_bytes = 0u64;
         for (i, meta) in metas.iter().enumerate() {
             let len = meta.shape.total_len();

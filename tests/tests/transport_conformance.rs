@@ -416,3 +416,101 @@ fn concurrent_workflows_share_an_shm_broker_without_crosstalk() {
     assert_eq!(gromacs, golden("gromacs"));
     assert_eq!(gtcp, golden("gtcp"));
 }
+
+/// Records, at each step it holds, how far the writer of `stream` got
+/// ahead of it: the stream's committed steps once the writer is as far as
+/// `queue` lets it go (or stopped), minus the held step. Holding step k
+/// keeps it buffered, so a writer with queue depth q commits at most
+/// k + q steps; a settling pause then shows whether it went further.
+struct LeadProbe {
+    stream: String,
+    queue: u64,
+    steps: u64,
+    leads: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Component for LeadProbe {
+    fn label(&self) -> String {
+        "lead-probe".into()
+    }
+
+    fn input_streams(&self) -> Vec<String> {
+        vec![self.stream.clone()]
+    }
+
+    fn run(&self, comm: &sb_comm::Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
+        use smartblock::component::{run_steps, StepEnd};
+        use std::time::{Duration, Instant};
+        let committed = || hub.metrics(&self.stream).map_or(0, |m| m.steps_committed);
+        run_steps(self, comm, hub, |io| {
+            let want = (io.step + self.queue).min(self.steps);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while committed() < want && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            std::thread::sleep(Duration::from_millis(25));
+            lock(&self.leads).push(committed() - io.step);
+            Ok(StepEnd::Publish {
+                bytes_in: 0,
+                compute: Duration::ZERO,
+            })
+        })
+    }
+}
+
+/// One `.sb` simulation line, with `policy` as its writer options, run on
+/// `hub` under a [`LeadProbe`] expecting queue depth `queue`: the leads.
+fn leads_under(hub: Arc<StreamHub>, policy: &str, queue: u64) -> Vec<u64> {
+    const STEPS: u64 = 5;
+    let script = format!("gromacs chains=4 len=4 steps={STEPS} interval=1 {policy}");
+    let mut wf = WorkflowPlan::from_script(&script)
+        .unwrap()
+        .workflow(hub, &[])
+        .unwrap();
+    let leads = Arc::new(Mutex::new(Vec::new()));
+    wf.add(
+        1,
+        LeadProbe {
+            stream: "gromacs.fp".into(),
+            queue,
+            steps: STEPS,
+            leads: Arc::clone(&leads),
+        },
+    );
+    wf.run_with(RunOptions::default()).unwrap();
+    let leads = lock(&leads).clone();
+    leads
+}
+
+/// A launch line's writer policy reaches the writer on every backend: the
+/// writer runs exactly as far ahead of its slowest reader in-proc, over
+/// `tcp://` and over `shm://`. Under `queue=1 rendezvous=1` that is one
+/// step; under `queue=3` three, so a depth lost or wrapped on the way to
+/// a remote broker shows as another lead.
+#[test]
+fn writer_policy_blocks_alike_on_every_backend() {
+    for (policy, queue, expected) in [
+        ("queue=1 rendezvous=1", 1, vec![1; 5]),
+        ("queue=3", 3, vec![3, 3, 3, 2, 1]),
+    ] {
+        let inproc = leads_under(StreamHub::new(), policy, queue);
+        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+        let tcp = leads_under(StreamHub::connect(&broker.url()).unwrap(), policy, queue);
+        let dir = shm_scratch("policy");
+        let shm_broker = ShmBroker::bind(dir.to_str().unwrap()).unwrap();
+        let shm = leads_under(
+            StreamHub::connect(&shm_broker.url()).unwrap(),
+            policy,
+            queue,
+        );
+        assert_eq!(inproc, expected, "{policy}: in-proc");
+        assert_eq!(
+            tcp, inproc,
+            "{policy}: tcp:// blocks otherwise than in-proc"
+        );
+        assert_eq!(
+            shm, inproc,
+            "{policy}: shm:// blocks otherwise than in-proc"
+        );
+    }
+}
