@@ -199,8 +199,11 @@ impl StreamHub {
     /// Declares the queue depth and rendezvous mode of `name`'s writer,
     /// which [`StreamHub::writer_options`] hands to whoever opens it (the
     /// step loop does). Applies to writers opened afterwards; a stream
-    /// never declared has the default policy.
+    /// never declared has the default policy. Panics on queue depth 0,
+    /// which no backend can run, as [`WriterOptions::with_queue_capacity`]
+    /// does.
     pub fn set_writer_options(&self, name: &str, options: WriterOptions) {
+        check_runnable(&options);
         let mut declared = lock(&self.declared);
         let entry = declared.entry(name.to_string()).or_default();
         entry.queue_capacity = options.queue_capacity;
@@ -216,7 +219,11 @@ impl StreamHub {
     /// writer group with `options`' queue depth and rendezvous mode,
     /// retaining steps for the stream's declared reader groups. Every rank
     /// of the group must call this with the same `nranks` and `options`;
-    /// on an in-proc hub, a rank that disagrees panics.
+    /// on an in-proc hub, a rank that disagrees panics. On every backend,
+    /// queue depth 0 panics here, before any wait or hello, as
+    /// [`WriterOptions::with_queue_capacity`] does; a depth above
+    /// `u32::MAX` runs in-proc and is refused as a typed error by a remote
+    /// writer's hello.
     pub fn open_writer(
         &self,
         name: &str,
@@ -225,6 +232,7 @@ impl StreamHub {
         mut options: WriterOptions,
     ) -> StreamWriter {
         assert!(rank < nranks, "writer rank out of range");
+        check_runnable(&options);
         options.expected_reader_groups = self.writer_options(name).expected_reader_groups;
         let conn = self.transport.open_writer(name, rank, nranks, options);
         StreamWriter::new(conn.expect("the hub refused the writer"), rank, nranks)
@@ -331,4 +339,12 @@ impl StreamHub {
     pub fn prepare_restart(&self, inputs: &[(String, String)], outputs: &[String]) {
         self.transport.prepare_restart(inputs, outputs);
     }
+}
+
+/// Panics on the queue depth no backend can run, 0, with
+/// [`WriterOptions::check_queue_capacity`]'s reason. Options built with
+/// [`WriterOptions::with_queue_capacity`] never get here with it; the
+/// field is public, so options set directly can.
+fn check_runnable(options: &WriterOptions) {
+    assert!(options.queue_capacity > 0, "queue depth must be at least 1");
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use sb_data::region::copy_region;
 use sb_data::{Buffer, DataError, DataResult, Region, SharedBuffer, Variable, VariableMeta};
 
-use crate::error::StreamResult;
+use crate::error::{StreamError, StreamResult};
 use crate::metrics::Counters;
 use crate::trace::{EventKind, TraceSite, Tracer};
 use crate::transport::{ReaderConnection, ReaderEndpoint, StepContents, MAX_STEP_BOXES};
@@ -44,6 +44,8 @@ pub struct StreamReader {
     nranks: usize,
     next_step: u64,
     current: Option<StepContents>,
+    /// The hub's refusal of the last release, for the next `begin_step`.
+    refused: Option<StreamError>,
     /// `Some` on backends that move bytes to fetch a step.
     learning: Option<BoxLearning>,
 }
@@ -79,6 +81,7 @@ impl StreamReader {
             nranks,
             next_step: conn.first_step,
             current: None,
+            refused: None,
             learning: conn.learns_boxes.then(BoxLearning::default),
         }
     }
@@ -108,9 +111,13 @@ impl StreamReader {
     /// Returns [`crate::StreamError::Timeout`] if the writer side stays
     /// silent past the hub timeout, or [`crate::StreamError::PeerGone`] if
     /// the workflow supervisor poisoned the stream — a stalled peer is a
-    /// typed error, never a hang or a panic.
+    /// typed error, never a hang or a panic. A release the hub refused at
+    /// the last [`end_step`](Self::end_step) is returned here, once.
     pub fn begin_step(&mut self) -> StreamResult<StepStatus> {
         assert!(self.current.is_none(), "begin_step inside an open step");
+        if let Some(refused) = self.refused.take() {
+            return Err(refused);
+        }
         let start_ns = if self.tracer.enabled() {
             self.tracer.now_ns()
         } else {
@@ -317,8 +324,9 @@ impl StreamReader {
     }
 
     /// Releases the open step; once every reader rank has done so, the
-    /// writer-side buffer slot is freed. Panics when the hub refuses the
-    /// release: more ranks of the group released the step than it has.
+    /// writer-side buffer slot is freed. When the hub refuses the release
+    /// (more ranks of the group released the step than it has), the next
+    /// [`begin_step`](Self::begin_step) returns the refusal.
     pub fn end_step(&mut self) {
         assert!(self.current.is_some(), "end_step without begin_step");
         self.current = None;
@@ -337,7 +345,7 @@ impl StreamReader {
                 released
             }
         };
-        released.expect("the hub refused the release");
+        self.refused = released.err();
         self.next_step += 1;
     }
 }

@@ -2180,12 +2180,14 @@ fn writer_session(
             negotiated(hello)?,
         ))
     })();
-    let (name, rank, nranks, queue, rendezvous, groups, (proto, comp)) =
-        parsed.map_err(session_err)?;
-    if rank >= nranks || queue == 0 || groups == 0 {
-        return Err(session_err(format!(
-            "invalid writer hello for {name:?}: rank {rank}/{nranks} queue {queue} groups {groups}"
-        )));
+    let (name, rank, nranks, queue, rendezvous, groups, (proto, comp)) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return refuse(io, proto_gone("", format!("malformed writer hello: {e}"))),
+    };
+    if rank >= nranks || WriterOptions::check_queue_capacity(queue).is_err() || groups == 0 {
+        let why =
+            format!("invalid writer hello: rank {rank}/{nranks} queue {queue} groups {groups}");
+        return refuse(io, proto_gone(&name, why));
     }
     // The hello carries the writer hub's reader-group count: this hub's
     // own declarations do not override it.
@@ -2328,11 +2330,13 @@ fn reader_session(
             negotiated(hello)?,
         ))
     })();
-    let (name, group, rank, nranks, (proto, comp)) = parsed.map_err(session_err)?;
+    let (name, group, rank, nranks, (proto, comp)) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return refuse(io, proto_gone("", format!("malformed reader hello: {e}"))),
+    };
     if rank >= nranks {
-        return Err(session_err(format!(
-            "invalid reader hello for {name:?}: rank {rank}/{nranks}"
-        )));
+        let why = format!("invalid reader hello: rank {rank}/{nranks}");
+        return refuse(io, proto_gone(&name, why));
     }
     let conn = match hub.transport().open_reader(&name, &group, rank, nranks) {
         Ok(conn) => conn,
@@ -2437,13 +2441,18 @@ fn reader_session(
             }
             R_RELEASE => {
                 let step = get_u64(&mut cur, "step").map_err(session_err)?;
+                // A refused release is answered, so it reaches the client as
+                // its next fetch's typed error, not as a lost broker.
                 if held.take() != Some(step) {
-                    return Err(session_err(format!(
-                        "reader {rank} of {group:?} released step {step} of {name:?}, \
+                    let why = format!(
+                        "reader {rank} of {group:?} released step {step}, \
                          which this connection does not hold"
-                    )));
+                    );
+                    return refuse(io, proto_gone(&name, why));
                 }
-                endpoint.release_step(step, &[]).map_err(session_err)?;
+                if let Err(refused) = endpoint.release_step(step, &[]) {
+                    return refuse(io, refused);
+                }
                 relay.retire(consumed());
             }
             op => return Err(session_err(format!("unknown reader opcode {op:#04x}"))),
@@ -3665,6 +3674,26 @@ mod tests {
             let err = session.end().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
+    }
+
+    #[test]
+    fn an_invalid_hello_is_answered_with_a_refusal() {
+        let hub = StreamHub::new();
+        let relays = Arc::default();
+        for (hello, why) in [
+            (writer_hello("bad.fp", 0, 1, 0), "queue 0"),
+            (writer_hello("bad.fp", 2, 2, 4), "rank 2/2"),
+            (reader_hello("bad.fp", "g", 1, 1), "rank 1/1"),
+            (vec![HELLO_WRITER, 0xff], "malformed writer hello"),
+            (vec![HELLO_READER], "malformed reader hello"),
+        ] {
+            let session = Session::open(&hub, &relays, hello);
+            let reason = refusal(&session.reply());
+            assert!(reason.contains(why), "{reason}");
+            let err = session.end().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        assert!(hub.stream_names().is_empty(), "{:?}", hub.stream_names());
     }
 
     #[test]

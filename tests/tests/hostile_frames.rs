@@ -263,6 +263,17 @@ fn raw_reader(
     sock
 }
 
+/// Asserts that the broker answered `what` with a typed refusal, the one
+/// frame the client's next fetch reads, and then hung up.
+fn assert_refused_then_closed(sock: &mut dyn RawSocket, what: &str) {
+    let reply = recv_frame(sock).unwrap_or_else(|| panic!("{what}: hung up without a refusal"));
+    assert_eq!(reply[0], REPLY_ERR_PEER_GONE, "{what} tolerated");
+    assert!(
+        recv_frame(sock).is_none(),
+        "{what}: the connection outlived its refusal"
+    );
+}
+
 fn step_verb(op: u8, step: u64, trailer: &[u8]) -> Vec<u8> {
     let mut frame = vec![op];
     frame.extend_from_slice(&step.to_le_bytes());
@@ -307,15 +318,12 @@ fn a_release_is_honoured_only_for_the_step_the_connection_holds() {
         let consumed = || target.hub.metrics("pair.fp").unwrap().steps_consumed;
 
         // Rank 1 of a two-rank group forges releases: of a step far past
-        // the queue, then of a committed step it never fetched. Each costs
-        // it the connection and nothing else.
+        // the queue, then of a committed step it never fetched. Each is
+        // refused, costing it the connection and nothing else.
         for forged in [999, 0] {
             let mut sock = raw_reader(&target, "pair.fp", "g", 1, 2);
             send_frame(&mut *sock, &step_verb(R_RELEASE, forged, &[]));
-            assert!(
-                recv_frame(&mut *sock).is_none(),
-                "release of {forged} tolerated"
-            );
+            assert_refused_then_closed(&mut *sock, &format!("release of {forged}"));
         }
 
         // The honest rank 0 reads everything; step 0 stays held for rank 1.
@@ -343,7 +351,7 @@ fn a_release_is_honoured_only_for_the_step_the_connection_holds() {
         assert_eq!(recv_frame(&mut *sock).unwrap()[0], REPLY_STEP);
         send_frame(&mut *sock, &step_verb(R_RELEASE, 0, &[]));
         send_frame(&mut *sock, &step_verb(R_RELEASE, 0, &[]));
-        assert!(recv_frame(&mut *sock).is_none(), "double release tolerated");
+        assert_refused_then_closed(&mut *sock, "double release");
         assert_eq!(target.hub.metrics("solo.fp").unwrap().steps_consumed, 1);
     }
 }

@@ -205,6 +205,14 @@ fn below(rng: &mut StdRng, n: usize) -> usize {
     (rng.next_u64() % n as u64) as usize
 }
 
+/// `SB_CHAOS_SEED` if it is set to a number, else `default`.
+fn chaos_seed(default: u64) -> u64 {
+    std::env::var("SB_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 /// `len` distinct-ish elements of every dtype, as buffers.
 fn buffers_of_every_dtype(len: usize) -> Vec<Buffer> {
     vec![
@@ -246,39 +254,69 @@ fn gather_per_element(
     }
 }
 
-/// Index lists over `0..d` that exercise the run coalescing: none, all (one
-/// run that is the whole row), reversed (all singletons unless `d < 2`),
-/// duplicates, and seeded mixes of runs and singletons.
+/// Index lists over `0..d`: none, all (every row kept in order, one copy),
+/// every proper contiguous sub-run `[a, a + k)` (Select's vx..vz shape),
+/// reversed (all singletons unless `d < 2`), duplicates, and seeded mixes
+/// of runs and singletons.
 fn index_lists(rng: &mut StdRng, d: usize) -> Vec<Vec<usize>> {
     let mut lists = vec![Vec::new()];
     if d == 0 {
         return lists;
     }
     lists.push((0..d).collect());
+    for a in 0..d {
+        for end in a + 1..=d {
+            if end - a < d {
+                lists.push((a..end).collect());
+            }
+        }
+    }
     lists.push((0..d).rev().collect());
     lists.push(vec![d - 1, d - 1, 0, 0, d / 2, d / 2]);
     for _ in 0..3 {
-        let mut list = Vec::new();
-        let mut at = below(rng, d);
-        for _ in 0..below(rng, 2 * d) + 1 {
-            list.push(at);
-            // Mostly step to the adjacent row (extending a run), sometimes
-            // jump (ending it).
-            at = if at + 1 < d && below(rng, 3) > 0 {
-                at + 1
-            } else {
-                below(rng, d)
-            };
-        }
-        lists.push(list);
+        let k = below(rng, 2 * d) + 1;
+        lists.push(seeded_indices(rng, d, k));
     }
     lists
 }
 
+/// `k` seeded indices over `0..d` (`d > 0`): mostly a step to the adjacent
+/// row (extending a run), sometimes a jump (ending it), repeats included.
+fn seeded_indices(rng: &mut StdRng, d: usize, k: usize) -> Vec<usize> {
+    let mut list = Vec::with_capacity(k);
+    let mut at = below(rng, d);
+    for _ in 0..k {
+        list.push(at);
+        at = if at + 1 < d && below(rng, 3) > 0 {
+            at + 1
+        } else {
+            below(rng, d)
+        };
+    }
+    list
+}
+
+/// Every gather agrees with the per-element definition: over shapes of up
+/// to four dimensions (zero extents included) with the lists of
+/// [`index_lists`], then over seeded selections whose gathered row
+/// (`indices.len() * post` elements) is each width from 1 to 12, so that
+/// rows built from an offset table (at most 8 wide) and rows copied run by
+/// run both show. `SB_CHAOS_SEED` reseeds the sweep.
 #[test]
 fn gather_dim_matches_a_per_element_gather() {
-    let mut rng = StdRng::seed_from_u64(0x6A7E);
+    let mut rng = StdRng::seed_from_u64(chaos_seed(0x6A7E));
     let mut cases = 0;
+    let mut check = |pre: usize, d: usize, post: usize, indices: &[usize], what: &str| {
+        for src in buffers_of_every_dtype(pre * d * post) {
+            assert_eq!(
+                src.gather_dim(pre, d, post, indices),
+                gather_per_element(&src, pre, d, post, indices),
+                "{what}: {:?} of [{pre}][{d}][{post}] rows {indices:?}",
+                src.dtype()
+            );
+            cases += 1;
+        }
+    };
     for case in 0..96 {
         let ndims = case % 4 + 1;
         // Zero extents included: an empty dimension before, at, or after
@@ -286,25 +324,32 @@ fn gather_dim_matches_a_per_element_gather() {
         let extents: Vec<usize> = (0..ndims)
             .map(|_| [0, 1, 2, 3, 5][below(&mut rng, 5)])
             .collect();
-        let len: usize = extents.iter().product();
         for dim in 0..ndims {
             let pre: usize = extents[..dim].iter().product();
-            let d = extents[dim];
             let post: usize = extents[dim + 1..].iter().product();
-            for indices in index_lists(&mut rng, d) {
-                for src in buffers_of_every_dtype(len) {
-                    assert_eq!(
-                        src.gather_dim(pre, d, post, &indices),
-                        gather_per_element(&src, pre, d, post, &indices),
-                        "case {case}: {:?} of {extents:?} dim {dim} rows {indices:?}",
-                        src.dtype()
-                    );
-                    cases += 1;
-                }
+            for indices in index_lists(&mut rng, extents[dim]) {
+                let what = format!("case {case}: {extents:?} dim {dim}");
+                check(pre, extents[dim], post, &indices, &what);
             }
         }
     }
-    assert!(cases > 2000, "{cases} cases");
+    for width in 1..=12usize {
+        for draw in 0..8 {
+            let posts: Vec<usize> = (1..=width.min(9)).filter(|p| width % p == 0).collect();
+            let post = posts[below(&mut rng, posts.len())];
+            let d = below(&mut rng, 9) + 1;
+            let pre = below(&mut rng, 4);
+            let indices = seeded_indices(&mut rng, d, width / post);
+            check(
+                pre,
+                d,
+                post,
+                &indices,
+                &format!("width {width} draw {draw}"),
+            );
+        }
+    }
+    assert!(cases > 4000, "{cases} cases");
 }
 
 #[test]
@@ -1415,13 +1460,6 @@ fn collectives_agree_with_serial_folds_across_rank_counts() {
 
 // ---- streamed step bodies --------------------------------------------------
 
-fn split_seed() -> u64 {
-    std::env::var("SB_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5711)
-}
-
 /// One generated `W_STEP` / `REPLY_STEP` body and what its receiver has
 /// already applied.
 struct StepBody {
@@ -1651,7 +1689,7 @@ fn random_cuts(rng: &mut StdRng, len: usize, n: usize) -> Vec<usize> {
 /// whole-input decoders give. `SB_CHAOS_SEED` reseeds the sweep.
 #[test]
 fn split_invariance_of_streamed_step_bodies() {
-    let seed = split_seed();
+    let seed = chaos_seed(0x5711);
     for case in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let small = case % 4 != 3;
@@ -1817,7 +1855,7 @@ fn fits(spec: &ArraySpec, meta: &VariableMeta) -> bool {
 /// `SB_CHAOS_SEED` reseeds the sweep.
 #[test]
 fn contract_agreement_between_the_analyser_and_the_step_loop() {
-    let seed = split_seed();
+    let seed = chaos_seed(0x5711);
     let mut degenerate_compared = 0;
     for case in 0..480u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ case.wrapping_mul(0xA24B_AED4_963E_E407));

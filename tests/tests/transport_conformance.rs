@@ -9,16 +9,19 @@
 //! change *how* steps move, never *what* arrives.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use sb_comm::LaunchHandle;
 use sb_data::decompose::slab_partition;
-use sb_data::{lock, Buffer, Chunk, DType, Shape, VariableMeta};
+use sb_data::{lock, Buffer, Chunk, DType, Shape, Variable, VariableMeta};
+use sb_integration_tests::wait_until;
 use sb_stream::tcp::TcpBroker;
 use sb_stream::{
-    Compression, ShmBroker, StepStatus, StreamHub, StreamMetrics, TcpOptions, WireProtocol,
-    WriterOptions,
+    Compression, ShmBroker, StepStatus, StreamError, StreamHub, StreamMetrics, StreamResult,
+    TcpOptions, WireProtocol, WriterOptions,
 };
 use smartblock::metrics::WorkflowReport;
 use smartblock::prelude::*;
@@ -440,7 +443,6 @@ impl Component for LeadProbe {
 
     fn run(&self, comm: &sb_comm::Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
         use smartblock::component::{run_steps, StepEnd};
-        use std::time::{Duration, Instant};
         let committed = || hub.metrics(&self.stream).map_or(0, |m| m.steps_committed);
         run_steps(self, comm, hub, |io| {
             let want = (io.step + self.queue).min(self.steps);
@@ -513,4 +515,100 @@ fn writer_policy_blocks_alike_on_every_backend() {
             "{policy}: shm:// blocks otherwise than in-proc"
         );
     }
+}
+
+/// Runs `check` on an in-proc hub, then on a client hub of a loopback TCP
+/// broker and of a same-host `shm://` broker, each kept up while it runs.
+/// Every hub waits at most `timeout`.
+fn on_every_backend(tag: &str, timeout: Duration, mut check: impl FnMut(&str, Arc<StreamHub>)) {
+    check("in-proc", StreamHub::with_timeout(timeout));
+    let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
+    broker.hub().set_wait_timeout(timeout);
+    check("tcp", StreamHub::connect(&broker.url()).unwrap());
+    let dir = shm_scratch(tag);
+    let shm_broker = ShmBroker::bind(dir.to_str().unwrap()).unwrap();
+    shm_broker.hub().set_wait_timeout(timeout);
+    check("shm", StreamHub::connect(&shm_broker.url()).unwrap());
+}
+
+/// One step of `[value]` on `stream`, written and closed, then read back.
+fn round_trip(hub: &Arc<StreamHub>, stream: &str, value: f64) -> StreamResult<Vec<f64>> {
+    let mut w = hub.open_writer(stream, 0, 1, WriterOptions::default());
+    w.begin_step()?;
+    w.put_whole(Variable::new("x", Shape::linear("n", 1), Buffer::F64(vec![value])).unwrap());
+    w.end_step()?;
+    w.close();
+    let mut r = hub.open_reader(stream, 0, 1);
+    assert_eq!(r.begin_step()?, StepStatus::Ready(0));
+    let read = r.get_whole("x").unwrap().data.to_f64_vec();
+    r.end_step();
+    assert_eq!(r.begin_step()?, StepStatus::EndOfStream);
+    Ok(read)
+}
+
+/// A queue depth of 0 set through the public field is refused where the
+/// hub takes the options, alike on every backend: at once (no wait for
+/// buffer space, no hello to a broker), and without costing the hub its
+/// other streams.
+#[test]
+fn writer_policy_queue_depth_zero_is_refused_alike_on_every_backend() {
+    let mut zero = WriterOptions::default();
+    zero.queue_capacity = 0;
+    on_every_backend("zero-queue", Duration::from_secs(30), |backend, hub| {
+        let started = Instant::now();
+        let opened = catch_unwind(AssertUnwindSafe(|| {
+            hub.open_writer("zero.fp", 0, 1, zero);
+        }));
+        assert!(opened.is_err(), "{backend}: queue depth 0 was accepted");
+        let declared = catch_unwind(AssertUnwindSafe(|| hub.set_writer_options("zero.fp", zero)));
+        assert!(declared.is_err(), "{backend}: queue depth 0 was declared");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{backend}: the refusal waited {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            round_trip(&hub, "other.fp", 7.0),
+            Ok(vec![7.0]),
+            "{backend}: another stream of the hub failed after the refusal"
+        );
+    });
+}
+
+/// Two reader handles claiming rank 0 of one 1-rank group both read step
+/// 0. The hub refuses the second release; on every backend that rank's
+/// next `begin_step` returns the refusal, and the hub's other streams
+/// still work.
+#[test]
+fn a_refused_release_is_the_readers_next_typed_error_on_every_backend() {
+    on_every_backend("release", Duration::from_secs(30), |backend, hub| {
+        let mut w = hub.open_writer("twice.fp", 0, 1, WriterOptions::default());
+        w.begin_step().unwrap();
+        w.put_whole(Variable::new("x", Shape::linear("n", 1), Buffer::F64(vec![1.0])).unwrap());
+        w.end_step().unwrap();
+        let mut a = hub.open_reader_grouped("twice.fp", "g", 0, 1);
+        let mut b = hub.open_reader_grouped("twice.fp", "g", 0, 1);
+        for r in [&mut a, &mut b] {
+            assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0), "{backend}");
+        }
+        // A remote release is sent, not answered: `a`'s must land first for
+        // `b`'s to be the refused one.
+        a.end_step();
+        let consumed = || hub.metrics("twice.fp").map_or(0, |m| m.steps_consumed);
+        wait_until("the first release to land", || consumed() == 1);
+        b.end_step();
+        match b.begin_step() {
+            Err(StreamError::PeerGone { stream, reason }) => {
+                assert_eq!(stream, "twice.fp", "{backend}");
+                assert!(reason.contains("step 0"), "{backend}: {reason}");
+            }
+            other => panic!("{backend}: expected the refused release, got {other:?}"),
+        }
+        w.close();
+        assert_eq!(
+            round_trip(&hub, "after.fp", 2.0),
+            Ok(vec![2.0]),
+            "{backend}"
+        );
+    });
 }
