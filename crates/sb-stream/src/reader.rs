@@ -44,7 +44,7 @@ pub struct StreamReader {
     nranks: usize,
     next_step: u64,
     current: Option<StepContents>,
-    /// The hub's refusal of the last release, for the next `begin_step`.
+    /// The hub's refusal of a release, for every later `begin_step`.
     refused: Option<StreamError>,
     /// `Some` on backends that move bytes to fetch a step.
     learning: Option<BoxLearning>,
@@ -112,11 +112,12 @@ impl StreamReader {
     /// silent past the hub timeout, or [`crate::StreamError::PeerGone`] if
     /// the workflow supervisor poisoned the stream — a stalled peer is a
     /// typed error, never a hang or a panic. A release the hub refused at
-    /// the last [`end_step`](Self::end_step) is returned here, once.
+    /// the last [`end_step`](Self::end_step) ended this handle: it is
+    /// returned here, and by every later call.
     pub fn begin_step(&mut self) -> StreamResult<StepStatus> {
         assert!(self.current.is_none(), "begin_step inside an open step");
-        if let Some(refused) = self.refused.take() {
-            return Err(refused);
+        if let Some(refused) = &self.refused {
+            return Err(refused.clone());
         }
         let start_ns = if self.tracer.enabled() {
             self.tracer.now_ns()
@@ -325,7 +326,7 @@ impl StreamReader {
 
     /// Releases the open step; once every reader rank has done so, the
     /// writer-side buffer slot is freed. When the hub refuses the release
-    /// (more ranks of the group released the step than it has), the next
+    /// (more ranks of the group released the step than it has), every later
     /// [`begin_step`](Self::begin_step) returns the refusal.
     pub fn end_step(&mut self) {
         assert!(self.current.is_some(), "end_step without begin_step");

@@ -196,6 +196,13 @@ impl ShmBroker {
         self.core.active_connections()
     }
 
+    /// Steps of `stream` the relay cache currently holds encoded bytes for
+    /// (diagnostics, as [`crate::tcp::TcpBroker::relay_cached_steps`]).
+    #[doc(hidden)]
+    pub fn relay_cached_steps(&self, stream: &str) -> usize {
+        self.core.relay_cached_steps(stream)
+    }
+
     /// Total connections ever accepted. Monotonic, so unlike
     /// [`active_connections`](Self::active_connections) a poll loop cannot
     /// miss a client that connected and left between two samples.

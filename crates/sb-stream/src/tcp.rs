@@ -46,6 +46,14 @@
 //! crossed (writer→broker or broker→reader), by the broker sessions — see
 //! the honest-accounting notes in `crate::metrics`.
 //!
+//! A `W_STEP` frame is received, seeded, retired and then reused: the writer
+//! session keeps a handle to each frame it seeded, and once the cache has
+//! retired that step and no reader session still sends from it (the handle
+//! is unique), the next step is received into it. A fresh multi-megabyte
+//! receive buffer per step, freed on another thread, had glibc trim and
+//! page the memory in again under saturated load. The session thus holds
+//! at most the frames the cache spans plus one, all freed when it ends.
+//!
 //! ## Each reader rank is sent its box, not the step
 //!
 //! FlexPath's MxN contract is that a reader pulls only the writer chunks
@@ -104,16 +112,19 @@
 //! the broker's own `Timeout { waiting_for: "buffer space" }`, and a step
 //! that failed so committed nothing. A hello, put or release the hub refuses
 //! (a rank disagreeing with its group, a step committed or released twice)
-//! is answered `PeerGone`, never a broker panic. A writer session that ends
-//! without a clean `close`/`abandon` terminator — the connection dropped (a
-//! SIGKILLed component), a reply could not be sent, a frame was malformed or
-//! out of sequence — is a *noisy* disconnect: a drop guard on the session's
-//! endpoint makes every such exit one, so readers blocked on steps that
-//! writer group can no longer commit fail promptly with `PeerGone` instead
-//! of waiting out the hub timeout. A reader session has no terminator to
-//! send: a reader process that dies holding a step leaves its writers
-//! blocked on buffer space until a supervisor detaches or restarts the
-//! group — or, if none does, until the hub timeout.
+//! is answered `PeerGone`, never a broker panic. A refused hello or release
+//! also ends the session, and is sent as `REPLY_REFUSED` so the client ends
+//! only that endpoint: its later calls return the same refusal without
+//! touching the connection or marking the broker lost. A writer session
+//! that ends without a clean `close`/`abandon` terminator — the connection
+//! dropped (a SIGKILLed component), a reply could not be sent, a frame was
+//! malformed or out of sequence — is a *noisy* disconnect: a drop guard on
+//! the session's endpoint makes every such exit one, so readers blocked on
+//! steps that writer group can no longer commit fail promptly with
+//! `PeerGone` instead of waiting out the hub timeout. A reader session has
+//! no terminator to send: a reader process that dies holding a step leaves
+//! its writers blocked on buffer space until a supervisor detaches or
+//! restarts the group — or, if none does, until the hub timeout.
 //!
 //! A box is a guess. When a `get` asks a step that was fetched with boxes
 //! for a region its chunks do not cover, the reader handle asks for the
@@ -179,6 +190,8 @@ const REPLY_EOS: u8 = 0x83;
 const REPLY_ERR_TIMEOUT: u8 = 0x84;
 const REPLY_ERR_PEER_GONE: u8 = 0x85;
 const REPLY_METRICS: u8 = 0x86;
+/// A `PeerGone` that ended the session: the body is `REPLY_ERR_PEER_GONE`'s.
+const REPLY_REFUSED: u8 = 0x87;
 
 /// Upper bound on a single frame; a corrupt length prefix fails cleanly
 /// instead of attempting a giant allocation.
@@ -654,7 +667,7 @@ fn decode_err(op: u8, cur: &mut &[u8]) -> DataResult<StreamError> {
             timeout: Duration::from_micros(get_u64(cur, "error timeout")?),
             detail: get_str(cur, "error detail")?,
         }),
-        REPLY_ERR_PEER_GONE => Ok(StreamError::PeerGone {
+        REPLY_ERR_PEER_GONE | REPLY_REFUSED => Ok(StreamError::PeerGone {
             stream: get_str(cur, "error stream")?,
             reason: get_str(cur, "error reason")?,
         }),
@@ -1217,10 +1230,20 @@ impl ReaderEndpoint for TcpReader {
             self.eos = true;
             return Ok(None);
         }
-        let (got, chunks) = parse_reply(frame, REPLY_STEP, &conn.stream_name, |cur| {
+        let parsed = parse_reply(frame, REPLY_STEP, &conn.stream_name, |cur| {
             let got = get_u64(cur, "step id")?;
             Ok((got, body.finish(frame)?))
-        })?;
+        });
+        let (got, chunks) = match parsed {
+            Ok(parsed) => parsed,
+            // The broker ended this session: every later call is answered
+            // with the refusal, and nothing touches the closed connection.
+            Err(refused) if frame.first() == Some(&REPLY_REFUSED) => {
+                self.io = Err(refused.clone());
+                return Err(refused);
+            }
+            Err(e) => return Err(e),
+        };
         if got != step {
             return Err(proto_gone(
                 &conn.stream_name,
@@ -1592,6 +1615,11 @@ impl BrokerCore {
         self.active.load(Ordering::SeqCst)
     }
 
+    pub(crate) fn relay_cached_steps(&self, stream: &str) -> usize {
+        let relay = lock(&self.relays.streams).get(stream).cloned();
+        relay.map_or(0, |relay| lock(&relay.inner).steps.len())
+    }
+
     pub(crate) fn connections_seen(&self) -> usize {
         self.seen.load(Ordering::SeqCst)
     }
@@ -1652,8 +1680,7 @@ impl TcpBroker {
     /// buffers, and 0 once a remote reader has been told end of stream).
     #[doc(hidden)]
     pub fn relay_cached_steps(&self, stream: &str) -> usize {
-        let relay = lock(&self.core.relays.streams).get(stream).cloned();
-        relay.map_or(0, |relay| lock(&relay.inner).steps.len())
+        self.core.relay_cached_steps(stream)
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -1721,11 +1748,18 @@ fn reply_result(io: &mut dyn FrameIo, result: StreamResult<()>) -> io::Result<us
     }
 }
 
-/// Answers a hello the hub refused with the refusal, which the client's
-/// open stores, and ends the session: nothing was registered.
+/// Answers a hello or release the hub refused with the refusal and ends
+/// the session. A `PeerGone` refusal goes out as `REPLY_REFUSED`, so the
+/// client can tell it from the replies that keep a session and end only
+/// that endpoint.
 fn refuse(io: &mut dyn FrameIo, refused: StreamError) -> io::Result<()> {
     let detail = refused.to_string();
-    reply_result(io, Err(refused))?;
+    let mut buf = Vec::with_capacity(128);
+    encode_err(&mut buf, &refused);
+    if buf[0] == REPLY_ERR_PEER_GONE {
+        buf[0] = REPLY_REFUSED;
+    }
+    reply(io, &buf)?;
     Err(session_err(detail))
 }
 
@@ -1897,19 +1931,21 @@ impl StreamRelay {
     ///
     /// Writer sessions call it only once a v2 reader has opened the stream
     /// (`read_remotely`): before that nobody could use the bytes, and a
-    /// late reader is served by the encode path.
+    /// late reader is served by the encode path. Returns the shared frame,
+    /// which the session keeps to receive into again once it is the last
+    /// holder (see [`reclaim`]).
     fn seed(
         &self,
         step: u64,
         comp: Compression,
         mut frame: Vec<u8>,
         chunks: &[(Chunk, Range<usize>)],
-    ) {
+    ) -> Arc<Vec<u8>> {
         let mut inner = lock(&self.inner);
         let mut ids = Vec::with_capacity(chunks.len());
         for (chunk, range) in chunks {
             let Ok(id) = inner.table.intern(&chunk.meta) else {
-                return;
+                return Arc::new(frame);
             };
             frame[range.start..range.start + 4].copy_from_slice(&id.to_le_bytes());
             ids.push(id);
@@ -1929,6 +1965,7 @@ impl StreamRelay {
                 },
             });
         inner.steps.entry(step).or_default().extend(cached);
+        buf
     }
 
     /// Builds the `REPLY_STEP` for `step` out of cached chunk bytes: the
@@ -2161,6 +2198,13 @@ impl Drop for DisconnectOnDrop {
     }
 }
 
+/// Takes a kept frame that nothing else holds any more, or a new one.
+fn reclaim(kept: &mut Vec<Arc<Vec<u8>>>) -> Vec<u8> {
+    let free = kept.iter().position(|frame| Arc::strong_count(frame) == 1);
+    free.and_then(|at| Arc::try_unwrap(kept.swap_remove(at)).ok())
+        .unwrap_or_default()
+}
+
 fn writer_session(
     hub: &Arc<StreamHub>,
     relays: &Arc<RelayTable>,
@@ -2223,10 +2267,16 @@ fn writer_session(
     // The one step this connection may send next: the hub takes step
     // numbers on trust, so the sequence is kept here.
     let mut next = conn.start_step;
-    // The receive buffer; a frame seeded into the relay cache takes it.
+    // The receive buffer, and the frames seeded from it: each is received
+    // into again once the relay retired its step and nothing else holds it
+    // (see the module docs).
     let mut frame = Vec::new();
+    let mut kept = Vec::new();
 
     loop {
+        if frame.capacity() == 0 {
+            frame = reclaim(&mut kept);
+        }
         // Only the step this connection may send next is decoded, and it is
         // decoded while it arrives.
         let mut body = StepRecv::new(W_STEP, next, chunk_grammar(proto, &mut defs));
@@ -2261,7 +2311,8 @@ fn writer_session(
                         let wanted = relay.read_remotely.load(Ordering::Relaxed);
                         if proto == WireProtocol::V2 && wanted {
                             relay.retire(conn.counters.steps_consumed.load(Ordering::Relaxed));
-                            relay.seed(step, comp, std::mem::take(&mut frame), &chunks);
+                            let seeded = std::mem::take(&mut frame);
+                            kept.push(relay.seed(step, comp, seeded, &chunks));
                         }
                         for (chunk, _) in chunks {
                             writer.endpoint.put(step, chunk)?;
@@ -3422,6 +3473,8 @@ mod tests {
     struct Piped {
         requests: std::sync::mpsc::Receiver<Vec<u8>>,
         replies: std::sync::mpsc::Sender<Vec<u8>>,
+        /// Receives handed a buffer with no capacity: frames allocated.
+        fresh: Arc<AtomicUsize>,
     }
 
     /// A frame's payload as one byte vector.
@@ -3451,10 +3504,17 @@ mod tests {
             frame: &mut Vec<u8>,
             observe: &mut dyn FnMut(&[u8]),
         ) -> io::Result<()> {
-            *frame = self
+            let got = self
                 .requests
                 .recv()
                 .map_err(|_| io::ErrorKind::UnexpectedEof)?;
+            if frame.capacity() == 0 {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+            }
+            // Into the buffer handed in, keeping its capacity, as
+            // `read_frame` does.
+            frame.clear();
+            frame.extend_from_slice(&got);
             observe(frame);
             Ok(())
         }
@@ -3466,6 +3526,8 @@ mod tests {
         requests: std::sync::mpsc::Sender<Vec<u8>>,
         replies: std::sync::mpsc::Receiver<Vec<u8>>,
         served: JoinHandle<io::Result<()>>,
+        /// Frames the session received into a buffer it had to allocate.
+        fresh: Arc<AtomicUsize>,
     }
 
     impl Session {
@@ -3473,17 +3535,18 @@ mod tests {
             let (requests, from_client) = std::sync::mpsc::channel();
             let (to_client, replies) = std::sync::mpsc::channel();
             let (hub, relays) = (Arc::clone(hub), Arc::clone(relays));
-            let served = std::thread::spawn(move || {
-                let mut io = Piped {
-                    requests: from_client,
-                    replies: to_client,
-                };
-                serve_session(&hub, &relays, &mut io, false)
-            });
+            let fresh = Arc::new(AtomicUsize::new(0));
+            let mut io = Piped {
+                requests: from_client,
+                replies: to_client,
+                fresh: Arc::clone(&fresh),
+            };
+            let served = std::thread::spawn(move || serve_session(&hub, &relays, &mut io, false));
             let session = Session {
                 requests,
                 replies,
                 served,
+                fresh,
             };
             session.send(hello);
             session
@@ -3584,6 +3647,50 @@ mod tests {
             let shm_bytes = if on_shm { m.bytes_on_wire } else { 0 };
             assert_eq!(m.wire_shm_bytes, shm_bytes, "{url}");
         }
+    }
+
+    #[test]
+    fn relay_frame_reuse_a_writer_session_receives_into_at_most_queue_plus_two_frames() {
+        // A v2 reader session opens the stream first, so every W_STEP is
+        // seeded into the relay cache, and it trails the writer by a step,
+        // so the queue of 2 stays full. Steps alternate large and small.
+        let (name, queue, steps) = ("reuse.fp", 2, 50u64);
+        let hub = StreamHub::with_timeout(Duration::from_secs(30));
+        let relays = Arc::default();
+        let reader = Session::open(&hub, &relays, reader_hello(name, "g", 0, 1));
+        assert_eq!(reader.reply()[0], REPLY_STARTED);
+        let writer = Session::open(&hub, &relays, writer_hello(name, 0, 1, queue));
+        assert_eq!(writer.reply()[0], REPLY_STARTED);
+        let read = |step| {
+            let mut begin = vec![R_BEGIN];
+            put_u64(&mut begin, step);
+            reader.send(begin);
+            assert_eq!(reader.reply()[0], REPLY_STEP, "step {step}");
+            let mut release = vec![R_RELEASE];
+            put_u64(&mut release, step);
+            reader.send(release);
+        };
+        let mut table = MetaInternTable::default();
+        for step in 0..steps {
+            let len = if step % 2 == 0 { 8192 } else { 16 };
+            let chunks = [Chunk::whole(var(vec![step as f64; len]))];
+            writer.send(w_step(step, &chunks, &mut table));
+            assert_eq!(writer.reply(), [REPLY_OK], "step {step}");
+            if step > 0 {
+                read(step - 1);
+            }
+        }
+        read(steps - 1);
+        // The hello's buffer, then every frame a step was received into.
+        let frames = writer.fresh.load(Ordering::Relaxed) - 1;
+        assert!(
+            frames <= queue as usize + 2,
+            "{frames} receive frames over {steps} steps"
+        );
+        writer.send(vec![W_CLOSE]);
+        assert_eq!(writer.reply(), [REPLY_OK]);
+        writer.end().unwrap();
+        let _ = reader.end();
     }
 
     #[test]

@@ -263,11 +263,11 @@ fn raw_reader(
     sock
 }
 
-/// Asserts that the broker answered `what` with a typed refusal, the one
-/// frame the client's next fetch reads, and then hung up.
+/// Asserts that the broker answered `what` with a refusal that ends the
+/// session, the one frame the client's next fetch reads, and then hung up.
 fn assert_refused_then_closed(sock: &mut dyn RawSocket, what: &str) {
     let reply = recv_frame(sock).unwrap_or_else(|| panic!("{what}: hung up without a refusal"));
-    assert_eq!(reply[0], REPLY_ERR_PEER_GONE, "{what} tolerated");
+    assert_eq!(reply[0], REPLY_REFUSED, "{what} tolerated");
     assert!(
         recv_frame(sock).is_none(),
         "{what}: the connection outlived its refusal"
@@ -495,6 +495,8 @@ const W_STEP: u8 = 0x11;
 const W_CLOSE: u8 = 0x12;
 const REPLY_OK: u8 = 0x80;
 const REPLY_ERR_PEER_GONE: u8 = 0x85;
+/// A `PeerGone` that ended the session.
+const REPLY_REFUSED: u8 = 0x87;
 
 /// Opens a v2, uncompressed writer session (rank 0 of 1) by hand and
 /// returns the socket past its `REPLY_STARTED`.

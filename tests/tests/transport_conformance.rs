@@ -14,10 +14,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sb_comm::LaunchHandle;
 use sb_data::decompose::slab_partition;
 use sb_data::{lock, Buffer, Chunk, DType, Shape, Variable, VariableMeta};
-use sb_integration_tests::wait_until;
+use sb_integration_tests::{chaos_seed, wait_until};
 use sb_stream::tcp::TcpBroker;
 use sb_stream::{
     Compression, ShmBroker, StepStatus, StreamError, StreamHub, StreamMetrics, StreamResult,
@@ -597,13 +599,23 @@ fn a_refused_release_is_the_readers_next_typed_error_on_every_backend() {
         let consumed = || hub.metrics("twice.fp").map_or(0, |m| m.steps_consumed);
         wait_until("the first release to land", || consumed() == 1);
         b.end_step();
-        match b.begin_step() {
+        let refused = match b.begin_step() {
             Err(StreamError::PeerGone { stream, reason }) => {
                 assert_eq!(stream, "twice.fp", "{backend}");
                 assert!(reason.contains("step 0"), "{backend}: {reason}");
+                StreamError::PeerGone { stream, reason }
             }
             other => panic!("{backend}: expected the refused release, got {other:?}"),
-        }
+        };
+        // The refusal ended `b` alone: asking again is the same refusal at
+        // once, not a hub-timeout wait or a broker connection lost.
+        let started = Instant::now();
+        assert_eq!(b.begin_step(), Err(refused), "{backend}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{backend}: the second call took {:?}",
+            started.elapsed()
+        );
         w.close();
         assert_eq!(
             round_trip(&hub, "after.fp", 2.0),
@@ -611,4 +623,103 @@ fn a_refused_release_is_the_readers_next_typed_error_on_every_backend() {
             "{backend}"
         );
     });
+}
+
+/// Step `step` of the frame-reuse stream, drawn from `seed`: `x` is large
+/// (80k to 128k values) on even steps and small (1 to 64) on odd ones, so a
+/// reused receive frame is always one of the other size, and `y` is there
+/// on every third step only.
+fn reuse_step(seed: u64, step: u64) -> Vec<Variable> {
+    let mut rng = StdRng::seed_from_u64(seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let (least, spread) = if step.is_multiple_of(2) {
+        (80_000, 48_000)
+    } else {
+        (1, 64)
+    };
+    let len = least + (rng.next_u64() % spread) as usize;
+    let mut draw = |len: usize| -> Buffer {
+        Buffer::F64((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    };
+    let mut vars = vec![Variable::new("x", Shape::linear("n", len), draw(len)).unwrap()];
+    if step.is_multiple_of(3) {
+        vars.push(Variable::new("y", Shape::linear("m", 5), draw(5)).unwrap());
+    }
+    vars
+}
+
+/// Writes `steps` frame-reuse steps to `hub` at queue depth 2 from a thread
+/// of their own, while the calling thread reads each one whole; returns
+/// every step as read, `(name, meta, little-endian bytes)` per variable.
+/// `check` runs after every begin and end of a step.
+fn read_reuse_steps(
+    hub: &Arc<StreamHub>,
+    seed: u64,
+    steps: u64,
+    check: &dyn Fn(),
+) -> Vec<Vec<(String, VariableMeta, Vec<u8>)>> {
+    // The reader opens first, so every step is relayed from the writer's
+    // own frame.
+    let mut r = hub.open_reader("reuse.fp", 0, 1);
+    let writer = {
+        let hub = Arc::clone(hub);
+        std::thread::spawn(move || {
+            let mut w = hub.open_writer("reuse.fp", 0, 1, WriterOptions::buffered(2));
+            for step in 0..steps {
+                w.begin_step().unwrap();
+                for var in reuse_step(seed, step) {
+                    w.put_whole(var);
+                }
+                w.end_step().unwrap();
+            }
+            w.close();
+        })
+    };
+    let mut read = Vec::new();
+    while r.begin_step().unwrap() != StepStatus::EndOfStream {
+        check();
+        let vars = r.variables().into_iter().map(|name| {
+            let var = r.get_whole(&name).unwrap();
+            (
+                name.clone(),
+                r.meta(&name).unwrap().clone(),
+                var.data.to_le_bytes(),
+            )
+        });
+        read.push(vars.collect());
+        r.end_step();
+        check();
+    }
+    writer.join().unwrap();
+    read
+}
+
+/// A broker writer session receives each step into a frame the relay cache
+/// let go of. Frames that alternate between large and small, and a variable
+/// only some steps carry, must reach a v2 reader over `tcp://` and `shm://`
+/// exactly as an in-proc reader reads the same steps, with the relay cache
+/// spanning no more than queue + 1 steps throughout.
+#[test]
+fn relay_frame_reuse_steps_are_byte_identical_across_sizes() {
+    let (seed, steps) = (chaos_seed(), 40);
+    let want = read_reuse_steps(&StreamHub::new(), seed, steps, &|| {});
+    assert_eq!(want.len(), steps as usize);
+    let tcp = TcpBroker::bind("127.0.0.1:0").unwrap();
+    let dir = shm_scratch("reuse");
+    let shm = ShmBroker::bind(dir.to_str().unwrap()).unwrap();
+    let fabrics: [(String, &dyn Fn() -> usize); 2] = [
+        (tcp.url(), &|| tcp.relay_cached_steps("reuse.fp")),
+        (shm.url(), &|| shm.relay_cached_steps("reuse.fp")),
+    ];
+    for (url, cached) in fabrics {
+        let hub = StreamHub::connect(&url).unwrap();
+        let check = || assert!(cached() <= 3, "{url}: {} steps cached", cached());
+        let got = read_reuse_steps(&hub, seed, steps, &check);
+        for (step, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                got == want,
+                "{url}: step {step} differs from the in-proc read"
+            );
+        }
+        assert_eq!(got.len(), want.len(), "{url}");
+    }
 }
