@@ -199,15 +199,12 @@ impl StreamHub {
     /// Declares the queue depth and rendezvous mode of `name`'s writer,
     /// which [`StreamHub::writer_options`] hands to whoever opens it (the
     /// step loop does). Applies to writers opened afterwards; a stream
-    /// never declared has the default policy. Panics on queue depth 0,
-    /// which no backend can run, as [`WriterOptions::with_queue_capacity`]
-    /// does.
-    pub fn set_writer_options(&self, name: &str, options: WriterOptions) {
-        check_runnable(&options);
+    /// never declared has the default policy.
+    pub fn set_writer_options(&self, name: &str, mut options: WriterOptions) {
         let mut declared = lock(&self.declared);
         let entry = declared.entry(name.to_string()).or_default();
-        entry.queue_capacity = options.queue_capacity;
-        entry.rendezvous = options.rendezvous;
+        options.expected_reader_groups = entry.expected_reader_groups;
+        *entry = options;
     }
 
     /// The writer policy declared for `name`.
@@ -218,12 +215,11 @@ impl StreamHub {
     /// Opens the writer side of `name` for rank `rank` of a `nranks`-rank
     /// writer group with `options`' queue depth and rendezvous mode,
     /// retaining steps for the stream's declared reader groups. Every rank
-    /// of the group must call this with the same `nranks` and `options`;
-    /// on an in-proc hub, a rank that disagrees panics. On every backend,
-    /// queue depth 0 panics here, before any wait or hello, as
-    /// [`WriterOptions::with_queue_capacity`] does; a depth above
-    /// `u32::MAX` runs in-proc and is refused as a typed error by a remote
-    /// writer's hello.
+    /// of the group must call this with the same `nranks` and `options`.
+    /// The hub refuses a rank that disagrees, and on every backend the
+    /// handle returns the refusal as [`crate::StreamError::PeerGone`] from
+    /// its first [`begin_step`](StreamWriter::begin_step), as it returns
+    /// the failure to reach a remote broker.
     pub fn open_writer(
         &self,
         name: &str,
@@ -232,10 +228,9 @@ impl StreamHub {
         mut options: WriterOptions,
     ) -> StreamWriter {
         assert!(rank < nranks, "writer rank out of range");
-        check_runnable(&options);
         options.expected_reader_groups = self.writer_options(name).expected_reader_groups;
         let conn = self.transport.open_writer(name, rank, nranks, options);
-        StreamWriter::new(conn.expect("the hub refused the writer"), rank, nranks)
+        StreamWriter::new(conn, &self.tracer, name, rank, nranks)
     }
 
     /// Opens the reader side of `name` for rank `rank` of a `nranks`-rank
@@ -252,8 +247,10 @@ impl StreamHub {
     /// once the stream's declared number of groups
     /// ([`StreamHub::set_reader_groups`]) has subscribed and every
     /// subscribed group has consumed it, so a group that attaches late
-    /// still sees every step. Ranks of one group must agree on `nranks`;
-    /// on an in-proc hub, a rank that disagrees panics.
+    /// still sees every step. Ranks of one group must agree on `nranks`:
+    /// the hub refuses a rank that disagrees, and on every backend the
+    /// handle returns the refusal as [`crate::StreamError::PeerGone`] from
+    /// its first [`begin_step`](StreamReader::begin_step).
     ///
     /// A workflow derives both facts from its wiring: each component reads
     /// under its workflow label (a later read of a stream it already reads
@@ -269,8 +266,7 @@ impl StreamHub {
     ) -> StreamReader {
         assert!(rank < nranks, "reader rank out of range");
         let conn = self.transport.open_reader(name, group, rank, nranks);
-        let conn = conn.expect("the hub refused the reader");
-        StreamReader::new(conn, group.to_string(), rank, nranks)
+        StreamReader::new(conn, &self.tracer, name, group, rank, nranks)
     }
 
     /// Names of all streams that have been opened on this hub.
@@ -339,12 +335,4 @@ impl StreamHub {
     pub fn prepare_restart(&self, inputs: &[(String, String)], outputs: &[String]) {
         self.transport.prepare_restart(inputs, outputs);
     }
-}
-
-/// Panics on the queue depth no backend can run, 0, with
-/// [`WriterOptions::check_queue_capacity`]'s reason. Options built with
-/// [`WriterOptions::with_queue_capacity`] never get here with it; the
-/// field is public, so options set directly can.
-fn check_runnable(options: &WriterOptions) {
-    assert!(options.queue_capacity > 0, "queue depth must be at least 1");
 }

@@ -10,7 +10,7 @@ use sb_data::{Buffer, DataError, DataResult, Region, SharedBuffer, Variable, Var
 use crate::error::{StreamError, StreamResult};
 use crate::metrics::Counters;
 use crate::trace::{EventKind, TraceSite, Tracer};
-use crate::transport::{ReaderConnection, ReaderEndpoint, StepContents, MAX_STEP_BOXES};
+use crate::transport::{ReaderConnection, ReaderEndpoint, Refused, StepContents, MAX_STEP_BOXES};
 
 /// What [`StreamReader::begin_step`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,8 @@ pub struct StreamReader {
     nranks: usize,
     next_step: u64,
     current: Option<StepContents>,
-    /// The hub's refusal of a release, for every later `begin_step`.
+    /// The hub's refusal of this rank's open or of a release, for every
+    /// later `begin_step`.
     refused: Option<StreamError>,
     /// `Some` on backends that move bytes to fetch a step.
     learning: Option<BoxLearning>,
@@ -66,22 +67,36 @@ struct BoxLearning {
 
 impl StreamReader {
     pub(crate) fn new(
-        conn: ReaderConnection,
-        group: String,
+        conn: StreamResult<ReaderConnection>,
+        tracer: &Arc<Tracer>,
+        name: &str,
+        group: &str,
         rank: usize,
         nranks: usize,
     ) -> StreamReader {
+        let (conn, refused) = match conn {
+            Ok(conn) => (conn, None),
+            Err(refused) => {
+                let conn = ReaderConnection {
+                    endpoint: Box::new(Refused),
+                    first_step: 0,
+                    counters: Arc::default(),
+                    learns_boxes: false,
+                };
+                (conn, Some(refused))
+            }
+        };
         StreamReader {
             endpoint: RefCell::new(conn.endpoint),
             counters: conn.counters,
-            tracer: conn.tracer,
-            trace_id: conn.trace_id,
-            group,
+            tracer: Arc::clone(tracer),
+            trace_id: tracer.intern(name),
+            group: group.to_string(),
             rank,
             nranks,
             next_step: conn.first_step,
             current: None,
-            refused: None,
+            refused,
             learning: conn.learns_boxes.then(BoxLearning::default),
         }
     }
@@ -111,9 +126,9 @@ impl StreamReader {
     /// Returns [`crate::StreamError::Timeout`] if the writer side stays
     /// silent past the hub timeout, or [`crate::StreamError::PeerGone`] if
     /// the workflow supervisor poisoned the stream — a stalled peer is a
-    /// typed error, never a hang or a panic. A release the hub refused at
-    /// the last [`end_step`](Self::end_step) ended this handle: it is
-    /// returned here, and by every later call.
+    /// typed error, never a hang or a panic. An open the hub refused, or a
+    /// release it refused at the last [`end_step`](Self::end_step), ended
+    /// this handle: the refusal is returned here, and by every later call.
     pub fn begin_step(&mut self) -> StreamResult<StepStatus> {
         assert!(self.current.is_none(), "begin_step inside an open step");
         if let Some(refused) = &self.refused {

@@ -2,6 +2,7 @@
 //! buffering, and the completion/consumption protocol.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -15,18 +16,25 @@ use crate::trace::{EventKind, TraceSite, Tracer};
 /// Writer-side buffering policy, fixed by the first writer rank to open the
 /// stream.
 ///
-/// Marked `#[non_exhaustive]` so future knobs are not breaking changes:
-/// construct via [`WriterOptions::default`], [`WriterOptions::buffered`], or
-/// [`WriterOptions::rendezvous`] and refine with the `with_*` setters.
-#[non_exhaustive]
+/// Construct via [`WriterOptions::default`], [`WriterOptions::buffered`]
+/// (or [`WriterOptions::try_buffered`] for a depth that arrives as data),
+/// or [`WriterOptions::rendezvous`], and refine with
+/// [`WriterOptions::with_rendezvous`]. The fields are private, so a queue
+/// depth no backend can run is not a value of this type:
+///
+/// ```compile_fail
+/// let mut options = sb_stream::WriterOptions::default();
+/// options.queue_capacity = std::num::NonZeroU32::MIN;
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriterOptions {
     /// Maximum steps buffered (committed or in progress) before
     /// `begin_step` blocks — FlexPath's "buffer data up to a certain size".
-    pub queue_capacity: usize,
+    /// At least 1, and no wider than a remote writer's hello carries it.
+    queue_capacity: NonZeroU32,
     /// When true, `end_step` blocks until the reader group has fully
     /// consumed the step — the no-overlap mode used by the overlap ablation.
-    pub rendezvous: bool,
+    rendezvous: bool,
     /// Number of reader groups the stream has. Steps are retained until at
     /// least this many groups have subscribed *and* consumed them, so no
     /// subscriber can miss data by attaching late. Not a writer's choice:
@@ -39,58 +47,56 @@ pub struct WriterOptions {
 
 impl Default for WriterOptions {
     fn default() -> Self {
-        WriterOptions {
-            queue_capacity: 4,
-            rendezvous: false,
-            expected_reader_groups: 1,
-        }
+        WriterOptions::buffered(4)
     }
 }
 
 impl WriterOptions {
-    /// Buffered (overlapping) mode with the given queue depth.
+    /// Buffered (overlapping) mode with the given queue depth; panics on a
+    /// depth [`WriterOptions::try_buffered`] refuses.
     pub fn buffered(queue_capacity: usize) -> WriterOptions {
-        WriterOptions::default().with_queue_capacity(queue_capacity)
+        WriterOptions::try_buffered(queue_capacity).unwrap_or_else(|reason| panic!("{reason}"))
+    }
+
+    /// [`WriterOptions::buffered`] for a depth that arrives as data (a
+    /// launch line's `queue=`): `Err` is why it is no writer's queue depth.
+    /// A depth is at least 1, and at most `u32::MAX`, the widest a remote
+    /// writer's hello carries.
+    pub fn try_buffered(queue_capacity: usize) -> Result<WriterOptions, String> {
+        let wide = u32::try_from(queue_capacity).map_err(|_| {
+            format!(
+                "queue depth {queue_capacity} exceeds {}, the deepest a remote writer declares",
+                u32::MAX
+            )
+        })?;
+        let queue_capacity = NonZeroU32::new(wide).ok_or("queue depth must be at least 1")?;
+        Ok(WriterOptions {
+            queue_capacity,
+            rendezvous: false,
+            expected_reader_groups: 1,
+        })
     }
 
     /// Synchronous hand-off: every step is exchanged before the writer may
     /// proceed. Used to measure what FlexPath's asynchrony buys.
     pub fn rendezvous() -> WriterOptions {
-        WriterOptions {
-            queue_capacity: 1,
-            rendezvous: true,
-            ..WriterOptions::default()
-        }
-    }
-
-    /// Sets the buffered queue depth (builder style); panics on a depth
-    /// [`WriterOptions::check_queue_capacity`] refuses.
-    pub fn with_queue_capacity(mut self, queue_capacity: usize) -> WriterOptions {
-        WriterOptions::check_queue_capacity(queue_capacity).unwrap_or_else(|e| panic!("{e}"));
-        self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Why `queue_capacity` is no writer's queue depth, if it is not: a
-    /// depth is at least 1, and at most `u32::MAX`, the widest a remote
-    /// writer's hello carries.
-    pub fn check_queue_capacity(queue_capacity: usize) -> Result<(), String> {
-        if queue_capacity == 0 {
-            return Err("queue depth must be at least 1".to_string());
-        }
-        if u32::try_from(queue_capacity).is_err() {
-            return Err(format!(
-                "queue depth {queue_capacity} exceeds {}, the deepest a remote writer declares",
-                u32::MAX
-            ));
-        }
-        Ok(())
+        WriterOptions::buffered(1).with_rendezvous(true)
     }
 
     /// Enables or disables rendezvous (synchronous hand-off) mode.
     pub fn with_rendezvous(mut self, rendezvous: bool) -> WriterOptions {
         self.rendezvous = rendezvous;
         self
+    }
+
+    /// The queue depth, as a remote writer's hello carries it.
+    pub(crate) fn queue_capacity(&self) -> NonZeroU32 {
+        self.queue_capacity
+    }
+
+    /// Whether `end_step` waits for the step's consumption.
+    pub(crate) fn is_rendezvous(&self) -> bool {
+        self.rendezvous
     }
 }
 
@@ -238,9 +244,9 @@ impl Stream {
         Duration::from_micros(self.wait_timeout_micros.load(Ordering::Relaxed))
     }
 
-    /// The typed refusal of a call that breaks the group protocol. In
-    /// process that is the caller's bug and the handles panic on it; a
-    /// broker session answers it, so no socket can reach a panic.
+    /// The typed refusal of a call that breaks the group protocol. The
+    /// handles return it from their next fallible call, and a broker
+    /// session answers it, so no socket can reach a panic.
     fn refuse(&self, reason: String) -> StreamError {
         StreamError::PeerGone {
             stream: self.name.clone(),
@@ -355,7 +361,7 @@ impl Stream {
     /// A writer rank starts `step`; blocks while the buffer is full.
     pub(crate) fn writer_begin_step(&self, step: u64) -> StreamResult<()> {
         let state = lock(&self.state);
-        let capacity = state.options.queue_capacity as u64;
+        let capacity = u64::from(state.options.queue_capacity.get());
         let start = Instant::now();
         let (mut state, ()) = self.wait_until(state, "buffer space", |s| {
             (step < s.base_step + capacity).then_some(())
@@ -781,9 +787,19 @@ mod tests {
     #[test]
     fn a_queue_deeper_than_the_hello_carries_is_refused() {
         let deepest = u32::MAX as usize;
-        assert_eq!(WriterOptions::buffered(deepest).queue_capacity, deepest);
-        for refused in [0, deepest + 1, (1 << 32) + 1] {
-            assert!(WriterOptions::check_queue_capacity(refused).is_err());
+        assert_eq!(
+            WriterOptions::buffered(deepest).queue_capacity.get(),
+            u32::MAX
+        );
+        let wider = |depth| {
+            format!("queue depth {depth} exceeds 4294967295, the deepest a remote writer declares")
+        };
+        for (refused, why) in [
+            (0, "queue depth must be at least 1".to_string()),
+            (deepest + 1, wider(deepest + 1)),
+            ((1 << 32) + 1, wider((1 << 32) + 1)),
+        ] {
+            assert_eq!(WriterOptions::try_buffered(refused), Err(why));
             let built = std::panic::catch_unwind(|| WriterOptions::buffered(refused));
             assert!(built.is_err(), "buffered({refused}) was accepted");
         }

@@ -112,10 +112,13 @@
 //! the broker's own `Timeout { waiting_for: "buffer space" }`, and a step
 //! that failed so committed nothing. A hello, put or release the hub refuses
 //! (a rank disagreeing with its group, a step committed or released twice)
-//! is answered `PeerGone`, never a broker panic. A refused hello or release
-//! also ends the session, and is sent as `REPLY_REFUSED` so the client ends
-//! only that endpoint: its later calls return the same refusal without
-//! touching the connection or marking the broker lost. A writer session
+//! is answered `PeerGone`, never a broker panic, and reaches the component
+//! as the in-proc refusal does: a refused hello fails the open, which the
+//! handle returns from its first call; a refused put fails the `end_step`
+//! that sent it. A refused hello or release also ends the session, and is
+//! sent as `REPLY_REFUSED` so the client ends only that endpoint: its later
+//! calls return the same refusal without touching the connection or
+//! marking the broker lost. A writer session
 //! that ends without a clean `close`/`abandon` terminator — the connection
 //! dropped (a SIGKILLed component), a reply could not be sent, a frame was
 //! malformed or out of sequence — is a *noisy* disconnect: a drop guard on
@@ -140,6 +143,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroU32;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1019,8 +1023,7 @@ impl TcpTransport {
 }
 
 struct TcpWriter {
-    io: Result<ClientConn, StreamError>,
-    stream: String,
+    conn: ClientConn,
     counters: Arc<Counters>,
     /// Protocol revision the broker accepted for this connection.
     proto: WireProtocol,
@@ -1045,23 +1048,12 @@ struct TcpWriter {
     /// Payload bytes of the open step before/after the codec.
     step_raw: u64,
     step_wire: u64,
-    /// An encode failure is not a refusal of the group protocol, which
-    /// `StreamWriter::put` panics on: it is stashed here and surfaces from
-    /// `end_step`, where the run loop handles errors.
-    encode_failure: Option<String>,
     tracer: Arc<Tracer>,
     trace_id: u32,
     rank: usize,
 }
 
 impl TcpWriter {
-    fn conn(&mut self) -> StreamResult<&mut ClientConn> {
-        match &mut self.io {
-            Ok(conn) => Ok(conn),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
     /// Encodes `chunk`'s header into `heads`, returning whether its raw
     /// payload must follow on the wire.
     fn put_head(&mut self, chunk: &Chunk) -> DataResult<bool> {
@@ -1079,45 +1071,28 @@ impl TcpWriter {
         self.step_wire += enc.wire_payload as u64;
         Ok(!enc.compressed())
     }
-
-    /// Forgets the open step's chunks.
-    fn clear_step(&mut self) {
-        self.heads.clear();
-        self.staged.clear();
-        self.step_raw = 0;
-        self.step_wire = 0;
-    }
 }
 
 impl WriterEndpoint for TcpWriter {
     fn begin_step(&mut self, _step: u64) -> StreamResult<()> {
         // Nothing goes out: the broker waits for buffer space when the step
         // arrives, and answers for it in `end_step`'s one reply.
-        self.conn().map(drop)
+        Ok(())
     }
 
+    /// A chunk that cannot be encoded is refused here, and `StreamWriter`
+    /// returns the refusal from `end_step`, which then sends nothing: the
+    /// handle ends, as an in-proc refused put ends it.
     fn put(&mut self, _step: u64, chunk: Chunk) -> StreamResult<()> {
-        if self.encode_failure.is_some() {
-            return Ok(());
-        }
-        match self.put_head(&chunk) {
-            Ok(raw) => self.staged.push((self.heads.len(), raw.then_some(chunk))),
-            Err(e) => self.encode_failure = Some(e.to_string()),
-        }
+        let raw = self.put_head(&chunk).map_err(|e| StreamError::PeerGone {
+            stream: self.conn.stream_name.clone(),
+            reason: format!("unencodable chunk: {e}"),
+        })?;
+        self.staged.push((self.heads.len(), raw.then_some(chunk)));
         Ok(())
     }
 
     fn end_step(&mut self, step: u64) -> StreamResult<()> {
-        if let Some(detail) = self.encode_failure.take() {
-            // Drop the poisoned step but keep any pending defs: their ids
-            // are already marked sent in `defs_sent`, so they must still
-            // ride along with the next step that does go out.
-            self.clear_step();
-            return Err(StreamError::PeerGone {
-                stream: self.stream.clone(),
-                reason: format!("unencodable chunk: {detail}"),
-            });
-        }
         let ndefs = std::mem::take(&mut self.ndefs);
         let mut head = vec![W_STEP];
         put_u64(&mut head, step);
@@ -1153,42 +1128,38 @@ impl WriterEndpoint for TcpWriter {
                 parts.push(Part::Le(&chunk.data));
             }
         }
-        let sent = match &mut self.io {
-            Ok(conn) => conn.send_parts(&parts),
-            Err(e) => Err(e.clone()),
-        };
+        let sent = self.conn.send_parts(&parts);
         self.defs.clear();
-        self.clear_step();
+        self.heads.clear();
+        self.staged.clear();
+        self.step_raw = 0;
+        self.step_wire = 0;
         sent?;
-        self.conn()?.expect_ok("step commit")
+        self.conn.expect_ok("step commit")
     }
 
     fn close(&mut self) {
-        if let Ok(conn) = &mut self.io {
-            // Wait for the ack so the close is durable broker-side before
-            // this process may exit.
-            let _ = conn.send(&[W_CLOSE]);
-            let _ = conn.expect_ok("close acknowledgement");
-        }
+        // Wait for the ack so the close is durable broker-side before this
+        // process may exit.
+        let _ = self.conn.send(&[W_CLOSE]);
+        let _ = self.conn.expect_ok("close acknowledgement");
     }
 
     fn abandon(&mut self) {
-        if let Ok(conn) = &mut self.io {
-            // Explicit *silent* terminator: the broker must not treat the
-            // imminent connection drop as a noisy disconnect — the
-            // supervisor owns the failure.
-            let _ = conn.send(&[W_ABANDON, 0]);
-        }
+        // Explicit *silent* terminator: the broker must not treat the
+        // imminent connection drop as a noisy disconnect — the supervisor
+        // owns the failure.
+        let _ = self.conn.send(&[W_ABANDON, 0]);
     }
 
     fn disconnect(&mut self) {
-        if let Ok(conn) = &mut self.io {
-            let _ = conn.send(&[W_ABANDON, 1]);
-        }
+        let _ = self.conn.send(&[W_ABANDON, 1]);
     }
 }
 
 struct TcpReader {
+    /// The connection, until the broker ends the session with a refusal
+    /// (`REPLY_REFUSED`), which every later call then returns.
     io: Result<ClientConn, StreamError>,
     /// Protocol revision the broker accepted for this connection.
     proto: WireProtocol,
@@ -1313,40 +1284,30 @@ impl Transport for TcpTransport {
         nranks: usize,
         options: WriterOptions,
     ) -> StreamResult<WriterConnection> {
-        let trace_id = self.tracer.intern(name);
         let counters = self.stream_counters(name);
-        let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol, Compression)> {
-            let mut conn = self.client_conn(name)?;
-            let mut hello = vec![HELLO_WRITER];
-            put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
-            let count = |n: usize, field: &str| fits(n, field).map_err(|e| proto_gone(name, e));
-            put_u32(&mut hello, count(rank, "rank")?);
-            put_u32(&mut hello, count(nranks, "nranks")?);
-            put_u32(&mut hello, count(options.queue_capacity, "queue capacity")?);
-            put_u8(&mut hello, options.rendezvous as u8);
-            put_u32(
-                &mut hello,
-                count(options.expected_reader_groups, "reader groups")?,
-            );
-            put_u8(&mut hello, self.options.protocol.tag());
-            put_u8(&mut hello, self.options.compression.tag());
-            conn.send(&hello)?;
-            let payload = conn.recv("writer registration")?;
-            let (start, (proto, comp)) = parse_reply(&payload, REPLY_STARTED, name, |cur| {
+        let mut conn = self.client_conn(name)?;
+        let mut hello = vec![HELLO_WRITER];
+        put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
+        let count = |n: usize, field: &str| fits(n, field).map_err(|e| proto_gone(name, e));
+        put_u32(&mut hello, count(rank, "rank")?);
+        put_u32(&mut hello, count(nranks, "nranks")?);
+        put_u32(&mut hello, options.queue_capacity().get());
+        put_u8(&mut hello, options.is_rendezvous() as u8);
+        put_u32(
+            &mut hello,
+            count(options.expected_reader_groups, "reader groups")?,
+        );
+        put_u8(&mut hello, self.options.protocol.tag());
+        put_u8(&mut hello, self.options.compression.tag());
+        conn.send(&hello)?;
+        let payload = conn.recv("writer registration")?;
+        let (start_step, (proto, compression)) =
+            parse_reply(&payload, REPLY_STARTED, name, |cur| {
                 Ok((get_u64(cur, "start step")?, negotiated(cur)?))
             })?;
-            Ok((conn, start, proto, comp))
-        })();
-        let (io, start_step, proto, compression) = match opened {
-            Ok((conn, start, proto, comp)) => (Ok(conn), start, proto, comp),
-            // A failed open is stored and surfaces from the first
-            // begin_step, where the run loop handles it.
-            Err(e) => (Err(e), 0, WireProtocol::V1, Compression::None),
-        };
         Ok(WriterConnection {
             endpoint: Box::new(TcpWriter {
-                io,
-                stream: name.to_string(),
+                conn,
                 counters: Arc::clone(&counters),
                 proto,
                 compression,
@@ -1358,14 +1319,11 @@ impl Transport for TcpTransport {
                 staged: Vec::new(),
                 step_raw: 0,
                 step_wire: 0,
-                encode_failure: None,
                 tracer: Arc::clone(&self.tracer),
-                trace_id,
+                trace_id: self.tracer.intern(name),
                 rank,
             }),
             start_step,
-            tracer: Arc::clone(&self.tracer),
-            trace_id,
             counters,
         })
     }
@@ -1377,38 +1335,28 @@ impl Transport for TcpTransport {
         rank: usize,
         nranks: usize,
     ) -> StreamResult<ReaderConnection> {
-        let trace_id = self.tracer.intern(name);
         let counters = self.stream_counters(name);
-        let opened = (|| -> StreamResult<(ClientConn, u64, WireProtocol)> {
-            let mut conn = self.client_conn(name)?;
-            let mut hello = vec![HELLO_READER];
-            put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
-            put_str(&mut hello, group).map_err(|e| proto_gone(name, e))?;
-            put_u32(&mut hello, rank as u32);
-            put_u32(&mut hello, nranks as u32);
-            put_u8(&mut hello, self.options.protocol.tag());
-            put_u8(&mut hello, self.options.compression.tag());
-            conn.send(&hello)?;
-            let payload = conn.recv("reader registration")?;
-            let (first, (proto, _comp)) = parse_reply(&payload, REPLY_STARTED, name, |cur| {
-                Ok((get_u64(cur, "first step")?, negotiated(cur)?))
-            })?;
-            Ok((conn, first, proto))
-        })();
-        let (io, first_step, proto, pending) = match opened {
-            Ok((mut conn, first, proto)) => {
-                // Prefetch the first step right away.
-                let mut req = vec![R_BEGIN];
-                put_u64(&mut req, first);
-                let pending = conn.send(&req).is_ok().then_some(first);
-                (Ok(conn), first, proto, pending)
-            }
-            Err(e) => (Err(e), 0, WireProtocol::V1, None),
-        };
+        let mut conn = self.client_conn(name)?;
+        let mut hello = vec![HELLO_READER];
+        put_str(&mut hello, name).map_err(|e| proto_gone(name, e))?;
+        put_str(&mut hello, group).map_err(|e| proto_gone(name, e))?;
+        put_u32(&mut hello, rank as u32);
+        put_u32(&mut hello, nranks as u32);
+        put_u8(&mut hello, self.options.protocol.tag());
+        put_u8(&mut hello, self.options.compression.tag());
+        conn.send(&hello)?;
+        let payload = conn.recv("reader registration")?;
+        let (first_step, (proto, _comp)) = parse_reply(&payload, REPLY_STARTED, name, |cur| {
+            Ok((get_u64(cur, "first step")?, negotiated(cur)?))
+        })?;
+        // Prefetch the first step right away.
+        let mut req = vec![R_BEGIN];
+        put_u64(&mut req, first_step);
+        let pending = conn.send(&req).is_ok().then_some(first_step);
         Ok(ReaderConnection {
-            learns_boxes: io.is_ok() && proto == WireProtocol::V2,
+            learns_boxes: proto == WireProtocol::V2,
             endpoint: Box::new(TcpReader {
-                io,
+                io: Ok(conn),
                 proto,
                 defs: MetaDefs::default(),
                 frame: Vec::new(),
@@ -1417,8 +1365,6 @@ impl Transport for TcpTransport {
                 fetched: 0,
             }),
             first_step,
-            tracer: Arc::clone(&self.tracer),
-            trace_id,
             counters,
         })
     }
@@ -2218,7 +2164,7 @@ fn writer_session(
             get_str(hello, "stream name")?,
             get_u32(hello, "rank")? as usize,
             get_u32(hello, "nranks")? as usize,
-            get_u32(hello, "queue capacity")? as usize,
+            get_u32(hello, "queue capacity")?,
             get_u8(hello, "rendezvous flag")? != 0,
             get_u32(hello, "reader groups")? as usize,
             negotiated(hello)?,
@@ -2228,19 +2174,15 @@ fn writer_session(
         Ok(parsed) => parsed,
         Err(e) => return refuse(io, proto_gone("", format!("malformed writer hello: {e}"))),
     };
-    if rank >= nranks || WriterOptions::check_queue_capacity(queue).is_err() || groups == 0 {
+    let Some(depth) = NonZeroU32::new(queue).filter(|_| rank < nranks && groups > 0) else {
         let why =
             format!("invalid writer hello: rank {rank}/{nranks} queue {queue} groups {groups}");
         return refuse(io, proto_gone(&name, why));
-    }
+    };
     // The hello carries the writer hub's reader-group count: this hub's
     // own declarations do not override it.
-    let options = WriterOptions {
-        expected_reader_groups: groups,
-        ..WriterOptions::default()
-            .with_queue_capacity(queue)
-            .with_rendezvous(rendezvous)
-    };
+    let mut options = WriterOptions::buffered(depth.get() as usize).with_rendezvous(rendezvous);
+    options.expected_reader_groups = groups;
     let conn = match hub.transport().open_writer(&name, rank, nranks, options) {
         Ok(conn) => conn,
         Err(refused) => return refuse(io, refused),
@@ -3718,29 +3660,6 @@ mod tests {
             assert!(matches!(err, StreamError::PeerGone { .. }), "{err:?}");
             assert!(started.elapsed() < Duration::from_secs(10));
         }
-    }
-
-    /// The hello carries a writer's counts in 32 bits: a queue depth wider
-    /// than that is a typed error from the writer's first step, never a
-    /// depth wrapped to another (`(1 << 32) + 1` used to arrive as 1).
-    #[test]
-    fn a_queue_the_hello_cannot_carry_is_refused_not_wrapped() {
-        let broker = TcpBroker::bind("127.0.0.1:0").unwrap();
-        let hub = StreamHub::connect(&broker.url()).unwrap();
-        hub.set_wait_timeout(Duration::from_millis(500));
-        let options = WriterOptions {
-            queue_capacity: (1 << 32) + 1,
-            ..WriterOptions::default()
-        };
-        let mut w = hub.open_writer("wide.fp", 0, 1, options);
-        match w.begin_step() {
-            Err(StreamError::PeerGone { reason, .. }) => assert!(
-                reason.contains("queue capacity 4294967297 does not fit"),
-                "{reason}"
-            ),
-            other => panic!("expected the hello's refusal, got {other:?}"),
-        }
-        w.abandon();
     }
 
     #[test]

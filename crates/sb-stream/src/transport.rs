@@ -21,16 +21,19 @@
 //!
 //! ## Contract
 //!
-//! A backend that must connect somewhere does so eagerly at open and
-//! surfaces any failure as a [`StreamError`] from the first blocking call,
-//! so components never special-case the backend. An open, a put or a
-//! release that breaks the group protocol — a rank disagreeing with its
-//! group's size, options or metadata, a step committed or released twice —
-//! is refused with [`StreamError::PeerGone`]: the handles panic on it in
-//! process, a broker session answers it over the socket. Blocking calls
-//! return [`StreamError::Timeout`] after the hub deadline and
+//! A backend that must connect somewhere does so eagerly at open, and an
+//! open it cannot complete is an `Err`. An open, a put or a release that
+//! breaks the group protocol — a rank disagreeing with its group's size,
+//! options or metadata, a step committed or released twice — is refused
+//! with [`StreamError::PeerGone`], by the in-proc stream or by a broker
+//! session over the socket. One rule then holds on every backend, so
+//! components never special-case one: the handle keeps the failure and
+//! returns it, typed, from its next fallible call (`begin_step` after an
+//! open, `end_step` after a put). Blocking calls return
+//! [`StreamError::Timeout`] after the hub deadline and
 //! [`StreamError::PeerGone`] when the peer or the supervisor tore the
-//! stream down — never a hang.
+//! stream down — never a hang. Only calls out of order (a put outside a
+//! step, a step begun twice) panic, in the handles, alike everywhere.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,30 +107,65 @@ pub trait ReaderEndpoint: Send {
 }
 
 /// What [`Transport::open_writer`] hands back: the endpoint plus the step
-/// the writer group starts at and the tracer identity for blocking spans.
+/// the writer group starts at.
 pub struct WriterConnection {
     pub(crate) endpoint: Box<dyn WriterEndpoint>,
     pub(crate) start_step: u64,
-    pub(crate) tracer: Arc<Tracer>,
-    pub(crate) trace_id: u32,
     /// The stream's counter block (the TCP broker charges received frame
     /// bytes here).
     pub(crate) counters: Arc<Counters>,
 }
 
 /// What [`Transport::open_reader`] hands back: the endpoint, the first step
-/// this rank will observe, the tracer identity, and the counter block the
-/// reader's MxN assembly path charges its copies/reads to.
+/// this rank will observe, and the counter block the reader's MxN assembly
+/// path charges its copies/reads to.
 pub struct ReaderConnection {
     pub(crate) endpoint: Box<dyn ReaderEndpoint>,
     pub(crate) first_step: u64,
-    pub(crate) tracer: Arc<Tracer>,
-    pub(crate) trace_id: u32,
     pub(crate) counters: Arc<Counters>,
     /// Whether the reader handle should remember the boxes each step's
     /// `get`s served and pass them to [`ReaderEndpoint::release_step`]: set
     /// by backends whose `fetch_step` moves bytes and can move fewer.
     pub(crate) learns_boxes: bool,
+}
+
+/// The endpoint behind a handle whose open was refused: the handle answers
+/// every fallible call with the refusal before it could reach here, and
+/// has nothing to close.
+pub(crate) struct Refused;
+
+impl WriterEndpoint for Refused {
+    fn begin_step(&mut self, _step: u64) -> StreamResult<()> {
+        Ok(())
+    }
+
+    fn put(&mut self, _step: u64, _chunk: Chunk) -> StreamResult<()> {
+        Ok(())
+    }
+
+    fn end_step(&mut self, _step: u64) -> StreamResult<()> {
+        Ok(())
+    }
+
+    fn close(&mut self) {}
+
+    fn abandon(&mut self) {}
+
+    fn disconnect(&mut self) {}
+}
+
+impl ReaderEndpoint for Refused {
+    fn fetch_step(&mut self, _step: u64) -> StreamResult<Option<StepContents>> {
+        Ok(None)
+    }
+
+    fn release_step(&mut self, _step: u64, _boxes: &[(String, Region)]) -> StreamResult<()> {
+        Ok(())
+    }
+
+    fn committed_steps(&self) -> u64 {
+        0
+    }
 }
 
 /// A stream transport backend: name-based endpoint rendezvous plus the
@@ -293,8 +331,6 @@ impl Transport for InProcTransport {
         let start_step = stream.register_writer(nranks, options)?;
         Ok(WriterConnection {
             start_step,
-            tracer: Arc::clone(&stream.tracer),
-            trace_id: stream.trace_id,
             counters: Arc::clone(&stream.counters),
             endpoint: Box::new(InProcWriter {
                 stream,
@@ -316,8 +352,6 @@ impl Transport for InProcTransport {
         let first_step = stream.register_reader(group, nranks)?;
         Ok(ReaderConnection {
             first_step,
-            tracer: Arc::clone(&stream.tracer),
-            trace_id: stream.trace_id,
             counters: Arc::clone(&stream.counters),
             learns_boxes: false,
             endpoint: Box::new(InProcReader {

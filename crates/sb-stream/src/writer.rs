@@ -4,9 +4,9 @@ use std::sync::Arc;
 
 use sb_data::{Chunk, Variable};
 
-use crate::error::StreamResult;
+use crate::error::{StreamError, StreamResult};
 use crate::trace::{EventKind, TraceSite, Tracer};
-use crate::transport::{WriterConnection, WriterEndpoint};
+use crate::transport::{Refused, WriterConnection, WriterEndpoint};
 
 /// One writer rank's handle onto a stream.
 ///
@@ -22,7 +22,11 @@ use crate::transport::{WriterConnection, WriterEndpoint};
 ///
 /// The handle is transport-agnostic: the same protocol drives the in-proc
 /// backend (steps shared by `Arc`) and the TCP backend (steps framed onto a
-/// socket, with `put`s batched until `end_step`).
+/// socket, with `put`s batched until `end_step`). So is misuse: what the
+/// hub refuses — this rank's open, or a chunk whose metadata disagrees
+/// with another rank's — ends the handle, as any other
+/// [`StreamError::PeerGone`] does, and every later `begin_step` and
+/// `end_step` returns it.
 pub struct StreamWriter {
     endpoint: Box<dyn WriterEndpoint>,
     tracer: Arc<Tracer>,
@@ -32,19 +36,37 @@ pub struct StreamWriter {
     next_step: u64,
     in_step: bool,
     closed: bool,
+    /// What ended the handle — its failed open, a refused put, or any
+    /// other `PeerGone` — for every later `begin_step` and `end_step`.
+    refused: Option<StreamError>,
 }
 
 impl StreamWriter {
-    pub(crate) fn new(conn: WriterConnection, rank: usize, nranks: usize) -> StreamWriter {
+    pub(crate) fn new(
+        conn: StreamResult<WriterConnection>,
+        tracer: &Arc<Tracer>,
+        name: &str,
+        rank: usize,
+        nranks: usize,
+    ) -> StreamWriter {
+        let (endpoint, next_step, refused) = match conn {
+            Ok(conn) => (conn.endpoint, conn.start_step, None),
+            Err(refused) => (
+                Box::new(Refused) as Box<dyn WriterEndpoint>,
+                0,
+                Some(refused),
+            ),
+        };
         StreamWriter {
-            endpoint: conn.endpoint,
-            tracer: conn.tracer,
-            trace_id: conn.trace_id,
+            endpoint,
+            tracer: Arc::clone(tracer),
+            trace_id: tracer.intern(name),
             rank,
             nranks,
-            next_step: conn.start_step,
+            next_step,
             in_step: false,
             closed: false,
+            refused,
         }
     }
 
@@ -68,12 +90,22 @@ impl StreamWriter {
         &mut self,
         call: fn(&mut dyn WriterEndpoint, u64) -> StreamResult<()>,
     ) -> StreamResult<()> {
+        if let Some(refused) = &self.refused {
+            return Err(refused.clone());
+        }
         let start_ns = if self.tracer.enabled() {
             self.tracer.now_ns()
         } else {
             0
         };
-        call(&mut *self.endpoint, self.next_step)?;
+        if let Err(err) = call(&mut *self.endpoint, self.next_step) {
+            // A remote broker refuses a put in the `end_step` that sent it:
+            // kept, it ends the handle as an in-proc refusal does.
+            if matches!(err, StreamError::PeerGone { .. }) {
+                self.refused = Some(err.clone());
+            }
+            return Err(err);
+        }
         self.tracer.span(
             EventKind::WriterBlocked,
             TraceSite::stream(self.trace_id, self.rank, self.next_step),
@@ -83,9 +115,9 @@ impl StreamWriter {
     }
 
     /// Opens the next step. In process this blocks while the writer-side
-    /// buffer is full; a remote writer returns at once (or with the error
-    /// its open stored), and the wait for buffer space happens broker-side
-    /// inside [`end_step`](Self::end_step).
+    /// buffer is full; a remote writer returns at once, and the wait for
+    /// buffer space happens broker-side inside [`end_step`](Self::end_step).
+    /// A refused open is returned here.
     pub fn begin_step(&mut self) -> StreamResult<()> {
         assert!(!self.closed, "begin_step on a closed writer");
         assert!(!self.in_step, "begin_step called twice without end_step");
@@ -94,14 +126,15 @@ impl StreamWriter {
         Ok(())
     }
 
-    /// Contributes one chunk of a variable to the open step. Panics when the
-    /// hub refuses it: a chunk whose metadata disagrees with what another
-    /// rank put for the same variable.
+    /// Contributes one chunk of a variable to the open step. A chunk the hub
+    /// refuses — its metadata disagrees with what another rank put for the
+    /// same variable — is returned by [`end_step`](Self::end_step), which
+    /// then commits nothing; a remote broker refuses it there.
     pub fn put(&mut self, chunk: Chunk) {
         assert!(self.in_step, "put outside begin_step/end_step");
-        self.endpoint
-            .put(self.next_step, chunk)
-            .expect("the hub refused the chunk");
+        if self.refused.is_none() {
+            self.refused = self.endpoint.put(self.next_step, chunk).err();
+        }
     }
 
     /// Convenience: contributes an entire variable as this rank's chunk

@@ -610,19 +610,16 @@ impl<'a> Options<'a> {
     /// The output's writer settings — `queue=`, `rendezvous=` — over the
     /// default policy.
     fn writer(&mut self) -> Result<WriterOptions, String> {
-        let mut w = WriterOptions::default();
-        if let Some(q) = self.usize("queue")? {
-            WriterOptions::check_queue_capacity(q)?;
-            w.queue_capacity = q;
-        }
-        if let Some(r) = self.take("rendezvous") {
-            w.rendezvous = match r {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                _ => return Err(format!("rendezvous={r:?} is not 0, 1, true or false")),
-            };
-        }
-        Ok(w)
+        let w = match self.usize("queue")? {
+            Some(q) => WriterOptions::try_buffered(q)?,
+            None => WriterOptions::default(),
+        };
+        Ok(match self.take("rendezvous") {
+            None => w,
+            Some("1" | "true") => w.with_rendezvous(true),
+            Some("0" | "false") => w.with_rendezvous(false),
+            Some(r) => return Err(format!("rendezvous={r:?} is not 0, 1, true or false")),
+        })
     }
 
     /// Refuses the first given option `program`'s arm never read.
@@ -1018,6 +1015,7 @@ mod tests {
                 "a queue depth no remote writer's hello carries",
             ),
             ("gromacs queue=4294967297", "the same on a simulation"),
+            ("magnitude a b c d queue=0", "a queue depth no writer runs"),
         ] {
             let line = format!("\n# {what}\n{script}");
             match WorkflowPlan::from_script(&line) {

@@ -349,9 +349,8 @@ impl Workflow {
     ///
     /// # Panics
     ///
-    /// When no component is labelled `label`, when that component writes
-    /// no stream, or when `options`' queue depth is one
-    /// [`WriterOptions::check_queue_capacity`] refuses.
+    /// When no component is labelled `label`, or when that component writes
+    /// no stream.
     pub fn set_writer_options(&mut self, label: &str, options: WriterOptions) -> &mut Self {
         let Some(entry) = self.entries.iter_mut().find(|e| e.label == label) else {
             panic!("no component labelled {label:?} to set writer options on");
@@ -360,9 +359,6 @@ impl Workflow {
             !entry.component.output_streams().is_empty(),
             "component {label:?} writes no stream to set writer options on"
         );
-        if let Err(reason) = WriterOptions::check_queue_capacity(options.queue_capacity) {
-            panic!("component {label:?}: {reason}");
-        }
         entry.writer_options = options;
         self
     }
@@ -663,16 +659,6 @@ mod tests {
         let mut wf = Workflow::new();
         wf.add_sink("end", 1, "a.fp", |_, _| {});
         wf.set_writer_options("end", WriterOptions::buffered(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth 4294967296 exceeds 4294967295")]
-    fn a_queue_no_remote_writer_carries_is_refused() {
-        let mut wf = Workflow::new();
-        wf.add_source("gen", 1, "a.fp", |_| None);
-        let mut options = WriterOptions::default();
-        options.queue_capacity = 1 << 32;
-        wf.set_writer_options("gen", options);
     }
 
     #[test]

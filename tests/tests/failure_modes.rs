@@ -108,41 +108,46 @@ fn unknown_label_is_rejected() {
     assert!(err.to_string().contains("nonexistent"), "{err}");
 }
 
-/// Ranks of one writer group must agree on the group size.
+/// The reason of a `PeerGone` refusal; anything else fails the test.
+fn refusal<T: std::fmt::Debug>(result: Result<T, StreamError>) -> String {
+    match result {
+        Err(StreamError::PeerGone { reason, .. }) => reason,
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+}
+
+/// Ranks of one writer group must agree on the group size. The hub refuses
+/// the disagreeing rank, and that handle's next call returns the refusal,
+/// typed, rather than panicking.
 #[test]
 fn writer_group_size_disagreement_panics() {
     let hub = StreamHub::new();
     let _w1 = hub.open_writer("s.fp", 0, 2, WriterOptions::default());
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _w2 = hub.open_writer("s.fp", 0, 3, WriterOptions::default());
-    }));
-    let msg = *result.unwrap_err().downcast::<String>().unwrap();
+    let mut w2 = hub.open_writer("s.fp", 0, 3, WriterOptions::default());
+    let msg = refusal(w2.begin_step());
     assert!(msg.contains("disagree on group size"), "{msg}");
 }
 
-/// Ranks of one writer group must agree on buffering policy.
+/// Ranks of one writer group must agree on buffering policy; the
+/// disagreeing rank's next call returns the hub's refusal.
 #[test]
 fn writer_options_disagreement_panics() {
     let hub = StreamHub::new();
     let _w1 = hub.open_writer("s.fp", 0, 2, WriterOptions::buffered(2));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _w2 = hub.open_writer("s.fp", 1, 2, WriterOptions::rendezvous());
-    }));
-    let msg = *result.unwrap_err().downcast::<String>().unwrap();
+    let mut w2 = hub.open_writer("s.fp", 1, 2, WriterOptions::rendezvous());
+    let msg = refusal(w2.begin_step());
     assert!(msg.contains("disagree on options"), "{msg}");
 }
 
 /// Ranks of one reader group must agree on the group size; distinct groups
-/// may differ.
+/// may differ. The disagreeing rank's next call returns the hub's refusal.
 #[test]
 fn reader_group_size_disagreement_panics() {
     let hub = StreamHub::new();
     let _r1 = hub.open_reader_grouped("s.fp", "g", 0, 2);
     let _other = hub.open_reader_grouped("s.fp", "h", 0, 5); // fine: new group
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _r2 = hub.open_reader_grouped("s.fp", "g", 1, 3);
-    }));
-    let msg = *result.unwrap_err().downcast::<String>().unwrap();
+    let mut r2 = hub.open_reader_grouped("s.fp", "g", 1, 3);
+    let msg = refusal(r2.begin_step());
     assert!(msg.contains("disagree on group size"), "{msg}");
 }
 

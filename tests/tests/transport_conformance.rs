@@ -9,7 +9,6 @@
 //! change *how* steps move, never *what* arrives.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -548,33 +547,104 @@ fn round_trip(hub: &Arc<StreamHub>, stream: &str, value: f64) -> StreamResult<Ve
     Ok(read)
 }
 
-/// A queue depth of 0 set through the public field is refused where the
-/// hub takes the options, alike on every backend: at once (no wait for
-/// buffer space, no hello to a broker), and without costing the hub its
-/// other streams.
+/// The misusing handle's next fallible call, then the same call again.
+type Misuse = fn(&Arc<StreamHub>) -> [StreamResult<()>; 2];
+
+/// A one-row chunk of `grid`, which the rank writing it says is `len` rows.
+fn grid_row(len: usize, row: usize) -> Chunk {
+    let meta = VariableMeta::new("grid", Shape::linear("n", len), DType::F64);
+    let region = sb_data::Region::new(vec![row], vec![1]);
+    Chunk::new(meta, region, Buffer::F64(vec![row as f64])).unwrap()
+}
+
+/// Ranks that break the group protocol, one row each. The hub refuses the
+/// misuse, and the misusing handle returns the refusal, typed, from its
+/// next fallible call and from every call after it.
+const MISUSE: [(&str, Misuse); 5] = [
+    ("writer ranks disagree on group size", |hub| {
+        let _rank0 = hub.open_writer("size.fp", 0, 2, WriterOptions::default());
+        let mut other = hub.open_writer("size.fp", 0, 3, WriterOptions::default());
+        [other.begin_step(), other.begin_step()]
+    }),
+    ("writer ranks disagree on policy", |hub| {
+        let _rank0 = hub.open_writer("policy.fp", 0, 2, WriterOptions::buffered(2));
+        let mut rank1 = hub.open_writer("policy.fp", 1, 2, WriterOptions::rendezvous());
+        [rank1.begin_step(), rank1.begin_step()]
+    }),
+    ("reader ranks of one group disagree on group size", |hub| {
+        let _rank0 = hub.open_reader_grouped("readers.fp", "g", 0, 2);
+        let mut rank1 = hub.open_reader_grouped("readers.fp", "g", 1, 3);
+        [rank1.begin_step().map(drop), rank1.begin_step().map(drop)]
+    }),
+    ("writer ranks put disagreeing metadata", |hub| {
+        let mut rank0 = hub.open_writer("meta.fp", 0, 2, WriterOptions::default());
+        let mut rank1 = hub.open_writer("meta.fp", 1, 2, WriterOptions::default());
+        rank0.begin_step().unwrap();
+        rank0.put(grid_row(4, 0));
+        rank0.end_step().unwrap();
+        rank1.begin_step().unwrap();
+        rank1.put(grid_row(5, 1));
+        [rank1.end_step(), rank1.end_step()]
+    }),
+    // Two reader handles claim rank 0 of one 1-rank group and both read
+    // step 0: the second release is one more than the group has ranks.
+    ("a refused release, then begin_step again", |hub| {
+        let mut w = hub.open_writer("twice.fp", 0, 1, WriterOptions::default());
+        w.begin_step().unwrap();
+        w.put_whole(Variable::new("x", Shape::linear("n", 1), Buffer::F64(vec![1.0])).unwrap());
+        w.end_step().unwrap();
+        let mut a = hub.open_reader_grouped("twice.fp", "g", 0, 1);
+        let mut b = hub.open_reader_grouped("twice.fp", "g", 0, 1);
+        for r in [&mut a, &mut b] {
+            assert_eq!(r.begin_step().unwrap(), StepStatus::Ready(0));
+        }
+        // A remote release is sent, not answered: `a`'s must land first for
+        // `b`'s to be the refused one.
+        a.end_step();
+        let consumed = || hub.metrics("twice.fp").map_or(0, |m| m.steps_consumed);
+        wait_until("the first release to land", || consumed() == 1);
+        b.end_step();
+        w.close();
+        [b.begin_step().map(drop), b.begin_step().map(drop)]
+    }),
+];
+
+/// The misuse table: each row is refused alike in process, over `tcp://`
+/// and over `shm://` — the same variant and reason text, returned again by
+/// the next call, at once rather than after the hub timeout — and the
+/// refusal costs the hub none of its other streams.
 #[test]
-fn writer_policy_queue_depth_zero_is_refused_alike_on_every_backend() {
-    let mut zero = WriterOptions::default();
-    zero.queue_capacity = 0;
-    on_every_backend("zero-queue", Duration::from_secs(30), |backend, hub| {
-        let started = Instant::now();
-        let opened = catch_unwind(AssertUnwindSafe(|| {
-            hub.open_writer("zero.fp", 0, 1, zero);
-        }));
-        assert!(opened.is_err(), "{backend}: queue depth 0 was accepted");
-        let declared = catch_unwind(AssertUnwindSafe(|| hub.set_writer_options("zero.fp", zero)));
-        assert!(declared.is_err(), "{backend}: queue depth 0 was declared");
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "{backend}: the refusal waited {:?}",
-            started.elapsed()
-        );
-        assert_eq!(
-            round_trip(&hub, "other.fp", 7.0),
-            Ok(vec![7.0]),
-            "{backend}: another stream of the hub failed after the refusal"
-        );
-    });
+fn misuse_is_one_typed_refusal_on_every_backend() {
+    for (row, misuse) in MISUSE {
+        let mut outcomes = Vec::new();
+        on_every_backend("misuse", Duration::from_secs(30), |backend, hub| {
+            let started = Instant::now();
+            let [first, again] = misuse(&hub);
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(5),
+                "{row}, {backend}: took {took:?}"
+            );
+            assert!(
+                matches!(first, Err(StreamError::PeerGone { .. })),
+                "{row}, {backend}: expected a refusal, got {first:?}"
+            );
+            assert_eq!(again, first, "{row}, {backend}: asked again");
+            assert_eq!(
+                round_trip(&hub, "other.fp", 7.0),
+                Ok(vec![7.0]),
+                "{row}, {backend}: another stream of the hub failed after the refusal"
+            );
+            outcomes.push((backend.to_string(), first));
+        });
+        let (_, inproc) = &outcomes[0];
+        for (backend, outcome) in &outcomes[1..] {
+            assert_eq!(
+                outcome, inproc,
+                "{row}: {backend} answers otherwise than in-proc"
+            );
+        }
+    }
 }
 
 /// Two reader handles claiming rank 0 of one 1-rank group both read step
