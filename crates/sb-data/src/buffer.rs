@@ -267,9 +267,24 @@ impl Buffer {
     /// row-major `[pre][d][post]` array, produces `[pre][indices][post]`
     /// with the selected rows in the order given.
     ///
-    /// This is the typed fast path of the Select kernel. Indices are
-    /// validated once; then each `[d * post]` source row yields one output
-    /// row of `W = indices.len() * post` elements, in one of three ways:
+    /// This is the typed fast path of the Select kernel, in fresh storage:
+    /// [`Buffer::gather_dim_into`] with none handed.
+    ///
+    /// Panics if the buffer length is not `pre * d * post` or an index is
+    /// out of range, like slice indexing.
+    pub fn gather_dim(&self, pre: usize, d: usize, post: usize, indices: &[usize]) -> Buffer {
+        self.gather_dim_into(pre, d, post, indices, None)
+    }
+
+    /// [`Buffer::gather_dim`] written into `storage`, a buffer its caller
+    /// no longer needs: its contents are overwritten and its capacity kept,
+    /// so a step loop that hands back last step's output touches no fresh
+    /// page. Storage of another dtype is dropped; none, or too little, is
+    /// allocated once. No path fills the output before writing it.
+    ///
+    /// Indices are validated once; then each `[d * post]` source row yields
+    /// one output row of `W = indices.len() * post` elements, in one of
+    /// three ways:
     /// * every row kept in order: the rows are adjacent, so the whole
     ///   buffer is one copy;
     /// * `W` at most 8 (Select's vx, vy, vz; GTCP's one pressure column):
@@ -278,17 +293,27 @@ impl Buffer {
     /// * wider rows: adjacent indices are coalesced into runs of the source
     ///   row, and every row is copied run by run.
     ///
-    /// Panics if the buffer length is not `pre * d * post` or an index is
-    /// out of range, like slice indexing.
-    pub fn gather_dim(&self, pre: usize, d: usize, post: usize, indices: &[usize]) -> Buffer {
+    /// Panics as [`Buffer::gather_dim`] does.
+    pub fn gather_dim_into(
+        &self,
+        pre: usize,
+        d: usize,
+        post: usize,
+        indices: &[usize],
+        storage: Option<Buffer>,
+    ) -> Buffer {
         assert_eq!(self.len(), pre * d * post, "gather_dim shape mismatch");
         if let Some(i) = indices.iter().find(|&&i| i >= d) {
             panic!("gather_dim index {i} out of range for extent {d}");
         }
         macro_rules! gather {
-            ($v:expr, $variant:ident) => {
-                Buffer::$variant(gather_rows($v, d, post, indices))
-            };
+            ($v:expr, $variant:ident) => {{
+                let out = match storage {
+                    Some(Buffer::$variant(out)) => out,
+                    _ => Vec::new(),
+                };
+                Buffer::$variant(gather_rows($v, d, post, indices, out))
+            }};
         }
         match self {
             Buffer::F32(v) => gather!(v, F32),
@@ -455,48 +480,65 @@ impl Buffer {
     }
 }
 
-/// The widest output row [`Buffer::gather_dim`] builds from a table of
+/// The widest output row [`Buffer::gather_dim_into`] builds from a table of
 /// source offsets; wider rows are copied run by run.
 const TABLE_WIDTH: usize = 8;
 
-/// [`Buffer::gather_dim`] over a typed `[pre][d][post]` slice.
-fn gather_rows<T: Copy>(src: &[T], d: usize, post: usize, indices: &[usize]) -> Vec<T> {
+/// [`Buffer::gather_dim_into`] over a typed `[pre][d][post]` slice: `out`
+/// is cleared and every path appends to it, so its capacity is reused and
+/// no element is written twice.
+fn gather_rows<T: Copy>(
+    src: &[T],
+    d: usize,
+    post: usize,
+    indices: &[usize],
+    mut out: Vec<T>,
+) -> Vec<T> {
+    out.clear();
     if indices.iter().copied().eq(0..d) {
-        return src.to_vec();
+        out.extend_from_slice(src);
+        return out;
     }
     let row = d * post;
     let width = indices.len() * post;
     if width > TABLE_WIDTH {
-        return gather_runs(src, row, &coalesce_runs(indices, post), width);
+        gather_runs(src, row, &coalesce_runs(indices, post), width, &mut out);
+        return out;
     }
     let offsets: Vec<usize> = indices
         .iter()
         .flat_map(|&i| i * post..(i + 1) * post)
         .collect();
     match width {
-        0 => Vec::new(),
-        1 => gather_table::<T, 1>(src, row, &offsets),
-        2 => gather_table::<T, 2>(src, row, &offsets),
-        3 => gather_table::<T, 3>(src, row, &offsets),
-        4 => gather_table::<T, 4>(src, row, &offsets),
-        5 => gather_table::<T, 5>(src, row, &offsets),
-        6 => gather_table::<T, 6>(src, row, &offsets),
-        7 => gather_table::<T, 7>(src, row, &offsets),
-        8 => gather_table::<T, 8>(src, row, &offsets),
+        0 => {}
+        1 => gather_table::<T, 1>(src, row, &offsets, &mut out),
+        2 => gather_table::<T, 2>(src, row, &offsets, &mut out),
+        3 => gather_table::<T, 3>(src, row, &offsets, &mut out),
+        4 => gather_table::<T, 4>(src, row, &offsets, &mut out),
+        5 => gather_table::<T, 5>(src, row, &offsets, &mut out),
+        6 => gather_table::<T, 6>(src, row, &offsets, &mut out),
+        7 => gather_table::<T, 7>(src, row, &offsets, &mut out),
+        8 => gather_table::<T, 8>(src, row, &offsets, &mut out),
         _ => unreachable!("wider rows are copied run by run"),
     }
+    out
 }
 
-/// Builds, from every `row`-element row of `src`, the `W`-element row whose
-/// element `k` is the source row's element `offsets[k]`. With `W` known to
-/// the compiler each output row is a few register moves and one store,
-/// and the output is sized once from the row count.
-fn gather_table<T: Copy, const W: usize>(src: &[T], row: usize, offsets: &[usize]) -> Vec<T> {
+/// Appends, for every `row`-element row of `src`, the `W`-element row
+/// whose element `k` is the source row's element `offsets[k]`. With `W`
+/// known to the compiler each output row is a few register moves and one
+/// store, and the iterator's exact length reserves `out` once.
+fn gather_table<T: Copy, const W: usize>(
+    src: &[T],
+    row: usize,
+    offsets: &[usize],
+    out: &mut Vec<T>,
+) {
     let table: [usize; W] = offsets.try_into().expect("caller matched the row width");
-    src.chunks_exact(row)
-        .map(|r| std::array::from_fn(|k| r[table[k]]))
-        .collect::<Vec<[T; W]>>()
-        .into_flattened()
+    out.extend(
+        src.chunks_exact(row)
+            .flat_map(|r| std::array::from_fn::<T, W, _>(|k| r[table[k]])),
+    );
 }
 
 /// Coalesces row indices of a `[d][post]` source row into `(start, len)`
@@ -513,16 +555,21 @@ fn coalesce_runs(indices: &[usize], post: usize) -> Vec<(usize, usize)> {
     runs
 }
 
-/// Copies `runs` of every `row`-element row of `src`, in order, into a
-/// fresh vector of `width` elements per row.
-fn gather_runs<T: Copy>(src: &[T], row: usize, runs: &[(usize, usize)], width: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(src.len() / row * width);
+/// Appends `runs` of every `row`-element row of `src`, in order, to `out`:
+/// `width` elements per row.
+fn gather_runs<T: Copy>(
+    src: &[T],
+    row: usize,
+    runs: &[(usize, usize)],
+    width: usize,
+    out: &mut Vec<T>,
+) {
+    out.reserve(src.len() / row * width);
     for src_row in src.chunks_exact(row) {
         for &(start, len) in runs {
             out.extend_from_slice(&src_row[start..start + len]);
         }
     }
-    out
 }
 
 /// A reference-counted, immutable-by-default payload: the unit of sharing
@@ -553,6 +600,13 @@ impl SharedBuffer {
             Ok(b) => b.into_f64_vec(),
             Err(shared) => shared.to_f64_vec(),
         }
+    }
+
+    /// The payload itself, when this is its only handle; otherwise the
+    /// handle back. What a writer uses to take back storage every holder
+    /// it handed the payload to has dropped.
+    pub fn try_unwrap(this: SharedBuffer) -> Result<Buffer, SharedBuffer> {
+        Arc::try_unwrap(this.0).map_err(SharedBuffer)
     }
 
     /// Mutable access, copy-on-write: no copy while uniquely held.

@@ -16,25 +16,20 @@ use crate::trace::{EventKind, TraceSite, Tracer};
 /// Writer-side buffering policy, fixed by the first writer rank to open the
 /// stream.
 ///
-/// Construct via [`WriterOptions::default`], [`WriterOptions::buffered`]
-/// (or [`WriterOptions::try_buffered`] for a depth that arrives as data),
-/// or [`WriterOptions::rendezvous`], and refine with
-/// [`WriterOptions::with_rendezvous`]. The fields are private, so a queue
-/// depth no backend can run is not a value of this type:
+/// A policy is either [`WriterOptions::buffered`] with a queue depth (or
+/// [`WriterOptions::try_buffered`] for a depth that arrives as data, and
+/// [`WriterOptions::default`]), or [`WriterOptions::rendezvous`], which
+/// has no depth to set: its `end_step` returns only once the step is
+/// consumed, so no second step is ever buffered. The fields are private,
+/// so a queue depth no backend can run is not a value of this type:
 ///
 /// ```compile_fail
-/// let mut options = sb_stream::WriterOptions::default();
-/// options.queue_capacity = std::num::NonZeroU32::MIN;
+/// let options = sb_stream::WriterOptions::default();
+/// let _policy = options.policy;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriterOptions {
-    /// Maximum steps buffered (committed or in progress) before
-    /// `begin_step` blocks — FlexPath's "buffer data up to a certain size".
-    /// At least 1, and no wider than a remote writer's hello carries it.
-    queue_capacity: NonZeroU32,
-    /// When true, `end_step` blocks until the reader group has fully
-    /// consumed the step — the no-overlap mode used by the overlap ablation.
-    rendezvous: bool,
+    policy: Policy,
     /// Number of reader groups the stream has. Steps are retained until at
     /// least this many groups have subscribed *and* consumed them, so no
     /// subscriber can miss data by attaching late. Not a writer's choice:
@@ -43,6 +38,18 @@ pub struct WriterOptions {
     /// ([`StreamHub::set_reader_groups`](crate::StreamHub::set_reader_groups))
     /// into it, and a remote writer's hello carries it to the broker.
     pub(crate) expected_reader_groups: usize,
+}
+
+/// How far a writer may run ahead of its readers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// At most this many steps buffered (committed or in progress) before
+    /// `begin_step` blocks — FlexPath's "buffer data up to a certain
+    /// size". No wider than a remote writer's hello carries it.
+    Buffered(NonZeroU32),
+    /// `end_step` blocks until the reader group has fully consumed the
+    /// step — the no-overlap mode used by the overlap ablation.
+    Rendezvous,
 }
 
 impl Default for WriterOptions {
@@ -69,34 +76,35 @@ impl WriterOptions {
                 u32::MAX
             )
         })?;
-        let queue_capacity = NonZeroU32::new(wide).ok_or("queue depth must be at least 1")?;
-        Ok(WriterOptions {
-            queue_capacity,
-            rendezvous: false,
-            expected_reader_groups: 1,
-        })
+        let depth = NonZeroU32::new(wide).ok_or("queue depth must be at least 1")?;
+        Ok(WriterOptions::with(Policy::Buffered(depth)))
     }
 
     /// Synchronous hand-off: every step is exchanged before the writer may
     /// proceed. Used to measure what FlexPath's asynchrony buys.
     pub fn rendezvous() -> WriterOptions {
-        WriterOptions::buffered(1).with_rendezvous(true)
+        WriterOptions::with(Policy::Rendezvous)
     }
 
-    /// Enables or disables rendezvous (synchronous hand-off) mode.
-    pub fn with_rendezvous(mut self, rendezvous: bool) -> WriterOptions {
-        self.rendezvous = rendezvous;
-        self
+    fn with(policy: Policy) -> WriterOptions {
+        WriterOptions {
+            policy,
+            expected_reader_groups: 1,
+        }
     }
 
-    /// The queue depth, as a remote writer's hello carries it.
-    pub(crate) fn queue_capacity(&self) -> NonZeroU32 {
-        self.queue_capacity
+    /// The most steps the writer may have buffered: the queue depth, and 1
+    /// under rendezvous, as a remote writer's hello carries it.
+    pub fn queue_capacity(&self) -> NonZeroU32 {
+        match self.policy {
+            Policy::Buffered(depth) => depth,
+            Policy::Rendezvous => NonZeroU32::MIN,
+        }
     }
 
     /// Whether `end_step` waits for the step's consumption.
     pub(crate) fn is_rendezvous(&self) -> bool {
-        self.rendezvous
+        self.policy == Policy::Rendezvous
     }
 }
 
@@ -361,7 +369,7 @@ impl Stream {
     /// A writer rank starts `step`; blocks while the buffer is full.
     pub(crate) fn writer_begin_step(&self, step: u64) -> StreamResult<()> {
         let state = lock(&self.state);
-        let capacity = u64::from(state.options.queue_capacity.get());
+        let capacity = u64::from(state.options.queue_capacity().get());
         let start = Instant::now();
         let (mut state, ()) = self.wait_until(state, "buffer space", |s| {
             (step < s.base_step + capacity).then_some(())
@@ -430,7 +438,7 @@ impl Stream {
             );
             self.cond.notify_all();
         }
-        if state.options.rendezvous {
+        if state.options.is_rendezvous() {
             let start = Instant::now();
             let (_state, ()) = self.wait_until(state, "rendezvous consumption", |s| {
                 (s.base_step > step).then_some(())
@@ -788,7 +796,7 @@ mod tests {
     fn a_queue_deeper_than_the_hello_carries_is_refused() {
         let deepest = u32::MAX as usize;
         assert_eq!(
-            WriterOptions::buffered(deepest).queue_capacity.get(),
+            WriterOptions::buffered(deepest).queue_capacity().get(),
             u32::MAX
         );
         let wider = |depth| {

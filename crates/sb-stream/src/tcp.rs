@@ -2181,7 +2181,11 @@ fn writer_session(
     };
     // The hello carries the writer hub's reader-group count: this hub's
     // own declarations do not override it.
-    let mut options = WriterOptions::buffered(depth.get() as usize).with_rendezvous(rendezvous);
+    let mut options = if rendezvous {
+        WriterOptions::rendezvous()
+    } else {
+        WriterOptions::buffered(depth.get() as usize)
+    };
     options.expected_reader_groups = groups;
     let conn = match hub.transport().open_writer(&name, rank, nranks, options) {
         Ok(conn) => conn,

@@ -7,14 +7,15 @@
 //! transform, sink, join, fan-out — runs on.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::{Chunk, DataError, DataResult, Region, VariableMeta};
+use sb_data::{Buffer, Chunk, DataError, DataResult, Region, SharedBuffer, VariableMeta};
 use sb_stream::{
     EventKind, FaultOp, StepStatus, StreamError, StreamHub, StreamReader, StreamWriter, TraceSite,
+    WriterOptions,
 };
 
 use crate::analysis::{ArraySpec, Signature, StreamSpec};
@@ -255,7 +256,7 @@ pub struct StepIo<'a> {
     /// This component's communicator.
     pub comm: &'a Communicator,
     contract: &'a Contract,
-    staged: &'a mut [Vec<Chunk>],
+    outputs: &'a mut [Output],
 }
 
 impl<'a> StepIo<'a> {
@@ -290,7 +291,69 @@ impl<'a> StepIo<'a> {
     /// [`StepEnd::Publish`]; a rank that stages nothing still paces the
     /// output's step.
     pub fn put(&mut self, output: usize, chunk: Chunk) {
-        self.staged[output].push(chunk);
+        self.outputs[output].staged.push(chunk);
+    }
+
+    /// Storage of a payload this rank committed on output `output` in one
+    /// of its last `queue + 1` steps, once nothing else holds it: no reader
+    /// view, hub slot or relay entry can see it again, so a kernel may
+    /// overwrite it with this step's output instead of faulting in fresh
+    /// pages. `None` while every kept payload is still held, and on the
+    /// first call: the loop keeps an output's payloads only once its
+    /// component has asked for one, so others free theirs as before.
+    pub fn reclaim(&mut self, output: usize) -> Option<Buffer> {
+        self.outputs[output].reclaim()
+    }
+}
+
+/// One output of the step loop: the chunks the open step staged, and the
+/// payloads of the steps it committed last.
+struct Output {
+    staged: Vec<Chunk>,
+    /// Payload handles of the last `window` committed steps, each with its
+    /// step, once `reclaiming`. The hub buffers at most `queue` of a
+    /// writer's steps, so a window of `queue + 1` always spans one the hub
+    /// has retired.
+    kept: VecDeque<(u64, SharedBuffer)>,
+    window: u64,
+    reclaiming: bool,
+}
+
+impl Output {
+    fn new(policy: WriterOptions) -> Output {
+        Output {
+            staged: Vec::new(),
+            kept: VecDeque::new(),
+            window: u64::from(policy.queue_capacity().get()) + 1,
+            reclaiming: false,
+        }
+    }
+
+    /// Drops the handles of steps that fell out of the window ending at
+    /// `step`.
+    fn forget_before(&mut self, step: u64) {
+        let window = self.window;
+        self.kept.retain(|&(at, _)| at + window > step);
+    }
+
+    /// Keeps `payload`, committed at `step`, if the component reclaims.
+    fn keep(&mut self, step: u64, payload: &SharedBuffer) {
+        if self.reclaiming {
+            self.kept.push_back((step, payload.clone()));
+        }
+    }
+
+    /// A kept payload whose handle is the only one left, as storage.
+    fn reclaim(&mut self) -> Option<Buffer> {
+        self.reclaiming = true;
+        for _ in 0..self.kept.len() {
+            let (step, payload) = self.kept.pop_front()?;
+            match SharedBuffer::try_unwrap(payload) {
+                Ok(storage) => return Some(storage),
+                Err(held) => self.kept.push_back((step, held)),
+            }
+        }
+        None
     }
 }
 
@@ -534,9 +597,11 @@ where
         .iter()
         .map(|(stream, group)| hub.open_reader_grouped(stream, group, rank, size))
         .collect();
+    let policies: Vec<WriterOptions> = outputs.iter().map(|s| hub.writer_options(s)).collect();
     let mut writers: Vec<StreamWriter> = outputs
         .iter()
-        .map(|stream| hub.open_writer(stream, rank, size, hub.writer_options(stream)))
+        .zip(&policies)
+        .map(|(stream, &policy)| hub.open_writer(stream, rank, size, policy))
         .collect();
     let mut stats = ComponentStats::default();
     let exit = outputs_in_step(&label, &outputs, &writers).and_then(|()| {
@@ -547,6 +612,7 @@ where
             hub,
             &mut readers,
             &mut writers,
+            &mut policies.into_iter().map(Output::new).collect::<Vec<_>>(),
             &mut stats,
             &mut per_step,
         )
@@ -588,6 +654,7 @@ fn step_loop<F>(
     hub: &Arc<StreamHub>,
     readers: &mut [StreamReader],
     writers: &mut [StreamWriter],
+    outputs: &mut [Output],
     stats: &mut ComponentStats,
     per_step: &mut F,
 ) -> Result<Exit, ComponentError>
@@ -601,8 +668,6 @@ where
         step,
         source,
     };
-    // One staging buffer per output, reused across steps.
-    let mut staged: Vec<Vec<Chunk>> = writers.iter().map(|_| Vec::new()).collect();
     let mut contract = Contract::default();
     loop {
         let step = match (readers.first(), writers.first()) {
@@ -633,7 +698,7 @@ where
             inputs: readers,
             comm,
             contract: &contract,
-            staged: &mut staged,
+            outputs,
         };
         // The closure runs while the inputs are still open: a signal it
         // publishes for step k precedes both the release of k upstream and
@@ -653,10 +718,10 @@ where
             let publish_ns = trace.now();
             if publish {
                 let keep = gate != StepFault::DropChunk;
-                blocked = commit(writers, &mut staged, keep, &mut stats.bytes_out)
+                blocked = commit(writers, outputs, step, keep, &mut stats.bytes_out)
                     .map_err(|e| stream_err(step, e))?;
             }
-            staged.iter_mut().for_each(Vec::clear);
+            outputs.iter_mut().for_each(|o| o.staged.clear());
             trace.span(EventKind::Publish, step, publish_ns);
         }
         stats.record_step(step_start.elapsed(), wait + blocked, compute, bytes_in);
@@ -689,13 +754,14 @@ fn begin_inputs(readers: &mut [StreamReader]) -> Result<bool, StreamError> {
     Ok(true)
 }
 
-/// Commits one step on every output — every `begin_step` before any
-/// `end_step` — putting the staged chunks if `keep`, and returns the time
-/// spent blocked in the two (output backpressure, or a rendezvous
-/// hand-off).
+/// Commits `step` on every output — every `begin_step` before any
+/// `end_step` — putting the staged chunks if `keep` and keeping their
+/// payload handles, and returns the time spent blocked in the two (output
+/// backpressure, or a rendezvous hand-off).
 fn commit(
     writers: &mut [StreamWriter],
-    staged: &mut [Vec<Chunk>],
+    outputs: &mut [Output],
+    step: u64,
     keep: bool,
     bytes_out: &mut u64,
 ) -> Result<Duration, StreamError> {
@@ -705,11 +771,15 @@ fn commit(
     }
     let mut blocked = block_start.elapsed();
     if keep {
-        for (w, chunks) in writers.iter_mut().zip(staged) {
-            for chunk in chunks.drain(..) {
+        for (w, output) in writers.iter_mut().zip(outputs.iter_mut()) {
+            let mut staged = std::mem::take(&mut output.staged);
+            for chunk in staged.drain(..) {
                 *bytes_out += chunk.byte_len() as u64;
+                output.keep(step, &chunk.data);
                 w.put(chunk);
             }
+            output.staged = staged;
+            output.forget_before(step);
         }
     }
     let block_start = Instant::now();
@@ -1029,5 +1099,37 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// An output keeps the payloads of its last queue + 1 committed steps,
+    /// and hands back one only when its handle is the last.
+    #[test]
+    fn an_output_keeps_its_last_queue_plus_one_steps_and_reclaims_only_unique_ones() {
+        let mut output = Output::new(WriterOptions::buffered(2));
+        let held = SharedBuffer::new(Buffer::F64(vec![0.0]));
+        // Nothing is kept for a component that has not asked.
+        output.keep(0, &held);
+        assert!(output.kept.is_empty());
+        assert!(output.reclaim().is_none());
+        for step in 0..10u64 {
+            let payload = match step {
+                0 => held.clone(),
+                _ => SharedBuffer::new(Buffer::F64(vec![step as f64])),
+            };
+            output.keep(step, &payload);
+            output.forget_before(step);
+            let kept: Vec<u64> = output.kept.iter().map(|&(at, _)| at).collect();
+            assert_eq!(kept, (step.saturating_sub(2)..=step).collect::<Vec<_>>());
+        }
+        // Every kept payload is unique now; each comes back once.
+        let mut back: Vec<f64> = std::iter::from_fn(|| output.reclaim())
+            .map(|b| b.get_f64(0))
+            .collect();
+        back.sort_by(f64::total_cmp);
+        assert_eq!(back, [7.0, 8.0, 9.0]);
+        // A payload someone else holds never comes back.
+        output.keep(10, &held);
+        assert!(output.reclaim().is_none());
+        assert_eq!(output.kept.len(), 1);
     }
 }

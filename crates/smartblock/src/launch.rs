@@ -607,19 +607,25 @@ impl<'a> Options<'a> {
             .transpose()
     }
 
-    /// The output's writer settings — `queue=`, `rendezvous=` — over the
-    /// default policy.
+    /// The output's writer policy: `queue=` a depth, or `rendezvous=1`,
+    /// which buffers no second step and so takes no depth; else the
+    /// default.
     fn writer(&mut self) -> Result<WriterOptions, String> {
-        let w = match self.usize("queue")? {
-            Some(q) => WriterOptions::try_buffered(q)?,
-            None => WriterOptions::default(),
-        };
-        Ok(match self.take("rendezvous") {
-            None => w,
-            Some("1" | "true") => w.with_rendezvous(true),
-            Some("0" | "false") => w.with_rendezvous(false),
+        let queue = self.usize("queue")?;
+        let rendezvous = match self.take("rendezvous") {
+            None | Some("0" | "false") => false,
+            Some("1" | "true") => true,
             Some(r) => return Err(format!("rendezvous={r:?} is not 0, 1, true or false")),
-        })
+        };
+        match (queue, rendezvous) {
+            (Some(q), true) => Err(format!(
+                "queue={q} with rendezvous=1: a rendezvous writer buffers no second step, \
+                 so it takes no queue depth"
+            )),
+            (Some(q), false) => WriterOptions::try_buffered(q),
+            (None, true) => Ok(WriterOptions::rendezvous()),
+            (None, false) => Ok(WriterOptions::default()),
+        }
     }
 
     /// Refuses the first given option `program`'s arm never read.
@@ -822,7 +828,7 @@ mod tests {
     #[test]
     fn every_program_lowers_from_its_script_line() {
         let default = WriterOptions::default();
-        let rendezvous = default.with_rendezvous(true);
+        let rendezvous = WriterOptions::rendezvous();
         let cases: &[(&str, Wiring, Option<WriterOptions>)] = &[
             (
                 "aprun -n 2 select dump.fp atoms 1 sel.fp v vx vy vz queue=3",
@@ -1016,6 +1022,14 @@ mod tests {
             ),
             ("gromacs queue=4294967297", "the same on a simulation"),
             ("magnitude a b c d queue=0", "a queue depth no writer runs"),
+            (
+                "gromacs chains=4 len=4 steps=5 interval=1 queue=3 rendezvous=1",
+                "a queue depth rendezvous never fills",
+            ),
+            (
+                "magnitude a b c d queue=1 rendezvous=true",
+                "the same at depth 1",
+            ),
         ] {
             let line = format!("\n# {what}\n{script}");
             match WorkflowPlan::from_script(&line) {
@@ -1046,6 +1060,14 @@ mod tests {
             e[0].detail,
             "component rejected its arguments: queue depth 4294967297 exceeds 4294967295, \
              the deepest a remote writer declares"
+        );
+        // Rendezvous buffers no second step: a depth beside it is refused,
+        // not carried as a dead value two ranks could disagree on.
+        let e = WorkflowPlan::from_script("gromacs queue=3 rendezvous=1").unwrap_err();
+        assert_eq!(
+            e[0].detail,
+            "component rejected its arguments: queue=3 with rendezvous=1: a rendezvous \
+             writer buffers no second step, so it takes no queue depth"
         );
         // A simulation names the keys its code takes, as a component does.
         let e = WorkflowPlan::from_script("gromacs nx=4").unwrap_err();

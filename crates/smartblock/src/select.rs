@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sb_comm::Communicator;
-use sb_data::{Chunk, DataError, DataResult, Region, Variable};
+use sb_data::{Buffer, Chunk, DataError, DataResult, Region, Variable};
 use sb_stream::StreamHub;
 
 use crate::component::{run_steps, Component, StepEnd, StreamArray};
@@ -31,6 +31,17 @@ use crate::error::ComponentResult;
 /// renames nothing, and re-labels `dim` with the selected subset of the
 /// header (when one is present).
 pub fn select_rows(var: &Variable, dim: usize, indices: &[usize]) -> DataResult<Variable> {
+    select_rows_into(var, dim, indices, None)
+}
+
+/// [`select_rows`] built in `storage`, a payload its caller no longer
+/// needs (see [`sb_data::Buffer::gather_dim_into`]).
+pub(crate) fn select_rows_into(
+    var: &Variable,
+    dim: usize,
+    indices: &[usize],
+    storage: Option<Buffer>,
+) -> DataResult<Variable> {
     var.shape.check_dim(dim)?;
     let d = var.shape.size(dim);
     for &i in indices {
@@ -44,7 +55,7 @@ pub fn select_rows(var: &Variable, dim: usize, indices: &[usize]) -> DataResult<
     let pre: usize = sizes[..dim].iter().product();
     let post: usize = sizes[dim + 1..].iter().product();
     let out_shape = var.shape.with_dim_size(dim, indices.len());
-    let out = var.data.gather_dim(pre, d, post, indices);
+    let out = var.data.gather_dim_into(pre, d, post, indices, storage);
     let mut result = Variable::new(var.name.clone(), out_shape, out)?;
     result.labels = selected_labels(&var.labels, dim, indices);
     result.attrs = var.attrs.clone();
@@ -153,8 +164,11 @@ impl Component for Select {
             let var = io.inputs[0].get(&self.input.array, region)?;
             let bytes_in = var.byte_len() as u64;
 
+            // Built in a payload of an earlier step that every reader has
+            // dropped, so the step touches no fresh page.
+            let storage = io.reclaim(0);
             let kernel_start = Instant::now();
-            let selected = select_rows(&var, self.dim_index, &indices)?;
+            let selected = select_rows_into(&var, self.dim_index, &indices, storage)?;
             let compute = kernel_start.elapsed();
 
             let mut offset = region.offset().to_vec();
@@ -174,7 +188,7 @@ impl Component for Select {
 mod tests {
     use super::*;
     use crate::component::tests::Wired;
-    use sb_data::{Buffer, Shape};
+    use sb_data::Shape;
 
     fn particles() -> Variable {
         // 4 particles x 5 props; value = 10*particle + prop.

@@ -296,24 +296,58 @@ fn seeded_indices(rng: &mut StdRng, d: usize, k: usize) -> Vec<usize> {
     list
 }
 
-/// Every gather agrees with the per-element definition: over shapes of up
-/// to four dimensions (zero extents included) with the lists of
-/// [`index_lists`], then over seeded selections whose gathered row
-/// (`indices.len() * post` elements) is each width from 1 to 12, so that
-/// rows built from an offset table (at most 8 wide) and rows copied run by
-/// run both show. `SB_CHAOS_SEED` reseeds the sweep.
+/// `len` elements of `dtype` whose every byte is `0xA5`: what a gather
+/// must leave no trace of.
+fn sentinel(dtype: DType, len: usize) -> Buffer {
+    Buffer::from_le_bytes(dtype, len, &vec![0xA5; len * dtype.elem_bytes()]).unwrap()
+}
+
+/// Storage a gather of `len` elements of `dtype` may be handed: none, the
+/// wrong dtype, too short, too long, and exactly long enough, each but the
+/// first filled with [`sentinel`] bytes.
+fn storage_cases(dtype: DType, len: usize) -> [(&'static str, Option<Buffer>); 5] {
+    let other = if dtype == DType::F32 {
+        DType::U64
+    } else {
+        DType::F32
+    };
+    [
+        ("no storage", None),
+        ("another dtype", Some(sentinel(other, len))),
+        ("shorter", Some(sentinel(dtype, len / 2))),
+        ("longer", Some(sentinel(dtype, len + 7))),
+        ("same length", Some(sentinel(dtype, len))),
+    ]
+}
+
+/// Every gather agrees with the per-element definition, and writes the
+/// same bytes into any storage it is handed: over shapes of up to four
+/// dimensions (zero extents included) with the lists of [`index_lists`],
+/// then over seeded selections whose gathered row (`indices.len() * post`
+/// elements) is each width from 1 to 12, so that whole-buffer copies, rows
+/// built from an offset table (at most 8 wide) and rows copied run by run
+/// all show. `SB_CHAOS_SEED` reseeds the sweep.
 #[test]
 fn gather_dim_matches_a_per_element_gather() {
     let mut rng = StdRng::seed_from_u64(chaos_seed(0x6A7E));
     let mut cases = 0;
     let mut check = |pre: usize, d: usize, post: usize, indices: &[usize], what: &str| {
         for src in buffers_of_every_dtype(pre * d * post) {
-            assert_eq!(
-                src.gather_dim(pre, d, post, indices),
-                gather_per_element(&src, pre, d, post, indices),
+            let fresh = src.gather_dim(pre, d, post, indices);
+            let what = format!(
                 "{what}: {:?} of [{pre}][{d}][{post}] rows {indices:?}",
                 src.dtype()
             );
+            assert_eq!(
+                fresh,
+                gather_per_element(&src, pre, d, post, indices),
+                "{what}"
+            );
+            for (storage, handed) in storage_cases(src.dtype(), fresh.len()) {
+                let into = src.gather_dim_into(pre, d, post, indices, handed);
+                assert_eq!(into.dtype(), fresh.dtype(), "{what}, {storage}");
+                assert_eq!(into.to_le_bytes(), fresh.to_le_bytes(), "{what}, {storage}");
+            }
             cases += 1;
         }
     };

@@ -26,6 +26,7 @@ use sb_stream::{
 };
 use smartblock::metrics::WorkflowReport;
 use smartblock::prelude::*;
+use smartblock::select::select_rows;
 use smartblock::workflows::{
     gromacs_workflow_on, gtcp_workflow_on, lammps_workflow_on, PresetScale,
 };
@@ -487,13 +488,13 @@ fn leads_under(hub: Arc<StreamHub>, policy: &str, queue: u64) -> Vec<u64> {
 
 /// A launch line's writer policy reaches the writer on every backend: the
 /// writer runs exactly as far ahead of its slowest reader in-proc, over
-/// `tcp://` and over `shm://`. Under `queue=1 rendezvous=1` that is one
-/// step; under `queue=3` three, so a depth lost or wrapped on the way to
-/// a remote broker shows as another lead.
+/// `tcp://` and over `shm://`. Under `rendezvous=1` that is one step;
+/// under `queue=3` three, so a depth lost or wrapped on the way to a
+/// remote broker shows as another lead.
 #[test]
 fn writer_policy_blocks_alike_on_every_backend() {
     for (policy, queue, expected) in [
-        ("queue=1 rendezvous=1", 1, vec![1; 5]),
+        ("rendezvous=1", 1, vec![1; 5]),
         ("queue=3", 3, vec![3, 3, 3, 2, 1]),
     ] {
         let inproc = leads_under(StreamHub::new(), policy, queue);
@@ -792,4 +793,207 @@ fn relay_frame_reuse_steps_are_byte_identical_across_sizes() {
         }
         assert_eq!(got.len(), want.len(), "{url}");
     }
+}
+
+/// The queue depth of the output-reuse streams.
+const REUSE_QUEUE: u64 = 2;
+
+/// Step `step` of the output-reuse source: 512 particles × {ID, Type, vx,
+/// vy, vz}, every value drawn from `seed` and the step.
+fn particles_step(seed: u64, step: u64) -> Variable {
+    let mut rng = StdRng::seed_from_u64(seed ^ step.wrapping_mul(0x2545_F491_4F6C_DD1D));
+    let data = (0..512 * 5).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    Variable::new(
+        "atoms",
+        Shape::of(&[("particles", 512), ("props", 5)]),
+        Buffer::F64(data),
+    )
+    .unwrap()
+    .with_labels(1, &["ID", "Type", "vx", "vy", "vz"])
+    .unwrap()
+}
+
+/// Select builds each step in storage of an earlier one that nothing holds
+/// any more. A reader that keeps step `HELD`'s payload while Select runs
+/// 3 × (queue + 1) more steps finds it bitwise as it was read, and every
+/// other step reads as a fresh selection of its source.
+#[test]
+fn output_reuse_never_overwrites_a_held_step_on_every_backend() {
+    const HELD: u64 = 3;
+    const STEPS: u64 = HELD + 3 * (REUSE_QUEUE + 1) + 4;
+    let seed = chaos_seed();
+    on_every_backend("held", Duration::from_secs(30), |backend, hub| {
+        hub.set_writer_options("sel.fp", WriterOptions::buffered(REUSE_QUEUE as usize));
+        let source = {
+            let hub = Arc::clone(&hub);
+            std::thread::spawn(move || {
+                let mut w = hub.open_writer("parts.fp", 0, 1, WriterOptions::default());
+                for step in 0..STEPS {
+                    w.begin_step().unwrap();
+                    w.put_whole(particles_step(seed, step));
+                    w.end_step().unwrap();
+                }
+                w.close();
+            })
+        };
+        let select = {
+            let hub = Arc::clone(&hub);
+            LaunchHandle::spawn("select", 1, move |comm| {
+                Select::new(
+                    ("parts.fp", "atoms"),
+                    1,
+                    ["vx", "vy", "vz"],
+                    ("sel.fp", "v"),
+                )
+                .run(&comm, &hub)
+            })
+            .unwrap()
+        };
+        let mut r = hub.open_reader("sel.fp", 0, 1);
+        let mut held = None;
+        let mut step = 0;
+        while r.begin_step().unwrap() != StepStatus::EndOfStream {
+            let want = select_rows(&particles_step(seed, step), 1, &[2, 3, 4]).unwrap();
+            let want = want.data.to_le_bytes();
+            let var = r.get_whole("v").unwrap();
+            assert!(
+                var.data.to_le_bytes() == want,
+                "{backend}: step {step} is not its source's selection"
+            );
+            if step == HELD {
+                held = Some((var, want));
+            } else {
+                drop(var);
+            }
+            r.end_step();
+            if step == HELD + 3 * (REUSE_QUEUE + 1) {
+                let (var, want) = held.as_ref().unwrap();
+                assert!(
+                    var.data.to_le_bytes() == *want,
+                    "{backend}: held step {HELD} was overwritten by step {step}"
+                );
+            }
+            step += 1;
+        }
+        assert_eq!(step, STEPS, "{backend}");
+        source.join().unwrap();
+        select.join().unwrap().remove(0).unwrap();
+        let (var, want) = held.unwrap();
+        assert!(var.data.to_le_bytes() == want, "{backend}: held step");
+    });
+}
+
+/// Elements in each step of [`Reclaimer`]'s output.
+const RECLAIMED_LEN: usize = 4096;
+
+/// Per step, the step whose payload `reclaim` handed back, if any.
+type Reclaims = Arc<Mutex<Vec<(u64, Option<u64>)>>>;
+
+/// A source that writes `[step; RECLAIMED_LEN]` to `stream` each step, in
+/// the storage `reclaim` hands it when it hands one, and records which
+/// step's payload that storage held.
+struct Reclaimer {
+    stream: String,
+    steps: u64,
+    reclaimed: Reclaims,
+}
+
+impl Component for Reclaimer {
+    fn label(&self) -> String {
+        "reclaimer".into()
+    }
+
+    fn output_streams(&self) -> Vec<String> {
+        vec![self.stream.clone()]
+    }
+
+    fn run(&self, comm: &sb_comm::Communicator, hub: &Arc<StreamHub>) -> ComponentResult {
+        use smartblock::component::{run_steps, StepEnd};
+        run_steps(self, comm, hub, |io| {
+            if io.step == self.steps {
+                return Ok(StepEnd::Done);
+            }
+            let storage = io.reclaim(0);
+            let from = storage.as_ref().map(|b| b.get_f64(0) as u64);
+            lock(&self.reclaimed).push((io.step, from));
+            let mut values = match storage {
+                Some(Buffer::F64(values)) => values,
+                _ => Vec::new(),
+            };
+            values.clear();
+            values.resize(RECLAIMED_LEN, io.step as f64);
+            let shape = Shape::linear("n", RECLAIMED_LEN);
+            io.put(
+                0,
+                Chunk::whole(Variable::new("x", shape, Buffer::F64(values))?),
+            );
+            Ok(StepEnd::Publish {
+                bytes_in: 0,
+                compute: Duration::ZERO,
+            })
+        })
+    }
+}
+
+/// The step loop keeps the payloads of an output's last queue + 1 steps and
+/// no older ones: `reclaim` never hands back storage from outside that
+/// window, not even of a step a reader held past it. With a reader that
+/// releases each step at once, storage comes back every step from step
+/// queue + 2 on. Every step reads as written.
+#[test]
+fn output_reuse_keeps_at_most_queue_plus_one_steps_on_every_backend() {
+    const STEPS: u64 = 24;
+    const HELD: u64 = 2;
+    on_every_backend("window", Duration::from_secs(30), |backend, hub| {
+        for (stream, hold) in [("prompt.fp", false), ("held.fp", true)] {
+            hub.set_writer_options(stream, WriterOptions::buffered(REUSE_QUEUE as usize));
+            let reclaimed = Arc::new(Mutex::new(Vec::new()));
+            let source = {
+                let hub = Arc::clone(&hub);
+                let reclaimer = Reclaimer {
+                    stream: stream.into(),
+                    steps: STEPS,
+                    reclaimed: Arc::clone(&reclaimed),
+                };
+                LaunchHandle::spawn("reclaimer", 1, move |comm| reclaimer.run(&comm, &hub)).unwrap()
+            };
+            let mut r = hub.open_reader(stream, 0, 1);
+            let mut held = None;
+            let mut step = 0;
+            while r.begin_step().unwrap() != StepStatus::EndOfStream {
+                let want = Buffer::F64(vec![step as f64; RECLAIMED_LEN]).to_le_bytes();
+                let var = r.get_whole("x").unwrap();
+                assert!(var.data.to_le_bytes() == want, "{backend}: step {step}");
+                // Released promptly: the view goes before the step does.
+                if hold && step == HELD {
+                    held = Some((var, want));
+                } else {
+                    drop(var);
+                }
+                r.end_step();
+                if step == HELD + 3 * (REUSE_QUEUE + 1) {
+                    if let Some((var, want)) = held.take() {
+                        assert!(var.data.to_le_bytes() == want, "{backend}: held step");
+                    }
+                }
+                step += 1;
+            }
+            source.join().unwrap().remove(0).unwrap();
+            let reclaimed = lock(&reclaimed).clone();
+            assert_eq!(reclaimed.len() as u64, STEPS, "{backend}");
+            for (step, from) in reclaimed {
+                if let Some(from) = from {
+                    assert!(
+                        from < step && step - from <= REUSE_QUEUE + 1,
+                        "{backend}, hold {hold}: step {step} got step {from}'s storage"
+                    );
+                } else {
+                    assert!(
+                        hold || step < REUSE_QUEUE + 2,
+                        "{backend}: nothing to reclaim at step {step}"
+                    );
+                }
+            }
+        }
+    });
 }
